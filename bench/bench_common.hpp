@@ -1,8 +1,8 @@
 // Shared helpers for the figure/table reproduction benches.
 //
 // All latencies are *virtual* microseconds from the calibrated cost model
-// (see DESIGN.md §2): the shapes are the reproduction target, not wall
-// time. Phases that are pure host work (type creation/commit, Fig. 7) use
+// (see the README's opening section): the shapes are the reproduction
+// target, not wall time. Phases that are pure host work (type creation/commit, Fig. 7) use
 // wall time instead, since the virtual clock does not model host compute.
 #pragma once
 

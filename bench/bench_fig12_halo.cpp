@@ -6,9 +6,9 @@
 //   (b) whole-exchange speedup over the baseline datatype path (largest at
 //       small scale, where datatype handling dominates).
 //
-// Scale note (DESIGN.md §2): ranks are threads, so the sweep covers 1-8
-// virtual nodes x {1,2,6} ranks/node (<=48 ranks); the paper's 512-node
-// sweep shape is visible in this range. The per-rank brick is scaled to
+// Scale note (README opening section): ranks are threads, so the sweep
+// covers 1-8 virtual nodes x {1,2,6} ranks/node (<=48 ranks); the paper's
+// 512-node sweep shape is visible in this range. The per-rank brick is scaled to
 // 24^3 x 8 doubles (the paper's 256^3 would need 1 GiB per rank).
 #include "bench_common.hpp"
 #include "halo/halo.hpp"

@@ -18,7 +18,8 @@
 namespace {
 
 // The Fig. 1 object: E0 x E1 x E2 floats in an A0 x A1 x A2 byte
-// allocation (A0 widened so the row fits; see DESIGN.md).
+// allocation. A row of E0 = 100 floats is 400 bytes, so A0 is widened to
+// 512 bytes, the next power of two that holds it.
 constexpr int kA0 = 512, kA1 = 512, kA2 = 64;
 constexpr int kE0 = 100, kE1 = 13, kE2 = 47;
 

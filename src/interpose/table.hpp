@@ -8,7 +8,7 @@
 // This reproduction keeps that exact override/fallback semantics but
 // resolves symbols through an explicit function table instead of the OS
 // loader, because the "cluster" here is threads inside one process (see
-// DESIGN.md §2):
+// the README's opening section):
 //   * system_table()  — the system MPI's entry points (dlsym(RTLD_NEXT,...))
 //   * active_table()  — what the MPI_* wrappers call (the PLT)
 //   * install()/uninstall() — LD_PRELOAD / removing it

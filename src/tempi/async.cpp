@@ -3,6 +3,7 @@
 #include "support/contended_mutex.hpp"
 #include "support/log.hpp"
 #include "sysmpi/mpi.hpp"
+#include "sysmpi/netmodel.hpp"
 #include "tempi/topology.hpp"
 #include "tempi/trace.hpp"
 #include "vcuda/runtime.hpp"
@@ -137,6 +138,8 @@ struct Pool {
   trace::Counter irecvs{"tempi.engine.irecvs"};
   trace::Counter completions{"tempi.engine.completions"};
   trace::Counter batched_syncs{"tempi.engine.batched_syncs"};
+  trace::Counter fused_unpack_launches{"tempi.engine.fused_unpack_launches"};
+  trace::Counter fused_unpacks{"tempi.engine.fused_unpacks"};
 
   trace::Counter p_inits{"tempi.persistent.inits"};
   trace::Counter p_starts{"tempi.persistent.starts"};
@@ -291,6 +294,16 @@ void retire(std::unique_ptr<AsyncOp> op, MPI_Request *request) {
   pool().completions.add();
 }
 
+/// The blocking wire leg of a monolithic packer-driven receive: the packed
+/// bytes land in the op's leased wire buffer.
+int recv_wire(AsyncOp &op, const interpose::MpiTable &next) {
+  trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Irecv,
+                         op.pipe.bytes, op.peer, op.tag,
+                         static_cast<std::int8_t>(op.method));
+  return next.Recv(op.pipe.wire.get(), wire_count(op), MPI_BYTE, op.peer,
+                   op.tag, op.comm, &op.wire_status);
+}
+
 /// Blocking wire leg + unpack for a receive op; `sync` controls whether
 /// the stream is synchronized here (Waitall defers it to batch).
 int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
@@ -369,15 +382,7 @@ int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
     }
     return MPI_SUCCESS;
   }
-  int rc;
-  {
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Irecv,
-                           op.pipe.bytes, op.peer, op.tag,
-                           static_cast<std::int8_t>(op.method));
-    rc = next.Recv(op.pipe.wire.get(), wire_count(op), MPI_BYTE, op.peer,
-                   op.tag, op.comm, &op.wire_status);
-  }
-  if (rc != MPI_SUCCESS) {
+  if (const int rc = recv_wire(op, next); rc != MPI_SUCCESS) {
     return rc;
   }
   trace::ScopedSpan unpack(trace::Phase::Unpack, trace::OpKind::Irecv,
@@ -712,8 +717,9 @@ std::unique_ptr<AsyncOp> make_recv_op(int count, int source, int tag,
   op->peer = source;
   op->tag = tag;
   op->comm = comm;
-  // Round-robin pool stream: Waitall's batched unpack legs then spread
-  // across the pool and overlap before its single per-stream sync.
+  // Round-robin pool stream for the unpack legs Wait/Test enqueue. In
+  // Waitall, only ops that enqueue work of their own (not fused, not
+  // landing in place) put their stream into the pass-2 sync.
   op->stream = vcuda::next_pool_stream();
   return op;
 }
@@ -1365,6 +1371,109 @@ int probe_entry(MPI_Request *request, MPI_Status *status,
   return MPI_SUCCESS;
 }
 
+/// A receive whose unpack can join Waitall's fused launch: a canonical
+/// packer moved by one kernel (Device or OneShot). Blocklist and
+/// pre-packed ops carry no packer, and pipelined ops are Method::Pipelined.
+bool fusable(const AsyncOp &op) {
+  return op.packer != nullptr &&
+         (op.method == Method::Device || op.method == Method::OneShot);
+}
+
+/// A wire wait for more than the eager threshold is a rendezvous: long
+/// enough that pending unpacks should already be running under it.
+bool rendezvous_sized(std::size_t bytes) {
+  return bytes > sysmpi::net_params().eager_bytes;
+}
+
+/// Payload bytes a receive op's wire wait expects.
+std::size_t expected_bytes(const AsyncOp &op) {
+  return op.chunked ? op.packer->packed_bytes(op.count) : op.pipe.bytes;
+}
+
+std::size_t expected_bytes(const PersistentChannel &ch) {
+  return ch.chunked ? ch.packer->packed_bytes(ch.count) : ch.prog.pipe.bytes;
+}
+
+void note_stream(std::vector<vcuda::StreamHandle> &list,
+                 vcuda::StreamHandle s) {
+  if (s != nullptr && std::find(list.begin(), list.end(), s) == list.end()) {
+    list.push_back(s);
+  }
+}
+
+/// Receives of one Waitall whose wire has landed and whose unpack waits
+/// for the next fused launch. Every launch of one Waitall goes on the same
+/// stream, so pass 2 pays one sync for all of them.
+struct UnpackBatch {
+  std::vector<UnpackItem> items;
+  std::uint64_t bytes = 0;
+  vcuda::StreamHandle stream = nullptr;
+
+  void add(const AsyncOp &op) {
+    if (stream == nullptr) {
+      stream = op.stream;
+    }
+    const Packer &pk = *op.packer;
+    items.push_back({&pk.plan(), &pk.block(), pk.type_extent(), op.recv_buf,
+                     op.pipe.wire.get(), op.count});
+    bytes += op.pipe.bytes;
+  }
+
+  /// Launch every pending unpack as one kernel (no-op when empty) and
+  /// record the stream for pass 2's sync.
+  int flush(std::vector<vcuda::StreamHandle> &streams) {
+    if (items.empty()) {
+      return MPI_SUCCESS;
+    }
+    trace::ScopedSpan span(trace::Phase::Unpack, trace::OpKind::Irecv, bytes);
+    const vcuda::Error e = launch_unpack_batch(items, stream);
+    const std::size_t n = items.size();
+    items.clear();
+    bytes = 0;
+    if (e != vcuda::Error::Success) {
+      return MPI_ERR_OTHER;
+    }
+    Pool &p = pool();
+    p.fused_unpack_launches.add();
+    p.fused_unpacks.add(n);
+    note_stream(streams, stream);
+    return MPI_SUCCESS;
+  }
+};
+
+/// Waitall's pass-1 step for one receive op: receive the wire, then either
+/// append the unpack to `batch` or enqueue it on the op's own path without
+/// a sync. A rendezvous-sized wire wait first launches the pending batch.
+/// Streams left holding this op's work are added to `streams`.
+int complete_recv_deferred(AsyncOp &op, const interpose::MpiTable &next,
+                           UnpackBatch &batch,
+                           std::vector<vcuda::StreamHandle> &streams) {
+  if (rendezvous_sized(expected_bytes(op))) {
+    if (const int rc = batch.flush(streams); rc != MPI_SUCCESS) {
+      return rc;
+    }
+  }
+  if (fusable(op)) {
+    const int rc = recv_wire(op, next);
+    if (rc == MPI_SUCCESS) {
+      batch.add(op);
+      op.phase = OpPhase::UnpackPending;
+    }
+    return rc;
+  }
+  const int rc = complete_recv(op, next, /*sync=*/false);
+  // An op that already completed (a pre-packed leg landing in place) left
+  // no work on its stream: nothing to sync for it.
+  if (op.phase == OpPhase::UnpackPending) {
+    if (op.chunked) {
+      op.chunked->append_streams(streams);
+    } else {
+      note_stream(streams, op.stream);
+    }
+  }
+  return rc;
+}
+
 } // namespace
 
 int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
@@ -1374,20 +1483,26 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
   }
   // Pass 1: complete every transfer leg, but only *enqueue* the unpack
   // legs — TEMPI receives pipeline on the stream without a host sync.
+  // Fusable receives do not even launch: their unpacks collect in `batch`
+  // and go out as one kernel just before the next rendezvous-sized wire
+  // wait (so they run under it) and once more at the end of the pass.
   std::vector<std::unique_ptr<AsyncOp>> pending(
       static_cast<std::size_t>(count));
   std::vector<PersistentChannel *> pending_ch(static_cast<std::size_t>(count),
                                               nullptr);
   std::vector<vcuda::StreamHandle> streams;
   std::vector<vcuda::StreamHandle> fence_streams; ///< channel streams
+  UnpackBatch batch;
   int unpacks_batched = 0;
   // On any failure, ops already extracted must still be retired so the
-  // application is not left holding dangling pool tickets. Their enqueued
-  // unpack legs must drain first: retiring returns the intermediates to
-  // the cache, which is only safe once no stream work references them.
-  // Channels stay in the pool (persistent handles survive) but must be
-  // drained and disarmed too.
+  // application is not left holding dangling pool tickets. Wire bytes that
+  // already landed still get their unpack (the pending batch launches
+  // first), and enqueued unpack legs must drain: retiring returns the
+  // intermediates to the cache, which is only safe once no stream work
+  // references them. Channels stay in the pool (persistent handles
+  // survive) but must be drained and disarmed too.
   const auto bail = [&](int rc) {
+    batch.flush(streams);
     for (vcuda::StreamHandle s : streams) {
       vcuda::StreamSynchronize(s);
     }
@@ -1405,16 +1520,6 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
     }
     return rc;
   };
-  const auto note_stream = [](std::vector<vcuda::StreamHandle> &list,
-                              vcuda::StreamHandle s) {
-    bool seen = false;
-    for (vcuda::StreamHandle have : list) {
-      seen = seen || have == s;
-    }
-    if (!seen && s != nullptr) {
-      list.push_back(s);
-    }
-  };
   for (int i = 0; i < count; ++i) {
     MPI_Status *status =
         statuses == MPI_STATUSES_IGNORE ? MPI_STATUS_IGNORE : &statuses[i];
@@ -1428,7 +1533,13 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
         }
         continue;
       }
-      const int rc = complete_channel(*ch, next, /*sync=*/false);
+      int rc = MPI_SUCCESS;
+      if (!ch->is_send && rendezvous_sized(expected_bytes(*ch))) {
+        rc = batch.flush(streams);
+      }
+      if (rc == MPI_SUCCESS) {
+        rc = complete_channel(*ch, next, /*sync=*/false);
+      }
       if (rc != MPI_SUCCESS) {
         return bail(rc);
       }
@@ -1459,19 +1570,8 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
     if (op->kind == AsyncOp::Kind::Send) {
       rc = complete_send(*op, next);
     } else {
-      rc = complete_recv(*op, next, /*sync=*/false);
-      ++unpacks_batched;
-      if (op->chunked) {
-        op->chunked->append_streams(streams);
-      } else {
-        bool seen = false;
-        for (vcuda::StreamHandle s : streams) {
-          seen = seen || s == op->stream;
-        }
-        if (!seen) {
-          streams.push_back(op->stream);
-        }
-      }
+      rc = complete_recv_deferred(*op, next, batch, streams);
+      unpacks_batched += op->phase == OpPhase::UnpackPending ? 1 : 0;
     }
     if (rc != MPI_SUCCESS) {
       // Drain any legs the failing op enqueued before its buffers return
@@ -1482,12 +1582,15 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
     }
     pending[static_cast<std::size_t>(i)] = std::move(op);
   }
-  // Pass 2: one host synchronization per stream covers every batched
-  // unpack leg (the pipelining payoff of the request engine). Channel
-  // streams take the cheaper pre-armed fence.
+  if (const int rc = batch.flush(streams); rc != MPI_SUCCESS) {
+    return bail(rc);
+  }
+  // Pass 2: one host synchronization per stream that holds batched unpack
+  // work (the pipelining payoff of the request engine). Channel streams
+  // take the cheaper pre-armed fence.
   {
-    trace::ScopedSpan batch(trace::Phase::Unpack, trace::OpKind::None,
-                            static_cast<std::uint64_t>(unpacks_batched));
+    trace::ScopedSpan sync(trace::Phase::Unpack, trace::OpKind::None,
+                           static_cast<std::uint64_t>(unpacks_batched));
     for (vcuda::StreamHandle s : streams) {
       vcuda::StreamSynchronize(s);
     }
@@ -1747,6 +1850,8 @@ void reset_engine_stats() {
   p.irecvs.reset();
   p.completions.reset();
   p.batched_syncs.reset();
+  p.fused_unpack_launches.reset();
+  p.fused_unpacks.reset();
 }
 
 bool configure_shards(std::size_t n) {

@@ -20,10 +20,18 @@
 // Pipelining: the pack/unpack legs are enqueued with the _async packer
 // halves and the leased intermediates stay pinned in the op until
 // completion. Each op draws a stream round-robin from the per-rank pool
-// (vcuda::next_pool_stream), so Waitall's batched unpack legs spread
-// across the pool, overlap in device time, and pay one host
-// synchronization per pool stream (the paper's halo exchange completes 26
-// receives per iteration this way).
+// (vcuda::next_pool_stream).
+//
+// Waitall batching (the paper's halo exchange completes 26 receives per
+// iteration in one Waitall): receives whose unpack is one canonical-packer
+// kernel (Device/OneShot, monolithic, not a pre-packed collective leg)
+// only receive their wire in pass 1. Their unpacks collect in a batch that
+// goes out as ONE fused kernel (launch_unpack_batch) just before the next
+// rendezvous-sized wire wait, so it runs under that wait, and once more at
+// the end of pass 1. Pass 2 then pays one host synchronization per stream
+// that holds work: one for every fused launch, plus one per stream of the
+// receives that keep their own unpack path (Staged, blocklist, pipelined).
+// Ops that completed in place leave no stream work and cost no sync.
 //
 // Deadlock discipline: the send-side transfer is posted eagerly at Isend
 // time (the system MPI's sends are buffered), so a rank that blocks in a
@@ -105,7 +113,7 @@ int start_isend_packed(const void *bytes, std::size_t nbytes, Method method,
 
 /// Receive-side mirror: the wire is matched lazily at Wait/Test.
 /// Method::Device lands the leg directly in the slice; Method::Staged
-/// rides a pinned lease plus an H2D copy batched by Waitall's single
+/// rides a pinned lease plus an H2D copy batched by Waitall's pass-2
 /// sync; Method::Pipelined carries a PackedChunkRecv state machine whose
 /// legs Wait drives to completion and Test consumes as they arrive.
 int start_irecv_packed(void *bytes, std::size_t nbytes, Method method,
@@ -216,7 +224,10 @@ int test(MPI_Request *request, int *flag, MPI_Status *status,
          const interpose::MpiTable &next);
 
 /// Batch completion for Waitall over a mixed TEMPI/system request array:
-/// posts every ready unpack leg before synchronizing the stream once.
+/// fuses the unpacks of eligible receives into as few kernel launches as
+/// the rendezvous flush rule allows (see the header comment) and
+/// synchronizes each stream holding work once. On an error, every receive
+/// whose wire already landed still gets its unpack before any op retires.
 int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
             const interpose::MpiTable &next);
 
@@ -269,7 +280,8 @@ struct EngineStats {
   std::uint64_t isends = 0;        ///< accelerated sends started
   std::uint64_t irecvs = 0;        ///< accelerated receives started
   std::uint64_t completions = 0;   ///< ops retired through Wait/Test
-  std::uint64_t batched_syncs = 0; ///< Waitall batches that shared one sync
+  std::uint64_t batched_syncs = 0; ///< Waitalls whose pass-2 syncs covered
+                                   ///< more than one unpack
 };
 EngineStats engine_stats();
 void reset_engine_stats();

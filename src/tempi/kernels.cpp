@@ -520,6 +520,34 @@ vcuda::Error launch_unpack_spans(const PackPlan &plan, const StridedBlock &sb,
       });
 }
 
+vcuda::Error launch_unpack_batch(std::span<const UnpackItem> items,
+                                 vcuda::StreamHandle stream) {
+  if (items.empty()) {
+    return vcuda::Error::Success;
+  }
+  std::vector<vcuda::KernelSegment> segments;
+  segments.reserve(items.size());
+  for (const UnpackItem &it : items) {
+    assert(!it.plan->contiguous);
+    segments.push_back({launch_config_for(*it.plan, it.count),
+                        unpack_cost(*it.sb, it.count, space_of(it.src),
+                                    space_of(it.dst))});
+  }
+  // The body may reference the caller's items: a fused launch is never
+  // captured, so it runs before LaunchKernel returns.
+  return vcuda::LaunchKernel(segments, stream, [items] {
+    for (const UnpackItem &it : items) {
+      auto *out = static_cast<std::byte *>(it.dst);
+      const auto *in = static_cast<const std::byte *>(it.src);
+      for_each_kernel_block(*it.sb, it.extent, it.count,
+                            [out, in](long long s, long long d, long long n) {
+                              std::memcpy(out + s, in + d,
+                                          static_cast<std::size_t>(n));
+                            });
+    }
+  });
+}
+
 namespace {
 
 template <typename T>

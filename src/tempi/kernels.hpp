@@ -126,6 +126,27 @@ vcuda::Error launch_unpack_spans(const PackPlan &plan, const StridedBlock &sb,
                                  std::span<const PackSpan> spans,
                                  vcuda::StreamHandle stream);
 
+/// One message's unpack inside a fused batch (launch_unpack_batch). Unlike
+/// a span table, which shares one datatype and one staging buffer, every
+/// item carries its own plan and datatype and its own source buffer, in
+/// device or mapped host memory.
+struct UnpackItem {
+  const PackPlan *plan = nullptr;
+  const StridedBlock *sb = nullptr;
+  long long extent = 0;
+  void *dst = nullptr;
+  const void *src = nullptr;
+  int count = 0;
+};
+
+/// Scatter every item with one kernel launch (vcuda's multi-segment
+/// LaunchKernel). Each item is one segment, with the geometry and cost
+/// launch_unpack would give it alone, so a one-item batch costs exactly
+/// what launch_unpack does. Items must have kernel plans (non-contiguous
+/// types). An empty batch is a no-op.
+vcuda::Error launch_unpack_batch(std::span<const UnpackItem> items,
+                                 vcuda::StreamHandle stream);
+
 /// Reduction operators the device combine kernels specialize on (the MPI
 /// ops the reduction engine accelerates). Logical and bitwise ops are
 /// integer-only: requesting them on a floating-point word is rejected with

@@ -21,8 +21,9 @@
 //   * Non-contiguous *writes* are slower than non-contiguous reads, making
 //     unpack slower than pack (Sec. 6.3).
 //
-// Absolute values are documented per-field; EXPERIMENTS.md compares the
-// shapes against the paper.
+// Absolute values are documented per-field; the figure benches (README
+// "Build & test") reproduce the shapes, and bench_table1_summary prints
+// them next to the paper's own numbers.
 #pragma once
 
 #include "vcuda/clock.hpp"

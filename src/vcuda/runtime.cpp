@@ -568,35 +568,70 @@ Error MemsetAsync(void *ptr, int value, std::size_t bytes,
   return Error::Success;
 }
 
+namespace {
+
+bool valid_geometry(const LaunchConfig &cfg) {
+  return cfg.grid.volume() != 0 && cfg.block.volume() != 0 &&
+         cfg.block.volume() <= 1024;
+}
+
+/// The live (non-captured) launch both LaunchKernel overloads share: one
+/// driver cost, one counted launch, `dur` ns of device time on `stream`.
+Error launch_live(StreamHandle stream, VirtualNs dur, bool reduce,
+                  const KernelBody &body) {
+  host_advance(cost_params().kernel_launch_ns);
+  counters64().kernel_launches.fetch_add(1, std::memory_order_relaxed);
+  if (reduce) {
+    counters64().reduce_launches.fetch_add(1, std::memory_order_relaxed);
+  }
+  const VirtualNs end = stream->enqueue(virtual_now(), dur);
+  body();
+  note_device_op(TraceOp::Kernel, stream, end, dur, 0);
+  return Error::Success;
+}
+
+} // namespace
+
 Error LaunchKernel(const LaunchConfig &cfg, const KernelCost &cost,
                    StreamHandle stream, const KernelBody &body) {
-  if (!body) {
-    return Error::InvalidValue;
-  }
-  if (cfg.grid.volume() == 0 || cfg.block.volume() == 0 ||
-      cfg.block.volume() > 1024) {
+  if (!body || !valid_geometry(cfg)) {
     return Error::InvalidValue;
   }
   if (stream == nullptr) {
     stream = default_stream();
   }
-  const CostParams &p = cost_params();
   if (Graph *g = capture_target(stream)) {
     // Record, don't execute: the KernelCost rides along so replay can
     // price the node with the graph dispatch discount.
     capture_node(g, Graph::Node{Graph::Node::Kind::Kernel, cost, 0, body});
     return Error::Success;
   }
-  host_advance(p.kernel_launch_ns);
-  counters64().kernel_launches.fetch_add(1, std::memory_order_relaxed);
-  if (cost.reduce_ops > 0) {
-    counters64().reduce_launches.fetch_add(1, std::memory_order_relaxed);
+  return launch_live(stream, kernel_duration(cost_params(), cost),
+                     cost.reduce_ops > 0, body);
+}
+
+Error LaunchKernel(std::span<const KernelSegment> segments,
+                   StreamHandle stream, const KernelBody &body) {
+  if (!body || segments.empty()) {
+    return Error::InvalidValue;
   }
-  const VirtualNs dur = kernel_duration(p, cost);
-  const VirtualNs end = stream->enqueue(virtual_now(), dur);
-  body();
-  note_device_op(TraceOp::Kernel, stream, end, dur, 0);
-  return Error::Success;
+  if (stream == nullptr) {
+    stream = default_stream();
+  }
+  if (capture_target(stream) != nullptr) {
+    return Error::InvalidValue; // nothing records a fused launch
+  }
+  const CostParams &p = cost_params();
+  VirtualNs dur = p.kernel_fixed_ns;
+  bool reduce = false;
+  for (const KernelSegment &s : segments) {
+    if (!valid_geometry(s.cfg)) {
+      return Error::InvalidValue;
+    }
+    dur += kernel_duration(p, s.cost) - p.kernel_fixed_ns;
+    reduce = reduce || s.cost.reduce_ops > 0;
+  }
+  return launch_live(stream, dur, reduce, body);
 }
 
 Error GraphBeginCapture(StreamHandle stream) {

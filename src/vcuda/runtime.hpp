@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 
 namespace vcuda {
 
@@ -110,8 +111,8 @@ StreamHandle default_stream();
 /// A small per-thread (per-rank) pool of streams, distinct from
 /// default_stream(), for pipelining independent operations: consecutive
 /// messages' pack/D2H legs enqueue on different streams so their modeled
-/// device work overlaps, and a batch completion (Waitall) pays one sync
-/// per pool stream instead of serializing every leg on one stream.
+/// device work overlaps, and a batch completion (Waitall) pays at most one
+/// sync per pool stream instead of serializing every leg on one stream.
 /// Streams are created lazily per thread and never destroyed by the user.
 int stream_pool_size();
 /// The pool stream at index `i` modulo the pool size.
@@ -139,6 +140,24 @@ Error MemsetAsync(void *ptr, int value, std::size_t bytes,
 
 /// Launch `body` with geometry `cfg` and modeled cost `cost` on `stream`.
 Error LaunchKernel(const LaunchConfig &cfg, const KernelCost &cost,
+                   StreamHandle stream, const KernelBody &body);
+
+/// One segment of a fused launch: the geometry and modeled cost the
+/// segment's work would have as a launch of its own.
+struct KernelSegment {
+  LaunchConfig cfg;
+  KernelCost cost;
+};
+
+/// Fused launch: one kernel whose `body` does the work of every segment.
+/// It charges one kernel_launch_ns and counts as one launch. Its device
+/// time is one kernel_fixed_ns plus, per segment, that segment's
+/// kernel_duration minus kernel_fixed_ns: fusing earns no bandwidth or
+/// utilization credit, so the only modeled saving is the launches removed.
+/// A one-segment launch costs exactly what the single-cost overload does.
+/// A capturing stream rejects it (InvalidValue), as does an empty segment
+/// list or any segment with invalid geometry.
+Error LaunchKernel(std::span<const KernelSegment> segments,
                    StreamHandle stream, const KernelBody &body);
 
 // --- graph capture & replay --------------------------------------------------

@@ -2,20 +2,27 @@
 // packing method through Isend/Irecv/Wait, edge cases around request
 // handles (MPI_REQUEST_NULL, mixed TEMPI/system arrays, polling Test,
 // repeated Wait), buffer pinning until completion, the Waitall unpack
-// batch, the halo-exchange auto-selection criterion, and the uninstall
-// drain contract.
+// batch (fused launches, the rendezvous flush rule, the error path, and
+// no syncs for streams without work), the halo-exchange auto-selection
+// criterion, and the uninstall drain contract.
+#include "interpose/table.hpp"
 #include "sysmpi/mpi.hpp"
+#include "sysmpi/netmodel.hpp"
 #include "sysmpi/world.hpp"
 #include "tempi/async.hpp"
 #include "tempi/buffer_cache.hpp"
 #include "tempi/tempi.hpp"
+#include "tempi/trace.hpp"
 #include "halo/halo.hpp"
 #include "test_helpers.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <vector>
 
 namespace {
@@ -29,6 +36,14 @@ void run2(const std::function<void(int)> &body) {
   cfg.ranks = 2;
   cfg.ranks_per_node = 1;
   sysmpi::run_ranks(cfg, body);
+}
+
+std::uint64_t fused_launches() {
+  return tempi::trace::counter_value("tempi.engine.fused_unpack_launches");
+}
+
+std::uint64_t fused_unpacks() {
+  return tempi::trace::counter_value("tempi.engine.fused_unpacks");
 }
 
 class TempiAsync : public ::testing::Test {
@@ -379,9 +394,18 @@ TEST_F(TempiAsync, HaloIsendMatchesBlockingExchange) {
   rc.ranks = cfg.ranks();
   rc.ranks_per_node = 2;
 
+  // No region of this grid exceeds the eager threshold, so no receive is
+  // rendezvous-sized and each rank's Waitall flushes its batch once.
+  ASSERT_LE(static_cast<std::size_t>(cfg.nx) * cfg.ny * cfg.radius *
+                cfg.vals * sizeof(double),
+            sysmpi::net_params().eager_bytes);
+  std::uint64_t launches = 0;
+  std::uint64_t fused = 0;
   std::vector<std::vector<std::byte>> nb(static_cast<std::size_t>(2));
   std::vector<std::vector<std::byte>> blocking(static_cast<std::size_t>(2));
   for (int use_nb = 0; use_nb < 2; ++use_nb) {
+    launches = fused_launches();
+    fused = fused_unpacks();
     sysmpi::run_ranks(rc, [&](int rank) {
       MPI_Init(nullptr, nullptr);
       void *grid = nullptr;
@@ -406,6 +430,10 @@ TEST_F(TempiAsync, HaloIsendMatchesBlockingExchange) {
   }
   EXPECT_EQ(nb[0], blocking[0]);
   EXPECT_EQ(nb[1], blocking[1]);
+  // Every one of the 26 receives per rank unpacked inside a fused launch;
+  // launches per rank = rendezvous receives (none here) + 1.
+  EXPECT_EQ(fused_unpacks() - fused, 2u * 26u);
+  EXPECT_EQ(fused_launches() - launches, 2u * (0u + 1u));
 }
 
 TEST_F(TempiAsync, UninstallDrainsInFlightRequests) {
@@ -600,6 +628,302 @@ TEST_F(TempiAsync, TestsomeConsumesArrivalsIncrementally) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
+}
+
+/// What rank 1 observed after the mixed Waitall below.
+struct MixedResult {
+  std::vector<std::vector<std::byte>> buffers;
+  std::vector<std::array<int, 3>> statuses; ///< MPI_SOURCE, MPI_TAG, count
+};
+
+/// One Waitall on rank 1 over every request kind the engine tells apart:
+/// fusable Device and OneShot receives, a Staged receive, a pipelined
+/// receive (above an injected wire limit), a blocklist receive, an armed
+/// persistent channel and a plain system request. Rank 1 picks each
+/// receive's method by switching the send mode while it posts, then
+/// releases rank 0, which sends everything under `sender_mode`.
+MixedResult mixed_waitall(tempi::SendMode sender_mode) {
+  using tempi::SendMode;
+  const bool system = sender_mode == SendMode::System;
+  const std::size_t old_limit = tempi::set_wire_chunk_limit(4096);
+  const bool old_blocklist = tempi::blocklist_fallback();
+  tempi::set_blocklist_fallback(true);
+  tempi::set_send_mode(sender_mode);
+  MixedResult result;
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype small = nullptr, big = nullptr, indexed = nullptr;
+    MPI_Type_vector(32, 4, 12, MPI_FLOAT, &small); // 512 B packed
+    MPI_Type_vector(1024, 4, 6, MPI_FLOAT, &big);  // 16 KiB: pipelined
+    const int blens[4] = {2, 1, 3, 2};
+    const int displs[4] = {0, 5, 9, 20};
+    MPI_Type_indexed(4, blens, displs, MPI_INT, &indexed);
+    for (MPI_Datatype *t : {&small, &big, &indexed}) {
+      MPI_Type_commit(t);
+    }
+    struct Slot {
+      MPI_Datatype type;
+      SendMode mode; ///< receiver-side method choice
+      bool persistent;
+    };
+    const std::array<Slot, 7> slots = {{
+        {small, SendMode::ForceDevice, false},
+        {small, SendMode::ForceOneShot, false},
+        {small, SendMode::ForceStaged, false},
+        {big, SendMode::Auto, false},
+        {indexed, SendMode::Auto, false},
+        {small, SendMode::Auto, true},
+        {small, SendMode::ForceDevice, false},
+    }};
+    constexpr int kHostInts = 64;
+    std::vector<std::unique_ptr<SpaceBuffer>> bufs;
+    for (const Slot &s : slots) {
+      MPI_Aint lb = 0, extent = 0;
+      MPI_Type_get_extent(s.type, &lb, &extent);
+      bufs.push_back(std::make_unique<SpaceBuffer>(
+          vcuda::MemorySpace::Device, static_cast<std::size_t>(extent) + 16));
+    }
+    bufs.push_back(std::make_unique<SpaceBuffer>(vcuda::MemorySpace::Pageable,
+                                                 kHostInts * sizeof(int)));
+    const int host = static_cast<int>(slots.size());
+    if (rank == 0) {
+      int go = 0;
+      MPI_Recv(&go, 1, MPI_INT, 1, 100, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+      for (int k = 0; k < host; ++k) {
+        const SpaceBuffer &b = *bufs[static_cast<std::size_t>(k)];
+        fill_pattern(b.get(), b.size(), 10 + k);
+        ASSERT_EQ(MPI_Send(b.get(), 1, slots[static_cast<std::size_t>(k)].type,
+                           1, k, MPI_COMM_WORLD),
+                  MPI_SUCCESS);
+      }
+      fill_pattern(bufs.back()->get(), bufs.back()->size(), 99);
+      MPI_Send(bufs.back()->get(), kHostInts, MPI_INT, 1, host,
+               MPI_COMM_WORLD);
+    } else {
+      std::vector<MPI_Request> reqs(bufs.size(), MPI_REQUEST_NULL);
+      for (int k = 0; k < host; ++k) {
+        const Slot &s = slots[static_cast<std::size_t>(k)];
+        void *buf = bufs[static_cast<std::size_t>(k)]->get();
+        fill_pattern(buf, bufs[static_cast<std::size_t>(k)]->size(), 50 + k);
+        if (!system) {
+          tempi::set_send_mode(s.mode);
+        }
+        MPI_Request *req = &reqs[static_cast<std::size_t>(k)];
+        if (s.persistent) {
+          ASSERT_EQ(MPI_Recv_init(buf, 1, s.type, 0, k, MPI_COMM_WORLD, req),
+                    MPI_SUCCESS);
+          ASSERT_EQ(MPI_Start(req), MPI_SUCCESS);
+        } else {
+          ASSERT_EQ(MPI_Irecv(buf, 1, s.type, 0, k, MPI_COMM_WORLD, req),
+                    MPI_SUCCESS);
+        }
+      }
+      std::memset(bufs.back()->get(), 0, bufs.back()->size());
+      ASSERT_EQ(MPI_Irecv(bufs.back()->get(), kHostInts, MPI_INT, 0, host,
+                          MPI_COMM_WORLD, &reqs.back()),
+                MPI_SUCCESS);
+      tempi::set_send_mode(sender_mode);
+      const int go = 1;
+      MPI_Send(&go, 1, MPI_INT, 0, 100, MPI_COMM_WORLD);
+
+      std::vector<MPI_Status> statuses(reqs.size());
+      ASSERT_EQ(MPI_Waitall(static_cast<int>(reqs.size()), reqs.data(),
+                            statuses.data()),
+                MPI_SUCCESS);
+      for (std::size_t k = 0; k < bufs.size(); ++k) {
+        result.buffers.emplace_back(bufs[k]->bytes(),
+                                    bufs[k]->bytes() + bufs[k]->size());
+        const MPI_Datatype type =
+            k < slots.size() ? slots[k].type : MPI_INT;
+        int n = -1;
+        MPI_Get_count(&statuses[k], type, &n);
+        result.statuses.push_back(
+            {statuses[k].MPI_SOURCE, statuses[k].MPI_TAG, n});
+      }
+      ASSERT_EQ(MPI_Request_free(&reqs[5]), MPI_SUCCESS);
+    }
+    for (MPI_Datatype *t : {&small, &big, &indexed}) {
+      MPI_Type_free(t);
+    }
+    MPI_Finalize();
+  });
+  tempi::set_send_mode(SendMode::Auto);
+  tempi::set_blocklist_fallback(old_blocklist);
+  tempi::set_wire_chunk_limit(old_limit);
+  return result;
+}
+
+TEST_F(TempiAsync, MixedWaitallMatchesSystemPath) {
+  const MixedResult reference = mixed_waitall(tempi::SendMode::System);
+  ASSERT_EQ(tempi::async::engine_stats().irecvs, 0u);
+  const std::uint64_t launches = fused_launches();
+  const std::uint64_t fused = fused_unpacks();
+  const MixedResult tempi_run = mixed_waitall(tempi::SendMode::Auto);
+  // Six engine ops (the channel and the host receive are not ops); only
+  // the three Device/OneShot receives fuse, into one launch.
+  EXPECT_EQ(tempi::async::engine_stats().irecvs, 6u);
+  EXPECT_EQ(fused_unpacks() - fused, 3u);
+  EXPECT_EQ(fused_launches() - launches, 1u);
+  ASSERT_EQ(tempi_run.buffers.size(), reference.buffers.size());
+  for (std::size_t k = 0; k < reference.buffers.size(); ++k) {
+    EXPECT_EQ(tempi_run.buffers[k], reference.buffers[k]) << "slot " << k;
+    EXPECT_EQ(tempi_run.statuses[k], reference.statuses[k]) << "slot " << k;
+  }
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
+}
+
+TEST_F(TempiAsync, RendezvousReceiveSplitsTheFusedBatch) {
+  // Eager, rendezvous, eager: the pending eager unpack launches before the
+  // rendezvous wire wait (so it runs under it), and the rest at the end.
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  std::size_t huge_bytes = 0;
+  const std::uint64_t launches = fused_launches();
+  const std::uint64_t fused = fused_unpacks();
+  tempi::trace::reset();
+  tempi::trace::set_enabled(true);
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype small = nullptr, huge = nullptr;
+    MPI_Type_vector(32, 4, 12, MPI_FLOAT, &small);
+    MPI_Type_vector(8192, 4, 6, MPI_FLOAT, &huge); // 128 KiB packed
+    MPI_Type_commit(&small);
+    MPI_Type_commit(&huge);
+    if (rank == 1) {
+      huge_bytes = static_cast<std::size_t>(huge->size);
+    }
+    MPI_Aint lb = 0, small_ext = 0, huge_ext = 0;
+    MPI_Type_get_extent(small, &lb, &small_ext);
+    MPI_Type_get_extent(huge, &lb, &huge_ext);
+    SpaceBuffer a(vcuda::MemorySpace::Device,
+                  static_cast<std::size_t>(small_ext));
+    SpaceBuffer r(vcuda::MemorySpace::Device,
+                  static_cast<std::size_t>(huge_ext));
+    SpaceBuffer b(vcuda::MemorySpace::Device,
+                  static_cast<std::size_t>(small_ext));
+    if (rank == 0) {
+      fill_pattern(a.get(), a.size(), 1);
+      fill_pattern(r.get(), r.size(), 2);
+      fill_pattern(b.get(), b.size(), 3);
+      MPI_Send(a.get(), 1, small, 1, 1, MPI_COMM_WORLD);
+      MPI_Send(r.get(), 1, huge, 1, 2, MPI_COMM_WORLD);
+      MPI_Send(b.get(), 1, small, 1, 3, MPI_COMM_WORLD);
+    } else {
+      MPI_Request reqs[3];
+      MPI_Irecv(a.get(), 1, small, 0, 1, MPI_COMM_WORLD, &reqs[0]);
+      MPI_Irecv(r.get(), 1, huge, 0, 2, MPI_COMM_WORLD, &reqs[1]);
+      MPI_Irecv(b.get(), 1, small, 0, 3, MPI_COMM_WORLD, &reqs[2]);
+      ASSERT_EQ(MPI_Waitall(3, reqs, MPI_STATUSES_IGNORE), MPI_SUCCESS);
+      std::vector<std::byte> expect(r.size());
+      fill_pattern(expect.data(), expect.size(), 2);
+      EXPECT_EQ(reference_pack(r.get(), 1, *huge),
+                reference_pack(expect.data(), 1, *huge));
+    }
+    MPI_Type_free(&small);
+    MPI_Type_free(&huge);
+    MPI_Finalize();
+  });
+  const tempi::trace::Snapshot snap = tempi::trace_snapshot();
+  tempi::trace::set_enabled(false);
+  tempi::trace::reset();
+  ASSERT_GT(huge_bytes, sysmpi::net_params().eager_bytes);
+  EXPECT_EQ(fused_unpacks() - fused, 3u);
+  EXPECT_EQ(fused_launches() - launches, 2u);
+
+  std::vector<tempi::trace::SpanRecord> fused_spans;
+  const tempi::trace::SpanRecord *huge_wire = nullptr;
+  for (const tempi::trace::SpanRecord &s : snap.spans) {
+    if (s.kind != tempi::trace::OpKind::Irecv) {
+      continue;
+    }
+    if (s.phase == tempi::trace::Phase::Unpack) {
+      fused_spans.push_back(s);
+    } else if (s.phase == tempi::trace::Phase::Wire &&
+               s.bytes == huge_bytes) {
+      huge_wire = &s;
+    }
+  }
+  ASSERT_EQ(fused_spans.size(), 2u);
+  ASSERT_NE(huge_wire, nullptr);
+  const auto first = std::min_element(
+      fused_spans.begin(), fused_spans.end(),
+      [](const auto &x, const auto &y) { return x.t0 < y.t0; });
+  EXPECT_LE(first->t1, huge_wire->t0);
+  EXPECT_EQ(first->bytes, 512u); // only the first eager receive
+}
+
+TEST_F(TempiAsync, FailedReceiveMidBatchStillUnpacksLandedWires) {
+  // The second receive's message is larger than its buffer: Waitall
+  // returns MPI_ERR_TRUNCATE, yet the first receive, whose wire already
+  // landed in a pending fused batch, must still hold its data.
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  const std::size_t leased_before = tempi::buffer_cache_stats().leased_now;
+  const std::uint64_t launches = fused_launches();
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype t = nullptr;
+    MPI_Type_vector(32, 4, 12, MPI_FLOAT, &t);
+    MPI_Type_commit(&t);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    SpaceBuffer a(vcuda::MemorySpace::Device, static_cast<std::size_t>(extent));
+    SpaceBuffer b(vcuda::MemorySpace::Device, static_cast<std::size_t>(extent));
+    if (rank == 0) {
+      fill_pattern(a.get(), a.size(), 4);
+      MPI_Send(a.get(), 1, t, 1, 1, MPI_COMM_WORLD);
+      std::vector<std::byte> oversized(4 * static_cast<std::size_t>(t->size));
+      MPI_Send(oversized.data(), static_cast<int>(oversized.size()), MPI_BYTE,
+               1, 2, MPI_COMM_WORLD);
+    } else {
+      std::memset(a.get(), 0, a.size());
+      MPI_Request reqs[2];
+      MPI_Irecv(a.get(), 1, t, 0, 1, MPI_COMM_WORLD, &reqs[0]);
+      MPI_Irecv(b.get(), 1, t, 0, 2, MPI_COMM_WORLD, &reqs[1]);
+      EXPECT_EQ(MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE), MPI_ERR_TRUNCATE);
+      EXPECT_EQ(reqs[0], MPI_REQUEST_NULL);
+      EXPECT_EQ(reqs[1], MPI_REQUEST_NULL);
+      EXPECT_EQ(tempi::async::in_flight(), 0u);
+      std::vector<std::byte> expect(a.size());
+      fill_pattern(expect.data(), expect.size(), 4);
+      EXPECT_EQ(reference_pack(a.get(), 1, *t),
+                reference_pack(expect.data(), 1, *t));
+    }
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
+  EXPECT_EQ(fused_launches() - launches, 1u);
+  EXPECT_EQ(tempi::buffer_cache_stats().leased_now, leased_before);
+}
+
+TEST_F(TempiAsync, WaitallOverPrePackedDeviceLegsMakesNoStreamSyncs) {
+  // Pre-packed Device legs (the collectives engine's) land in place and
+  // enqueue nothing, so Waitall has no stream to synchronize.
+  sysmpi::RunConfig rc;
+  rc.ranks = 1;
+  rc.ranks_per_node = 1;
+  sysmpi::run_ranks(rc, [&](int) {
+    MPI_Init(nullptr, nullptr);
+    constexpr int kLeg = 2048;
+    SpaceBuffer src(vcuda::MemorySpace::Device, 2 * kLeg);
+    SpaceBuffer dst(vcuda::MemorySpace::Device, 2 * kLeg);
+    fill_pattern(src.get(), src.size(), 8);
+    MPI_Request reqs[2];
+    for (int leg = 0; leg < 2; ++leg) {
+      MPI_Send(src.bytes() + leg * kLeg, kLeg, MPI_BYTE, 0, leg,
+               MPI_COMM_WORLD);
+      ASSERT_EQ(tempi::async::start_irecv_packed(
+                    dst.bytes() + leg * kLeg, kLeg, tempi::Method::Device, 0,
+                    leg, MPI_COMM_WORLD, interpose::system_table(),
+                    &reqs[leg]),
+                MPI_SUCCESS);
+    }
+    const std::uint64_t syncs = vcuda::counters().stream_syncs;
+    ASSERT_EQ(MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE), MPI_SUCCESS);
+    EXPECT_EQ(vcuda::counters().stream_syncs - syncs, 0u);
+    EXPECT_EQ(std::memcmp(src.get(), dst.get(), src.size()), 0);
+    MPI_Finalize();
+  });
+  EXPECT_EQ(tempi::async::engine_stats().batched_syncs, 0u);
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
+#include <vector>
 
 namespace {
 
@@ -138,6 +140,81 @@ TEST(Kernel, OversizedBlockRejected) {
   EXPECT_EQ(vcuda::LaunchKernel(cfg, vcuda::KernelCost{},
                                 vcuda::default_stream(), [] {}),
             vcuda::Error::InvalidValue);
+}
+
+/// A segment moving `bytes` with `run`-byte strided writes on the device.
+vcuda::KernelSegment segment(std::size_t bytes, std::size_t run) {
+  vcuda::KernelSegment s;
+  s.cfg.grid = {4, 1, 1};
+  s.cfg.block = {128, 1, 1};
+  s.cost.total_bytes = bytes;
+  s.cost.src = {0, false, vcuda::MemorySpace::Device};
+  s.cost.dst = {run, true, vcuda::MemorySpace::Device};
+  return s;
+}
+
+TEST(FusedKernel, ChargesOneLaunchAndEachSegmentsWork) {
+  const vcuda::CostParams &p = vcuda::cost_params();
+  vcuda::StreamHandle stream = nullptr;
+  ASSERT_EQ(vcuda::StreamCreate(&stream), vcuda::Error::Success);
+  const std::vector<vcuda::KernelSegment> segs = {
+      segment(512, 16), segment(64 * 1024, 64), segment(3 << 20, 256)};
+  vcuda::VirtualNs expect_dur = p.kernel_fixed_ns;
+  for (const vcuda::KernelSegment &s : segs) {
+    expect_dur += vcuda::kernel_duration(p, s.cost) - p.kernel_fixed_ns;
+  }
+
+  vcuda::reset_counters();
+  int runs = 0;
+  const vcuda::VirtualNs t0 = vcuda::virtual_now();
+  ASSERT_EQ(vcuda::LaunchKernel(segs, stream, [&runs] { ++runs; }),
+            vcuda::Error::Success);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(vcuda::virtual_now() - t0, p.kernel_launch_ns);
+  EXPECT_EQ(vcuda::counters().kernel_launches, 1u);
+  EXPECT_EQ(stream->ready_at(), t0 + p.kernel_launch_ns + expect_dur);
+  vcuda::StreamDestroy(stream);
+}
+
+TEST(FusedKernel, OneSegmentCostsExactlyASingleLaunch) {
+  vcuda::StreamHandle single = nullptr, fused = nullptr;
+  ASSERT_EQ(vcuda::StreamCreate(&single), vcuda::Error::Success);
+  ASSERT_EQ(vcuda::StreamCreate(&fused), vcuda::Error::Success);
+  const vcuda::KernelSegment s = segment(48 * 1024, 32);
+
+  vcuda::VirtualNs t0 = vcuda::virtual_now();
+  ASSERT_EQ(vcuda::LaunchKernel(s.cfg, s.cost, single, [] {}),
+            vcuda::Error::Success);
+  const vcuda::VirtualNs single_host = vcuda::virtual_now() - t0;
+  const vcuda::VirtualNs single_end = single->ready_at() - t0;
+
+  t0 = vcuda::virtual_now();
+  ASSERT_EQ(vcuda::LaunchKernel(std::span(&s, 1), fused, [] {}),
+            vcuda::Error::Success);
+  EXPECT_EQ(vcuda::virtual_now() - t0, single_host);
+  EXPECT_EQ(fused->ready_at() - t0, single_end);
+  vcuda::StreamDestroy(single);
+  vcuda::StreamDestroy(fused);
+}
+
+TEST(FusedKernel, CapturingStreamRejectsIt) {
+  vcuda::StreamHandle stream = nullptr;
+  ASSERT_EQ(vcuda::StreamCreate(&stream), vcuda::Error::Success);
+  const std::vector<vcuda::KernelSegment> segs = {segment(256, 8)};
+  EXPECT_EQ(vcuda::LaunchKernel(std::span<const vcuda::KernelSegment>(),
+                                stream, [] {}),
+            vcuda::Error::InvalidValue);
+
+  ASSERT_EQ(vcuda::GraphBeginCapture(stream), vcuda::Error::Success);
+  bool ran = false;
+  EXPECT_EQ(vcuda::LaunchKernel(segs, stream, [&ran] { ran = true; }),
+            vcuda::Error::InvalidValue);
+  vcuda::GraphHandle graph = nullptr;
+  ASSERT_EQ(vcuda::GraphEndCapture(stream, &graph), vcuda::Error::Success);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(vcuda::GraphNodeCount(graph), 0u);
+  vcuda::GraphDestroy(graph);
+  vcuda::StreamDestroy(stream);
 }
 
 TEST(Memcpy2D, CopiesPitchedRows) {
