@@ -466,13 +466,9 @@ PipelinedSendProgram::~PipelinedSendProgram() {
   }
 }
 
-namespace {
-
-/// Run `record` between Begin/EndCapture on `stream`, cleaning up the
-/// half-open capture when recording fails.
 int capture_on(vcuda::StreamHandle stream, vcuda::GraphHandle *graph,
-               const std::function<int()> &record) {
-  trace::ScopedSpan span(trace::Phase::GraphCapture, trace::OpKind::Persistent);
+               trace::OpKind kind, const std::function<int()> &record) {
+  trace::ScopedSpan span(trace::Phase::GraphCapture, kind);
   if (vcuda::GraphBeginCapture(stream) != vcuda::Error::Success) {
     return MPI_ERR_OTHER;
   }
@@ -489,8 +485,6 @@ int capture_on(vcuda::StreamHandle stream, vcuda::GraphHandle *graph,
   return MPI_SUCCESS;
 }
 
-} // namespace
-
 int record_persistent_send(const Packer &packer, Method m, const void *buf,
                            int count, PersistentProgram *prog) {
   if (m == Method::Pipelined) {
@@ -500,7 +494,7 @@ int record_persistent_send(const Packer &packer, Method m, const void *buf,
   // start_pack leases the pipeline and enqueues the pack leg(s); under
   // capture the leases happen live (they are pinned to the channel) while
   // the kernel/copy chain is recorded instead of executed.
-  return capture_on(prog->stream, &prog->graph, [&] {
+  return capture_on(prog->stream, &prog->graph, trace::OpKind::Persistent, [&] {
     return start_pack(packer, m, buf, count, prog->stream, &prog->pipe);
   });
 }
@@ -517,7 +511,7 @@ int record_persistent_recv(const Packer &packer, Method m, void *buf,
       rc != MPI_SUCCESS) {
     return rc;
   }
-  return capture_on(prog->stream, &prog->graph, [&] {
+  return capture_on(prog->stream, &prog->graph, trace::OpKind::Persistent, [&] {
     return start_unpack(packer, m, buf, count, prog->pipe, prog->stream);
   });
 }
@@ -547,7 +541,7 @@ int record_pipelined_send(const Packer &packer, const void *buf, int count,
     const int s = static_cast<int>(leg & 1);
     const int rc = capture_on(
         prog->stream[s], &prog->leg_graphs[static_cast<std::size_t>(leg)],
-        [&] {
+        trace::OpKind::Persistent, [&] {
           return packer.pack_range_async(prog->slot[s].get(), buf,
                                          leg * f.blocks_per_leg,
                                          f.leg_blocks(leg),

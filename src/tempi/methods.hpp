@@ -23,8 +23,10 @@
 #include "tempi/buffer_cache.hpp"
 #include "tempi/packer.hpp"
 #include "tempi/perf_model.hpp"
+#include "tempi/trace.hpp"
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace tempi {
@@ -274,6 +276,15 @@ private:
 // every MPI_Start replays pre-baked work (one graph launch + a pre-armed
 // fence) instead of paying per-kernel driver costs, lease probes, and
 // model queries per send.
+
+/// Run `record` between GraphBeginCapture/GraphEndCapture on `stream`
+/// under a GraphCapture span of `kind`, storing the recorded graph in
+/// `*graph`. When recording fails (or the capture cannot open or close),
+/// the half-open capture is ended, its graph destroyed, `*graph` left
+/// untouched, and the failure returned. Shared by persistent channels and
+/// the repeated MPI_Pack/MPI_Unpack replay table.
+int capture_on(vcuda::StreamHandle stream, vcuda::GraphHandle *graph,
+               trace::OpKind kind, const std::function<int()> &record);
 
 /// Frozen monolithic (one-shot/device/staged) program: the pinned
 /// pipeline, the channel's dedicated stream, and one recorded graph

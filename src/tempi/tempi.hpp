@@ -63,6 +63,10 @@ void install();
 /// channel rather than leaking it (the Debug+ASan CI job leak-checks
 /// this), with a loud per-channel log_error naming the un-freed request's
 /// direction, peer, tag, and armed state.
+///
+/// Graphs recorded for repeated MPI_Pack/MPI_Unpack calls never outlive
+/// their install: uninstall() frees the calling thread's, and every other
+/// thread drops its own on its next pack or unpack, or at thread exit.
 void uninstall();
 
 /// RAII install/uninstall.

@@ -224,6 +224,8 @@ const char *kind_name(OpKind k) {
     return "Persistent";
   case OpKind::Runtime:
     return "Runtime";
+  case OpKind::Pack:
+    return "Pack";
   case OpKind::kCount:
     break;
   }

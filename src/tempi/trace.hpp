@@ -70,6 +70,7 @@ enum class OpKind : std::uint8_t {
   Coll,       ///< collectives engine per-peer legs and fused passes
   Persistent, ///< Send_init/Recv_init channels
   Runtime,    ///< vcuda device-lane spans
+  Pack,       ///< interposed MPI_Pack/MPI_Unpack calls
   kCount
 };
 

@@ -103,6 +103,35 @@ TEST_F(ApiErrors, TempiPackOverflowRejectedWithInterposer) {
   MPI_Type_free(&t);
 }
 
+TEST_F(ApiErrors, BlocklistPackNullPositionIsAnArgumentError) {
+  // The Sec. 8 blocklist path reports a null position as the system and
+  // canonical paths do: MPI_ERR_ARG, not a truncation.
+  tempi::ScopedInterposer guard;
+  tempi::set_blocklist_fallback(true);
+  const int blens[2] = {1, 2};
+  const int displs[2] = {0, 7};
+  MPI_Datatype t = nullptr;
+  MPI_Type_indexed(2, blens, displs, MPI_INT, &t);
+  MPI_Type_commit(&t);
+  ASSERT_NE(tempi::find_blocklist_packer(t), nullptr);
+  SpaceBuffer obj(vcuda::MemorySpace::Device, 9 * 4);
+  SpaceBuffer flat(vcuda::MemorySpace::Device, 3 * 4);
+  EXPECT_EQ(MPI_Pack(obj.get(), 1, t, flat.get(), 3 * 4, nullptr,
+                     MPI_COMM_WORLD),
+            MPI_ERR_ARG);
+  EXPECT_EQ(MPI_Unpack(flat.get(), 3 * 4, nullptr, obj.get(), 1, t,
+                       MPI_COMM_WORLD),
+            MPI_ERR_ARG);
+  // A short buffer is still a truncation.
+  int position = 0;
+  EXPECT_EQ(MPI_Pack(obj.get(), 1, t, flat.get(), 3 * 4 - 1, &position,
+                     MPI_COMM_WORLD),
+            MPI_ERR_TRUNCATE);
+  EXPECT_EQ(position, 0);
+  tempi::set_blocklist_fallback(false);
+  MPI_Type_free(&t);
+}
+
 TEST_F(ApiErrors, TempiRecvTruncationPropagates) {
   tempi::ScopedInterposer guard;
   sysmpi::RunConfig cfg;

@@ -1,8 +1,7 @@
 // Property tests over randomly generated datatype trees.
 //
-// Generator: random nestings of contiguous / vector / hvector / subarray
-// over random named types, with care to keep objects self-consistent
-// (strides >= block spans, bounded total size). Properties:
+// Generator (random_types.hpp): random nestings of contiguous / vector /
+// hvector / subarray over random named types. Properties:
 //   P1  TEMPI translation succeeds and canonicalization reaches a fixed
 //       point (idempotent).
 //   P2  The canonical StridedBlock describes exactly the type's data:
@@ -19,87 +18,20 @@
 #include "tempi/canonicalize.hpp"
 #include "tempi/packer.hpp"
 #include "tempi/translate.hpp"
+#include "random_types.hpp"
 #include "test_helpers.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <random>
 
 namespace {
 
 using testing_helpers::fill_pattern;
+using testing_helpers::random_strided_type;
 using testing_helpers::reference_pack;
+using testing_helpers::Rng;
 using testing_helpers::SpaceBuffer;
-
-struct Rng {
-  std::mt19937 gen;
-  explicit Rng(unsigned seed) : gen(seed) {}
-  int uniform(int lo, int hi) {
-    return std::uniform_int_distribution<int>(lo, hi)(gen);
-  }
-  bool chance(double p) {
-    return std::uniform_real_distribution<double>(0, 1)(gen) < p;
-  }
-};
-
-MPI_Datatype random_named(Rng &rng) {
-  switch (rng.uniform(0, 3)) {
-  case 0: return MPI_BYTE;
-  case 1: return MPI_SHORT;
-  case 2: return MPI_FLOAT;
-  default: return MPI_DOUBLE;
-  }
-}
-
-/// Build a random nested type from the strided constructor family.
-/// Nest outward: each level wraps the previous with a gap-free-or-gapped
-/// stride, so traversal order equals address order (P3 precondition).
-MPI_Datatype random_strided_type(Rng &rng, int levels) {
-  MPI_Datatype cur = random_named(rng);
-  bool owned = false;
-  for (int level = 0; level < levels; ++level) {
-    MPI_Aint lb = 0, extent = 0;
-    MPI_Type_get_extent(cur, &lb, &extent);
-    MPI_Datatype next = nullptr;
-    switch (rng.uniform(0, 3)) {
-    case 0: {
-      MPI_Type_contiguous(rng.uniform(1, 5), cur, &next);
-      break;
-    }
-    case 1: {
-      const int blocklen = rng.uniform(1, 4);
-      const int stride = blocklen + rng.uniform(0, 3); // in elements
-      MPI_Type_vector(rng.uniform(1, 5), blocklen, stride, cur, &next);
-      break;
-    }
-    case 2: {
-      const int blocklen = rng.uniform(1, 4);
-      const MPI_Aint stride =
-          extent * blocklen + rng.uniform(0, 2) * extent;
-      MPI_Type_create_hvector(rng.uniform(1, 5), blocklen, stride, cur,
-                              &next);
-      break;
-    }
-    default: {
-      const int sub = rng.uniform(1, 4);
-      const int size = sub + rng.uniform(0, 3);
-      const int start = rng.uniform(0, size - sub);
-      const int sizes[1] = {size}, subsizes[1] = {sub}, starts[1] = {start};
-      MPI_Type_create_subarray(1, sizes, subsizes, starts, MPI_ORDER_C, cur,
-                               &next);
-      break;
-    }
-    }
-    if (owned) {
-      MPI_Type_free(&cur);
-    }
-    cur = next;
-    owned = true;
-  }
-  MPI_Type_commit(&cur);
-  return cur;
-}
 
 class RandomTypeProperty : public ::testing::TestWithParam<unsigned> {
 protected:
