@@ -4,6 +4,7 @@
 #include "support/log.hpp"
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/netmodel.hpp"
+#include "tempi/replay.hpp"
 #include "tempi/topology.hpp"
 #include "tempi/trace.hpp"
 #include "vcuda/runtime.hpp"
@@ -27,7 +28,20 @@ namespace {
 /// system MPI's Waitany poll loop).
 constexpr vcuda::VirtualNs kPollSweepNs = 100;
 
+/// Pinned bytes the repeated-Isend programs of one thread may hold
+/// between them (see send_program).
+constexpr std::size_t kSendReplayBudget = std::size_t{16} << 20;
+
 } // namespace
+
+/// A repeated Isend's recorded program (see send_program): the same
+/// pinned leases, pool stream and pack graph a persistent send channel
+/// freezes. `in_flight` is set while an op sends from the program's wire
+/// lease, so an overlapping Isend of the same key never overwrites it.
+struct SendProgram {
+  PersistentProgram prog;
+  std::atomic<bool> in_flight{false};
+};
 
 /// One TEMPI-owned in-flight operation. Created and driven by the owning
 /// rank thread; only the pool map itself is shared.
@@ -68,6 +82,19 @@ struct AsyncOp {
 
   MPI_Request inner = MPI_REQUEST_NULL; ///< send: the system transfer
   MPI_Status wire_status{};             ///< recv: status of the wire leg
+
+  /// Replayed send only: the program whose wire lease this op sends from,
+  /// pinned (and marked in flight) until the op retires.
+  std::shared_ptr<SendProgram> program;
+
+  AsyncOp() = default;
+  AsyncOp(const AsyncOp &) = delete;
+  AsyncOp &operator=(const AsyncOp &) = delete;
+  ~AsyncOp() {
+    if (program) {
+      program->in_flight.store(false, std::memory_order_release);
+    }
+  }
 };
 
 /// One frozen persistent channel (MPI_Send_init/MPI_Recv_init). Unlike an
@@ -140,6 +167,11 @@ struct Pool {
   trace::Counter batched_syncs{"tempi.engine.batched_syncs"};
   trace::Counter fused_unpack_launches{"tempi.engine.fused_unpack_launches"};
   trace::Counter fused_unpacks{"tempi.engine.fused_unpacks"};
+
+  trace::Counter isend_replays{"tempi.isend.replays"};
+  trace::Counter isend_captures{"tempi.isend.captures"};
+  trace::Counter isend_busy{"tempi.isend.busy"};
+  trace::Counter isend_evictions{"tempi.isend.evictions"};
 
   trace::Counter p_inits{"tempi.persistent.inits"};
   trace::Counter p_starts{"tempi.persistent.starts"};
@@ -509,6 +541,79 @@ int complete_channel(PersistentChannel &ch, const interpose::MpiTable &next,
   return MPI_SUCCESS;
 }
 
+// --- repeated MPI_Isend replay ----------------------------------------------
+//
+// The halo exchange Isends the same faces every iteration. The thread's
+// send table (tempi/replay.hpp) records a repeated monolithic Isend as the
+// program a persistent send channel freezes, then replays it: one graph
+// launch and a pre-armed fence instead of a lease, a cold pack launch and
+// a blocking sync per message.
+
+/// What makes two Isends the same work. The envelope (peer, tag, comm) is
+/// not part of the program, so it is not part of the key.
+struct SendKey {
+  const Packer *packer = nullptr;
+  const void *buf = nullptr;
+  int count = 0;
+  Method method = Method::Device;
+  bool operator==(const SendKey &) const = default;
+  [[nodiscard]] std::uint64_t hash() const {
+    return replay::mix(
+        {replay::bits(packer), replay::bits(buf),
+         (static_cast<std::uint64_t>(static_cast<unsigned>(count)) << 2) |
+             static_cast<std::uint64_t>(method)});
+  }
+};
+
+using SendTable = replay::Table<SendKey, std::shared_ptr<SendProgram>>;
+
+/// Allocated on the thread's first monolithic Isend, freed at thread exit.
+thread_local std::unique_ptr<SendTable> t_send_replay;
+
+/// The program this Isend sends from, marked in flight; nullptr sends it
+/// live: the first sighting of its key, a program still in flight, a
+/// message larger than the budget, or a failed capture. The second
+/// sighting records the program; it and every later one pay the lookup.
+std::shared_ptr<SendProgram> send_program(const Packer &packer, Method method,
+                                          const void *buf, int count) {
+  Pool &p = pool();
+  if (!t_send_replay) {
+    t_send_replay =
+        std::make_unique<SendTable>(p.isend_evictions, kSendReplayBudget);
+  }
+  bool seen = false;
+  SendTable::Entry &e =
+      t_send_replay->touch({&packer, buf, count, method}, &seen);
+  if (!seen) {
+    return nullptr;
+  }
+  vcuda::this_thread_timeline().advance(kMethodMemoHitNs); // the lookup
+  if (!e.program) {
+    const std::size_t leases = method == Method::Staged ? 2 : 1;
+    if (std::bit_ceil(packer.packed_bytes(count)) * leases >
+        kSendReplayBudget) {
+      return nullptr; // never promotes
+    }
+    auto prog = std::make_shared<SendProgram>();
+    if (record_persistent_send(packer, method, buf, count, &prog->prog,
+                               trace::OpKind::Isend) != MPI_SUCCESS) {
+      return nullptr; // unpromoted: the next sighting tries again
+    }
+    p.isend_captures.add();
+    const std::size_t pinned =
+        prog->prog.pipe.wire.capacity() + prog->prog.pipe.stage.capacity();
+    e.program = std::move(prog);
+    if (!t_send_replay->charge(e, pinned)) {
+      return nullptr;
+    }
+  }
+  if (e.program->in_flight.exchange(true, std::memory_order_acquire)) {
+    p.isend_busy.add(); // its wire lease is still on the wire
+    return nullptr;
+  }
+  return e.program;
+}
+
 } // namespace
 
 int start_isend(const Packer *packer, Method method, const void *buf,
@@ -547,36 +652,57 @@ int start_isend(const Packer *packer, Method method, const void *buf,
   op->peer = dest;
   op->tag = tag;
   op->comm = comm;
-  // Round-robin pool stream: consecutive messages' pack/D2H legs land on
-  // different streams and overlap in device time.
-  op->stream = vcuda::next_pool_stream();
 
   // PackIssued: the pack legs go onto the stream asynchronously.
   op->phase = OpPhase::PackIssued;
-  {
-    trace::ScopedSpan pack(trace::Phase::PackLaunch, trace::OpKind::Isend, 0,
-                           dest, tag, static_cast<std::int8_t>(method));
-    const int prc = start_pack(*op->packer, method, buf, count, op->stream,
-                               &op->pipe);
-    if (prc != MPI_SUCCESS) {
-      return prc;
+  const void *wire_buf = nullptr;
+  if ((op->program = send_program(*packer, method, buf, count))) {
+    // A repeated send: the recorded pack chain refills the program's
+    // pinned wire lease, and the fence folds it into the host clock.
+    const PersistentProgram &prog = op->program->prog;
+    op->stream = prog.stream;
+    op->pipe.bytes = prog.pipe.bytes;
+    wire_buf = prog.pipe.wire.get();
+    trace::ScopedSpan replay(trace::Phase::GraphReplay, trace::OpKind::Isend,
+                             prog.pipe.bytes, dest, tag,
+                             static_cast<std::int8_t>(method));
+    if (vcuda::GraphLaunch(prog.graph, prog.stream) !=
+        vcuda::Error::Success) {
+      return MPI_ERR_OTHER;
     }
-    pack.set_bytes(op->pipe.bytes);
-    // TransferPosted: the wire departs only once the pack legs complete, so
-    // fold the stream into the host clock before handing bytes to the wire.
-    vcuda::StreamSynchronize(op->stream);
+    pool().isend_replays.add();
+    vcuda::StreamFence(prog.stream);
+  } else {
+    // Round-robin pool stream: consecutive messages' pack/D2H legs land on
+    // different streams and overlap in device time.
+    op->stream = vcuda::next_pool_stream();
+    {
+      trace::ScopedSpan pack(trace::Phase::PackLaunch, trace::OpKind::Isend,
+                             0, dest, tag, static_cast<std::int8_t>(method));
+      const int prc = start_pack(*op->packer, method, buf, count, op->stream,
+                                 &op->pipe);
+      if (prc != MPI_SUCCESS) {
+        return prc;
+      }
+      pack.set_bytes(op->pipe.bytes);
+      // TransferPosted: the wire departs only once the pack legs complete,
+      // so fold the stream into the host clock before handing bytes to the
+      // wire.
+      vcuda::StreamSynchronize(op->stream);
+    }
+    // The staged method's device-side intermediate is dead once the D2H
+    // copy has landed in the wire buffer; return it now rather than
+    // pinning it for the op's whole flight.
+    op->pipe.stage = CachedBuffer{};
+    wire_buf = op->pipe.wire.get();
   }
-  // The staged method's device-side intermediate is dead once the D2H copy
-  // has landed in the wire buffer; return it now rather than pinning it
-  // for the op's whole flight.
-  op->pipe.stage = CachedBuffer{};
   int rc;
   {
     trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Isend,
                            op->pipe.bytes, dest, tag,
                            static_cast<std::int8_t>(method));
-    rc = next.Isend(op->pipe.wire.get(), wire_count(*op), MPI_BYTE, dest, tag,
-                    comm, &op->inner);
+    rc = next.Isend(wire_buf, wire_count(*op), MPI_BYTE, dest, tag, comm,
+                    &op->inner);
   }
   if (rc != MPI_SUCCESS) {
     return rc;

@@ -22,6 +22,13 @@
 // completion. Each op draws a stream round-robin from the per-rank pool
 // (vcuda::next_pool_stream).
 //
+// Repeated sends: a monolithic Isend whose (packer, buffer, count,
+// method) the thread has sent before replays a recorded send program (the
+// program MPI_Send_init freezes, see tempi/replay.hpp): PackIssued is then
+// one graph launch and a pre-armed fence into the program's pinned wire
+// lease. The op pins the program until it retires, and a program still in
+// flight sends an overlapping Isend of the same key live.
+//
 // Waitall batching (the paper's halo exchange completes 26 receives per
 // iteration in one Waitall): receives whose unpack is one canonical-packer
 // kernel (Device/OneShot, monolithic, not a pre-packed collective leg)

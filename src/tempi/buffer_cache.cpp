@@ -104,7 +104,7 @@ struct ThreadCache {
   /// costs one TLS access total (registry-owned; outlives the thread).
   LeaseNode &lease_node = register_lease_node();
 
-  ~ThreadCache() { drain(); }
+  ~ThreadCache();
 
   FreeList &list_for(vcuda::MemorySpace space) {
     return space == vcuda::MemorySpace::Device ? device : pinned;
@@ -140,6 +140,17 @@ ThreadCache &cache_slow() {
 /// accessor a single TLS load — this runs twice per lease/release cycle.
 thread_local ThreadCache *t_cache = nullptr;
 
+/// Set when the thread's cache is destroyed (thread exit): the gauge node
+/// it leaves behind (registry-owned, so still valid). A thread_local
+/// destroyed after the cache may still release leases; those must not
+/// touch the dead magazines (see return_to_cache).
+thread_local LeaseNode *t_dead_node = nullptr;
+
+ThreadCache::~ThreadCache() {
+  drain();
+  t_dead_node = &lease_node;
+}
+
 ThreadCache &cache() {
   ThreadCache *c = t_cache;
   if (c == nullptr) {
@@ -167,8 +178,8 @@ void count_lease_start(ThreadCache &c) {
   n.store(n.load(std::memory_order_relaxed) + 1, std::memory_order_release);
 }
 
-void count_lease_release(ThreadCache &c) {
-  std::atomic<std::uint64_t> &n = c.lease_node.released;
+void count_lease_release(LeaseNode &node) {
+  std::atomic<std::uint64_t> &n = node.released;
   n.store(n.load(std::memory_order_relaxed) + 1, std::memory_order_release);
 }
 
@@ -191,8 +202,14 @@ std::size_t leased_now() {
 
 void return_to_cache(void *ptr, std::size_t capacity,
                      vcuda::MemorySpace space) {
+  if (LeaseNode *dead = t_dead_node) {
+    // After the thread's cache is gone: count the release, free raw.
+    count_lease_release(*dead);
+    free_raw(ptr, space);
+    return;
+  }
   ThreadCache &c = cache();
-  count_lease_release(c);
+  count_lease_release(c.lease_node);
   if (!t_cache_enabled) {
     free_raw(ptr, space);
     return;

@@ -486,7 +486,8 @@ int capture_on(vcuda::StreamHandle stream, vcuda::GraphHandle *graph,
 }
 
 int record_persistent_send(const Packer &packer, Method m, const void *buf,
-                           int count, PersistentProgram *prog) {
+                           int count, PersistentProgram *prog,
+                           trace::OpKind kind) {
   if (m == Method::Pipelined) {
     return MPI_ERR_OTHER; // pipelined channels use record_pipelined_send
   }
@@ -494,7 +495,7 @@ int record_persistent_send(const Packer &packer, Method m, const void *buf,
   // start_pack leases the pipeline and enqueues the pack leg(s); under
   // capture the leases happen live (they are pinned to the channel) while
   // the kernel/copy chain is recorded instead of executed.
-  return capture_on(prog->stream, &prog->graph, trace::OpKind::Persistent, [&] {
+  return capture_on(prog->stream, &prog->graph, kind, [&] {
     return start_pack(packer, m, buf, count, prog->stream, &prog->pipe);
   });
 }

@@ -305,10 +305,12 @@ struct PersistentProgram {
 
 /// Record the sender-side program: lease intermediates sized for `count`
 /// objects and capture the pack leg(s) of `m` (not executed until
-/// replay). The user buffer pointer is frozen into the graph, per MPI
-/// persistent semantics.
+/// replay) under a GraphCapture span of `kind`. The user buffer pointer
+/// is frozen into the graph, per MPI persistent semantics. Shared by
+/// persistent send channels and the repeated-Isend replay table.
 int record_persistent_send(const Packer &packer, Method m, const void *buf,
-                           int count, PersistentProgram *prog);
+                           int count, PersistentProgram *prog,
+                           trace::OpKind kind = trace::OpKind::Persistent);
 
 /// Record the receiver-side program: lease the wire (and staged-method
 /// staging) intermediates and capture the unpack leg(s) of `m`. Replay

@@ -1,0 +1,189 @@
+// Repeated-call replay tables.
+//
+// An application cannot declare an MPI_Pack or an MPI_Isend persistent,
+// yet the paper's halo exchange repeats the same packs and sends every
+// iteration. Each thread remembers the calls it has seen: the first
+// sighting of a call runs live, the second records the call's kernel
+// chain as a vcuda graph (its *program*), and every later sighting
+// replays that program instead of paying a cold launch and a blocking
+// sync. MPI_Pack/MPI_Unpack (tempi.cpp) and MPI_Isend (async.cpp) keep
+// one table each per thread, both instances of Table below.
+//
+// A table is open addressed with linear probing over kSlots slots. Slots
+// empty only all at once (clear()), so a probe may stop at the first empty
+// slot; a full table replaces its least recently used entry in place.
+// Programs that pin memory charge it to the table's byte budget, and the
+// least recently used programs are evicted to stay under it.
+//
+// Stale programs: entries name packers by raw pointer, and uninstall()
+// destroys every packer. uninstall() therefore calls release_all(), which
+// bumps the process-wide epoch (a table touched under a newer epoch drops
+// its entries first) and clears every thread's table through the registry
+// below, so the programs' graphs and pinned leases are released at once.
+#pragma once
+
+#include "tempi/trace.hpp"
+#include "vcuda/runtime.hpp"
+
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <initializer_list>
+#include <memory>
+
+namespace tempi::replay {
+
+/// Entries per table (a power of two).
+inline constexpr std::size_t kSlots = 128;
+
+/// Current install epoch; programs recorded under an older one are never
+/// matched.
+std::uint64_t epoch();
+
+/// uninstall() (quiescent by contract): bump the epoch and clear every
+/// live table of every thread, releasing each program it holds.
+void release_all();
+
+/// Mix a key's fields into a slot hash.
+inline std::uint64_t mix(std::initializer_list<std::uint64_t> fields) {
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (const std::uint64_t v : fields) {
+    x = (x ^ v ^ (x >> 29)) * 0xbf58476d1ce4e5b9ull;
+  }
+  return x ^ (x >> 32);
+}
+
+inline std::uint64_t bits(const void *p) {
+  return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p));
+}
+
+/// A recorded graph, destroyed with its owner.
+struct GraphDestroyer {
+  void operator()(vcuda::GraphHandle g) const { vcuda::GraphDestroy(g); }
+};
+using GraphPtr = std::unique_ptr<vcuda::Graph, GraphDestroyer>;
+
+namespace detail {
+
+/// The registry's view of a table.
+class Clearable {
+public:
+  virtual void clear() = 0;
+
+protected:
+  ~Clearable() = default;
+};
+
+void enroll(Clearable *table);
+void withdraw(Clearable *table);
+
+} // namespace detail
+
+/// One thread's table. `Key` needs operator== and `hash()`; `Program` is
+/// default-constructible, movable, tests true when recorded, and releases
+/// everything it holds when reset to `{}`.
+template <class Key, class Program>
+class Table final : detail::Clearable {
+public:
+  struct Entry {
+    Key key{};
+    std::uint64_t last_use = 0; ///< LRU stamp; 0 marks an empty slot
+    bool sighted = false;       ///< a later sighting may record `program`
+    Program program{};          ///< recorded on the second sighting
+    std::size_t bytes = 0;      ///< pinned bytes charged to the budget
+  };
+
+  /// `budget` bounds the bytes charged by charge(); every entry dropped
+  /// to make room counts in `evictions`.
+  Table(trace::Counter &evictions, std::size_t budget)
+      : evictions_(evictions), budget_(budget) {
+    detail::enroll(this);
+  }
+  Table(const Table &) = delete;
+  Table &operator=(const Table &) = delete;
+  ~Table() {
+    detail::withdraw(this);
+    clear();
+  }
+
+  /// The entry for `key`, inserted when absent. `*seen` is true when this
+  /// is a repeat sighting, i.e. the caller may record or replay.
+  Entry &touch(const Key &key, bool *seen) {
+    if (const std::uint64_t now = replay::epoch(); now != epoch_) {
+      clear();
+      epoch_ = now;
+    }
+    ++clock_;
+    const auto home = static_cast<std::size_t>(key.hash());
+    for (std::size_t p = 0; p < kSlots; ++p) {
+      Entry &e = slots_[(home + p) & (kSlots - 1)];
+      if (e.last_use == 0 || e.key == key) {
+        if (e.last_use == 0) {
+          e.key = key; // a fresh slot: not sighted yet
+        }
+        *seen = e.sighted;
+        e.sighted = true;
+        e.last_use = clock_;
+        return e;
+      }
+    }
+    Entry *victim = &slots_[0];
+    for (Entry &e : slots_) {
+      if (e.last_use < victim->last_use) {
+        victim = &e;
+      }
+    }
+    drop(*victim);
+    victim->key = key;
+    victim->last_use = clock_;
+    victim->sighted = true;
+    *seen = false;
+    return *victim;
+  }
+
+  /// Charge `bytes` pinned by `e`'s just-recorded program, then evict the
+  /// least recently used programs until the table is within its budget.
+  /// False when `e` itself had to go (it alone exceeds the budget).
+  bool charge(Entry &e, std::size_t bytes) {
+    e.bytes = bytes;
+    pinned_ += bytes;
+    while (pinned_ > budget_) {
+      Entry *victim = nullptr;
+      for (Entry &v : slots_) {
+        if (v.bytes > 0 &&
+            (victim == nullptr || v.last_use < victim->last_use)) {
+          victim = &v;
+        }
+      }
+      drop(*victim);
+      victim->sighted = false; // evicted: the next sighting runs live
+    }
+    return static_cast<bool>(e.program);
+  }
+
+  /// Drop every entry and the programs they hold.
+  void clear() override {
+    for (Entry &e : slots_) {
+      e = Entry{};
+    }
+    pinned_ = 0;
+  }
+
+private:
+  /// Evict `e`'s program and forget its charge (its key stays).
+  void drop(Entry &e) {
+    evictions_.add();
+    e.program = Program{};
+    pinned_ -= e.bytes;
+    e.bytes = 0;
+  }
+
+  trace::Counter &evictions_;
+  std::size_t budget_;
+  std::size_t pinned_ = 0;
+  std::array<Entry, kSlots> slots_{};
+  std::uint64_t epoch_ = 0;
+  std::uint64_t clock_ = 0;
+};
+
+} // namespace tempi::replay

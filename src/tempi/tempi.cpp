@@ -16,6 +16,7 @@
 #include "tempi/measure.hpp"
 #include "tempi/methods.hpp"
 #include "tempi/reduce.hpp"
+#include "tempi/replay.hpp"
 #include "tempi/strided_block.hpp"
 #include "tempi/topology.hpp"
 #include "tempi/trace.hpp"
@@ -25,6 +26,7 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string_view>
 #include <mutex>
@@ -112,9 +114,6 @@ struct State {
   trace::Counter pack_replays{"tempi.pack.replays"};
   trace::Counter pack_captures{"tempi.pack.captures"};
   trace::Counter pack_evictions{"tempi.pack.evictions"};
-  /// Bumped by every uninstall(): replay entries recorded under an older
-  /// epoch may name destroyed packers, so they are dropped, never matched.
-  std::atomic<std::uint64_t> pack_epoch{1};
 
   std::once_flag perf_loaded; ///< install(): TEMPI_PERF_FILE bootstrap
   std::once_flag env_loaded;  ///< first Init: method/chunk env knobs
@@ -416,14 +415,12 @@ int tempi_Type_free(MPI_Datatype *datatype) {
 
 // --- repeated MPI_Pack/MPI_Unpack replay -------------------------------------
 //
-// An application cannot declare an MPI_Pack persistent, yet the paper's
-// halo exchange repeats the same 26 packs and 26 unpacks every iteration.
-// Each thread remembers the device pack/unpack calls it has seen: the
-// first sighting of a call runs live, the second records its kernel chain
-// as a vcuda graph, and every later one replays that graph with one graph
-// launch and a pre-armed fence instead of a cold launch and a blocking
-// sync. The graph reads and writes through the key's pointers, so a
-// replay moves the buffers' current bytes, exactly as a live call would.
+// The paper's halo exchange repeats the same 26 packs and 26 unpacks every
+// iteration; the thread's replay table (tempi/replay.hpp) records each
+// repeated device pack/unpack call as a vcuda graph and replays it with one
+// graph launch and a pre-armed fence instead of a cold launch and a
+// blocking sync. The graph reads and writes through the key's pointers, so
+// a replay moves the buffers' current bytes, exactly as a live call would.
 
 /// What makes two calls the same work. `src`/`dst` are the effective
 /// pointers, *position already applied to the packed side.
@@ -434,88 +431,20 @@ struct PackReplayKey {
   int count = 0;
   bool unpack = false;
   bool operator==(const PackReplayKey &) const = default;
+  [[nodiscard]] std::uint64_t hash() const {
+    return replay::mix(
+        {replay::bits(packer), replay::bits(src), replay::bits(dst),
+         (static_cast<std::uint64_t>(static_cast<unsigned>(count)) << 1) |
+             static_cast<std::uint64_t>(unpack)});
+  }
 };
 
-struct PackReplayEntry {
-  PackReplayKey key;
-  std::uint64_t last_use = 0;         ///< LRU stamp; 0 marks an empty slot
-  vcuda::GraphHandle graph = nullptr; ///< recorded on the second sighting
-};
-
-constexpr std::size_t kPackReplaySlots = 128; // power of two
-
-/// One thread's replay entries: open addressing with linear probing. Slots
-/// empty only all at once (an epoch change), so a probe may stop at the
-/// first empty slot; a full table replaces its least recently used entry
-/// in place.
-class PackReplayTable {
-public:
-  PackReplayTable() = default;
-  PackReplayTable(const PackReplayTable &) = delete;
-  PackReplayTable &operator=(const PackReplayTable &) = delete;
-  ~PackReplayTable() { clear(); }
-
-  /// The entry for `key`, inserted when absent (`*seen` false). Entries of
-  /// an older install epoch are dropped first.
-  PackReplayEntry &touch(const PackReplayKey &key, std::uint64_t epoch,
-                         bool *seen) {
-    if (epoch != epoch_) {
-      clear();
-      epoch_ = epoch;
-    }
-    ++clock_;
-    const std::size_t home = static_cast<std::size_t>(hash(key));
-    for (std::size_t p = 0; p < kPackReplaySlots; ++p) {
-      PackReplayEntry &e = slots_[(home + p) & (kPackReplaySlots - 1)];
-      if (e.last_use == 0 || e.key == key) {
-        *seen = e.last_use != 0;
-        e.key = key;
-        e.last_use = clock_;
-        return e;
-      }
-    }
-    PackReplayEntry *victim = &slots_[0];
-    for (PackReplayEntry &e : slots_) {
-      if (e.last_use < victim->last_use) {
-        victim = &e;
-      }
-    }
-    vcuda::GraphDestroy(victim->graph);
-    state().pack_evictions.add();
-    *victim = PackReplayEntry{key, clock_, nullptr};
-    *seen = false;
-    return *victim;
-  }
-
-private:
-  static std::uint64_t hash(const PackReplayKey &k) {
-    std::uint64_t x = reinterpret_cast<std::uintptr_t>(k.packer);
-    for (const std::uint64_t v :
-         {static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(k.src)),
-          static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(k.dst)),
-          (static_cast<std::uint64_t>(static_cast<unsigned>(k.count)) << 1) |
-              static_cast<std::uint64_t>(k.unpack)}) {
-      x = (x ^ v ^ (x >> 29)) * 0xbf58476d1ce4e5b9ull;
-    }
-    return x ^ (x >> 32);
-  }
-
-  void clear() {
-    for (PackReplayEntry &e : slots_) {
-      vcuda::GraphDestroy(e.graph);
-      e = PackReplayEntry{};
-    }
-  }
-
-  std::array<PackReplayEntry, kPackReplaySlots> slots_{};
-  std::uint64_t epoch_ = 0;
-  std::uint64_t clock_ = 0;
-};
+/// Pack programs are bare graphs: they pin no memory, so no byte budget.
+using PackReplayTable = replay::Table<PackReplayKey, replay::GraphPtr>;
 
 /// Allocated on the thread's first device pack or unpack, freed at thread
-/// exit (or by uninstall() on the calling thread). Not a thread_local
-/// array: every thread would then pay for the table, since glibc clears
-/// each new thread's static TLS block.
+/// exit. Not a thread_local table: every thread would then pay for it,
+/// since glibc clears each new thread's static TLS block.
 thread_local std::unique_ptr<PackReplayTable> t_pack_replay;
 
 /// One device MPI_Pack (`unpack` false) or MPI_Unpack body on the thread's
@@ -538,18 +467,19 @@ vcuda::Error pack_call(const Packer &packer, void *dst, const void *src,
     return live();
   }
   if (!t_pack_replay) {
-    t_pack_replay = std::make_unique<PackReplayTable>();
+    t_pack_replay = std::make_unique<PackReplayTable>(
+        s.pack_evictions, std::numeric_limits<std::size_t>::max());
   }
   bool seen = false;
-  PackReplayEntry &e = t_pack_replay->touch(
-      {&packer, src, dst, count, unpack},
-      s.pack_epoch.load(std::memory_order_acquire), &seen);
+  PackReplayTable::Entry &e =
+      t_pack_replay->touch({&packer, src, dst, count, unpack}, &seen);
   if (!seen) {
     return live();
   }
   vcuda::this_thread_timeline().advance(kMethodMemoHitNs); // the lookup
-  if (e.graph == nullptr) {
-    const int rc = capture_on(stream, &e.graph, trace::OpKind::Pack, [&] {
+  if (!e.program) {
+    vcuda::GraphHandle graph = nullptr;
+    const int rc = capture_on(stream, &graph, trace::OpKind::Pack, [&] {
       const vcuda::Error err =
           unpack ? packer.unpack_async(dst, src, count, stream)
                  : packer.pack_async(dst, src, count, stream);
@@ -558,11 +488,12 @@ vcuda::Error pack_call(const Packer &packer, void *dst, const void *src,
     if (rc != MPI_SUCCESS) {
       return live(); // unpromoted: the next sighting tries again
     }
+    e.program.reset(graph);
     s.pack_captures.add();
   }
   trace::ScopedSpan span(trace::Phase::GraphReplay, trace::OpKind::Pack,
                          bytes);
-  if (const vcuda::Error err = vcuda::GraphLaunch(e.graph, stream);
+  if (const vcuda::Error err = vcuda::GraphLaunch(e.program.get(), stream);
       err != vcuda::Error::Success) {
     return err;
   }
@@ -1543,10 +1474,9 @@ void uninstall() {
     bump_handle_generation(s);
   }
   // Replay entries name the packers just destroyed: a new epoch keeps
-  // every thread from matching them (other threads free theirs on their
-  // next pack or at exit); the calling thread frees its own now.
-  s.pack_epoch.fetch_add(1, std::memory_order_release);
-  t_pack_replay.reset();
+  // every thread from matching them, and every thread's tables release
+  // their graphs and pinned leases now.
+  replay::release_all();
   save_tuned_tables(s); // TEMPI_TUNE_SAVE (no-op unless requested)
   trace::flush(); // trace file + stats report (no-op if already flushed)
   s.installed = false;

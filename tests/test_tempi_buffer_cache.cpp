@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 namespace {
 
 TEST(BufferCache, FirstLeaseIsAMiss) {
@@ -96,6 +98,29 @@ TEST(BufferCache, DrainReleasesToVcuda) {
   { const auto buf = tempi::lease_buffer(vcuda::MemorySpace::Device, 8192); }
   tempi::drain_buffer_cache();
   EXPECT_GT(vcuda::counters().frees, frees_before);
+}
+
+/// A thread_local lease holder (like a per-thread replay table) that a
+/// thread constructs before its buffer cache, so it is destroyed after it.
+struct LateHolder {
+  tempi::CachedBuffer buf;
+};
+
+TEST(BufferCache, LeaseReleasedAfterCacheTeardownIsFreedRaw) {
+  const std::size_t leased0 = tempi::buffer_cache_stats().leased_now;
+  const vcuda::Counters before = vcuda::counters();
+  std::thread([leased0] {
+    thread_local LateHolder holder; // constructed first, destroyed last
+    holder.buf = tempi::lease_buffer(vcuda::MemorySpace::Device, 4096);
+    // A second lease of the same bucket, returned, leaves the magazine
+    // with storage the dead cache must not be written through.
+    { const auto warm = tempi::lease_buffer(vcuda::MemorySpace::Device, 4096); }
+    EXPECT_EQ(tempi::buffer_cache_stats().leased_now, leased0 + 1);
+  }).join();
+  const vcuda::Counters after = vcuda::counters();
+  EXPECT_EQ(after.mallocs - before.mallocs, 2u);
+  EXPECT_EQ(after.frees - before.frees, 2u); // the late release freed raw
+  EXPECT_EQ(tempi::buffer_cache_stats().leased_now, leased0);
 }
 
 } // namespace

@@ -1,0 +1,484 @@
+// Repeated MPI_Isend replay: the request engine sends the first sighting
+// of a (packer, buffer, count, method) live, records its send program on
+// the second, and replays that program (one graph launch + one fence)
+// from then on. Replays must ship the buffer's current bytes, never
+// overwrite a wire lease still in flight, and never outlive the packers or
+// the install they were recorded under.
+#include "interpose/table.hpp"
+#include "random_types.hpp"
+#include "sysmpi/mpi.hpp"
+#include "sysmpi/world.hpp"
+#include "tempi/buffer_cache.hpp"
+#include "tempi/perf_model.hpp"
+#include "tempi/tempi.hpp"
+#include "tempi/trace.hpp"
+#include "test_helpers.hpp"
+#include "vcuda/clock.hpp"
+#include "vcuda/runtime.hpp"
+
+#include <gtest/gtest.h>
+
+#include <barrier>
+#include <cstring>
+#include <string_view>
+#include <thread>
+#include <vector>
+
+namespace {
+
+using testing_helpers::fill_pattern;
+using testing_helpers::random_strided_type;
+using testing_helpers::reference_pack;
+using testing_helpers::Rng;
+using testing_helpers::SpaceBuffer;
+
+MPI_Datatype committed_vector(int count, int blocklen, int stride) {
+  MPI_Datatype t = nullptr;
+  MPI_Type_vector(count, blocklen, stride, MPI_BYTE, &t);
+  MPI_Type_commit(&t);
+  return t;
+}
+
+std::uint64_t counter(std::string_view name) {
+  return tempi::trace::counter_value(name);
+}
+
+std::size_t leased_now() { return tempi::buffer_cache_stats().leased_now; }
+
+struct DeviceOps {
+  std::uint64_t kernels, syncs, graphs, fences;
+};
+
+DeviceOps device_ops() {
+  const vcuda::Counters c = vcuda::counters();
+  return {c.kernel_launches, c.stream_syncs, c.graph_launches,
+          c.stream_fences};
+}
+
+DeviceOps operator-(const DeviceOps &a, const DeviceOps &b) {
+  return {a.kernels - b.kernels, a.syncs - b.syncs, a.graphs - b.graphs,
+          a.fences - b.fences};
+}
+
+/// The wire bytes of one message this rank sent itself on `tag`, received
+/// through the system MPI.
+std::vector<std::byte> receive_wire(std::size_t bytes, int tag) {
+  std::vector<std::byte> wire(bytes);
+  MPI_Status status;
+  EXPECT_EQ(interpose::system_table().Recv(wire.data(),
+                                           static_cast<int>(bytes), MPI_BYTE,
+                                           0, tag, MPI_COMM_WORLD, &status),
+            MPI_SUCCESS);
+  EXPECT_EQ(status.count_bytes, static_cast<long long>(bytes));
+  return wire;
+}
+
+/// Isend `count` objects of `t` from `src` to this rank; the device work
+/// of the Isend call alone lands in `*ops`.
+MPI_Request isend_self(const void *src, int count, MPI_Datatype t, int tag,
+                       DeviceOps *ops = nullptr) {
+  MPI_Request req = MPI_REQUEST_NULL;
+  const DeviceOps before = device_ops();
+  EXPECT_EQ(MPI_Isend(src, count, t, 0, tag, MPI_COMM_WORLD, &req),
+            MPI_SUCCESS);
+  if (ops != nullptr) {
+    *ops = device_ops() - before;
+  }
+  return req;
+}
+
+/// One self-sent message: Isend, receive its wire bytes, Wait.
+std::vector<std::byte> send_once(const void *src, int count, MPI_Datatype t,
+                                 std::size_t bytes, DeviceOps *ops = nullptr) {
+  MPI_Request req = isend_self(src, count, t, 5, ops);
+  std::vector<std::byte> wire = receive_wire(bytes, 5);
+  EXPECT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+  return wire;
+}
+
+class IsendReplay : public ::testing::Test {
+protected:
+  void SetUp() override {
+    tempi::install();
+    sysmpi::ensure_self_context();
+  }
+  void TearDown() override {
+    tempi::set_send_mode(tempi::SendMode::Auto);
+    tempi::uninstall();
+  }
+};
+
+class IsendReplayRandom : public ::testing::TestWithParam<unsigned> {
+protected:
+  void SetUp() override {
+    tempi::install();
+    sysmpi::ensure_self_context();
+  }
+  void TearDown() override { tempi::uninstall(); }
+};
+
+// Four sends of one random type with the source mutated before each: the
+// wire bytes of every round, replays included, equal the system MPI_Pack
+// of the buffer's current contents.
+TEST_P(IsendReplayRandom, WireBytesMatchSystemPathAsSourceChanges) {
+  Rng rng(GetParam() * 2654435761u + 17);
+  MPI_Datatype t = random_strided_type(rng, rng.uniform(1, 4));
+  MPI_Aint lb = 0, extent = 0;
+  int size = 0;
+  MPI_Type_get_extent(t, &lb, &extent);
+  MPI_Type_size(t, &size);
+  if (size == 0) {
+    MPI_Type_free(&t);
+    return;
+  }
+  const int count = rng.uniform(1, 3);
+  const auto bytes = static_cast<std::size_t>(size) * count;
+  const std::size_t span = static_cast<std::size_t>(extent) * count + 64;
+  SpaceBuffer src(vcuda::MemorySpace::Device, span);
+  std::vector<std::byte> expect(bytes);
+
+  const std::uint64_t forwarded0 = counter("tempi.isend.forwarded");
+  const std::uint64_t captures0 = counter("tempi.isend.captures");
+  const std::uint64_t replays0 = counter("tempi.isend.replays");
+  for (unsigned call = 0; call < 4; ++call) {
+    fill_pattern(src.get(), span, GetParam() * 16 + call);
+    int position = 0;
+    ASSERT_EQ(interpose::system_table().Pack(
+                  src.get(), count, t, expect.data(), static_cast<int>(bytes),
+                  &position, MPI_COMM_WORLD),
+              MPI_SUCCESS);
+    EXPECT_EQ(send_once(src.get(), count, t, bytes), expect)
+        << "call " << call;
+  }
+  // Contiguous types forward to the system MPI; every other type records
+  // once (call 2) and sends calls 2-4 from the program.
+  const bool accelerated = counter("tempi.isend.forwarded") == forwarded0;
+  EXPECT_EQ(counter("tempi.isend.captures") - captures0, accelerated ? 1u : 0u);
+  EXPECT_EQ(counter("tempi.isend.replays") - replays0, accelerated ? 3u : 0u);
+  MPI_Type_free(&t);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IsendReplayRandom, ::testing::Range(1u, 21u));
+
+TEST_F(IsendReplay, FirstCallLiveSecondCapturesLaterReplay) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  MPI_Datatype t = committed_vector(256, 8, 64);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 256 * 64);
+  fill_pattern(src.get(), src.size());
+  const auto expect = reference_pack(src.get(), 1, *t);
+
+  const std::uint64_t captures0 = counter("tempi.isend.captures");
+  std::vector<vcuda::VirtualNs> took;
+  for (int call = 1; call <= 4; ++call) {
+    const std::uint64_t captures = counter("tempi.isend.captures");
+    const std::uint64_t replays = counter("tempi.isend.replays");
+    DeviceOps d{};
+    const vcuda::VirtualNs t0 = vcuda::virtual_now();
+    MPI_Request req = isend_self(src.get(), 1, t, 5, &d);
+    took.push_back(vcuda::virtual_now() - t0);
+    EXPECT_EQ(receive_wire(expect.size(), 5), expect) << "call " << call;
+    ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+    const std::uint64_t captured = counter("tempi.isend.captures") - captures;
+    const std::uint64_t replayed = counter("tempi.isend.replays") - replays;
+    if (call == 1) {
+      EXPECT_EQ(d.kernels, 1u);
+      EXPECT_EQ(d.syncs, 1u);
+      EXPECT_EQ(d.graphs, 0u);
+      EXPECT_EQ(captured, 0u);
+      EXPECT_EQ(replayed, 0u);
+    } else {
+      EXPECT_EQ(d.kernels, 0u) << "call " << call;
+      EXPECT_EQ(d.syncs, 0u) << "call " << call;
+      EXPECT_EQ(d.graphs, 1u) << "call " << call;
+      EXPECT_EQ(d.fences, 1u) << "call " << call;
+      EXPECT_EQ(captured, call == 2 ? 1u : 0u) << "call " << call;
+      EXPECT_EQ(replayed, 1u) << "call " << call;
+    }
+  }
+  // A replay pays the lookup, a graph launch, the in-graph node floor and
+  // a fence instead of a lease, a cold launch, the cold floor and a
+  // blocking sync.
+  EXPECT_LT(took[2] * 2, took[0]) << took[0] << " ns live vs " << took[2]
+                                  << " ns replayed";
+  EXPECT_EQ(counter("tempi.isend.captures") - captures0, 1u);
+  MPI_Type_free(&t);
+}
+
+TEST_F(IsendReplay, SpansNameTheLiveCaptureAndReplayPaths) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  MPI_Datatype t = committed_vector(64, 4, 16);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 64 * 16);
+  tempi::trace::reset();
+  tempi::trace::set_enabled(true);
+  for (int call = 0; call < 3; ++call) {
+    send_once(src.get(), 1, t, 64 * 4);
+  }
+  tempi::trace::set_enabled(false);
+  using tempi::trace::Phase;
+  std::vector<Phase> phases;
+  for (const tempi::trace::SpanRecord &s : tempi::trace_snapshot().spans) {
+    if (s.kind == tempi::trace::OpKind::Isend && s.phase != Phase::Wire) {
+      phases.push_back(s.phase);
+      if (s.phase != Phase::GraphCapture) {
+        EXPECT_EQ(s.bytes, 64u * 4u);
+      }
+    }
+  }
+  tempi::trace::reset();
+  EXPECT_EQ(phases, (std::vector<Phase>{Phase::PackLaunch, Phase::GraphCapture,
+                                        Phase::GraphReplay,
+                                        Phase::GraphReplay}));
+  MPI_Type_free(&t);
+}
+
+// The same key Isent twice before Wait: the second message must not be
+// packed into the wire lease the first is still sending from.
+TEST_F(IsendReplay, BusyProgramSendsTheOverlappingMessageLive) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  constexpr std::size_t kBytes = 128 * 4;
+  for (int call = 0; call < 2; ++call) { // live, then recorded
+    send_once(src.get(), 1, t, kBytes);
+  }
+
+  const std::uint64_t busy0 = counter("tempi.isend.busy");
+  const std::uint64_t replays0 = counter("tempi.isend.replays");
+  fill_pattern(src.get(), src.size(), 31);
+  const auto first = reference_pack(src.get(), 1, *t);
+  MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+  DeviceOps d{};
+  reqs[0] = isend_self(src.get(), 1, t, 5, &d);
+  EXPECT_EQ(d.graphs, 1u); // the program, now in flight
+  fill_pattern(src.get(), src.size(), 32);
+  const auto second = reference_pack(src.get(), 1, *t);
+  reqs[1] = isend_self(src.get(), 1, t, 6, &d);
+  EXPECT_EQ(d.kernels, 1u); // live: the program is busy
+  EXPECT_EQ(d.graphs, 0u);
+  EXPECT_EQ(counter("tempi.isend.busy") - busy0, 1u);
+  EXPECT_EQ(counter("tempi.isend.replays") - replays0, 1u);
+
+  EXPECT_EQ(receive_wire(kBytes, 6), second);
+  EXPECT_EQ(receive_wire(kBytes, 5), first);
+  ASSERT_EQ(MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE), MPI_SUCCESS);
+
+  // Retired: the next sighting replays again.
+  send_once(src.get(), 1, t, kBytes, &d);
+  EXPECT_EQ(d.graphs, 1u);
+  EXPECT_EQ(counter("tempi.isend.busy") - busy0, 1u);
+  MPI_Type_free(&t);
+}
+
+TEST_F(IsendReplay, ForcedMethodChangeMissesTheTable) {
+  MPI_Datatype t = committed_vector(64, 8, 32);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 64 * 32);
+  fill_pattern(src.get(), src.size(), 4);
+  const auto expect = reference_pack(src.get(), 1, *t);
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  for (int call = 0; call < 3; ++call) {
+    send_once(src.get(), 1, t, expect.size());
+  }
+  for (const tempi::SendMode mode :
+       {tempi::SendMode::ForceOneShot, tempi::SendMode::ForceStaged}) {
+    tempi::set_send_mode(mode);
+    DeviceOps d{};
+    EXPECT_EQ(send_once(src.get(), 1, t, expect.size(), &d), expect);
+    EXPECT_EQ(d.kernels, 1u) << static_cast<int>(mode);
+    EXPECT_EQ(d.graphs, 0u) << static_cast<int>(mode);
+    // ... and the new method is promoted on its own second sighting.
+    EXPECT_EQ(send_once(src.get(), 1, t, expect.size(), &d), expect);
+    EXPECT_EQ(d.graphs, 1u) << static_cast<int>(mode);
+  }
+  MPI_Type_free(&t);
+}
+
+/// The built-in tables with `m`'s pack kernels made 1000x slower, so the
+/// model's choice moves off `m`.
+tempi::PerfModel model_penalizing(tempi::Method m) {
+  tempi::SystemPerf perf = tempi::builtin_perf();
+  tempi::Table2D &pack = m == tempi::Method::OneShot ? perf.oneshot_pack
+                                                     : perf.device_pack;
+  for (double &us : pack.us) {
+    us *= 1000.0;
+  }
+  return tempi::PerfModel(std::move(perf));
+}
+
+TEST_F(IsendReplay, ModelGenerationChangingTheMethodMissesTheTable) {
+  MPI_Datatype t = committed_vector(64, 8, 32);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 64 * 32);
+  fill_pattern(src.get(), src.size(), 8);
+  const auto expect = reference_pack(src.get(), 1, *t);
+  const auto oneshots = [] { return counter("tempi.isend.oneshot"); };
+
+  // Slow one-shot kernels: the model picks a device-side method.
+  tempi::set_perf_model(model_penalizing(tempi::Method::OneShot));
+  const std::uint64_t oneshot0 = oneshots();
+  DeviceOps d{};
+  for (int call = 0; call < 3; ++call) {
+    send_once(src.get(), 1, t, expect.size(), &d);
+  }
+  EXPECT_EQ(d.graphs, 1u); // the key replays
+  EXPECT_EQ(oneshots(), oneshot0);
+
+  // A new generation with slow device kernels picks one-shot: a new key.
+  tempi::set_perf_model(model_penalizing(tempi::Method::Device));
+  EXPECT_EQ(send_once(src.get(), 1, t, expect.size(), &d), expect);
+  EXPECT_EQ(oneshots(), oneshot0 + 1);
+  EXPECT_EQ(d.kernels, 1u);
+  EXPECT_EQ(d.graphs, 0u);
+  tempi::set_perf_model(tempi::PerfModel{});
+  MPI_Type_free(&t);
+}
+
+TEST_F(IsendReplay, FreedAndRecommittedTypeNeverReplaysTheOldProgram) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  MPI_Datatype wide = committed_vector(64, 8, 16);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 64 * 16);
+  fill_pattern(src.get(), src.size(), 3);
+  for (int call = 0; call < 3; ++call) {
+    send_once(src.get(), 1, wide, 64 * 8);
+  }
+  MPI_Type_free(&wide);
+
+  // Same buffer, same count, a different layout (possibly the same
+  // handle): a new packer, so a new key.
+  MPI_Datatype narrow = committed_vector(64, 4, 16);
+  DeviceOps d{};
+  EXPECT_EQ(send_once(src.get(), 1, narrow, 64 * 4, &d),
+            reference_pack(src.get(), 1, *narrow));
+  EXPECT_EQ(d.kernels, 1u);
+  EXPECT_EQ(d.graphs, 0u);
+  MPI_Type_free(&narrow);
+}
+
+// Send programs pin their leases, so one thread's programs share a 16 MiB
+// budget: recording past it evicts the least recently used program (whose
+// key starts over at a first sighting), and a message whose leases alone
+// exceed it is never recorded.
+TEST_F(IsendReplay, ProgramsStayWithinTheByteBudget) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  constexpr int kBlocks = 3 * 1024; // 3 MiB packed: 4 MiB programs
+  constexpr std::size_t kBytes = std::size_t{kBlocks} * 1024;
+  constexpr std::size_t kStep = 4096;
+  MPI_Datatype t = committed_vector(kBlocks, 1024, 1032);
+  MPI_Aint lb = 0, extent = 0;
+  MPI_Type_get_extent(t, &lb, &extent);
+  SpaceBuffer src(vcuda::MemorySpace::Device,
+                  static_cast<std::size_t>(extent) + 4 * kStep);
+  fill_pattern(src.get(), src.size(), 21);
+  const auto key = [&](std::size_t k) { return src.bytes() + k * kStep; };
+
+  const std::size_t leased0 = leased_now();
+  for (std::size_t k = 0; k < 4; ++k) { // 4 x 4 MiB: the whole budget
+    send_once(key(k), 1, t, kBytes);
+    send_once(key(k), 1, t, kBytes);
+  }
+  EXPECT_EQ(leased_now(), leased0 + 4);
+  const std::uint64_t evictions0 = counter("tempi.isend.evictions");
+  send_once(key(4), 1, t, kBytes);
+  send_once(key(4), 1, t, kBytes); // recorded: key 0's program goes
+  EXPECT_EQ(counter("tempi.isend.evictions") - evictions0, 1u);
+  EXPECT_EQ(leased_now(), leased0 + 4);
+
+  DeviceOps d{};
+  EXPECT_EQ(send_once(key(1), 1, t, kBytes, &d), reference_pack(key(1), 1, *t));
+  EXPECT_EQ(d.graphs, 1u); // still recorded
+  EXPECT_EQ(send_once(key(0), 1, t, kBytes, &d), reference_pack(key(0), 1, *t));
+  EXPECT_EQ(d.kernels, 1u); // evicted: a first sighting again
+  EXPECT_EQ(d.graphs, 0u);
+  MPI_Type_free(&t);
+
+  // Staged leases (device stage + pinned wire) of just over 8 MiB each
+  // round up to 32 MiB: the message never promotes.
+  tempi::set_send_mode(tempi::SendMode::ForceStaged);
+  MPI_Datatype big = committed_vector(8 * 1024 + 1, 1024, 1032);
+  MPI_Type_get_extent(big, &lb, &extent);
+  SpaceBuffer big_src(vcuda::MemorySpace::Device,
+                      static_cast<std::size_t>(extent));
+  fill_pattern(big_src.get(), big_src.size(), 22);
+  const std::uint64_t captures0 = counter("tempi.isend.captures");
+  for (int call = 0; call < 3; ++call) {
+    send_once(big_src.get(), 1, big, (8 * 1024 + 1) * 1024, &d);
+    EXPECT_EQ(d.kernels, 1u) << "call " << call;
+  }
+  EXPECT_EQ(counter("tempi.isend.captures"), captures0);
+  MPI_Type_free(&big);
+}
+
+// Uninstall destroys every packer, so a reinstall must replay nothing it
+// recorded before, and the pinned leases of every thread's programs are
+// released at uninstall — not when their threads next send or exit.
+TEST_F(IsendReplay, UninstallReleasesEveryThreadsPrograms) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  const auto promote = [](const void *src, MPI_Datatype t) {
+    for (int call = 0; call < 3; ++call) {
+      send_once(src, 1, t, 64 * 4);
+    }
+  };
+  const auto sends_live = [](const void *src) {
+    MPI_Datatype t = committed_vector(64, 4, 16); // recommitted post-install
+    DeviceOps d{};
+    EXPECT_EQ(send_once(src, 1, t, 64 * 4, &d),
+              reference_pack(src, 1, *t));
+    EXPECT_EQ(d.kernels, 1u);
+    EXPECT_EQ(d.graphs, 0u);
+    MPI_Type_free(&t);
+  };
+  std::barrier<> step(2);
+  std::thread worker([&] {
+    sysmpi::ensure_self_context();
+    SpaceBuffer src(vcuda::MemorySpace::Device, 64 * 16);
+    fill_pattern(src.get(), src.size(), 6);
+    MPI_Datatype t = committed_vector(64, 4, 16);
+    promote(src.get(), t);
+    step.arrive_and_wait(); // main uninstalls and reinstalls
+    step.arrive_and_wait();
+    MPI_Type_free(&t);
+    sends_live(src.get());
+  });
+
+  SpaceBuffer src(vcuda::MemorySpace::Device, 64 * 16);
+  fill_pattern(src.get(), src.size(), 5);
+  MPI_Datatype t = committed_vector(64, 4, 16);
+  promote(src.get(), t);
+  step.arrive_and_wait();
+  EXPECT_GT(leased_now(), 0u); // both threads' programs pin a wire lease
+  tempi::uninstall();
+  EXPECT_EQ(leased_now(), 0u);
+  tempi::install();
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  step.arrive_and_wait();
+  worker.join();
+  MPI_Type_free(&t);
+  sends_live(src.get());
+}
+
+// A thread exiting with promoted entries: its table outlives the thread's
+// buffer cache (the table is created before the first lease), so the
+// programs' leases are released after the cache is gone.
+TEST_F(IsendReplay, ThreadExitWithLiveEntriesReleasesEverything) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  const std::size_t leased0 = leased_now();
+  const vcuda::Counters before = vcuda::counters();
+  std::thread([t] {
+    sysmpi::ensure_self_context();
+    constexpr std::size_t kStep = 256;
+    SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12 + 3 * kStep);
+    fill_pattern(src.get(), src.size(), 12);
+    for (std::size_t k = 0; k < 4; ++k) { // four keys, each recorded
+      const std::byte *from = src.bytes() + k * kStep;
+      for (int call = 0; call < 3; ++call) {
+        EXPECT_EQ(send_once(from, 1, t, 128 * 4),
+                  reference_pack(from, 1, *t));
+      }
+    }
+  }).join();
+  const vcuda::Counters after = vcuda::counters();
+  EXPECT_EQ(leased_now(), leased0);
+  EXPECT_EQ(after.mallocs - before.mallocs, after.frees - before.frees);
+  MPI_Type_free(&t);
+}
+
+} // namespace
