@@ -117,7 +117,7 @@ int main() {
   const tempi::Packer *raw = tempi::find_packer_fast(t);
   const tempi::StridedBlock sb = raw->block();
   const long long extent = raw->type_extent();
-  raw->remember_method(1, 1, tempi::Method::Device);
+  raw->remember_transfer(1, 1, {tempi::Method::Device, 0});
 
   const int kIters = bench::smoke_mode() ? 1 << 14 : 1 << 20;
 
@@ -227,7 +227,7 @@ int main() {
       const tempi::Packer *packer = tempi::find_packer_fast(t);
       const std::uint64_t gen =
           model_generation.load(std::memory_order_acquire);
-      const auto method = packer->cached_method(1, gen);
+      const auto choice = packer->cached_transfer(1, gen);
       vcuda::this_thread_timeline().advance(tempi::kMethodMemoHitNs);
       const vcuda::LaunchConfig cfg =
           tempi::launch_config_for(packer->plan(), 1);
@@ -235,7 +235,7 @@ int main() {
           vcuda::MemorySpace::Device, packer->packed_bytes(1));
       return static_cast<std::uint64_t>(cfg.block.x) +
              static_cast<std::uint64_t>(
-                 method.value_or(tempi::Method::Device)) +
+                 choice ? choice->method : tempi::Method::Device) +
              reinterpret_cast<std::uintptr_t>(wire.get());
     };
   };
@@ -284,7 +284,7 @@ int main() {
   tempi::tune::set_enabled(false);
   const double obs_off = best_wall3(observe_once);
   tempi::tune::set_enabled(true);
-  tempi::tune::reset_counters(); // the synthetic folds are not real samples
+  tempi::trace::reset_counters(); // the synthetic folds are not real samples
   std::printf("tuner observation (wall clock):\n");
   std::printf("  TEMPI_TUNE=1 fold:  %6.1f ns/call  (budget: 50)\n", obs_on);
   std::printf("  TEMPI_TUNE=0 check: %6.1f ns/call  (one relaxed load)\n\n",

@@ -205,7 +205,6 @@ inline void emit_json(const std::string &name, const std::string &config,
   // The "locks" object carries every audited-lock contention gauge
   // (tempi.lock.*, prefix stripped) so contention regressions show up in
   // the sidecar trajectory, not only in TEMPI_STATS output.
-  const tempi::tune::TunerStats tuner = tempi::tune::stats();
   std::fprintf(f,
                "  \"model\": {\"calibration\": \"%s\", \"generation\": %llu, "
                "\"observations\": %llu, \"updates\": %llu,\n"
@@ -213,8 +212,10 @@ inline void emit_json(const std::string &name, const std::string &config,
                tempi::model_calibration_source().c_str(),
                static_cast<unsigned long long>(
                    tempi::tune::refresh_generation()),
-               static_cast<unsigned long long>(tuner.observations),
-               static_cast<unsigned long long>(tuner.updates));
+               static_cast<unsigned long long>(
+                   tempi::trace::counter_value("tempi.model.observations")),
+               static_cast<unsigned long long>(
+                   tempi::trace::counter_value("tempi.model.updates")));
   const char *lock_sep = "";
   for (const auto &[cname, value] : tempi::trace::counter_snapshot()) {
     constexpr std::string_view kPrefix = "tempi.lock.";

@@ -104,14 +104,15 @@ int main(int argc, char **argv) {
       factor3(ranks, &cfg.px, &cfg.py, &cfg.pz);
 
       tempi::install();
-      tempi::reset_send_stats();
+      tempi::trace::reset_counters();
       const Result fast = run(cfg, rpn, /*iters=*/2);
-      const tempi::SendStats stats = tempi::send_stats();
+      const std::uint64_t neighbor =
+          tempi::trace::counter_value("tempi.coll.neighbor");
       tempi::uninstall();
       const Result base = run(cfg, rpn, /*iters=*/1);
       // The exchange's Neighbor_alltoallv of device-resident packed bytes
       // rides the collectives engine when TEMPI is installed.
-      if (stats.coll_neighbor == 0) {
+      if (neighbor == 0) {
         std::printf("warning: collectives engine did not service the "
                     "neighbor exchange\n");
       }

@@ -8,7 +8,6 @@
 // Usage: bench_fig12_isend [brick=24] [iters=2]
 #include "bench_common.hpp"
 #include "halo/halo.hpp"
-#include "tempi/async.hpp"
 
 #include <cmath>
 #include <cstdio>
@@ -110,9 +109,15 @@ int main(int argc, char **argv) {
       factor3(ranks, &cfg.px, &cfg.py, &cfg.pz);
 
       tempi::install();
-      tempi::async::reset_engine_stats();
+      const std::uint64_t isends0 =
+          tempi::trace::counter_value("tempi.engine.isends");
+      const std::uint64_t irecvs0 =
+          tempi::trace::counter_value("tempi.engine.irecvs");
       const Result fast = run(cfg, rpn, iters);
-      const tempi::async::EngineStats es = tempi::async::engine_stats();
+      const std::uint64_t isends =
+          tempi::trace::counter_value("tempi.engine.isends") - isends0;
+      const std::uint64_t irecvs =
+          tempi::trace::counter_value("tempi.engine.irecvs") - irecvs0;
       tempi::uninstall();
       const Result base = run(cfg, rpn, /*iters=*/1);
 
@@ -122,7 +127,7 @@ int main(int argc, char **argv) {
       std::printf("%3d/%-6d %10.1f %12.1f %12.1f | %12.1f %9.0fx\n", n, rpn,
                   fast.post_us, fast.wait_us, fast.total_us(),
                   base.total_us(), speedup);
-      if (es.isends == 0 || es.irecvs == 0) {
+      if (isends == 0 || irecvs == 0) {
         std::printf("  WARNING: request engine saw no accelerated traffic\n");
         engine_saw_traffic = false;
       }

@@ -162,11 +162,14 @@ int main() {
   // limit so CI exercises the 2 GiB-ceiling machinery without gigabytes.
   const std::size_t old_limit =
       tempi::set_wire_chunk_limit(smoke ? 64 * 1024 : 4 * 1024 * 1024);
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   const double over_us =
       bench::send_latency_us(tempi::SendMode::Auto, meas_blocks, meas_block,
                              2 * meas_block, rounds);
-  const tempi::SendStats stats = tempi::send_stats();
+  const std::uint64_t chunks =
+      tempi::trace::counter_value("tempi.pipeline.chunks");
+  const std::uint64_t over_ceiling_bytes =
+      tempi::trace::counter_value("tempi.pipeline.over_ceiling_bytes");
   tempi::set_wire_chunk_limit(old_limit);
   std::printf("\nwith the wire-chunk limit injected to %s, the same message "
               "(over the limit) completed in %.1f us across %llu wire legs "
@@ -174,10 +177,8 @@ int main() {
               "methods would return MPI_ERR_COUNT).\n",
               bench::human_bytes(smoke ? 64.0 * 1024 : 4.0 * 1024 * 1024)
                   .c_str(),
-              over_us,
-              static_cast<unsigned long long>(stats.pipeline_chunks),
-              static_cast<unsigned long long>(
-                  stats.pipeline_over_ceiling_bytes));
+              over_us, static_cast<unsigned long long>(chunks),
+              static_cast<unsigned long long>(over_ceiling_bytes));
 
   // --- (d) close the loop: warm up each block row, refresh, re-sweep ---------
   // Each block size in the (a) sweep gets pipelined legs at a few chunk
@@ -200,14 +201,17 @@ int main() {
     bench::send_latency_us(tempi::SendMode::ForceDevice, nblocks, bb, 2 * bb,
                            1);
   }
-  const tempi::tune::TunerStats tuner = tempi::tune::stats();
+  const std::uint64_t observations =
+      tempi::trace::counter_value("tempi.model.observations");
+  const std::uint64_t updates =
+      tempi::trace::counter_value("tempi.model.updates");
   tempi::tune::refresh_now();
   const tempi::PerfModel &tuned_model = tempi::perf_model();
 
   std::printf("\nFig. 13d — the same sweep after tuning (%llu observations, "
               "%llu knot updates folded in)\n\n",
-              static_cast<unsigned long long>(tuner.observations),
-              static_cast<unsigned long long>(tuner.updates));
+              static_cast<unsigned long long>(observations),
+              static_cast<unsigned long long>(updates));
   const SweepResult tuned = run_sweep(tuned_model, totals, blocks);
   const double tuned_geo = support::geomean(tuned.speedups);
   std::printf("\npipelined >= 1.3x over the best monolithic method in %d/%d "

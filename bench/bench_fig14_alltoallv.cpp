@@ -127,18 +127,19 @@ int main() {
   // of failing at the 2 GiB ceiling.
   const std::size_t inject = smoke ? 16 * 1024 : 256 * 1024;
   const std::size_t old_limit = tempi::set_wire_chunk_limit(inject);
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   const double over_us = alltoallv_us(true, 4, blocks, 512, objs, rounds);
-  const tempi::SendStats stats = tempi::send_stats();
+  const std::uint64_t chunks =
+      tempi::trace::counter_value("tempi.pipeline.chunks");
+  const std::uint64_t over_ceiling_bytes =
+      tempi::trace::counter_value("tempi.pipeline.over_ceiling_bytes");
   tempi::set_wire_chunk_limit(old_limit);
   std::printf("\nwith the wire-chunk limit injected to %s, the 4-rank "
               "512 B-block exchange completed in %.1f us across %llu wire "
               "legs (%llu bytes over the single-leg ceiling).\n",
               bench::human_bytes(static_cast<double>(inject)).c_str(),
-              over_us,
-              static_cast<unsigned long long>(stats.pipeline_chunks),
-              static_cast<unsigned long long>(
-                  stats.pipeline_over_ceiling_bytes));
+              over_us, static_cast<unsigned long long>(chunks),
+              static_cast<unsigned long long>(over_ceiling_bytes));
 
   // Scheduling sidecar: run the most fragmented gated configuration once
   // per issue policy and record how many legs moved off rank order. The
@@ -146,35 +147,37 @@ int main() {
   // the node-aware run staggers every inter-node leg of the fan-out.
   const bool topo_was = tempi::topo::enabled();
   tempi::topo::set_enabled(false);
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   alltoallv_us(true, 8, blocks, 8, objs, 1);
-  const tempi::SendStats rank_order = tempi::send_stats();
+  const std::uint64_t rank_order_staggered =
+      tempi::trace::counter_value("tempi.topo.staggered_legs");
   tempi::topo::set_enabled(true);
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   alltoallv_us(true, 8, blocks, 8, objs, 1);
-  const tempi::SendStats node_aware = tempi::send_stats();
+  const std::uint64_t peer_legs =
+      tempi::trace::counter_value("tempi.coll.peer_legs");
+  const std::uint64_t node_aware_staggered =
+      tempi::trace::counter_value("tempi.topo.staggered_legs");
+  const std::uint64_t node_aware_intra_node =
+      tempi::trace::counter_value("tempi.topo.intra_node_legs");
   tempi::topo::set_enabled(topo_was);
   std::printf("\nissue order (8 ranks, 8 B blocks): %llu peer legs; "
               "rank order staggered %llu, node aware staggered %llu "
               "(%llu stayed on-node).\n",
-              static_cast<unsigned long long>(node_aware.coll_peer_legs),
-              static_cast<unsigned long long>(rank_order.topo_staggered_legs),
-              static_cast<unsigned long long>(node_aware.topo_staggered_legs),
-              static_cast<unsigned long long>(
-                  node_aware.topo_intra_node_legs));
+              static_cast<unsigned long long>(peer_legs),
+              static_cast<unsigned long long>(rank_order_staggered),
+              static_cast<unsigned long long>(node_aware_staggered),
+              static_cast<unsigned long long>(node_aware_intra_node));
   char sched[224];
   std::snprintf(sched, sizeof sched,
                 "\"schedule\": {\"peer_legs\": %llu, "
                 "\"rank_order_staggered_legs\": %llu, "
                 "\"node_aware_staggered_legs\": %llu, "
                 "\"node_aware_intra_node_legs\": %llu}",
-                static_cast<unsigned long long>(node_aware.coll_peer_legs),
-                static_cast<unsigned long long>(
-                    rank_order.topo_staggered_legs),
-                static_cast<unsigned long long>(
-                    node_aware.topo_staggered_legs),
-                static_cast<unsigned long long>(
-                    node_aware.topo_intra_node_legs));
+                static_cast<unsigned long long>(peer_legs),
+                static_cast<unsigned long long>(rank_order_staggered),
+                static_cast<unsigned long long>(node_aware_staggered),
+                static_cast<unsigned long long>(node_aware_intra_node));
 
   if (!gated_speedups.empty()) {
     bench::emit_json("fig14_alltoallv",

@@ -307,14 +307,14 @@ int main() {
               exch_ok, exch_gated, geo);
 
   // Replay accounting: every steady-state arm was a graph replay.
-  const tempi::SendStats stats = tempi::send_stats();
+  const auto count = [](const char *name) {
+    return static_cast<unsigned long long>(tempi::trace::counter_value(name));
+  };
   std::printf("\npersistent counters: init=%llu start=%llu replay_hits=%llu "
               "graph_launches=%llu\n",
-              static_cast<unsigned long long>(stats.persistent_init),
-              static_cast<unsigned long long>(stats.persistent_start),
-              static_cast<unsigned long long>(stats.persistent_replay_hits),
-              static_cast<unsigned long long>(
-                  stats.persistent_graph_launches));
+              count("tempi.persistent.inits"), count("tempi.persistent.starts"),
+              count("tempi.persistent.replays"),
+              count("tempi.persistent.graph_launches"));
 
   bench::emit_json("fig15_persistent",
                    "2 ranks, halo-style iterated exchange, " +

@@ -7,6 +7,7 @@
 #include "sysmpi/world.hpp"
 #include "tempi/perf_model.hpp"
 #include "tempi/tempi.hpp"
+#include "tempi/trace.hpp"
 #include "vcuda/runtime.hpp"
 
 #include <cstdio>
@@ -80,14 +81,16 @@ int main() {
         measure(tempi::SendMode::ForceDevice, s.blocks, s.blocklen);
     const double staged =
         measure(tempi::SendMode::ForceStaged, s.blocks, s.blocklen);
-    tempi::reset_send_stats();
+    tempi::trace::reset_counters();
     const double autosel =
         measure(tempi::SendMode::Auto, s.blocks, s.blocklen);
-    const tempi::SendStats stats = tempi::send_stats();
-    const char *picked = stats.device > 0      ? "device"
-                         : stats.oneshot > 0   ? "one-shot"
-                         : stats.staged > 0    ? "staged"
-                                               : "system";
+    const auto sent = [](const char *name) {
+      return tempi::trace::counter_value(name) > 0;
+    };
+    const char *picked = sent("tempi.send.device")    ? "device"
+                         : sent("tempi.send.oneshot") ? "one-shot"
+                         : sent("tempi.send.staged")  ? "staged"
+                                                      : "system";
     std::printf("%10s %7dB | %10.1f %10.1f %10.1f %10.1f  -> %s\n", s.label,
                 s.blocklen * 4, oneshot, device, staged, autosel, picked);
   }

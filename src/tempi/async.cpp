@@ -195,6 +195,10 @@ Pool &pool() {
   return p;
 }
 
+/// Build the pool at static initialisation, so its counters are in the
+/// registry before the first request.
+[[maybe_unused]] const Pool &g_pool_at_init = pool();
+
 /// The shard a ticket lives in, derived from the ticket value alone
 /// (tickets are object addresses; the multiplicative hash spreads their
 /// low-entropy high bits and allocator-aligned low bits).
@@ -1261,24 +1265,6 @@ std::size_t persistent_open() {
   return n;
 }
 
-PersistentStats persistent_stats() {
-  Pool &p = pool();
-  return PersistentStats{
-      p.p_inits.value(),
-      p.p_starts.value(),
-      p.p_replays.value(),
-      p.p_graph_launches.value(),
-  };
-}
-
-void reset_persistent_stats() {
-  Pool &p = pool();
-  p.p_inits.reset();
-  p.p_starts.reset();
-  p.p_replays.reset();
-  p.p_graph_launches.reset();
-}
-
 bool owns(MPI_Request request) {
   if (request == MPI_REQUEST_NULL) {
     return false;
@@ -1958,26 +1944,6 @@ std::size_t drain(const interpose::MpiTable &next) {
         "); complete all requests before tempi::uninstall()");
   }
   return dropped;
-}
-
-EngineStats engine_stats() {
-  Pool &p = pool();
-  return EngineStats{
-      p.isends.value(),
-      p.irecvs.value(),
-      p.completions.value(),
-      p.batched_syncs.value(),
-  };
-}
-
-void reset_engine_stats() {
-  Pool &p = pool();
-  p.isends.reset();
-  p.irecvs.reset();
-  p.completions.reset();
-  p.batched_syncs.reset();
-  p.fused_unpack_launches.reset();
-  p.fused_unpacks.reset();
 }
 
 bool configure_shards(std::size_t n) {

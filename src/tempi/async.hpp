@@ -206,16 +206,6 @@ int request_free(MPI_Request *request, const interpose::MpiTable &next);
 /// Number of live persistent channels (tests, the uninstall leak check).
 std::size_t persistent_open();
 
-/// Monotonic persistent-path counters (surfaced via tempi::SendStats).
-struct PersistentStats {
-  std::uint64_t inits = 0;          ///< channels created (accelerated)
-  std::uint64_t starts = 0;         ///< Start/Startall arms on channels
-  std::uint64_t replay_hits = 0;    ///< arms/completions served by replay
-  std::uint64_t graph_launches = 0; ///< vcuda graph launches by channels
-};
-PersistentStats persistent_stats();
-void reset_persistent_stats();
-
 /// True if `request` is a live pool ticket (a TEMPI-owned op) or a live
 /// persistent channel.
 bool owns(MPI_Request request);
@@ -281,17 +271,6 @@ std::size_t in_flight();
 /// without the application's cooperation are dropped with a loud per-op
 /// log_error. Returns the number of ops that had to be dropped.
 std::size_t drain(const interpose::MpiTable &next);
-
-/// Per-phase counters (monotonic, process-wide) for tests and benches.
-struct EngineStats {
-  std::uint64_t isends = 0;        ///< accelerated sends started
-  std::uint64_t irecvs = 0;        ///< accelerated receives started
-  std::uint64_t completions = 0;   ///< ops retired through Wait/Test
-  std::uint64_t batched_syncs = 0; ///< Waitalls whose pass-2 syncs covered
-                                   ///< more than one unpack
-};
-EngineStats engine_stats();
-void reset_engine_stats();
 
 // --- lock-striped pool layout (thread-multiple hot path) ---------------------
 //

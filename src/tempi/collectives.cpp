@@ -33,10 +33,8 @@ struct CollCounters {
   trace::Counter peer_legs{"tempi.coll.peer_legs"};
 };
 
-CollCounters &counters() {
-  static CollCounters c;
-  return c;
-}
+/// Namespace scope, so the counters register at static initialisation.
+CollCounters g_counters;
 
 /// One per-peer slot of an exchange: `count` objects at displacement
 /// `displ` (in datatype-extent units, as the MPI arguments give them).
@@ -119,7 +117,7 @@ int exchange(const void *sendbuf, MPI_Datatype sendtype,
   const bool self_copy = smode != SideMode::Forward &&
                          rmode != SideMode::Forward &&
                          self_sends > 0 && self_sends == self_recvs;
-  counters().peer_legs.add(sends.size() + recvs.size() -
+  g_counters.peer_legs.add(sends.size() + recvs.size() -
                            (self_copy ? self_sends : 0));
 
   // Packed staging offsets (prefix sums over every slot, self included:
@@ -432,7 +430,7 @@ int alltoallv(const void *sendbuf, const int *sendcounts, const int *sdispls,
     recvs[static_cast<std::size_t>(step)] =
         Slot{src, recvcounts[src], rdispls[src]};
   }
-  counters().alltoallv.add();
+  g_counters.alltoallv.add();
   return exchange(sendbuf, sendtype, sends, recvbuf, recvtype, recvs, comm,
                   next);
 }
@@ -460,7 +458,7 @@ int neighbor_alltoallv(const void *sendbuf, const int *sendcounts,
   for (std::size_t i = 0; i < srcs.size(); ++i) {
     recvs.push_back(Slot{srcs[i], recvcounts[i], rdispls[i]});
   }
-  counters().neighbor.add();
+  g_counters.neighbor.add();
   return exchange(sendbuf, sendtype, sends, recvbuf, recvtype, recvs, comm,
                   next);
 }
@@ -486,7 +484,7 @@ int gatherv(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
       recvs.push_back(Slot{src, recvcounts[src], displs[src]});
     }
   }
-  counters().alltoallv.add();
+  g_counters.alltoallv.add();
   return exchange(sendbuf, sendtype, sends, rank == root ? recvbuf : nullptr,
                   rank == root ? recvtype : nullptr, recvs, comm, next);
 }
@@ -519,7 +517,7 @@ int allgather(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
                            static_cast<long long>(src) * recvcount});
     }
   }
-  counters().alltoallv.add();
+  g_counters.alltoallv.add();
   const int rc =
       exchange(sendbuf, sendtype, sends, rank == 0 ? recvbuf : nullptr,
                rank == 0 ? recvtype : nullptr, recvs, comm, next);
@@ -530,24 +528,6 @@ int allgather(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
   return next.Bcast(recvbuf, static_cast<int>(total), recvtype, 0, comm);
 }
 
-CollStats coll_stats() {
-  const CollCounters &c = counters();
-  return CollStats{
-      c.alltoallv.value(),
-      c.neighbor.value(),
-      c.fallback.value(),
-      c.peer_legs.value(),
-  };
-}
-
-void reset_coll_stats() {
-  CollCounters &c = counters();
-  c.alltoallv.reset();
-  c.neighbor.reset();
-  c.fallback.reset();
-  c.peer_legs.reset();
-}
-
-void note_fallback() { counters().fallback.add(); }
+void note_fallback() { g_counters.fallback.add(); }
 
 } // namespace tempi::coll

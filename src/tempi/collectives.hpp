@@ -76,23 +76,6 @@ int allgather(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
               void *recvbuf, int recvcount, MPI_Datatype recvtype,
               MPI_Comm comm, const interpose::MpiTable &next);
 
-/// Process-wide engine counters (tests, benches, tempi::SendStats).
-struct CollStats {
-  /// Engine-serviced MPI_Alltoallv / MPI_Allgather / MPI_Gatherv calls
-  /// (the latter two reduce onto the same exchange core).
-  std::uint64_t alltoallv = 0;
-  std::uint64_t neighbor = 0; ///< engine-serviced MPI_Neighbor_alltoallv
-  /// Interposed collective calls forwarded to the system path by the
-  /// shared fallthrough gate (engine disabled, forced-system mode, or no
-  /// accelerable side).
-  std::uint64_t fallback = 0;
-  /// Per-peer legs fanned out by engine-serviced calls: wire legs (packed
-  /// and typed-forwarded alike) plus self-exchange copies.
-  std::uint64_t peer_legs = 0;
-};
-CollStats coll_stats();
-void reset_coll_stats();
-
 /// Bump the fallback counter (called by tempi.cpp's gate).
 void note_fallback();
 

@@ -241,30 +241,10 @@ struct PipelineCounters {
   trace::Counter over_ceiling_bytes{"tempi.pipeline.over_ceiling_bytes"};
 };
 
-PipelineCounters &pipeline_counters() {
-  static PipelineCounters c;
-  return c;
-}
+/// Namespace scope, so the counters register at static initialisation.
+PipelineCounters g_pipeline_counters;
 
 } // namespace
-
-PipelineStats pipeline_stats() {
-  const PipelineCounters &c = pipeline_counters();
-  return PipelineStats{
-      c.sends.value(),
-      c.recvs.value(),
-      c.chunks.value(),
-      c.over_ceiling_bytes.value(),
-  };
-}
-
-void reset_pipeline_stats() {
-  PipelineCounters &c = pipeline_counters();
-  c.sends.reset();
-  c.recvs.reset();
-  c.chunks.reset();
-  c.over_ceiling_bytes.reset();
-}
 
 int plan_pipeline_frame(const Packer &packer, int count,
                         std::size_t chunk_target, PipelineFrame *frame) {
@@ -311,10 +291,9 @@ int send_pipelined(const Packer &packer, const void *buf, int count,
     return rc;
   }
 
-  PipelineCounters &pc = pipeline_counters();
-  pc.sends.add();
+  g_pipeline_counters.sends.add();
   if (total > wire_chunk_limit()) {
-    pc.over_ceiling_bytes.add(total);
+    g_pipeline_counters.over_ceiling_bytes.add(total);
   }
 
   // Two chunk-sized wire leases ping-pong: while leg i rides the wire,
@@ -383,7 +362,7 @@ int send_pipelined(const Packer &packer, const void *buf, int count,
     if (rc != MPI_SUCCESS) {
       break;
     }
-    pc.chunks.add();
+    g_pipeline_counters.chunks.add();
   }
   // Drain both streams before the leases return to the cache (also covers
   // the error path, where a pack for the next leg may still be enqueued).
@@ -408,10 +387,9 @@ int send_packed_pipelined(const void *bytes, std::size_t total, int dest,
       {std::max<std::size_t>(chunk_target, 1), limit,
        std::max<std::size_t>(total, 1)});
 
-  PipelineCounters &pc = pipeline_counters();
-  pc.sends.add();
+  g_pipeline_counters.sends.add();
   if (total > limit) {
-    pc.over_ceiling_bytes.add(total);
+    g_pipeline_counters.over_ceiling_bytes.add(total);
   }
   const auto *p = static_cast<const std::byte *>(bytes);
   const std::size_t full_legs = total / chunk;
@@ -423,7 +401,7 @@ int send_packed_pipelined(const void *bytes, std::size_t total, int dest,
     if (rc != MPI_SUCCESS) {
       return rc;
     }
-    pc.chunks.add();
+    g_pipeline_counters.chunks.add();
   }
   // Final leg: the remainder (strictly smaller than `chunk`), or an empty
   // terminator on even division — also the whole message when total == 0.
@@ -436,7 +414,7 @@ int send_packed_pipelined(const void *bytes, std::size_t total, int dest,
                    dest, tag, comm);
   }
   if (rc == MPI_SUCCESS) {
-    pc.chunks.add();
+    g_pipeline_counters.chunks.add();
   }
   return rc;
 }
@@ -565,13 +543,12 @@ int replay_pipelined_send(const PipelinedSendProgram &prog, int dest, int tag,
                               ? f.chunk / static_cast<std::size_t>(
                                               f.blocks_per_leg)
                               : 0;
-  PipelineCounters &pc = pipeline_counters();
-  pc.sends.add();
+  g_pipeline_counters.sends.add();
   const std::size_t total =
       static_cast<std::size_t>(f.full_legs) * f.chunk +
       static_cast<std::size_t>(f.rem_blocks) * blk;
   if (total > wire_chunk_limit()) {
-    pc.over_ceiling_bytes.add(total);
+    g_pipeline_counters.over_ceiling_bytes.add(total);
   }
   const auto launch_leg = [&](long long leg) {
     vcuda::GraphHandle g = prog.leg_graphs[static_cast<std::size_t>(leg)];
@@ -607,7 +584,7 @@ int replay_pipelined_send(const PipelinedSendProgram &prog, int dest, int tag,
     if (rc != MPI_SUCCESS) {
       break;
     }
-    pc.chunks.add();
+    g_pipeline_counters.chunks.add();
   }
   // The slots are channel-pinned (not returning to the cache), but the
   // error path must still drain any replayed-but-unsent pack work.
@@ -619,7 +596,7 @@ int replay_pipelined_send(const PipelinedSendProgram &prog, int dest, int tag,
 PackedChunkRecv::PackedChunkRecv(void *dst, std::size_t expected, int source,
                                  int tag, MPI_Comm comm)
     : dst_(dst), expected_(expected), peer_(source), tag_(tag), comm_(comm) {
-  pipeline_counters().recvs.add();
+  g_pipeline_counters.recvs.add();
 }
 
 int PackedChunkRecv::step(const interpose::MpiTable &next) {
@@ -646,7 +623,7 @@ int PackedChunkRecv::step(const interpose::MpiTable &next) {
     return rc;
   }
   const auto leg = static_cast<std::size_t>(st.count_bytes);
-  pipeline_counters().chunks.add();
+  g_pipeline_counters.chunks.add();
   if (!started_) {
     started_ = true;
     // Later legs belong to the same message: lock the match to the first
@@ -689,7 +666,7 @@ ChunkedRecv::ChunkedRecv(const Packer &packer, void *buf, int count,
       comm_(comm), expected_(packer.packed_bytes(count)) {
   stream_[0] = vcuda::next_pool_stream();
   stream_[1] = vcuda::next_pool_stream();
-  pipeline_counters().recvs.add();
+  g_pipeline_counters.recvs.add();
 }
 
 int ChunkedRecv::first_step(const interpose::MpiTable &next) {
@@ -724,7 +701,7 @@ int ChunkedRecv::first_step(const interpose::MpiTable &next) {
   peer_ = first_status_.MPI_SOURCE;
   tag_ = first_status_.MPI_TAG;
   chunk_ = static_cast<std::size_t>(first_status_.count_bytes);
-  pipeline_counters().chunks.add();
+  g_pipeline_counters.chunks.add();
   legs_ = 1;
   if (chunk_ == 0) {
     done_ = true; // degenerate: an empty message
@@ -860,7 +837,7 @@ int ChunkedRecv::step(const interpose::MpiTable &next) {
     }
   }
   const auto leg_bytes = static_cast<std::size_t>(leg_status.count_bytes);
-  pipeline_counters().chunks.add();
+  g_pipeline_counters.chunks.add();
   ++legs_;
   if (received_ + leg_bytes > expected_) {
     return MPI_ERR_TRUNCATE;

@@ -345,17 +345,4 @@ int record_pipelined_send(const Packer &packer, const void *buf, int count,
 int replay_pipelined_send(const PipelinedSendProgram &prog, int dest, int tag,
                           MPI_Comm comm, const interpose::MpiTable &next);
 
-/// Process-wide Pipelined counters (tests, benches, tempi::SendStats).
-struct PipelineStats {
-  std::uint64_t sends = 0;  ///< pipelined sends started
-  std::uint64_t recvs = 0;  ///< pipelined receives started
-  std::uint64_t chunks = 0; ///< wire legs issued (both sides, terminators
-                            ///< included)
-  /// Packed bytes carried by sends larger than the wire-chunk limit —
-  /// traffic that used to fail with MPI_ERR_COUNT.
-  std::uint64_t over_ceiling_bytes = 0;
-};
-PipelineStats pipeline_stats();
-void reset_pipeline_stats();
-
 } // namespace tempi

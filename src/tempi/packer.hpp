@@ -157,18 +157,6 @@ public:
         v, std::memory_order_release);
   }
 
-  /// Method-only views of the memo (compatibility; tests and the
-  /// overhead bench use these).
-  [[nodiscard]] std::optional<Method>
-  cached_method(int count, std::uint64_t model_generation) const {
-    const auto c = cached_transfer(count, model_generation);
-    return c ? std::optional<Method>(c->method) : std::nullopt;
-  }
-  void remember_method(int count, std::uint64_t model_generation,
-                       Method m) const {
-    remember_transfer(count, model_generation, TransferChoice{m, 0});
-  }
-
 private:
   static constexpr int kMemoSlots = 8; // power of two, direct-mapped
   // Slot layout: [63:37] generation (27 bits) | [36:31] chunk log2 (6

@@ -343,22 +343,11 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-std::atomic<std::uint64_t> g_model_cache_hits{0};
-std::atomic<std::uint64_t> g_model_cache_misses{0};
+/// Process-wide choose() cache traffic, summed over every PerfModel.
+trace::Counter g_model_cache_hits{"tempi.model.cache_hits"};
+trace::Counter g_model_cache_misses{"tempi.model.cache_misses"};
 
 } // namespace
-
-ModelCacheStats model_cache_stats() {
-  return ModelCacheStats{
-      g_model_cache_hits.load(std::memory_order_relaxed),
-      g_model_cache_misses.load(std::memory_order_relaxed),
-  };
-}
-
-void reset_model_cache_stats() {
-  g_model_cache_hits.store(0, std::memory_order_relaxed);
-  g_model_cache_misses.store(0, std::memory_order_relaxed);
-}
 
 PerfModel::PerfModel(SystemPerf perf)
     : perf_(std::move(perf)), cache_(std::make_unique<ChoiceCache>()) {}
@@ -458,11 +447,11 @@ Method PerfModel::choose(std::size_t block_bytes,
   const std::uint64_t v = slot.load(std::memory_order_acquire);
   if ((v & ~std::uint64_t{0x7}) == tag && (v & 0x4u) != 0) {
     vcuda::this_thread_timeline().advance(kModelQueryCachedNs);
-    g_model_cache_hits.fetch_add(1, std::memory_order_relaxed);
+    g_model_cache_hits.add();
     return static_cast<Method>(v & 0x3u);
   }
   vcuda::this_thread_timeline().advance(kModelQueryUncachedNs);
-  g_model_cache_misses.fetch_add(1, std::memory_order_relaxed);
+  g_model_cache_misses.add();
   const auto b = static_cast<double>(block_bytes);
   const auto t = static_cast<double>(total_bytes);
   Method best = Method::Device;
@@ -509,7 +498,7 @@ TransferChoice PerfModel::choose_transfer(std::size_t block_bytes,
   const std::uint64_t v = slot.load(std::memory_order_acquire);
   if ((v & ~std::uint64_t{0x1FF}) == tag && (v & 0x4u) != 0) {
     vcuda::this_thread_timeline().advance(kModelQueryCachedNs);
-    g_model_cache_hits.fetch_add(1, std::memory_order_relaxed);
+    g_model_cache_hits.add();
     const auto m = static_cast<Method>(v & 0x3u);
     const auto chunk_log2 = static_cast<unsigned>((v >> 3) & 0x3Fu);
     return TransferChoice{m, m == Method::Pipelined
@@ -517,7 +506,7 @@ TransferChoice PerfModel::choose_transfer(std::size_t block_bytes,
                                  : 0};
   }
   vcuda::this_thread_timeline().advance(kModelQueryUncachedNs);
-  g_model_cache_misses.fetch_add(1, std::memory_order_relaxed);
+  g_model_cache_misses.add();
   // Above the wire-chunk limit no single leg can carry the message:
   // Pipelined is the only valid method, and the model's job is picking
   // its chunk size.
@@ -611,7 +600,7 @@ TransferChoice PerfModel::choose_leg(std::size_t leg_bytes, bool same_node,
   const std::uint64_t v = slot.load(std::memory_order_acquire);
   if ((v & ~std::uint64_t{0x1FF}) == tag && (v & 0x4u) != 0) {
     vcuda::this_thread_timeline().advance(kModelQueryCachedNs);
-    g_model_cache_hits.fetch_add(1, std::memory_order_relaxed);
+    g_model_cache_hits.add();
     const auto m = static_cast<Method>(v & 0x3u);
     const auto chunk_log2 = static_cast<unsigned>((v >> 3) & 0x3Fu);
     return TransferChoice{m, m == Method::Pipelined
@@ -619,7 +608,7 @@ TransferChoice PerfModel::choose_leg(std::size_t leg_bytes, bool same_node,
                                  : 0};
   }
   vcuda::this_thread_timeline().advance(kModelQueryUncachedNs);
-  g_model_cache_misses.fetch_add(1, std::memory_order_relaxed);
+  g_model_cache_misses.add();
   TransferChoice choice;
   if (leg_bytes > limit) {
     // Only multi-leg framing can carry this leg; the payload is already
@@ -701,10 +690,8 @@ struct TuneCounters {
   trace::Counter refreezes{"tempi.model.refreezes"};
 };
 
-TuneCounters &counters() {
-  static TuneCounters c;
-  return c;
-}
+/// Namespace scope, so the counters register at static initialisation.
+TuneCounters g_counters;
 
 /// Nearest power-of-two cell index for `v` (geometric rounding via the
 /// 1.5x arithmetic midpoint), clamped to the grid; -1 drops the sample.
@@ -837,7 +824,7 @@ bool fold_1d(Cell (&cells)[kSizeCells], Table1D &t, bool mark_applied) {
     if (moved) {
       changed = true;
       if (mark_applied) {
-        counters().updates.add();
+        g_counters.updates.add();
       }
     }
     if (mark_applied) {
@@ -870,7 +857,7 @@ bool fold_2d(Cell (&cells)[kBlockCells][kSizeCells], Table2D &t,
       if (moved) {
         changed = true;
         if (mark_applied) {
-          counters().updates.add();
+          g_counters.updates.add();
         }
       }
       if (mark_applied) {
@@ -909,7 +896,7 @@ void observe(Axis axis, std::size_t block_bytes, std::size_t total_bytes,
   c->state.compare_exchange_weak(old, pack_state(n1, next),
                                  std::memory_order_relaxed,
                                  std::memory_order_relaxed);
-  counters().observations.add();
+  g_counters.observations.add();
   if (n1 >= kMinSamples &&
       drifted(next, c->applied.load(std::memory_order_relaxed))) {
     g_drift_pending.store(true, std::memory_order_relaxed);
@@ -982,19 +969,10 @@ std::uint64_t refresh_generation() {
 void note_refresh_applied() {
   g_transfer_config_gen.fetch_add(1, std::memory_order_release);
   g_refresh_gen.fetch_add(1, std::memory_order_release);
-  counters().generation_bumps.add();
+  g_counters.generation_bumps.add();
 }
 
-void note_refreeze() { counters().refreezes.add(); }
-
-TunerStats stats() {
-  TunerStats s;
-  s.observations = counters().observations.value();
-  s.updates = counters().updates.value();
-  s.generation_bumps = counters().generation_bumps.value();
-  s.refreezes = counters().refreezes.value();
-  return s;
-}
+void note_refreeze() { g_counters.refreezes.add(); }
 
 void reset() {
   for (auto &axis : g_cells_1d) {
@@ -1012,14 +990,10 @@ void reset() {
     }
   }
   g_drift_pending.store(false, std::memory_order_relaxed);
-  reset_counters();
-}
-
-void reset_counters() {
-  counters().observations.reset();
-  counters().updates.reset();
-  counters().generation_bumps.reset();
-  counters().refreezes.reset();
+  g_counters.observations.reset();
+  g_counters.updates.reset();
+  g_counters.generation_bumps.reset();
+  g_counters.refreezes.reset();
 }
 
 } // namespace tune

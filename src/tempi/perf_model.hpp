@@ -11,8 +11,8 @@
 // each PerfModel instance carries a fixed-size, lock-free, direct-mapped
 // cache of its choose() results: a hit is a single atomic load (~277 ns
 // per the paper), a miss runs the three-method interpolation (~2 us) and
-// publishes the winner. Process-wide hit/miss counters are exposed below
-// and surfaced through tempi::SendStats.
+// publishes the winner. Process-wide hit/miss counts are the
+// tempi.model.cache_hits / tempi.model.cache_misses trace counters.
 #pragma once
 
 #include "support/contended_mutex.hpp"
@@ -221,19 +221,10 @@ private:
 
 /// Virtual cost charged per cached / uncached model selection, and per
 /// packer-level method-memo hit (steady-state sends that skip the model
-/// entirely; see Packer::cached_method).
+/// entirely; see Packer::cached_transfer).
 inline constexpr vcuda::VirtualNs kModelQueryCachedNs = 277;
 inline constexpr vcuda::VirtualNs kModelQueryUncachedNs = 2000;
 inline constexpr vcuda::VirtualNs kMethodMemoHitNs = 60;
-
-/// Process-wide choose() cache counters, aggregated over every PerfModel
-/// instance (tests, the overhead bench, and tempi::SendStats).
-struct ModelCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
-ModelCacheStats model_cache_stats();
-void reset_model_cache_stats();
 
 // ---------------------------------------------------------------------------
 // Closed-loop self-tuning (Sec. 6.3 feedback).
@@ -361,24 +352,9 @@ void note_refresh_applied();
 /// (re-records its program) after a generation bump.
 void note_refreeze();
 
-/// Tuner counters (also exported as trace::Counters
-/// tempi.model.{observations,updates,generation_bumps,refreezes} and via
-/// tempi::SendStats).
-struct TunerStats {
-  std::uint64_t observations = 0;    ///< samples accepted by observe()
-  std::uint64_t updates = 0;         ///< knots (re)written into live tables
-  std::uint64_t generation_bumps = 0;///< tuned-model swaps
-  std::uint64_t refreezes = 0;       ///< persistent programs re-recorded
-};
-TunerStats stats();
-
 /// Clear every cell, the drift flag, and the counters (not the
 /// generations). Tests call this for isolation.
 void reset();
-
-/// Zero only the counters (tempi::reset_send_stats): learned cells and
-/// drift baselines survive.
-void reset_counters();
 
 /// Acquire/contention counters of the refresh mutex. refresh_now() only
 /// try-locks it, so `contended` counts refreshes skipped because another

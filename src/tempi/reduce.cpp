@@ -42,10 +42,8 @@ struct RedCounters {
   trace::Counter kernel_launches{"tempi.red.kernel_launches"};
 };
 
-RedCounters &counters() {
-  static RedCounters c;
-  return c;
-}
+/// Namespace scope, so the counters register at static initialisation.
+RedCounters g_counters;
 
 /// The resolved device combine shape of one (datatype, op) pair.
 struct Shape {
@@ -321,7 +319,7 @@ int combine(Ctx &ctx, void *inout, const void *in, std::size_t bytes) {
       return MPI_ERR_OTHER;
     }
     vcuda::StreamSynchronize(ctx.stream);
-    counters().kernel_launches.add();
+    g_counters.kernel_launches.add();
     return MPI_SUCCESS;
   }
   if (!sysmpi::apply_reduce(ctx.sh.kind, inout, in,
@@ -349,7 +347,7 @@ int combine_into_user(Ctx &ctx, void *recvbuf, const void *packed,
     return MPI_ERR_OTHER;
   }
   vcuda::StreamSynchronize(ctx.stream);
-  counters().kernel_launches.add();
+  g_counters.kernel_launches.add();
   return MPI_SUCCESS;
 }
 
@@ -383,7 +381,7 @@ int post_send_leg(Ctx &ctx, const void *ptr, std::size_t nbytes, int peer,
                                            *ctx.next, &req);
   if (rc == MPI_SUCCESS) {
     reqs.push_back(req);
-    counters().peer_legs.add();
+    g_counters.peer_legs.add();
   }
   return rc;
 }
@@ -410,7 +408,7 @@ int post_recv_leg(Ctx &ctx, void *ptr, std::size_t nbytes, int peer, int tag,
                                            ctx.comm, *ctx.next, &req);
   if (rc == MPI_SUCCESS) {
     reqs.push_back(req);
-    counters().peer_legs.add();
+    g_counters.peer_legs.add();
   }
   return rc;
 }
@@ -1300,7 +1298,7 @@ int allreduce(const void *sendbuf, void *recvbuf, int count,
   }
   const std::optional<Shape> sh = resolve_shape(datatype, op);
   if (!sh) {
-    counters().fallback.add();
+    g_counters.fallback.add();
     return next.Allreduce(sendbuf, recvbuf, count, datatype, op, comm);
   }
   if (datatype->combiner == MPI_COMBINER_NAMED) {
@@ -1308,10 +1306,10 @@ int allreduce(const void *sendbuf, void *recvbuf, int count,
     // buffers are device-resident, and then speak the system wire shape.
     const void *contrib = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
     if (count <= 0 || !device_resident(contrib) || !device_resident(recvbuf)) {
-      counters().fallback.add();
+      g_counters.fallback.add();
       return next.Allreduce(sendbuf, recvbuf, count, datatype, op, comm);
     }
-    counters().allreduce.add();
+    g_counters.allreduce.add();
     return allreduce_named(sendbuf, recvbuf, count, datatype, *sh, comm,
                            next);
   }
@@ -1319,7 +1317,7 @@ int allreduce(const void *sendbuf, void *recvbuf, int count,
   if (count < 0) {
     return MPI_ERR_COUNT;
   }
-  counters().allreduce.add();
+  g_counters.allreduce.add();
   if (count == 0) {
     sysmpi::next_collective_tag(comm);
     sysmpi::next_collective_tag(comm);
@@ -1337,7 +1335,7 @@ int reduce(const void *sendbuf, void *recvbuf, int count,
   }
   const std::optional<Shape> sh = resolve_shape(datatype, op);
   if (!sh) {
-    counters().fallback.add();
+    g_counters.fallback.add();
     return next.Reduce(sendbuf, recvbuf, count, datatype, op, root, comm);
   }
   const int P = comm->size();
@@ -1354,17 +1352,17 @@ int reduce(const void *sendbuf, void *recvbuf, int count,
     const bool eligible = count > 0 && device_resident(contrib) &&
                           (me != root || device_resident(recvbuf));
     if (!eligible) {
-      counters().fallback.add();
+      g_counters.fallback.add();
       return next.Reduce(sendbuf, recvbuf, count, datatype, op, root, comm);
     }
-    counters().reduce.add();
+    g_counters.reduce.add();
     return reduce_named(sendbuf, recvbuf, count, datatype, *sh, root, comm,
                         next);
   }
   if (count < 0) {
     return MPI_ERR_COUNT;
   }
-  counters().reduce.add();
+  g_counters.reduce.add();
   if (count == 0) {
     sysmpi::next_collective_tag(comm);
     return MPI_SUCCESS;
@@ -1381,7 +1379,7 @@ int reduce_scatter(const void *sendbuf, void *recvbuf, const int *recvcounts,
   }
   const std::optional<Shape> sh = resolve_shape(datatype, op);
   if (!sh || recvcounts == nullptr) {
-    counters().fallback.add();
+    g_counters.fallback.add();
     return next.Reduce_scatter(sendbuf, recvbuf, recvcounts, datatype, op,
                                comm);
   }
@@ -1400,16 +1398,16 @@ int reduce_scatter(const void *sendbuf, void *recvbuf, const int *recvcounts,
   const void *in = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
   if (datatype->combiner == MPI_COMBINER_NAMED) {
     if (total == 0 || !device_resident(in) || !device_resident(recvbuf)) {
-      counters().fallback.add();
+      g_counters.fallback.add();
       return next.Reduce_scatter(sendbuf, recvbuf, recvcounts, datatype, op,
                                  comm);
     }
-    counters().reduce_scatter.add();
+    g_counters.reduce_scatter.add();
     return reduce_scatter_named(in, recvbuf, recvcounts,
                                 static_cast<int>(total), datatype, *sh, comm,
                                 next);
   }
-  counters().reduce_scatter.add();
+  g_counters.reduce_scatter.add();
   if (total == 0) {
     sysmpi::next_collective_tag(comm);
     sysmpi::next_collective_tag(comm);
@@ -1429,7 +1427,7 @@ int reduce_scatter_block(const void *sendbuf, void *recvbuf, int recvcount,
   }
   const std::optional<Shape> sh = resolve_shape(datatype, op);
   if (!sh) {
-    counters().fallback.add();
+    g_counters.fallback.add();
     return next.Reduce_scatter_block(sendbuf, recvbuf, recvcount, datatype,
                                      op, comm);
   }
@@ -1441,17 +1439,17 @@ int reduce_scatter_block(const void *sendbuf, void *recvbuf, int recvcount,
   const void *in = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
   if (datatype->combiner == MPI_COMBINER_NAMED) {
     if (total == 0 || !device_resident(in) || !device_resident(recvbuf)) {
-      counters().fallback.add();
+      g_counters.fallback.add();
       return next.Reduce_scatter_block(sendbuf, recvbuf, recvcount, datatype,
                                        op, comm);
     }
-    counters().reduce_scatter.add();
+    g_counters.reduce_scatter.add();
     const std::vector<int> cnt(static_cast<std::size_t>(P), recvcount);
     return reduce_scatter_named(in, recvbuf, cnt.data(),
                                 static_cast<int>(total), datatype, *sh, comm,
                                 next);
   }
-  counters().reduce_scatter.add();
+  g_counters.reduce_scatter.add();
   if (total == 0) {
     sysmpi::next_collective_tag(comm);
     sysmpi::next_collective_tag(comm);
@@ -1463,7 +1461,7 @@ int reduce_scatter_block(const void *sendbuf, void *recvbuf, int recvcount,
                                 next);
 }
 
-// --- knobs and stats ---------------------------------------------------------
+// --- knobs ---------------------------------------------------------
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
@@ -1493,26 +1491,6 @@ bool engine_shape_ok(MPI_Datatype datatype, MPI_Op op) {
   return resolve_shape(datatype, op).has_value();
 }
 
-RedStats red_stats() {
-  RedStats st;
-  st.allreduce = counters().allreduce.value();
-  st.reduce = counters().reduce.value();
-  st.reduce_scatter = counters().reduce_scatter.value();
-  st.fallback = counters().fallback.value();
-  st.peer_legs = counters().peer_legs.value();
-  st.kernel_launches = counters().kernel_launches.value();
-  return st;
-}
-
-void reset_red_stats() {
-  counters().allreduce.reset();
-  counters().reduce.reset();
-  counters().reduce_scatter.reset();
-  counters().fallback.reset();
-  counters().peer_legs.reset();
-  counters().kernel_launches.reset();
-}
-
-void note_fallback() { counters().fallback.add(); }
+void note_fallback() { g_counters.fallback.add(); }
 
 } // namespace tempi::red

@@ -117,20 +117,6 @@ int reduce_scatter_block(const void *sendbuf, void *recvbuf, int recvcount,
                          MPI_Datatype datatype, MPI_Op op, MPI_Comm comm,
                          const interpose::MpiTable &next);
 
-/// Point-in-time view of the tempi.red.* counters (same values as the
-/// trace registry; see TempiTest.RedCountersAgree).
-struct RedStats {
-  std::uint64_t allreduce = 0;       ///< Allreduce calls the engine ran
-  std::uint64_t reduce = 0;          ///< Reduce calls the engine ran
-  std::uint64_t reduce_scatter = 0;  ///< Reduce_scatter(_block) engine runs
-  std::uint64_t fallback = 0;        ///< calls forwarded to the system path
-  std::uint64_t peer_legs = 0;       ///< wire legs posted by schedules
-  std::uint64_t kernel_launches = 0; ///< device combine kernels launched
-};
-
-RedStats red_stats();
-void reset_red_stats();
-
 /// Count one forwarded call (the tempi.cpp gates call this when they
 /// route a reduction to the system path).
 void note_fallback();

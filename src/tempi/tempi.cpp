@@ -91,8 +91,8 @@ struct State {
   std::atomic<bool> persistent_enabled{true};
 
   // Interposer counters live in the metrics registry (trace.hpp): each is
-  // a named self-registering atomic, and send_stats() below is a snapshot
-  // view over them rather than separate hand-maintained plumbing.
+  // a named self-registering atomic, read by name through
+  // trace::counter_value().
   trace::Counter method_memo_hits{"tempi.model.memo_hits"};
   trace::Counter persistent_forwarded{"tempi.persistent.forwarded"};
 
@@ -753,6 +753,9 @@ int tempi_Send(const void *buf, int count, MPI_Datatype datatype, int dest,
                int tag, MPI_Comm comm) {
   State &s = state();
   tune::maybe_refresh(); // one relaxed load unless an observation drifted
+  if (dest == MPI_PROC_NULL) {
+    return s.next.Send(buf, count, datatype, dest, tag, comm);
+  }
   const Packer *packer = lookup_packer_fast(datatype);
   const auto method = acceleration_method(packer, buf, count);
   if (!method) {
@@ -799,6 +802,9 @@ int tempi_Recv(void *buf, int count, MPI_Datatype datatype, int source,
                int tag, MPI_Comm comm, MPI_Status *status) {
   State &s = state();
   tune::maybe_refresh(); // one relaxed load unless an observation drifted
+  if (source == MPI_PROC_NULL) {
+    return s.next.Recv(buf, count, datatype, source, tag, comm, status);
+  }
   const Packer *packer = lookup_packer_fast(datatype);
   const auto method = acceleration_method(packer, buf, count);
   if (!method) {
@@ -1398,13 +1404,8 @@ void install() {
         return persistent_choice(&packer, buf, count);
       });
   // Observability: TEMPI_TRACE=<path> / TEMPI_STATS=1 arm the tracer and
-  // hook vcuda's device-op intervals; the perf-model choice cache keeps
-  // its own storage and is surfaced to the registry as gauges.
+  // hook vcuda's device-op intervals.
   trace::configure_from_env();
-  trace::register_gauge("tempi.model.cache_hits",
-                        [] { return model_cache_stats().hits; });
-  trace::register_gauge("tempi.model.cache_misses",
-                        [] { return model_cache_stats().misses; });
   // The audited-lock contention gauges (tempi.lock.*): each shared mutex
   // the hot path can reach exports its acquire count and how many of
   // those acquires found the lock held. A healthy thread-multiple run
@@ -1529,82 +1530,6 @@ std::shared_ptr<const Packer> find_packer(MPI_Datatype datatype) {
 
 const Packer *find_packer_fast(MPI_Datatype datatype) {
   return lookup_packer_fast(datatype);
-}
-
-SendStats send_stats() {
-  State &s = state();
-  const PipelineStats pipe = pipeline_stats();
-  const coll::CollStats coll = coll::coll_stats();
-  const async::PersistentStats pers = async::persistent_stats();
-  const tune::TunerStats tuner = tune::stats();
-  const topo::TopoStats topo = topo::topo_stats();
-  const red::RedStats red = red::red_stats();
-  return SendStats{
-      s.sends_oneshot.value(),
-      s.sends_device.value(),
-      s.sends_staged.value(),
-      s.sends_forwarded.value(),
-      s.isends_oneshot.value(),
-      s.isends_device.value(),
-      s.isends_staged.value(),
-      s.isends_forwarded.value(),
-      s.irecvs_accelerated.value(),
-      s.irecvs_forwarded.value(),
-      model_cache_stats().hits,
-      model_cache_stats().misses,
-      s.method_memo_hits.value(),
-      s.sends_pipelined.value(),
-      s.isends_pipelined.value(),
-      pipe.chunks,
-      pipe.over_ceiling_bytes,
-      coll.alltoallv,
-      coll.neighbor,
-      coll.fallback,
-      coll.peer_legs,
-      pers.inits,
-      pers.starts,
-      pers.replay_hits,
-      pers.graph_launches,
-      s.persistent_forwarded.value(),
-      tuner.observations,
-      tuner.updates,
-      tuner.generation_bumps,
-      tuner.refreezes,
-      topo.remaps,
-      topo.staggered_legs,
-      topo.intra_node_legs,
-      red.allreduce,
-      red.reduce,
-      red.reduce_scatter,
-      red.fallback,
-      red.peer_legs,
-      red.kernel_launches,
-  };
-}
-
-void reset_send_stats() {
-  State &s = state();
-  s.sends_oneshot.reset();
-  s.sends_device.reset();
-  s.sends_staged.reset();
-  s.sends_pipelined.reset();
-  s.sends_forwarded.reset();
-  s.isends_oneshot.reset();
-  s.isends_device.reset();
-  s.isends_staged.reset();
-  s.isends_pipelined.reset();
-  s.isends_forwarded.reset();
-  s.irecvs_accelerated.reset();
-  s.irecvs_forwarded.reset();
-  s.method_memo_hits.reset();
-  s.persistent_forwarded.reset();
-  reset_model_cache_stats();
-  reset_pipeline_stats();
-  coll::reset_coll_stats();
-  async::reset_persistent_stats();
-  tune::reset_counters(); // counters only: learned cells survive
-  topo::reset_topo_stats();
-  red::reset_red_stats();
 }
 
 std::string model_calibration_source() { return state().calibration; }

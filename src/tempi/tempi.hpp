@@ -11,14 +11,24 @@
 //     MPI_Finalize();
 //   });
 //
-// TEMPI overrides: Init, Finalize, Type_commit, Type_free, Pack, Unpack,
-// Send, Recv, Sendrecv, Isend, Irecv, Wait, Waitall, Waitany, Waitsome,
-// Test, Testall, Testany, Testsome, Send_init, Recv_init, Start,
-// Startall, Request_free, Alltoallv, Neighbor_alltoallv, Allgather,
-// Gatherv. Everything else falls through to the system MPI. Non-blocking
-// operations on accelerated datatypes are owned by the request engine
-// (async.hpp), persistent operations by its channel fast path, and the
-// dense exchange collectives by the collectives engine (collectives.hpp).
+// TEMPI overrides: Init, Init_thread, Query_thread, Is_thread_main,
+// Finalize, Type_commit, Type_free, Pack, Unpack, Send, Recv, Sendrecv,
+// Isend, Irecv, Wait, Waitall, Waitany, Waitsome, Test, Testall, Testany,
+// Testsome, Send_init, Recv_init, Start, Startall, Request_free,
+// Alltoallv, Neighbor_alltoallv, Allgather, Gatherv, Allreduce, Reduce,
+// Reduce_scatter, Reduce_scatter_block, Cart_create and
+// Dist_graph_create_adjacent. Everything else falls through to the system
+// MPI. Non-blocking operations on accelerated datatypes are owned by the
+// request engine (async.hpp), persistent operations by its channel fast
+// path, the dense exchange collectives by the collectives engine
+// (collectives.hpp), the reductions by the reduction engine (reduce.hpp),
+// and the topology constructors by topology.hpp.
+//
+// Every decision TEMPI makes is counted in the trace registry
+// (trace.hpp), read by name: tempi.send.{oneshot,device,staged,pipelined,
+// forwarded} for blocking sends, tempi.isend.* and tempi.irecv.* for the
+// request engine, tempi.pipeline.*, tempi.coll.*, tempi.red.*,
+// tempi.topo.*, tempi.persistent.* and tempi.model.* for the other layers.
 #pragma once
 
 #include "interpose/table.hpp"
@@ -126,101 +136,6 @@ bool blocklist_fallback();
 /// The blocklist packer built for a committed datatype, if any.
 std::shared_ptr<const class BlockListPacker>
 find_blocklist_packer(MPI_Datatype datatype);
-
-/// Decision counters (tests and the Fig. 11/12 benches). The isend_*
-/// counters mirror the blocking ones for the non-blocking request engine;
-/// irecv_* count the receive side, where acceleration is method-selected
-/// the same way but completion happens at Wait/Test time.
-struct SendStats {
-  std::uint64_t oneshot = 0;
-  std::uint64_t device = 0;
-  std::uint64_t staged = 0;
-  std::uint64_t forwarded = 0; ///< fell through to the system MPI
-
-  std::uint64_t isend_oneshot = 0;
-  std::uint64_t isend_device = 0;
-  std::uint64_t isend_staged = 0;
-  std::uint64_t isend_forwarded = 0; ///< non-blocking system fall-through
-  std::uint64_t irecv_accelerated = 0;
-  std::uint64_t irecv_forwarded = 0;
-
-  /// PerfModel::choose cache traffic (all instances; see perf_model.hpp)
-  /// and packer-level method-memo hits, which skip the model entirely.
-  std::uint64_t model_cache_hits = 0;
-  std::uint64_t model_cache_misses = 0;
-  std::uint64_t method_memo_hits = 0;
-
-  /// Pipelined (chunked) path counters. `pipelined`/`isend_pipelined`
-  /// count blocking and non-blocking pipelined sends; the rest mirror
-  /// tempi::pipeline_stats(): wire legs issued (both sides) and packed
-  /// bytes carried by sends above the single-leg wire limit — traffic
-  /// that used to fail with MPI_ERR_COUNT.
-  std::uint64_t pipelined = 0;
-  std::uint64_t isend_pipelined = 0;
-  std::uint64_t pipeline_chunks = 0;
-  std::uint64_t pipeline_over_ceiling_bytes = 0;
-
-  /// Collectives-engine counters (tempi/collectives.*). `coll_alltoallv`
-  /// counts engine-serviced MPI_Alltoallv/MPI_Allgather/MPI_Gatherv calls
-  /// (the latter two reduce onto the same exchange core); `coll_neighbor`
-  /// counts engine-serviced MPI_Neighbor_alltoallv; `coll_fallback`
-  /// counts interposed collective calls the shared gate forwarded to the
-  /// system path; `coll_peer_legs` counts per-peer legs fanned out by
-  /// engine-serviced calls (wire legs plus self-exchange copies).
-  std::uint64_t coll_alltoallv = 0;
-  std::uint64_t coll_neighbor = 0;
-  std::uint64_t coll_fallback = 0;
-  std::uint64_t coll_peer_legs = 0;
-
-  /// Persistent-channel fast path (async.hpp). `persistent_init` counts
-  /// accelerated MPI_Send_init/MPI_Recv_init channels created;
-  /// `persistent_start` counts Start/Startall arms on them;
-  /// `persistent_replay_hits` counts arms/completions served by a
-  /// pre-recorded replay program; `persistent_graph_launches` counts the
-  /// vcuda graph launches those replays issued (pipelined sends launch
-  /// one graph per leg); `persistent_forwarded` counts Send_init/
-  /// Recv_init calls that fell through to the system path.
-  std::uint64_t persistent_init = 0;
-  std::uint64_t persistent_start = 0;
-  std::uint64_t persistent_replay_hits = 0;
-  std::uint64_t persistent_graph_launches = 0;
-  std::uint64_t persistent_forwarded = 0;
-
-  /// Self-tuning loop (perf_model.hpp tune::). Mirrors the
-  /// tempi.model.{observations,updates,generation_bumps,refreezes}
-  /// trace counters: samples harvested from completed ops, table knots
-  /// rewritten by refreshes, tuned-model swaps, and persistent programs
-  /// re-recorded after a swap.
-  std::uint64_t model_observations = 0;
-  std::uint64_t model_updates = 0;
-  std::uint64_t model_generation_bumps = 0;
-  std::uint64_t model_refreezes = 0;
-
-  /// Topology-aware scheduling (topology.hpp topo::). Mirrors the
-  /// tempi.topo.{remaps,staggered_legs,intra_node_legs} trace counters:
-  /// communicators adopted under a reorder=1 remap, legs issued at a
-  /// different position than rank order, and legs that stayed on-node
-  /// (and so never touched the NIC model).
-  std::uint64_t topo_remaps = 0;
-  std::uint64_t topo_staggered_legs = 0;
-  std::uint64_t topo_intra_node_legs = 0;
-
-  /// Reduction-collectives engine (tempi/reduce.*). Mirrors the
-  /// tempi.red.{allreduce,reduce,reduce_scatter,fallback,peer_legs,
-  /// kernel_launches} trace counters: engine-serviced calls per entry
-  /// point (`red_reduce_scatter` covers Reduce_scatter and
-  /// Reduce_scatter_block), reductions the gates forwarded to the system
-  /// path, wire legs posted by the schedules, and device combine kernels
-  /// launched.
-  std::uint64_t red_allreduce = 0;
-  std::uint64_t red_reduce = 0;
-  std::uint64_t red_reduce_scatter = 0;
-  std::uint64_t red_fallback = 0;
-  std::uint64_t red_peer_legs = 0;
-  std::uint64_t red_kernel_launches = 0;
-};
-SendStats send_stats();
-void reset_send_stats();
 
 /// Where the live model's tables came from: "builtin" (substrate-derived
 /// calibration) or "file:<path>" when install() loaded TEMPI_PERF_FILE.

@@ -23,10 +23,8 @@ struct TopoCounters {
   trace::Counter intra_node_legs{"tempi.topo.intra_node_legs"};
 };
 
-TopoCounters &counters() {
-  static TopoCounters c;
-  return c;
-}
+/// Namespace scope, so the counters register at static initialisation.
+TopoCounters g_counters;
 
 std::vector<std::size_t> identity_order(std::size_t n) {
   std::vector<std::size_t> order(n);
@@ -216,8 +214,8 @@ std::vector<std::size_t> schedule(MPI_Comm comm,
       ++staggered;
     }
   }
-  counters().intra_node_legs.add(intra);
-  counters().staggered_legs.add(staggered);
+  g_counters.intra_node_legs.add(intra);
+  g_counters.staggered_legs.add(staggered);
   return order;
 }
 
@@ -446,7 +444,7 @@ int cart_create(MPI_Comm comm_old, int ndims, const int *dims,
     c->is_cart = true;
     c->cart_dims.assign(dims, dims + ndims);
     c->cart_periods.assign(periods, periods + ndims);
-    counters().remaps.add();
+    g_counters.remaps.add();
   }
   *comm_cart = c;
   return MPI_SUCCESS;
@@ -569,25 +567,9 @@ int dist_graph_create_adjacent(MPI_Comm comm_old, int indegree,
   c->is_graph = true;
   c->graph_sources.assign(l.srcs, l.srcs + l.ind);
   c->graph_destinations.assign(l.dsts, l.dsts + l.outd);
-  counters().remaps.add();
+  g_counters.remaps.add();
   *comm_dist_graph = c;
   return MPI_SUCCESS;
-}
-
-TopoStats topo_stats() {
-  const TopoCounters &c = counters();
-  return TopoStats{
-      c.remaps.value(),
-      c.staggered_legs.value(),
-      c.intra_node_legs.value(),
-  };
-}
-
-void reset_topo_stats() {
-  TopoCounters &c = counters();
-  c.remaps.reset();
-  c.staggered_legs.reset();
-  c.intra_node_legs.reset();
 }
 
 } // namespace tempi::topo

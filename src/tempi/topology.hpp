@@ -122,15 +122,4 @@ int dist_graph_create_adjacent(MPI_Comm comm_old, int indegree,
                                MPI_Comm *comm_dist_graph,
                                const interpose::MpiTable &next);
 
-/// Point-in-time view of the tempi.topo.* counters (same values as the
-/// trace registry; see TempiTest.TopoCountersAgree).
-struct TopoStats {
-  std::uint64_t remaps = 0;          ///< rank adoptions of a remapped comm
-  std::uint64_t staggered_legs = 0;  ///< legs issued off their slot order
-  std::uint64_t intra_node_legs = 0; ///< legs that never touch a NIC
-};
-
-TopoStats topo_stats();
-void reset_topo_stats();
-
 } // namespace tempi::topo

@@ -86,7 +86,7 @@ std::size_t hist_bucket(vcuda::VirtualNs dur_ns) {
 
 struct Registry {
   std::mutex mutex;
-  std::vector<const Counter *> counters;
+  std::vector<Counter *> counters;
   std::unordered_map<std::string, GaugeFn> gauges;
 };
 Registry &registry() {
@@ -287,6 +287,14 @@ std::uint64_t counter_value(std::string_view name) {
     }
   }
   return gauge != nullptr ? gauge() : 0;
+}
+
+void reset_counters() {
+  Registry &reg = registry();
+  const std::lock_guard<std::mutex> lock(reg.mutex);
+  for (Counter *c : reg.counters) {
+    c->reset();
+  }
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> counter_snapshot() {

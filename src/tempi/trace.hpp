@@ -23,11 +23,13 @@
 //     per-phase histogram trimeans (support::Sampler).
 //   - tempi::trace_snapshot() gives tests/benches programmatic access.
 //
-// The metrics registry half replaces hand-maintained counter plumbing:
-// trace::Counter is a named, self-registering atomic counter (State, the
-// request-engine Pool, PipelineCounters and CollCounters are all built
-// from it), and read-only sources register gauges. SendStats is assembled
-// as a snapshot view over the registry, so its consumers are unchanged.
+// The metrics registry half is the library's only stats surface:
+// trace::Counter is a named, self-registering atomic counter (every
+// module's decision counts are built from it, e.g. tempi.send.oneshot or
+// tempi.coll.peer_legs), and read-only sources that keep their own storage
+// (the tempi.lock.* contention counts) register gauges. Tests, benches and
+// the TEMPI_STATS report all read it by name through counter_value() /
+// counter_snapshot(), and reset_counters() zeroes it.
 #pragma once
 
 #include "support/contended_mutex.hpp"
@@ -186,13 +188,17 @@ private:
 };
 
 /// Register a read-only named value computed at snapshot time (for sources
-/// that keep their own storage, e.g. the perf-model choice cache).
+/// that keep their own storage, e.g. the tempi.lock.* contention counts).
 /// Re-registering a name replaces the previous gauge.
 using GaugeFn = std::uint64_t (*)();
 void register_gauge(const char *name, GaugeFn fn);
 
 /// Value of one registered counter or gauge; 0 if the name is unknown.
 std::uint64_t counter_value(std::string_view name);
+
+/// Zero every registered Counter; gauges keep their own storage and are
+/// left alone (tests/benches; not atomic with respect to concurrent adds).
+void reset_counters();
 
 /// All registered counters and gauges, name -> value, sorted by name.
 std::vector<std::pair<std::string, std::uint64_t>> counter_snapshot();

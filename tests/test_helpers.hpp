@@ -4,11 +4,15 @@
 #pragma once
 
 #include "sysmpi/types.hpp"
+#include "tempi/trace.hpp"
 #include "vcuda/runtime.hpp"
+
+#include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 #include <vector>
 
 namespace testing_helpers {
@@ -99,6 +103,20 @@ inline void reference_unpack(void *dst, int count, const sysmpi::Datatype &dt,
       pos += static_cast<std::size_t>(len);
     });
   }
+}
+
+/// Value of the registered trace counter or gauge `name`. Unlike
+/// trace::counter_value, which reads an unknown name as 0, this fails the
+/// calling test when `name` is not in the registry, so a mistyped name
+/// cannot make an expected-zero assertion pass.
+inline std::uint64_t counter(std::string_view name) {
+  for (const auto &[registered, value] : tempi::trace::counter_snapshot()) {
+    if (registered == name) {
+      return value;
+    }
+  }
+  ADD_FAILURE() << "no counter or gauge named " << name << " is registered";
+  return 0;
 }
 
 } // namespace testing_helpers

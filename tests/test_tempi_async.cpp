@@ -27,6 +27,7 @@
 
 namespace {
 
+using testing_helpers::counter;
 using testing_helpers::fill_pattern;
 using testing_helpers::reference_pack;
 using testing_helpers::SpaceBuffer;
@@ -39,19 +40,18 @@ void run2(const std::function<void(int)> &body) {
 }
 
 std::uint64_t fused_launches() {
-  return tempi::trace::counter_value("tempi.engine.fused_unpack_launches");
+  return counter("tempi.engine.fused_unpack_launches");
 }
 
 std::uint64_t fused_unpacks() {
-  return tempi::trace::counter_value("tempi.engine.fused_unpacks");
+  return counter("tempi.engine.fused_unpacks");
 }
 
 class TempiAsync : public ::testing::Test {
 protected:
   void SetUp() override {
     tempi::install();
-    tempi::reset_send_stats();
-    tempi::async::reset_engine_stats();
+    tempi::trace::reset_counters();
   }
   void TearDown() override {
     tempi::set_send_mode(tempi::SendMode::Auto);
@@ -121,12 +121,12 @@ TEST_F(TempiAsync, StagedMethodDeliversCorrectBytes) {
 
 TEST_F(TempiAsync, AutoDeliversCorrectBytesAndCountsNonBlocking) {
   isend_exchange_and_check(tempi::SendMode::Auto, 128, 2, 10);
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.isend_oneshot + stats.isend_device + stats.isend_staged,
+  EXPECT_EQ(counter("tempi.isend.oneshot") + counter("tempi.isend.device") +
+                counter("tempi.isend.staged"),
             1u);
-  EXPECT_EQ(stats.isend_forwarded, 0u);
-  EXPECT_EQ(stats.irecv_accelerated, 1u);
-  EXPECT_EQ(stats.irecv_forwarded, 0u);
+  EXPECT_EQ(counter("tempi.isend.forwarded"), 0u);
+  EXPECT_EQ(counter("tempi.irecv.accelerated"), 1u);
+  EXPECT_EQ(counter("tempi.irecv.forwarded"), 0u);
 }
 
 TEST_F(TempiAsync, WaitOnNullRequestSucceeds) {
@@ -344,7 +344,7 @@ TEST_F(TempiAsync, IntermediatesStayLeasedUntilCompletion) {
 TEST_F(TempiAsync, HaloIsendAutoSelectsNonSystemMethods) {
   // The acceptance criterion: the paper's halo exchange issued through
   // Isend/Irecv/Waitall must be accelerated under SendMode::Auto, observed
-  // through the non-blocking SendStats counters.
+  // through the tempi.isend.* and tempi.irecv.* counters.
   halo::Config cfg;
   cfg.nx = cfg.ny = cfg.nz = 8;
   cfg.vals = 8;
@@ -365,19 +365,18 @@ TEST_F(TempiAsync, HaloIsendAutoSelectsNonSystemMethods) {
     vcuda::Free(grid);
     MPI_Finalize();
   });
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.isend_oneshot + stats.isend_device + stats.isend_staged,
+  EXPECT_EQ(counter("tempi.isend.oneshot") + counter("tempi.isend.device") +
+                counter("tempi.isend.staged"),
             26u);
-  EXPECT_EQ(stats.isend_forwarded, 0u);
-  EXPECT_EQ(stats.irecv_accelerated, 26u);
-  EXPECT_EQ(stats.irecv_forwarded, 0u);
+  EXPECT_EQ(counter("tempi.isend.forwarded"), 0u);
+  EXPECT_EQ(counter("tempi.irecv.accelerated"), 26u);
+  EXPECT_EQ(counter("tempi.irecv.forwarded"), 0u);
 
-  const tempi::async::EngineStats es = tempi::async::engine_stats();
-  EXPECT_EQ(es.isends, 26u);
-  EXPECT_EQ(es.irecvs, 26u);
-  EXPECT_EQ(es.completions, 52u);
+  EXPECT_EQ(counter("tempi.engine.isends"), 26u);
+  EXPECT_EQ(counter("tempi.engine.irecvs"), 26u);
+  EXPECT_EQ(counter("tempi.engine.completions"), 52u);
   // Waitall retired the 26 receives with batched stream syncs.
-  EXPECT_GE(es.batched_syncs, 1u);
+  EXPECT_GE(counter("tempi.engine.batched_syncs"), 1u);
   EXPECT_EQ(tempi::async::in_flight(), 0u);
 }
 
@@ -755,13 +754,13 @@ MixedResult mixed_waitall(tempi::SendMode sender_mode) {
 
 TEST_F(TempiAsync, MixedWaitallMatchesSystemPath) {
   const MixedResult reference = mixed_waitall(tempi::SendMode::System);
-  ASSERT_EQ(tempi::async::engine_stats().irecvs, 0u);
+  ASSERT_EQ(counter("tempi.engine.irecvs"), 0u);
   const std::uint64_t launches = fused_launches();
   const std::uint64_t fused = fused_unpacks();
   const MixedResult tempi_run = mixed_waitall(tempi::SendMode::Auto);
   // Six engine ops (the channel and the host receive are not ops); only
   // the three Device/OneShot receives fuse, into one launch.
-  EXPECT_EQ(tempi::async::engine_stats().irecvs, 6u);
+  EXPECT_EQ(counter("tempi.engine.irecvs"), 6u);
   EXPECT_EQ(fused_unpacks() - fused, 3u);
   EXPECT_EQ(fused_launches() - launches, 1u);
   ASSERT_EQ(tempi_run.buffers.size(), reference.buffers.size());
@@ -922,7 +921,7 @@ TEST_F(TempiAsync, WaitallOverPrePackedDeviceLegsMakesNoStreamSyncs) {
     EXPECT_EQ(std::memcmp(src.get(), dst.get(), src.size()), 0);
     MPI_Finalize();
   });
-  EXPECT_EQ(tempi::async::engine_stats().batched_syncs, 0u);
+  EXPECT_EQ(counter("tempi.engine.batched_syncs"), 0u);
   EXPECT_EQ(tempi::async::in_flight(), 0u);
 }
 

@@ -14,6 +14,7 @@
 
 namespace {
 
+using testing_helpers::counter;
 using testing_helpers::fill_pattern;
 using testing_helpers::reference_pack;
 using testing_helpers::SpaceBuffer;
@@ -184,7 +185,7 @@ TEST_F(BlocklistInterposer, PackOnDeviceIsSingleKernel) {
 
 TEST_F(BlocklistInterposer, SendRecvRoundtripsIndexedGpuData) {
   tempi::set_blocklist_fallback(true);
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   sysmpi::RunConfig cfg;
   cfg.ranks = 2;
   cfg.ranks_per_node = 1;
@@ -212,7 +213,7 @@ TEST_F(BlocklistInterposer, SendRecvRoundtripsIndexedGpuData) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
-  EXPECT_EQ(tempi::send_stats().device, 1u); // blocklist ships via device
+  EXPECT_EQ(counter("tempi.send.device"), 1u); // blocklist ships via device
 }
 
 TEST_F(BlocklistInterposer, FasterThanBaselineForManyBlocks) {

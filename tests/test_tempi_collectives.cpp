@@ -23,6 +23,7 @@
 
 namespace {
 
+using testing_helpers::counter;
 using testing_helpers::fill_pattern;
 using testing_helpers::SpaceBuffer;
 
@@ -177,11 +178,11 @@ TEST(Collectives, SelfExchangeSingleRank) {
   // A one-rank alltoallv is all self-exchange: the engine short-circuits
   // the leg as a device copy between the fused pack and unpack passes.
   tempi::ScopedInterposer guard;
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   const auto engine = run_alltoallv(true, 1, 7u, all_device);
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.coll_alltoallv, 1u);
-  EXPECT_EQ(stats.coll_peer_legs, 1u); // the self pair is one copy leg
+  EXPECT_EQ(counter("tempi.coll.alltoallv"), 1u);
+  // The self pair is one copy leg.
+  EXPECT_EQ(counter("tempi.coll.peer_legs"), 1u);
   const auto system = run_alltoallv(false, 1, 7u, all_device);
   EXPECT_EQ(engine[0], system[0]);
 }
@@ -205,22 +206,20 @@ TEST(Collectives, MixedResidencyRanksInteroperate) {
 
 TEST(Collectives, HostOnlyCallsFallThrough) {
   tempi::ScopedInterposer guard;
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   const auto host = [](int) { return vcuda::MemorySpace::Pageable; };
   run_alltoallv(true, 2, 9u, host);
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.coll_alltoallv, 0u);
-  EXPECT_EQ(stats.coll_fallback, 2u); // one per rank
+  EXPECT_EQ(counter("tempi.coll.alltoallv"), 0u);
+  EXPECT_EQ(counter("tempi.coll.fallback"), 2u); // one per rank
 }
 
 TEST(Collectives, KillSwitchDisablesEngine) {
   tempi::ScopedInterposer guard;
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   EXPECT_TRUE(tempi::coll::enabled());
   run_alltoallv(false, 2, 10u, all_device); // device buffers, engine off
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.coll_alltoallv, 0u);
-  EXPECT_EQ(stats.coll_fallback, 2u);
+  EXPECT_EQ(counter("tempi.coll.alltoallv"), 0u);
+  EXPECT_EQ(counter("tempi.coll.fallback"), 2u);
   EXPECT_TRUE(tempi::coll::enabled()); // run_alltoallv restored it
 }
 
@@ -299,9 +298,9 @@ void check_neighbor(bool aliased, unsigned type_seed) {
 
 TEST(Collectives, NeighborRingMatchesSystemPath) {
   tempi::ScopedInterposer guard;
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   check_neighbor(/*aliased=*/false, 11u);
-  EXPECT_EQ(tempi::send_stats().coll_neighbor, 4u); // engine run only
+  EXPECT_EQ(counter("tempi.coll.neighbor"), 4u); // engine run only
 }
 
 TEST(Collectives, NeighborSelfAndAliasedEdgesMatchSystemPath) {
@@ -315,7 +314,7 @@ TEST(Collectives, OversizedPeerLegsPipelineUnderInjectedLimit) {
   // injectable limit so kilobytes exercise the >2 GiB machinery.
   tempi::ScopedInterposer guard;
   const std::size_t old_limit = tempi::set_wire_chunk_limit(4096);
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   std::vector<std::vector<std::byte>> out(2);
   sysmpi::RunConfig cfg;
   cfg.ranks = 2;
@@ -344,14 +343,13 @@ TEST(Collectives, OversizedPeerLegsPipelineUnderInjectedLimit) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
-  const tempi::SendStats stats = tempi::send_stats();
   tempi::set_wire_chunk_limit(old_limit);
-  EXPECT_EQ(stats.coll_alltoallv, 2u);
+  EXPECT_EQ(counter("tempi.coll.alltoallv"), 2u);
   // Each rank's non-self leg (16 KiB over a 4 KiB limit) pipelines on
   // both sides: at least 5 sender legs (4 full + terminator) plus the
   // receiver's mirror of them, per direction.
-  EXPECT_GE(stats.pipeline_chunks, 20u);
-  EXPECT_GE(stats.pipeline_over_ceiling_bytes, 2u * 16384u);
+  EXPECT_GE(counter("tempi.pipeline.chunks"), 20u);
+  EXPECT_GE(counter("tempi.pipeline.over_ceiling_bytes"), 2u * 16384u);
 
   // Byte-exactness vs the system path (run with the default limit).
   tempi::coll::set_enabled(false);
@@ -550,17 +548,17 @@ TEST(Collectives, EnvKillSwitchReadAtInstall) {
 
 TEST(Collectives, ChooseLegIsCachedAndPlacementAware) {
   const tempi::PerfModel model;
-  tempi::reset_model_cache_stats();
+  tempi::trace::reset_counters();
   const tempi::TransferChoice inter = model.choose_leg(1 << 20, false);
   const tempi::TransferChoice intra = model.choose_leg(1 << 20, true);
   EXPECT_NE(inter.method, tempi::Method::Pipelined);
   EXPECT_NE(intra.method, tempi::Method::Pipelined);
-  const auto misses = tempi::model_cache_stats().misses;
+  const auto misses = counter("tempi.model.cache_misses");
   EXPECT_GE(misses, 2u); // distinct salted keys per placement
   // Repeat queries hit the lock-free cache.
   const tempi::TransferChoice again = model.choose_leg(1 << 20, false);
   EXPECT_EQ(again.method, inter.method);
-  EXPECT_GT(tempi::model_cache_stats().hits, 0u);
+  EXPECT_GT(counter("tempi.model.cache_hits"), 0u);
   // Over-limit legs pipeline with an in-limit chunk.
   const std::size_t old_limit = tempi::set_wire_chunk_limit(4096);
   const tempi::TransferChoice big = model.choose_leg(64 * 1024, false);

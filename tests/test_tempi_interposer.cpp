@@ -15,6 +15,7 @@
 
 namespace {
 
+using testing_helpers::counter;
 using testing_helpers::fill_pattern;
 using testing_helpers::reference_pack;
 using testing_helpers::SpaceBuffer;
@@ -251,12 +252,11 @@ TEST(Interposer, SendModeControlsMethod) {
 TEST(Interposer, PipelineCountersTrackChunkedSends) {
   tempi::ScopedInterposer guard;
   tempi::set_send_mode(tempi::SendMode::ForcePipelined);
-  tempi::reset_send_stats();
-  const tempi::SendStats before = tempi::send_stats();
-  EXPECT_EQ(before.pipelined, 0u);
-  EXPECT_EQ(before.isend_pipelined, 0u);
-  EXPECT_EQ(before.pipeline_chunks, 0u);
-  EXPECT_EQ(before.pipeline_over_ceiling_bytes, 0u);
+  tempi::trace::reset_counters();
+  EXPECT_EQ(counter("tempi.send.pipelined"), 0u);
+  EXPECT_EQ(counter("tempi.isend.pipelined"), 0u);
+  EXPECT_EQ(counter("tempi.pipeline.chunks"), 0u);
+  EXPECT_EQ(counter("tempi.pipeline.over_ceiling_bytes"), 0u);
 
   sysmpi::RunConfig cfg;
   cfg.ranks = 2;
@@ -278,26 +278,24 @@ TEST(Interposer, PipelineCountersTrackChunkedSends) {
     MPI_Finalize();
   });
 
-  const tempi::SendStats after = tempi::send_stats();
-  EXPECT_EQ(after.pipelined, 1u);
+  EXPECT_EQ(counter("tempi.send.pipelined"), 1u);
   // Sender legs (data + terminator) and the receiver's mirror of them.
-  EXPECT_GE(after.pipeline_chunks, 4u);
+  EXPECT_GE(counter("tempi.pipeline.chunks"), 4u);
   // The message fits the default 2 GiB wire ceiling: nothing oversized.
-  EXPECT_EQ(after.pipeline_over_ceiling_bytes, 0u);
+  EXPECT_EQ(counter("tempi.pipeline.over_ceiling_bytes"), 0u);
 
-  tempi::reset_send_stats();
-  const tempi::SendStats cleared = tempi::send_stats();
-  EXPECT_EQ(cleared.pipelined, 0u);
-  EXPECT_EQ(cleared.pipeline_chunks, 0u);
+  tempi::trace::reset_counters();
+  EXPECT_EQ(counter("tempi.send.pipelined"), 0u);
+  EXPECT_EQ(counter("tempi.pipeline.chunks"), 0u);
   tempi::set_send_mode(tempi::SendMode::Auto);
 }
 
 TEST(Interposer, ModelCountersTrackObservationsAndRefreshes) {
-  // The self-tuning loop is observable two ways — SendStats fields and
-  // the tempi.model.* trace counters — and they must agree.
+  // The self-tuning loop is observable through the tempi.model.* trace
+  // counters.
   tempi::ScopedInterposer guard;
   tempi::tune::reset();
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   tempi::set_send_mode(tempi::SendMode::ForceDevice);
   sysmpi::RunConfig cfg;
   cfg.ranks = 2;
@@ -321,39 +319,31 @@ TEST(Interposer, ModelCountersTrackObservationsAndRefreshes) {
   tempi::set_send_mode(tempi::SendMode::Auto);
 
   // The Device exchange harvested at least the pack and the unpack span.
-  const tempi::SendStats s1 = tempi::send_stats();
-  EXPECT_GE(s1.model_observations, 2u);
-  EXPECT_EQ(s1.model_observations,
-            tempi::trace::counter_value("tempi.model.observations"));
-  EXPECT_EQ(s1.model_generation_bumps, 0u);
-  EXPECT_EQ(s1.model_refreezes, 0u);
+  EXPECT_GE(counter("tempi.model.observations"), 2u);
+  EXPECT_EQ(counter("tempi.model.generation_bumps"), 0u);
+  EXPECT_EQ(counter("tempi.model.refreezes"), 0u);
 
   // Two converged samples + an explicit refresh: one fold, one bump.
   tempi::tune::observe(tempi::tune::Axis::D2H, 0, 1, vcuda::us_to_ns(50.0));
   tempi::tune::observe(tempi::tune::Axis::D2H, 0, 1, vcuda::us_to_ns(50.0));
   EXPECT_TRUE(tempi::tune::refresh_now());
-  const tempi::SendStats s2 = tempi::send_stats();
-  EXPECT_GE(s2.model_updates, 1u);
-  EXPECT_EQ(s2.model_generation_bumps, 1u);
-  EXPECT_EQ(s2.model_updates,
-            tempi::trace::counter_value("tempi.model.updates"));
-  EXPECT_EQ(tempi::trace::counter_value("tempi.model.generation_bumps"), 1u);
-  EXPECT_EQ(s2.model_refreezes,
-            tempi::trace::counter_value("tempi.model.refreezes"));
+  EXPECT_GE(counter("tempi.model.updates"), 1u);
+  EXPECT_EQ(counter("tempi.model.generation_bumps"), 1u);
 
   // Disabled: the sink drops samples without counting them.
+  const std::uint64_t observations = counter("tempi.model.observations");
   tempi::tune::set_enabled(false);
   tempi::tune::observe(tempi::tune::Axis::D2H, 0, 1, vcuda::us_to_ns(50.0));
-  EXPECT_EQ(tempi::send_stats().model_observations, s2.model_observations);
+  EXPECT_EQ(counter("tempi.model.observations"), observations);
   tempi::tune::set_enabled(true);
   tempi::tune::reset();
 }
 
-TEST(Interposer, TopoCountersAgreeBetweenTraceAndSendStats) {
-  // The topology layer is observable two ways — SendStats fields and the
-  // tempi.topo.* trace counters — and they must agree.
+TEST(Interposer, TopoCountersTrackRemapsAndLegs) {
+  // The topology layer is observable through the tempi.topo.* trace
+  // counters.
   tempi::ScopedInterposer guard;
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   // A device alltoallv drives the node-aware schedule (staggered and
   // intra-node legs)...
   sysmpi::RunConfig cfg;
@@ -388,25 +378,18 @@ TEST(Interposer, TopoCountersAgreeBetweenTraceAndSendStats) {
     MPI_Comm_free(&cart);
     MPI_Finalize();
   });
-  const tempi::SendStats s = tempi::send_stats();
-  EXPECT_GT(s.topo_remaps, 0u);
-  EXPECT_GT(s.topo_staggered_legs, 0u);
-  EXPECT_GT(s.topo_intra_node_legs, 0u);
-  EXPECT_EQ(s.topo_remaps, tempi::trace::counter_value("tempi.topo.remaps"));
-  EXPECT_EQ(s.topo_staggered_legs,
-            tempi::trace::counter_value("tempi.topo.staggered_legs"));
-  EXPECT_EQ(s.topo_intra_node_legs,
-            tempi::trace::counter_value("tempi.topo.intra_node_legs"));
+  EXPECT_GT(counter("tempi.topo.remaps"), 0u);
+  EXPECT_GT(counter("tempi.topo.staggered_legs"), 0u);
+  EXPECT_GT(counter("tempi.topo.intra_node_legs"), 0u);
 }
 
 TEST(Interposer, CollCountersTrackEngineAndFallback) {
   tempi::ScopedInterposer guard;
-  tempi::reset_send_stats();
-  const tempi::SendStats before = tempi::send_stats();
-  EXPECT_EQ(before.coll_alltoallv, 0u);
-  EXPECT_EQ(before.coll_neighbor, 0u);
-  EXPECT_EQ(before.coll_fallback, 0u);
-  EXPECT_EQ(before.coll_peer_legs, 0u);
+  tempi::trace::reset_counters();
+  EXPECT_EQ(counter("tempi.coll.alltoallv"), 0u);
+  EXPECT_EQ(counter("tempi.coll.neighbor"), 0u);
+  EXPECT_EQ(counter("tempi.coll.fallback"), 0u);
+  EXPECT_EQ(counter("tempi.coll.peer_legs"), 0u);
 
   sysmpi::RunConfig cfg;
   cfg.ranks = 2;
@@ -437,27 +420,25 @@ TEST(Interposer, CollCountersTrackEngineAndFallback) {
     MPI_Finalize();
   });
 
-  const tempi::SendStats after = tempi::send_stats();
-  EXPECT_EQ(after.coll_alltoallv, 2u); // one engine call per rank
-  EXPECT_EQ(after.coll_neighbor, 0u);
-  EXPECT_EQ(after.coll_fallback, 2u); // one host-only call per rank
+  EXPECT_EQ(counter("tempi.coll.alltoallv"), 2u); // one engine call per rank
+  EXPECT_EQ(counter("tempi.coll.neighbor"), 0u);
+  EXPECT_EQ(counter("tempi.coll.fallback"), 2u); // one host-only call per rank
   // Each engine rank fans out 2 send + 2 recv slots, minus the self pair
   // collapsed into one copy leg: 3 legs per rank.
-  EXPECT_EQ(after.coll_peer_legs, 6u);
+  EXPECT_EQ(counter("tempi.coll.peer_legs"), 6u);
 
-  tempi::reset_send_stats();
-  const tempi::SendStats cleared = tempi::send_stats();
-  EXPECT_EQ(cleared.coll_alltoallv, 0u);
-  EXPECT_EQ(cleared.coll_fallback, 0u);
-  EXPECT_EQ(cleared.coll_peer_legs, 0u);
+  tempi::trace::reset_counters();
+  EXPECT_EQ(counter("tempi.coll.alltoallv"), 0u);
+  EXPECT_EQ(counter("tempi.coll.fallback"), 0u);
+  EXPECT_EQ(counter("tempi.coll.peer_legs"), 0u);
 }
 
-TEST(TempiTest, RedCountersAgree) {
-  // The reduction engine is observable two ways — SendStats red_* fields
-  // and the tempi.red.* trace counters — and they must agree, including
-  // across a mix of engine-serviced, fallback, and derived calls.
+TEST(TempiTest, RedCountersTrackEngineAndFallback) {
+  // The reduction engine is observable through the tempi.red.* trace
+  // counters, across a mix of engine-serviced, fallback, and derived
+  // calls.
   tempi::ScopedInterposer guard;
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   sysmpi::RunConfig cfg;
   cfg.ranks = 4;
   cfg.ranks_per_node = 2;
@@ -485,37 +466,24 @@ TEST(TempiTest, RedCountersAgree) {
                   MPI_COMM_WORLD);
     MPI_Finalize();
   });
-  const tempi::SendStats s = tempi::send_stats();
-  EXPECT_EQ(s.red_allreduce, 4u);
-  EXPECT_EQ(s.red_reduce, 4u);
-  EXPECT_EQ(s.red_fallback, 4u);
-  EXPECT_GT(s.red_peer_legs, 0u);
-  EXPECT_GT(s.red_kernel_launches, 0u);
-  EXPECT_EQ(s.red_allreduce,
-            tempi::trace::counter_value("tempi.red.allreduce"));
-  EXPECT_EQ(s.red_reduce, tempi::trace::counter_value("tempi.red.reduce"));
-  EXPECT_EQ(s.red_reduce_scatter,
-            tempi::trace::counter_value("tempi.red.reduce_scatter"));
-  EXPECT_EQ(s.red_fallback,
-            tempi::trace::counter_value("tempi.red.fallback"));
-  EXPECT_EQ(s.red_peer_legs,
-            tempi::trace::counter_value("tempi.red.peer_legs"));
-  EXPECT_EQ(s.red_kernel_launches,
-            tempi::trace::counter_value("tempi.red.kernel_launches"));
-  tempi::reset_send_stats();
-  EXPECT_EQ(tempi::send_stats().red_allreduce, 0u);
-  EXPECT_EQ(tempi::send_stats().red_fallback, 0u);
+  EXPECT_EQ(counter("tempi.red.allreduce"), 4u);
+  EXPECT_EQ(counter("tempi.red.reduce"), 4u);
+  EXPECT_EQ(counter("tempi.red.fallback"), 4u);
+  EXPECT_GT(counter("tempi.red.peer_legs"), 0u);
+  EXPECT_GT(counter("tempi.red.kernel_launches"), 0u);
+  tempi::trace::reset_counters();
+  EXPECT_EQ(counter("tempi.red.allreduce"), 0u);
+  EXPECT_EQ(counter("tempi.red.fallback"), 0u);
 }
 
 TEST(Interposer, PersistentCountersTrackChannelsAndReplays) {
   tempi::ScopedInterposer guard;
-  tempi::reset_send_stats();
-  const tempi::SendStats before = tempi::send_stats();
-  EXPECT_EQ(before.persistent_init, 0u);
-  EXPECT_EQ(before.persistent_start, 0u);
-  EXPECT_EQ(before.persistent_replay_hits, 0u);
-  EXPECT_EQ(before.persistent_graph_launches, 0u);
-  EXPECT_EQ(before.persistent_forwarded, 0u);
+  tempi::trace::reset_counters();
+  EXPECT_EQ(counter("tempi.persistent.inits"), 0u);
+  EXPECT_EQ(counter("tempi.persistent.starts"), 0u);
+  EXPECT_EQ(counter("tempi.persistent.replays"), 0u);
+  EXPECT_EQ(counter("tempi.persistent.graph_launches"), 0u);
+  EXPECT_EQ(counter("tempi.persistent.forwarded"), 0u);
 
   sysmpi::RunConfig cfg;
   cfg.ranks = 2;
@@ -553,22 +521,20 @@ TEST(Interposer, PersistentCountersTrackChannelsAndReplays) {
     MPI_Finalize();
   });
 
-  const tempi::SendStats after = tempi::send_stats();
-  EXPECT_EQ(after.persistent_init, 2u);  // one accelerated channel per rank
-  EXPECT_EQ(after.persistent_start, 6u); // three arms per rank
+  EXPECT_EQ(counter("tempi.persistent.inits"), 2u); // one channel per rank
+  EXPECT_EQ(counter("tempi.persistent.starts"), 6u); // three arms per rank
   // Send arms replay at Start, receive armings replay at completion:
   // every arming is a replay hit backed by at least one graph launch.
-  EXPECT_EQ(after.persistent_replay_hits, 6u);
-  EXPECT_GE(after.persistent_graph_launches, 6u);
-  EXPECT_EQ(after.persistent_forwarded, 2u); // the host-buffer inits
+  EXPECT_EQ(counter("tempi.persistent.replays"), 6u);
+  EXPECT_GE(counter("tempi.persistent.graph_launches"), 6u);
+  EXPECT_EQ(counter("tempi.persistent.forwarded"), 2u); // host-buffer inits
 
-  tempi::reset_send_stats();
-  const tempi::SendStats cleared = tempi::send_stats();
-  EXPECT_EQ(cleared.persistent_init, 0u);
-  EXPECT_EQ(cleared.persistent_start, 0u);
-  EXPECT_EQ(cleared.persistent_replay_hits, 0u);
-  EXPECT_EQ(cleared.persistent_graph_launches, 0u);
-  EXPECT_EQ(cleared.persistent_forwarded, 0u);
+  tempi::trace::reset_counters();
+  EXPECT_EQ(counter("tempi.persistent.inits"), 0u);
+  EXPECT_EQ(counter("tempi.persistent.starts"), 0u);
+  EXPECT_EQ(counter("tempi.persistent.replays"), 0u);
+  EXPECT_EQ(counter("tempi.persistent.graph_launches"), 0u);
+  EXPECT_EQ(counter("tempi.persistent.forwarded"), 0u);
 }
 
 } // namespace

@@ -26,6 +26,7 @@
 
 namespace {
 
+using testing_helpers::counter;
 using testing_helpers::fill_pattern;
 using testing_helpers::random_strided_type;
 using testing_helpers::reference_pack;
@@ -37,10 +38,6 @@ MPI_Datatype committed_vector(int count, int blocklen, int stride) {
   MPI_Type_vector(count, blocklen, stride, MPI_BYTE, &t);
   MPI_Type_commit(&t);
   return t;
-}
-
-std::uint64_t counter(std::string_view name) {
-  return tempi::trace::counter_value(name);
 }
 
 std::size_t leased_now() { return tempi::buffer_cache_stats().leased_now; }

@@ -23,6 +23,7 @@
 
 namespace {
 
+using testing_helpers::counter;
 using testing_helpers::fill_pattern;
 using testing_helpers::random_strided_type;
 using testing_helpers::reference_pack;
@@ -34,10 +35,6 @@ MPI_Datatype committed_vector(int count, int blocklen, int stride) {
   MPI_Type_vector(count, blocklen, stride, MPI_BYTE, &t);
   MPI_Type_commit(&t);
   return t;
-}
-
-std::uint64_t counter(std::string_view name) {
-  return tempi::trace::counter_value(name);
 }
 
 bool same_bytes(const void *a, const void *b, std::size_t n) {

@@ -335,17 +335,17 @@ TEST(PackerMemo, RemembersMethodPerCountAndGeneration) {
   MPI_Type_commit(&t);
   const tempi::Packer packer = make_packer(t);
 
-  EXPECT_FALSE(packer.cached_method(1, 1).has_value()); // cold
-  packer.remember_method(1, 1, tempi::Method::OneShot);
-  ASSERT_TRUE(packer.cached_method(1, 1).has_value());
-  EXPECT_EQ(*packer.cached_method(1, 1), tempi::Method::OneShot);
+  EXPECT_FALSE(packer.cached_transfer(1, 1).has_value()); // cold
+  packer.remember_transfer(1, 1, {tempi::Method::OneShot, 0});
+  ASSERT_TRUE(packer.cached_transfer(1, 1).has_value());
+  EXPECT_EQ(packer.cached_transfer(1, 1)->method, tempi::Method::OneShot);
   // A different count or a newer model generation must miss.
-  EXPECT_FALSE(packer.cached_method(2, 1).has_value());
-  EXPECT_FALSE(packer.cached_method(1, 2).has_value());
+  EXPECT_FALSE(packer.cached_transfer(2, 1).has_value());
+  EXPECT_FALSE(packer.cached_transfer(1, 2).has_value());
   // Re-remembering under the new generation replaces the slot.
-  packer.remember_method(1, 2, tempi::Method::Staged);
-  EXPECT_EQ(*packer.cached_method(1, 2), tempi::Method::Staged);
-  EXPECT_FALSE(packer.cached_method(1, 1).has_value());
+  packer.remember_transfer(1, 2, {tempi::Method::Staged, 0});
+  EXPECT_EQ(packer.cached_transfer(1, 2)->method, tempi::Method::Staged);
+  EXPECT_FALSE(packer.cached_transfer(1, 1).has_value());
   MPI_Type_free(&t);
 }
 

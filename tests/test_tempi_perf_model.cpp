@@ -3,6 +3,8 @@
 // and measurement-file round trips.
 #include "tempi/perf_model.hpp"
 #include "tempi/tempi.hpp"
+#include "tempi/trace.hpp"
+#include "test_helpers.hpp"
 #include "vcuda/clock.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,8 @@
 #include <vector>
 
 namespace {
+
+using testing_helpers::counter;
 
 TEST(Table1D, InterpolatesBetweenSamples) {
   tempi::Table1D t;
@@ -216,16 +220,14 @@ TEST(ModelCache, ConcurrentChooseIsConsistent) {
 }
 
 TEST(ModelCache, HitMissCountersAdvance) {
-  tempi::reset_model_cache_stats();
+  tempi::trace::reset_counters();
   const tempi::PerfModel model;
   (void)model.choose(7, 777777); // cold: a miss
-  const tempi::ModelCacheStats after_miss = tempi::model_cache_stats();
-  EXPECT_EQ(after_miss.misses, 1u);
-  EXPECT_EQ(after_miss.hits, 0u);
+  EXPECT_EQ(counter("tempi.model.cache_misses"), 1u);
+  EXPECT_EQ(counter("tempi.model.cache_hits"), 0u);
   (void)model.choose(7, 777777); // warm: a hit
-  const tempi::ModelCacheStats after_hit = tempi::model_cache_stats();
-  EXPECT_EQ(after_hit.misses, 1u);
-  EXPECT_EQ(after_hit.hits, 1u);
+  EXPECT_EQ(counter("tempi.model.cache_misses"), 1u);
+  EXPECT_EQ(counter("tempi.model.cache_hits"), 1u);
 }
 
 TEST(PerfFile, SaveLoadRoundtrip) {
@@ -253,15 +255,14 @@ TEST(Tuner, ObserveFoldsExactKnotsWithEwma) {
                        vcuda::us_to_ns(100.0));
   tempi::tune::observe(tempi::tune::Axis::DevicePack, 8, 1 << 20,
                        vcuda::us_to_ns(200.0));
-  const tempi::tune::TunerStats s = tempi::tune::stats();
-  EXPECT_EQ(s.observations, 2u);
+  EXPECT_EQ(counter("tempi.model.observations"), 2u);
 
   tempi::SystemPerf perf = tempi::builtin_perf();
   EXPECT_TRUE(tempi::tune::fold_into(perf));
   // alpha = 0.5: 100 then 100 + 0.5 * (200 - 100) = 150, at the exact
   // {8 B, 1 MiB} knot.
   EXPECT_NEAR(perf.device_pack.query(8.0, 1048576.0), 150.0, 0.01);
-  EXPECT_GE(tempi::tune::stats().updates, 1u);
+  EXPECT_GE(counter("tempi.model.updates"), 1u);
   // Neighbouring monolithic knots keep their modeled values: the fold
   // seeds new rows/columns from the pre-insertion interpolation.
   const tempi::SystemPerf builtin = tempi::builtin_perf();
@@ -301,7 +302,7 @@ TEST(Tuner, DisabledObservationIsANoop) {
                        vcuda::us_to_ns(1000.0));
   EXPECT_FALSE(tempi::tune::wire_observable(1 << 20));
   tempi::tune::set_enabled(true);
-  EXPECT_EQ(tempi::tune::stats().observations, 0u);
+  EXPECT_EQ(counter("tempi.model.observations"), 0u);
   EXPECT_FALSE(tempi::tune::drift_pending());
   tempi::SystemPerf perf = tempi::builtin_perf();
   EXPECT_FALSE(tempi::tune::fold_into(perf));
@@ -339,7 +340,7 @@ TEST(Tuner, ObservationsRaceChooseWithoutCorruption) {
     t.join();
   }
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GE(tempi::tune::stats().observations, 2u);
+  EXPECT_GE(counter("tempi.model.observations"), 2u);
   tempi::tune::reset();
 }
 
@@ -360,7 +361,7 @@ TEST(Tuner, RefreshSwapsLiveModelAndNeverServesStaleChoice) {
   EXPECT_FALSE(tempi::tune::drift_pending());
   EXPECT_EQ(tempi::tune::refresh_generation(), gen0 + 1);
   EXPECT_GT(tempi::transfer_config_generation(), tgen0);
-  EXPECT_GE(tempi::tune::stats().generation_bumps, 1u);
+  EXPECT_GE(counter("tempi.model.generation_bumps"), 1u);
   // The swapped-in model must re-consult the tuned tables, not replay the
   // cached pre-refresh choice: Device can no longer win this key.
   const tempi::Method after = tempi::perf_model().choose(8, 1 << 20);

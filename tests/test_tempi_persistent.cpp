@@ -22,6 +22,7 @@
 
 namespace {
 
+using testing_helpers::counter;
 using testing_helpers::fill_pattern;
 using testing_helpers::reference_pack;
 using testing_helpers::SpaceBuffer;
@@ -37,8 +38,7 @@ class TempiPersistent : public ::testing::Test {
 protected:
   void SetUp() override {
     tempi::install();
-    tempi::reset_send_stats();
-    tempi::async::reset_engine_stats();
+    tempi::trace::reset_counters();
     // The exact-count replay/launch assertions below depend on channels
     // staying frozen; the tuner is re-enabled (and its cells cleared) in
     // TearDown so each test opts in to refresh traffic explicitly.
@@ -126,12 +126,12 @@ TEST_F(TempiPersistent, StagedMethodReArmsCorrectly) {
 
 TEST_F(TempiPersistent, AutoFreezesAChannelAndCountsReplays) {
   persistent_exchange_and_check(tempi::SendMode::Auto, 128, 2, 10, 5);
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.persistent_init, 2u);           // one channel per side
-  EXPECT_EQ(stats.persistent_start, 10u);         // 5 arms per side
-  EXPECT_GE(stats.persistent_replay_hits, 10u);   // send arms + recv unpacks
-  EXPECT_GE(stats.persistent_graph_launches, 10u);
-  EXPECT_EQ(stats.persistent_forwarded, 0u);
+  EXPECT_EQ(counter("tempi.persistent.inits"), 2u);   // one channel per side
+  EXPECT_EQ(counter("tempi.persistent.starts"), 10u); // 5 arms per side
+  // Send arms + recv unpacks.
+  EXPECT_GE(counter("tempi.persistent.replays"), 10u);
+  EXPECT_GE(counter("tempi.persistent.graph_launches"), 10u);
+  EXPECT_EQ(counter("tempi.persistent.forwarded"), 0u);
   EXPECT_EQ(tempi::async::persistent_open(), 0u); // all freed in-test
 }
 
@@ -386,15 +386,14 @@ TEST_F(TempiPersistent, PipelinedChannelUnderInjectedWireLimit) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.persistent_init, 2u);
-  EXPECT_EQ(stats.persistent_start, 6u);
+  EXPECT_EQ(counter("tempi.persistent.inits"), 2u);
+  EXPECT_EQ(counter("tempi.persistent.starts"), 6u);
   // 32 KiB over a 16 KiB limit is two full legs plus the empty
   // terminator: the sender replays one graph per non-empty leg per arm,
   // while pipelined receives re-arm a ChunkedRecv (no replay).
-  EXPECT_EQ(stats.persistent_replay_hits, 3u);
-  EXPECT_EQ(stats.persistent_graph_launches, 6u);
-  EXPECT_GT(stats.pipeline_chunks, 0u);
+  EXPECT_EQ(counter("tempi.persistent.replays"), 3u);
+  EXPECT_EQ(counter("tempi.persistent.graph_launches"), 6u);
+  EXPECT_GT(counter("tempi.pipeline.chunks"), 0u);
   tempi::set_wire_chunk_limit(tempi::kMaxWireBytes);
 }
 
@@ -447,7 +446,7 @@ TEST_F(TempiPersistent, RefreezeFollowsModelGenerationExactlyOnce) {
     exchange(0);
     exchange(1);
     MPI_Barrier(MPI_COMM_WORLD);
-    EXPECT_EQ(tempi::send_stats().model_refreezes, 0u);
+    EXPECT_EQ(counter("tempi.model.refreezes"), 0u);
 
     // Transfer-config churn only (no model refresh): still frozen.
     if (rank == 0) {
@@ -456,7 +455,7 @@ TEST_F(TempiPersistent, RefreezeFollowsModelGenerationExactlyOnce) {
     MPI_Barrier(MPI_COMM_WORLD);
     exchange(2);
     MPI_Barrier(MPI_COMM_WORLD);
-    EXPECT_EQ(tempi::send_stats().model_refreezes, 0u);
+    EXPECT_EQ(counter("tempi.model.refreezes"), 0u);
 
     // A real model refresh: fold two (harmless — Staged never wins)
     // observations and bump the refresh generation.
@@ -472,23 +471,22 @@ TEST_F(TempiPersistent, RefreezeFollowsModelGenerationExactlyOnce) {
     MPI_Barrier(MPI_COMM_WORLD);
     exchange(3); // each side re-records onto the 8 KiB plan, once
     MPI_Barrier(MPI_COMM_WORLD);
-    EXPECT_EQ(tempi::send_stats().model_refreezes, 2u);
+    EXPECT_EQ(counter("tempi.model.refreezes"), 2u);
 
     // Steady state again: the generation was consumed, replays only.
     exchange(4);
     exchange(5);
     MPI_Barrier(MPI_COMM_WORLD);
-    EXPECT_EQ(tempi::send_stats().model_refreezes, 2u);
+    EXPECT_EQ(counter("tempi.model.refreezes"), 2u);
 
     ASSERT_EQ(MPI_Request_free(&req), MPI_SUCCESS);
     MPI_Type_free(&t);
     MPI_Finalize();
   });
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.persistent_init, 2u);
-  EXPECT_EQ(stats.persistent_start, 12u);
-  EXPECT_EQ(stats.model_refreezes, 2u);
-  EXPECT_GE(stats.model_generation_bumps, 1u);
+  EXPECT_EQ(counter("tempi.persistent.inits"), 2u);
+  EXPECT_EQ(counter("tempi.persistent.starts"), 12u);
+  EXPECT_EQ(counter("tempi.model.refreezes"), 2u);
+  EXPECT_GE(counter("tempi.model.generation_bumps"), 1u);
   tempi::set_wire_chunk_limit(tempi::kMaxWireBytes);
   tempi::set_chunk_bytes_override(0);
 }
@@ -568,11 +566,11 @@ TEST_F(TempiPersistent, RefreezeSurvivesRemappedCartCommunicator) {
     MPI_Comm_free(&cart);
     MPI_Finalize();
   });
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.persistent_init, 128u);  // one pair per rank
-  EXPECT_EQ(stats.persistent_start, 512u); // 4 rounds x 2 channels x 64
-  EXPECT_EQ(stats.model_refreezes, 128u);  // every channel re-recorded once
-  EXPECT_EQ(tempi::topo::topo_stats().remaps, 64u);
+  EXPECT_EQ(counter("tempi.persistent.inits"), 128u); // one pair per rank
+  // 4 rounds x 2 channels x 64 ranks, and every channel re-recorded once.
+  EXPECT_EQ(counter("tempi.persistent.starts"), 512u);
+  EXPECT_EQ(counter("tempi.model.refreezes"), 128u);
+  EXPECT_EQ(counter("tempi.topo.remaps"), 64u);
   tempi::set_wire_chunk_limit(tempi::kMaxWireBytes);
   tempi::set_chunk_bytes_override(0);
 }
@@ -667,9 +665,8 @@ TEST_F(TempiPersistent, KillSwitchForwardsToTheSystemPath) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.persistent_init, 0u);
-  EXPECT_GE(stats.persistent_forwarded, 2u);
+  EXPECT_EQ(counter("tempi.persistent.inits"), 0u);
+  EXPECT_GE(counter("tempi.persistent.forwarded"), 2u);
   tempi::set_persistent_enabled(true);
 }
 
@@ -888,7 +885,7 @@ TEST_F(TempiPersistent, HostBufferChannelsForwardAndStillWork) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
-  EXPECT_GE(tempi::send_stats().persistent_forwarded, 2u);
+  EXPECT_GE(counter("tempi.persistent.forwarded"), 2u);
 }
 
 TEST_F(TempiPersistent, ReplaySkipsPerKernelLaunches) {

@@ -2,8 +2,9 @@
 // transfers, the injectable wire-chunk limit that lets tiny messages
 // exercise the >limit multi-leg path, the regression that oversized sends
 // now succeed instead of returning MPI_ERR_COUNT, TEMPI_CHUNK_BYTES-style
-// chunk overrides, pipeline SendStats, the request-engine integration
-// (Wait- and Test-driven chunk progress), and the Sendrecv decomposition.
+// chunk overrides, the tempi.pipeline.* counters, the request-engine
+// integration (Wait- and Test-driven chunk progress), and the Sendrecv
+// decomposition.
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
 #include "tempi/methods.hpp"
@@ -17,6 +18,7 @@
 
 namespace {
 
+using testing_helpers::counter;
 using testing_helpers::fill_pattern;
 using testing_helpers::reference_pack;
 using testing_helpers::SpaceBuffer;
@@ -100,13 +102,12 @@ void exchange_and_check(int vcount, int blocklen, int stride) {
 
 TEST_F(TempiPipeline, ForcedPipelinedDeliversCorrectBytes) {
   tempi::set_send_mode(tempi::SendMode::ForcePipelined);
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   exchange_and_check(256, 16, 48);
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.pipelined, 1u);
+  EXPECT_EQ(counter("tempi.send.pipelined"), 1u);
   // At least the data leg plus the terminator on the send side, and the
   // receiver's legs on top.
-  EXPECT_GE(stats.pipeline_chunks, 4u);
+  EXPECT_GE(counter("tempi.pipeline.chunks"), 4u);
 }
 
 TEST_F(TempiPipeline, TinyInjectedLimitSplitsIntoManyLegs) {
@@ -114,11 +115,11 @@ TEST_F(TempiPipeline, TinyInjectedLimitSplitsIntoManyLegs) {
   // message must cross the wire as multiple ordered legs.
   PipelineConfigGuard guard(/*limit=*/64 * 1024);
   tempi::set_send_mode(tempi::SendMode::ForcePipelined);
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   exchange_and_check(3 * 1024, 16, 48); // 3K blocks x 64 B = 192 KiB packed
-  const tempi::SendStats stats = tempi::send_stats();
   // 192 KiB over <= 64 KiB legs: at least 3 sender data legs + terminator.
-  EXPECT_GE(stats.pipeline_chunks, 8u); // sender legs + receiver legs
+  // Sender legs + receiver legs.
+  EXPECT_GE(counter("tempi.pipeline.chunks"), 8u);
 }
 
 TEST_F(TempiPipeline, OversizedSendSucceedsInsteadOfErrCount) {
@@ -128,12 +129,13 @@ TEST_F(TempiPipeline, OversizedSendSucceedsInsteadOfErrCount) {
   // in Auto mode, without any forced method.
   PipelineConfigGuard guard(/*limit=*/64 * 1024);
   tempi::set_send_mode(tempi::SendMode::Auto);
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   exchange_and_check(4 * 1024, 32, 96); // 512 KiB packed > 64 KiB limit
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.pipelined, 1u);
-  EXPECT_EQ(stats.oneshot + stats.device + stats.staged, 0u);
-  EXPECT_GE(stats.pipeline_over_ceiling_bytes, 512u * 1024u);
+  EXPECT_EQ(counter("tempi.send.pipelined"), 1u);
+  EXPECT_EQ(counter("tempi.send.oneshot") + counter("tempi.send.device") +
+                counter("tempi.send.staged"),
+            0u);
+  EXPECT_GE(counter("tempi.pipeline.over_ceiling_bytes"), 512u * 1024u);
 }
 
 TEST_F(TempiPipeline, ForcedMonolithicUpgradesAboveTheLimit) {
@@ -141,11 +143,10 @@ TEST_F(TempiPipeline, ForcedMonolithicUpgradesAboveTheLimit) {
   // gate upgrades it to Pipelined instead of returning MPI_ERR_COUNT.
   PipelineConfigGuard guard(/*limit=*/64 * 1024);
   tempi::set_send_mode(tempi::SendMode::ForceDevice);
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   exchange_and_check(4 * 1024, 32, 96); // 512 KiB packed
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.pipelined, 1u);
-  EXPECT_EQ(stats.device, 0u);
+  EXPECT_EQ(counter("tempi.send.pipelined"), 1u);
+  EXPECT_EQ(counter("tempi.send.device"), 0u);
 }
 
 TEST_F(TempiPipeline, SingleUnsplittableBlockStillFailsLoudly) {
@@ -179,11 +180,10 @@ TEST_F(TempiPipeline, ChunkOverrideControlsLegCount) {
   PipelineConfigGuard guard(/*limit=*/tempi::kMaxWireBytes,
                             /*override=*/16 * 1024);
   tempi::set_send_mode(tempi::SendMode::ForcePipelined);
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   exchange_and_check(1536, 16, 48); // 96 KiB packed, 64 B objects
-  const tempi::SendStats stats = tempi::send_stats();
   // 96 KiB / 16 KiB = 6 data legs + 1 empty terminator, on each side.
-  EXPECT_EQ(stats.pipeline_chunks, 14u);
+  EXPECT_EQ(counter("tempi.pipeline.chunks"), 14u);
 }
 
 TEST_F(TempiPipeline, SteadyStatePipelinedSendsHitTheMethodMemo) {
@@ -204,12 +204,11 @@ TEST_F(TempiPipeline, SteadyStatePipelinedSendsHitTheMethodMemo) {
     if (rank == 0) {
       fill_pattern(buf.get(), buf.size(), 3);
       MPI_Send(buf.get(), 1, t, 1, 0, MPI_COMM_WORLD); // cold: model miss
-      tempi::reset_send_stats();
+      tempi::trace::reset_counters();
       MPI_Send(buf.get(), 1, t, 1, 1, MPI_COMM_WORLD); // warm: memo hit
-      const tempi::SendStats stats = tempi::send_stats();
-      EXPECT_EQ(stats.pipelined, 1u);
-      EXPECT_GE(stats.method_memo_hits, 1u);
-      EXPECT_EQ(stats.model_cache_misses, 0u);
+      EXPECT_EQ(counter("tempi.send.pipelined"), 1u);
+      EXPECT_GE(counter("tempi.model.memo_hits"), 1u);
+      EXPECT_EQ(counter("tempi.model.cache_misses"), 0u);
     } else {
       MPI_Recv(buf.get(), 1, t, 0, 0, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
       MPI_Recv(buf.get(), 1, t, 0, 1, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
@@ -222,7 +221,7 @@ TEST_F(TempiPipeline, SteadyStatePipelinedSendsHitTheMethodMemo) {
 TEST_F(TempiPipeline, NonBlockingPipelinedWaitCompletes) {
   PipelineConfigGuard guard(/*limit=*/64 * 1024);
   tempi::set_send_mode(tempi::SendMode::ForcePipelined);
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   run2([&](int rank) {
     MPI_Init(nullptr, nullptr);
     MPI_Datatype t = nullptr;
@@ -259,7 +258,7 @@ TEST_F(TempiPipeline, NonBlockingPipelinedWaitCompletes) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
-  EXPECT_EQ(tempi::send_stats().isend_pipelined, 1u);
+  EXPECT_EQ(counter("tempi.isend.pipelined"), 1u);
 }
 
 TEST_F(TempiPipeline, TestDrivesChunkProgressIncrementally) {
@@ -315,7 +314,7 @@ TEST_F(TempiPipeline, SendrecvOverlapsBothDirections) {
   // accelerated (and pipelined when over the injected limit).
   PipelineConfigGuard guard(/*limit=*/64 * 1024);
   tempi::set_send_mode(tempi::SendMode::Auto);
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   run2([&](int rank) {
     MPI_Init(nullptr, nullptr);
     MPI_Datatype t = nullptr;
@@ -346,11 +345,12 @@ TEST_F(TempiPipeline, SendrecvOverlapsBothDirections) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
-  const tempi::SendStats stats = tempi::send_stats();
   // Both ranks' send halves went through the request engine as pipelined
   // non-blocking sends (512 KiB > the injected 64 KiB ceiling).
-  EXPECT_EQ(stats.isend_pipelined, 2u);
-  EXPECT_EQ(stats.oneshot + stats.device + stats.staged + stats.pipelined,
+  EXPECT_EQ(counter("tempi.isend.pipelined"), 2u);
+  EXPECT_EQ(counter("tempi.send.oneshot") + counter("tempi.send.device") +
+                counter("tempi.send.staged") +
+                counter("tempi.send.pipelined"),
             0u);
 }
 

@@ -24,6 +24,7 @@
 
 namespace {
 
+using testing_helpers::counter;
 using testing_helpers::reference_pack;
 using testing_helpers::reference_unpack;
 using testing_helpers::SpaceBuffer;
@@ -833,33 +834,30 @@ TEST(Reduce, KillSwitchAndStatsCounters) {
   const auto vals = [](int r, int i) {
     return static_cast<std::int32_t>(r + i);
   };
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   run_allreduce_named<std::int32_t>(true, 4, 2, MPI_INT, MPI_SUM, 8, false,
                                     all_device, vals);
-  tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.red_allreduce, 4u); // one engine entry per rank
-  EXPECT_EQ(stats.red_fallback, 0u);
-  EXPECT_GT(stats.red_peer_legs, 0u);
-  EXPECT_GT(stats.red_kernel_launches, 0u);
+  EXPECT_EQ(counter("tempi.red.allreduce"), 4u); // one engine entry per rank
+  EXPECT_EQ(counter("tempi.red.fallback"), 0u);
+  EXPECT_GT(counter("tempi.red.peer_legs"), 0u);
+  EXPECT_GT(counter("tempi.red.kernel_launches"), 0u);
 
   // Engine disabled: the gate forwards and counts fallbacks instead.
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   run_allreduce_named<std::int32_t>(false, 4, 2, MPI_INT, MPI_SUM, 8, false,
                                     all_device, vals);
-  stats = tempi::send_stats();
-  EXPECT_EQ(stats.red_allreduce, 0u);
-  EXPECT_EQ(stats.red_fallback, 4u);
-  EXPECT_EQ(stats.red_kernel_launches, 0u);
+  EXPECT_EQ(counter("tempi.red.allreduce"), 0u);
+  EXPECT_EQ(counter("tempi.red.fallback"), 4u);
+  EXPECT_EQ(counter("tempi.red.kernel_launches"), 0u);
 
   // Host-only named buffers: the engine's per-rank residency check
   // forwards each rank.
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   const auto host = [](int) { return vcuda::MemorySpace::Pageable; };
   run_allreduce_named<std::int32_t>(true, 2, 1, MPI_INT, MPI_SUM, 8, false,
                                     host, vals);
-  stats = tempi::send_stats();
-  EXPECT_EQ(stats.red_allreduce, 0u);
-  EXPECT_EQ(stats.red_fallback, 2u);
+  EXPECT_EQ(counter("tempi.red.allreduce"), 0u);
+  EXPECT_EQ(counter("tempi.red.fallback"), 2u);
 }
 
 TEST(Reduce, EnvKillSwitchReadAtInstall) {

@@ -10,9 +10,11 @@
 
 #include <cstring>
 #include <functional>
+#include <vector>
 
 namespace {
 
+using testing_helpers::counter;
 using testing_helpers::fill_pattern;
 using testing_helpers::reference_pack;
 using testing_helpers::SpaceBuffer;
@@ -110,21 +112,19 @@ TEST_F(TempiSend, SystemModeStillCorrectJustSlow) {
 }
 
 TEST_F(TempiSend, AutoPicksOneShotForSmallObjects) {
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   // ~1 KiB object with 64 B blocks: the small-object regime.
   exchange_and_check(tempi::SendMode::Auto, 16, 16, 32);
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.oneshot, 2u); // warm-up + measured round
-  EXPECT_EQ(stats.device, 0u);
+  EXPECT_EQ(counter("tempi.send.oneshot"), 2u); // warm-up + measured round
+  EXPECT_EQ(counter("tempi.send.device"), 0u);
 }
 
 TEST_F(TempiSend, AutoPicksDeviceForLargeSmallBlockObjects) {
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   // 4 MiB object of 4 B blocks: the large/fragmented regime.
   exchange_and_check(tempi::SendMode::Auto, 1 << 20, 1, 4);
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.device, 2u); // warm-up + measured round
-  EXPECT_EQ(stats.oneshot, 0u);
+  EXPECT_EQ(counter("tempi.send.device"), 2u); // warm-up + measured round
+  EXPECT_EQ(counter("tempi.send.oneshot"), 0u);
 }
 
 TEST_F(TempiSend, AutoTracksTheFasterForcedMethod) {
@@ -164,7 +164,7 @@ TEST_F(TempiSend, LatencyFloorIsTensOfMicroseconds) {
 }
 
 TEST_F(TempiSend, ContiguousTypesForwardToSystem) {
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   run2([&](int rank) {
     MPI_Init(nullptr, nullptr);
     MPI_Datatype t = nullptr;
@@ -180,13 +180,14 @@ TEST_F(TempiSend, ContiguousTypesForwardToSystem) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
-  const tempi::SendStats stats = tempi::send_stats();
-  EXPECT_EQ(stats.forwarded, 1u);
-  EXPECT_EQ(stats.oneshot + stats.device + stats.staged, 0u);
+  EXPECT_EQ(counter("tempi.send.forwarded"), 1u);
+  EXPECT_EQ(counter("tempi.send.oneshot") + counter("tempi.send.device") +
+                counter("tempi.send.staged"),
+            0u);
 }
 
 TEST_F(TempiSend, HostBuffersForwardToSystem) {
-  tempi::reset_send_stats();
+  tempi::trace::reset_counters();
   run2([&](int rank) {
     MPI_Init(nullptr, nullptr);
     MPI_Datatype t = nullptr;
@@ -202,7 +203,62 @@ TEST_F(TempiSend, HostBuffersForwardToSystem) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
-  EXPECT_EQ(tempi::send_stats().forwarded, 1u);
+  EXPECT_EQ(counter("tempi.send.forwarded"), 1u);
+}
+
+std::uint64_t blocking_send_decisions() {
+  return counter("tempi.send.oneshot") + counter("tempi.send.device") +
+         counter("tempi.send.staged") + counter("tempi.send.pipelined") +
+         counter("tempi.send.forwarded");
+}
+
+TEST_F(TempiSend, ProcNullPeersAreNoOps) {
+  // Blocking Send/Recv with an MPI_PROC_NULL peer complete at once and
+  // move nothing, as MPI_Isend/MPI_Irecv already do: the receive leaves
+  // its buffer bitwise unchanged and reports MPI_PROC_NULL with count 0,
+  // and the send makes no TEMPI method decision.
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype t = nullptr;
+    MPI_Type_vector(64, 4, 16, MPI_BYTE, &t);
+    MPI_Type_commit(&t);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    SpaceBuffer buf(vcuda::MemorySpace::Device,
+                    static_cast<std::size_t>(extent));
+    // One real exchange first, so the intermediate-buffer cache holds
+    // bytes that a spurious unpack would copy out.
+    fill_pattern(buf.get(), buf.size(), 5);
+    if (rank == 0) {
+      ASSERT_EQ(MPI_Send(buf.get(), 1, t, 1, 0, MPI_COMM_WORLD), MPI_SUCCESS);
+    } else {
+      ASSERT_EQ(MPI_Recv(buf.get(), 1, t, 0, 0, MPI_COMM_WORLD,
+                         MPI_STATUS_IGNORE),
+                MPI_SUCCESS);
+    }
+    MPI_Barrier(MPI_COMM_WORLD);
+    if (rank == 0) {
+      const std::uint64_t decisions = blocking_send_decisions();
+      ASSERT_EQ(MPI_Send(buf.get(), 1, t, MPI_PROC_NULL, 1, MPI_COMM_WORLD),
+                MPI_SUCCESS);
+      EXPECT_EQ(blocking_send_decisions(), decisions);
+    } else {
+      fill_pattern(buf.get(), buf.size(), 9);
+      const std::vector<std::byte> before(buf.bytes(),
+                                          buf.bytes() + buf.size());
+      MPI_Status status{};
+      ASSERT_EQ(MPI_Recv(buf.get(), 1, t, MPI_PROC_NULL, 1, MPI_COMM_WORLD,
+                         &status),
+                MPI_SUCCESS);
+      EXPECT_EQ(std::memcmp(buf.get(), before.data(), before.size()), 0);
+      EXPECT_EQ(status.MPI_SOURCE, MPI_PROC_NULL);
+      int count = -1;
+      ASSERT_EQ(MPI_Get_count(&status, t, &count), MPI_SUCCESS);
+      EXPECT_EQ(count, 0);
+    }
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
 }
 
 TEST_F(TempiSend, MultiCountObjectsArriveIntact) {

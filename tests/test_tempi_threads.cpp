@@ -10,6 +10,7 @@
 #include "tempi/async.hpp"
 #include "tempi/buffer_cache.hpp"
 #include "tempi/tempi.hpp"
+#include "tempi/trace.hpp"
 #include "test_helpers.hpp"
 
 #include <gtest/gtest.h>
@@ -30,7 +31,7 @@ class TempiThreads : public ::testing::Test {
 protected:
   void SetUp() override {
     tempi::install();
-    tempi::async::reset_engine_stats();
+    tempi::trace::reset_counters();
   }
   void TearDown() override { tempi::uninstall(); }
 };

@@ -7,6 +7,8 @@
 #include "sysmpi/world.hpp"
 #include "tempi/tempi.hpp"
 #include "tempi/topology.hpp"
+#include "tempi/trace.hpp"
+#include "test_helpers.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 namespace {
 
 namespace topo = tempi::topo;
+using testing_helpers::counter;
 
 void run_n(int n, int rpn, const std::function<void(int)> &body) {
   sysmpi::RunConfig cfg;
@@ -53,7 +56,7 @@ TEST(TopoSchedule, RankSaltedStaggerAndCounters) {
   // order. The second rank of each node (stagger 1) reorders its legs;
   // the first rank's rotation happens to coincide with rank order.
   topo::set_enabled(true);
-  topo::reset_topo_stats();
+  tempi::trace::reset_counters();
   std::vector<Order> orders(4);
   run_n(4, 2, [&](int rank) {
     std::vector<int> peers(4);
@@ -67,10 +70,10 @@ TEST(TopoSchedule, RankSaltedStaggerAndCounters) {
   EXPECT_EQ(orders[1], (Order{0, 3, 1, 2})); // self, intra, then inter
   EXPECT_EQ(orders[2], (Order{0, 1, 2, 3}));
   EXPECT_EQ(orders[3], (Order{0, 3, 1, 2}));
-  const topo::TopoStats stats = topo::topo_stats();
-  EXPECT_EQ(stats.intra_node_legs, 8u); // self + one node-mate, per rank
-  EXPECT_EQ(stats.staggered_legs, 6u);  // three displaced legs on 1 and 3
-  EXPECT_EQ(stats.remaps, 0u);
+  // Self + one node-mate per rank; three displaced legs on ranks 1 and 3.
+  EXPECT_EQ(counter("tempi.topo.intra_node_legs"), 8u);
+  EXPECT_EQ(counter("tempi.topo.staggered_legs"), 6u);
+  EXPECT_EQ(counter("tempi.topo.remaps"), 0u);
 }
 
 TEST(TopoSchedule, KillSwitchReturnsIdentityOrder) {
@@ -135,7 +138,7 @@ class TempiTopology : public ::testing::Test {
 protected:
   void SetUp() override {
     tempi::install();
-    tempi::reset_send_stats();
+    tempi::trace::reset_counters();
     topo::set_enabled(true);
   }
   void TearDown() override {
@@ -175,7 +178,7 @@ TEST_F(TempiTopology, CartCreateReorder0KeepsRanksInPlace) {
     MPI_Comm_free(&cart);
     MPI_Finalize();
   });
-  EXPECT_EQ(tempi::topo::topo_stats().remaps, 0u);
+  EXPECT_EQ(counter("tempi.topo.remaps"), 0u);
 }
 
 TEST_F(TempiTopology, CartCreateReorder1ImprovesPlacementEndToEnd) {
@@ -217,7 +220,7 @@ TEST_F(TempiTopology, CartCreateReorder1ImprovesPlacementEndToEnd) {
   EXPECT_LT(topo::inter_node_bytes(edges, node_of_vertex),
             topo::inter_node_bytes(edges, identity));
   // Every member adopted the remapped communicator exactly once.
-  EXPECT_EQ(tempi::topo::topo_stats().remaps, 64u);
+  EXPECT_EQ(counter("tempi.topo.remaps"), 64u);
 }
 
 TEST_F(TempiTopology, KillSwitchDisablesCartRemap) {
@@ -235,7 +238,7 @@ TEST_F(TempiTopology, KillSwitchDisablesCartRemap) {
     MPI_Comm_free(&cart);
     MPI_Finalize();
   });
-  EXPECT_EQ(tempi::topo::topo_stats().remaps, 0u);
+  EXPECT_EQ(counter("tempi.topo.remaps"), 0u);
 }
 
 } // namespace

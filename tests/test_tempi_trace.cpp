@@ -2,12 +2,12 @@
 // nesting/ordering across the async engine, ring-buffer wraparound drops,
 // concurrent emits from plain threads, the Chrome trace-event export's
 // structure, the disabled path's no-allocation guarantee, flush()
-// idempotence, and the counter registry's equality with the legacy
-// SendStats snapshot view.
+// idempotence, and the counter registry's coverage and unique names.
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
 #include "tempi/tempi.hpp"
 #include "tempi/trace.hpp"
+#include "test_helpers.hpp"
 #include "vcuda/runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 namespace {
 
 namespace trace = tempi::trace;
+using testing_helpers::counter;
 
 void run2(const std::function<void(int)> &body) {
   sysmpi::RunConfig cfg;
@@ -43,7 +44,7 @@ class TempiTrace : public ::testing::Test {
 protected:
   void SetUp() override {
     tempi::install();
-    tempi::reset_send_stats();
+    trace::reset_counters();
     trace::reset();
     trace::set_enabled(true);
   }
@@ -78,6 +79,27 @@ void isend_round() {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
+}
+
+TEST_F(TempiTrace, EveryFamilyIsRegisteredAtInstall) {
+  // Registration is not a side effect of traffic or of reading a
+  // counter: right after install() (SetUp), with nothing sent, each
+  // module's counters are listed. Defined first in this file, so no
+  // earlier test's traffic has touched any module.
+  const auto all = trace::counter_snapshot();
+  for (const char *name :
+       {"tempi.send.oneshot", "tempi.isend.replays", "tempi.irecv.forwarded",
+        "tempi.pack.replays", "tempi.engine.isends",
+        "tempi.persistent.inits", "tempi.persistent.forwarded",
+        "tempi.pipeline.chunks", "tempi.coll.peer_legs",
+        "tempi.red.allreduce", "tempi.topo.remaps",
+        "tempi.model.cache_hits", "tempi.model.cache_misses",
+        "tempi.model.memo_hits", "tempi.model.observations"}) {
+    EXPECT_TRUE(std::any_of(
+        all.begin(), all.end(),
+        [name](const auto &kv) { return kv.first == name; }))
+        << name;
+  }
 }
 
 TEST_F(TempiTrace, SpanOrderingAcrossAsyncWait) {
@@ -246,7 +268,7 @@ TEST_F(TempiTrace, FlushIsIdempotentPerGeneration) {
   std::remove(path.c_str());
 }
 
-TEST_F(TempiTrace, CounterRegistryMatchesSendStats) {
+TEST_F(TempiTrace, CounterRegistryCoversEveryFamily) {
   // Drive every counter family: a blocking send round, an Isend/Irecv
   // round, and a persistent round.
   run2([](int rank) {
@@ -276,44 +298,15 @@ TEST_F(TempiTrace, CounterRegistryMatchesSendStats) {
   });
   isend_round();
 
-  const tempi::SendStats s = tempi::send_stats();
-  const auto reg = [](const char *name) {
-    return trace::counter_value(name);
-  };
-  EXPECT_EQ(s.oneshot, reg("tempi.send.oneshot"));
-  EXPECT_EQ(s.device, reg("tempi.send.device"));
-  EXPECT_EQ(s.staged, reg("tempi.send.staged"));
-  EXPECT_EQ(s.forwarded, reg("tempi.send.forwarded"));
-  EXPECT_EQ(s.pipelined, reg("tempi.send.pipelined"));
-  EXPECT_EQ(s.isend_oneshot, reg("tempi.isend.oneshot"));
-  EXPECT_EQ(s.isend_device, reg("tempi.isend.device"));
-  EXPECT_EQ(s.isend_staged, reg("tempi.isend.staged"));
-  EXPECT_EQ(s.isend_forwarded, reg("tempi.isend.forwarded"));
-  EXPECT_EQ(s.isend_pipelined, reg("tempi.isend.pipelined"));
-  EXPECT_EQ(s.irecv_accelerated, reg("tempi.irecv.accelerated"));
-  EXPECT_EQ(s.irecv_forwarded, reg("tempi.irecv.forwarded"));
-  EXPECT_EQ(s.model_cache_hits, reg("tempi.model.cache_hits"));
-  EXPECT_EQ(s.model_cache_misses, reg("tempi.model.cache_misses"));
-  EXPECT_EQ(s.method_memo_hits, reg("tempi.model.memo_hits"));
-  EXPECT_EQ(s.pipeline_chunks, reg("tempi.pipeline.chunks"));
-  EXPECT_EQ(s.pipeline_over_ceiling_bytes,
-            reg("tempi.pipeline.over_ceiling_bytes"));
-  EXPECT_EQ(s.coll_alltoallv, reg("tempi.coll.alltoallv"));
-  EXPECT_EQ(s.coll_neighbor, reg("tempi.coll.neighbor"));
-  EXPECT_EQ(s.coll_fallback, reg("tempi.coll.fallback"));
-  EXPECT_EQ(s.coll_peer_legs, reg("tempi.coll.peer_legs"));
-  EXPECT_EQ(s.persistent_init, reg("tempi.persistent.inits"));
-  EXPECT_EQ(s.persistent_start, reg("tempi.persistent.starts"));
-  EXPECT_EQ(s.persistent_replay_hits, reg("tempi.persistent.replays"));
-  EXPECT_EQ(s.persistent_graph_launches,
-            reg("tempi.persistent.graph_launches"));
-  EXPECT_EQ(s.persistent_forwarded, reg("tempi.persistent.forwarded"));
-
   // At least one family must have moved, or this test proves nothing.
-  EXPECT_GT(s.oneshot + s.device + s.staged + s.pipelined + s.forwarded, 0u);
-  EXPECT_GT(s.persistent_init, 0u);
+  EXPECT_GT(counter("tempi.send.oneshot") + counter("tempi.send.device") +
+                counter("tempi.send.staged") +
+                counter("tempi.send.pipelined") +
+                counter("tempi.send.forwarded"),
+            0u);
+  EXPECT_GT(counter("tempi.persistent.inits"), 0u);
 
-  // The sorted registry snapshot exposes the same names.
+  // The registry snapshot is sorted and names every family.
   const auto all = trace::counter_snapshot();
   EXPECT_TRUE(std::is_sorted(
       all.begin(), all.end(),
@@ -325,7 +318,34 @@ TEST_F(TempiTrace, CounterRegistryMatchesSendStats) {
   };
   EXPECT_TRUE(has("tempi.send.oneshot"));
   EXPECT_TRUE(has("tempi.engine.isends"));
-  EXPECT_TRUE(has("tempi.model.cache_hits")); // gauge, same namespace
+  EXPECT_TRUE(has("tempi.model.cache_hits"));
+  EXPECT_TRUE(has("tempi.lock.pool.acquires")); // gauge, same namespace
+}
+
+TEST_F(TempiTrace, CounterAndGaugeNamesAreUnique) {
+  // counter_value() returns the first match, so a second counter or a
+  // gauge under an existing name would be silently shadowed.
+  const auto all = trace::counter_snapshot();
+  const auto dup = std::adjacent_find(
+      all.begin(), all.end(),
+      [](const auto &a, const auto &b) { return a.first == b.first; });
+  if (dup != all.end()) {
+    ADD_FAILURE() << "duplicate registry name " << dup->first;
+  }
+}
+
+TEST_F(TempiTrace, ResetCountersZeroesCountersAndKeepsGauges) {
+  isend_round();
+  EXPECT_GT(counter("tempi.engine.isends"), 0u);
+  const std::uint64_t acquires = counter("tempi.lock.pool.acquires");
+  EXPECT_GT(acquires, 0u);
+  trace::reset_counters();
+  for (const auto &[name, value] : trace::counter_snapshot()) {
+    if (name.rfind("tempi.lock.", 0) != 0) {
+      EXPECT_EQ(value, 0u) << name;
+    }
+  }
+  EXPECT_GE(counter("tempi.lock.pool.acquires"), acquires);
 }
 
 TEST_F(TempiTrace, StatsReportPrintsCountersAndPhases) {
