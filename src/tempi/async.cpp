@@ -32,24 +32,36 @@ constexpr vcuda::VirtualNs kPollSweepNs = 100;
 /// between them (see send_program).
 constexpr std::size_t kSendReplayBudget = std::size_t{16} << 20;
 
+/// Low ticket bits that carry the posting thread's home stripe (see
+/// shard_for). AsyncOp is aligned so its address leaves them zero.
+constexpr unsigned kTicketTagBits = 4;
+constexpr std::uintptr_t kTicketTagMask =
+    (std::uintptr_t{1} << kTicketTagBits) - 1;
+
 } // namespace
 
-/// A repeated Isend's recorded program (see send_program): the same
-/// pinned leases, pool stream and pack graph a persistent send channel
-/// freezes. `in_flight` is set while an op sends from the program's wire
-/// lease, so an overlapping Isend of the same key never overwrites it.
-struct SendProgram {
+/// A recorded program an op runs from: a repeated Isend's pack program
+/// (see send_program), shared with the thread's send table, or a
+/// persistent op's own pack or unpack program. `in_flight` is set while
+/// an Isend sends from the program's wire lease, so an overlapping Isend
+/// of the same key never overwrites it.
+struct RecordedProgram {
   PersistentProgram prog;
   std::atomic<bool> in_flight{false};
 };
 
-/// One TEMPI-owned in-flight operation. Created and driven by the owning
-/// rank thread; only the pool map itself is shared.
-struct AsyncOp {
+/// One TEMPI-owned request. Created and driven by the owning rank thread;
+/// only the pool map itself is shared. A one-shot op (Isend, Irecv and
+/// their collective/blocklist variants) leaves the pool when it completes.
+/// A persistent op (Send_init/Recv_init) re-arms instead: it rests in the
+/// pool in the Complete phase until Start, and only request_free
+/// releases it.
+struct alignas(kTicketTagMask + 1) AsyncOp {
   enum class Kind { Send, Recv };
   Kind kind = Kind::Send;
   OpPhase phase = OpPhase::PackIssued;
   Method method = Method::Device;
+  bool persistent = false;
 
   // Exactly one of these engines is set. The canonical packer rides as a
   // raw pointer (no per-op refcount bump): MPI_Type_free between Isend and
@@ -83,9 +95,22 @@ struct AsyncOp {
   MPI_Request inner = MPI_REQUEST_NULL; ///< send: the system transfer
   MPI_Status wire_status{};             ///< recv: status of the wire leg
 
-  /// Replayed send only: the program whose wire lease this op sends from,
-  /// pinned (and marked in flight) until the op retires.
-  std::shared_ptr<SendProgram> program;
+  /// The recorded program this op sends from or receives into: a
+  /// replayed Isend pins it (marked in flight) until the op retires; a
+  /// persistent op owns its frozen monolithic program.
+  std::shared_ptr<RecordedProgram> program;
+
+  // Persistent only. The packer is co-owned here — the graveyard pin — so
+  // MPI_Type_free between init and free never invalidates the recorded
+  // programs' engine (`packer` points into it).
+  std::shared_ptr<const Packer> packer_pin;
+  const void *send_buf = nullptr; ///< send: the frozen source object
+  std::size_t chunk_bytes = 0;    ///< frozen Pipelined leg target (else 0)
+  /// tune::refresh_generation() snapshot the plan was frozen against;
+  /// Start re-chooses lazily when the live value moves.
+  std::uint64_t frozen_gen = 0;
+  std::unique_ptr<PipelinedSendProgram> pipeprog; ///< pipelined send
+  std::uint64_t leg_graph_count = 0; ///< pipelined send: graphs per replay
 
   AsyncOp() = default;
   AsyncOp(const AsyncOp &) = delete;
@@ -95,39 +120,6 @@ struct AsyncOp {
       program->in_flight.store(false, std::memory_order_release);
     }
   }
-};
-
-/// One frozen persistent channel (MPI_Send_init/MPI_Recv_init). Unlike an
-/// AsyncOp it survives completion: Start arms it, Wait/Test disarm it, and
-/// only request_free retires it. The packer rides as a shared_ptr — the
-/// graveyard pin — so MPI_Type_free between init and free can never
-/// invalidate the recorded graphs' engine.
-struct PersistentChannel {
-  bool is_send = true;
-  std::shared_ptr<const Packer> packer;
-  Method method = Method::Device;
-  const void *send_buf = nullptr;
-  void *recv_buf = nullptr;
-  int count = 0;
-  int peer = MPI_ANY_SOURCE;
-  int tag = MPI_ANY_TAG;
-  MPI_Comm comm = nullptr;
-
-  PersistentProgram prog; ///< monolithic program (pinned leases + graph)
-  std::unique_ptr<PipelinedSendProgram> pipeprog; ///< pipelined send only
-  std::uint64_t leg_graph_count = 0; ///< pipelined: graphs per replay
-  std::size_t chunk_bytes = 0; ///< frozen Pipelined leg target (else 0)
-  /// tune::refresh_generation() snapshot this channel's plan was frozen
-  /// against; Start re-chooses lazily when the live value moves.
-  std::uint64_t frozen_gen = 0;
-
-  /// Pipelined receive only: rebuilt per arming (the sender's first leg
-  /// sizes its chunks, which cannot be frozen at init).
-  std::unique_ptr<ChunkedRecv> chunked;
-
-  bool active = false;
-  MPI_Request inner = MPI_REQUEST_NULL; ///< send: wire leg of this arming
-  MPI_Status wire_status{};             ///< recv: status of this arming
 };
 
 namespace {
@@ -142,8 +134,6 @@ namespace {
 struct PoolShard {
   support::ContendedMutex mutex;
   std::unordered_map<MPI_Request, std::unique_ptr<AsyncOp>> ops;
-  std::unordered_map<MPI_Request, std::unique_ptr<PersistentChannel>>
-      channels;
 };
 
 constexpr std::size_t kDefaultShards = 16;
@@ -156,10 +146,10 @@ struct Pool {
   std::vector<std::unique_ptr<PoolShard>> shards;
   std::size_t mask = 0;
 
-  /// Bumped whenever a channel may have been destroyed (request_free's
-  /// channel branch, drain, reconfiguration). Validates the per-thread
-  /// channel memo that keeps steady-state MPI_Start/Wait replay lock-free.
-  std::atomic<std::uint64_t> channel_gen{1};
+  /// Bumped whenever a persistent op may have been destroyed (extract,
+  /// drain, reconfiguration). Validates the per-thread persistent memo
+  /// that keeps steady-state MPI_Start/Wait replay lock-free.
+  std::atomic<std::uint64_t> persistent_gen{1};
 
   trace::Counter isends{"tempi.engine.isends"};
   trace::Counter irecvs{"tempi.engine.irecvs"};
@@ -199,59 +189,68 @@ Pool &pool() {
 /// registry before the first request.
 [[maybe_unused]] const Pool &g_pool_at_init = pool();
 
-/// The shard a ticket lives in, derived from the ticket value alone
-/// (tickets are object addresses; the multiplicative hash spreads their
-/// low-entropy high bits and allocator-aligned low bits).
+/// The posting thread's home stripe, assigned round-robin at its first
+/// post.
+std::uintptr_t home_stripe() {
+  static std::atomic<std::uintptr_t> next{0};
+  thread_local const std::uintptr_t stripe =
+      next.fetch_add(1, std::memory_order_relaxed) & kTicketTagMask;
+  return stripe;
+}
+
+/// The shard a ticket lives in, derived from the ticket value alone. The
+/// low shard-index bits are the posting thread's home stripe, so with up
+/// to 2^kTicketTagBits shards every request a thread posts stays in that
+/// thread's shard and concurrent threads do not pass shard locks (and the
+/// cache lines under them) back and forth; larger pools spread each
+/// stripe's requests over the remaining bits with a multiplicative hash
+/// of the op address.
 PoolShard &shard_for(Pool &p, MPI_Request ticket) {
   const auto bits =
       static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(ticket));
-  const auto h = static_cast<std::size_t>((bits * 0x9e3779b97f4a7c15ULL) >> 32);
-  return *p.shards[h & p.mask];
+  const auto spread = static_cast<std::size_t>(
+      ((bits >> kTicketTagBits) * 0x9e3779b97f4a7c15ULL) >> 32);
+  const std::size_t stripe = bits & kTicketTagMask;
+  return *p.shards[((spread << kTicketTagBits) | stripe) & p.mask];
 }
 
-/// The opaque handle handed to the application is the op's own address; it
-/// is never dereferenced as a system request, only used as a pool key.
-MPI_Request ticket_of(const AsyncOp *op) {
-  return reinterpret_cast<MPI_Request>(const_cast<AsyncOp *>(op));
-}
-
+/// The opaque handle handed to the application is the op's own address
+/// with the posting thread's home stripe in its (alignment-zero) low bits.
+/// It is never dereferenced, only used as a pool key, and cannot collide
+/// with another object's address because it points inside this op.
 MPI_Request insert(std::unique_ptr<AsyncOp> op) {
   Pool &p = pool();
-  const MPI_Request ticket = ticket_of(op.get());
+  const auto ticket = reinterpret_cast<MPI_Request>(
+      reinterpret_cast<std::uintptr_t>(op.get()) | home_stripe());
   PoolShard &s = shard_for(p, ticket);
   const std::lock_guard<support::ContendedMutex> lock(s.mutex);
   s.ops.emplace(ticket, std::move(op));
   return ticket;
 }
 
-AsyncOp *find(MPI_Request ticket) {
-  PoolShard &s = shard_for(pool(), ticket);
-  const std::lock_guard<support::ContendedMutex> lock(s.mutex);
-  const auto it = s.ops.find(ticket);
-  return it == s.ops.end() ? nullptr : it->second.get();
-}
-
-/// Shard-affine re-arm memo: the last few channel tickets this thread
-/// resolved, valid while no channel anywhere has been destroyed since
-/// (channel_gen). A steady-state persistent Start/Wait cycle replays
-/// through the memo without touching any shard lock; the MPI contract that
-/// freeing a request never races concurrent calls on the same request is
-/// what already made the unlocked raw-pointer return here safe.
-struct ChannelMemo {
+/// Shard-affine re-arm memo: the last few persistent tickets this thread
+/// resolved, valid while no persistent op anywhere has been destroyed
+/// since (persistent_gen). A steady-state Start/Wait cycle replays through
+/// the memo without touching any shard lock; the MPI contract that freeing
+/// a request never races concurrent calls on the same request is what
+/// already made the unlocked raw-pointer return here safe. One-shot ops
+/// are never memoized: they die on completion without a generation bump.
+struct PersistentMemo {
   std::uint64_t gen = 0;
-  std::array<std::pair<MPI_Request, PersistentChannel *>, 8> slots{};
+  std::array<std::pair<MPI_Request, AsyncOp *>, 8> slots{};
   std::size_t next = 0;
 };
-thread_local ChannelMemo t_channel_memo;
+thread_local PersistentMemo t_persistent_memo;
 
-PersistentChannel *find_channel(MPI_Request ticket) {
+/// The op behind a ticket, or nullptr for any other request.
+AsyncOp *find(MPI_Request ticket) {
   Pool &p = pool();
-  ChannelMemo &memo = t_channel_memo;
-  const std::uint64_t gen = p.channel_gen.load(std::memory_order_acquire);
+  PersistentMemo &memo = t_persistent_memo;
+  const std::uint64_t gen = p.persistent_gen.load(std::memory_order_acquire);
   if (memo.gen == gen) {
-    for (const auto &[t, ch] : memo.slots) {
+    for (const auto &[t, op] : memo.slots) {
       if (t == ticket) {
-        return ch;
+        return op;
       }
     }
   } else {
@@ -260,23 +259,24 @@ PersistentChannel *find_channel(MPI_Request ticket) {
     memo.gen = gen;
   }
   PoolShard &s = shard_for(p, ticket);
-  PersistentChannel *ch = nullptr;
+  AsyncOp *op = nullptr;
   {
     const std::lock_guard<support::ContendedMutex> lock(s.mutex);
-    const auto it = s.channels.find(ticket);
-    ch = it == s.channels.end() ? nullptr : it->second.get();
+    const auto it = s.ops.find(ticket);
+    op = it == s.ops.end() ? nullptr : it->second.get();
   }
-  if (ch != nullptr) {
-    memo.slots[memo.next] = {ticket, ch};
+  if (op != nullptr && op->persistent) {
+    memo.slots[memo.next] = {ticket, op};
     memo.next = (memo.next + 1) % memo.slots.size();
   }
-  return ch;
+  return op;
 }
 
 /// Remove the op from the pool; the unique_ptr keeps it alive until the
 /// caller finishes with it (buffers return to the cache on destruction).
 std::unique_ptr<AsyncOp> extract(MPI_Request ticket) {
-  PoolShard &s = shard_for(pool(), ticket);
+  Pool &p = pool();
+  PoolShard &s = shard_for(p, ticket);
   const std::lock_guard<support::ContendedMutex> lock(s.mutex);
   const auto it = s.ops.find(ticket);
   if (it == s.ops.end()) {
@@ -284,6 +284,10 @@ std::unique_ptr<AsyncOp> extract(MPI_Request ticket) {
   }
   std::unique_ptr<AsyncOp> op = std::move(it->second);
   s.ops.erase(it);
+  if (op->persistent) {
+    // Invalidate every thread's memo before the op can die.
+    p.persistent_gen.fetch_add(1, std::memory_order_release);
+  }
   return op;
 }
 
@@ -313,30 +317,62 @@ void fill_recv_status(const AsyncOp &op, MPI_Status *status) {
   status->count_bytes = static_cast<long long>(op.pipe.bytes);
 }
 
+/// A persistent op between completion and its next Start. Only
+/// persistent ops rest in the pool in the Complete phase.
+bool inactive(const AsyncOp &op) {
+  return op.persistent && op.phase == OpPhase::Complete;
+}
+
+/// The label an op's trace spans carry.
+trace::OpKind op_kind(const AsyncOp &op) {
+  if (op.persistent) {
+    return trace::OpKind::Persistent;
+  }
+  return op.kind == AsyncOp::Kind::Send ? trace::OpKind::Isend
+                                        : trace::OpKind::Irecv;
+}
+
+/// Point an op at a recorded program: it runs on the program's stream and
+/// moves the program's bytes.
+void adopt(AsyncOp &op, std::shared_ptr<RecordedProgram> program) {
+  op.stream = program->prog.stream;
+  op.pipe.bytes = program->prog.pipe.bytes;
+  op.program = std::move(program);
+}
+
 /// Drain whatever stream work an op may still have enqueued (the chunked
 /// machine owns its own streams) before its buffers return to the cache.
+/// A persistent op's program stream needs none: every path that replays
+/// onto it also fences it.
 void drain_op_streams(AsyncOp &op) {
   if (op.chunked) {
     op.chunked->synchronize();
-  } else {
+  } else if (!op.persistent) {
     vcuda::StreamSynchronize(op.stream);
   }
 }
 
-/// Retire an op that has reached Complete.
-void retire(std::unique_ptr<AsyncOp> op, MPI_Request *request) {
-  (void)op; // destruction releases the pinned intermediates
+/// Finish a completed op. A persistent op re-arms: it goes inactive and
+/// its handle survives. Any other op leaves the pool, which releases its
+/// pinned intermediates, and its handle is nulled; `op` dangles after.
+void retire(AsyncOp &op, MPI_Request *request) {
+  if (op.persistent) {
+    op.phase = OpPhase::Complete;
+    return;
+  }
+  extract(*request).reset();
   *request = MPI_REQUEST_NULL;
   pool().completions.add();
 }
 
 /// The blocking wire leg of a monolithic packer-driven receive: the packed
-/// bytes land in the op's leased wire buffer.
+/// bytes land in the op's leased wire buffer, or in its recorded
+/// program's pinned one.
 int recv_wire(AsyncOp &op, const interpose::MpiTable &next) {
-  trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Irecv,
-                         op.pipe.bytes, op.peer, op.tag,
-                         static_cast<std::int8_t>(op.method));
-  return next.Recv(op.pipe.wire.get(), wire_count(op), MPI_BYTE, op.peer,
+  const PackPipeline &pipe = op.program ? op.program->prog.pipe : op.pipe;
+  trace::ScopedSpan wire(trace::Phase::Wire, op_kind(op), pipe.bytes,
+                         op.peer, op.tag, static_cast<std::int8_t>(op.method));
+  return next.Recv(pipe.wire.get(), pipe.wire_count(), MPI_BYTE, op.peer,
                    op.tag, op.comm, &op.wire_status);
 }
 
@@ -421,6 +457,28 @@ int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
   if (const int rc = recv_wire(op, next); rc != MPI_SUCCESS) {
     return rc;
   }
+  if (op.program) {
+    // A persistent receive: the recorded [H2D +] unpack chain replays
+    // with one graph launch, and a pre-armed fence stands in for the sync.
+    const PersistentProgram &prog = op.program->prog;
+    trace::ScopedSpan replay(trace::Phase::GraphReplay,
+                             trace::OpKind::Persistent, prog.pipe.bytes,
+                             op.peer, op.tag,
+                             static_cast<std::int8_t>(op.method));
+    if (vcuda::GraphLaunch(prog.graph, prog.stream) !=
+        vcuda::Error::Success) {
+      return MPI_ERR_OTHER;
+    }
+    Pool &p = pool();
+    p.p_replays.add();
+    p.p_graph_launches.add();
+    op.phase = OpPhase::UnpackPending;
+    if (sync) {
+      vcuda::StreamFence(prog.stream);
+      op.phase = OpPhase::Complete;
+    }
+    return MPI_SUCCESS;
+  }
   trace::ScopedSpan unpack(trace::Phase::Unpack, trace::OpKind::Irecv,
                            op.pipe.bytes, op.peer, op.tag,
                            static_cast<std::int8_t>(op.method));
@@ -461,97 +519,43 @@ int complete_send(AsyncOp &op, const interpose::MpiTable &next) {
   return rc;
 }
 
-/// Publish an armed-and-completed channel's status (sends: empty, as the
-/// system MPI does; receives: the wire status with the logical byte
-/// count).
-void fill_channel_status(const PersistentChannel &ch, MPI_Status *status) {
-  if (status == MPI_STATUS_IGNORE) {
-    return;
-  }
-  if (ch.is_send) {
-    *status = MPI_Status{};
-    return;
-  }
-  *status = ch.wire_status;
-  status->count_bytes =
-      ch.chunked ? static_cast<long long>(ch.chunked->bytes_received())
-                 : static_cast<long long>(ch.packer->packed_bytes(ch.count));
-}
-
-/// Drive an armed channel's current arming to completion. With
-/// sync=false (the Waitall batch) a receive's unpack replay is launched
-/// but the channel stays armed until the caller fences its stream and
-/// disarms it; everything else disarms here.
-int complete_channel(PersistentChannel &ch, const interpose::MpiTable &next,
-                     bool sync) {
-  if (!ch.active) {
-    return MPI_SUCCESS;
-  }
+/// Post a send from its recorded program: replay the pack graph into the
+/// program's pinned wire lease, fence (the wire must not depart before the
+/// pack completes), and post the transfer eagerly. Repeated Isends and
+/// persistent Starts both send this way, so the whole per-send setup is
+/// one graph launch.
+int post_program_send(AsyncOp &op, const interpose::MpiTable &next) {
   Pool &p = pool();
-  if (ch.is_send) {
-    // The wire leg was posted eagerly at Start; reclaim it.
-    const int rc = ch.inner == MPI_REQUEST_NULL
-                       ? MPI_SUCCESS
-                       : next.Wait(&ch.inner, MPI_STATUS_IGNORE);
-    ch.active = false; // disarm even on error; the arming cannot be retried
-    return rc;
-  }
-  if (ch.chunked) {
-    int rc = MPI_SUCCESS;
-    while (!ch.chunked->done() &&
-           (rc = ch.chunked->step(next)) == MPI_SUCCESS) {
-    }
-    if (rc != MPI_SUCCESS) {
-      ch.chunked->synchronize();
-      ch.active = false;
-      return rc;
-    }
-    ch.chunked->fill_status(&ch.wire_status);
-    if (sync) {
-      ch.chunked->synchronize();
-      ch.active = false;
-    }
-    return MPI_SUCCESS;
-  }
-  // Monolithic receive: wire bytes land in the pinned lease, then the
-  // recorded [H2D +] unpack chain replays with one graph launch.
-  int rc;
+  const PersistentProgram &prog = op.program->prog;
   {
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Persistent,
-                           ch.prog.pipe.bytes, ch.peer, ch.tag,
-                           static_cast<std::int8_t>(ch.method));
-    rc = next.Recv(ch.prog.pipe.wire.get(), ch.prog.pipe.wire_count(),
-                   MPI_BYTE, ch.peer, ch.tag, ch.comm, &ch.wire_status);
+    trace::ScopedSpan replay(trace::Phase::GraphReplay, op_kind(op),
+                             prog.pipe.bytes, op.peer, op.tag,
+                             static_cast<std::int8_t>(op.method));
+    if (vcuda::GraphLaunch(prog.graph, prog.stream) !=
+        vcuda::Error::Success) {
+      return MPI_ERR_OTHER;
+    }
+    if (op.persistent) {
+      p.p_replays.add();
+      p.p_graph_launches.add();
+    } else {
+      p.isend_replays.add();
+    }
+    vcuda::StreamFence(prog.stream);
   }
-  if (rc != MPI_SUCCESS) {
-    ch.active = false;
-    return rc;
-  }
-  trace::ScopedSpan replay(trace::Phase::GraphReplay,
-                           trace::OpKind::Persistent, ch.prog.pipe.bytes,
-                           ch.peer, ch.tag,
-                           static_cast<std::int8_t>(ch.method));
-  if (vcuda::GraphLaunch(ch.prog.graph, ch.prog.stream) !=
-      vcuda::Error::Success) {
-    ch.active = false;
-    return MPI_ERR_OTHER;
-  }
-  p.p_replays.add();
-  p.p_graph_launches.add();
-  if (sync) {
-    vcuda::StreamFence(ch.prog.stream);
-    ch.active = false;
-  }
-  return MPI_SUCCESS;
+  trace::ScopedSpan wire(trace::Phase::Wire, op_kind(op), prog.pipe.bytes,
+                         op.peer, op.tag, static_cast<std::int8_t>(op.method));
+  return next.Isend(prog.pipe.wire.get(), prog.pipe.wire_count(), MPI_BYTE,
+                    op.peer, op.tag, op.comm, &op.inner);
 }
 
 // --- repeated MPI_Isend replay ----------------------------------------------
 //
 // The halo exchange Isends the same faces every iteration. The thread's
 // send table (tempi/replay.hpp) records a repeated monolithic Isend as the
-// program a persistent send channel freezes, then replays it: one graph
-// launch and a pre-armed fence instead of a lease, a cold pack launch and
-// a blocking sync per message.
+// program MPI_Send_init freezes, then sends from it the way MPI_Start does
+// (post_program_send): one graph launch and a pre-armed fence instead of a
+// lease, a cold pack launch and a blocking sync per message.
 
 /// What makes two Isends the same work. The envelope (peer, tag, comm) is
 /// not part of the program, so it is not part of the key.
@@ -569,7 +573,7 @@ struct SendKey {
   }
 };
 
-using SendTable = replay::Table<SendKey, std::shared_ptr<SendProgram>>;
+using SendTable = replay::Table<SendKey, std::shared_ptr<RecordedProgram>>;
 
 /// Allocated on the thread's first monolithic Isend, freed at thread exit.
 thread_local std::unique_ptr<SendTable> t_send_replay;
@@ -578,8 +582,9 @@ thread_local std::unique_ptr<SendTable> t_send_replay;
 /// live: the first sighting of its key, a program still in flight, a
 /// message larger than the budget, or a failed capture. The second
 /// sighting records the program; it and every later one pay the lookup.
-std::shared_ptr<SendProgram> send_program(const Packer &packer, Method method,
-                                          const void *buf, int count) {
+std::shared_ptr<RecordedProgram> send_program(const Packer &packer,
+                                              Method method, const void *buf,
+                                              int count) {
   Pool &p = pool();
   if (!t_send_replay) {
     t_send_replay =
@@ -598,7 +603,7 @@ std::shared_ptr<SendProgram> send_program(const Packer &packer, Method method,
         kSendReplayBudget) {
       return nullptr; // never promotes
     }
-    auto prog = std::make_shared<SendProgram>();
+    auto prog = std::make_shared<RecordedProgram>();
     if (record_persistent_send(packer, method, buf, count, &prog->prog,
                                trace::OpKind::Isend) != MPI_SUCCESS) {
       return nullptr; // unpromoted: the next sighting tries again
@@ -659,23 +664,13 @@ int start_isend(const Packer *packer, Method method, const void *buf,
 
   // PackIssued: the pack legs go onto the stream asynchronously.
   op->phase = OpPhase::PackIssued;
-  const void *wire_buf = nullptr;
-  if ((op->program = send_program(*packer, method, buf, count))) {
+  int rc;
+  if (std::shared_ptr<RecordedProgram> program =
+          send_program(*packer, method, buf, count)) {
     // A repeated send: the recorded pack chain refills the program's
-    // pinned wire lease, and the fence folds it into the host clock.
-    const PersistentProgram &prog = op->program->prog;
-    op->stream = prog.stream;
-    op->pipe.bytes = prog.pipe.bytes;
-    wire_buf = prog.pipe.wire.get();
-    trace::ScopedSpan replay(trace::Phase::GraphReplay, trace::OpKind::Isend,
-                             prog.pipe.bytes, dest, tag,
-                             static_cast<std::int8_t>(method));
-    if (vcuda::GraphLaunch(prog.graph, prog.stream) !=
-        vcuda::Error::Success) {
-      return MPI_ERR_OTHER;
-    }
-    pool().isend_replays.add();
-    vcuda::StreamFence(prog.stream);
+    // pinned wire lease.
+    adopt(*op, std::move(program));
+    rc = post_program_send(*op, next);
   } else {
     // Round-robin pool stream: consecutive messages' pack/D2H legs land on
     // different streams and overlap in device time.
@@ -698,15 +693,11 @@ int start_isend(const Packer *packer, Method method, const void *buf,
     // copy has landed in the wire buffer; return it now rather than
     // pinning it for the op's whole flight.
     op->pipe.stage = CachedBuffer{};
-    wire_buf = op->pipe.wire.get();
-  }
-  int rc;
-  {
     trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Isend,
                            op->pipe.bytes, dest, tag,
                            static_cast<std::int8_t>(method));
-    rc = next.Isend(wire_buf, wire_count(*op), MPI_BYTE, dest, tag, comm,
-                    &op->inner);
+    rc = next.Isend(op->pipe.wire.get(), wire_count(*op), MPI_BYTE, dest, tag,
+                    comm, &op->inner);
   }
   if (rc != MPI_SUCCESS) {
     return rc;
@@ -933,201 +924,171 @@ namespace {
 
 std::atomic<RechooseFn> g_rechoose{nullptr};
 
-/// Lazy re-freeze (tentpole (c)): when a tuned model landed since this
-/// channel froze, re-run the exhaustive search once and re-record the
-/// program only if the plan actually changed. The no-bump hot path is a
-/// single relaxed generation load; the generation is consumed before the
-/// search so a channel re-chooses at most once per bump even when the
-/// search keeps the old plan.
-int maybe_refreeze(PersistentChannel &ch) {
-  const std::uint64_t gen = tune::refresh_generation();
-  if (gen == ch.frozen_gen) {
-    return MPI_SUCCESS;
-  }
-  ch.frozen_gen = gen;
-  const RechooseFn rechoose = g_rechoose.load(std::memory_order_acquire);
-  if (rechoose == nullptr || ch.packer == nullptr) {
-    return MPI_SUCCESS;
-  }
-  const void *buf = ch.is_send ? ch.send_buf : ch.recv_buf;
-  const std::optional<TransferChoice> choice =
-      rechoose(*ch.packer, buf, ch.count);
-  if (!choice ||
-      (choice->method == ch.method &&
-       (choice->method != Method::Pipelined ||
-        choice->chunk_bytes == ch.chunk_bytes))) {
-    return MPI_SUCCESS; // same plan: keep the recorded program
-  }
-  // The tuned tables changed the plan: drop the old program (graphs +
-  // pinned leases) and record a fresh one in place.
-  ch.prog.clear();
-  ch.pipeprog.reset();
-  ch.leg_graph_count = 0;
-  ch.method = choice->method;
-  ch.chunk_bytes = choice->chunk_bytes;
+/// Record `choice` into fresh programs for a persistent op and swap them
+/// in only once recording succeeded, so a failed record leaves the op on
+/// its current plan. Send_init/Recv_init freeze the first plan this way,
+/// maybe_refreeze every later one.
+int freeze(AsyncOp &op, TransferChoice choice) {
+  std::shared_ptr<RecordedProgram> program;
+  std::unique_ptr<PipelinedSendProgram> pipeprog;
   int rc = MPI_SUCCESS;
-  if (ch.is_send) {
-    if (choice->method == Method::Pipelined) {
-      ch.pipeprog = std::make_unique<PipelinedSendProgram>();
-      rc = record_pipelined_send(*ch.packer, ch.send_buf, ch.count,
-                                 choice->chunk_bytes, ch.pipeprog.get());
-      if (rc == MPI_SUCCESS) {
-        for (vcuda::GraphHandle g : ch.pipeprog->leg_graphs) {
-          ch.leg_graph_count += g != nullptr ? 1 : 0;
-        }
-      }
-    } else {
-      rc = record_persistent_send(*ch.packer, choice->method, ch.send_buf,
-                                  ch.count, &ch.prog);
+  if (choice.method != Method::Pipelined) {
+    program = std::make_shared<RecordedProgram>();
+    rc = op.kind == AsyncOp::Kind::Send
+             ? record_persistent_send(*op.packer, choice.method, op.send_buf,
+                                      op.count, &program->prog)
+             : record_persistent_recv(*op.packer, choice.method, op.recv_buf,
+                                      op.count, &program->prog);
+  } else if (op.kind == AsyncOp::Kind::Send) {
+    // One pack graph per wire leg (see record_pipelined_send). A pipelined
+    // receive records nothing: Start re-arms a ChunkedRecv, whose leg
+    // sizes follow the sender's first leg and cannot be frozen.
+    pipeprog = std::make_unique<PipelinedSendProgram>();
+    rc = record_pipelined_send(*op.packer, op.send_buf, op.count,
+                               choice.chunk_bytes, pipeprog.get());
+  }
+  if (rc != MPI_SUCCESS) {
+    return rc; // the fresh programs release their leases and graphs here
+  }
+  op.method = choice.method;
+  op.chunk_bytes = choice.chunk_bytes;
+  op.leg_graph_count = 0;
+  if (pipeprog) {
+    for (vcuda::GraphHandle g : pipeprog->leg_graphs) {
+      op.leg_graph_count += g != nullptr ? 1 : 0;
     }
-  } else if (choice->method != Method::Pipelined) {
-    rc = record_persistent_recv(*ch.packer, choice->method, ch.recv_buf,
-                                ch.count, &ch.prog);
-  } // a Pipelined receive records nothing: ChunkedRecv re-arms per Start
+  }
+  op.pipeprog = std::move(pipeprog);
+  if (program) {
+    adopt(op, std::move(program));
+  } else {
+    op.program.reset();
+  }
+  return MPI_SUCCESS;
+}
+
+/// Lazy re-freeze: when a tuned model landed since this op froze, re-run
+/// the exhaustive search once and re-record the program only if the plan
+/// actually changed. The no-bump hot path is a single relaxed generation
+/// load; the generation is consumed before the search so an op re-chooses
+/// at most once per bump even when the search keeps the old plan. A
+/// failed re-record keeps the frozen plan, exactly as nullopt does.
+void maybe_refreeze(AsyncOp &op) {
+  const std::uint64_t gen = tune::refresh_generation();
+  if (gen == op.frozen_gen) {
+    return;
+  }
+  op.frozen_gen = gen;
+  const RechooseFn rechoose = g_rechoose.load(std::memory_order_acquire);
+  if (rechoose == nullptr) {
+    return;
+  }
+  const void *buf =
+      op.kind == AsyncOp::Kind::Send ? op.send_buf : op.recv_buf;
+  const std::optional<TransferChoice> choice =
+      rechoose(*op.packer, buf, op.count);
+  if (!choice ||
+      (choice->method == op.method &&
+       (choice->method != Method::Pipelined ||
+        choice->chunk_bytes == op.chunk_bytes))) {
+    return; // same plan: keep the recorded program
+  }
+  if (const int rc = freeze(op, *choice); rc != MPI_SUCCESS) {
+    support::log_warn("tempi: re-freezing a persistent request (peer ",
+                      op.peer, ", tag ", op.tag, ") failed with error ", rc,
+                      "; it keeps its frozen plan");
+    return;
+  }
   tune::note_refreeze();
-  return rc;
+}
+
+/// Create an inactive persistent op and freeze `choice` into it.
+int open_persistent(AsyncOp::Kind kind, std::shared_ptr<const Packer> packer,
+                    TransferChoice choice, const void *send_buf,
+                    void *recv_buf, int count, int peer, int tag,
+                    MPI_Comm comm, MPI_Request *request) {
+  auto op = std::make_unique<AsyncOp>();
+  op->kind = kind;
+  op->persistent = true;
+  op->phase = OpPhase::Complete; // inactive until Start
+  op->packer_pin = std::move(packer);
+  op->packer = op->packer_pin.get();
+  op->send_buf = send_buf;
+  op->recv_buf = recv_buf;
+  op->count = count;
+  op->peer = peer;
+  op->tag = tag;
+  op->comm = comm;
+  op->frozen_gen = tune::refresh_generation();
+  if (const int rc = freeze(*op, choice); rc != MPI_SUCCESS) {
+    return rc;
+  }
+  pool().p_inits.add();
+  *request = insert(std::move(op));
+  return MPI_SUCCESS;
 }
 
 } // namespace
 
-void set_persistent_rechoose(RechooseFn fn) {
-  g_rechoose.store(fn, std::memory_order_release);
+RechooseFn set_persistent_rechoose(RechooseFn fn) {
+  return g_rechoose.exchange(fn, std::memory_order_acq_rel);
 }
 
 int send_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
               const void *buf, int count, int dest, int tag, MPI_Comm comm,
               const interpose::MpiTable & /*next*/, MPI_Request *request) {
-  auto ch = std::make_unique<PersistentChannel>();
-  ch->is_send = true;
-  ch->packer = std::move(packer);
-  ch->method = choice.method;
-  ch->send_buf = buf;
-  ch->count = count;
-  ch->peer = dest;
-  ch->tag = tag;
-  ch->comm = comm;
-  ch->chunk_bytes = choice.chunk_bytes;
-  ch->frozen_gen = tune::refresh_generation();
-  int rc = MPI_SUCCESS;
-  if (choice.method == Method::Pipelined) {
-    ch->pipeprog = std::make_unique<PipelinedSendProgram>();
-    rc = record_pipelined_send(*ch->packer, buf, count, choice.chunk_bytes,
-                               ch->pipeprog.get());
-    for (vcuda::GraphHandle g : ch->pipeprog->leg_graphs) {
-      ch->leg_graph_count += g != nullptr ? 1 : 0;
-    }
-  } else {
-    rc = record_persistent_send(*ch->packer, choice.method, buf, count,
-                                &ch->prog);
-  }
-  if (rc != MPI_SUCCESS) {
-    return rc; // the half-built channel releases its leases/graphs here
-  }
-  Pool &p = pool();
-  p.p_inits.add();
-  const MPI_Request ticket = reinterpret_cast<MPI_Request>(ch.get());
-  PoolShard &s = shard_for(p, ticket);
-  const std::lock_guard<support::ContendedMutex> lock(s.mutex);
-  s.channels.emplace(ticket, std::move(ch));
-  *request = ticket;
-  return MPI_SUCCESS;
+  return open_persistent(AsyncOp::Kind::Send, std::move(packer), choice, buf,
+                         nullptr, count, dest, tag, comm, request);
 }
 
 int recv_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
               void *buf, int count, int source, int tag, MPI_Comm comm,
               const interpose::MpiTable & /*next*/, MPI_Request *request) {
-  auto ch = std::make_unique<PersistentChannel>();
-  ch->is_send = false;
-  ch->packer = std::move(packer);
-  ch->method = choice.method;
-  ch->recv_buf = buf;
-  ch->count = count;
-  ch->peer = source;
-  ch->tag = tag;
-  ch->comm = comm;
-  ch->chunk_bytes = choice.chunk_bytes;
-  ch->frozen_gen = tune::refresh_generation();
-  if (choice.method != Method::Pipelined) {
-    const int rc = record_persistent_recv(*ch->packer, choice.method, buf,
-                                          count, &ch->prog);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
-  }
-  Pool &p = pool();
-  p.p_inits.add();
-  const MPI_Request ticket = reinterpret_cast<MPI_Request>(ch.get());
-  PoolShard &s = shard_for(p, ticket);
-  const std::lock_guard<support::ContendedMutex> lock(s.mutex);
-  s.channels.emplace(ticket, std::move(ch));
-  *request = ticket;
-  return MPI_SUCCESS;
+  return open_persistent(AsyncOp::Kind::Recv, std::move(packer), choice,
+                         nullptr, buf, count, source, tag, comm, request);
 }
 
 int start(MPI_Request *request, const interpose::MpiTable &next) {
   if (request == nullptr) {
     return MPI_ERR_ARG;
   }
-  PersistentChannel *ch = find_channel(*request);
-  if (ch == nullptr || ch->active) {
-    return MPI_ERR_ARG; // not a channel, or Start on an armed channel
+  AsyncOp *op = find(*request);
+  if (op == nullptr || !inactive(*op)) {
+    return MPI_ERR_ARG; // not a persistent request, or already armed
   }
-  if (const int rc = maybe_refreeze(*ch); rc != MPI_SUCCESS) {
-    return rc;
-  }
+  maybe_refreeze(*op);
   Pool &p = pool();
   p.p_starts.add();
-  if (!ch->is_send) {
-    if (ch->method == Method::Pipelined) {
-      ch->chunked = std::make_unique<ChunkedRecv>(
-          *ch->packer, ch->recv_buf, ch->count, ch->peer, ch->tag, ch->comm);
-    }
-    ch->active = true; // the wire is matched lazily at Wait/Test
+  if (op->kind == AsyncOp::Kind::Recv) {
+    // The wire is matched lazily at Wait/Test; a pipelined receive gets a
+    // fresh ChunkedRecv per arming.
+    op->chunked = op->method == Method::Pipelined
+                      ? std::make_unique<ChunkedRecv>(*op->packer,
+                                                      op->recv_buf, op->count,
+                                                      op->peer, op->tag,
+                                                      op->comm)
+                      : nullptr;
+    op->phase = OpPhase::WirePending;
     return MPI_SUCCESS;
   }
-  if (ch->method == Method::Pipelined) {
+  if (op->method != Method::Pipelined) {
+    if (const int rc = post_program_send(*op, next); rc != MPI_SUCCESS) {
+      return rc; // the request stays inactive
+    }
+  } else {
     // Per-leg graph replays, same framing and overlap as send_pipelined;
     // every leg is a buffered send, so the eager-post deadlock discipline
     // holds.
-    const int rc = replay_pipelined_send(*ch->pipeprog, ch->peer, ch->tag,
-                                         ch->comm, next);
+    const int rc = replay_pipelined_send(*op->pipeprog, op->peer, op->tag,
+                                         op->comm, next);
     if (rc != MPI_SUCCESS) {
       return rc;
     }
     p.p_replays.add();
-    p.p_graph_launches.add(ch->leg_graph_count);
-    ch->inner = MPI_REQUEST_NULL; // all legs already on the wire
-    ch->active = true;
-    return MPI_SUCCESS;
+    p.p_graph_launches.add(op->leg_graph_count);
+    op->inner = MPI_REQUEST_NULL; // all legs already on the wire
   }
-  // Monolithic send: replay the pack graph into the pinned wire lease,
-  // fence (the wire must not depart before the pack completes), and post
-  // the transfer eagerly — the whole per-send setup is one graph launch.
-  {
-    trace::ScopedSpan replay(trace::Phase::GraphReplay,
-                             trace::OpKind::Persistent, ch->prog.pipe.bytes,
-                             ch->peer, ch->tag,
-                             static_cast<std::int8_t>(ch->method));
-    if (vcuda::GraphLaunch(ch->prog.graph, ch->prog.stream) !=
-        vcuda::Error::Success) {
-      return MPI_ERR_OTHER;
-    }
-    p.p_replays.add();
-    p.p_graph_launches.add();
-    vcuda::StreamFence(ch->prog.stream);
-  }
-  int rc;
-  {
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Persistent,
-                           ch->prog.pipe.bytes, ch->peer, ch->tag,
-                           static_cast<std::int8_t>(ch->method));
-    rc = next.Isend(ch->prog.pipe.wire.get(), ch->prog.pipe.wire_count(),
-                    MPI_BYTE, ch->peer, ch->tag, ch->comm, &ch->inner);
-  }
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  ch->active = true;
+  op->phase = OpPhase::TransferPosted;
   return MPI_SUCCESS;
 }
 
@@ -1136,9 +1097,9 @@ int startall(int count, MPI_Request *requests,
   if (count < 0 || (count > 0 && requests == nullptr)) {
     return MPI_ERR_ARG;
   }
-  // A persistent fan-out arms its send channels in node-aware order (see
+  // A persistent fan-out arms its sends in node-aware order (see
   // tempi/topology.*): array positions stay untouched — only the order the
-  // owned send channels hit the wire changes, and same-peer channels keep
+  // owned persistent sends hit the wire changes, and same-peer sends keep
   // their relative order (per-(peer, tag) FIFO). Receives and non-pool
   // requests arm at their original positions; their order carries no wire
   // traffic. Identity when the kill-switch is off or the shape is trivial.
@@ -1147,17 +1108,17 @@ int startall(int count, MPI_Request *requests,
   MPI_Comm fan_comm = nullptr;
   bool uniform_comm = true;
   for (int i = 0; i < count && uniform_comm; ++i) {
-    const PersistentChannel *ch =
-        owns(requests[i]) ? find_channel(requests[i]) : nullptr;
-    if (ch == nullptr || !ch->is_send) {
+    const AsyncOp *op =
+        requests[i] != MPI_REQUEST_NULL ? find(requests[i]) : nullptr;
+    if (op == nullptr || !op->persistent || op->kind != AsyncOp::Kind::Send) {
       continue;
     }
     if (fan_comm == nullptr) {
-      fan_comm = ch->comm;
+      fan_comm = op->comm;
     }
-    uniform_comm = ch->comm == fan_comm;
+    uniform_comm = op->comm == fan_comm;
     send_pos.push_back(static_cast<std::size_t>(i));
-    send_peers.push_back(ch->peer);
+    send_peers.push_back(op->peer);
   }
   std::vector<std::size_t> arm = send_pos;
   if (uniform_comm && fan_comm != nullptr && send_pos.size() > 1) {
@@ -1174,9 +1135,9 @@ int startall(int count, MPI_Request *requests,
         send_pos[next_send] == static_cast<std::size_t>(i);
     const int idx =
         is_sched_send ? static_cast<int>(arm[next_send++]) : i;
-    // owns(), not find_channel(): a plain pool ticket must fail cleanly in
-    // start() (MPI_ERR_ARG), never reach next.Start, which would
-    // reinterpret the AsyncOp pointer as a system request.
+    // A one-shot pool ticket must fail cleanly in start() (MPI_ERR_ARG),
+    // never reach next.Start, which would reinterpret the AsyncOp pointer
+    // as a system request.
     const int rc = owns(requests[idx]) ? start(&requests[idx], next)
                                        : next.Start(&requests[idx]);
     if (rc != MPI_SUCCESS) {
@@ -1190,16 +1151,29 @@ int request_free(MPI_Request *request, const interpose::MpiTable &next) {
   if (request == nullptr || *request == MPI_REQUEST_NULL) {
     return MPI_ERR_ARG;
   }
+  std::unique_ptr<AsyncOp> op = extract(*request);
+  if (!op) {
+    return MPI_ERR_ARG; // caller must check owns() first
+  }
+  // The op is destroyed when `op` leaves scope no matter what happens
+  // below, so the handle must be nulled on every path — leaving it set
+  // would hand the application a dangling pointer.
+  *request = MPI_REQUEST_NULL;
   // Request_free never blocks, matching sys_Request_free: send-side wire
   // work was posted eagerly (buffered) and is reclaimed instantly, while
   // a receive whose completion would need an unmatched message is
-  // discarded. The one exception is a multi-leg receive that already
-  // consumed legs: its sender posted every leg eagerly, so completing it
-  // cannot block, and discarding it would strand ordered legs for the
-  // next matcher on the pair channel.
-  if (find(*request) != nullptr) {
-    std::unique_ptr<AsyncOp> op = extract(*request);
-    int rc = MPI_SUCCESS;
+  // discarded, exactly as the system MPI discards a pending Irecv. The
+  // one exception is a multi-leg receive that already consumed legs: its
+  // sender posted every leg eagerly, so completing it cannot block, and
+  // discarding it would strand ordered legs for the next matcher on the
+  // pair channel.
+  int rc = MPI_SUCCESS;
+  if (!inactive(*op)) {
+    if (op->persistent) {
+      support::log_warn("tempi: MPI_Request_free on an armed persistent ",
+                        op->kind == AsyncOp::Kind::Send ? "send" : "receive",
+                        " (peer ", op->peer, ", tag ", op->tag, ")");
+    }
     if (op->kind == AsyncOp::Kind::Send) {
       rc = complete_send(*op, next);
     } else if ((op->chunked && op->chunked->bytes_received() > 0) ||
@@ -1208,51 +1182,11 @@ int request_free(MPI_Request *request, const interpose::MpiTable &next) {
       rc = complete_recv(*op, next, /*sync=*/true);
     }
     drain_op_streams(*op);
-    retire(std::move(op), request);
-    return rc;
   }
-  std::unique_ptr<PersistentChannel> ch;
-  {
-    Pool &p = pool();
-    PoolShard &s = shard_for(p, *request);
-    const std::lock_guard<support::ContendedMutex> lock(s.mutex);
-    const auto it = s.channels.find(*request);
-    if (it == s.channels.end()) {
-      return MPI_ERR_ARG; // caller must check owns() first
-    }
-    ch = std::move(it->second);
-    s.channels.erase(it);
-    // Invalidate every thread's channel memo before the channel dies.
-    p.channel_gen.fetch_add(1, std::memory_order_release);
+  if (!op->persistent) {
+    pool().completions.add();
   }
-  // The channel is destroyed when `ch` leaves scope no matter what
-  // happens below, so the handle must be nulled on every path — leaving
-  // it set would hand the application a dangling pointer.
-  *request = MPI_REQUEST_NULL;
-  if (ch->active) {
-    support::log_warn("tempi: MPI_Request_free on an armed persistent ",
-                      ch->is_send ? "send" : "receive", " (peer ", ch->peer,
-                      ", tag ", ch->tag, ")");
-    if (ch->is_send) {
-      // The arming's wire leg is already out; reclaim it (instant).
-      const int rc = ch->inner == MPI_REQUEST_NULL
-                         ? MPI_SUCCESS
-                         : next.Wait(&ch->inner, MPI_STATUS_IGNORE);
-      if (rc != MPI_SUCCESS) {
-        return rc;
-      }
-    } else if (ch->chunked && ch->chunked->bytes_received() > 0) {
-      // Mid-message pipelined receive: finish it (cannot block, see above).
-      const int rc = complete_channel(*ch, next, /*sync=*/true);
-      if (rc != MPI_SUCCESS) {
-        return rc;
-      }
-    }
-    // Any other armed receive is just a lazy match that never happened:
-    // discard the arming, exactly as the system MPI discards a pending
-    // Irecv on free.
-  }
-  return MPI_SUCCESS; // destruction unpins leases and destroys graphs
+  return rc; // destruction unpins leases and destroys graphs
 }
 
 std::size_t persistent_open() {
@@ -1260,7 +1194,9 @@ std::size_t persistent_open() {
   std::size_t n = 0;
   for (const auto &s : p.shards) {
     const std::lock_guard<support::ContendedMutex> lock(s->mutex);
-    n += s->channels.size();
+    for (const auto &[ticket, op] : s->ops) {
+      n += op->persistent ? 1 : 0;
+    }
   }
   return n;
 }
@@ -1269,35 +1205,24 @@ bool owns(MPI_Request request) {
   if (request == MPI_REQUEST_NULL) {
     return false;
   }
-  // A ticket can live in exactly one shard, so one stripe answers both
-  // maps' membership.
   PoolShard &s = shard_for(pool(), request);
   const std::lock_guard<support::ContendedMutex> lock(s.mutex);
-  return s.ops.contains(request) || s.channels.contains(request);
+  return s.ops.contains(request);
 }
 
 int wait(MPI_Request *request, MPI_Status *status,
          const interpose::MpiTable &next) {
-  if (PersistentChannel *ch = find_channel(*request)) {
-    // Persistent tickets re-arm rather than retire: the handle survives,
-    // and waiting on an inactive channel completes immediately with an
-    // empty status, per MPI.
-    if (!ch->active) {
-      if (status != MPI_STATUS_IGNORE) {
-        *status = MPI_Status{};
-      }
-      return MPI_SUCCESS;
-    }
-    const int rc = complete_channel(*ch, next, /*sync=*/true);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
-    fill_channel_status(*ch, status);
-    return MPI_SUCCESS;
-  }
-  std::unique_ptr<AsyncOp> op = extract(*request);
-  if (!op) {
+  AsyncOp *op = find(*request);
+  if (op == nullptr) {
     return MPI_ERR_ARG; // caller must check owns() first
+  }
+  if (inactive(*op)) {
+    // Per MPI, waiting on an inactive persistent request completes
+    // immediately with an empty status.
+    if (status != MPI_STATUS_IGNORE) {
+      *status = MPI_Status{};
+    }
+    return MPI_SUCCESS;
   }
   int rc = MPI_SUCCESS;
   if (op->kind == AsyncOp::Kind::Send) {
@@ -1316,68 +1241,28 @@ int wait(MPI_Request *request, MPI_Status *status,
     }
   }
   // On error the op is still retired: the application cannot retry a
-  // half-completed pipeline, and retiring releases the intermediates.
-  retire(std::move(op), request);
+  // half-completed pipeline, and retiring releases the intermediates (a
+  // persistent op just goes inactive).
+  retire(*op, request);
   return rc;
 }
 
 int test(MPI_Request *request, int *flag, MPI_Status *status,
          const interpose::MpiTable &next) {
-  if (PersistentChannel *ch = find_channel(*request)) {
-    if (!ch->active) {
-      *flag = 1; // inactive persistent tickets test as complete (empty)
-      if (status != MPI_STATUS_IGNORE) {
-        *status = MPI_Status{};
-      }
-      return MPI_SUCCESS;
-    }
-    if (ch->is_send) {
-      // The wire legs were posted eagerly at Start (buffered sends), so an
-      // armed send can always complete here.
-      *flag = 1;
-      return wait(request, status, next);
-    }
-    if (ch->chunked) {
-      // Pipelined persistent receive: consume arrived legs incrementally,
-      // exactly like a pipelined Irecv.
-      while (!ch->chunked->done() && ch->chunked->ready(next)) {
-        const int rc = ch->chunked->step(next);
-        if (rc != MPI_SUCCESS) {
-          ch->chunked->synchronize();
-          ch->active = false;
-          *flag = 1; // completed, though with an error
-          return rc;
-        }
-      }
-      if (!ch->chunked->done()) {
-        vcuda::this_thread_timeline().advance(kPollSweepNs);
-        *flag = 0;
-        return MPI_SUCCESS;
-      }
-      *flag = 1;
-      return wait(request, status, next); // finishes instantly
-    }
-    int matched = 0;
-    const int prc = next.Iprobe(ch->peer, ch->tag, ch->comm, &matched,
-                                nullptr);
-    if (prc != MPI_SUCCESS) {
-      return prc;
-    }
-    if (matched == 0) {
-      vcuda::this_thread_timeline().advance(kPollSweepNs);
-      *flag = 0;
-      return MPI_SUCCESS;
-    }
-    *flag = 1;
-    return wait(request, status, next);
-  }
   AsyncOp *op = find(*request);
   if (op == nullptr) {
     return MPI_ERR_ARG;
   }
+  if (inactive(*op)) {
+    *flag = 1; // inactive persistent requests test as complete (empty)
+    if (status != MPI_STATUS_IGNORE) {
+      *status = MPI_Status{};
+    }
+    return MPI_SUCCESS;
+  }
   if (op->kind == AsyncOp::Kind::Send) {
-    // The transfer was posted at Isend time and the system MPI's sends are
-    // buffered, so a posted send can always complete here.
+    // The transfer was posted at Isend/Start time and the system MPI's
+    // sends are buffered, so a posted send can always complete here.
     *flag = 1;
     return wait(request, status, next);
   }
@@ -1389,8 +1274,7 @@ int test(MPI_Request *request, int *flag, MPI_Status *status,
       const int rc = op->chunked->step(next);
       if (rc != MPI_SUCCESS) {
         op->chunked->synchronize();
-        std::unique_ptr<AsyncOp> owned = extract(*request);
-        retire(std::move(owned), request);
+        retire(*op, request);
         *flag = 1; // completed, though with an error
         return rc;
       }
@@ -1409,8 +1293,7 @@ int test(MPI_Request *request, int *flag, MPI_Status *status,
     while (!op->packed_chunked->done() && op->packed_chunked->ready(next)) {
       const int rc = op->packed_chunked->step(next);
       if (rc != MPI_SUCCESS) {
-        std::unique_ptr<AsyncOp> owned = extract(*request);
-        retire(std::move(owned), request);
+        retire(*op, request);
         *flag = 1; // completed, though with an error
         return rc;
       }
@@ -1440,13 +1323,13 @@ int test(MPI_Request *request, int *flag, MPI_Status *status,
 namespace {
 
 /// One non-blocking completion probe of a mixed-array entry — TEMPI
-/// tickets (ops and channels) through test(), everything else through the
-/// system table. Already-done entries (null slots, disarmed persistent
-/// tickets) report Inactive WITHOUT being re-tested or touching the
-/// status: Testall counts them complete but must not clobber statuses
-/// written by the poll that completed them, and the *some/*any calls
-/// ignore them outright (reporting them as completions would livelock
-/// drain loops once a channel completed and disarmed).
+/// tickets through test(), everything else through the system table.
+/// Already-done entries (null slots, inactive persistent tickets) report
+/// Inactive WITHOUT being re-tested or touching the status: Testall counts
+/// them complete but must not clobber statuses written by the poll that
+/// completed them, and the *some/*any calls ignore them outright
+/// (reporting them as completions would livelock drain loops once a
+/// persistent request completed and went inactive).
 enum class EntryProbe { Inactive, Pending, Completed };
 
 int probe_entry(MPI_Request *request, MPI_Status *status,
@@ -1455,11 +1338,11 @@ int probe_entry(MPI_Request *request, MPI_Status *status,
   if (*request == MPI_REQUEST_NULL) {
     return MPI_SUCCESS;
   }
-  if (PersistentChannel *ch = find_channel(*request)) {
-    if (!ch->active) {
-      return MPI_SUCCESS; // disarmed: ignored, per MPI
+  if (const AsyncOp *op = find(*request)) {
+    if (inactive(*op)) {
+      return MPI_SUCCESS; // ignored, per MPI
     }
-  } else if (find(*request) == nullptr) {
+  } else {
     // A system request: a one-element Testany distinguishes an inactive
     // persistent request (flag = 1, index = MPI_UNDEFINED) from a real
     // completion, which plain Test cannot.
@@ -1485,9 +1368,10 @@ int probe_entry(MPI_Request *request, MPI_Status *status,
 
 /// A receive whose unpack can join Waitall's fused launch: a canonical
 /// packer moved by one kernel (Device or OneShot). Blocklist and
-/// pre-packed ops carry no packer, and pipelined ops are Method::Pipelined.
+/// pre-packed ops carry no packer, pipelined ops are Method::Pipelined,
+/// and persistent receives replay their recorded unpack graph instead.
 bool fusable(const AsyncOp &op) {
-  return op.packer != nullptr &&
+  return op.packer != nullptr && !op.program &&
          (op.method == Method::Device || op.method == Method::OneShot);
 }
 
@@ -1500,10 +1384,6 @@ bool rendezvous_sized(std::size_t bytes) {
 /// Payload bytes a receive op's wire wait expects.
 std::size_t expected_bytes(const AsyncOp &op) {
   return op.chunked ? op.packer->packed_bytes(op.count) : op.pipe.bytes;
-}
-
-std::size_t expected_bytes(const PersistentChannel &ch) {
-  return ch.chunked ? ch.packer->packed_bytes(ch.count) : ch.prog.pipe.bytes;
 }
 
 void note_stream(std::vector<vcuda::StreamHandle> &list,
@@ -1556,10 +1436,13 @@ struct UnpackBatch {
 /// Waitall's pass-1 step for one receive op: receive the wire, then either
 /// append the unpack to `batch` or enqueue it on the op's own path without
 /// a sync. A rendezvous-sized wire wait first launches the pending batch.
-/// Streams left holding this op's work are added to `streams`.
+/// Streams left holding this op's work are added to `streams`, or, for a
+/// persistent op, to `fence_streams`: those take the cheaper pre-armed
+/// fence instead of a host synchronization.
 int complete_recv_deferred(AsyncOp &op, const interpose::MpiTable &next,
                            UnpackBatch &batch,
-                           std::vector<vcuda::StreamHandle> &streams) {
+                           std::vector<vcuda::StreamHandle> &streams,
+                           std::vector<vcuda::StreamHandle> &fence_streams) {
   if (rendezvous_sized(expected_bytes(op))) {
     if (const int rc = batch.flush(streams); rc != MPI_SUCCESS) {
       return rc;
@@ -1577,10 +1460,12 @@ int complete_recv_deferred(AsyncOp &op, const interpose::MpiTable &next,
   // An op that already completed (a pre-packed leg landing in place) left
   // no work on its stream: nothing to sync for it.
   if (op.phase == OpPhase::UnpackPending) {
+    std::vector<vcuda::StreamHandle> &list =
+        op.persistent ? fence_streams : streams;
     if (op.chunked) {
-      op.chunked->append_streams(streams);
+      op.chunked->append_streams(list);
     } else {
-      note_stream(streams, op.stream);
+      note_stream(list, op.stream);
     }
   }
   return rc;
@@ -1598,21 +1483,17 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
   // Fusable receives do not even launch: their unpacks collect in `batch`
   // and go out as one kernel just before the next rendezvous-sized wire
   // wait (so they run under it) and once more at the end of the pass.
-  std::vector<std::unique_ptr<AsyncOp>> pending(
-      static_cast<std::size_t>(count));
-  std::vector<PersistentChannel *> pending_ch(static_cast<std::size_t>(count),
-                                              nullptr);
+  std::vector<AsyncOp *> pending(static_cast<std::size_t>(count), nullptr);
   std::vector<vcuda::StreamHandle> streams;
-  std::vector<vcuda::StreamHandle> fence_streams; ///< channel streams
+  std::vector<vcuda::StreamHandle> fence_streams; ///< persistent programs
   UnpackBatch batch;
   int unpacks_batched = 0;
-  // On any failure, ops already extracted must still be retired so the
-  // application is not left holding dangling pool tickets. Wire bytes that
-  // already landed still get their unpack (the pending batch launches
-  // first), and enqueued unpack legs must drain: retiring returns the
-  // intermediates to the cache, which is only safe once no stream work
-  // references them. Channels stay in the pool (persistent handles
-  // survive) but must be drained and disarmed too.
+  // On any failure, ops already completed in pass 1 must still be retired
+  // so the application is not left holding dangling pool tickets (a
+  // persistent op goes inactive instead). Wire bytes that already landed
+  // still get their unpack (the pending batch launches first), and
+  // enqueued unpack legs must drain: retiring returns the intermediates to
+  // the cache, which is only safe once no stream work references them.
   const auto bail = [&](int rc) {
     batch.flush(streams);
     for (vcuda::StreamHandle s : streams) {
@@ -1622,12 +1503,8 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
       vcuda::StreamFence(s);
     }
     for (int i = 0; i < count; ++i) {
-      if (pending[static_cast<std::size_t>(i)]) {
-        retire(std::move(pending[static_cast<std::size_t>(i)]),
-               &requests[i]);
-      }
-      if (pending_ch[static_cast<std::size_t>(i)] != nullptr) {
-        pending_ch[static_cast<std::size_t>(i)]->active = false;
+      if (AsyncOp *op = pending[static_cast<std::size_t>(i)]) {
+        retire(*op, &requests[i]);
       }
     }
     return rc;
@@ -1638,43 +1515,17 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
     if (requests[i] == MPI_REQUEST_NULL) {
       continue;
     }
-    if (PersistentChannel *ch = find_channel(requests[i])) {
-      if (!ch->active) {
-        if (status != MPI_STATUS_IGNORE) {
-          *status = MPI_Status{}; // inactive: completes immediately, empty
-        }
-        continue;
-      }
-      int rc = MPI_SUCCESS;
-      if (!ch->is_send && rendezvous_sized(expected_bytes(*ch))) {
-        rc = batch.flush(streams);
-      }
-      if (rc == MPI_SUCCESS) {
-        rc = complete_channel(*ch, next, /*sync=*/false);
-      }
-      if (rc != MPI_SUCCESS) {
-        return bail(rc);
-      }
-      if (ch->active) {
-        // A receive whose unpack replay is still on its stream: fence and
-        // publish in passes 2/3, batched with everything else.
-        ++unpacks_batched;
-        if (ch->chunked) {
-          ch->chunked->append_streams(fence_streams);
-        } else {
-          note_stream(fence_streams, ch->prog.stream);
-        }
-        pending_ch[static_cast<std::size_t>(i)] = ch;
-      } else if (status != MPI_STATUS_IGNORE) {
-        fill_channel_status(*ch, status); // sends disarm inside pass 1
-      }
-      continue;
-    }
-    std::unique_ptr<AsyncOp> op = extract(requests[i]);
-    if (!op) {
+    AsyncOp *op = find(requests[i]);
+    if (op == nullptr) {
       const int rc = next.Wait(&requests[i], status);
       if (rc != MPI_SUCCESS) {
         return bail(rc);
+      }
+      continue;
+    }
+    if (inactive(*op)) {
+      if (status != MPI_STATUS_IGNORE) {
+        *status = MPI_Status{}; // completes immediately, empty
       }
       continue;
     }
@@ -1682,24 +1533,24 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
     if (op->kind == AsyncOp::Kind::Send) {
       rc = complete_send(*op, next);
     } else {
-      rc = complete_recv_deferred(*op, next, batch, streams);
+      rc = complete_recv_deferred(*op, next, batch, streams, fence_streams);
       unpacks_batched += op->phase == OpPhase::UnpackPending ? 1 : 0;
     }
     if (rc != MPI_SUCCESS) {
       // Drain any legs the failing op enqueued before its buffers return
       // to the cache (bail() syncs only after this retire).
       drain_op_streams(*op);
-      retire(std::move(op), &requests[i]);
+      retire(*op, &requests[i]);
       return bail(rc);
     }
-    pending[static_cast<std::size_t>(i)] = std::move(op);
+    pending[static_cast<std::size_t>(i)] = op;
   }
   if (const int rc = batch.flush(streams); rc != MPI_SUCCESS) {
     return bail(rc);
   }
   // Pass 2: one host synchronization per stream that holds batched unpack
-  // work (the pipelining payoff of the request engine). Channel streams
-  // take the cheaper pre-armed fence.
+  // work (the pipelining payoff of the request engine). Persistent program
+  // streams take the cheaper pre-armed fence.
   {
     trace::ScopedSpan sync(trace::Phase::Unpack, trace::OpKind::None,
                            static_cast<std::uint64_t>(unpacks_batched));
@@ -1713,17 +1564,10 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
   if (unpacks_batched > 1) {
     pool().batched_syncs.add();
   }
-  // Pass 3: publish statuses, retire ops, disarm channels.
+  // Pass 3: publish statuses and retire (persistent ops re-arm).
   for (int i = 0; i < count; ++i) {
-    if (PersistentChannel *ch = pending_ch[static_cast<std::size_t>(i)]) {
-      ch->active = false;
-      if (statuses != MPI_STATUSES_IGNORE) {
-        fill_channel_status(*ch, &statuses[i]);
-      }
-      continue;
-    }
-    std::unique_ptr<AsyncOp> &op = pending[static_cast<std::size_t>(i)];
-    if (!op) {
+    AsyncOp *op = pending[static_cast<std::size_t>(i)];
+    if (op == nullptr) {
       continue;
     }
     op->phase = OpPhase::Complete;
@@ -1734,7 +1578,7 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
         statuses[i] = MPI_Status{}; // default send status, as sysmpi does
       }
     }
-    retire(std::move(op), &requests[i]);
+    retire(*op, &requests[i]);
   }
   return MPI_SUCCESS;
 }
@@ -1747,7 +1591,7 @@ int waitany(int count, MPI_Request *requests, int *index, MPI_Status *status,
   // Fair poll across TEMPI tickets and system requests, mirroring the
   // system MPI's Waitany sweep (including its per-sweep virtual cost).
   // Inactive persistent entries are ignored like null slots, per MPI —
-  // otherwise a completed-and-disarmed channel would be "won" forever.
+  // otherwise one that already completed would be "won" forever.
   while (true) {
     bool any_active = false;
     for (int i = 0; i < count; ++i) {
@@ -1873,7 +1717,9 @@ std::size_t in_flight() {
   std::size_t n = 0;
   for (const auto &s : p.shards) {
     const std::lock_guard<support::ContendedMutex> lock(s->mutex);
-    n += s->ops.size();
+    for (const auto &[ticket, op] : s->ops) {
+      n += op->persistent ? 0 : 1;
+    }
   }
   return n;
 }
@@ -1883,64 +1729,54 @@ std::size_t drain(const interpose::MpiTable &next) {
   // runs with no MPI traffic in flight on other threads (see
   // tempi::uninstall's contract).
   std::unordered_map<MPI_Request, std::unique_ptr<AsyncOp>> orphans;
-  std::unordered_map<MPI_Request, std::unique_ptr<PersistentChannel>>
-      orphan_channels;
   {
     Pool &p = pool();
     for (const auto &s : p.shards) {
       const std::lock_guard<support::ContendedMutex> lock(s->mutex);
       orphans.merge(s->ops);
-      orphan_channels.merge(s->channels);
       s->ops.clear();
-      s->channels.clear();
     }
-    p.channel_gen.fetch_add(1, std::memory_order_release);
+    p.persistent_gen.fetch_add(1, std::memory_order_release);
   }
   std::size_t dropped = 0;
-  for (auto &[ticket, ch] : orphan_channels) {
-    (void)ticket;
-    // Un-freed persistent channels hold pinned leases and recorded graphs
-    // for their whole lifetime — leaking them past uninstall would trip
-    // the ASan leak check, so they are released here, loudly: every
-    // channel should have seen MPI_Request_free.
-    if (ch->active && ch->is_send && ch->inner != MPI_REQUEST_NULL) {
-      next.Wait(&ch->inner, MPI_STATUS_IGNORE); // buffered; reclaim quietly
-    }
-    ++dropped;
-    support::log_error(
-        "tempi: uninstall dropped an un-freed persistent ",
-        ch->is_send ? "send" : "receive", " channel (peer ", ch->peer,
-        ", tag ", ch->tag, ", ", ch->active ? "ARMED" : "inactive",
-        "); call MPI_Request_free on every persistent request before "
-        "tempi::uninstall()");
-    // Same stream caveat as ops below: no stream drain — the byte movement
-    // already happened synchronously; destroying the channel returns its
-    // leases and destroys its graphs.
-  }
   for (auto &[ticket, op] : orphans) {
     (void)ticket;
-    if (op->kind == AsyncOp::Kind::Send &&
-        op->phase == OpPhase::TransferPosted) {
+    const bool send = op->kind == AsyncOp::Kind::Send;
+    if (send && op->phase == OpPhase::TransferPosted) {
       // The wire already departed; reclaiming the system request is safe
       // and silent (buffered sends are born complete).
-      next.Wait(&op->inner, MPI_STATUS_IGNORE);
-      continue;
+      complete_send(*op, next);
+      if (!op->persistent) {
+        continue;
+      }
     }
-    // A receive that was never matched (or a send that never reached the
-    // wire) cannot be finished without the application: fail loudly and
-    // release the op's resources rather than leaking pool state. No
-    // stream drain here, deliberately: the op's pool streams are
+    // No stream drain here, deliberately: the op's pool streams are
     // thread-local to rank threads that have typically exited by
     // uninstall time (touching them would be use-after-free), and every
     // "async" leg already executed its byte movement synchronously at
     // enqueue — only virtual completion bookkeeping remains, which is
     // moot for an abandoned op whose user buffer is undefined per the
-    // uninstall contract.
+    // uninstall contract. Destroying the op returns its leases and
+    // destroys its graphs.
     ++dropped;
+    if (op->persistent) {
+      // An un-freed persistent request holds pinned leases and recorded
+      // graphs for its whole lifetime; leaking them past uninstall would
+      // trip the ASan leak check, so it is released here, loudly.
+      support::log_error(
+          "tempi: uninstall dropped an un-freed persistent ",
+          send ? "send" : "receive", " (peer ", op->peer, ", tag ", op->tag,
+          ", ", inactive(*op) ? "inactive" : "ARMED",
+          "); call MPI_Request_free on every persistent request before "
+          "tempi::uninstall()");
+      continue;
+    }
+    // A receive that was never matched (or a send that never reached the
+    // wire) cannot be finished without the application: fail loudly and
+    // release the op's resources rather than leaking pool state.
     support::log_error(
         "tempi: uninstall dropped an in-flight non-blocking ",
-        op->kind == AsyncOp::Kind::Send ? "send" : "receive", " (peer ",
-        op->peer, ", tag ", op->tag,
+        send ? "send" : "receive", " (peer ", op->peer, ", tag ", op->tag,
         "); complete all requests before tempi::uninstall()");
   }
   return dropped;
@@ -1950,18 +1786,18 @@ bool configure_shards(std::size_t n) {
   Pool &p = pool();
   const std::size_t want =
       std::bit_ceil(std::clamp<std::size_t>(n, 1, kMaxShards));
-  // The layout can only change while the pool is idle: an op or channel
-  // keyed under the old hash would be unreachable under the new one.
+  // The layout can only change while the pool is idle: an op keyed under
+  // the old hash would be unreachable under the new one.
   for (const auto &s : p.shards) {
     const std::lock_guard<support::ContendedMutex> lock(s->mutex);
-    if (!s->ops.empty() || !s->channels.empty()) {
+    if (!s->ops.empty()) {
       return false;
     }
   }
   if (want != p.shards.size()) {
     p.resize(want);
   }
-  p.channel_gen.fetch_add(1, std::memory_order_release);
+  p.persistent_gen.fetch_add(1, std::memory_order_release);
   return true;
 }
 

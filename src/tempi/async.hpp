@@ -1,16 +1,22 @@
-// Non-blocking request engine: TEMPI-owned MPI_Isend/Irecv operations.
+// Request engine: TEMPI-owned MPI_Isend/Irecv and persistent operations.
 //
 // The blocking path (methods.cpp) runs pack -> transfer -> unpack to
 // completion inside one call. Here each leg becomes a phase of a per-op
-// state machine owned by a RequestPool:
+// state machine owned by a request pool:
 //
-//   Isend:  PackIssued ------> TransferPosted ----------------> Complete
-//           (pack legs on the   (wire bytes handed to the        (Wait/Test
-//            vcuda stream)       system MPI_Isend)                reclaims)
+//   send:  PackIssued ------> TransferPosted ----------------> Complete
+//          (pack legs on the   (wire bytes handed to the        (Wait/Test
+//           vcuda stream)       system MPI_Isend)                reclaims)
 //
-//   Irecv:  WirePending ---------------------> UnpackPending --> Complete
-//           (wire buffer leased; the transfer   (unpack legs on
-//            is matched lazily at Wait/Test)     the vcuda stream)
+//   recv:  WirePending ---------------------> UnpackPending --> Complete
+//          (wire buffer leased; the transfer   (unpack legs on
+//           is matched lazily at Wait/Test)     the vcuda stream)
+//
+// There is one request type. A one-shot op (Isend, Irecv) leaves the pool
+// when it reaches Complete. A persistent op (Send_init, Recv_init) is the
+// same op with a `persistent` flag: it rests in the pool at Complete
+// (inactive), MPI_Start re-arms it at the first phase, and completion
+// re-arms it again instead of retiring it. Only Request_free releases it.
 //
 // The opaque MPI_Request handles returned to the application are pool
 // tickets, not system requests: Wait/Waitall/Waitany/Test first consult the
@@ -22,12 +28,15 @@
 // completion. Each op draws a stream round-robin from the per-rank pool
 // (vcuda::next_pool_stream).
 //
-// Repeated sends: a monolithic Isend whose (packer, buffer, count,
+// Recorded programs: a monolithic Isend whose (packer, buffer, count,
 // method) the thread has sent before replays a recorded send program (the
-// program MPI_Send_init freezes, see tempi/replay.hpp): PackIssued is then
-// one graph launch and a pre-armed fence into the program's pinned wire
-// lease. The op pins the program until it retires, and a program still in
-// flight sends an overlapping Isend of the same key live.
+// program MPI_Send_init freezes, see tempi/replay.hpp). It and a
+// persistent send's Start post the same way: PackIssued is one graph
+// launch and a pre-armed fence into the program's pinned wire lease. The
+// op pins the program until it retires, and a program still in flight
+// sends an overlapping Isend of the same key live. A persistent receive
+// lands its wire in its program's pinned lease and replays the recorded
+// unpack graph.
 //
 // Waitall batching (the paper's halo exchange completes 26 receives per
 // iteration in one Waitall): receives whose unpack is one canonical-packer
@@ -73,7 +82,8 @@ enum class OpPhase {
   TransferPosted, ///< send: system Isend of the wire bytes posted
   WirePending,    ///< recv: wire buffer leased, transfer not yet matched
   UnpackPending,  ///< recv: wire arrived, unpack legs enqueued on stream
-  Complete,       ///< terminal; the op leaves the pool
+  Complete,       ///< a one-shot op leaves the pool; a persistent op rests
+                  ///< here, inactive, until the next Start
 };
 
 struct AsyncOp; // opaque outside async.cpp
@@ -137,32 +147,31 @@ int start_irecv_blocklist(std::shared_ptr<const BlockListPacker> packer,
                           MPI_Comm comm, const interpose::MpiTable &next,
                           MPI_Request *request);
 
-// --- persistent channels (MPI_Send_init / MPI_Recv_init / MPI_Start) ---------
+// --- persistent requests (MPI_Send_init / MPI_Recv_init / MPI_Start) --------
 //
-// A persistent channel freezes at init time everything the per-send hot
+// A persistent request freezes at init time everything the per-send hot
 // path normally re-derives: the packer (held by shared_ptr, so a
-// MPI_Type_free'd datatype's engine stays alive until the channel is
+// MPI_Type_free'd datatype's engine stays alive until the request is
 // freed — the graveyard pin), the PerfModel method choice
 // (choose_persistent's exhaustive search), the staging/wire leases
-// (pinned for the channel lifetime), and the pack/unpack launch sequence
+// (pinned for the request's lifetime), and the pack/unpack launch sequence
 // (recorded as vcuda graphs). MPI_Start then replays pre-baked work:
-// sender-side it launches the pack graph, fences, and posts the wire
-// eagerly (the same buffered-send deadlock discipline as Isend);
-// receiver-side it arms the channel and the wire is matched lazily at
-// Wait/Test, which replay the unpack graph. Wait/Waitall/Test/Waitany and
-// the *some/*all completion calls all work unchanged on persistent
-// tickets, which re-arm (active -> inactive) instead of retiring; only
-// request_free releases the channel. Completion calls on an INACTIVE
-// persistent ticket complete immediately with an empty status.
+// sender-side it sends from the recorded program exactly as a repeated
+// Isend does (the same buffered-send deadlock discipline); receiver-side
+// it arms the op and the wire is matched lazily at Wait/Test, which
+// replay the unpack graph. Every completion call works unchanged on
+// persistent tickets, which re-arm (active -> inactive) instead of
+// retiring. Completion calls on an INACTIVE persistent ticket complete
+// immediately with an empty status.
 
-/// Create a frozen send channel. `choice` comes from
+/// Create a frozen persistent send. `choice` comes from
 /// PerfModel::choose_persistent (or the forced mode); Method::Pipelined
 /// records one pack graph per wire leg (see record_pipelined_send).
 int send_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
               const void *buf, int count, int dest, int tag, MPI_Comm comm,
               const interpose::MpiTable &next, MPI_Request *request);
 
-/// Create a frozen receive channel. A Pipelined choice (only selected
+/// Create a frozen persistent receive. A Pipelined choice (only selected
 /// above the wire-chunk limit) re-arms a ChunkedRecv per Start instead of
 /// replaying a graph: its leg sizes follow the sender's first leg, which
 /// cannot be frozen at init time.
@@ -170,44 +179,45 @@ int recv_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
               void *buf, int count, int source, int tag, MPI_Comm comm,
               const interpose::MpiTable &next, MPI_Request *request);
 
-/// Arm a channel (near-O(1) replay). Precondition: owns(*request) and the
-/// channel is inactive (double-Start is MPI_ERR_ARG). When a tuned model
-/// landed since the channel froze (tune::refresh_generation() moved), the
-/// arm first re-runs the exhaustive search through the rechoose callback
-/// below and re-records the program if the plan changed — at most one
-/// re-search per generation bump, and a single relaxed generation load on
-/// the unchanged hot path, so Start never blocks on model queries in
-/// steady state.
+/// Arm a persistent request (near-O(1) replay). Precondition:
+/// owns(*request) and the request is inactive (double-Start is
+/// MPI_ERR_ARG). When a tuned model landed since the request froze
+/// (tune::refresh_generation() moved), the arm first re-runs the
+/// exhaustive search through the rechoose callback below and re-records
+/// the program if the plan changed — at most one re-search per generation
+/// bump, and a single relaxed generation load on the unchanged hot path,
+/// so Start never blocks on model queries in steady state. A re-record
+/// that fails keeps the frozen plan, and the Start proceeds on it.
 int start(MPI_Request *request, const interpose::MpiTable &next);
 
 /// The re-freeze search: tempi.cpp's install() registers the same gate
 /// Send_init/Recv_init used (mode checks + PerfModel::choose_persistent),
-/// so a lazily re-frozen channel and a freshly created one always agree.
-/// nullopt means "would forward now": the channel keeps its frozen plan —
-/// a live channel cannot be demoted to the system path mid-lifetime.
+/// so a lazily re-frozen request and a freshly created one always agree.
+/// nullopt means "would forward now": the request keeps its frozen plan —
+/// a live persistent request cannot be demoted to the system path
+/// mid-lifetime. Returns the previously registered search.
 using RechooseFn = std::optional<TransferChoice> (*)(const Packer &packer,
                                                      const void *buf,
                                                      int count);
-void set_persistent_rechoose(RechooseFn fn);
+RechooseFn set_persistent_rechoose(RechooseFn fn);
 
-/// Arm a mixed array: TEMPI channels replay, system persistent requests
-/// forward to next.Start.
+/// Arm a mixed array: TEMPI persistent requests replay, system persistent
+/// requests forward to next.Start.
 int startall(int count, MPI_Request *requests,
              const interpose::MpiTable &next);
 
-/// Release an owned ticket. For a channel: unpin its leases, destroy its
-/// graphs, null the handle; an armed channel completes its current arming
-/// first (a send's wire leg is buffered and instant; a receive blocks,
-/// mirroring the system MPI's deferred deallocation). A plain Isend/Irecv
-/// pool ticket is completed and retired the same way — freeing one is
-/// legal MPI.
+/// Release an owned ticket, persistent or not (freeing an Isend/Irecv
+/// ticket is legal MPI): null the handle, unpin the op's leases and
+/// destroy its graphs. Never blocks: an active send's wire leg is buffered
+/// and reclaimed instantly, and an active receive is discarded unless it
+/// already consumed pipelined legs, which it finishes without blocking.
 int request_free(MPI_Request *request, const interpose::MpiTable &next);
 
-/// Number of live persistent channels (tests, the uninstall leak check).
+/// Number of live persistent requests (tests, the uninstall leak check).
 std::size_t persistent_open();
 
-/// True if `request` is a live pool ticket (a TEMPI-owned op) or a live
-/// persistent channel.
+/// True if `request` is a live pool ticket (a TEMPI-owned op, persistent
+/// or not).
 bool owns(MPI_Request request);
 
 /// Drive `*request` to completion (blocking), fill `status`, release the
@@ -241,7 +251,8 @@ int waitany(int count, MPI_Request *requests, int *index, MPI_Status *status,
 // touching their status slot (a status written by the poll that actually
 // completed the entry survives later flag=0 polls), and the *some/*any
 // calls IGNORE them like null slots (reporting them as completions would
-// livelock drain loops once a channel completed and disarmed).
+// livelock drain loops once a persistent request completed and went
+// inactive).
 
 /// Block until at least one active request completes; returns every
 /// completion the successful poll sweep found (outcount = MPI_UNDEFINED
@@ -262,8 +273,9 @@ int testany(int count, MPI_Request *requests, int *index, int *flag,
 int testsome(int incount, MPI_Request *requests, int *outcount, int *indices,
              MPI_Status *statuses, const interpose::MpiTable &next);
 
-/// Number of TEMPI-owned operations currently in flight (tests,
-/// uninstall-time drain check).
+/// Number of TEMPI-owned one-shot operations currently in flight (tests,
+/// uninstall-time drain check); persistent requests count in
+/// persistent_open() instead.
 std::size_t in_flight();
 
 /// Uninstall-time drain (see tempi::uninstall contract in tempi.hpp):
@@ -278,17 +290,18 @@ std::size_t drain(const interpose::MpiTable &next);
 // concurrent callers on one rank serialize only when their requests share
 // a stripe. No engine path ever holds two shard locks at once, so the
 // layout is deadlock-free by construction even for Waitall/Waitsome over
-// arrays spanning shards. Persistent Start/Wait replay consults a
-// per-thread channel memo validated by a generation counter and is
-// lock-free in steady state (the memo invalidates whenever any channel is
+// arrays spanning shards. One-shot and persistent ops share the shards'
+// maps. Persistent Start/Wait replay consults a per-thread memo of
+// persistent tickets, validated by a generation counter, and is lock-free
+// in steady state (the memo invalidates whenever any persistent op is
 // destroyed).
 
 /// Rebuild the pool with `n` shards (clamped to [1, 256], rounded up to a
 /// power of two). Only legal while the pool is idle — no in-flight ops, no
-/// open channels — because tickets are keyed by the current hash; returns
-/// false (and changes nothing) otherwise. tempi::install() calls this with
-/// TEMPI_SHARDS; 1 restores the pre-shard single-lock layout (bisection
-/// kill switch).
+/// open persistent requests — because tickets are keyed by the current
+/// hash; returns false (and changes nothing) otherwise. tempi::install()
+/// calls this with TEMPI_SHARDS; 1 restores the pre-shard single-lock
+/// layout (bisection kill switch).
 bool configure_shards(std::size_t n);
 
 /// Current number of lock stripes.

@@ -679,15 +679,18 @@ bool reduction_fallthrough(MPI_Datatype datatype, MPI_Op op) {
   return !red::enabled() || !red::engine_shape_ok(datatype, op);
 }
 
-/// Shared Send/Recv gate: TEMPI takes over only for non-contiguous,
-/// translatable datatypes on device-resident buffers. Zero-size payloads
-/// (empty types or count 0) forward too: there is nothing to pack, and the
-/// kernels reject zero-volume launches. Returns the method plus, for
-/// Method::Pipelined, the chosen wire-leg target.
-std::optional<TransferChoice> acceleration_method(const Packer *packer,
-                                                  const void *buf,
-                                                  int count) {
-  State &s = state();
+/// The acceleration gate the per-send and persistent choices share: TEMPI
+/// takes over only for non-contiguous, translatable datatypes on
+/// device-resident buffers. Zero-size payloads (empty types or count 0)
+/// forward too: there is nothing to pack, and the kernels reject
+/// zero-volume launches. A forced mode decides here; Auto defers to
+/// `choose_auto(total)` with the packed byte total. Returns the method
+/// plus, for Method::Pipelined, the chosen wire-leg target; nullopt falls
+/// through to the system path.
+template <class ChooseAuto>
+std::optional<TransferChoice> gated_choice(const Packer *packer,
+                                           const void *buf, int count,
+                                           ChooseAuto &&choose_auto) {
   if (packer == nullptr || packer->contiguous() || count == 0 ||
       packer->packed_bytes(count) == 0 || !device_resident(buf)) {
     return std::nullopt;
@@ -702,7 +705,7 @@ std::optional<TransferChoice> acceleration_method(const Packer *packer,
     }
     return TransferChoice{m, 0};
   };
-  switch (s.mode.load(std::memory_order_relaxed)) {
+  switch (state().mode.load(std::memory_order_relaxed)) {
   case SendMode::System: return std::nullopt;
   case SendMode::ForceOneShot: return forced(Method::OneShot);
   case SendMode::ForceDevice: return forced(Method::Device);
@@ -710,29 +713,40 @@ std::optional<TransferChoice> acceleration_method(const Packer *packer,
   case SendMode::ForcePipelined: return forced(Method::Pipelined);
   case SendMode::Auto: break;
   }
-  // Steady state: the packer remembers the model's choice — method and
-  // chunk — per (count, generation): one atomic load, no model lock, no
-  // interpolation. The generation folds in the transfer config (wire
-  // limit, chunk override) so tuning knobs invalidate stale choices.
-  const std::uint64_t gen =
-      (s.model_gen.load(std::memory_order_acquire) << 16) ^
-      transfer_config_generation();
-  if (const auto memo = packer->cached_transfer(count, gen)) {
-    vcuda::this_thread_timeline().advance(kMethodMemoHitNs);
-    s.method_memo_hits.add();
-    return *memo;
-  }
-  TransferChoice choice;
-  {
-    trace::ScopedSpan span(trace::Phase::ModelChoice, trace::OpKind::None,
-                           total);
-    const std::shared_lock<std::shared_mutex> lock(s.model_mutex);
-    choice = s.model.choose_transfer(
-        static_cast<std::size_t>(packer->block().block_bytes()), total);
-    span.set_method(static_cast<std::int8_t>(choice.method));
-  }
-  packer->remember_transfer(count, gen, choice);
-  return choice;
+  return choose_auto(total);
+}
+
+/// Shared Send/Recv/Isend/Irecv gate (see gated_choice); Auto uses the
+/// memoized model heuristic.
+std::optional<TransferChoice> acceleration_method(const Packer *packer,
+                                                  const void *buf,
+                                                  int count) {
+  return gated_choice(packer, buf, count, [&](std::size_t total) {
+    State &s = state();
+    // Steady state: the packer remembers the model's choice — method and
+    // chunk — per (count, generation): one atomic load, no model lock, no
+    // interpolation. The generation folds in the transfer config (wire
+    // limit, chunk override) so tuning knobs invalidate stale choices.
+    const std::uint64_t gen =
+        (s.model_gen.load(std::memory_order_acquire) << 16) ^
+        transfer_config_generation();
+    if (const auto memo = packer->cached_transfer(count, gen)) {
+      vcuda::this_thread_timeline().advance(kMethodMemoHitNs);
+      s.method_memo_hits.add();
+      return *memo;
+    }
+    TransferChoice choice;
+    {
+      trace::ScopedSpan span(trace::Phase::ModelChoice, trace::OpKind::None,
+                             total);
+      const std::shared_lock<std::shared_mutex> lock(s.model_mutex);
+      choice = s.model.choose_transfer(
+          static_cast<std::size_t>(packer->block().block_bytes()), total);
+      span.set_method(static_cast<std::int8_t>(choice.method));
+    }
+    packer->remember_transfer(count, gen, choice);
+    return choice;
+  });
 }
 
 /// Sec. 8 extension gate shared by the blocking and non-blocking paths:
@@ -1005,39 +1019,23 @@ int tempi_Testsome(int incount, MPI_Request *requests, int *outcount,
 
 // --- persistent operations (the channel fast path, async.hpp) ----------------
 
-/// Shared Send_init/Recv_init gate: the same acceleration criterion as
-/// Send/Isend, but the choice is frozen — forced modes behave as they do
-/// per send (upgrading to Pipelined above the wire limit), while Auto
-/// runs PerfModel::choose_persistent's exhaustive uncached search instead
-/// of the memoized heuristic. Returns nullopt to fall through.
+/// Shared Send_init/Recv_init gate: the same gate as Send/Isend (see
+/// gated_choice), but the choice is frozen — Auto runs
+/// PerfModel::choose_persistent's exhaustive uncached search instead of
+/// the memoized heuristic. Returns nullopt to fall through.
 std::optional<TransferChoice> persistent_choice(const Packer *packer,
                                                 const void *buf, int count) {
   State &s = state();
-  if (!s.persistent_enabled.load(std::memory_order_relaxed) ||
-      packer == nullptr || packer->contiguous() || count == 0 ||
-      packer->packed_bytes(count) == 0 || !device_resident(buf)) {
+  if (!s.persistent_enabled.load(std::memory_order_relaxed)) {
     return std::nullopt;
   }
-  const std::size_t total = packer->packed_bytes(count);
-  const auto forced = [&](Method m) -> TransferChoice {
-    if (total > wire_chunk_limit() || m == Method::Pipelined) {
-      return TransferChoice{Method::Pipelined, fallback_chunk_bytes(total)};
-    }
-    return TransferChoice{m, 0};
-  };
-  switch (s.mode.load(std::memory_order_relaxed)) {
-  case SendMode::System: return std::nullopt;
-  case SendMode::ForceOneShot: return forced(Method::OneShot);
-  case SendMode::ForceDevice: return forced(Method::Device);
-  case SendMode::ForceStaged: return forced(Method::Staged);
-  case SendMode::ForcePipelined: return forced(Method::Pipelined);
-  case SendMode::Auto: break;
-  }
-  trace::ScopedSpan span(trace::Phase::ModelChoice, trace::OpKind::Persistent,
-                         total);
-  const std::shared_lock<std::shared_mutex> lock(s.model_mutex);
-  return s.model.choose_persistent(
-      static_cast<std::size_t>(packer->block().block_bytes()), total);
+  return gated_choice(packer, buf, count, [&](std::size_t total) {
+    trace::ScopedSpan span(trace::Phase::ModelChoice,
+                           trace::OpKind::Persistent, total);
+    const std::shared_lock<std::shared_mutex> lock(s.model_mutex);
+    return s.model.choose_persistent(
+        static_cast<std::size_t>(packer->block().block_bytes()), total);
+  });
 }
 
 int tempi_Send_init(const void *buf, int count, MPI_Datatype datatype,

@@ -33,6 +33,7 @@
 #pragma once
 
 #include "support/contended_mutex.hpp"
+#include "support/striped_counter.hpp"
 #include "vcuda/clock.hpp"
 
 #include <array>
@@ -167,24 +168,24 @@ private:
 
 // --- metrics registry --------------------------------------------------------
 
-/// A named, self-registering atomic counter. Construct as a (static-
-/// lifetime) member; increments are one relaxed fetch_add. The registry
-/// keeps a pointer, so the counter must outlive any snapshot call.
+/// A named, self-registering counter. Construct as a (static-lifetime)
+/// member; increments are one relaxed fetch_add on the calling thread's
+/// stripe (support::StripedCounter), so concurrent hot paths do not share
+/// a cache line through their counters. The registry keeps a pointer, so
+/// the counter must outlive any snapshot call.
 class Counter {
 public:
   explicit Counter(const char *name);
   Counter(const Counter &) = delete;
   Counter &operator=(const Counter &) = delete;
-  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t value() const {
-    return v_.load(std::memory_order_relaxed);
-  }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  void add(std::uint64_t n = 1) { v_.add(n); }
+  [[nodiscard]] std::uint64_t value() const { return v_.value(); }
+  void reset() { v_.reset(); }
   [[nodiscard]] const char *name() const { return name_; }
 
 private:
   const char *name_;
-  std::atomic<std::uint64_t> v_{0};
+  support::StripedCounter v_;
 };
 
 /// Register a read-only named value computed at snapshot time (for sources

@@ -1,14 +1,42 @@
 #include "vcuda/memory.hpp"
 
+#include <array>
 #include <cassert>
 #include <mutex>
 
 namespace vcuda {
 
+namespace {
+
+/// Generations are unique across registries, so a memo filled from one
+/// registry can never validate against another.
+std::uint64_t next_generation() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// The last few allocations this thread found, tagged with the generation
+/// of the registry they came from.
+struct LookupMemo {
+  std::uint64_t generation = 0;
+  std::array<Allocation, 8> hits{};
+  std::size_t next = 0;
+};
+thread_local LookupMemo t_memo;
+
+bool contains(const Allocation &a, std::uintptr_t addr) {
+  return addr >= a.base && addr < a.base + a.size;
+}
+
+} // namespace
+
+MemoryRegistry::MemoryRegistry() : generation_(next_generation()) {}
+
 void MemoryRegistry::insert(const Allocation &a) {
   assert(a.size > 0);
   const std::unique_lock<std::shared_mutex> lock(mutex_);
   by_base_[a.base] = a;
+  generation_.store(next_generation(), std::memory_order_release);
 }
 
 std::optional<Allocation> MemoryRegistry::erase(std::uintptr_t base) {
@@ -19,11 +47,26 @@ std::optional<Allocation> MemoryRegistry::erase(std::uintptr_t base) {
   }
   Allocation a = it->second;
   by_base_.erase(it);
+  generation_.store(next_generation(), std::memory_order_release);
   return a;
 }
 
 std::optional<Allocation> MemoryRegistry::find(const void *p) const {
   const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  LookupMemo &memo = t_memo;
+  // Loaded before the locked lookup: a mutation racing with it leaves the
+  // memo tagged with a stale generation, so the next call starts over.
+  const std::uint64_t generation = generation_.load(std::memory_order_acquire);
+  if (memo.generation == generation) {
+    for (const Allocation &a : memo.hits) {
+      if (contains(a, addr)) {
+        return a;
+      }
+    }
+  } else {
+    memo = LookupMemo{};
+    memo.generation = generation;
+  }
   const std::shared_lock<std::shared_mutex> lock(mutex_);
   auto it = by_base_.upper_bound(addr);
   if (it == by_base_.begin()) {
@@ -31,10 +74,12 @@ std::optional<Allocation> MemoryRegistry::find(const void *p) const {
   }
   --it;
   const Allocation &a = it->second;
-  if (addr >= a.base && addr < a.base + a.size) {
-    return a;
+  if (!contains(a, addr)) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  memo.hits[memo.next] = a;
+  memo.next = (memo.next + 1) % memo.hits.size();
+  return a;
 }
 
 MemorySpace MemoryRegistry::space_of(const void *p) const {

@@ -9,6 +9,7 @@
 
 #include "vcuda/costmodel.hpp"
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -25,9 +26,15 @@ struct Allocation {
   int device = -1; ///< owning device for Device space, else -1
 };
 
-/// Thread-safe interval map from pointer to allocation metadata.
+/// Thread-safe interval map from pointer to allocation metadata. Lookups
+/// that hit an allocation this thread found recently are answered from a
+/// per-thread memo without touching the shared lock, so steady-state
+/// queries on concurrent threads do not contend; any insert or erase
+/// invalidates every thread's memo.
 class MemoryRegistry {
 public:
+  MemoryRegistry();
+
   void insert(const Allocation &a);
 
   /// Remove the allocation based at exactly `base`; returns it if present.
@@ -46,6 +53,9 @@ public:
 
 private:
   mutable std::shared_mutex mutex_;
+  /// Process-unique stamp of the current contents, replaced on every
+  /// insert/erase; the per-thread lookup memo is valid only while it holds.
+  std::atomic<std::uint64_t> generation_;
   std::map<std::uintptr_t, Allocation> by_base_;
 };
 

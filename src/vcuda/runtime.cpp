@@ -2,6 +2,7 @@
 
 #include "support/contended_mutex.hpp"
 #include "support/log.hpp"
+#include "support/striped_counter.hpp"
 
 #include <atomic>
 #include <cstdlib>
@@ -16,16 +17,16 @@ namespace vcuda {
 namespace {
 
 struct Counters64 {
-  std::atomic<std::uint64_t> memcpy_async_calls{0};
-  std::atomic<std::uint64_t> kernel_launches{0};
-  std::atomic<std::uint64_t> stream_syncs{0};
-  std::atomic<std::uint64_t> mallocs{0};
-  std::atomic<std::uint64_t> frees{0};
-  std::atomic<std::uint64_t> graph_launches{0};
-  std::atomic<std::uint64_t> graph_nodes_replayed{0};
-  std::atomic<std::uint64_t> graph_nodes_captured{0};
-  std::atomic<std::uint64_t> stream_fences{0};
-  std::atomic<std::uint64_t> reduce_launches{0};
+  support::StripedCounter memcpy_async_calls;
+  support::StripedCounter kernel_launches;
+  support::StripedCounter stream_syncs;
+  support::StripedCounter mallocs;
+  support::StripedCounter frees;
+  support::StripedCounter graph_launches;
+  support::StripedCounter graph_nodes_replayed;
+  support::StripedCounter graph_nodes_captured;
+  support::StripedCounter stream_fences;
+  support::StripedCounter reduce_launches;
 };
 
 Counters64 &counters64() {
@@ -134,7 +135,7 @@ Graph *capture_target(StreamHandle stream) {
 /// the payload moves until GraphLaunch.
 void capture_node(Graph *g, Graph::Node node) {
   host_advance(cost_params().graph_capture_node_ns);
-  counters64().graph_nodes_captured.fetch_add(1, std::memory_order_relaxed);
+  counters64().graph_nodes_captured.add();
   g->nodes.push_back(std::move(node));
 }
 
@@ -170,7 +171,7 @@ Error alloc_in_space(void **ptr, std::size_t bytes, MemorySpace space,
   }
   memory_registry().insert(Allocation{reinterpret_cast<std::uintptr_t>(p),
                                       bytes, space, device});
-  counters64().mallocs.fetch_add(1, std::memory_order_relaxed);
+  counters64().mallocs.add();
   *ptr = p;
   return Error::Success;
 }
@@ -188,7 +189,7 @@ Error free_from_space(void *ptr, MemorySpace expected, VirtualNs api_cost) {
   }
   memory_registry().erase(found->base);
   std::free(ptr);
-  counters64().frees.fetch_add(1, std::memory_order_relaxed);
+  counters64().frees.add();
   return Error::Success;
 }
 
@@ -251,7 +252,7 @@ Error DeviceSynchronize() {
   }
   tl.wait_until(latest);
   tl.advance(p.stream_sync_ns);
-  counters64().stream_syncs.fetch_add(1, std::memory_order_relaxed);
+  counters64().stream_syncs.add();
   return Error::Success;
 }
 
@@ -366,7 +367,7 @@ Error StreamSynchronize(StreamHandle stream) {
   Timeline &tl = this_thread_timeline();
   tl.wait_until(stream->ready_at());
   tl.advance(p.stream_sync_ns);
-  counters64().stream_syncs.fetch_add(1, std::memory_order_relaxed);
+  counters64().stream_syncs.add();
   return Error::Success;
 }
 
@@ -464,7 +465,7 @@ Error MemcpyAsync(void *dst, const void *src, std::size_t bytes,
     }
   }
   host_advance(p.memcpy_async_call_ns);
-  counters64().memcpy_async_calls.fetch_add(1, std::memory_order_relaxed);
+  counters64().memcpy_async_calls.add();
   if (bytes == 0) {
     return Error::Success;
   }
@@ -504,7 +505,7 @@ Error Memcpy2DAsync(void *dst, std::size_t dpitch, const void *src,
   Graph *capture = total > 0 ? capture_target(stream) : nullptr;
   if (capture == nullptr) {
     host_advance(p.memcpy_async_call_ns);
-    counters64().memcpy_async_calls.fetch_add(1, std::memory_order_relaxed);
+    counters64().memcpy_async_calls.add();
   }
   if (total == 0) {
     return Error::Success;
@@ -580,9 +581,9 @@ bool valid_geometry(const LaunchConfig &cfg) {
 Error launch_live(StreamHandle stream, VirtualNs dur, bool reduce,
                   const KernelBody &body) {
   host_advance(cost_params().kernel_launch_ns);
-  counters64().kernel_launches.fetch_add(1, std::memory_order_relaxed);
+  counters64().kernel_launches.add();
   if (reduce) {
-    counters64().reduce_launches.fetch_add(1, std::memory_order_relaxed);
+    counters64().reduce_launches.add();
   }
   const VirtualNs end = stream->enqueue(virtual_now(), dur);
   body();
@@ -693,9 +694,8 @@ Error GraphLaunch(GraphHandle graph, StreamHandle stream) {
   // per node on the live path.
   host_advance(p.graph_launch_ns);
   Counters64 &c = counters64();
-  c.graph_launches.fetch_add(1, std::memory_order_relaxed);
-  c.graph_nodes_replayed.fetch_add(graph->nodes.size(),
-                                   std::memory_order_relaxed);
+  c.graph_launches.add();
+  c.graph_nodes_replayed.add(graph->nodes.size());
   for (const Graph::Node &node : graph->nodes) {
     VirtualNs dur = node.duration;
     if (node.kind == Graph::Node::Kind::Kernel) {
@@ -729,7 +729,7 @@ Error StreamFence(StreamHandle stream) {
   Timeline &tl = this_thread_timeline();
   tl.wait_until(stream->ready_at());
   tl.advance(cost_params().stream_fence_ns);
-  counters64().stream_fences.fetch_add(1, std::memory_order_relaxed);
+  counters64().stream_fences.add();
   return Error::Success;
 }
 
@@ -744,31 +744,31 @@ support::LockStats stream_registry_lock_stats() {
 Counters counters() {
   const Counters64 &c = counters64();
   return Counters{
-      c.memcpy_async_calls.load(std::memory_order_relaxed),
-      c.kernel_launches.load(std::memory_order_relaxed),
-      c.stream_syncs.load(std::memory_order_relaxed),
-      c.mallocs.load(std::memory_order_relaxed),
-      c.frees.load(std::memory_order_relaxed),
-      c.graph_launches.load(std::memory_order_relaxed),
-      c.graph_nodes_replayed.load(std::memory_order_relaxed),
-      c.graph_nodes_captured.load(std::memory_order_relaxed),
-      c.stream_fences.load(std::memory_order_relaxed),
-      c.reduce_launches.load(std::memory_order_relaxed),
+      c.memcpy_async_calls.value(),
+      c.kernel_launches.value(),
+      c.stream_syncs.value(),
+      c.mallocs.value(),
+      c.frees.value(),
+      c.graph_launches.value(),
+      c.graph_nodes_replayed.value(),
+      c.graph_nodes_captured.value(),
+      c.stream_fences.value(),
+      c.reduce_launches.value(),
   };
 }
 
 void reset_counters() {
   Counters64 &c = counters64();
-  c.memcpy_async_calls.store(0, std::memory_order_relaxed);
-  c.kernel_launches.store(0, std::memory_order_relaxed);
-  c.stream_syncs.store(0, std::memory_order_relaxed);
-  c.mallocs.store(0, std::memory_order_relaxed);
-  c.frees.store(0, std::memory_order_relaxed);
-  c.graph_launches.store(0, std::memory_order_relaxed);
-  c.graph_nodes_replayed.store(0, std::memory_order_relaxed);
-  c.graph_nodes_captured.store(0, std::memory_order_relaxed);
-  c.stream_fences.store(0, std::memory_order_relaxed);
-  c.reduce_launches.store(0, std::memory_order_relaxed);
+  c.memcpy_async_calls.reset();
+  c.kernel_launches.reset();
+  c.stream_syncs.reset();
+  c.mallocs.reset();
+  c.frees.reset();
+  c.graph_launches.reset();
+  c.graph_nodes_replayed.reset();
+  c.graph_nodes_captured.reset();
+  c.stream_fences.reset();
+  c.reduce_launches.reset();
 }
 
 } // namespace vcuda

@@ -1,7 +1,9 @@
 #include "support/stats.hpp"
+#include "support/striped_counter.hpp"
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 namespace {
@@ -56,6 +58,28 @@ TEST(Sampler, AccumulatesAndSummarizes) {
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   s.clear();
   EXPECT_TRUE(s.empty());
+}
+
+TEST(StripedCounter, SumsAddsFromEveryThread) {
+  // More threads than stripes, so some threads share a stripe.
+  support::StripedCounter c;
+  constexpr int kThreads = 12;
+  constexpr int kAdds = 1000;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&c] {
+      for (int i = 0; i < kAdds; ++i) {
+        c.add();
+      }
+      c.add(5);
+    });
+  }
+  for (std::thread &w : workers) {
+    w.join();
+  }
+  EXPECT_EQ(c.value(), std::uint64_t{kThreads} * (kAdds + 5));
+  c.reset();
+  EXPECT_EQ(c.value(), 0u);
 }
 
 } // namespace

@@ -15,9 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <optional>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -491,6 +494,98 @@ TEST_F(TempiPersistent, RefreezeFollowsModelGenerationExactlyOnce) {
   tempi::set_chunk_bytes_override(0);
 }
 
+TEST_F(TempiPersistent, FailedRefreezeKeepsTheFrozenPlan) {
+  // A re-freeze whose recording fails must leave the request on the plan
+  // it froze: the Start that hit the failure and every later one succeed
+  // and deliver fresh payloads. The re-search picks Staged, whose single
+  // wire leg the lowered limit rejects (MPI_ERR_COUNT while recording).
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  std::atomic<int> failed_starts{0};
+  tempi::async::RechooseFn previous = nullptr;
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype t = nullptr;
+    MPI_Type_vector(2048, 16, 48, MPI_BYTE, &t); // 32 KiB packed
+    MPI_Type_commit(&t);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    SpaceBuffer buf(vcuda::MemorySpace::Device,
+                    static_cast<std::size_t>(extent) + 16);
+    MPI_Request req = MPI_REQUEST_NULL;
+    if (rank == 0) {
+      ASSERT_EQ(MPI_Send_init(buf.get(), 1, t, 1, 70, MPI_COMM_WORLD, &req),
+                MPI_SUCCESS);
+    } else {
+      ASSERT_EQ(MPI_Recv_init(buf.get(), 1, t, 0, 70, MPI_COMM_WORLD, &req),
+                MPI_SUCCESS);
+    }
+    std::vector<std::byte> raw(buf.size());
+    // Both sides learn whether either Start failed before anyone waits, so
+    // a broken request fails the test instead of hanging it.
+    const auto exchange = [&](int it) {
+      if (rank == 0) {
+        fill_pattern(buf.get(), buf.size(), 110 + it);
+      } else {
+        std::memset(buf.get(), 0, buf.size());
+      }
+      const int rc = MPI_Start(&req);
+      EXPECT_EQ(rc, MPI_SUCCESS) << "rank " << rank << " iteration " << it;
+      if (rc != MPI_SUCCESS) {
+        failed_starts.fetch_add(1);
+      }
+      MPI_Barrier(MPI_COMM_WORLD);
+      if (failed_starts.load() > 0) {
+        return;
+      }
+      EXPECT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+      if (rank == 0) {
+        MPI_Send(buf.get(), static_cast<int>(buf.size()), MPI_BYTE, 1, 71,
+                 MPI_COMM_WORLD);
+      } else {
+        MPI_Recv(raw.data(), static_cast<int>(raw.size()), MPI_BYTE, 0, 71,
+                 MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+        EXPECT_EQ(reference_pack(buf.get(), 1, *t),
+                  reference_pack(raw.data(), 1, *t))
+            << "iteration " << it;
+      }
+    };
+
+    exchange(0); // the frozen Device plan
+    MPI_Barrier(MPI_COMM_WORLD);
+    if (rank == 0) {
+      tempi::set_wire_chunk_limit(16 * 1024);
+      previous = tempi::async::set_persistent_rechoose(
+          [](const tempi::Packer &, const void *,
+             int) -> std::optional<tempi::TransferChoice> {
+            return tempi::TransferChoice{tempi::Method::Staged, 0};
+          });
+      tempi::tune::set_enabled(true);
+      tempi::tune::observe(tempi::tune::Axis::D2H, 0, 1,
+                           vcuda::us_to_ns(50.0));
+      tempi::tune::observe(tempi::tune::Axis::D2H, 0, 1,
+                           vcuda::us_to_ns(50.0));
+      EXPECT_TRUE(tempi::tune::refresh_now());
+      tempi::tune::set_enabled(false);
+    }
+    MPI_Barrier(MPI_COMM_WORLD);
+    for (int it = 1; it <= 3 && failed_starts.load() == 0; ++it) {
+      exchange(it); // the first re-searches and fails to re-record
+    }
+    MPI_Barrier(MPI_COMM_WORLD);
+    if (rank == 0) {
+      tempi::async::set_persistent_rechoose(previous);
+      tempi::set_wire_chunk_limit(tempi::kMaxWireBytes);
+    }
+    ASSERT_EQ(MPI_Request_free(&req), MPI_SUCCESS);
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
+  EXPECT_EQ(failed_starts.load(), 0);
+  EXPECT_EQ(counter("tempi.persistent.starts"), 8u);
+  EXPECT_EQ(counter("tempi.persistent.replays"), 8u); // still Device graphs
+  EXPECT_EQ(counter("tempi.model.refreezes"), 0u);    // nothing re-froze
+}
+
 TEST_F(TempiPersistent, RefreezeSurvivesRemappedCartCommunicator) {
   // Persistent channels on a communicator whose ranks were re-placed by
   // MPI_Cart_create(reorder=1): freeze, replay with fresh payloads, and
@@ -792,6 +887,96 @@ TEST_F(TempiPersistent, RequestFreeNeverBlocksOnUnmatchedReceives) {
   EXPECT_EQ(tempi::async::persistent_open(), 0u);
   MPI_Type_free(&t);
 }
+
+/// Request_free on a pipelined receive that already consumed a leg must
+/// finish the message rather than discard it: discarding would strand its
+/// remaining ordered legs for the next receive on the same (source, tag).
+/// The parameter picks the request form: an Irecv ticket (false) or an
+/// armed persistent receive (true).
+class TempiRequestFreeMidMessage : public TempiPersistent,
+                                   public ::testing::WithParamInterface<bool> {
+};
+
+TEST_P(TempiRequestFreeMidMessage, NextRecvGetsItsOwnMessage) {
+  constexpr int kLeg = 16 * 1024;
+  const bool persistent = GetParam();
+  // Forced Device upgrades to Pipelined above the lowered wire limit.
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  tempi::set_wire_chunk_limit(kLeg);
+  std::atomic<bool> first_leg_sent{false};
+  std::atomic<bool> first_leg_consumed{false};
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype t = nullptr;
+    MPI_Type_vector(2048, 16, 48, MPI_BYTE, &t); // 32 KiB packed: 2 legs
+    MPI_Type_commit(&t);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    const auto bytes = static_cast<std::size_t>(extent);
+    SpaceBuffer buf(vcuda::MemorySpace::Device, bytes);
+    if (rank == 0) {
+      // The first message goes out as raw legs in the pipelined framing
+      // (full legs sized by the first, then a short terminator), so the
+      // receiver can consume leg 1 before the others exist.
+      std::vector<std::byte> host(bytes);
+      fill_pattern(host.data(), bytes, 41);
+      const std::vector<std::byte> packed = reference_pack(host.data(), 1, *t);
+      EXPECT_EQ(packed.size(), std::size_t{2} * kLeg);
+      MPI_Send(packed.data(), kLeg, MPI_BYTE, 1, 50, MPI_COMM_WORLD);
+      first_leg_sent = true;
+      while (!first_leg_consumed) {
+        std::this_thread::yield();
+      }
+      MPI_Send(packed.data() + kLeg, kLeg, MPI_BYTE, 1, 50, MPI_COMM_WORLD);
+      MPI_Send(packed.data(), 0, MPI_BYTE, 1, 50, MPI_COMM_WORLD);
+      // The second message: a real pipelined send of a fresh pattern.
+      fill_pattern(buf.get(), bytes, 42);
+      EXPECT_EQ(MPI_Send(buf.get(), 1, t, 1, 50, MPI_COMM_WORLD),
+                MPI_SUCCESS);
+    } else {
+      MPI_Request req = MPI_REQUEST_NULL;
+      if (persistent) {
+        EXPECT_EQ(MPI_Recv_init(buf.get(), 1, t, 0, 50, MPI_COMM_WORLD, &req),
+                  MPI_SUCCESS);
+        EXPECT_EQ(MPI_Start(&req), MPI_SUCCESS);
+      } else {
+        EXPECT_EQ(MPI_Irecv(buf.get(), 1, t, 0, 50, MPI_COMM_WORLD, &req),
+                  MPI_SUCCESS);
+      }
+      EXPECT_TRUE(tempi::async::owns(req));
+      while (!first_leg_sent) {
+        std::this_thread::yield();
+      }
+      int flag = 1;
+      EXPECT_EQ(MPI_Test(&req, &flag, MPI_STATUS_IGNORE), MPI_SUCCESS);
+      EXPECT_EQ(flag, 0); // leg 1 landed; the rest is not sent yet
+      first_leg_consumed = true;
+      EXPECT_EQ(MPI_Request_free(&req), MPI_SUCCESS);
+      EXPECT_EQ(req, MPI_REQUEST_NULL);
+      EXPECT_EQ(tempi::async::in_flight(), 0u);
+      EXPECT_EQ(tempi::async::persistent_open(), 0u);
+
+      SpaceBuffer second(vcuda::MemorySpace::Device, bytes);
+      std::memset(second.get(), 0, bytes);
+      EXPECT_EQ(MPI_Recv(second.get(), 1, t, 0, 50, MPI_COMM_WORLD,
+                         MPI_STATUS_IGNORE),
+                MPI_SUCCESS);
+      std::vector<std::byte> expected(bytes);
+      fill_pattern(expected.data(), bytes, 42);
+      EXPECT_EQ(reference_pack(second.get(), 1, *t),
+                reference_pack(expected.data(), 1, *t));
+    }
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(RequestForms, TempiRequestFreeMidMessage,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &info) {
+                           return info.param ? "Persistent" : "Irecv";
+                         });
 
 TEST_F(TempiPersistent, TestallPreservesStatusesAcrossPartialPolls) {
   // Regression: an entry completed by an earlier flag=0 Testall poll must

@@ -99,8 +99,9 @@ TEST_F(TempiThreads, ConcurrentIsendIrecvWaitFromPlainThreads) {
 }
 
 TEST_F(TempiThreads, MixedPersistentAndNonPersistentArraysAcrossShards) {
-  // Tickets hash across shards; one Waitall spans persistent tickets
-  // (which re-arm) and plain ops (which retire) from four threads at once.
+  // Each thread's tickets land in its home shard, so four threads fill
+  // four shards at once; one Waitall mixes persistent tickets (which
+  // re-arm) and plain ops (which retire) on every thread.
   ASSERT_GT(tempi::async::shard_count(), 1u);
   constexpr int kThreads = 4;
   constexpr int kRounds = 12;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 namespace {
 
 TEST(Registry, MallocRegistersDeviceSpace) {
@@ -37,6 +40,58 @@ TEST(Registry, StackPointerIsPageable) {
   int local = 0;
   EXPECT_EQ(vcuda::memory_registry().space_of(&local),
             vcuda::MemorySpace::Pageable);
+}
+
+TEST(Registry, LookupsSeeEveryMutation) {
+  // Repeated lookups are answered from a per-thread memo; each insert or
+  // erase must still be visible to the very next lookup.
+  vcuda::MemoryRegistry r;
+  constexpr std::uintptr_t kBase = 0x10000;
+  const auto *p = reinterpret_cast<const void *>(kBase + 8);
+  EXPECT_EQ(r.space_of(p), vcuda::MemorySpace::Pageable);
+  r.insert(vcuda::Allocation{kBase, 64, vcuda::MemorySpace::Device, 0});
+  EXPECT_EQ(r.space_of(p), vcuda::MemorySpace::Device);
+  EXPECT_EQ(r.space_of(p), vcuda::MemorySpace::Device);
+  r.insert(vcuda::Allocation{kBase, 64, vcuda::MemorySpace::Pinned, -1});
+  EXPECT_EQ(r.space_of(p), vcuda::MemorySpace::Pinned);
+  ASSERT_TRUE(r.erase(kBase).has_value());
+  EXPECT_EQ(r.space_of(p), vcuda::MemorySpace::Pageable);
+}
+
+TEST(Registry, MemoNeverCrossesRegistries) {
+  vcuda::MemoryRegistry a;
+  vcuda::MemoryRegistry b;
+  constexpr std::uintptr_t kBase = 0x20000;
+  const auto *p = reinterpret_cast<const void *>(kBase);
+  a.insert(vcuda::Allocation{kBase, 32, vcuda::MemorySpace::Device, 0});
+  EXPECT_EQ(a.space_of(p), vcuda::MemorySpace::Device);
+  EXPECT_FALSE(b.find(p).has_value());
+  EXPECT_EQ(a.space_of(p), vcuda::MemorySpace::Device);
+}
+
+TEST(Registry, FreeOnOneThreadInvalidatesAnotherThreadsLookups) {
+  void *p = nullptr;
+  ASSERT_EQ(vcuda::Malloc(&p, 256), vcuda::Error::Success);
+  std::atomic<int> step{0};
+  vcuda::MemorySpace before = vcuda::MemorySpace::Pageable;
+  vcuda::MemorySpace after = vcuda::MemorySpace::Device;
+  std::thread reader([&] {
+    before = vcuda::memory_registry().space_of(p);
+    before = vcuda::memory_registry().space_of(p); // now memoized
+    step.store(1, std::memory_order_release);
+    while (step.load(std::memory_order_acquire) != 2) {
+      std::this_thread::yield();
+    }
+    after = vcuda::memory_registry().space_of(p);
+  });
+  while (step.load(std::memory_order_acquire) != 1) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(vcuda::Free(p), vcuda::Error::Success);
+  step.store(2, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(before, vcuda::MemorySpace::Device);
+  EXPECT_EQ(after, vcuda::MemorySpace::Pageable);
 }
 
 TEST(Registry, PointerGetAttributesReportsDevice) {
