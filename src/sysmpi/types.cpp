@@ -113,6 +113,23 @@ MPI_Datatype make_contiguous(int count, MPI_Datatype oldtype) {
   return t;
 }
 
+namespace {
+
+/// lb/extent of `count` blocks of `block` bytes whose starts step by
+/// `step` (possibly negative) from `base_lb`. Block starts are linear in
+/// the block index, so the first and the last block bound the span: this
+/// is the per-block min/max walk in closed form, O(1) for any count.
+void set_block_span(Datatype &t, long long base_lb, int count, long long step,
+                    long long block) {
+  const long long last_begin = static_cast<long long>(count - 1) * step;
+  const long long first = std::min(0LL, last_begin);
+  const long long last = std::max(0LL, std::max(0LL, last_begin) + block);
+  t.lb = base_lb + first;
+  t.extent = last - first;
+}
+
+} // namespace
+
 MPI_Datatype make_vector(int count, int blocklength, int stride,
                          MPI_Datatype oldtype) {
   assert(count >= 0 && blocklength >= 0 && oldtype != nullptr);
@@ -129,14 +146,7 @@ MPI_Datatype make_vector(int count, int blocklength, int stride,
     // Span from first block start to last block end; stride may be negative.
     const long long step = static_cast<long long>(stride) * oldtype->extent;
     const long long block = static_cast<long long>(blocklength) * oldtype->extent;
-    long long first = 0, last = 0;
-    for (int i = 0; i < count; ++i) {
-      const long long begin = static_cast<long long>(i) * step;
-      first = std::min(first, begin);
-      last = std::max(last, begin + block);
-    }
-    t->lb = oldtype->lb + first;
-    t->extent = last - first;
+    set_block_span(*t, oldtype->lb, count, step, block);
   }
   return t;
 }
@@ -156,14 +166,7 @@ MPI_Datatype make_hvector(int count, int blocklength, MPI_Aint stride_bytes,
     t->extent = 0;
   } else {
     const long long block = static_cast<long long>(blocklength) * oldtype->extent;
-    long long first = 0, last = 0;
-    for (int i = 0; i < count; ++i) {
-      const long long begin = static_cast<long long>(i) * stride_bytes;
-      first = std::min(first, begin);
-      last = std::max(last, begin + block);
-    }
-    t->lb = oldtype->lb + first;
-    t->extent = last - first;
+    set_block_span(*t, oldtype->lb, count, stride_bytes, block);
   }
   return t;
 }

@@ -52,7 +52,7 @@ struct RecordedProgram {
 
 /// One TEMPI-owned request. Created and driven by the owning rank thread;
 /// only the pool map itself is shared. A one-shot op (Isend, Irecv and
-/// their collective/blocklist variants) leaves the pool when it completes.
+/// their pre-packed collective variants) leaves the pool when it completes.
 /// A persistent op (Send_init/Recv_init) re-arms instead: it rests in the
 /// pool in the Complete phase until Start, and only request_free
 /// releases it.
@@ -63,13 +63,12 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   Method method = Method::Device;
   bool persistent = false;
 
-  // Exactly one of these engines is set. The canonical packer rides as a
-  // raw pointer (no per-op refcount bump): MPI_Type_free between Isend and
-  // Wait cannot invalidate it because tempi.cpp retires freed packers to a
-  // graveyard drained only at Finalize/uninstall, and uninstall drains
-  // this pool first.
+  // Unset only for pre-packed ops. The packer rides as a raw pointer (no
+  // per-op refcount bump): MPI_Type_free between Isend and Wait cannot
+  // invalidate it because tempi.cpp retires freed packers to a graveyard
+  // drained only at Finalize/uninstall, and uninstall drains this pool
+  // first.
   const Packer *packer = nullptr;
-  std::shared_ptr<const BlockListPacker> blocklist;
 
   void *recv_buf = nullptr; ///< recv only: the user's destination object
   int count = 0;
@@ -293,20 +292,6 @@ std::unique_ptr<AsyncOp> extract(MPI_Request ticket) {
 
 int wire_count(const AsyncOp &op) { return op.pipe.wire_count(); }
 
-/// Enqueue the unpack legs of a received wire without synchronizing
-/// (WirePending -> UnpackPending). The blocklist engine synchronizes
-/// internally; canonical packers stay asynchronous for batching.
-int post_unpack(AsyncOp &op) {
-  if (op.blocklist) {
-    return op.blocklist->unpack(op.recv_buf, op.pipe.wire.get(), op.count,
-                                op.stream) == vcuda::Error::Success
-               ? MPI_SUCCESS
-               : MPI_ERR_OTHER;
-  }
-  return start_unpack(*op.packer, op.method, op.recv_buf, op.count, op.pipe,
-                      op.stream);
-}
-
 void fill_recv_status(const AsyncOp &op, MPI_Status *status) {
   if (status == MPI_STATUS_IGNORE) {
     return;
@@ -483,19 +468,18 @@ int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
                            op.pipe.bytes, op.peer, op.tag,
                            static_cast<std::int8_t>(op.method));
   // Tuner harvest: only the synchronous completion path is a clean
-  // launch+sync sample (deferred batched syncs measure elsewhere), and
-  // only canonical-packer ops carry the {block, total} key.
-  tune::ScopedObservation obs(op.method == Method::OneShot
-                                  ? tune::Axis::OneshotUnpack
-                                  : tune::Axis::DeviceUnpack,
-                              op.packer != nullptr
-                                  ? static_cast<std::size_t>(
-                                        op.packer->wire_block_bytes())
-                                  : 0,
-                              op.pipe.bytes,
-                              sync && op.packer != nullptr &&
-                                  op.method != Method::Staged);
-  const int urc = post_unpack(op);
+  // launch+sync sample (deferred batched syncs measure elsewhere). A
+  // block-list packer's zero block size keys no cell, so it observes
+  // nothing.
+  tune::ScopedObservation obs(
+      op.method == Method::OneShot ? tune::Axis::OneshotUnpack
+                                   : tune::Axis::DeviceUnpack,
+      static_cast<std::size_t>(op.packer->wire_block_bytes()), op.pipe.bytes,
+      sync && op.method != Method::Staged);
+  // Enqueue the unpack legs without synchronizing (WirePending ->
+  // UnpackPending).
+  const int urc = start_unpack(*op.packer, op.method, op.recv_buf, op.count,
+                               op.pipe, op.stream);
   if (urc != MPI_SUCCESS) {
     obs.disarm();
     return urc;
@@ -775,57 +759,6 @@ int start_isend_packed(const void *bytes, std::size_t nbytes, Method method,
   return MPI_SUCCESS;
 }
 
-int start_isend_blocklist(std::shared_ptr<const BlockListPacker> packer,
-                          const void *buf, int count, int dest, int tag,
-                          MPI_Comm comm, const interpose::MpiTable &next,
-                          MPI_Request *request) {
-  auto op = std::make_unique<AsyncOp>();
-  op->kind = AsyncOp::Kind::Send;
-  op->method = Method::Device;
-  op->blocklist = std::move(packer);
-  op->count = count;
-  op->peer = dest;
-  op->tag = tag;
-  op->comm = comm;
-  op->stream = vcuda::next_pool_stream();
-
-  op->phase = OpPhase::PackIssued;
-  op->pipe.bytes = op->blocklist->packed_bytes(count);
-  if (op->pipe.bytes > kMaxWireBytes) {
-    return MPI_ERR_COUNT;
-  }
-  {
-    trace::ScopedSpan lease(trace::Phase::LeaseAcquire, trace::OpKind::None,
-                            op->pipe.bytes);
-    op->pipe.wire = lease_buffer(vcuda::MemorySpace::Device, op->pipe.bytes);
-  }
-  if (op->pipe.wire.get() == nullptr && op->pipe.bytes > 0) {
-    return MPI_ERR_OTHER;
-  }
-  {
-    trace::ScopedSpan pack(trace::Phase::PackLaunch, trace::OpKind::Isend,
-                           op->pipe.bytes, dest, tag);
-    if (op->blocklist->pack(op->pipe.wire.get(), buf, count, op->stream) !=
-        vcuda::Error::Success) {
-      return MPI_ERR_OTHER;
-    }
-  }
-  int rc;
-  {
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Isend,
-                           op->pipe.bytes, dest, tag);
-    rc = next.Isend(op->pipe.wire.get(), wire_count(*op), MPI_BYTE, dest, tag,
-                    comm, &op->inner);
-  }
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  op->phase = OpPhase::TransferPosted;
-  pool().isends.add();
-  *request = insert(std::move(op));
-  return MPI_SUCCESS;
-}
-
 namespace {
 
 std::unique_ptr<AsyncOp> make_recv_op(int count, int source, int tag,
@@ -894,26 +827,6 @@ int start_irecv(const Packer *packer, Method method, void *buf, int count,
   const int rc = start_recv(*op->packer, method, count, &op->pipe);
   if (rc != MPI_SUCCESS) {
     return rc;
-  }
-  pool().irecvs.add();
-  *request = insert(std::move(op));
-  return MPI_SUCCESS;
-}
-
-int start_irecv_blocklist(std::shared_ptr<const BlockListPacker> packer,
-                          void *buf, int count, int source, int tag,
-                          MPI_Comm comm, const interpose::MpiTable & /*next*/,
-                          MPI_Request *request) {
-  auto op = make_recv_op(count, source, tag, comm, buf);
-  op->method = Method::Device;
-  op->blocklist = std::move(packer);
-  op->pipe.bytes = op->blocklist->packed_bytes(count);
-  if (op->pipe.bytes > kMaxWireBytes) {
-    return MPI_ERR_COUNT;
-  }
-  op->pipe.wire = lease_buffer(vcuda::MemorySpace::Device, op->pipe.bytes);
-  if (op->pipe.wire.get() == nullptr && op->pipe.bytes > 0) {
-    return MPI_ERR_OTHER;
   }
   pool().irecvs.add();
   *request = insert(std::move(op));
@@ -1367,11 +1280,13 @@ int probe_entry(MPI_Request *request, MPI_Status *status,
 }
 
 /// A receive whose unpack can join Waitall's fused launch: a canonical
-/// packer moved by one kernel (Device or OneShot). Blocklist and
-/// pre-packed ops carry no packer, pipelined ops are Method::Pipelined,
-/// and persistent receives replay their recorded unpack graph instead.
+/// strided packer moved by one kernel (Device or OneShot). Pre-packed ops
+/// carry no packer, the fused kernel reads a strided packer's plan() and
+/// block() (a block-list packer has neither), pipelined ops are
+/// Method::Pipelined, and persistent receives replay their recorded
+/// unpack graph instead.
 bool fusable(const AsyncOp &op) {
-  return op.packer != nullptr && !op.program &&
+  return op.packer != nullptr && op.packer->strided() && !op.program &&
          (op.method == Method::Device || op.method == Method::OneShot);
 }
 

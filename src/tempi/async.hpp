@@ -46,7 +46,7 @@
 // rendezvous-sized wire wait, so it runs under that wait, and once more at
 // the end of pass 1. Pass 2 then pays one host synchronization per stream
 // that holds work: one for every fused launch, plus one per stream of the
-// receives that keep their own unpack path (Staged, blocklist, pipelined).
+// receives that keep their own unpack path (Staged, block-list, pipelined).
 // Ops that completed in place leave no stream work and cost no sync.
 //
 // Deadlock discipline: the send-side transfer is posted eagerly at Isend
@@ -66,7 +66,6 @@
 
 #include "interpose/table.hpp"
 #include "support/contended_mutex.hpp"
-#include "tempi/blocklist_packer.hpp"
 #include "tempi/methods.hpp"
 #include "tempi/packer.hpp"
 
@@ -136,16 +135,6 @@ int start_isend_packed(const void *bytes, std::size_t nbytes, Method method,
 int start_irecv_packed(void *bytes, std::size_t nbytes, Method method,
                        int source, int tag, MPI_Comm comm,
                        const interpose::MpiTable &next, MPI_Request *request);
-
-/// Blocklist (Sec. 8 extension) variants; always the device method.
-int start_isend_blocklist(std::shared_ptr<const BlockListPacker> packer,
-                          const void *buf, int count, int dest, int tag,
-                          MPI_Comm comm, const interpose::MpiTable &next,
-                          MPI_Request *request);
-int start_irecv_blocklist(std::shared_ptr<const BlockListPacker> packer,
-                          void *buf, int count, int source, int tag,
-                          MPI_Comm comm, const interpose::MpiTable &next,
-                          MPI_Request *request);
 
 // --- persistent requests (MPI_Send_init / MPI_Recv_init / MPI_Start) --------
 //

@@ -283,8 +283,9 @@ vcuda::KernelCost BlockListPacker::kernel_cost(int count, bool is_pack,
   return cost;
 }
 
-vcuda::Error BlockListPacker::pack(void *dst, const void *src, int count,
-                                   vcuda::StreamHandle stream) const {
+vcuda::Error BlockListPacker::pack_async(void *dst, const void *src,
+                                         int count,
+                                         vcuda::StreamHandle stream) const {
   vcuda::LaunchConfig cfg;
   cfg.block = {256, 1, 1};
   cfg.grid = {static_cast<unsigned>(
@@ -292,7 +293,7 @@ vcuda::Error BlockListPacker::pack(void *dst, const void *src, int count,
               1, static_cast<unsigned>(count)};
   auto *out = static_cast<std::byte *>(dst);
   const auto *in = static_cast<const std::byte *>(src);
-  const vcuda::Error e = vcuda::LaunchKernel(
+  return vcuda::LaunchKernel(
       cfg, kernel_cost(count, true, src, dst), stream, [this, out, in,
                                                         count] {
         std::byte *cursor = out;
@@ -305,14 +306,11 @@ vcuda::Error BlockListPacker::pack(void *dst, const void *src, int count,
           }
         }
       });
-  if (e != vcuda::Error::Success) {
-    return e;
-  }
-  return vcuda::StreamSynchronize(stream);
 }
 
-vcuda::Error BlockListPacker::unpack(void *dst, const void *src, int count,
-                                     vcuda::StreamHandle stream) const {
+vcuda::Error BlockListPacker::unpack_async(void *dst, const void *src,
+                                           int count,
+                                           vcuda::StreamHandle stream) const {
   vcuda::LaunchConfig cfg;
   cfg.block = {256, 1, 1};
   cfg.grid = {static_cast<unsigned>(
@@ -320,7 +318,7 @@ vcuda::Error BlockListPacker::unpack(void *dst, const void *src, int count,
               1, static_cast<unsigned>(count)};
   auto *out = static_cast<std::byte *>(dst);
   const auto *in = static_cast<const std::byte *>(src);
-  const vcuda::Error e = vcuda::LaunchKernel(
+  return vcuda::LaunchKernel(
       cfg, kernel_cost(count, false, dst, src), stream, [this, out, in,
                                                          count] {
         const std::byte *cursor = in;
@@ -333,10 +331,6 @@ vcuda::Error BlockListPacker::unpack(void *dst, const void *src, int count,
           }
         }
       });
-  if (e != vcuda::Error::Success) {
-    return e;
-  }
-  return vcuda::StreamSynchronize(stream);
 }
 
 } // namespace tempi

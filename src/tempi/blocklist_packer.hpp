@@ -10,6 +10,11 @@
 // indexed types fall through to the system MPI — and exposes it as an
 // opt-in extension (tempi::set_blocklist_fallback) evaluated by
 // bench_abl_blocklist.
+//
+// A BlockListPacker is only a kernel backend: MPI_Type_commit wraps it in
+// a tempi::Packer (packer.hpp), so block-list types ride the same send,
+// receive, request, persistent and replay paths as canonical ones. The
+// launches here are asynchronous; Packer::pack/unpack add the one sync.
 #pragma once
 
 #include "interpose/table.hpp"
@@ -52,12 +57,12 @@ public:
     return static_cast<std::size_t>(size_) * static_cast<std::size_t>(count);
   }
 
-  /// Gather `count` objects into contiguous `dst`; synchronizes.
-  vcuda::Error pack(void *dst, const void *src, int count,
-                    vcuda::StreamHandle stream) const;
-  /// Scatter contiguous `src` into `count` objects at `dst`; synchronizes.
-  vcuda::Error unpack(void *dst, const void *src, int count,
-                      vcuda::StreamHandle stream) const;
+  /// Enqueue the gather of `count` objects into contiguous `dst`.
+  vcuda::Error pack_async(void *dst, const void *src, int count,
+                          vcuda::StreamHandle stream) const;
+  /// Enqueue the scatter of contiguous `src` into `count` objects at `dst`.
+  vcuda::Error unpack_async(void *dst, const void *src, int count,
+                            vcuda::StreamHandle stream) const;
 
 private:
   BlockListPacker() = default;

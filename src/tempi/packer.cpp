@@ -24,11 +24,17 @@ vcuda::Error Packer::unpack(void *dst, const void *src, int count,
 
 vcuda::Error Packer::pack_async(void *dst, const void *src, int count,
                                 vcuda::StreamHandle stream) const {
+  if (blocklist_) {
+    return blocklist_->pack_async(dst, src, count, stream);
+  }
   return launch_pack(plan_, sb_, extent_, dst, src, count, stream);
 }
 
 vcuda::Error Packer::unpack_async(void *dst, const void *src, int count,
                                   vcuda::StreamHandle stream) const {
+  if (blocklist_) {
+    return blocklist_->unpack_async(dst, src, count, stream);
+  }
   return launch_unpack(plan_, sb_, extent_, dst, src, count, stream);
 }
 
@@ -36,6 +42,7 @@ vcuda::Error Packer::pack_range_async(void *dst, const void *src,
                                       long long first_block,
                                       long long n_blocks,
                                       vcuda::StreamHandle stream) const {
+  assert(strided());
   return launch_pack_range(plan_, sb_, extent_, dst, src, first_block,
                            n_blocks, stream);
 }
@@ -44,6 +51,7 @@ vcuda::Error Packer::unpack_range_async(void *dst, const void *src,
                                         long long first_block,
                                         long long n_blocks,
                                         vcuda::StreamHandle stream) const {
+  assert(strided());
   return launch_unpack_range(plan_, sb_, extent_, dst, src, first_block,
                              n_blocks, stream);
 }
@@ -51,12 +59,14 @@ vcuda::Error Packer::unpack_range_async(void *dst, const void *src,
 vcuda::Error Packer::pack_spans_async(void *dst, const void *src,
                                       std::span<const PackSpan> spans,
                                       vcuda::StreamHandle stream) const {
+  assert(strided());
   return launch_pack_spans(plan_, sb_, extent_, dst, src, spans, stream);
 }
 
 vcuda::Error Packer::unpack_spans_async(void *dst, const void *src,
                                         std::span<const PackSpan> spans,
                                         vcuda::StreamHandle stream) const {
+  assert(strided());
   return launch_unpack_spans(plan_, sb_, extent_, dst, src, spans, stream);
 }
 

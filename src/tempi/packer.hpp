@@ -4,11 +4,21 @@
 // type (needed to step across `count` objects and size packed buffers), the
 // commit-time PackPlan (word size, launch-geometry template, DMA
 // parameters), and a small memo of the perf model's method choice per
-// object count. No metadata lives in (virtual) GPU memory: all parameters
-// are kernel arguments, per the paper. Everything recomputable was computed
-// at commit, so the per-message cost is a table lookup.
+// object count. A strided packer keeps no metadata in (virtual) GPU
+// memory: all parameters are kernel arguments, per the paper. Everything
+// recomputable was computed at commit, so the per-message cost is a table
+// lookup.
+//
+// A type with no canonical strided form may instead carry a block-list
+// backend (the opt-in Sec. 8 fallback, blocklist_packer.hpp), whose
+// offset/length tables do live in device memory. Such a packer is not
+// strided(): its pack/unpack halves run the block-list kernel, and it has
+// no block(), plan(), ranged, span or DMA halves, so the paths that need
+// those (the Pipelined method, the fused Waitall unpack, the collectives
+// engine) check strided() first. Every other path treats both alike.
 #pragma once
 
+#include "tempi/blocklist_packer.hpp"
 #include "tempi/kernels.hpp"
 #include "tempi/perf_model.hpp"
 #include "tempi/strided_block.hpp"
@@ -18,6 +28,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 namespace tempi {
@@ -27,6 +38,14 @@ public:
   Packer(StridedBlock sb, long long type_extent, long long type_size)
       : sb_(std::move(sb)), extent_(type_extent), size_(type_size),
         plan_(make_pack_plan(sb_, extent_)) {}
+
+  /// The block-list backend: an empty block(), so wire_block_bytes() is 0.
+  explicit Packer(std::unique_ptr<const BlockListPacker> blocklist)
+      : extent_(blocklist->type_extent()), size_(blocklist->type_size()),
+        blocklist_(std::move(blocklist)) {}
+
+  /// False for the block-list backend (see the file comment).
+  [[nodiscard]] bool strided() const { return blocklist_ == nullptr; }
 
   [[nodiscard]] const StridedBlock &block() const { return sb_; }
   [[nodiscard]] long long type_extent() const { return extent_; }
@@ -172,6 +191,7 @@ private:
   long long extent_ = 0;
   long long size_ = 0;
   PackPlan plan_;
+  std::unique_ptr<const BlockListPacker> blocklist_;
   mutable std::array<std::atomic<std::uint64_t>, kMemoSlots> memo_{};
 };
 

@@ -69,12 +69,12 @@ struct State {
 
   std::shared_mutex packers_mutex;
   std::unordered_map<MPI_Datatype, std::shared_ptr<const Packer>> packers;
-  std::unordered_map<MPI_Datatype, std::shared_ptr<const BlockListPacker>>
-      blocklist_packers;
   /// Packers of freed datatypes, kept alive so raw pointers held by the
   /// handle cache and in-flight ops never dangle. Drained only at the
-  /// quiescent points (Finalize, uninstall); a Packer is ~200 bytes, so
-  /// even commit/free-heavy runs retire kilobytes, not megabytes.
+  /// quiescent points (Finalize, uninstall); a strided Packer is ~200
+  /// bytes, so even commit/free-heavy runs retire kilobytes, not
+  /// megabytes. A retired block-list packer (the opt-in Sec. 8 fallback)
+  /// also keeps its device metadata, 16 B per block, until then.
   std::vector<std::shared_ptr<const Packer>> retired_packers;
   std::atomic<bool> blocklist_fallback{false};
 
@@ -247,13 +247,6 @@ void bump_handle_generation(State &s) {
   s.handle_gen.fetch_add(1, std::memory_order_release);
 }
 
-std::shared_ptr<const BlockListPacker> lookup_blocklist(MPI_Datatype dt) {
-  State &s = state();
-  const std::shared_lock<std::shared_mutex> lock(s.packers_mutex);
-  const auto it = s.blocklist_packers.find(dt);
-  return it == s.blocklist_packers.end() ? nullptr : it->second;
-}
-
 // --- interposed entry points -------------------------------------------------
 
 // One-time process configuration shared by Init and Init_thread: honor
@@ -372,22 +365,22 @@ int tempi_Type_commit(MPI_Datatype *datatype) {
     simplify(*ir);
     sb = to_strided_block(*ir);
   }
-  if (!sb) {
-    if (s.blocklist_fallback.load(std::memory_order_relaxed)) {
-      if (auto bl = BlockListPacker::create(dt, s.next)) {
-        const std::unique_lock<std::shared_mutex> lock(s.packers_mutex);
-        s.blocklist_packers.emplace(dt, std::move(bl));
-        return MPI_SUCCESS;
-      }
+  std::shared_ptr<const Packer> packer;
+  if (sb) {
+    MPI_Aint lb = 0, extent = 0;
+    int size = 0;
+    s.next.Type_get_extent(dt, &lb, &extent);
+    s.next.Type_size(dt, &size);
+    packer = std::make_shared<const Packer>(std::move(*sb), extent, size);
+  } else if (s.blocklist_fallback.load(std::memory_order_relaxed)) {
+    if (auto bl = BlockListPacker::create(dt, s.next)) {
+      packer = std::make_shared<const Packer>(std::move(bl));
     }
+  }
+  if (!packer) {
     support::log_debug("tempi: datatype not strided; system path");
     return MPI_SUCCESS;
   }
-  MPI_Aint lb = 0, extent = 0;
-  int size = 0;
-  s.next.Type_get_extent(dt, &lb, &extent);
-  s.next.Type_size(dt, &size);
-  auto packer = std::make_shared<const Packer>(std::move(*sb), extent, size);
   {
     const std::unique_lock<std::shared_mutex> lock(s.packers_mutex);
     s.packers.emplace(dt, std::move(packer));
@@ -408,7 +401,6 @@ int tempi_Type_free(MPI_Datatype *datatype) {
       s.packers.erase(it);
       bump_handle_generation(s);
     }
-    s.blocklist_packers.erase(*datatype);
   }
   return s.next.Type_free(datatype);
 }
@@ -501,75 +493,12 @@ vcuda::Error pack_call(const Packer &packer, void *dst, const void *src,
   return vcuda::StreamFence(stream);
 }
 
-/// Sec. 8 extension path: pack/unpack through the generic blocklist engine
-/// when enabled and applicable. Returns true if handled.
-bool try_blocklist_pack(const void *inbuf, int incount,
-                        MPI_Datatype datatype, void *outbuf, int outsize,
-                        int *position, int *rc) {
-  const auto bl = lookup_blocklist(datatype);
-  if (!bl || incount <= 0 ||
-      !(device_resident(inbuf) || device_resident(outbuf))) {
-    return false;
-  }
-  if (position == nullptr) {
-    *rc = MPI_ERR_ARG; // as the system and canonical paths report it
-    return true;
-  }
-  const auto bytes = static_cast<long long>(bl->packed_bytes(incount));
-  if (*position + bytes > outsize) {
-    *rc = MPI_ERR_TRUNCATE;
-    return true;
-  }
-  auto *out = static_cast<std::byte *>(outbuf) + *position;
-  *rc = bl->pack(out, inbuf, incount, vcuda::default_stream()) ==
-                vcuda::Error::Success
-            ? MPI_SUCCESS
-            : MPI_ERR_OTHER;
-  if (*rc == MPI_SUCCESS) {
-    *position += static_cast<int>(bytes);
-  }
-  return true;
-}
-
-bool try_blocklist_unpack(const void *inbuf, int insize, int *position,
-                          void *outbuf, int outcount, MPI_Datatype datatype,
-                          int *rc) {
-  const auto bl = lookup_blocklist(datatype);
-  if (!bl || outcount <= 0 ||
-      !(device_resident(inbuf) || device_resident(outbuf))) {
-    return false;
-  }
-  if (position == nullptr) {
-    *rc = MPI_ERR_ARG;
-    return true;
-  }
-  const auto bytes = static_cast<long long>(bl->packed_bytes(outcount));
-  if (*position + bytes > insize) {
-    *rc = MPI_ERR_TRUNCATE;
-    return true;
-  }
-  const auto *in = static_cast<const std::byte *>(inbuf) + *position;
-  *rc = bl->unpack(outbuf, in, outcount, vcuda::default_stream()) ==
-                vcuda::Error::Success
-            ? MPI_SUCCESS
-            : MPI_ERR_OTHER;
-  if (*rc == MPI_SUCCESS) {
-    *position += static_cast<int>(bytes);
-  }
-  return true;
-}
-
 int tempi_Pack(const void *inbuf, int incount, MPI_Datatype datatype,
                void *outbuf, int outsize, int *position, MPI_Comm comm) {
   State &s = state();
   const Packer *packer = lookup_packer_fast(datatype);
   if (!packer || incount == 0 ||
       !(device_resident(inbuf) || device_resident(outbuf))) {
-    int rc = MPI_SUCCESS;
-    if (try_blocklist_pack(inbuf, incount, datatype, outbuf, outsize,
-                           position, &rc)) {
-      return rc;
-    }
     return s.next.Pack(inbuf, incount, datatype, outbuf, outsize, position,
                        comm);
   }
@@ -595,11 +524,6 @@ int tempi_Unpack(const void *inbuf, int insize, int *position, void *outbuf,
   const Packer *packer = lookup_packer_fast(datatype);
   if (!packer || outcount == 0 ||
       !(device_resident(inbuf) || device_resident(outbuf))) {
-    int rc = MPI_SUCCESS;
-    if (try_blocklist_unpack(inbuf, insize, position, outbuf, outcount,
-                             datatype, &rc)) {
-      return rc;
-    }
     return s.next.Unpack(inbuf, insize, position, outbuf, outcount, datatype,
                          comm);
   }
@@ -622,26 +546,21 @@ int tempi_Unpack(const void *inbuf, int insize, int *position, void *outbuf,
 /// True when `buf`'s side of a multi-leg call gives TEMPI something to
 /// accelerate. For the collectives engine (`for_collectives`) that means
 /// a device-resident buffer the engine can express as packed wire legs —
-/// a canonical packer or a contiguous datatype it slices directly;
-/// blocklist types are deliberately excluded, the engine has no blocklist
-/// leg, so they keep the system MPI's native collectives. For the
-/// Sendrecv decomposition it means whatever Isend/Irecv would accelerate:
-/// a canonical packer or (when the Sec. 8 fallback is enabled) a
-/// blocklist packer.
+/// a canonical strided packer or a contiguous datatype it slices
+/// directly; blocklist types are deliberately excluded, the engine has no
+/// blocklist leg, so they keep the system MPI's native collectives. For
+/// the Sendrecv decomposition it means whatever Isend/Irecv would
+/// accelerate: any committed packer.
 bool side_accelerable(const void *buf, MPI_Datatype dt,
                       bool for_collectives) {
   if (buf == nullptr || dt == nullptr || !device_resident(buf)) {
     return false;
   }
-  if (for_collectives) {
-    return dt->is_contiguous() || lookup_packer_fast(dt) != nullptr;
-  }
-  if (lookup_packer_fast(dt) != nullptr) {
+  if (for_collectives && dt->is_contiguous()) {
     return true;
   }
-  State &s = state();
-  return s.blocklist_fallback.load(std::memory_order_relaxed) &&
-         lookup_blocklist(dt) != nullptr;
+  const Packer *packer = lookup_packer_fast(dt);
+  return packer != nullptr && (packer->strided() || !for_collectives);
 }
 
 /// The one guarded system-path gate shared by every multi-leg entry point
@@ -683,10 +602,12 @@ bool reduction_fallthrough(MPI_Datatype datatype, MPI_Op op) {
 /// takes over only for non-contiguous, translatable datatypes on
 /// device-resident buffers. Zero-size payloads (empty types or count 0)
 /// forward too: there is nothing to pack, and the kernels reject
-/// zero-volume launches. A forced mode decides here; Auto defers to
-/// `choose_auto(total)` with the packed byte total. Returns the method
-/// plus, for Method::Pipelined, the chosen wire-leg target; nullopt falls
-/// through to the system path.
+/// zero-volume launches. A block-list packer (Sec. 8 extension) always
+/// ships via the device method: it has no ranged legs for Pipelined and
+/// no block size for the model. Otherwise a forced mode decides here;
+/// Auto defers to `choose_auto(total)` with the packed byte total.
+/// Returns the method plus, for Method::Pipelined, the chosen wire-leg
+/// target; nullopt falls through to the system path.
 template <class ChooseAuto>
 std::optional<TransferChoice> gated_choice(const Packer *packer,
                                            const void *buf, int count,
@@ -694,6 +615,13 @@ std::optional<TransferChoice> gated_choice(const Packer *packer,
   if (packer == nullptr || packer->contiguous() || count == 0 ||
       packer->packed_bytes(count) == 0 || !device_resident(buf)) {
     return std::nullopt;
+  }
+  const SendMode mode = state().mode.load(std::memory_order_relaxed);
+  if (mode == SendMode::System) {
+    return std::nullopt;
+  }
+  if (!packer->strided()) {
+    return TransferChoice{Method::Device, 0};
   }
   const std::size_t total = packer->packed_bytes(count);
   // Forced monolithic methods upgrade to Pipelined above the wire-chunk
@@ -705,12 +633,12 @@ std::optional<TransferChoice> gated_choice(const Packer *packer,
     }
     return TransferChoice{m, 0};
   };
-  switch (state().mode.load(std::memory_order_relaxed)) {
-  case SendMode::System: return std::nullopt;
+  switch (mode) {
   case SendMode::ForceOneShot: return forced(Method::OneShot);
   case SendMode::ForceDevice: return forced(Method::Device);
   case SendMode::ForceStaged: return forced(Method::Staged);
   case SendMode::ForcePipelined: return forced(Method::Pipelined);
+  case SendMode::System:
   case SendMode::Auto: break;
   }
   return choose_auto(total);
@@ -749,20 +677,6 @@ std::optional<TransferChoice> acceleration_method(const Packer *packer,
   });
 }
 
-/// Sec. 8 extension gate shared by the blocking and non-blocking paths:
-/// blocklist types ship via the device method when applicable.
-std::shared_ptr<const BlockListPacker>
-blocklist_acceleration(MPI_Datatype datatype, const void *buf, int count) {
-  State &s = state();
-  const auto bl = lookup_blocklist(datatype);
-  if (bl && count > 0 && bl->packed_bytes(count) > 0 &&
-      device_resident(buf) &&
-      s.mode.load(std::memory_order_relaxed) != SendMode::System) {
-    return bl;
-  }
-  return nullptr;
-}
-
 int tempi_Send(const void *buf, int count, MPI_Datatype datatype, int dest,
                int tag, MPI_Comm comm) {
   State &s = state();
@@ -773,23 +687,6 @@ int tempi_Send(const void *buf, int count, MPI_Datatype datatype, int dest,
   const Packer *packer = lookup_packer_fast(datatype);
   const auto method = acceleration_method(packer, buf, count);
   if (!method) {
-    if (const auto bl = blocklist_acceleration(datatype, buf, count)) {
-      const std::size_t bytes = bl->packed_bytes(count);
-      if (bytes > kMaxWireBytes) {
-        return MPI_ERR_COUNT; // the wire leg's count is a C int
-      }
-      CachedBuffer dev = lease_buffer(vcuda::MemorySpace::Device, bytes);
-      if (dev.get() == nullptr && bytes > 0) {
-        return MPI_ERR_OTHER; // lease failed; do not pack into null
-      }
-      if (bl->pack(dev.get(), buf, count, vcuda::default_stream()) !=
-          vcuda::Error::Success) {
-        return MPI_ERR_OTHER;
-      }
-      s.sends_device.add();
-      return s.next.Send(dev.get(), static_cast<int>(bytes), MPI_BYTE, dest,
-                         tag, comm);
-    }
     s.sends_forwarded.add();
     return s.next.Send(buf, count, datatype, dest, tag, comm);
   }
@@ -822,25 +719,6 @@ int tempi_Recv(void *buf, int count, MPI_Datatype datatype, int source,
   const Packer *packer = lookup_packer_fast(datatype);
   const auto method = acceleration_method(packer, buf, count);
   if (!method) {
-    if (const auto bl = blocklist_acceleration(datatype, buf, count)) {
-      const std::size_t bytes = bl->packed_bytes(count);
-      if (bytes > kMaxWireBytes) {
-        return MPI_ERR_COUNT; // the wire leg's count is a C int
-      }
-      CachedBuffer dev = lease_buffer(vcuda::MemorySpace::Device, bytes);
-      if (dev.get() == nullptr && bytes > 0) {
-        return MPI_ERR_OTHER; // lease failed; do not receive into null
-      }
-      const int rc = s.next.Recv(dev.get(), static_cast<int>(bytes), MPI_BYTE,
-                                 source, tag, comm, status);
-      if (rc != MPI_SUCCESS) {
-        return rc;
-      }
-      return bl->unpack(buf, dev.get(), count, vcuda::default_stream()) ==
-                     vcuda::Error::Success
-                 ? MPI_SUCCESS
-                 : MPI_ERR_OTHER;
-    }
     return s.next.Recv(buf, count, datatype, source, tag, comm, status);
   }
   return recv_with_method(*packer, method->method, buf, count, source, tag,
@@ -912,11 +790,6 @@ int tempi_Isend(const void *buf, int count, MPI_Datatype datatype, int dest,
   const Packer *packer = lookup_packer_fast(datatype);
   const auto method = acceleration_method(packer, buf, count);
   if (!method) {
-    if (const auto bl = blocklist_acceleration(datatype, buf, count)) {
-      s.isends_device.add();
-      return async::start_isend_blocklist(bl, buf, count, dest, tag, comm,
-                                          s.next, request);
-    }
     s.isends_forwarded.add();
     return s.next.Isend(buf, count, datatype, dest, tag, comm, request);
   }
@@ -951,11 +824,6 @@ int tempi_Irecv(void *buf, int count, MPI_Datatype datatype, int source,
   const Packer *packer = lookup_packer_fast(datatype);
   const auto method = acceleration_method(packer, buf, count);
   if (!method) {
-    if (const auto bl = blocklist_acceleration(datatype, buf, count)) {
-      s.irecvs_accelerated.add();
-      return async::start_irecv_blocklist(bl, buf, count, source, tag, comm,
-                                          s.next, request);
-    }
     s.irecvs_forwarded.add();
     return s.next.Irecv(buf, count, datatype, source, tag, comm, request);
   }
@@ -1490,9 +1358,9 @@ bool blocklist_fallback() {
   return state().blocklist_fallback.load(std::memory_order_relaxed);
 }
 
-std::shared_ptr<const BlockListPacker>
-find_blocklist_packer(MPI_Datatype datatype) {
-  return lookup_blocklist(datatype);
+std::shared_ptr<const Packer> find_blocklist_packer(MPI_Datatype datatype) {
+  std::shared_ptr<const Packer> packer = lookup_packer(datatype);
+  return packer && !packer->strided() ? packer : nullptr;
 }
 
 void set_persistent_enabled(bool enabled) {
@@ -1523,11 +1391,13 @@ const PerfModel &perf_model() {
 }
 
 std::shared_ptr<const Packer> find_packer(MPI_Datatype datatype) {
-  return lookup_packer(datatype);
+  std::shared_ptr<const Packer> packer = lookup_packer(datatype);
+  return packer && packer->strided() ? packer : nullptr;
 }
 
 const Packer *find_packer_fast(MPI_Datatype datatype) {
-  return lookup_packer_fast(datatype);
+  const Packer *packer = lookup_packer_fast(datatype);
+  return packer != nullptr && packer->strided() ? packer : nullptr;
 }
 
 std::string model_calibration_source() { return state().calibration; }

@@ -102,13 +102,16 @@ const PerfModel &perf_model();
 /// Send/Recv gates instead of drifting copies.
 bool device_resident(const void *p);
 
-/// The packer TEMPI built for a committed datatype, if any (tests/benches).
+/// The canonical strided packer TEMPI built for a committed datatype, if
+/// any (tests/benches). A block-list packer is not returned here; see
+/// find_blocklist_packer.
 std::shared_ptr<const Packer> find_packer(MPI_Datatype datatype);
 
 /// Hot-path datatype lookup: the open-addressed handle cache every
 /// interposed Send/Recv/Isend/Irecv consults — a hit is a couple of atomic
 /// loads, no map probe, no shared_ptr refcount bump. Returns the raw
-/// committed packer (or nullptr; absences are cached too). The pointer
+/// committed canonical strided packer (or nullptr; absences are cached
+/// too, and a block-list packer reads as absent here). The pointer
 /// stays valid until tempi::uninstall() even if the type is freed
 /// meanwhile: freed packers are retired to a graveyard rather than
 /// destroyed, so an in-flight operation never observes a dangling engine.
@@ -128,14 +131,19 @@ bool persistent_enabled();
 /// strided block (indexed/hindexed/struct), optionally fall back to a
 /// generic GPU blocklist packer (the prior-work representation whose
 /// device-metadata footprint Sec. 2 criticizes) instead of the system MPI
-/// path. Default OFF, matching the paper's Summit deployment. Blocklist
-/// sends always use the device method.
+/// path. Default OFF, matching the paper's Summit deployment. The switch
+/// is read at MPI_Type_commit: the block-list packer it builds is an
+/// ordinary (non-strided) Packer, so blocking, non-blocking and
+/// persistent transfers and MPI_Pack/MPI_Unpack all accelerate it, and
+/// repeated Isends and packs replay from recorded graphs. Its transfers
+/// always use the device method; the collectives and reduction engines
+/// leave block-list types to the system MPI.
 void set_blocklist_fallback(bool enabled);
 bool blocklist_fallback();
 
-/// The blocklist packer built for a committed datatype, if any.
-std::shared_ptr<const class BlockListPacker>
-find_blocklist_packer(MPI_Datatype datatype);
+/// The block-list (non-strided) packer built for a committed datatype, if
+/// any.
+std::shared_ptr<const Packer> find_blocklist_packer(MPI_Datatype datatype);
 
 /// Where the live model's tables came from: "builtin" (substrate-derived
 /// calibration) or "file:<path>" when install() loaded TEMPI_PERF_FILE.

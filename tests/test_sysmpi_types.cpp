@@ -81,6 +81,24 @@ TEST(Hvector, StrideInBytes) {
   MPI_Type_free(&t);
 }
 
+TEST(Vector, NegativeStrideSpansFromTheLastBlock) {
+  // Blocks start at 0, -20 and -40 bytes: the span runs from the last
+  // block's start to the first block's end.
+  MPI_Datatype t = nullptr;
+  ASSERT_EQ(MPI_Type_vector(3, 2, -5, MPI_INT, &t), MPI_SUCCESS);
+  EXPECT_EQ(type_extent(t).first, -40);
+  EXPECT_EQ(type_extent(t).second, 48);
+  MPI_Type_free(&t);
+  ASSERT_EQ(MPI_Type_create_hvector(4, 1, -12, MPI_DOUBLE, &t), MPI_SUCCESS);
+  EXPECT_EQ(type_extent(t).first, -36);
+  EXPECT_EQ(type_extent(t).second, 44);
+  MPI_Type_free(&t);
+  ASSERT_EQ(MPI_Type_vector(1, 3, -7, MPI_INT, &t), MPI_SUCCESS);
+  EXPECT_EQ(type_extent(t).first, 0); // one block: the stride is unused
+  EXPECT_EQ(type_extent(t).second, 12);
+  MPI_Type_free(&t);
+}
+
 TEST(Indexed, IrregularBlocks) {
   const std::vector<int> blens{2, 1, 3};
   const std::vector<int> displs{0, 5, 10};

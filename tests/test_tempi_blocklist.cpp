@@ -5,12 +5,16 @@
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
 #include "tempi/blocklist_packer.hpp"
+#include "tempi/collectives.hpp"
+#include "tempi/reduce.hpp"
 #include "tempi/tempi.hpp"
 #include "test_helpers.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <vector>
 
 namespace {
 
@@ -71,16 +75,17 @@ TEST(FlattenType, StructAndNestedTypes) {
 
 TEST(BlockListPacker, PackMatchesReference) {
   MPI_Datatype t = committed_indexed();
-  auto packer = tempi::BlockListPacker::create(t, interpose::system_table());
-  ASSERT_NE(packer, nullptr);
-  EXPECT_EQ(packer->block_count(), 4u);
-  EXPECT_EQ(packer->type_size(), 8 * 4);
+  auto bl = tempi::BlockListPacker::create(t, interpose::system_table());
+  ASSERT_NE(bl, nullptr);
+  EXPECT_EQ(bl->block_count(), 4u);
+  EXPECT_EQ(bl->type_size(), 8 * 4);
+  const tempi::Packer packer(std::move(bl));
 
   SpaceBuffer src(vcuda::MemorySpace::Device, 26 * 4);
   fill_pattern(src.get(), src.size());
   const auto expect = reference_pack(src.get(), 1, *t);
   SpaceBuffer dst(vcuda::MemorySpace::Device, expect.size());
-  ASSERT_EQ(packer->pack(dst.get(), src.get(), 1, vcuda::default_stream()),
+  ASSERT_EQ(packer.pack(dst.get(), src.get(), 1, vcuda::default_stream()),
             vcuda::Error::Success);
   EXPECT_EQ(std::memcmp(dst.get(), expect.data(), expect.size()), 0);
   MPI_Type_free(&t);
@@ -88,8 +93,9 @@ TEST(BlockListPacker, PackMatchesReference) {
 
 TEST(BlockListPacker, UnpackInvertsPackMultiCount) {
   MPI_Datatype t = committed_struct();
-  auto packer = tempi::BlockListPacker::create(t, interpose::system_table());
-  ASSERT_NE(packer, nullptr);
+  auto bl = tempi::BlockListPacker::create(t, interpose::system_table());
+  ASSERT_NE(bl, nullptr);
+  const tempi::Packer packer(std::move(bl));
   MPI_Aint lb = 0, extent = 0;
   MPI_Type_get_extent(t, &lb, &extent);
 
@@ -100,12 +106,12 @@ TEST(BlockListPacker, UnpackInvertsPackMultiCount) {
   fill_pattern(src.get(), span, 17);
   std::memset(back.get(), 0, span);
 
-  SpaceBuffer mid(vcuda::MemorySpace::Device, packer->packed_bytes(kCount));
-  ASSERT_EQ(packer->pack(mid.get(), src.get(), kCount,
-                         vcuda::default_stream()),
+  SpaceBuffer mid(vcuda::MemorySpace::Device, packer.packed_bytes(kCount));
+  ASSERT_EQ(packer.pack(mid.get(), src.get(), kCount,
+                        vcuda::default_stream()),
             vcuda::Error::Success);
-  ASSERT_EQ(packer->unpack(back.get(), mid.get(), kCount,
-                           vcuda::default_stream()),
+  ASSERT_EQ(packer.unpack(back.get(), mid.get(), kCount,
+                          vcuda::default_stream()),
             vcuda::Error::Success);
   EXPECT_EQ(reference_pack(back.get(), kCount, *t),
             reference_pack(src.get(), kCount, *t));
@@ -154,6 +160,20 @@ TEST_F(BlocklistInterposer, EnabledCommitBuildsBlocklistPacker) {
   EXPECT_NE(tempi::find_blocklist_packer(t), nullptr);
   MPI_Type_free(&t);
   EXPECT_EQ(tempi::find_blocklist_packer(t), nullptr); // evicted
+}
+
+TEST_F(BlocklistInterposer, SecondCommitBuildsNothing) {
+  // Committing a type twice is legal; the second commit must find the
+  // packer the first one built, not flatten and upload the block list again.
+  tempi::set_blocklist_fallback(true);
+  MPI_Datatype t = committed_indexed();
+  const auto first = tempi::find_blocklist_packer(t);
+  ASSERT_NE(first, nullptr);
+  vcuda::reset_counters();
+  ASSERT_EQ(MPI_Type_commit(&t), MPI_SUCCESS);
+  EXPECT_EQ(vcuda::counters().mallocs, 0u);
+  EXPECT_EQ(tempi::find_blocklist_packer(t), first);
+  MPI_Type_free(&t);
 }
 
 TEST_F(BlocklistInterposer, StridedTypesStillPreferCanonicalPath) {
@@ -214,6 +234,142 @@ TEST_F(BlocklistInterposer, SendRecvRoundtripsIndexedGpuData) {
     MPI_Finalize();
   });
   EXPECT_EQ(counter("tempi.send.device"), 1u); // blocklist ships via device
+}
+
+TEST_F(BlocklistInterposer, PersistentAndReplayPathsCarryBlocklistTypes) {
+  // A block-list type rides the canonical request paths: persistent
+  // Send_init/Recv_init are accelerated rather than forwarded, and
+  // repeated Isends and MPI_Pack calls replay from recorded graphs.
+  tempi::set_blocklist_fallback(true);
+  tempi::trace::reset_counters();
+  constexpr int kRounds = 3;
+  sysmpi::RunConfig cfg;
+  cfg.ranks = 2;
+  cfg.ranks_per_node = 1;
+  sysmpi::run_ranks(cfg, [](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype t = committed_indexed();
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    const std::size_t span = static_cast<std::size_t>(extent) + 16;
+    SpaceBuffer buf(vcuda::MemorySpace::Device, span);
+    // What the receiver must see in round `r`: the packed bytes of the
+    // sender's round-`r` fill.
+    const auto expected = [&](std::uint32_t seed) {
+      std::vector<std::byte> host(span);
+      fill_pattern(host.data(), span, seed);
+      return reference_pack(host.data(), 1, *t);
+    };
+
+    MPI_Request req = MPI_REQUEST_NULL;
+    if (rank == 0) {
+      ASSERT_EQ(MPI_Send_init(buf.get(), 1, t, 1, 0, MPI_COMM_WORLD, &req),
+                MPI_SUCCESS);
+    } else {
+      ASSERT_EQ(MPI_Recv_init(buf.get(), 1, t, 0, 0, MPI_COMM_WORLD, &req),
+                MPI_SUCCESS);
+    }
+    for (int r = 0; r < kRounds; ++r) {
+      const auto seed = static_cast<std::uint32_t>(40 + r);
+      if (rank == 0) {
+        fill_pattern(buf.get(), span, seed);
+      } else {
+        std::memset(buf.get(), 0, span);
+      }
+      ASSERT_EQ(MPI_Start(&req), MPI_SUCCESS);
+      ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+      if (rank == 1) {
+        EXPECT_EQ(reference_pack(buf.get(), 1, *t), expected(seed))
+            << "persistent round " << r;
+      }
+    }
+    ASSERT_EQ(MPI_Request_free(&req), MPI_SUCCESS);
+
+    for (int r = 0; r < kRounds; ++r) {
+      const auto seed = static_cast<std::uint32_t>(60 + r);
+      if (rank == 0) {
+        fill_pattern(buf.get(), span, seed);
+        ASSERT_EQ(MPI_Isend(buf.get(), 1, t, 1, 1, MPI_COMM_WORLD, &req),
+                  MPI_SUCCESS);
+        ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+      } else {
+        std::memset(buf.get(), 0, span);
+        ASSERT_EQ(MPI_Recv(buf.get(), 1, t, 0, 1, MPI_COMM_WORLD,
+                           MPI_STATUS_IGNORE),
+                  MPI_SUCCESS);
+        EXPECT_EQ(reference_pack(buf.get(), 1, *t), expected(seed))
+            << "Isend round " << r;
+      }
+    }
+
+    if (rank == 0) {
+      SpaceBuffer out(vcuda::MemorySpace::Device, 8 * 4);
+      for (int r = 0; r < kRounds; ++r) {
+        const auto seed = static_cast<std::uint32_t>(80 + r);
+        fill_pattern(buf.get(), span, seed);
+        int position = 0;
+        ASSERT_EQ(MPI_Pack(buf.get(), 1, t, out.get(), 8 * 4, &position,
+                           MPI_COMM_WORLD),
+                  MPI_SUCCESS);
+        EXPECT_EQ(position, 8 * 4);
+        const auto want = expected(seed);
+        EXPECT_EQ(std::memcmp(out.get(), want.data(), want.size()), 0)
+            << "pack round " << r;
+      }
+    }
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
+  EXPECT_EQ(counter("tempi.persistent.inits"), 2u);
+  EXPECT_EQ(counter("tempi.persistent.forwarded"), 0u);
+  EXPECT_GE(counter("tempi.isend.replays"), 1u);
+  EXPECT_GE(counter("tempi.pack.replays"), 1u);
+}
+
+TEST_F(BlocklistInterposer, StridedOnlyEnginesLeaveBlocklistTypesAlone) {
+  // The collectives and reduction engines move strided packers only: a
+  // block-list type keeps the system MPI's collectives and reductions.
+  tempi::set_blocklist_fallback(true);
+  MPI_Datatype t = committed_indexed();
+  ASSERT_NE(tempi::find_blocklist_packer(t), nullptr);
+  EXPECT_FALSE(tempi::red::engine_shape_ok(t, MPI_SUM));
+  MPI_Type_free(&t);
+
+  sysmpi::RunConfig cfg;
+  cfg.ranks = 2;
+  cfg.ranks_per_node = 1;
+  const auto alltoallv = [&cfg] {
+    std::array<std::vector<std::byte>, 2> out;
+    sysmpi::run_ranks(cfg, [&out](int rank) {
+      MPI_Init(nullptr, nullptr);
+      MPI_Datatype idx = committed_indexed();
+      MPI_Aint lb = 0, extent = 0;
+      MPI_Type_get_extent(idx, &lb, &extent);
+      const int counts[2] = {1, 1};
+      const int displs[2] = {0, 1};
+      const std::size_t span = 2 * static_cast<std::size_t>(extent) + 16;
+      SpaceBuffer sbuf(vcuda::MemorySpace::Device, span);
+      SpaceBuffer rbuf(vcuda::MemorySpace::Device, span);
+      fill_pattern(sbuf.get(), span, static_cast<std::uint32_t>(rank) + 7);
+      std::memset(rbuf.get(), 0, span);
+      ASSERT_EQ(MPI_Alltoallv(sbuf.get(), counts, displs, idx, rbuf.get(),
+                              counts, displs, idx, MPI_COMM_WORLD),
+                MPI_SUCCESS);
+      out[static_cast<std::size_t>(rank)].assign(rbuf.bytes(),
+                                                 rbuf.bytes() + span);
+      MPI_Type_free(&idx);
+      MPI_Finalize();
+    });
+    return out;
+  };
+  tempi::trace::reset_counters();
+  const auto accelerated = alltoallv();
+  EXPECT_EQ(counter("tempi.coll.fallback"), 2u); // one per rank
+  EXPECT_EQ(counter("tempi.coll.alltoallv"), 0u);
+  tempi::set_send_mode(tempi::SendMode::System);
+  const auto system = alltoallv();
+  tempi::set_send_mode(tempi::SendMode::Auto);
+  EXPECT_EQ(accelerated, system);
 }
 
 TEST_F(BlocklistInterposer, FasterThanBaselineForManyBlocks) {
