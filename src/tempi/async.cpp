@@ -55,13 +55,16 @@ struct RecordedProgram {
 /// their pre-packed collective variants) leaves the pool when it completes.
 /// A persistent op (Send_init/Recv_init) re-arms instead: it rests in the
 /// pool in the Complete phase until Start, and only request_free
-/// releases it.
+/// releases it. A blocking MPI_Send/MPI_Recv runs the same op on its
+/// caller's stack and never enters the pool.
 struct alignas(kTicketTagMask + 1) AsyncOp {
   enum class Kind { Send, Recv };
   Kind kind = Kind::Send;
   OpPhase phase = OpPhase::PackIssued;
   Method method = Method::Device;
   bool persistent = false;
+  /// The API call the op's trace spans are labelled with.
+  trace::OpKind label = trace::OpKind::None;
 
   // Unset only for pre-packed ops. The packer rides as a raw pointer (no
   // per-op refcount bump): MPI_Type_free between Isend and Wait cannot
@@ -111,7 +114,15 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   std::unique_ptr<PipelinedSendProgram> pipeprog; ///< pipelined send
   std::uint64_t leg_graph_count = 0; ///< pipelined send: graphs per replay
 
-  AsyncOp() = default;
+  /// An op at its first phase: a send about to pack, a receive waiting
+  /// for its wire. Pre-packed ops pass no packer.
+  AsyncOp(Kind kind, Method method, const Packer *packer, int count,
+          int peer, int tag, MPI_Comm comm, trace::OpKind label)
+      : kind(kind),
+        phase(kind == Kind::Send ? OpPhase::PackIssued
+                                 : OpPhase::WirePending),
+        method(method), label(label), packer(packer), count(count),
+        peer(peer), tag(tag), comm(comm) {}
   AsyncOp(const AsyncOp &) = delete;
   AsyncOp &operator=(const AsyncOp &) = delete;
   ~AsyncOp() {
@@ -308,15 +319,6 @@ bool inactive(const AsyncOp &op) {
   return op.persistent && op.phase == OpPhase::Complete;
 }
 
-/// The label an op's trace spans carry.
-trace::OpKind op_kind(const AsyncOp &op) {
-  if (op.persistent) {
-    return trace::OpKind::Persistent;
-  }
-  return op.kind == AsyncOp::Kind::Send ? trace::OpKind::Isend
-                                        : trace::OpKind::Irecv;
-}
-
 /// Point an op at a recorded program: it runs on the program's stream and
 /// moves the program's bytes.
 void adopt(AsyncOp &op, std::shared_ptr<RecordedProgram> program) {
@@ -355,7 +357,7 @@ void retire(AsyncOp &op, MPI_Request *request) {
 /// program's pinned one.
 int recv_wire(AsyncOp &op, const interpose::MpiTable &next) {
   const PackPipeline &pipe = op.program ? op.program->prog.pipe : op.pipe;
-  trace::ScopedSpan wire(trace::Phase::Wire, op_kind(op), pipe.bytes,
+  trace::ScopedSpan wire(trace::Phase::Wire, op.label, pipe.bytes,
                          op.peer, op.tag, static_cast<std::int8_t>(op.method));
   return next.Recv(pipe.wire.get(), pipe.wire_count(), MPI_BYTE, op.peer,
                    op.tag, op.comm, &op.wire_status);
@@ -464,8 +466,8 @@ int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
     }
     return MPI_SUCCESS;
   }
-  trace::ScopedSpan unpack(trace::Phase::Unpack, trace::OpKind::Irecv,
-                           op.pipe.bytes, op.peer, op.tag,
+  trace::ScopedSpan unpack(trace::Phase::Unpack, op.label, op.pipe.bytes,
+                           op.peer, op.tag,
                            static_cast<std::int8_t>(op.method));
   // Tuner harvest: only the synchronous completion path is a clean
   // launch+sync sample (deferred batched syncs measure elsewhere). A
@@ -512,7 +514,7 @@ int post_program_send(AsyncOp &op, const interpose::MpiTable &next) {
   Pool &p = pool();
   const PersistentProgram &prog = op.program->prog;
   {
-    trace::ScopedSpan replay(trace::Phase::GraphReplay, op_kind(op),
+    trace::ScopedSpan replay(trace::Phase::GraphReplay, op.label,
                              prog.pipe.bytes, op.peer, op.tag,
                              static_cast<std::int8_t>(op.method));
     if (vcuda::GraphLaunch(prog.graph, prog.stream) !=
@@ -527,7 +529,7 @@ int post_program_send(AsyncOp &op, const interpose::MpiTable &next) {
     }
     vcuda::StreamFence(prog.stream);
   }
-  trace::ScopedSpan wire(trace::Phase::Wire, op_kind(op), prog.pipe.bytes,
+  trace::ScopedSpan wire(trace::Phase::Wire, op.label, prog.pipe.bytes,
                          op.peer, op.tag, static_cast<std::int8_t>(op.method));
   return next.Isend(prog.pipe.wire.get(), prog.pipe.wire_count(), MPI_BYTE,
                     op.peer, op.tag, op.comm, &op.inner);
@@ -607,86 +609,169 @@ std::shared_ptr<RecordedProgram> send_program(const Packer &packer,
   return e.program;
 }
 
+/// Post a monolithic send live: lease and pack into the op's pipeline,
+/// sync, and hand the wire bytes to the system MPI_Isend.
+int post_live_send(AsyncOp &op, const void *buf,
+                   const interpose::MpiTable &next) {
+  // The pack and wire durations feed the tuner only for blocking sends,
+  // as complete_recv's `sync` gates the unpack observations. Arming them
+  // for Isend too grew halo_p2p's peak RSS by 17% (13.0 -> 15.2 MiB).
+  const bool observe = op.label == trace::OpKind::Send;
+  // Round-robin pool stream: consecutive messages' pack/D2H legs land on
+  // different streams and overlap in device time.
+  op.stream = vcuda::next_pool_stream();
+  {
+    trace::ScopedSpan pack(trace::Phase::PackLaunch, op.label, 0, op.peer,
+                           op.tag, static_cast<std::int8_t>(op.method));
+    // Staged packs into device staging and then copies D2H inside
+    // start_pack, so its span is not a clean kernel sample.
+    tune::ScopedObservation obs(
+        op.method == Method::OneShot ? tune::Axis::OneshotPack
+                                     : tune::Axis::DevicePack,
+        static_cast<std::size_t>(op.packer->wire_block_bytes()), 0,
+        observe && op.method != Method::Staged);
+    const int rc =
+        start_pack(*op.packer, op.method, buf, op.count, op.stream, &op.pipe);
+    if (rc != MPI_SUCCESS) {
+      return rc;
+    }
+    pack.set_bytes(op.pipe.bytes);
+    obs.set_total(op.pipe.bytes);
+    // TransferPosted: the wire departs only once the pack legs complete,
+    // so fold the stream into the host clock before handing bytes to the
+    // wire.
+    vcuda::StreamSynchronize(op.stream);
+  }
+  // The staged method's device-side intermediate is dead once the D2H
+  // copy has landed in the wire buffer; return it now rather than
+  // pinning it for the op's whole flight.
+  op.pipe.stage = CachedBuffer{};
+  trace::ScopedSpan wire(trace::Phase::Wire, op.label, op.pipe.bytes,
+                         op.peer, op.tag, static_cast<std::int8_t>(op.method));
+  // Sender-side wire durations are only trustworthy for rendezvous-sized
+  // payloads (wire_observable); the Device method rides the CUDA-aware
+  // wire, the host-intermediate methods ride the CPU wire.
+  tune::ScopedObservation obs(
+      op.method == Method::Device ? tune::Axis::GpuWire : tune::Axis::CpuWire,
+      0, op.pipe.bytes, observe && tune::wire_observable(op.pipe.bytes));
+  return next.Isend(op.pipe.wire.get(), wire_count(op), MPI_BYTE, op.peer,
+                    op.tag, op.comm, &op.inner);
+}
+
+/// Post a packer-driven send (PackIssued -> TransferPosted). A monolithic
+/// send posts from `program` when the caller passes one, else live. A
+/// pipelined send runs every chunk leg now: each leg is a buffered send,
+/// so posting them eagerly preserves the engine's deadlock discipline (a
+/// rank blocking in a receive before Wait cannot stall its peers) while
+/// the pack/wire overlap still happens inside the call. Its op is then
+/// already transferred, and completion just reclaims it.
+int post_send(AsyncOp &op, const void *buf, std::size_t chunk_bytes,
+              std::shared_ptr<RecordedProgram> program,
+              const interpose::MpiTable &next) {
+  int rc;
+  if (op.method == Method::Pipelined) {
+    rc = send_pipelined(*op.packer, buf, op.count, op.peer, op.tag, op.comm,
+                        chunk_bytes, next, op.label);
+  } else if (program) {
+    // A repeated send: the recorded pack chain refills the program's
+    // pinned wire lease.
+    adopt(op, std::move(program));
+    rc = post_program_send(op, next);
+  } else {
+    rc = post_live_send(op, buf, next);
+  }
+  if (rc == MPI_SUCCESS) {
+    op.phase = OpPhase::TransferPosted;
+  }
+  return rc;
+}
+
+/// Arm a packer-driven receive (WirePending). A pipelined receive gets its
+/// ChunkedRecv, which leases its chunks lazily (the first leg sizes them)
+/// on streams of its own. A monolithic one leases its wire buffer now: a
+/// failed lease must not reach the wire, which would land the transfer in
+/// a null buffer.
+int arm_recv(AsyncOp &op) {
+  if (op.method == Method::Pipelined) {
+    op.chunked = std::make_unique<ChunkedRecv>(*op.packer, op.recv_buf,
+                                               op.count, op.peer, op.tag,
+                                               op.comm, op.label);
+    return MPI_SUCCESS;
+  }
+  return start_recv(*op.packer, op.method, op.count, &op.pipe);
+}
+
+/// Complete an armed op on the calling thread: reclaim a send's system
+/// request, or receive, unpack and synchronize a receive and publish its
+/// status. A failed receive first drains its streams, so its
+/// intermediates can return to the cache. wait() and the blocking
+/// send/recv both complete here.
+int finish(AsyncOp &op, MPI_Status *status, const interpose::MpiTable &next) {
+  if (op.kind == AsyncOp::Kind::Send) {
+    if (status != MPI_STATUS_IGNORE) {
+      *status = MPI_Status{}; // sends publish a default status, as sysmpi does
+    }
+    return complete_send(op, next);
+  }
+  const int rc = complete_recv(op, next, /*sync=*/true);
+  if (rc == MPI_SUCCESS) {
+    fill_recv_status(op, status);
+  } else {
+    drain_op_streams(op);
+  }
+  return rc;
+}
+
 } // namespace
+
+int send(const Packer &packer, Method method, const void *buf, int count,
+         int dest, int tag, MPI_Comm comm, const interpose::MpiTable &next,
+         std::size_t chunk_bytes) {
+  AsyncOp op(AsyncOp::Kind::Send, method, &packer, count, dest, tag, comm,
+             trace::OpKind::Send);
+  // Blocking sends never use the send-program table. Sharing it with
+  // Isend sped p2p_mix's median op up (38.8 -> 31.0 virt us) but cost 4%
+  // more peak RSS, and Auto stopped tracking the faster forced method
+  // in Fig. 11b's shapes (32.1 -> 122.0 virt us): the second sighting
+  // pays the capture inside the call, and the pinned program leases push
+  // later live sends into cold mallocs.
+  if (const int rc = post_send(op, buf, chunk_bytes, nullptr, next);
+      rc != MPI_SUCCESS) {
+    return rc;
+  }
+  return finish(op, MPI_STATUS_IGNORE, next);
+}
+
+int recv(const Packer &packer, Method method, void *buf, int count,
+         int source, int tag, MPI_Comm comm, MPI_Status *status,
+         const interpose::MpiTable &next) {
+  AsyncOp op(AsyncOp::Kind::Recv, method, &packer, count, source, tag, comm,
+             trace::OpKind::Recv);
+  op.recv_buf = buf;
+  if (method != Method::Pipelined) {
+    op.stream = vcuda::next_pool_stream(); // a ChunkedRecv draws its own
+  }
+  if (const int rc = arm_recv(op); rc != MPI_SUCCESS) {
+    return rc;
+  }
+  return finish(op, status, next);
+}
 
 int start_isend(const Packer *packer, Method method, const void *buf,
                 int count, int dest, int tag, MPI_Comm comm,
                 const interpose::MpiTable &next, MPI_Request *request,
                 std::size_t chunk_bytes) {
-  if (method == Method::Pipelined) {
-    // Every chunk leg is a buffered send, so posting them eagerly here
-    // preserves the engine's deadlock discipline (a rank blocking in a
-    // receive before Wait cannot stall its peers) while the pack/wire
-    // overlap still happens inside the call. The returned ticket is an
-    // already-transferred op; Wait/Test just reclaim it.
-    const int rc = send_pipelined(*packer, buf, count, dest, tag, comm,
-                                  chunk_bytes, next);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
-    auto op = std::make_unique<AsyncOp>();
-    op->kind = AsyncOp::Kind::Send;
-    op->method = method;
-    op->packer = packer;
-    op->count = count;
-    op->peer = dest;
-    op->tag = tag;
-    op->comm = comm;
-    op->phase = OpPhase::TransferPosted; // inner stays MPI_REQUEST_NULL
-    pool().isends.add();
-    *request = insert(std::move(op));
-    return MPI_SUCCESS;
-  }
-  auto op = std::make_unique<AsyncOp>();
-  op->kind = AsyncOp::Kind::Send;
-  op->method = method;
-  op->packer = packer;
-  op->count = count;
-  op->peer = dest;
-  op->tag = tag;
-  op->comm = comm;
-
-  // PackIssued: the pack legs go onto the stream asynchronously.
-  op->phase = OpPhase::PackIssued;
-  int rc;
-  if (std::shared_ptr<RecordedProgram> program =
-          send_program(*packer, method, buf, count)) {
-    // A repeated send: the recorded pack chain refills the program's
-    // pinned wire lease.
-    adopt(*op, std::move(program));
-    rc = post_program_send(*op, next);
-  } else {
-    // Round-robin pool stream: consecutive messages' pack/D2H legs land on
-    // different streams and overlap in device time.
-    op->stream = vcuda::next_pool_stream();
-    {
-      trace::ScopedSpan pack(trace::Phase::PackLaunch, trace::OpKind::Isend,
-                             0, dest, tag, static_cast<std::int8_t>(method));
-      const int prc = start_pack(*op->packer, method, buf, count, op->stream,
-                                 &op->pipe);
-      if (prc != MPI_SUCCESS) {
-        return prc;
-      }
-      pack.set_bytes(op->pipe.bytes);
-      // TransferPosted: the wire departs only once the pack legs complete,
-      // so fold the stream into the host clock before handing bytes to the
-      // wire.
-      vcuda::StreamSynchronize(op->stream);
-    }
-    // The staged method's device-side intermediate is dead once the D2H
-    // copy has landed in the wire buffer; return it now rather than
-    // pinning it for the op's whole flight.
-    op->pipe.stage = CachedBuffer{};
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Isend,
-                           op->pipe.bytes, dest, tag,
-                           static_cast<std::int8_t>(method));
-    rc = next.Isend(op->pipe.wire.get(), wire_count(*op), MPI_BYTE, dest, tag,
-                    comm, &op->inner);
-  }
-  if (rc != MPI_SUCCESS) {
+  auto op = std::make_unique<AsyncOp>(AsyncOp::Kind::Send, method, packer,
+                                      count, dest, tag, comm,
+                                      trace::OpKind::Isend);
+  std::shared_ptr<RecordedProgram> program =
+      method == Method::Pipelined ? nullptr
+                                  : send_program(*packer, method, buf, count);
+  if (const int rc = post_send(*op, buf, chunk_bytes, std::move(program),
+                               next);
+      rc != MPI_SUCCESS) {
     return rc;
   }
-  op->phase = OpPhase::TransferPosted;
   pool().isends.add();
   *request = insert(std::move(op));
   return MPI_SUCCESS;
@@ -699,14 +784,9 @@ int start_isend_packed(const void *bytes, std::size_t nbytes, Method method,
   if (nbytes > kMaxWireBytes && method != Method::Pipelined) {
     return MPI_ERR_COUNT; // one contiguous leg cannot carry it
   }
-  auto op = std::make_unique<AsyncOp>();
-  op->kind = AsyncOp::Kind::Send;
-  op->method = method;
+  auto op = std::make_unique<AsyncOp>(AsyncOp::Kind::Send, method, nullptr,
+                                      0, dest, tag, comm, trace::OpKind::Coll);
   op->packed = true;
-  op->count = 0;
-  op->peer = dest;
-  op->tag = tag;
-  op->comm = comm;
   op->pipe.bytes = nbytes;
   if (method == Method::Pipelined) {
     // Ordered sub-slice legs, posted eagerly (buffered sends) — the same
@@ -759,27 +839,6 @@ int start_isend_packed(const void *bytes, std::size_t nbytes, Method method,
   return MPI_SUCCESS;
 }
 
-namespace {
-
-std::unique_ptr<AsyncOp> make_recv_op(int count, int source, int tag,
-                                      MPI_Comm comm, void *buf) {
-  auto op = std::make_unique<AsyncOp>();
-  op->kind = AsyncOp::Kind::Recv;
-  op->phase = OpPhase::WirePending;
-  op->recv_buf = buf;
-  op->count = count;
-  op->peer = source;
-  op->tag = tag;
-  op->comm = comm;
-  // Round-robin pool stream for the unpack legs Wait/Test enqueue. In
-  // Waitall, only ops that enqueue work of their own (not fused, not
-  // landing in place) put their stream into the pass-2 sync.
-  op->stream = vcuda::next_pool_stream();
-  return op;
-}
-
-} // namespace
-
 int start_irecv_packed(void *bytes, std::size_t nbytes, Method method,
                        int source, int tag, MPI_Comm comm,
                        const interpose::MpiTable & /*next*/,
@@ -787,10 +846,13 @@ int start_irecv_packed(void *bytes, std::size_t nbytes, Method method,
   if (nbytes > kMaxWireBytes && method != Method::Pipelined) {
     return MPI_ERR_COUNT;
   }
-  auto op = make_recv_op(0, source, tag, comm, bytes);
-  op->method = method;
+  auto op = std::make_unique<AsyncOp>(AsyncOp::Kind::Recv, method, nullptr,
+                                      0, source, tag, comm,
+                                      trace::OpKind::Coll);
+  op->recv_buf = bytes;
   op->packed = true;
   op->pipe.bytes = nbytes;
+  op->stream = vcuda::next_pool_stream();
   if (method == Method::Pipelined) {
     op->packed_chunked =
         std::make_unique<PackedChunkRecv>(bytes, nbytes, source, tag, comm);
@@ -810,23 +872,16 @@ int start_irecv_packed(void *bytes, std::size_t nbytes, Method method,
 int start_irecv(const Packer *packer, Method method, void *buf, int count,
                 int source, int tag, MPI_Comm comm,
                 const interpose::MpiTable & /*next*/, MPI_Request *request) {
-  auto op = make_recv_op(count, source, tag, comm, buf);
-  op->method = method;
-  op->packer = packer;
-  if (method == Method::Pipelined) {
-    // Chunk leases happen lazily inside the machine (the first leg sizes
-    // them); Wait/Test drive the legs.
-    op->chunked =
-        std::make_unique<ChunkedRecv>(*packer, buf, count, source, tag, comm);
-    pool().irecvs.add();
-    *request = insert(std::move(op));
-    return MPI_SUCCESS;
-  }
-  // A failed lease must not enter the pool: Wait would post the wire
-  // transfer into a null buffer.
-  const int rc = start_recv(*op->packer, method, count, &op->pipe);
-  if (rc != MPI_SUCCESS) {
-    return rc;
+  auto op = std::make_unique<AsyncOp>(AsyncOp::Kind::Recv, method, packer,
+                                      count, source, tag, comm,
+                                      trace::OpKind::Irecv);
+  op->recv_buf = buf;
+  // Round-robin pool stream for the unpack legs Wait/Test enqueue. In
+  // Waitall, only ops that enqueue work of their own (not fused, not
+  // landing in place) put their stream into the pass-2 sync.
+  op->stream = vcuda::next_pool_stream();
+  if (const int rc = arm_recv(*op); rc != MPI_SUCCESS) {
+    return rc; // a failed lease never enters the pool
   }
   pool().irecvs.add();
   *request = insert(std::move(op));
@@ -920,18 +975,14 @@ int open_persistent(AsyncOp::Kind kind, std::shared_ptr<const Packer> packer,
                     TransferChoice choice, const void *send_buf,
                     void *recv_buf, int count, int peer, int tag,
                     MPI_Comm comm, MPI_Request *request) {
-  auto op = std::make_unique<AsyncOp>();
-  op->kind = kind;
+  auto op = std::make_unique<AsyncOp>(kind, choice.method, packer.get(),
+                                      count, peer, tag, comm,
+                                      trace::OpKind::Persistent);
   op->persistent = true;
   op->phase = OpPhase::Complete; // inactive until Start
   op->packer_pin = std::move(packer);
-  op->packer = op->packer_pin.get();
   op->send_buf = send_buf;
   op->recv_buf = recv_buf;
-  op->count = count;
-  op->peer = peer;
-  op->tag = tag;
-  op->comm = comm;
   op->frozen_gen = tune::refresh_generation();
   if (const int rc = freeze(*op, choice); rc != MPI_SUCCESS) {
     return rc;
@@ -976,10 +1027,9 @@ int start(MPI_Request *request, const interpose::MpiTable &next) {
     // The wire is matched lazily at Wait/Test; a pipelined receive gets a
     // fresh ChunkedRecv per arming.
     op->chunked = op->method == Method::Pipelined
-                      ? std::make_unique<ChunkedRecv>(*op->packer,
-                                                      op->recv_buf, op->count,
-                                                      op->peer, op->tag,
-                                                      op->comm)
+                      ? std::make_unique<ChunkedRecv>(
+                            *op->packer, op->recv_buf, op->count, op->peer,
+                            op->tag, op->comm, op->label)
                       : nullptr;
     op->phase = OpPhase::WirePending;
     return MPI_SUCCESS;
@@ -1137,22 +1187,7 @@ int wait(MPI_Request *request, MPI_Status *status,
     }
     return MPI_SUCCESS;
   }
-  int rc = MPI_SUCCESS;
-  if (op->kind == AsyncOp::Kind::Send) {
-    rc = complete_send(*op, next);
-    if (status != MPI_STATUS_IGNORE) {
-      *status = MPI_Status{}; // sends publish a default status, as sysmpi does
-    }
-  } else {
-    rc = complete_recv(*op, next, /*sync=*/true);
-    if (rc == MPI_SUCCESS) {
-      fill_recv_status(*op, status);
-    } else {
-      // complete_recv may fail after enqueuing stream legs; drain them
-      // before the op's intermediates return to the cache.
-      drain_op_streams(*op);
-    }
-  }
+  const int rc = finish(*op, status, next);
   // On error the op is still retired: the application cannot retry a
   // half-completed pipeline, and retiring releases the intermediates (a
   // persistent op just goes inactive).

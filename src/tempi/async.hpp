@@ -1,8 +1,8 @@
-// Request engine: TEMPI-owned MPI_Isend/Irecv and persistent operations.
+// Request engine: every packer-driven point-to-point transfer TEMPI
+// accelerates, blocking, non-blocking and persistent.
 //
-// The blocking path (methods.cpp) runs pack -> transfer -> unpack to
-// completion inside one call. Here each leg becomes a phase of a per-op
-// state machine owned by a request pool:
+// Each leg of pack -> transfer -> unpack (methods.hpp) is a phase of a
+// per-op state machine:
 //
 //   send:  PackIssued ------> TransferPosted ----------------> Complete
 //          (pack legs on the   (wire bytes handed to the        (Wait/Test
@@ -12,11 +12,15 @@
 //          (wire buffer leased; the transfer   (unpack legs on
 //           is matched lazily at Wait/Test)     the vcuda stream)
 //
-// There is one request type. A one-shot op (Isend, Irecv) leaves the pool
-// when it reaches Complete. A persistent op (Send_init, Recv_init) is the
-// same op with a `persistent` flag: it rests in the pool at Complete
-// (inactive), MPI_Start re-arms it at the first phase, and completion
-// re-arms it again instead of retiring it. Only Request_free releases it.
+// There is one request type. A blocking MPI_Send/MPI_Recv builds the op on
+// its caller's stack, posts it as Isend/Irecv do, and completes it through
+// the code Wait uses; it never enters the request pool, takes no shard
+// lock and bumps no tempi.engine.* counter. A one-shot op (Isend, Irecv)
+// lives in the pool and leaves it when it reaches Complete. A persistent
+// op (Send_init, Recv_init) is the same op with a `persistent` flag: it
+// rests in the pool at Complete (inactive), MPI_Start re-arms it at the
+// first phase, and completion re-arms it again instead of retiring it.
+// Only Request_free releases it.
 //
 // The opaque MPI_Request handles returned to the application are pool
 // tickets, not system requests: Wait/Waitall/Waitany/Test first consult the
@@ -87,9 +91,23 @@ enum class OpPhase {
 
 struct AsyncOp; // opaque outside async.cpp
 
+/// Blocking accelerated send: post the op as start_isend does, except that
+/// a monolithic send always packs live (never from a recorded send
+/// program), then complete it as wait() does. For Method::Pipelined,
+/// `chunk_bytes` is the chosen wire-leg target.
+int send(const Packer &packer, Method method, const void *buf, int count,
+         int dest, int tag, MPI_Comm comm, const interpose::MpiTable &next,
+         std::size_t chunk_bytes);
+
+/// Blocking accelerated receive: arm the op as start_irecv does, then
+/// receive, unpack and publish `status` as wait() does.
+int recv(const Packer &packer, Method method, void *buf, int count,
+         int source, int tag, MPI_Comm comm, MPI_Status *status,
+         const interpose::MpiTable &next);
+
 /// Start an accelerated non-blocking send with a canonical packer; fills
 /// `*request` with a pool ticket. `method` comes from the same PerfModel
-/// selection the blocking path uses; for Method::Pipelined, `chunk_bytes`
+/// selection blocking sends use; for Method::Pipelined, `chunk_bytes`
 /// is the chosen wire-leg target and every chunk leg is posted eagerly at
 /// Isend time (the legs are buffered sends, so — like the monolithic
 /// eager transfer — this can never stall on the receiver; the chunk

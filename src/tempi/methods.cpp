@@ -125,111 +125,6 @@ int start_unpack(const Packer &packer, Method m, void *buf, int count,
              : MPI_ERR_OTHER;
 }
 
-int send_with_method(const Packer &packer, Method m, const void *buf,
-                     int count, int dest, int tag, MPI_Comm comm,
-                     const interpose::MpiTable &next) {
-  if (m == Method::Pipelined) {
-    return send_pipelined(packer, buf, count, dest, tag, comm,
-                          fallback_chunk_bytes(packer.packed_bytes(count)),
-                          next);
-  }
-  // Pool streams keep this message's legs off the default stream, so it
-  // neither waits for nor delays unrelated work enqueued there.
-  vcuda::StreamHandle stream = vcuda::next_pool_stream();
-  const auto blk = static_cast<std::size_t>(packer.wire_block_bytes());
-  PackPipeline pipe;
-  {
-    trace::ScopedSpan span(trace::Phase::PackLaunch, trace::OpKind::Send, 0,
-                           dest, tag, static_cast<std::int8_t>(m));
-    // Harvest the measured pack duration for the tuner (Staged packs into
-    // device staging and then copies D2H inside start_pack, so its span
-    // is not a clean kernel sample — skip it).
-    tune::ScopedObservation obs(m == Method::OneShot
-                                    ? tune::Axis::OneshotPack
-                                    : tune::Axis::DevicePack,
-                                blk, 0, m != Method::Staged);
-    const int rc = start_pack(packer, m, buf, count, stream, &pipe);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
-    span.set_bytes(pipe.bytes);
-    obs.set_total(pipe.bytes);
-    vcuda::StreamSynchronize(stream);
-  }
-  trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Send, pipe.bytes,
-                         dest, tag, static_cast<std::int8_t>(m));
-  // Sender-side wire durations are only trustworthy for rendezvous-sized
-  // payloads (wire_observable); the Device method rides the CUDA-aware
-  // wire, the host-intermediate methods ride the CPU wire.
-  tune::ScopedObservation obs(m == Method::Device ? tune::Axis::GpuWire
-                                                  : tune::Axis::CpuWire,
-                              0, pipe.bytes,
-                              tune::wire_observable(pipe.bytes));
-  return next.Send(pipe.wire.get(), pipe.wire_count(), MPI_BYTE, dest, tag,
-                   comm);
-}
-
-int recv_with_method(const Packer &packer, Method m, void *buf, int count,
-                     int source, int tag, MPI_Comm comm, MPI_Status *status,
-                     const interpose::MpiTable &next) {
-  if (m == Method::Pipelined) {
-    ChunkedRecv cr(packer, buf, count, source, tag, comm);
-    int rc = MPI_SUCCESS;
-    while (!cr.done() && (rc = cr.step(next)) == MPI_SUCCESS) {
-    }
-    // Drain the enqueued unpack legs on the error path too, before the
-    // chunk leases return to the cache.
-    cr.synchronize();
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
-    cr.fill_status(status);
-    return MPI_SUCCESS;
-  }
-  vcuda::StreamHandle stream = vcuda::next_pool_stream();
-  PackPipeline pipe;
-  const int rrc = start_recv(packer, m, count, &pipe);
-  if (rrc != MPI_SUCCESS) {
-    // A failed lease must not proceed into the transfer: next.Recv would
-    // land wire bytes in a null buffer.
-    return rrc;
-  }
-  MPI_Status wire_status;
-  int rc;
-  {
-    trace::ScopedSpan span(trace::Phase::Wire, trace::OpKind::Recv, pipe.bytes,
-                           source, tag, static_cast<std::int8_t>(m));
-    rc = next.Recv(pipe.wire.get(), pipe.wire_count(), MPI_BYTE, source, tag,
-                   comm, &wire_status);
-  }
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  trace::ScopedSpan span(trace::Phase::Unpack, trace::OpKind::Recv, pipe.bytes,
-                         source, tag, static_cast<std::int8_t>(m));
-  tune::ScopedObservation obs(m == Method::OneShot
-                                  ? tune::Axis::OneshotUnpack
-                                  : tune::Axis::DeviceUnpack,
-                              static_cast<std::size_t>(
-                                  packer.wire_block_bytes()),
-                              pipe.bytes, m != Method::Staged);
-  const int urc = start_unpack(packer, m, buf, count, pipe, stream);
-  // Synchronize on the error path too: start_unpack may have enqueued the
-  // staged H2D copy before failing, and the pipeline's buffers must not
-  // return to the cache while stream work still references them.
-  vcuda::StreamSynchronize(stream);
-  if (urc != MPI_SUCCESS) {
-    obs.disarm(); // a failed unpack is not a duration sample
-    return urc;
-  }
-  if (status != MPI_STATUS_IGNORE) {
-    *status = wire_status;
-    // Report the logical element count, not the wire byte count.
-    status->count_bytes = static_cast<long long>(packer.packed_bytes(count));
-  }
-  return MPI_SUCCESS;
-}
-
 // --- the Pipelined (chunked) method ------------------------------------------
 
 namespace {
@@ -282,7 +177,7 @@ int plan_pipeline_frame(const Packer &packer, int count,
 
 int send_pipelined(const Packer &packer, const void *buf, int count,
                    int dest, int tag, MPI_Comm comm, std::size_t chunk_target,
-                   const interpose::MpiTable &next) {
+                   const interpose::MpiTable &next, trace::OpKind kind) {
   const auto blk = static_cast<std::size_t>(packer.wire_block_bytes());
   const std::size_t total = packer.packed_bytes(count);
   PipelineFrame f;
@@ -328,8 +223,7 @@ int send_pipelined(const Packer &packer, const void *buf, int count,
       // the previous leg's wire — exactly the effective per-chunk pack
       // cost estimate_pipelined_us should use, so full (chunk-sized) legs
       // feed the tuner at the chunk's {block, leg bytes} knot.
-      trace::ScopedSpan pack(trace::Phase::PackLaunch, trace::OpKind::Send,
-                             0, dest, tag,
+      trace::ScopedSpan pack(trace::Phase::PackLaunch, kind, 0, dest, tag,
                              static_cast<std::int8_t>(Method::Pipelined));
       tune::ScopedObservation obs(
           tune::Axis::DevicePack, blk,
@@ -351,8 +245,7 @@ int send_pipelined(const Packer &packer, const void *buf, int count,
     const std::size_t leg_bytes =
         static_cast<std::size_t>(f.leg_blocks(leg)) * blk;
     {
-      trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Send,
-                             leg_bytes, dest, tag,
+      trace::ScopedSpan wire(trace::Phase::Wire, kind, leg_bytes, dest, tag,
                              static_cast<std::int8_t>(Method::Pipelined));
       tune::ScopedObservation obs(tune::Axis::GpuWire, 0, leg_bytes,
                                   tune::wire_observable(leg_bytes));
@@ -661,9 +554,10 @@ void PackedChunkRecv::fill_status(MPI_Status *status) const {
 }
 
 ChunkedRecv::ChunkedRecv(const Packer &packer, void *buf, int count,
-                         int source, int tag, MPI_Comm comm)
+                         int source, int tag, MPI_Comm comm,
+                         trace::OpKind kind)
     : packer_(packer), buf_(buf), count_(count), peer_(source), tag_(tag),
-      comm_(comm), expected_(packer.packed_bytes(count)) {
+      comm_(comm), kind_(kind), expected_(packer.packed_bytes(count)) {
   stream_[0] = vcuda::next_pool_stream();
   stream_[1] = vcuda::next_pool_stream();
   g_pipeline_counters.recvs.add();
@@ -686,8 +580,7 @@ int ChunkedRecv::first_step(const interpose::MpiTable &next) {
   }
   int rc;
   {
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Recv, cap,
-                           peer_, tag_,
+    trace::ScopedSpan wire(trace::Phase::Wire, kind_, cap, peer_, tag_,
                            static_cast<std::int8_t>(Method::Pipelined));
     rc = next.Recv(slot_[0].get(), static_cast<int>(cap), MPI_BYTE, peer_,
                    tag_, comm_, &first_status_);
@@ -751,8 +644,7 @@ int ChunkedRecv::unpack_leg(std::size_t leg_bytes, int slot) {
   if (blocks_done_ + n > packer_.total_blocks(count_)) {
     return MPI_ERR_TRUNCATE;
   }
-  trace::ScopedSpan span(trace::Phase::Unpack, trace::OpKind::Recv, leg_bytes,
-                         peer_, tag_,
+  trace::ScopedSpan span(trace::Phase::Unpack, kind_, leg_bytes, peer_, tag_,
                          static_cast<std::int8_t>(Method::Pipelined));
   // Effective overlapped per-chunk unpack cost: the enqueue (launch)
   // only — the kernel itself overlaps the next leg's wire time. Observe
@@ -793,8 +685,7 @@ int ChunkedRecv::step(const interpose::MpiTable &next) {
         return MPI_ERR_OTHER;
       }
       {
-        trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Recv, room,
-                               peer_, tag_,
+        trace::ScopedSpan wire(trace::Phase::Wire, kind_, room, peer_, tag_,
                                static_cast<std::int8_t>(Method::Pipelined));
         rc = next.Recv(scratch.get(), static_cast<int>(room), MPI_BYTE, peer_,
                        tag_, comm_, &leg_status);
@@ -808,8 +699,7 @@ int ChunkedRecv::step(const interpose::MpiTable &next) {
                          vcuda::MemcpyKind::DeviceToDevice, stream_[0]);
       vcuda::StreamSynchronize(stream_[0]); // scratch returns to the cache
     } else {
-      trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Recv, chunk_,
-                             peer_, tag_,
+      trace::ScopedSpan wire(trace::Phase::Wire, kind_, chunk_, peer_, tag_,
                              static_cast<std::int8_t>(Method::Pipelined));
       rc = next.Recv(static_cast<std::byte *>(slot_[0].get()) + received_,
                      static_cast<int>(chunk_), MPI_BYTE, peer_, tag_, comm_,
@@ -822,13 +712,11 @@ int ChunkedRecv::step(const interpose::MpiTable &next) {
     {
       // Before reusing this slot, its unpack from two legs ago must have
       // drained; the other slot's unpack keeps overlapping this wire wait.
-      trace::ScopedSpan drain(trace::Phase::Unpack, trace::OpKind::Recv, 0,
-                              peer_, tag_,
+      trace::ScopedSpan drain(trace::Phase::Unpack, kind_, 0, peer_, tag_,
                               static_cast<std::int8_t>(Method::Pipelined));
       vcuda::StreamSynchronize(stream_[s]);
     }
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Recv, chunk_,
-                           peer_, tag_,
+    trace::ScopedSpan wire(trace::Phase::Wire, kind_, chunk_, peer_, tag_,
                            static_cast<std::int8_t>(Method::Pipelined));
     rc = next.Recv(slot_[s].get(), static_cast<int>(chunk_), MPI_BYTE, peer_,
                    tag_, comm_, &leg_status);
@@ -891,9 +779,8 @@ void ChunkedRecv::append_streams(
 }
 
 void ChunkedRecv::synchronize() {
-  trace::ScopedSpan drain(trace::Phase::Unpack, trace::OpKind::Recv,
-                          received_, peer_, tag_,
-                          static_cast<std::int8_t>(Method::Pipelined));
+  trace::ScopedSpan drain(trace::Phase::Unpack, kind_, received_, peer_,
+                          tag_, static_cast<std::int8_t>(Method::Pipelined));
   vcuda::StreamSynchronize(stream_[0]);
   vcuda::StreamSynchronize(stream_[1]);
 }

@@ -1,22 +1,23 @@
-// Datatype-accelerated MPI_Send/MPI_Recv built from contiguous system MPI
-// primitives (Sec. 4): the device, one-shot, and staged packing methods.
+// Datatype-accelerated point-to-point transfers built from contiguous
+// system MPI primitives (Sec. 4): the device, one-shot, and staged packing
+// methods, plus the Pipelined (chunked) method.
 //
-// All three share the structure pack -> contiguous transfer -> unpack; they
-// differ in where the intermediate buffer lives and which transfer leg the
-// system MPI performs. The wire carries plain packed bytes, so sender and
-// receiver may independently choose methods.
+// All three monolithic methods share the structure pack -> contiguous
+// transfer -> unpack; they differ in where the intermediate buffer lives
+// and which transfer leg the system MPI performs. The wire carries plain
+// packed bytes, so sender and receiver may independently choose methods.
 //
-// Each method is split into asynchronous start/finish halves so the
-// blocking path (Send/Recv) and the non-blocking request engine
-// (Isend/Irecv/Wait, see async.hpp) share one implementation:
+// Each method is split into asynchronous start/finish halves, which the
+// request engine (async.hpp) strings together for every packer-driven
+// transfer, blocking MPI_Send/MPI_Recv included:
 //   sender:   start_pack -> StreamSynchronize -> contiguous transfer
 //   receiver: start_recv -> contiguous transfer -> start_unpack
 //             -> StreamSynchronize
 // The start halves only enqueue work on the vcuda stream, so several legs
-// from different requests can pipeline before a single host sync. The
-// blocking entry points draw round-robin from the per-rank stream pool
-// (vcuda::next_pool_stream), keeping each message's legs off the default
-// stream and away from unrelated enqueued work.
+// from different requests can pipeline before a single host sync. Every
+// transfer draws its streams round-robin from the per-rank pool
+// (vcuda::next_pool_stream), keeping its legs off the default stream, so
+// it neither waits for nor delays unrelated work enqueued there.
 #pragma once
 
 #include "interpose/table.hpp"
@@ -67,17 +68,6 @@ int start_recv(const Packer &packer, Method m, int count, PackPipeline *pipe);
 /// wire buffer into `buf` on `stream`, without synchronizing.
 int start_unpack(const Packer &packer, Method m, void *buf, int count,
                  PackPipeline &pipe, vcuda::StreamHandle stream);
-
-/// Send `count` objects of the packer's datatype from device-resident
-/// `buf` using method `m`; `next` is the system MPI table.
-int send_with_method(const Packer &packer, Method m, const void *buf,
-                     int count, int dest, int tag, MPI_Comm comm,
-                     const interpose::MpiTable &next);
-
-/// Mirror of send_with_method for the receiving side.
-int recv_with_method(const Packer &packer, Method m, void *buf, int count,
-                     int source, int tag, MPI_Comm comm, MPI_Status *status,
-                     const interpose::MpiTable &next);
 
 // --- the Pipelined (chunked) method ------------------------------------------
 //
@@ -144,22 +134,24 @@ int plan_pipeline_frame(const Packer &packer, int count,
 /// clamped to the wire-chunk limit; 0 = fallback_chunk_bytes). Runs every
 /// leg to completion: the system MPI's sends are buffered, so this never
 /// blocks on the receiver, which is what lets the request engine post
-/// pipelined sends eagerly at Isend time.
+/// pipelined sends eagerly at Isend time. Every leg's spans carry `kind`,
+/// the API call the message belongs to.
 int send_pipelined(const Packer &packer, const void *buf, int count,
                    int dest, int tag, MPI_Comm comm, std::size_t chunk_target,
-                   const interpose::MpiTable &next);
+                   const interpose::MpiTable &next, trace::OpKind kind);
 
-/// Receiver-side per-chunk state machine, driven leg by leg so the
-/// blocking path (recv_with_method) and the request engine (Wait/Test in
-/// async.cpp) share one implementation. Each step() blocks for one wire
+/// Receiver-side per-chunk state machine, driven leg by leg by the request
+/// engine: Wait (and a blocking MPI_Recv) run it to completion, Test
+/// consumes the legs that have arrived. Each step() blocks for one wire
 /// leg and enqueues its unpack without synchronizing; the unpack of leg
 /// i-1 thus overlaps the wire wait of leg i. Call synchronize() before
 /// releasing the machine (even on error) so no stream work references the
-/// leased chunk buffers when they return to the cache.
+/// leased chunk buffers when they return to the cache. Its wire and unpack
+/// spans carry `kind`, the API call the receive belongs to.
 class ChunkedRecv {
 public:
   ChunkedRecv(const Packer &packer, void *buf, int count, int source,
-              int tag, MPI_Comm comm);
+              int tag, MPI_Comm comm, trace::OpKind kind);
 
   /// Receive the next wire leg (blocking) and enqueue its unpack.
   /// Returns MPI_SUCCESS and flips done() after the final (short) leg.
@@ -193,6 +185,7 @@ private:
   int peer_;       ///< locked to the first leg's source (MPI_ANY_SOURCE)
   int tag_;        ///< locked to the first leg's tag (MPI_ANY_TAG)
   MPI_Comm comm_;
+  trace::OpKind kind_;
 
   std::size_t expected_ = 0; ///< packed_bytes(count_): the unpack budget
   std::size_t chunk_ = 0;    ///< first leg's size; legs < chunk_ terminate

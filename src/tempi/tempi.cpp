@@ -96,16 +96,18 @@ struct State {
   trace::Counter method_memo_hits{"tempi.model.memo_hits"};
   trace::Counter persistent_forwarded{"tempi.persistent.forwarded"};
 
-  trace::Counter sends_oneshot{"tempi.send.oneshot"};
-  trace::Counter sends_device{"tempi.send.device"};
-  trace::Counter sends_staged{"tempi.send.staged"};
-  trace::Counter sends_pipelined{"tempi.send.pipelined"};
+  /// Accelerated sends, indexed by Method.
+  std::array<trace::Counter, 4> sends{trace::Counter{"tempi.send.oneshot"},
+                                      trace::Counter{"tempi.send.device"},
+                                      trace::Counter{"tempi.send.staged"},
+                                      trace::Counter{"tempi.send.pipelined"}};
   trace::Counter sends_forwarded{"tempi.send.forwarded"};
 
-  trace::Counter isends_oneshot{"tempi.isend.oneshot"};
-  trace::Counter isends_device{"tempi.isend.device"};
-  trace::Counter isends_staged{"tempi.isend.staged"};
-  trace::Counter isends_pipelined{"tempi.isend.pipelined"};
+  /// Accelerated Isends, indexed by Method.
+  std::array<trace::Counter, 4> isends{trace::Counter{"tempi.isend.oneshot"},
+                                       trace::Counter{"tempi.isend.device"},
+                                       trace::Counter{"tempi.isend.staged"},
+                                       trace::Counter{"tempi.isend.pipelined"}};
   trace::Counter isends_forwarded{"tempi.isend.forwarded"};
   trace::Counter irecvs_accelerated{"tempi.irecv.accelerated"};
   trace::Counter irecvs_forwarded{"tempi.irecv.forwarded"};
@@ -690,23 +692,9 @@ int tempi_Send(const void *buf, int count, MPI_Datatype datatype, int dest,
     s.sends_forwarded.add();
     return s.next.Send(buf, count, datatype, dest, tag, comm);
   }
-  switch (method->method) {
-  case Method::OneShot:
-    s.sends_oneshot.add();
-    break;
-  case Method::Device:
-    s.sends_device.add();
-    break;
-  case Method::Staged:
-    s.sends_staged.add();
-    break;
-  case Method::Pipelined:
-    s.sends_pipelined.add();
-    return send_pipelined(*packer, buf, count, dest, tag, comm,
-                          method->chunk_bytes, s.next);
-  }
-  return send_with_method(*packer, method->method, buf, count, dest, tag,
-                          comm, s.next);
+  s.sends[static_cast<std::size_t>(method->method)].add();
+  return async::send(*packer, method->method, buf, count, dest, tag, comm,
+                     s.next, method->chunk_bytes);
 }
 
 int tempi_Recv(void *buf, int count, MPI_Datatype datatype, int source,
@@ -721,8 +709,8 @@ int tempi_Recv(void *buf, int count, MPI_Datatype datatype, int source,
   if (!method) {
     return s.next.Recv(buf, count, datatype, source, tag, comm, status);
   }
-  return recv_with_method(*packer, method->method, buf, count, source, tag,
-                          comm, status, s.next);
+  return async::recv(*packer, method->method, buf, count, source, tag, comm,
+                     status, s.next);
 }
 
 // --- non-blocking entry points (the request engine, async.hpp) ---------------
@@ -793,20 +781,7 @@ int tempi_Isend(const void *buf, int count, MPI_Datatype datatype, int dest,
     s.isends_forwarded.add();
     return s.next.Isend(buf, count, datatype, dest, tag, comm, request);
   }
-  switch (method->method) {
-  case Method::OneShot:
-    s.isends_oneshot.add();
-    break;
-  case Method::Device:
-    s.isends_device.add();
-    break;
-  case Method::Staged:
-    s.isends_staged.add();
-    break;
-  case Method::Pipelined:
-    s.isends_pipelined.add();
-    break;
-  }
+  s.isends[static_cast<std::size_t>(method->method)].add();
   return async::start_isend(packer, method->method, buf, count, dest, tag,
                             comm, s.next, request, method->chunk_bytes);
 }

@@ -3,6 +3,7 @@
 // intact (failure-injection counterpart to the happy-path suites).
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
+#include "tempi/buffer_cache.hpp"
 #include "tempi/tempi.hpp"
 #include "test_helpers.hpp"
 
@@ -134,28 +135,38 @@ TEST_F(ApiErrors, BlocklistPackNullPositionIsAnArgumentError) {
 
 TEST_F(ApiErrors, TempiRecvTruncationPropagates) {
   tempi::ScopedInterposer guard;
-  sysmpi::RunConfig cfg;
-  cfg.ranks = 2;
-  sysmpi::run_ranks(cfg, [](int rank) {
-    MPI_Init(nullptr, nullptr);
-    MPI_Datatype big = nullptr, small = nullptr;
-    MPI_Type_vector(64, 4, 8, MPI_BYTE, &big);
-    MPI_Type_vector(16, 4, 8, MPI_BYTE, &small);
-    MPI_Type_commit(&big);
-    MPI_Type_commit(&small);
-    SpaceBuffer buf(vcuda::MemorySpace::Device, 64 * 8);
-    if (rank == 0) {
-      MPI_Send(buf.get(), 1, big, 1, 0, MPI_COMM_WORLD);
-    } else {
-      // Receiving a 256-byte payload into a 64-byte datatype fails.
-      EXPECT_EQ(MPI_Recv(buf.get(), 1, small, 0, 0, MPI_COMM_WORLD,
-                         MPI_STATUS_IGNORE),
-                MPI_ERR_TRUNCATE);
-    }
-    MPI_Type_free(&big);
-    MPI_Type_free(&small);
-    MPI_Finalize();
-  });
+  for (const tempi::SendMode mode :
+       {tempi::SendMode::ForceOneShot, tempi::SendMode::ForceDevice,
+        tempi::SendMode::ForceStaged}) {
+    tempi::set_send_mode(mode);
+    const std::size_t leased = tempi::buffer_cache_stats().leased_now;
+    sysmpi::RunConfig cfg;
+    cfg.ranks = 2;
+    sysmpi::run_ranks(cfg, [](int rank) {
+      MPI_Init(nullptr, nullptr);
+      MPI_Datatype big = nullptr, small = nullptr;
+      MPI_Type_vector(64, 4, 8, MPI_BYTE, &big);
+      MPI_Type_vector(16, 4, 8, MPI_BYTE, &small);
+      MPI_Type_commit(&big);
+      MPI_Type_commit(&small);
+      SpaceBuffer buf(vcuda::MemorySpace::Device, 64 * 8);
+      if (rank == 0) {
+        MPI_Send(buf.get(), 1, big, 1, 0, MPI_COMM_WORLD);
+      } else {
+        // Receiving a 256-byte payload into a 64-byte datatype fails.
+        EXPECT_EQ(MPI_Recv(buf.get(), 1, small, 0, 0, MPI_COMM_WORLD,
+                           MPI_STATUS_IGNORE),
+                  MPI_ERR_TRUNCATE);
+      }
+      MPI_Type_free(&big);
+      MPI_Type_free(&small);
+      MPI_Finalize();
+    });
+    // The failed receive returned its leases to the cache.
+    EXPECT_EQ(tempi::buffer_cache_stats().leased_now, leased)
+        << "mode " << static_cast<int>(mode);
+  }
+  tempi::set_send_mode(tempi::SendMode::Auto);
 }
 
 TEST_F(ApiErrors, WaitNullRequestIsNoop) {

@@ -3,13 +3,16 @@
 // baseline comparison (Fig. 11), and the latency floor structure.
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
+#include "tempi/async.hpp"
 #include "tempi/tempi.hpp"
+#include "tempi/trace.hpp"
 #include "test_helpers.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <functional>
+#include <string>
 #include <vector>
 
 namespace {
@@ -290,6 +293,89 @@ TEST_F(TempiSend, MultiCountObjectsArriveIntact) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
+}
+
+/// `rank`'s spans of one phase carrying one API label.
+std::size_t spans_of(const tempi::trace::Snapshot &snap, int rank,
+                     tempi::trace::Phase phase, tempi::trace::OpKind kind) {
+  std::size_t n = 0;
+  for (const tempi::trace::SpanRecord &rec : snap.spans) {
+    n += rec.rank == rank && rec.phase == phase && rec.kind == kind ? 1 : 0;
+  }
+  return n;
+}
+
+TEST_F(TempiSend, BlockingCallsStayOutOfThePoolAndReplayTable) {
+  // Blocking Send/Recv run the request engine's op on the caller's stack:
+  // no pool ticket, no shard lock, no engine counter, and no recorded
+  // send program, however often the same send repeats.
+  namespace trace = tempi::trace;
+  using trace::OpKind;
+  using trace::Phase;
+  constexpr int kRounds = 3;
+  for (const tempi::SendMode mode :
+       {tempi::SendMode::ForceOneShot, tempi::SendMode::ForceDevice,
+        tempi::SendMode::ForceStaged, tempi::SendMode::ForcePipelined}) {
+    tempi::set_send_mode(mode);
+    trace::reset_counters();
+    trace::reset();
+    trace::set_enabled(true);
+    const std::uint64_t pool_acquires = counter("tempi.lock.pool.acquires");
+    run2([&](int rank) {
+      MPI_Init(nullptr, nullptr);
+      MPI_Datatype t = nullptr;
+      MPI_Type_vector(64, 8, 24, MPI_FLOAT, &t);
+      MPI_Type_commit(&t);
+      MPI_Aint lb = 0, extent = 0;
+      MPI_Type_get_extent(t, &lb, &extent);
+      SpaceBuffer buf(vcuda::MemorySpace::Device,
+                      static_cast<std::size_t>(extent));
+      for (int round = 0; round < kRounds; ++round) {
+        if (rank == 0) {
+          EXPECT_EQ(MPI_Send(buf.get(), 1, t, 1, round, MPI_COMM_WORLD),
+                    MPI_SUCCESS);
+        } else {
+          EXPECT_EQ(MPI_Recv(buf.get(), 1, t, 0, round, MPI_COMM_WORLD,
+                             MPI_STATUS_IGNORE),
+                    MPI_SUCCESS);
+        }
+      }
+      MPI_Type_free(&t);
+      MPI_Finalize();
+    });
+    trace::set_enabled(false);
+    const std::string where = "mode " + std::to_string(static_cast<int>(mode));
+    EXPECT_EQ(counter("tempi.lock.pool.acquires"), pool_acquires) << where;
+    EXPECT_EQ(tempi::async::in_flight(), 0u) << where;
+    for (const char *name :
+         {"tempi.engine.isends", "tempi.engine.irecvs",
+          "tempi.engine.completions", "tempi.isend.captures",
+          "tempi.isend.replays"}) {
+      EXPECT_EQ(counter(name), 0u) << where << ": " << name;
+    }
+    const trace::Snapshot snap = tempi::trace_snapshot();
+    EXPECT_GE(spans_of(snap, 0, Phase::PackLaunch, OpKind::Send),
+              std::size_t{kRounds})
+        << where;
+    EXPECT_GE(spans_of(snap, 0, Phase::Wire, OpKind::Send),
+              std::size_t{kRounds})
+        << where;
+    EXPECT_GE(spans_of(snap, 1, Phase::Wire, OpKind::Recv),
+              std::size_t{kRounds})
+        << where;
+    EXPECT_GE(spans_of(snap, 1, Phase::Unpack, OpKind::Recv),
+              std::size_t{kRounds})
+        << where;
+    for (const int rank : {0, 1}) {
+      for (const OpKind kind : {OpKind::Isend, OpKind::Irecv}) {
+        for (const Phase phase :
+             {Phase::PackLaunch, Phase::Wire, Phase::Unpack}) {
+          EXPECT_EQ(spans_of(snap, rank, phase, kind), 0u) << where;
+        }
+      }
+    }
+  }
+  trace::reset();
 }
 
 } // namespace

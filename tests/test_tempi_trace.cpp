@@ -141,6 +141,72 @@ TEST_F(TempiTrace, SpanOrderingAcrossAsyncWait) {
             first_t0(1, trace::Phase::Unpack));
 }
 
+/// One 2-rank transfer of a 4 KiB strided device object rank 0 -> 1,
+/// blocking or through Isend/Irecv and MPI_Wait.
+void transfer_round(bool blocking) {
+  run2([blocking](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype t = make_vec(64, 64, 128);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    void *buf = nullptr;
+    vcuda::Malloc(&buf, static_cast<std::size_t>(extent));
+    if (blocking && rank == 0) {
+      EXPECT_EQ(MPI_Send(buf, 1, t, 1, 6, MPI_COMM_WORLD), MPI_SUCCESS);
+    } else if (blocking) {
+      EXPECT_EQ(MPI_Recv(buf, 1, t, 0, 6, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+                MPI_SUCCESS);
+    } else {
+      MPI_Request req = nullptr;
+      if (rank == 0) {
+        MPI_Isend(buf, 1, t, 1, 6, MPI_COMM_WORLD, &req);
+      } else {
+        MPI_Irecv(buf, 1, t, 0, 6, MPI_COMM_WORLD, &req);
+      }
+      EXPECT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+    }
+    vcuda::Free(buf);
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
+}
+
+std::size_t wire_spans(const trace::Snapshot &snap, int rank,
+                       trace::OpKind kind) {
+  return static_cast<std::size_t>(std::count_if(
+      snap.spans.begin(), snap.spans.end(), [&](const trace::SpanRecord &r) {
+        return r.rank == rank && r.phase == trace::Phase::Wire &&
+               r.kind == kind;
+      }));
+}
+
+TEST_F(TempiTrace, PipelinedLegsCarryTheirApiLabel) {
+  // 4 KiB in 1 KiB legs: every message rides several wire legs, and each
+  // leg is labelled with the call it belongs to.
+  tempi::set_send_mode(tempi::SendMode::ForcePipelined);
+  tempi::set_chunk_bytes_override(1024);
+  transfer_round(/*blocking=*/false);
+  trace::Snapshot snap = tempi::trace_snapshot();
+  EXPECT_GE(wire_spans(snap, 0, trace::OpKind::Isend), 2u);
+  EXPECT_GE(wire_spans(snap, 1, trace::OpKind::Irecv), 2u);
+  for (const int rank : {0, 1}) {
+    EXPECT_EQ(wire_spans(snap, rank, trace::OpKind::Send), 0u);
+    EXPECT_EQ(wire_spans(snap, rank, trace::OpKind::Recv), 0u);
+  }
+
+  trace::reset();
+  transfer_round(/*blocking=*/true);
+  snap = tempi::trace_snapshot();
+  EXPECT_GE(wire_spans(snap, 0, trace::OpKind::Send), 2u);
+  EXPECT_GE(wire_spans(snap, 1, trace::OpKind::Recv), 2u);
+  for (const int rank : {0, 1}) {
+    EXPECT_EQ(wire_spans(snap, rank, trace::OpKind::Isend), 0u);
+    EXPECT_EQ(wire_spans(snap, rank, trace::OpKind::Irecv), 0u);
+  }
+  tempi::set_chunk_bytes_override(0);
+  tempi::set_send_mode(tempi::SendMode::Auto);
+}
+
 TEST_F(TempiTrace, WraparoundDropsCountedNotCrashed) {
   trace::set_default_ring_capacity(8);
   trace::reset(); // next armed emit creates a capacity-8 ring
