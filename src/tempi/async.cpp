@@ -623,15 +623,19 @@ int post_live_send(AsyncOp &op, const void *buf,
   {
     trace::ScopedSpan pack(trace::Phase::PackLaunch, op.label, 0, op.peer,
                            op.tag, static_cast<std::int8_t>(op.method));
-    // Staged packs into device staging and then copies D2H inside
-    // start_pack, so its span is not a clean kernel sample.
+    int rc = lease_pack(*op.packer, op.method, op.count, &op.pipe);
+    if (rc != MPI_SUCCESS) {
+      return rc;
+    }
+    // Opened after the lease, so a cache miss's allocation does not land
+    // in the pack sample. Staged packs into device staging and then copies
+    // D2H inside start_pack, so its span is not a clean kernel sample.
     tune::ScopedObservation obs(
         op.method == Method::OneShot ? tune::Axis::OneshotPack
                                      : tune::Axis::DevicePack,
         static_cast<std::size_t>(op.packer->wire_block_bytes()), 0,
         observe && op.method != Method::Staged);
-    const int rc =
-        start_pack(*op.packer, op.method, buf, op.count, op.stream, &op.pipe);
+    rc = start_pack(*op.packer, op.method, buf, op.count, op.stream, &op.pipe);
     if (rc != MPI_SUCCESS) {
       return rc;
     }

@@ -5,7 +5,10 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <cstdint>
+#include <map>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 namespace tempi {
@@ -26,6 +29,12 @@ constexpr std::size_t kBuckets = 48; // up to 2^47-byte buffers
 /// producer-only thread (leases released elsewhere never refill it) pays
 /// one depot acquire per kMagazineCap/2 releases, not per release.
 constexpr std::size_t kMagazineCap = 8;
+
+/// Misses in buckets below a segment are carved from kSegmentBytes
+/// segments (see lease_buffer); requests of a segment or more stay single
+/// allocations.
+constexpr std::size_t kSegmentLog2 = 20;
+constexpr std::size_t kSegmentBytes = std::size_t{1} << kSegmentLog2;
 
 struct FreeList {
   std::array<std::vector<void *>, kBuckets> by_log2;
@@ -69,17 +78,76 @@ LeaseNode &register_lease_node() {
   return *node;
 }
 
+/// One space's carving state on one thread. Per carved bucket: the next
+/// uncarved piece of the thread's newest segment and how many remain (the
+/// bump cursor), which never go to the depot, so what a burst of leases
+/// costs does not depend on other threads.
+struct Carver {
+  std::array<std::byte *, kSegmentLog2> next{};
+  std::array<std::size_t, kSegmentLog2> uncarved{};
+  /// Bit b: bucket b has missed since the last drain, so its next miss
+  /// carves a segment. A size seen once reserves nothing.
+  std::uint32_t missed = 0;
+};
+
 /// The shared depot backing every thread's magazines: same log2 shelves,
-/// guarded by one counted mutex that only batch refill/flush and the
-/// drain/stats walks take (steady-state lease/release cycles never touch
-/// it). Exported as the tempi.lock.depot.* gauges.
+/// guarded by one counted mutex that only batch refill/flush, segment
+/// registration, the free paths and the drain/stats walks take
+/// (steady-state lease/release cycles never touch it). Exported as the
+/// tempi.lock.depot.* gauges.
 struct Depot {
   support::ContendedMutex mutex;
   FreeList device;
   FreeList pinned;
+  /// The segment table: each live segment's base address and how many of
+  /// its pieces have not been freed yet (out on lease, shelved, or still
+  /// uncarved on their thread's cursor).
+  std::map<std::uintptr_t, std::size_t> segments;
 
   FreeList &list_for(vcuda::MemorySpace space) {
     return space == vcuda::MemorySpace::Device ? device : pinned;
+  }
+
+  /// Hands `n` pieces of the segment holding `p` back to it (mutex held).
+  /// Returns what the caller must free through vcuda once the mutex is
+  /// dropped: `p` itself when it is no piece (a single allocation), the
+  /// segment when these were its last pieces, else nullptr.
+  void *return_pieces(void *p, std::size_t n) {
+    const auto addr = reinterpret_cast<std::uintptr_t>(p);
+    auto it = segments.upper_bound(addr);
+    if (it == segments.begin()) {
+      return p;
+    }
+    --it;
+    if (addr - it->first >= kSegmentBytes) {
+      return p;
+    }
+    it->second -= n;
+    if (it->second != 0) {
+      return nullptr;
+    }
+    void *segment = reinterpret_cast<void *>(it->first);
+    segments.erase(it);
+    return segment;
+  }
+
+  /// Hands the uncarved rest of `carver`'s cursor for `bucket` back to its
+  /// segment (mutex held); returns what to free, as return_pieces does.
+  void *retire_cursor(Carver &carver, std::size_t bucket) {
+    const std::size_t n = std::exchange(carver.uncarved[bucket], 0);
+    return n == 0 ? nullptr : return_pieces(carver.next[bucket], n);
+  }
+
+  /// Empties `list` into `dead` through return_pieces (mutex held).
+  void take_back(FreeList &list, std::vector<void *> &dead) {
+    for (auto &ptrs : list.by_log2) {
+      for (void *p : ptrs) {
+        if (void *f = return_pieces(p, 1)) {
+          dead.push_back(f);
+        }
+      }
+      ptrs.clear();
+    }
   }
 };
 
@@ -88,7 +156,15 @@ Depot &depot() {
   return d;
 }
 
-void free_raw(void *ptr, vcuda::MemorySpace space) {
+void vcuda_alloc(void **ptr, std::size_t bytes, vcuda::MemorySpace space) {
+  if (space == vcuda::MemorySpace::Device) {
+    vcuda::Malloc(ptr, bytes);
+  } else {
+    vcuda::MallocHost(ptr, bytes);
+  }
+}
+
+void vcuda_free(void *ptr, vcuda::MemorySpace space) {
   if (space == vcuda::MemorySpace::Device) {
     vcuda::Free(ptr);
   } else {
@@ -96,9 +172,32 @@ void free_raw(void *ptr, vcuda::MemorySpace space) {
   }
 }
 
+void vcuda_free_all(const std::vector<void *> &ptrs,
+                    vcuda::MemorySpace space) {
+  for (void *p : ptrs) {
+    vcuda_free(p, space);
+  }
+}
+
+/// Frees a buffer the cache does not retain. A piece only decrements its
+/// segment, and the segment's last piece frees it; capacities of a segment
+/// or more are never pieces and skip the table.
+void free_raw(void *ptr, std::size_t capacity, vcuda::MemorySpace space) {
+  if (capacity < kSegmentBytes) {
+    Depot &d = depot();
+    const std::lock_guard<support::ContendedMutex> lock(d.mutex);
+    ptr = d.return_pieces(ptr, 1);
+  }
+  if (ptr != nullptr) {
+    vcuda_free(ptr, space);
+  }
+}
+
 struct ThreadCache {
   FreeList device;
   FreeList pinned;
+  Carver device_carver;
+  Carver pinned_carver;
   BufferCacheStats stats;
   /// This thread's gauge node, resolved once so the lease/release hot path
   /// costs one TLS access total (registry-owned; outlives the thread).
@@ -109,23 +208,38 @@ struct ThreadCache {
   FreeList &list_for(vcuda::MemorySpace space) {
     return space == vcuda::MemorySpace::Device ? device : pinned;
   }
+  Carver &carver_for(vcuda::MemorySpace space) {
+    return space == vcuda::MemorySpace::Device ? device_carver
+                                               : pinned_carver;
+  }
 
   /// Frees through vcuda rather than flushing to the depot: a thread
   /// exiting after uninstall's depot drain must not strand buffers on the
-  /// shelves where only another drain would find them.
+  /// shelves where only another drain would find them. The cursors' pieces
+  /// go back to their segments, and the first-miss rule starts over.
   void drain() {
-    for (auto &ptrs : device.by_log2) {
-      for (void *p : ptrs) {
-        vcuda::Free(p);
-      }
-      ptrs.clear();
+    std::vector<void *> dead_device;
+    std::vector<void *> dead_pinned;
+    {
+      Depot &d = depot();
+      const std::lock_guard<support::ContendedMutex> lock(d.mutex);
+      d.take_back(device, dead_device);
+      d.take_back(pinned, dead_pinned);
+      return_cursors(d, device_carver, dead_device);
+      return_cursors(d, pinned_carver, dead_pinned);
     }
-    for (auto &ptrs : pinned.by_log2) {
-      for (void *p : ptrs) {
-        vcuda::FreeHost(p);
+    vcuda_free_all(dead_device, vcuda::MemorySpace::Device);
+    vcuda_free_all(dead_pinned, vcuda::MemorySpace::Pinned);
+  }
+
+  static void return_cursors(Depot &d, Carver &carver,
+                             std::vector<void *> &dead) {
+    for (std::size_t b = 0; b < kSegmentLog2; ++b) {
+      if (void *f = d.retire_cursor(carver, b)) {
+        dead.push_back(f);
       }
-      ptrs.clear();
     }
+    carver.missed = 0;
   }
 };
 
@@ -205,31 +319,44 @@ void return_to_cache(void *ptr, std::size_t capacity,
   if (LeaseNode *dead = t_dead_node) {
     // After the thread's cache is gone: count the release, free raw.
     count_lease_release(*dead);
-    free_raw(ptr, space);
+    free_raw(ptr, capacity, space);
     return;
   }
   ThreadCache &c = cache();
   count_lease_release(c.lease_node);
   if (!t_cache_enabled) {
-    free_raw(ptr, space);
+    free_raw(ptr, capacity, space);
     return;
   }
   const auto bucket = static_cast<std::size_t>(std::countr_zero(capacity));
   if (bucket >= kBuckets) { // larger than any bucket: do not retain
-    free_raw(ptr, space);
+    free_raw(ptr, capacity, space);
     return;
   }
   std::vector<void *> &mag = c.list_for(space).by_log2[bucket];
   mag.push_back(ptr);
   if (mag.size() > kMagazineCap) {
-    // Over the cap: move half the magazine to the depot in one batch.
+    // Over the cap: move half the magazine to the depot in one batch. The
+    // thread now has more free buffers of this bucket than it keeps, so
+    // its cursor retires too: later misses reuse the depot's buffers
+    // instead of faulting in fresh pieces, which grew halo_p2p's resident
+    // set with every steady-state op.
     Depot &d = depot();
     std::vector<void *> &shelf = d.list_for(space).by_log2[bucket];
     const std::size_t keep = kMagazineCap / 2;
-    const std::lock_guard<support::ContendedMutex> lock(d.mutex);
-    shelf.insert(shelf.end(), mag.begin() + static_cast<std::ptrdiff_t>(keep),
-                 mag.end());
+    void *retired = nullptr;
+    {
+      const std::lock_guard<support::ContendedMutex> lock(d.mutex);
+      shelf.insert(shelf.end(),
+                   mag.begin() + static_cast<std::ptrdiff_t>(keep), mag.end());
+      if (bucket < kSegmentLog2) {
+        retired = d.retire_cursor(c.carver_for(space), bucket);
+      }
+    }
     mag.resize(keep);
+    if (retired != nullptr) {
+      vcuda_free(retired, space);
+    }
   }
 }
 
@@ -261,6 +388,27 @@ void *refill_from_depot(ThreadCache &c, vcuda::MemorySpace space,
   return nullptr;
 }
 
+/// A bucket's second and later misses: allocate one segment, register it,
+/// hand out its first piece and keep the rest on the thread's cursor.
+void *carve_segment(Carver &carver, vcuda::MemorySpace space,
+                    std::size_t bucket) {
+  void *segment = nullptr;
+  vcuda_alloc(&segment, kSegmentBytes, space);
+  if (segment == nullptr) {
+    return nullptr;
+  }
+  const std::size_t pieces = kSegmentBytes >> bucket;
+  {
+    Depot &d = depot();
+    const std::lock_guard<support::ContendedMutex> lock(d.mutex);
+    d.segments.emplace(reinterpret_cast<std::uintptr_t>(segment), pieces);
+  }
+  carver.next[bucket] =
+      static_cast<std::byte *>(segment) + (std::size_t{1} << bucket);
+  carver.uncarved[bucket] = pieces - 1;
+  return segment;
+}
+
 } // namespace
 
 void CachedBuffer::release() {
@@ -290,8 +438,20 @@ CachedBuffer lease_buffer(vcuda::MemorySpace space, std::size_t bytes) {
         return CachedBuffer(p, std::size_t{1} << b, space);
       }
     }
-    // Magazine dry: one depot acquire refills a batch, so a consumer-only
-    // thread (leased here, released elsewhere) amortizes the lock too.
+    // Magazine dry: the next uncarved piece of this thread's segment, if
+    // the bucket has one, costs a bump and no lock.
+    Carver &carver = c.carver_for(space);
+    if (first < kSegmentLog2 && carver.uncarved[first] != 0) {
+      void *p = carver.next[first];
+      carver.next[first] += capacity;
+      --carver.uncarved[first];
+      ++c.stats.hits;
+      count_lease_start(c);
+      vcuda::this_thread_timeline().advance(kCacheHitNs);
+      return CachedBuffer(p, capacity, space);
+    }
+    // Then one depot acquire refills a batch, so a consumer-only thread
+    // (leased here, released elsewhere) amortizes the lock too.
     std::size_t got = 0;
     if (void *p = refill_from_depot(c, space, first, &got)) {
       ++c.stats.hits;
@@ -302,12 +462,19 @@ CachedBuffer lease_buffer(vcuda::MemorySpace space, std::size_t bytes) {
   }
   ++c.stats.misses;
   count_lease_start(c);
-  void *p = nullptr;
-  if (space == vcuda::MemorySpace::Device) {
-    vcuda::Malloc(&p, capacity);
-  } else {
-    vcuda::MallocHost(&p, capacity);
+  // A bucket's first miss allocates just the buffer; from its second on,
+  // a burst of same-size leases costs one allocation per segment.
+  if (t_cache_enabled && first < kSegmentLog2) {
+    Carver &carver = c.carver_for(space);
+    const std::uint32_t bit = std::uint32_t{1} << first;
+    if ((carver.missed & bit) != 0) {
+      return CachedBuffer(carve_segment(carver, space, first), capacity,
+                          space);
+    }
+    carver.missed |= bit;
   }
+  void *p = nullptr;
+  vcuda_alloc(&p, capacity, space);
   return CachedBuffer(p, capacity, space);
 }
 
@@ -315,21 +482,19 @@ void drain_buffer_cache() {
   cache().drain();
   // The depot holds flushes from every thread (including exited ones);
   // uninstall's walk-and-free leak check covers them here. Threads still
-  // holding magazines free those through their own ThreadCache destructor.
-  Depot &d = depot();
-  const std::lock_guard<support::ContendedMutex> lock(d.mutex);
-  for (auto &ptrs : d.device.by_log2) {
-    for (void *p : ptrs) {
-      vcuda::Free(p);
-    }
-    ptrs.clear();
+  // holding magazines free those through their own ThreadCache destructor,
+  // and a segment lives until its last piece is freed, wherever that is.
+  // vcuda frees run after the depot mutex is dropped.
+  std::vector<void *> dead_device;
+  std::vector<void *> dead_pinned;
+  {
+    Depot &d = depot();
+    const std::lock_guard<support::ContendedMutex> lock(d.mutex);
+    d.take_back(d.device, dead_device);
+    d.take_back(d.pinned, dead_pinned);
   }
-  for (auto &ptrs : d.pinned.by_log2) {
-    for (void *p : ptrs) {
-      vcuda::FreeHost(p);
-    }
-    ptrs.clear();
-  }
+  vcuda_free_all(dead_device, vcuda::MemorySpace::Device);
+  vcuda_free_all(dead_pinned, vcuda::MemorySpace::Pinned);
 }
 
 void set_buffer_cache_enabled(bool enabled) { t_cache_enabled = enabled; }

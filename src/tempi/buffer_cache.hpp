@@ -10,6 +10,20 @@
 // lease/release never locks, and a thread that leases on one side of a
 // producer/consumer pattern and releases on the other amortizes the depot
 // lock over batched refills/flushes.
+//
+// Misses below 1 MiB are carved from segments, so a burst of same-size
+// leases (the first halo exchange) does not pay one cudaMalloc per lease.
+// Per (thread, space, bucket), the first miss allocates just the buffer,
+// so a size seen once reserves nothing; each later miss that finds the
+// thread's bump cursor empty allocates one 1 MiB segment, hands out its
+// first piece and leaves the rest on the cursor, which the next misses
+// take before the depot. Released pieces flow through the magazines and
+// depot like any buffer; a magazine flush retires the bucket's cursor, so
+// once a thread has buffers to spare it reuses them rather than touching
+// fresh pieces. A segment table under the depot mutex counts each
+// segment's unfreed pieces; only the free paths read it, and the last
+// piece frees the segment. Requests of 1 MiB or more, and every lease
+// while the cache is disabled, are single allocations.
 #pragma once
 
 #include "support/contended_mutex.hpp"
@@ -55,10 +69,12 @@ private:
 /// the calling thread's cache, allocating through vcuda on a miss.
 CachedBuffer lease_buffer(vcuda::MemorySpace space, std::size_t bytes);
 
-/// Free everything in the calling thread's magazines AND the shared depot
-/// (MPI_Finalize / uninstall). Other threads' magazines are freed by their
-/// own thread-exit destructors; anything they flushed to the depot is
-/// covered here, so the uninstall leak check still walks everything.
+/// Free everything in the calling thread's magazines and cursors AND the
+/// shared depot (MPI_Finalize / uninstall), and restart the calling
+/// thread's first-miss rule. Other threads' magazines and cursors are
+/// freed by their own thread-exit destructors; anything they flushed to
+/// the depot is covered here, so the uninstall leak check still walks
+/// everything. A segment is freed with its last piece, wherever that is.
 void drain_buffer_cache();
 
 /// Disable/enable the calling thread's cache (ablation benches): when
@@ -68,7 +84,9 @@ void set_buffer_cache_enabled(bool enabled);
 bool buffer_cache_enabled();
 
 /// Cache statistics for tests and the caching ablation bench. `hits` and
-/// `misses` are per calling thread (per rank). `leased_now` is a
+/// `misses` are per calling thread (per rank); a miss is one vcuda
+/// allocation (a buffer or a segment), and a piece carved from the
+/// thread's cursor counts as a hit. `leased_now` is a
 /// process-wide gauge of buffers currently out on lease: the non-blocking
 /// request engine keeps intermediates leased inside in-flight ops, which
 /// may be released on a different thread than leased them (MPI_Wait on

@@ -36,8 +36,8 @@ bool lease_failed(const CachedBuffer &buf, std::size_t bytes) {
 
 } // namespace
 
-int start_pack(const Packer &packer, Method m, const void *buf, int count,
-               vcuda::StreamHandle stream, PackPipeline *pipe) {
+int lease_pack(const Packer &packer, Method m, int count,
+               PackPipeline *pipe) {
   if (m == Method::Pipelined) {
     return MPI_ERR_OTHER; // chunked transfers use send_pipelined/ChunkedRecv
   }
@@ -45,41 +45,33 @@ int start_pack(const Packer &packer, Method m, const void *buf, int count,
     return rc;
   }
   const std::size_t bytes = pipe->bytes;
-
-  if (m == Method::Device || m == Method::OneShot) {
-    // Device: pack in device memory, hand the device buffer to CUDA-aware
-    // MPI. OneShot: pack straight into mapped host memory through
-    // zero-copy stores, then a plain host-to-host MPI transfer.
-    {
-      trace::ScopedSpan lease(trace::Phase::LeaseAcquire, trace::OpKind::None,
-                              bytes);
-      pipe->wire = lease_buffer(intermediate_space(m), bytes);
-    }
-    if (lease_failed(pipe->wire, bytes)) {
+  trace::ScopedSpan lease(trace::Phase::LeaseAcquire, trace::OpKind::None,
+                          bytes);
+  // Device: pack in device memory, hand the device buffer to CUDA-aware
+  // MPI. OneShot: pack straight into mapped host memory through zero-copy
+  // stores, then a plain host-to-host MPI transfer. Staged: pack in device
+  // memory, copy down to pinned host, send from host.
+  if (m == Method::Staged) {
+    pipe->stage = lease_buffer(vcuda::MemorySpace::Device, bytes);
+    if (lease_failed(pipe->stage, bytes)) {
       return MPI_ERR_OTHER;
     }
-    return packer.pack_async(pipe->wire.get(), buf, count, stream) ==
-                   vcuda::Error::Success
-               ? MPI_SUCCESS
-               : MPI_ERR_OTHER;
   }
+  pipe->wire = lease_buffer(intermediate_space(m), bytes);
+  return lease_failed(pipe->wire, bytes) ? MPI_ERR_OTHER : MPI_SUCCESS;
+}
 
-  // Staged: pack in device memory, copy down to pinned host, send from host.
-  {
-    trace::ScopedSpan lease(trace::Phase::LeaseAcquire, trace::OpKind::None,
-                            bytes);
-    pipe->stage = lease_buffer(vcuda::MemorySpace::Device, bytes);
-    pipe->wire = lease_buffer(vcuda::MemorySpace::Pinned, bytes);
-  }
-  if (lease_failed(pipe->stage, bytes) || lease_failed(pipe->wire, bytes)) {
-    return MPI_ERR_OTHER;
-  }
-  if (packer.pack_async(pipe->stage.get(), buf, count, stream) !=
+int start_pack(const Packer &packer, Method m, const void *buf, int count,
+               vcuda::StreamHandle stream, PackPipeline *pipe) {
+  void *target = m == Method::Staged ? pipe->stage.get() : pipe->wire.get();
+  if (packer.pack_async(target, buf, count, stream) !=
       vcuda::Error::Success) {
     return MPI_ERR_OTHER;
   }
-  vcuda::MemcpyAsync(pipe->wire.get(), pipe->stage.get(), bytes,
-                     vcuda::MemcpyKind::DeviceToHost, stream);
+  if (m == Method::Staged) {
+    vcuda::MemcpyAsync(pipe->wire.get(), pipe->stage.get(), pipe->bytes,
+                       vcuda::MemcpyKind::DeviceToHost, stream);
+  }
   return MPI_SUCCESS;
 }
 
@@ -363,11 +355,13 @@ int record_persistent_send(const Packer &packer, Method m, const void *buf,
     return MPI_ERR_OTHER; // pipelined channels use record_pipelined_send
   }
   prog->stream = vcuda::next_pool_stream();
-  // start_pack leases the pipeline and enqueues the pack leg(s); under
-  // capture the leases happen live (they are pinned to the channel) while
-  // the kernel/copy chain is recorded instead of executed.
+  // Under capture the leases happen live (they are pinned to the channel)
+  // while the kernel/copy chain is recorded instead of executed.
   return capture_on(prog->stream, &prog->graph, kind, [&] {
-    return start_pack(packer, m, buf, count, prog->stream, &prog->pipe);
+    const int rc = lease_pack(packer, m, count, &prog->pipe);
+    return rc != MPI_SUCCESS ? rc
+                             : start_pack(packer, m, buf, count, prog->stream,
+                                          &prog->pipe);
   });
 }
 

@@ -10,7 +10,8 @@
 // Each method is split into asynchronous start/finish halves, which the
 // request engine (async.hpp) strings together for every packer-driven
 // transfer, blocking MPI_Send/MPI_Recv included:
-//   sender:   start_pack -> StreamSynchronize -> contiguous transfer
+//   sender:   lease_pack -> start_pack -> StreamSynchronize
+//             -> contiguous transfer
 //   receiver: start_recv -> contiguous transfer -> start_unpack
 //             -> StreamSynchronize
 // The start halves only enqueue work on the vcuda stream, so several legs
@@ -40,7 +41,7 @@ struct PackPipeline {
   CachedBuffer stage;    ///< staged method only: device-side kernel target
   std::size_t bytes = 0; ///< packed wire bytes (full width; no int wrap)
 
-  /// The wire leg's MPI count. Valid only after start_pack/start_recv
+  /// The wire leg's MPI count. Valid only after lease_pack/start_recv
   /// succeeded, which guarantees bytes <= kMaxWireBytes.
   [[nodiscard]] int wire_count() const { return static_cast<int>(bytes); }
 };
@@ -52,9 +53,16 @@ struct PackPipeline {
 /// Where the packed intermediate lives for a method's wire leg.
 vcuda::MemorySpace intermediate_space(Method m);
 
-/// Sender start half: lease intermediates and enqueue the pack leg(s) of
-/// `m` on `stream` without synchronizing. After StreamSynchronize, the wire
-/// buffer holds `pipe->bytes` packed bytes ready for a contiguous transfer.
+/// Sender lease half: size the pipeline for `count` objects and lease the
+/// intermediates of `m`. Fails with MPI_ERR_COUNT above the wire limit and
+/// MPI_ERR_OTHER when a lease fails. Kept apart from start_pack so a timed
+/// pack does not include a cache miss's allocation.
+int lease_pack(const Packer &packer, Method m, int count, PackPipeline *pipe);
+
+/// Sender start half: enqueue the pack leg(s) of `m` on `stream` into a
+/// pipeline lease_pack filled, without synchronizing. After
+/// StreamSynchronize, the wire buffer holds `pipe->bytes` packed bytes
+/// ready for a contiguous transfer.
 int start_pack(const Packer &packer, Method m, const void *buf, int count,
                vcuda::StreamHandle stream, PackPipeline *pipe);
 

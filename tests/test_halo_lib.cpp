@@ -5,11 +5,13 @@
 #include "halo/halo.hpp"
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
+#include "tempi/buffer_cache.hpp"
 #include "tempi/tempi.hpp"
 #include "vcuda/runtime.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <tuple>
 #include <vector>
@@ -180,6 +182,61 @@ TEST(HaloOracleEdge, RadiusEqualsBrick) {
   cfg.py = 1;
   cfg.pz = 1;
   check_against_oracle(cfg, run_exchange(cfg, true));
+}
+
+TEST(HaloColdExchange, FirstIsendExchangeCarvesSameSizeLeases) {
+  // The end-to-end benchmark's halo_p2p grid. Each rank's 26 Isends and 26
+  // Irecvs lease in three (space, bucket) cells: 12 face messages of
+  // 110592 B (device, 128 KiB), 24 edges of 13824 B (pinned, 16 KiB) and
+  // 16 corners of 1728 B (pinned, 2 KiB). With segments, a cell's burst
+  // costs its first buffer plus one allocation per segment: at most 3 per
+  // cell, 9 per rank, where one allocation per lease made 52.
+  halo::Config cfg;
+  cfg.nx = cfg.ny = cfg.nz = 24;
+  cfg.vals = 8;
+  cfg.radius = 3;
+  cfg.px = 2;
+  cfg.py = cfg.pz = 1;
+  tempi::install();
+  tempi::drain_buffer_cache(); // an empty depot: the exchange starts cold
+  std::array<std::size_t, 2> misses{};
+  std::uint64_t mallocs = 0;
+  sysmpi::RunConfig rc;
+  rc.ranks = cfg.ranks();
+  rc.ranks_per_node = 6;
+  sysmpi::run_ranks(rc, [&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    void *dev = nullptr;
+    vcuda::Malloc(&dev, cfg.grid_bytes());
+    std::memset(dev, 0, cfg.grid_bytes());
+    {
+      halo::Exchanger ex(cfg, MPI_COMM_WORLD);
+      // Rank threads are fresh, so these are the rank's first leases; each
+      // miss is one vcuda allocation. The barriers fence the process-wide
+      // allocation count around both ranks' exchanges.
+      MPI_Barrier(MPI_COMM_WORLD);
+      if (rank == 0) {
+        mallocs = vcuda::counters().mallocs;
+      }
+      MPI_Barrier(MPI_COMM_WORLD);
+      const std::size_t before = tempi::buffer_cache_stats().misses;
+      ex.exchange_isend(dev);
+      misses[static_cast<std::size_t>(rank)] =
+          tempi::buffer_cache_stats().misses - before;
+      MPI_Barrier(MPI_COMM_WORLD);
+      if (rank == 0) {
+        mallocs = vcuda::counters().mallocs - mallocs;
+      }
+    }
+    vcuda::Free(dev);
+    MPI_Finalize();
+  });
+  tempi::uninstall();
+  for (const std::size_t m : misses) {
+    EXPECT_GT(m, 0u);
+    EXPECT_LE(m, 9u);
+  }
+  EXPECT_EQ(mallocs, misses[0] + misses[1]);
 }
 
 } // namespace

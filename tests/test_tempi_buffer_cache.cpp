@@ -1,10 +1,16 @@
 // The Sec. 5 resource caching layer: repeated leases are served from the
-// free list at nanosecond (virtual) cost instead of re-running cudaMalloc.
+// free list at nanosecond (virtual) cost instead of re-running cudaMalloc,
+// and a burst of same-size misses is carved from 1 MiB segments.
 #include "tempi/buffer_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <set>
 #include <thread>
+#include <vector>
 
 namespace {
 
@@ -121,6 +127,157 @@ TEST(BufferCache, LeaseReleasedAfterCacheTeardownIsFreedRaw) {
   EXPECT_EQ(after.mallocs - before.mallocs, 2u);
   EXPECT_EQ(after.frees - before.frees, 2u); // the late release freed raw
   EXPECT_EQ(tempi::buffer_cache_stats().leased_now, leased0);
+}
+
+constexpr std::size_t kSegment = std::size_t{1} << 20;
+
+/// The vcuda allocation `p` lies in.
+std::uintptr_t allocation_of(const void *p) {
+  const auto a = vcuda::memory_registry().find(p);
+  EXPECT_TRUE(a.has_value());
+  return a ? a->base : 0;
+}
+
+/// Lease `n` buffers of one bucket at once from a drained cache and check
+/// the allocations they cost and the pieces they got; then release them
+/// and check that a drain frees everything.
+void check_burst(vcuda::MemorySpace space, std::size_t capacity,
+                 std::size_t n) {
+  SCOPED_TRACE(::testing::Message()
+               << "capacity " << capacity << ", " << n << " leases");
+  const std::size_t pieces = kSegment / capacity;
+  tempi::drain_buffer_cache();
+  const std::size_t leased0 = tempi::buffer_cache_stats().leased_now;
+  const vcuda::Counters before = vcuda::counters();
+  {
+    std::vector<tempi::CachedBuffer> held;
+    for (std::size_t i = 0; i < n; ++i) {
+      held.push_back(tempi::lease_buffer(space, capacity - 100));
+    }
+    EXPECT_EQ(vcuda::counters().mallocs - before.mallocs,
+              n <= pieces + 1 ? 2u : 3u);
+    std::set<void *> distinct;
+    for (const tempi::CachedBuffer &b : held) {
+      EXPECT_EQ(b.capacity(), capacity);
+      EXPECT_EQ(vcuda::memory_registry().space_of(b.get()), space);
+      distinct.insert(b.get());
+    }
+    EXPECT_EQ(distinct.size(), n);
+    // Leases 2..pieces+1 are the first segment's pieces, in order.
+    const auto *first = static_cast<const std::byte *>(held[1].get());
+    EXPECT_EQ(allocation_of(first), reinterpret_cast<std::uintptr_t>(first));
+    for (std::size_t i = 2; i < std::min(n, pieces + 1); ++i) {
+      EXPECT_EQ(static_cast<const std::byte *>(held[i].get()) - first,
+                static_cast<std::ptrdiff_t>((i - 1) * capacity));
+    }
+  }
+  // Released pieces sit in the magazine (and depot); the drain hands them
+  // and the uncarved rest back, freeing every segment.
+  tempi::drain_buffer_cache();
+  const vcuda::Counters after = vcuda::counters();
+  EXPECT_EQ(after.mallocs - before.mallocs, after.frees - before.frees);
+  EXPECT_EQ(tempi::buffer_cache_stats().leased_now, leased0);
+}
+
+TEST(BufferCache, SameBucketBurstCostsTwoAllocations) {
+  // A bucket's first miss allocates one buffer; its second allocates one
+  // segment whose pieces serve every later miss, so any burst of 2 to
+  // pieces + 1 concurrent leases costs exactly two allocations, and one
+  // lease more a third.
+  for (const vcuda::MemorySpace space :
+       {vcuda::MemorySpace::Device, vcuda::MemorySpace::Pinned}) {
+    for (const std::size_t capacity : {std::size_t{1} << 11,
+                                       std::size_t{1} << 17}) {
+      const std::size_t pieces = kSegment / capacity;
+      for (const std::size_t n : {std::size_t{2}, pieces / 2 + 1, pieces + 1,
+                                  pieces + 2}) {
+        check_burst(space, capacity, n);
+      }
+    }
+  }
+}
+
+TEST(BufferCache, ReleasedBurstIsReusedBeforeFreshPieces) {
+  // A burst released past the magazine cap flushes to the depot and
+  // retires the cursor, so the next burst reuses the buffers the first one
+  // touched instead of carving the segment's untouched rest.
+  tempi::drain_buffer_cache();
+  constexpr std::size_t kBurst = 20; // above the magazine cap, below a segment
+  std::set<void *> first;
+  {
+    std::vector<tempi::CachedBuffer> held;
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      held.push_back(tempi::lease_buffer(vcuda::MemorySpace::Pinned, 16384));
+      first.insert(held.back().get());
+    }
+  }
+  const vcuda::Counters before = vcuda::counters();
+  std::vector<tempi::CachedBuffer> again;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    again.push_back(tempi::lease_buffer(vcuda::MemorySpace::Pinned, 16384));
+    EXPECT_EQ(first.count(again.back().get()), 1u) << "lease " << i;
+  }
+  EXPECT_EQ(vcuda::counters().mallocs, before.mallocs);
+  again.clear();
+  tempi::drain_buffer_cache();
+}
+
+TEST(BufferCache, SegmentPieceReleasedAfterTeardownFreesItOnce) {
+  tempi::drain_buffer_cache(); // an empty depot: the thread's leases miss
+  const std::size_t leased0 = tempi::buffer_cache_stats().leased_now;
+  const vcuda::Counters before = vcuda::counters();
+  std::thread([leased0] {
+    thread_local LateHolder holder; // constructed first, destroyed last
+    const tempi::CachedBuffer single =
+        tempi::lease_buffer(vcuda::MemorySpace::Pinned, 4096);
+    holder.buf = tempi::lease_buffer(vcuda::MemorySpace::Pinned, 4096);
+    // A third lease, returned: the cache's teardown frees the single
+    // buffer and hands this piece and the uncarved rest back, but the
+    // held piece keeps the segment alive.
+    {
+      const auto warm = tempi::lease_buffer(vcuda::MemorySpace::Pinned, 4096);
+    }
+    EXPECT_EQ(allocation_of(holder.buf.get()),
+              reinterpret_cast<std::uintptr_t>(holder.buf.get()));
+    EXPECT_EQ(tempi::buffer_cache_stats().leased_now, leased0 + 2);
+  }).join();
+  const vcuda::Counters after = vcuda::counters();
+  EXPECT_EQ(after.mallocs - before.mallocs, 2u); // the buffer, one segment
+  EXPECT_EQ(after.frees - before.frees, 2u); // the late release freed it
+  EXPECT_EQ(tempi::buffer_cache_stats().leased_now, leased0);
+}
+
+TEST(BufferCache, LargeAndUncachedLeasesAreSingleAllocations) {
+  tempi::drain_buffer_cache();
+  // A segment or more: every miss is its own allocation.
+  vcuda::Counters before = vcuda::counters();
+  {
+    std::vector<tempi::CachedBuffer> held;
+    for (int i = 0; i < 3; ++i) {
+      held.push_back(
+          tempi::lease_buffer(vcuda::MemorySpace::Device, kSegment));
+      EXPECT_EQ(allocation_of(held.back().get()),
+                reinterpret_cast<std::uintptr_t>(held.back().get()));
+    }
+    EXPECT_EQ(vcuda::counters().mallocs - before.mallocs, 3u);
+  }
+  tempi::drain_buffer_cache();
+  EXPECT_EQ(vcuda::counters().frees - before.frees, 3u);
+
+  // Cache disabled: one allocation per lease, freed at release.
+  tempi::set_buffer_cache_enabled(false);
+  before = vcuda::counters();
+  {
+    std::vector<tempi::CachedBuffer> held;
+    for (int i = 0; i < 3; ++i) {
+      held.push_back(tempi::lease_buffer(vcuda::MemorySpace::Pinned, 4096));
+      EXPECT_EQ(allocation_of(held.back().get()),
+                reinterpret_cast<std::uintptr_t>(held.back().get()));
+    }
+    EXPECT_EQ(vcuda::counters().mallocs - before.mallocs, 3u);
+  }
+  EXPECT_EQ(vcuda::counters().frees - before.frees, 3u);
+  tempi::set_buffer_cache_enabled(true);
 }
 
 } // namespace

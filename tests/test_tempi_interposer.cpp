@@ -3,6 +3,7 @@
 // restores the original resolution — without touching application code.
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
+#include "tempi/buffer_cache.hpp"
 #include "tempi/tempi.hpp"
 #include "tempi/trace.hpp"
 #include "test_helpers.hpp"
@@ -337,6 +338,54 @@ TEST(Interposer, ModelCountersTrackObservationsAndRefreshes) {
   EXPECT_EQ(counter("tempi.model.observations"), observations);
   tempi::tune::set_enabled(true);
   tempi::tune::reset();
+}
+
+/// The tuned DevicePack cell after three blocking ForceDevice sends of a
+/// 512 x 16 B vector. With `prewarm` the sender leases and returns its
+/// wire bucket first, so no send misses the buffer cache.
+double device_pack_after_three_sends(bool prewarm) {
+  tempi::ScopedInterposer guard;
+  tempi::tune::reset();
+  tempi::drain_buffer_cache(); // an empty depot: the first lease misses
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  sysmpi::RunConfig cfg;
+  cfg.ranks = 2;
+  cfg.ranks_per_node = 1;
+  sysmpi::run_ranks(cfg, [prewarm](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype t = committed_vector(512, 16, 48);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    SpaceBuffer buf(vcuda::MemorySpace::Device,
+                    static_cast<std::size_t>(extent) + 64);
+    for (int i = 0; i < 3; ++i) {
+      if (rank == 0) {
+        if (prewarm && i == 0) {
+          (void)tempi::lease_buffer(vcuda::MemorySpace::Device, 512 * 16);
+        }
+        fill_pattern(buf.get(), buf.size());
+        MPI_Send(buf.get(), 1, t, 1, i, MPI_COMM_WORLD);
+      } else {
+        MPI_Recv(buf.get(), 1, t, 0, i, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+      }
+    }
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
+  tempi::set_send_mode(tempi::SendMode::Auto);
+  tempi::SystemPerf perf = tempi::builtin_perf();
+  tempi::tune::fold_into(perf, false);
+  tempi::tune::reset();
+  return perf.device_pack.query(16.0, 8192.0);
+}
+
+TEST(Interposer, TunerPackSampleExcludesTheLeaseMiss) {
+  // A send's pack sample starts after its lease: a cold cache's cudaMalloc
+  // must not land in the first sample, which sets the cell outright.
+  const double cold = device_pack_after_three_sends(false);
+  const double warm = device_pack_after_three_sends(true);
+  EXPECT_GT(warm, 0.0);
+  EXPECT_NEAR(cold, warm, 0.01 * warm);
 }
 
 TEST(Interposer, TopoCountersTrackRemapsAndLegs) {

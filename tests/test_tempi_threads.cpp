@@ -15,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -286,6 +288,66 @@ TEST_F(TempiThreads, UninstallDrainsWhileThreadsHoldMagazines) {
     w.join(); // magazine-holding threads exit cleanly after the drain
   }
   tempi::install(); // TearDown expects an installed interposer
+}
+
+TEST_F(TempiThreads, SegmentPieceReleasedOnAnotherThreadFreesItOnce) {
+  // Pieces carved on a worker outlive it: its exit hands back only the
+  // uncarved rest, and the segment is freed once, by the drain on the
+  // thread the last piece was released on.
+  tempi::drain_buffer_cache();
+  const std::size_t leased0 = tempi::buffer_cache_stats().leased_now;
+  const vcuda::Counters before = vcuda::counters();
+  std::vector<tempi::CachedBuffer> moved;
+  std::thread([&moved] {
+    for (int i = 0; i < 4; ++i) {
+      moved.push_back(tempi::lease_buffer(vcuda::MemorySpace::Pinned, 8192));
+    }
+  }).join();
+  EXPECT_EQ(vcuda::counters().mallocs - before.mallocs, 2u);
+  EXPECT_EQ(vcuda::counters().frees - before.frees, 0u);
+  moved.clear(); // released into this thread's magazine
+  tempi::drain_buffer_cache();
+  const vcuda::Counters after = vcuda::counters();
+  EXPECT_EQ(after.frees - before.frees, 2u); // the buffer, the segment
+  EXPECT_EQ(tempi::buffer_cache_stats().leased_now, leased0);
+}
+
+TEST_F(TempiThreads, ConcurrentThreadsCarveDisjointSegments) {
+  // Bump cursors are per thread: two threads leasing the same bucket at
+  // once each carve their own segments, never pieces of one segment. Both
+  // hold their leases until both are done, so neither can refill from
+  // pieces the other released to the depot.
+  constexpr int kLeases = 40;
+  tempi::drain_buffer_cache(); // an empty depot: every piece is carved
+  std::array<std::set<std::uintptr_t>, 2> segments;
+  std::atomic<int> started{0};
+  std::atomic<int> done{0};
+  const auto meet = [](std::atomic<int> &count) {
+    count.fetch_add(1, std::memory_order_acq_rel);
+    while (count.load(std::memory_order_acquire) < 2) {
+    }
+  };
+  std::vector<std::thread> workers;
+  for (std::size_t w = 0; w < 2; ++w) {
+    workers.emplace_back([&, w] {
+      meet(started);
+      std::vector<tempi::CachedBuffer> held;
+      for (int i = 0; i < kLeases; ++i) {
+        held.push_back(tempi::lease_buffer(vcuda::MemorySpace::Device, 16384));
+        const auto a = vcuda::memory_registry().find(held.back().get());
+        segments[w].insert(a ? a->base : 0);
+      }
+      meet(done);
+    });
+  }
+  for (std::thread &w : workers) {
+    w.join();
+  }
+  for (const std::uintptr_t base : segments[0]) {
+    EXPECT_EQ(segments[1].count(base), 0u);
+  }
+  EXPECT_EQ(segments[0].count(0), 0u); // every lease was a vcuda pointer
+  EXPECT_EQ(segments[1].count(0), 0u);
 }
 
 TEST_F(TempiThreads, ShardsEnvKillSwitchRestoresSingleLockLayout) {
