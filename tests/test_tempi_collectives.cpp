@@ -546,6 +546,94 @@ TEST(Collectives, EnvKillSwitchReadAtInstall) {
   unsetenv("TEMPI_COLL");
 }
 
+/// Collective-sequence slots each exchange entry consumes on every rank of
+/// a one-node `ranks`-rank comm, with `count` objects per peer:
+/// {Alltoallv, Neighbor_alltoallv, Gatherv, Allgather} per rank.
+std::vector<std::vector<std::uint64_t>> exchange_tag_slots(bool engine,
+                                                           int ranks,
+                                                           int count) {
+  tempi::coll::set_enabled(engine);
+  std::vector<std::vector<std::uint64_t>> out(
+      static_cast<std::size_t>(ranks));
+  sysmpi::RunConfig cfg;
+  cfg.ranks = ranks;
+  cfg.ranks_per_node = ranks;
+  sysmpi::run_ranks(cfg, [&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype t = nullptr;
+    MPI_Type_vector(3, 2, 4, MPI_INT, &t);
+    MPI_Type_commit(&t);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    const int P = ranks;
+    const std::size_t bytes =
+        static_cast<std::size_t>(P) * static_cast<std::size_t>(count + 1) *
+            static_cast<std::size_t>(extent) + 64;
+    SpaceBuffer sbuf(vcuda::MemorySpace::Device, bytes);
+    SpaceBuffer rbuf(vcuda::MemorySpace::Device, bytes);
+    std::vector<int> counts(P, count), displs(P);
+    for (int p = 0; p < P; ++p) {
+      displs[p] = p * count;
+    }
+    const std::vector<int> ring_dst{(rank + 1) % P};
+    const std::vector<int> ring_src{(rank - 1 + P) % P};
+    MPI_Comm graph = MPI_COMM_NULL;
+    MPI_Dist_graph_create_adjacent(MPI_COMM_WORLD, 1, ring_src.data(),
+                                   nullptr, 1, ring_dst.data(), nullptr,
+                                   MPI_INFO_NULL, 0, &graph);
+    const auto slots = [](MPI_Comm c, const std::function<int()> &call) {
+      const std::uint64_t before = c->collective_seq;
+      EXPECT_EQ(call(), MPI_SUCCESS);
+      return c->collective_seq - before;
+    };
+    auto &mine = out[static_cast<std::size_t>(rank)];
+    mine.push_back(slots(MPI_COMM_WORLD, [&] {
+      return MPI_Alltoallv(sbuf.get(), counts.data(), displs.data(), t,
+                           rbuf.get(), counts.data(), displs.data(), t,
+                           MPI_COMM_WORLD);
+    }));
+    mine.push_back(slots(graph, [&] {
+      return MPI_Neighbor_alltoallv(sbuf.get(), counts.data(), displs.data(),
+                                    t, rbuf.get(), counts.data(),
+                                    displs.data(), t, graph);
+    }));
+    mine.push_back(slots(MPI_COMM_WORLD, [&] {
+      return MPI_Gatherv(sbuf.get(), count, t, rbuf.get(), counts.data(),
+                         displs.data(), t, P - 1, MPI_COMM_WORLD);
+    }));
+    mine.push_back(slots(MPI_COMM_WORLD, [&] {
+      return MPI_Allgather(sbuf.get(), count, t, rbuf.get(), count, t,
+                           MPI_COMM_WORLD);
+    }));
+    MPI_Comm_free(&graph);
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
+  tempi::coll::set_enabled(true);
+  return out;
+}
+
+TEST(Collectives, EngineConsumesTheSystemTagBudget) {
+  // Mixed engine/system ranks stay aligned only if every engine entry
+  // consumes exactly the collective-sequence slots the system path does.
+  tempi::ScopedInterposer guard;
+  for (const int ranks : {1, 3, 4}) {
+    for (const int count : {0, 2}) {
+      tempi::trace::reset_counters();
+      const auto engine = exchange_tag_slots(true, ranks, count);
+      EXPECT_EQ(counter("tempi.coll.alltoallv"),
+                3u * static_cast<std::uint64_t>(ranks));
+      EXPECT_EQ(counter("tempi.coll.neighbor"),
+                static_cast<std::uint64_t>(ranks));
+      const auto system = exchange_tag_slots(false, ranks, count);
+      for (std::size_t r = 0; r < engine.size(); ++r) {
+        EXPECT_EQ(engine[r], system[r])
+            << ranks << " ranks, count " << count << ", rank " << r;
+      }
+    }
+  }
+}
+
 TEST(Collectives, ChooseLegIsCachedAndPlacementAware) {
   const tempi::PerfModel model;
   tempi::trace::reset_counters();

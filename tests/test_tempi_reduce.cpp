@@ -20,6 +20,7 @@
 #include <cstring>
 #include <functional>
 #include <random>
+#include <string>
 #include <vector>
 
 namespace {
@@ -858,6 +859,100 @@ TEST(Reduce, KillSwitchAndStatsCounters) {
                                     host, vals);
   EXPECT_EQ(counter("tempi.red.allreduce"), 0u);
   EXPECT_EQ(counter("tempi.red.fallback"), 2u);
+}
+
+/// Collective-sequence slots each reduction entry consumes on every rank
+/// of a one-node `ranks`-rank comm, over device buffers of `dt` with
+/// `count` objects per rank's segment: {Allreduce, Reduce,
+/// Reduce_scatter, Reduce_scatter_block} per rank.
+std::vector<std::vector<std::uint64_t>>
+reduction_tag_slots(bool engine, int ranks, bool derived, int count) {
+  tempi::red::set_enabled(engine);
+  std::vector<std::vector<std::uint64_t>> out(
+      static_cast<std::size_t>(ranks));
+  sysmpi::RunConfig cfg;
+  cfg.ranks = ranks;
+  cfg.ranks_per_node = ranks;
+  sysmpi::run_ranks(cfg, [&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype t = MPI_INT;
+    if (derived) {
+      MPI_Type_vector(3, 2, 4, MPI_INT, &t);
+      MPI_Type_commit(&t);
+    }
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    const std::size_t bytes = static_cast<std::size_t>(ranks) *
+                                  static_cast<std::size_t>(count) *
+                                  static_cast<std::size_t>(extent) +
+                              64;
+    SpaceBuffer sbuf(vcuda::MemorySpace::Device, bytes);
+    SpaceBuffer rbuf(vcuda::MemorySpace::Device, bytes);
+    std::memset(sbuf.get(), 0, bytes);
+    const std::vector<int> counts(static_cast<std::size_t>(ranks), count);
+    const auto slots = [](const std::function<int()> &call) {
+      const std::uint64_t before = MPI_COMM_WORLD->collective_seq;
+      EXPECT_EQ(call(), MPI_SUCCESS);
+      return MPI_COMM_WORLD->collective_seq - before;
+    };
+    auto &mine = out[static_cast<std::size_t>(rank)];
+    mine.push_back(slots([&] {
+      return MPI_Allreduce(sbuf.get(), rbuf.get(), ranks * count, t, MPI_SUM,
+                           MPI_COMM_WORLD);
+    }));
+    mine.push_back(slots([&] {
+      return MPI_Reduce(sbuf.get(), rbuf.get(), ranks * count, t, MPI_SUM,
+                        ranks - 1, MPI_COMM_WORLD);
+    }));
+    mine.push_back(slots([&] {
+      return MPI_Reduce_scatter(sbuf.get(), rbuf.get(), counts.data(), t,
+                                MPI_SUM, MPI_COMM_WORLD);
+    }));
+    mine.push_back(slots([&] {
+      return MPI_Reduce_scatter_block(sbuf.get(), rbuf.get(), count, t,
+                                      MPI_SUM, MPI_COMM_WORLD);
+    }));
+    if (derived) {
+      MPI_Type_free(&t);
+    }
+    MPI_Finalize();
+  });
+  tempi::red::set_enabled(true);
+  return out;
+}
+
+TEST(Reduce, EveryEntryConsumesItsTagBudget) {
+  // Named engine ranks mix with system-path ranks, so they must consume
+  // the system's slots; derived calls have no system path and consume
+  // the documented budget (allreduce / reduce-scatter 2, reduce 1) under
+  // every schedule, zero counts included.
+  tempi::ScopedInterposer guard;
+  const std::vector<std::uint64_t> derived_budget{2, 1, 2, 2};
+  for (const int ranks : {1, 3, 4}) {
+    for (const int count : {0, 2}) {
+      for (Schedule s : {Schedule::Auto, Schedule::Linear, Schedule::Ring,
+                         Schedule::Doubling}) {
+        tempi::red::set_forced_schedule(s);
+        tempi::trace::reset_counters();
+        const auto named = reduction_tag_slots(true, ranks, false, count);
+        if (count > 0) {
+          EXPECT_EQ(counter("tempi.red.allreduce"),
+                    static_cast<std::uint64_t>(ranks));
+        }
+        const auto system = reduction_tag_slots(false, ranks, false, count);
+        const auto derived = reduction_tag_slots(true, ranks, true, count);
+        for (std::size_t r = 0; r < named.size(); ++r) {
+          const std::string where =
+              std::to_string(ranks) + " ranks, count " +
+              std::to_string(count) + ", rank " + std::to_string(r) +
+              ", schedule " + tempi::red::schedule_name(s);
+          EXPECT_EQ(named[r], system[r]) << where;
+          EXPECT_EQ(derived[r], derived_budget) << where;
+        }
+      }
+    }
+  }
+  tempi::red::set_forced_schedule(Schedule::Auto);
 }
 
 TEST(Reduce, EnvKillSwitchReadAtInstall) {
