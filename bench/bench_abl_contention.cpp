@@ -9,7 +9,8 @@
 // they meet (pool shards, buffer-cache depot, handle cache) belongs to
 // TEMPI, not the wire — and gates on two claims:
 //   (1) scaling: per-op CPU cost must not inflate more than ~33% under
-//       4-way concurrency (throughput_cpu(4) >= 3x throughput_cpu(1));
+//       4-way concurrency (throughput_cpu(4) >= 3x throughput_cpu(1), as
+//       the median ratio over interleaved 1-/4-thread run pairs);
 //   (2) no single-thread tax: the table-driven steady-state setup must
 //       still beat the pre-PR recompute path from bench_abl_overhead.
 //
@@ -166,22 +167,45 @@ int main() {
 
   const int kIters = bench::smoke_mode() ? 512 : 4096;
   const int kTries = 2;
+  // The gated 4-vs-1 ratio comes from kPairs interleaved (1-thread,
+  // 4-thread) runs: on a small shared host the CPU speed drifts in phases
+  // longer than one run, so comparing the best 1-thread run with the best
+  // 4-thread run can pair a fast phase with a slow one. Both runs of a
+  // pair share a phase, their ratio cancels it, and the median drops the
+  // pairs a phase boundary splits.
+  const int kPairs = 9;
 
   // Thread-scaling sweep on the default sharded layout.
   tempi::async::reset_pool_lock_stats();
   const int counts[] = {1, 2, 4, 8};
   double thr[4] = {0, 0, 0, 0};
+  std::vector<double> one(kPairs), four(kPairs), ratios(kPairs);
+  for (int p = 0; p < kPairs; ++p) {
+    one[static_cast<std::size_t>(p)] = hammer_throughput(1, kIters);
+    four[static_cast<std::size_t>(p)] = hammer_throughput(4, kIters);
+    ratios[static_cast<std::size_t>(p)] =
+        four[static_cast<std::size_t>(p)] / one[static_cast<std::size_t>(p)];
+  }
+  const auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  thr[0] = median(one);
+  thr[1] = best_throughput(2, kIters, kTries);
+  thr[2] = median(four);
+  thr[3] = best_throughput(8, kIters, kTries);
   std::printf("Isend/Irecv/Waitall + persistent Start hammer "
-              "(%d cycles/thread, %zu shards):\n",
-              kIters, tempi::async::shard_count());
+              "(%d cycles/thread, %zu shards; 1 and 4 threads: median of "
+              "%d interleaved pairs, 2 and 8: best of %d):\n",
+              kIters, tempi::async::shard_count(), kPairs, kTries);
   for (int i = 0; i < 4; ++i) {
-    thr[i] = best_throughput(counts[i], kIters, kTries);
     std::printf("  %d thread%s: %10.0f cycles/cpu-sec\n", counts[i],
                 counts[i] == 1 ? " " : "s", thr[i]);
   }
-  const double scaling = thr[2] / thr[0];
+  const double scaling = median(ratios);
   const support::LockStats pool = tempi::async::pool_lock_stats();
-  std::printf("  4-vs-1 CPU-normalized scaling: %.2fx (gate: >= 3x)\n",
+  std::printf("  4-vs-1 CPU-normalized scaling: %.2fx (median per-pair "
+              "ratio; gate: >= 3x)\n",
               scaling);
   std::printf("  pool lock: %llu acquires, %llu contended\n\n",
               static_cast<unsigned long long>(pool.acquires),

@@ -4,19 +4,26 @@
 // exchange collectives (MPI_Alltoallv, MPI_Neighbor_alltoallv, and
 // MPI_Allgather / MPI_Gatherv as thin reductions onto the same core) still
 // rode the system MPI's baseline datatype path — exactly the stencil/halo
-// and all-to-all patterns the paper targets. This engine layers them onto
-// every prior subsystem:
+// and all-to-all patterns the paper targets. Each entry point here is a
+// slot generator: it lists the call's per-peer (peer, count,
+// displacement) send and receive slots, and the exchange core runs them
+// as the single round of a collective schedule (tempi/schedule.hpp),
+// whose executor owns the side classifier, leases, leg choice, issue
+// order, tag reservation and error draining:
 //
 //   1. Fused pack  — all outgoing per-peer blocks are packed into ONE
 //      device staging lease by a single span-table kernel pass
 //      (launch_pack_spans): per-peer (offset, count) tables instead of
 //      launch_pack_range's single uniform object stride.
-//   2. Leg fan-out — per-peer wire legs ride the non-blocking request
-//      engine (async::start_isend_packed / start_irecv_packed) so every
-//      peer's wire time overlaps; the per-peer path (CUDA-aware device
-//      wire vs pinned-staged CPU wire) comes from PerfModel::choose_leg,
-//      which folds the sysmpi netmodel's intra/inter-node parameters into
-//      the existing lock-free choice cache under a leg-specific salt.
+//   2. Leg fan-out — the executor posts per-peer wire legs on the
+//      non-blocking request engine (async::start_isend_packed /
+//      start_irecv_packed) so every peer's wire time overlaps; the
+//      per-peer path (CUDA-aware device wire vs pinned-staged CPU wire)
+//      comes from PerfModel::choose_leg, which folds the sysmpi
+//      netmodel's intra/inter-node parameters into the existing lock-free
+//      choice cache under a leg-specific salt and prices the bytes this
+//      rank already queued at its injection port; topo::schedule orders
+//      the fan-out node-aware.
 //   3. Oversized legs — a per-peer leg above the wire-chunk limit ships
 //      as ordered sub-slice legs under the PR 3 pipelined framing
 //      (send_packed_pipelined / PackedChunkRecv).
@@ -34,15 +41,17 @@
 // framing on both endpoints, which a system-path peer (that could not
 // carry such a leg anyway) does not speak.
 //
-// Per-rank buffer handling (each side chosen independently):
-//   * fused   — device-resident buffer with a canonical packer: span-table
-//               kernel pass through a device staging lease;
-//   * direct  — device-resident contiguous datatype (extent == size): wire
-//               legs are slices of the user buffer itself, no staging;
-//   * forward — anything else: typed system Isend/Irecv per peer (the
-//               system MPI packs/unpacks with its baseline engine).
+// Per-rank buffer handling (each side classified independently by
+// sched::classify, the one classifier the reduction engine and the
+// tempi.cpp gate share):
+//   * Fused  — device-resident buffer with a canonical packer: span-table
+//              kernel pass through a device staging lease;
+//   * Direct — device-resident contiguous datatype (extent == size): wire
+//              legs are slices of the user buffer itself, no staging;
+//   * Other  — anything else: typed system Isend/Irecv per peer (the
+//              system MPI packs/unpacks with its baseline engine).
 // Self-exchange legs short-circuit as device-side copies when both sides
-// can address packed bytes (fused/direct), else they ride the local
+// can address packed bytes (Fused/Direct), else they ride the local
 // mailbox like any other leg.
 #pragma once
 

@@ -3,17 +3,12 @@
 // ordering guarantees).
 #include "tempi/reduce.hpp"
 
-#include "sysmpi/collectives.hpp"
 #include "sysmpi/netmodel.hpp"
-#include "sysmpi/pack_baseline.hpp"
 #include "sysmpi/types.hpp"
 #include "sysmpi/world.hpp"
-#include "tempi/async.hpp"
-#include "tempi/buffer_cache.hpp"
 #include "tempi/kernels.hpp"
-#include "tempi/packer.hpp"
+#include "tempi/schedule.hpp"
 #include "tempi/tempi.hpp"
-#include "tempi/topology.hpp"
 #include "tempi/trace.hpp"
 #include "vcuda/runtime.hpp"
 
@@ -21,8 +16,6 @@
 #include <atomic>
 #include <bit>
 #include <climits>
-#include <cstring>
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -46,13 +39,7 @@ struct RedCounters {
 RedCounters g_counters;
 
 /// The resolved device combine shape of one (datatype, op) pair.
-struct Shape {
-  sysmpi::OpKind kind = sysmpi::OpKind::Sum;
-  ReduceOp rop = ReduceOp::Sum;
-  ReduceWord word = ReduceWord::I32;
-  sysmpi::Named base = sysmpi::Named::Int;
-  std::size_t word_bytes = 4;
-};
+using Shape = sched::Combiner;
 
 /// Walk to the named leaves of `dt`; true when every leaf is one uniform
 /// named base (recorded in `base`).
@@ -151,283 +138,6 @@ std::optional<Shape> resolve_shape(MPI_Datatype dt, MPI_Op op) {
   return sh;
 }
 
-bool peer_on_my_node(MPI_Comm comm, int peer) {
-  sysmpi::World &world = *comm->world;
-  return world.node_of(comm->world_rank_of(peer)) ==
-         world.node_of(comm->world_rank_of(comm->my_rank));
-}
-
-bool lease_failed(const CachedBuffer &buf, std::size_t bytes) {
-  return bytes > 0 && buf.get() == nullptr;
-}
-
-/// How one rank addresses its packed contribution (per rank, per call —
-/// the packed wire format is identical regardless, see reduce.hpp).
-enum class Mode {
-  Fused,  ///< device + canonical packer: span/combine kernels
-  Direct, ///< device + contiguous: MemcpyAsync slices, combine kernels
-  Host,   ///< anything else: baseline pack/unpack + host combine
-};
-
-/// A schedule-domain buffer: a device lease or a host vector, matching
-/// the rank's combine domain.
-struct Carrier {
-  bool device = false;
-  CachedBuffer lease;
-  std::vector<std::byte> host;
-
-  [[nodiscard]] std::byte *data() {
-    return device ? static_cast<std::byte *>(lease.get()) : host.data();
-  }
-  bool acquire(bool on_device, std::size_t bytes) {
-    device = on_device;
-    if (device) {
-      trace::ScopedSpan span(trace::Phase::LeaseAcquire, trace::OpKind::Coll,
-                             bytes);
-      lease = lease_buffer(vcuda::MemorySpace::Device, bytes);
-      return !lease_failed(lease, bytes);
-    }
-    host.resize(bytes);
-    return true;
-  }
-  void swap_with(Carrier &other) {
-    std::swap(device, other.device);
-    std::swap(lease, other.lease);
-    host.swap(other.host);
-  }
-};
-
-/// Per-call state shared by the schedule cores.
-struct Ctx {
-  Shape sh;
-  MPI_Comm comm = nullptr;
-  const interpose::MpiTable *next = nullptr;
-  Mode mode = Mode::Host;
-  const Packer *pk = nullptr; ///< Fused only
-  MPI_Datatype dt = nullptr;
-  vcuda::StreamHandle stream = nullptr;
-  [[nodiscard]] bool on_device() const { return mode != Mode::Host; }
-};
-
-/// Resolve the rank's mode from its buffer residency. `result` is null on
-/// ranks that never materialize a result (non-root Reduce).
-Ctx make_ctx(const Shape &sh, MPI_Comm comm, const interpose::MpiTable &next,
-             MPI_Datatype dt, const void *contrib, const void *result) {
-  Ctx ctx;
-  ctx.sh = sh;
-  ctx.comm = comm;
-  ctx.next = &next;
-  ctx.dt = dt;
-  ctx.stream = vcuda::next_pool_stream();
-  const bool dev = device_resident(contrib) &&
-                   (result == nullptr || device_resident(result));
-  if (!dev) {
-    ctx.mode = Mode::Host;
-  } else if (dt->is_contiguous()) {
-    ctx.mode = Mode::Direct;
-  } else {
-    ctx.mode = Mode::Fused;
-    ctx.pk = find_packer_fast(dt);
-  }
-  return ctx;
-}
-
-int modp(int v, int p) { return ((v % p) + p) % p; }
-
-/// Pack `count` objects of the user buffer `src` into packed bytes `dst`.
-int pack_contrib(Ctx &ctx, void *dst, const void *src, int count) {
-  const std::size_t bytes = static_cast<std::size_t>(ctx.dt->size) *
-                            static_cast<std::size_t>(count);
-  if (bytes == 0) {
-    return MPI_SUCCESS;
-  }
-  switch (ctx.mode) {
-  case Mode::Fused: {
-    trace::ScopedSpan pack(trace::Phase::PackLaunch, trace::OpKind::Coll,
-                           bytes);
-    tune::ScopedObservation obs(
-        tune::Axis::DevicePack,
-        static_cast<std::size_t>(ctx.pk->wire_block_bytes()), bytes);
-    if (ctx.pk->pack(dst, src, count, ctx.stream) != vcuda::Error::Success) {
-      obs.disarm();
-      return MPI_ERR_OTHER;
-    }
-    return MPI_SUCCESS;
-  }
-  case Mode::Direct:
-    if (vcuda::MemcpyAsync(dst, src, bytes, vcuda::MemcpyKind::Default,
-                           ctx.stream) != vcuda::Error::Success) {
-      return MPI_ERR_OTHER;
-    }
-    vcuda::StreamSynchronize(ctx.stream);
-    return MPI_SUCCESS;
-  case Mode::Host:
-    sysmpi::baseline_pack(dst, src, count, *ctx.dt);
-    return MPI_SUCCESS;
-  }
-  return MPI_ERR_OTHER;
-}
-
-/// Scatter packed bytes `src` back into `count` objects of user `dst`.
-int unpack_result(Ctx &ctx, void *dst, const void *src, int count) {
-  const std::size_t bytes = static_cast<std::size_t>(ctx.dt->size) *
-                            static_cast<std::size_t>(count);
-  if (bytes == 0) {
-    return MPI_SUCCESS;
-  }
-  switch (ctx.mode) {
-  case Mode::Fused: {
-    trace::ScopedSpan unpack(trace::Phase::Unpack, trace::OpKind::Coll,
-                             bytes);
-    tune::ScopedObservation obs(
-        tune::Axis::DeviceUnpack,
-        static_cast<std::size_t>(ctx.pk->wire_block_bytes()), bytes);
-    if (ctx.pk->unpack(dst, src, count, ctx.stream) !=
-        vcuda::Error::Success) {
-      obs.disarm();
-      return MPI_ERR_OTHER;
-    }
-    return MPI_SUCCESS;
-  }
-  case Mode::Direct:
-    if (vcuda::MemcpyAsync(dst, src, bytes, vcuda::MemcpyKind::Default,
-                           ctx.stream) != vcuda::Error::Success) {
-      return MPI_ERR_OTHER;
-    }
-    vcuda::StreamSynchronize(ctx.stream);
-    return MPI_SUCCESS;
-  case Mode::Host:
-    sysmpi::baseline_unpack(dst, src, count, *ctx.dt);
-    return MPI_SUCCESS;
-  }
-  return MPI_ERR_OTHER;
-}
-
-/// inout[i] = op(inout[i], in[i]) over `bytes` of packed words, on the
-/// rank's combine domain (device kernel or host apply_reduce). The
-/// accumulator is always the left operand.
-int combine(Ctx &ctx, void *inout, const void *in, std::size_t bytes) {
-  if (bytes == 0) {
-    return MPI_SUCCESS;
-  }
-  if (ctx.on_device()) {
-    trace::ScopedSpan span(trace::Phase::PackLaunch, trace::OpKind::Coll,
-                           bytes);
-    if (launch_reduce(ctx.sh.rop, ctx.sh.word, inout, in,
-                      bytes / ctx.sh.word_bytes,
-                      ctx.stream) != vcuda::Error::Success) {
-      return MPI_ERR_OTHER;
-    }
-    vcuda::StreamSynchronize(ctx.stream);
-    g_counters.kernel_launches.add();
-    return MPI_SUCCESS;
-  }
-  if (!sysmpi::apply_reduce(ctx.sh.kind, inout, in,
-                            static_cast<int>(bytes / ctx.sh.word_bytes),
-                            ctx.sh.base)) {
-    return MPI_ERR_TYPE;
-  }
-  return MPI_SUCCESS;
-}
-
-/// Fused-root fold: combine one incoming packed contribution directly into
-/// the strided objects of the user recvbuf (the reduce-flavored span pass;
-/// no staging unpack).
-int combine_into_user(Ctx &ctx, void *recvbuf, const void *packed,
-                      int count) {
-  const std::size_t bytes = static_cast<std::size_t>(ctx.dt->size) *
-                            static_cast<std::size_t>(count);
-  trace::ScopedSpan span(trace::Phase::PackLaunch, trace::OpKind::Coll,
-                         bytes);
-  const PackSpan sp{0, 0, count};
-  if (launch_reduce_spans(ctx.sh.rop, ctx.sh.word, ctx.pk->plan(),
-                          ctx.pk->block(), ctx.pk->type_extent(), recvbuf,
-                          packed, std::span<const PackSpan>(&sp, 1),
-                          ctx.stream) != vcuda::Error::Success) {
-    return MPI_ERR_OTHER;
-  }
-  vcuda::StreamSynchronize(ctx.stream);
-  g_counters.kernel_launches.add();
-  return MPI_SUCCESS;
-}
-
-/// Post one packed send leg. The wire path comes from choose_leg (queued-
-/// bytes aware on fan-outs); Pipelined is clamped to Device — a leg's two
-/// endpoints may differ in residency, and only the single-leg methods keep
-/// the wire a plain byte message. Host-mode ranks always ship Device (the
-/// staged path assumes a device source). Zero-byte legs are skipped on
-/// both ends (segment sizes are globally known, so the skip is symmetric).
-int post_send_leg(Ctx &ctx, const void *ptr, std::size_t nbytes, int peer,
-                  int tag, std::vector<MPI_Request> &reqs,
-                  std::size_t queued = 0) {
-  if (nbytes == 0) {
-    return MPI_SUCCESS;
-  }
-  const bool same_node = peer_on_my_node(ctx.comm, peer);
-  TransferChoice c{Method::Device, 0};
-  if (ctx.on_device()) {
-    trace::ScopedSpan choice(trace::Phase::ModelChoice, trace::OpKind::Coll,
-                             nbytes, peer, tag);
-    c = perf_model().choose_leg(
-        nbytes, same_node, (same_node || !topo::enabled()) ? 0 : queued);
-    if (c.method == Method::Pipelined) {
-      c = TransferChoice{Method::Device, 0};
-    }
-    choice.set_method(static_cast<std::int8_t>(c.method));
-  }
-  MPI_Request req = MPI_REQUEST_NULL;
-  const int rc = async::start_isend_packed(ptr, nbytes, c.method,
-                                           c.chunk_bytes, peer, tag, ctx.comm,
-                                           *ctx.next, &req);
-  if (rc == MPI_SUCCESS) {
-    reqs.push_back(req);
-    g_counters.peer_legs.add();
-  }
-  return rc;
-}
-
-/// Receive-side mirror of post_send_leg (no queue term: ejection pricing
-/// is the sender's job).
-int post_recv_leg(Ctx &ctx, void *ptr, std::size_t nbytes, int peer, int tag,
-                  std::vector<MPI_Request> &reqs) {
-  if (nbytes == 0) {
-    return MPI_SUCCESS;
-  }
-  TransferChoice c{Method::Device, 0};
-  if (ctx.on_device()) {
-    trace::ScopedSpan choice(trace::Phase::ModelChoice, trace::OpKind::Coll,
-                             nbytes, peer, tag);
-    c = perf_model().choose_leg(nbytes, peer_on_my_node(ctx.comm, peer));
-    if (c.method == Method::Pipelined) {
-      c = TransferChoice{Method::Device, 0};
-    }
-    choice.set_method(static_cast<std::int8_t>(c.method));
-  }
-  MPI_Request req = MPI_REQUEST_NULL;
-  const int rc = async::start_irecv_packed(ptr, nbytes, c.method, peer, tag,
-                                           ctx.comm, *ctx.next, &req);
-  if (rc == MPI_SUCCESS) {
-    reqs.push_back(req);
-    g_counters.peer_legs.add();
-  }
-  return rc;
-}
-
-/// Complete every posted leg (even on an earlier error: sends are
-/// buffered and posted receives pair with peers' eager sends, so draining
-/// cannot hang) and clear the array.
-int finish_legs(Ctx &ctx, std::vector<MPI_Request> &reqs, int rc) {
-  if (!reqs.empty()) {
-    const int wrc = async::waitall(static_cast<int>(reqs.size()), reqs.data(),
-                                   MPI_STATUSES_IGNORE, *ctx.next);
-    if (rc == MPI_SUCCESS) {
-      rc = wrc;
-    }
-    reqs.clear();
-  }
-  return rc;
-}
-
 // --- netmodel schedule selection ---------------------------------------------
 
 bool comm_multi_node(MPI_Comm comm) {
@@ -447,12 +157,9 @@ double hop_ns(std::size_t bytes, bool same_node, bool gpu) {
                                 same_node));
 }
 
+/// ceil(log2 p) for p >= 1: the binomial tree's depth.
 int ceil_log2(int p) {
-  int rounds = 0;
-  for (int m = 1; m < p; m <<= 1) {
-    ++rounds;
-  }
-  return rounds;
+  return static_cast<int>(std::bit_width(static_cast<unsigned>(p - 1)));
 }
 
 } // namespace
@@ -523,772 +230,300 @@ Schedule choose_reduce_schedule(std::size_t bytes, MPI_Comm comm, bool gpu) {
   return tree < lin ? Schedule::Doubling : Schedule::Linear;
 }
 
-// --- schedule cores (derived datatypes, packed byte domain) ------------------
+// --- schedule generators (packed byte domain) --------------------------------
 //
-// Every core consumes exactly the call's collective-tag budget itself
-// (allreduce / reduce_scatter: two slots, reduce: one), in the same order
-// on every rank, so engine ranks stay sequence-aligned with the system
-// MPI across consecutive collectives.
+// Each generator appends rounds to one call's Schedule; the executor
+// (tempi/schedule.*) posts, waits and combines. The Call's constructor
+// reserves the whole tag budget (allreduce / reduce_scatter: two slots,
+// reduce: one; the named allreduce's system Bcast tail reserves its own),
+// so engine ranks stay sequence-aligned with the system MPI on every path.
 
-/// Packed binomial broadcast of `bytes` from rank 0 (the derived linear
-/// allreduce's distribution phase; same tree as sysmpi's bcast_impl).
-int packed_bcast(Ctx &ctx, std::byte *data, std::size_t bytes, int tag,
-                 std::vector<MPI_Request> &reqs) {
-  const int P = ctx.comm->size();
-  const int me = ctx.comm->my_rank;
-  int rc = MPI_SUCCESS;
-  int mask = 1;
-  while (mask < P) {
-    if (me & mask) {
-      rc = post_recv_leg(ctx, data, bytes, me - mask, tag, reqs);
-      rc = finish_legs(ctx, reqs, rc);
-      break;
-    }
-    mask <<= 1;
-  }
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  mask >>= 1;
-  while (mask > 0 && rc == MPI_SUCCESS) {
-    if (me + mask < P) {
-      rc = post_send_leg(ctx, data, bytes, me + mask, tag, reqs);
-    }
-    mask >>= 1;
-  }
-  return finish_legs(ctx, reqs, rc);
+using sched::Op;
+using sched::Ref;
+using sched::Side;
+
+int modp(int v, int p) { return ((v % p) + p) % p; }
+
+/// A derived-datatype rank's side, from its buffers' residency; `result`
+/// is null on ranks that never materialize a result (non-root Reduce).
+Side side_of(MPI_Datatype dt, const void *contrib, const void *result) {
+  const Side side = sched::classify(contrib, dt);
+  return side != Side::Other && result != nullptr &&
+                 sched::classify(result, dt) == Side::Other
+             ? Side::Other
+             : side;
 }
 
-/// Linear fold of every rank's packed contribution to rank 0, ascending
-/// source order (the system association). Consumes one tag slot.
-int linear_fold_to_zero(Ctx &ctx, Carrier &acc, std::size_t bytes) {
-  MPI_Comm comm = ctx.comm;
-  const int P = comm->size();
-  const int me = comm->my_rank;
-  const int tag = sysmpi::next_collective_tag(comm);
-  std::vector<MPI_Request> reqs;
-  int rc = MPI_SUCCESS;
-  if (me != 0) {
-    rc = post_send_leg(ctx, acc.data(), bytes, 0, tag, reqs);
-    return finish_legs(ctx, reqs, rc);
+/// One reduction call: its schedule plus the facts every generator reads.
+struct Call {
+  sched::Schedule s;
+  int me, P;
+  std::size_t bytes; ///< packed payload of the full vector
+
+  Call(const Shape &sh, MPI_Comm comm, const interpose::MpiTable &next,
+       MPI_Datatype dt, int count, int tags, Side side)
+      : s(comm, next, tags), me(comm->my_rank), P(comm->size()),
+        bytes(static_cast<std::size_t>(dt->size) *
+              static_cast<std::size_t>(count)) {
+    s.send_side = s.recv_side = side;
+    s.dt = dt;
+    s.pk = side == Side::Fused ? find_packer_fast(dt) : nullptr;
+    s.comb = sh;
+    s.clamp_pipelined = true;
+    s.skip_empty_legs = true;
+    s.legs = &g_counters.peer_legs;
+    s.kernels = &g_counters.kernel_launches;
+    if (bytes > 0) {
+      s.stream = vcuda::next_pool_stream();
+    }
   }
-  if (P == 1) {
-    return MPI_SUCCESS;
+  Ref user(const void *p) { return Ref{s.user(p)}; }
+  /// A schedule-domain buffer: a device lease, or host memory on Other.
+  Ref carrier(std::size_t n) {
+    return Ref{s.lease(n, s.recv_side != Side::Other)};
   }
-  Carrier stage;
-  if (!stage.acquire(ctx.on_device(),
-                     bytes * static_cast<std::size_t>(P - 1))) {
-    return MPI_ERR_OTHER;
+  /// A carrier holding the packed form of `count` objects at `src`.
+  Ref packed(const void *src, int count) {
+    const Ref acc = carrier(bytes);
+    s.round(0).local(Op::Pack, acc, user(src), 0, count);
+    return acc;
   }
-  std::vector<int> peers(static_cast<std::size_t>(P - 1));
-  for (int r = 1; r < P; ++r) {
-    peers[static_cast<std::size_t>(r - 1)] = r;
-  }
-  const std::vector<std::size_t> order = topo::schedule(comm, peers);
-  for (std::size_t oi = 0; oi < order.size() && rc == MPI_SUCCESS; ++oi) {
-    const std::size_t i = order[oi];
-    rc = post_recv_leg(ctx, stage.data() + i * bytes, bytes,
-                       peers[i], tag, reqs);
-  }
-  rc = finish_legs(ctx, reqs, rc);
-  for (std::size_t i = 0; i < peers.size() && rc == MPI_SUCCESS; ++i) {
-    rc = combine(ctx, acc.data(), stage.data() + i * bytes, bytes);
-  }
-  return rc;
+};
+
+/// Bytes of segment `r` in a P+1 boundary table.
+std::size_t seg(const std::vector<std::size_t> &off, int r) {
+  return off[r + 1] - off[r];
 }
 
-/// Linear allreduce: fold to rank 0, packed binomial broadcast back.
-int allreduce_linear(Ctx &ctx, Carrier &acc, std::size_t bytes) {
-  int rc = linear_fold_to_zero(ctx, acc, bytes);
-  const int tag2 = sysmpi::next_collective_tag(ctx.comm);
-  if (rc != MPI_SUCCESS) {
-    return rc;
+/// Fold every rank's `bytes` into `mine` at `root`: other ranks ship
+/// theirs, the root receives the P-1 contributions into one staging
+/// carrier (a fan-out) and combines them in ascending source order onto
+/// its own accumulator, always the left operand — the system MPI's
+/// association. `into_user`: `mine` is the root's strided user recvbuf
+/// (Fused), folded by the span kernel.
+void fold_to_root(Call &c, int root, Ref mine, int count,
+                  bool into_user = false) {
+  if (c.me != root) {
+    c.s.round(0).send(root, mine, c.bytes);
+    return;
   }
-  std::vector<MPI_Request> reqs;
-  return packed_bcast(ctx, acc.data(), bytes, tag2, reqs);
+  if (c.P == 1) {
+    return;
+  }
+  const Ref stage = c.carrier(c.bytes * static_cast<std::size_t>(c.P - 1));
+  sched::Round &r = c.s.round(0, /*fan_out=*/true);
+  std::size_t slot = 0;
+  for (int src = 0; src < c.P; ++src) {
+    if (src != root) {
+      const Ref in = stage.at(slot++ * c.bytes);
+      r.recv(src, in, c.bytes);
+      r.local(into_user ? Op::CombineUser : Op::Combine, mine, in, c.bytes,
+              count);
+    }
+  }
 }
 
-/// Ring fold phase over the segment table `off` (P+1 byte boundaries):
-/// after P-1 steps rank r holds the finalized segment (r+1) mod P. Each
-/// segment is folded as a sequential accumulator-left chain in ring
-/// order, at exactly one rank per step, so the result is deterministic.
-int ring_fold(Ctx &ctx, Carrier &acc, Carrier &scratch,
-              const std::vector<std::size_t> &off, int tag) {
-  MPI_Comm comm = ctx.comm;
-  const int P = comm->size();
-  const int me = comm->my_rank;
-  const int right = modp(me + 1, P);
-  const int left = modp(me - 1, P);
-  std::vector<MPI_Request> reqs;
-  int rc = MPI_SUCCESS;
-  for (int s = 0; s < P - 1 && rc == MPI_SUCCESS; ++s) {
-    const int send_seg = modp(me - s, P);
-    const int recv_seg = modp(me - s - 1, P);
-    const std::size_t sb = off[send_seg + 1] - off[send_seg];
-    const std::size_t rb = off[recv_seg + 1] - off[recv_seg];
-    rc = post_send_leg(ctx, acc.data() + off[send_seg], sb, right, tag, reqs);
-    if (rc == MPI_SUCCESS) {
-      rc = post_recv_leg(ctx, scratch.data(), rb, left, tag, reqs);
-    }
-    rc = finish_legs(ctx, reqs, rc);
-    if (rc == MPI_SUCCESS) {
-      rc = combine(ctx, acc.data() + off[recv_seg], scratch.data(), rb);
-    }
+/// Linear reduce to `root`: the system MPI's wire shape. A Fused root
+/// seeds its strided recvbuf through a packed round trip (touching only
+/// the type's data blocks, never the gaps) and folds into it with the
+/// span kernel; a Direct root folds into its contiguous recvbuf; an Other
+/// root folds a host carrier and unpacks at the end. Named types ship the
+/// user sendbuf itself; derived non-roots pack first.
+void linear_reduce(Call &c, const void *sendbuf, void *recvbuf, int count,
+                   int root, bool named) {
+  const bool in_place = sendbuf == MPI_IN_PLACE;
+  if (c.me != root) {
+    const void *contrib = in_place ? recvbuf : sendbuf;
+    fold_to_root(c, root, named ? c.user(contrib) : c.packed(contrib, count),
+                 count);
+    return;
   }
-  return rc;
-}
-
-/// Ring allreduce (word-granularity segments): reduce-scatter fold, then
-/// a P-1 step allgather shifting finalized segments around the ring.
-int ring_allreduce(Ctx &ctx, Carrier &acc, std::size_t bytes) {
-  MPI_Comm comm = ctx.comm;
-  const int P = comm->size();
-  const int me = comm->my_rank;
-  const std::size_t words = bytes / ctx.sh.word_bytes;
-  std::vector<std::size_t> off(static_cast<std::size_t>(P) + 1, 0);
-  for (int s = 0; s < P; ++s) {
-    const std::size_t w =
-        words / static_cast<std::size_t>(P) +
-        (static_cast<std::size_t>(s) < words % static_cast<std::size_t>(P)
-             ? 1
-             : 0);
-    off[static_cast<std::size_t>(s) + 1] =
-        off[static_cast<std::size_t>(s)] + w * ctx.sh.word_bytes;
+  const Ref out = c.user(recvbuf);
+  if (c.s.recv_side == Side::Other) {
+    const Ref acc = c.packed(in_place ? recvbuf : sendbuf, count);
+    fold_to_root(c, root, acc, count);
+    c.s.round(0).local(Op::Unpack, out, acc, 0, count);
+    return;
   }
-  const int tag1 = sysmpi::next_collective_tag(comm);
-  if (P == 1) {
-    sysmpi::next_collective_tag(comm);
-    return MPI_SUCCESS;
-  }
-  Carrier scratch;
-  if (!scratch.acquire(ctx.on_device(), off[1])) {
-    sysmpi::next_collective_tag(comm);
-    return MPI_ERR_OTHER;
-  }
-  int rc = ring_fold(ctx, acc, scratch, off, tag1);
-  const int tag2 = sysmpi::next_collective_tag(comm);
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  const int right = modp(me + 1, P);
-  const int left = modp(me - 1, P);
-  std::vector<MPI_Request> reqs;
-  for (int s = 0; s < P - 1 && rc == MPI_SUCCESS; ++s) {
-    const int send_seg = modp(me + 1 - s, P);
-    const int recv_seg = modp(me - s, P);
-    const std::size_t sb = off[send_seg + 1] - off[send_seg];
-    const std::size_t rb = off[recv_seg + 1] - off[recv_seg];
-    rc = post_send_leg(ctx, acc.data() + off[send_seg], sb, right, tag2,
-                       reqs);
-    if (rc == MPI_SUCCESS) {
-      rc = post_recv_leg(ctx, acc.data() + off[recv_seg], rb, left, tag2,
-                         reqs);
-    }
-    rc = finish_legs(ctx, reqs, rc);
-  }
-  return rc;
-}
-
-/// Recursive-doubling allreduce. P rounds down to the nearest power of
-/// two p2; extras (rank >= p2) pre-fold into rank-p2 partners and receive
-/// the result afterwards. Every combine puts the lower rank's accumulator
-/// on the left, so all ranks evaluate the same expression.
-int doubling_allreduce(Ctx &ctx, Carrier &acc, std::size_t bytes) {
-  MPI_Comm comm = ctx.comm;
-  const int P = comm->size();
-  const int me = comm->my_rank;
-  const int p2 =
-      static_cast<int>(std::bit_floor(static_cast<unsigned>(P)));
-  const int tag1 = sysmpi::next_collective_tag(comm);
-  std::vector<MPI_Request> reqs;
-  int rc = MPI_SUCCESS;
-  Carrier scratch;
-  if (P > 1 && !scratch.acquire(ctx.on_device(), bytes)) {
-    sysmpi::next_collective_tag(comm);
-    return MPI_ERR_OTHER;
-  }
-  if (me >= p2) {
-    rc = post_send_leg(ctx, acc.data(), bytes, me - p2, tag1, reqs);
-    rc = finish_legs(ctx, reqs, rc);
-  } else {
-    if (me + p2 < P) {
-      rc = post_recv_leg(ctx, scratch.data(), bytes, me + p2, tag1, reqs);
-      rc = finish_legs(ctx, reqs, rc);
-      if (rc == MPI_SUCCESS) {
-        rc = combine(ctx, acc.data(), scratch.data(), bytes);
-      }
-    }
-    for (int mask = 1; mask < p2 && rc == MPI_SUCCESS; mask <<= 1) {
-      const int partner = me ^ mask;
-      rc = post_send_leg(ctx, acc.data(), bytes, partner, tag1, reqs);
-      if (rc == MPI_SUCCESS) {
-        rc = post_recv_leg(ctx, scratch.data(), bytes, partner, tag1, reqs);
-      }
-      rc = finish_legs(ctx, reqs, rc);
-      if (rc != MPI_SUCCESS) {
-        break;
-      }
-      if (me < partner) {
-        rc = combine(ctx, acc.data(), scratch.data(), bytes);
-      } else {
-        rc = combine(ctx, scratch.data(), acc.data(), bytes);
-        if (rc == MPI_SUCCESS) {
-          acc.swap_with(scratch);
-        }
-      }
-    }
-  }
-  const int tag2 = sysmpi::next_collective_tag(comm);
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  if (me >= p2) {
-    rc = post_recv_leg(ctx, acc.data(), bytes, me - p2, tag2, reqs);
-  } else if (me + p2 < P) {
-    rc = post_send_leg(ctx, acc.data(), bytes, me + p2, tag2, reqs);
-  }
-  return finish_legs(ctx, reqs, rc);
-}
-
-/// Binomial-tree reduce to `root` in the packed domain (one tag slot).
-/// Balanced tree, lower relative rank's accumulator always left.
-int tree_reduce(Ctx &ctx, Carrier &acc, std::size_t bytes, int root) {
-  MPI_Comm comm = ctx.comm;
-  const int P = comm->size();
-  const int me = comm->my_rank;
-  const int rel = modp(me - root, P);
-  const int tag = sysmpi::next_collective_tag(comm);
-  std::vector<MPI_Request> reqs;
-  int rc = MPI_SUCCESS;
-  Carrier scratch;
-  if (P > 1 && (rel & 1) == 0 &&
-      !scratch.acquire(ctx.on_device(), bytes)) {
-    return MPI_ERR_OTHER;
-  }
-  for (int mask = 1; mask < P && rc == MPI_SUCCESS; mask <<= 1) {
-    if (rel & mask) {
-      const int parent = modp(rel - mask + root, P);
-      rc = post_send_leg(ctx, acc.data(), bytes, parent, tag, reqs);
-      rc = finish_legs(ctx, reqs, rc);
-      break;
-    }
-    if (rel + mask < P) {
-      const int child = modp(rel + mask + root, P);
-      rc = post_recv_leg(ctx, scratch.data(), bytes, child, tag, reqs);
-      rc = finish_legs(ctx, reqs, rc);
-      if (rc == MPI_SUCCESS) {
-        rc = combine(ctx, acc.data(), scratch.data(), bytes);
-      }
-    }
-  }
-  return rc;
-}
-
-} // namespace
-
-namespace {
-
-// --- named-datatype cores (the system wire shape) ----------------------------
-//
-// Named engine ranks speak sysmpi's exact linear schedule — same tags,
-// same sequence slots, same ascending association — so they interoperate
-// with system-path peers within one call and produce bitwise-identical
-// results (floats included).
-
-Ctx named_ctx(const Shape &sh, MPI_Comm comm, const interpose::MpiTable &next,
-              MPI_Datatype dt) {
-  Ctx ctx;
-  ctx.sh = sh;
-  ctx.comm = comm;
-  ctx.next = &next;
-  ctx.dt = dt;
-  ctx.mode = Mode::Direct; // named engine ranks are device + contiguous
-  ctx.stream = vcuda::next_pool_stream();
-  return ctx;
-}
-
-/// Gather-combine at `root` in ascending source order (mirrors
-/// reduce_impl's association: root's own contribution first, then sources
-/// ascending, skipping the root). `seed` is the root's contribution
-/// location; `accum` is where the fold lands (device, `bytes` long).
-int named_fold(Ctx &ctx, std::byte *accum, std::size_t bytes, int root,
-               int tag) {
-  MPI_Comm comm = ctx.comm;
-  const int P = comm->size();
-  if (P == 1) {
-    return MPI_SUCCESS;
-  }
-  Carrier stage;
-  if (!stage.acquire(true, bytes * static_cast<std::size_t>(P - 1))) {
-    return MPI_ERR_OTHER;
-  }
-  std::vector<int> peers;
-  peers.reserve(static_cast<std::size_t>(P - 1));
-  for (int r = 0; r < P; ++r) {
-    if (r != root) {
-      peers.push_back(r);
-    }
-  }
-  const std::vector<std::size_t> order = topo::schedule(comm, peers);
-  std::vector<MPI_Request> reqs;
-  int rc = MPI_SUCCESS;
-  for (std::size_t oi = 0; oi < order.size() && rc == MPI_SUCCESS; ++oi) {
-    const std::size_t i = order[oi];
-    rc = post_recv_leg(ctx, stage.data() + i * bytes, bytes, peers[i], tag,
-                       reqs);
-  }
-  rc = finish_legs(ctx, reqs, rc);
-  for (std::size_t i = 0; i < peers.size() && rc == MPI_SUCCESS; ++i) {
-    rc = combine(ctx, accum, stage.data() + i * bytes, bytes);
-  }
-  return rc;
-}
-
-int allreduce_named(const void *sendbuf, void *recvbuf, int count,
-                    MPI_Datatype dt, const Shape &sh, MPI_Comm comm,
-                    const interpose::MpiTable &next) {
-  Ctx ctx = named_ctx(sh, comm, next, dt);
-  const int me = comm->my_rank;
-  const std::size_t bytes = static_cast<std::size_t>(dt->size) *
-                            static_cast<std::size_t>(count);
-  const int tag = sysmpi::next_collective_tag(comm);
-  int rc = MPI_SUCCESS;
-  if (me == 0) {
-    if (sendbuf != MPI_IN_PLACE) {
-      if (vcuda::MemcpyAsync(recvbuf, sendbuf, bytes,
-                             vcuda::MemcpyKind::Default,
-                             ctx.stream) != vcuda::Error::Success) {
-        rc = MPI_ERR_OTHER;
-      } else {
-        vcuda::StreamSynchronize(ctx.stream);
-      }
-    }
-    if (rc == MPI_SUCCESS) {
-      rc = named_fold(ctx, static_cast<std::byte *>(recvbuf), bytes, 0, tag);
-    }
-  } else {
-    const void *contrib = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-    std::vector<MPI_Request> reqs;
-    rc = post_send_leg(ctx, contrib, bytes, 0, tag, reqs);
-    rc = finish_legs(ctx, reqs, rc);
-  }
-  // The system broadcast consumes the second sequence slot identically on
-  // engine and system ranks (bcast_impl reserves its tag before the
-  // size==1 early return).
-  const int brc = next.Bcast(recvbuf, count, dt, 0, comm);
-  return rc == MPI_SUCCESS ? brc : rc;
-}
-
-int reduce_named(const void *sendbuf, void *recvbuf, int count,
-                 MPI_Datatype dt, const Shape &sh, int root, MPI_Comm comm,
-                 const interpose::MpiTable &next) {
-  Ctx ctx = named_ctx(sh, comm, next, dt);
-  const int me = comm->my_rank;
-  const std::size_t bytes = static_cast<std::size_t>(dt->size) *
-                            static_cast<std::size_t>(count);
-  const int tag = sysmpi::next_collective_tag(comm);
-  if (me == root) {
-    if (sendbuf != MPI_IN_PLACE) {
-      if (vcuda::MemcpyAsync(recvbuf, sendbuf, bytes,
-                             vcuda::MemcpyKind::Default,
-                             ctx.stream) != vcuda::Error::Success) {
-        return MPI_ERR_OTHER;
-      }
-      vcuda::StreamSynchronize(ctx.stream);
-    }
-    return named_fold(ctx, static_cast<std::byte *>(recvbuf), bytes, root,
-                      tag);
-  }
-  std::vector<MPI_Request> reqs;
-  const int rc = post_send_leg(ctx, sendbuf, bytes, root, tag, reqs);
-  return finish_legs(ctx, reqs, rc);
-}
-
-int reduce_scatter_named(const void *in, void *recvbuf,
-                         const int *recvcounts, int total, MPI_Datatype dt,
-                         const Shape &sh, MPI_Comm comm,
-                         const interpose::MpiTable &next) {
-  Ctx ctx = named_ctx(sh, comm, next, dt);
-  const int P = comm->size();
-  const int me = comm->my_rank;
-  const std::size_t bytes = static_cast<std::size_t>(dt->size) *
-                            static_cast<std::size_t>(total);
-  const int tag1 = sysmpi::next_collective_tag(comm);
-  int rc = MPI_SUCCESS;
-  Carrier acc;
-  if (me == 0) {
-    if (!acc.acquire(true, bytes)) {
-      sysmpi::next_collective_tag(comm);
-      return MPI_ERR_OTHER;
-    }
-    if (vcuda::MemcpyAsync(acc.data(), in, bytes, vcuda::MemcpyKind::Default,
-                           ctx.stream) != vcuda::Error::Success) {
-      rc = MPI_ERR_OTHER;
+  const bool fused = c.s.recv_side == Side::Fused;
+  if (!in_place) {
+    sched::Round &seed = c.s.round(0);
+    if (fused) {
+      const Ref tmp = c.carrier(c.bytes);
+      seed.local(Op::Pack, tmp, c.user(sendbuf), 0, count)
+          .local(Op::Unpack, out, tmp, 0, count);
     } else {
-      vcuda::StreamSynchronize(ctx.stream);
-      rc = named_fold(ctx, acc.data(), bytes, 0, tag1);
+      seed.local(Op::Pack, out, c.user(sendbuf), 0, count);
     }
-  } else {
-    std::vector<MPI_Request> reqs;
-    rc = post_send_leg(ctx, in, bytes, 0, tag1, reqs);
-    rc = finish_legs(ctx, reqs, rc);
   }
-  const int tag2 = sysmpi::next_collective_tag(comm);
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  if (me == 0) {
-    std::vector<std::size_t> off(static_cast<std::size_t>(P) + 1, 0);
-    for (int r = 0; r < P; ++r) {
-      off[static_cast<std::size_t>(r) + 1] =
-          off[static_cast<std::size_t>(r)] +
-          static_cast<std::size_t>(recvcounts[r]) *
-              static_cast<std::size_t>(dt->size);
-    }
-    std::vector<int> peers;
-    peers.reserve(static_cast<std::size_t>(P - 1));
-    for (int r = 1; r < P; ++r) {
-      peers.push_back(r);
-    }
-    const std::vector<std::size_t> order = topo::schedule(comm, peers);
-    std::vector<MPI_Request> reqs;
-    std::size_t queued = 0;
-    for (std::size_t oi = 0; oi < order.size() && rc == MPI_SUCCESS; ++oi) {
-      const int dst = peers[order[oi]];
-      const std::size_t sb = off[static_cast<std::size_t>(dst) + 1] -
-                             off[static_cast<std::size_t>(dst)];
-      rc = post_send_leg(ctx, acc.data() + off[static_cast<std::size_t>(dst)],
-                         sb, dst, tag2, reqs, queued);
-      if (rc == MPI_SUCCESS && !peer_on_my_node(comm, dst)) {
-        queued += sb;
-      }
-    }
-    if (rc == MPI_SUCCESS && recvcounts[0] > 0) {
-      const std::size_t sb = off[1];
-      if (vcuda::MemcpyAsync(recvbuf, acc.data(), sb,
-                             vcuda::MemcpyKind::Default,
-                             ctx.stream) != vcuda::Error::Success) {
-        rc = MPI_ERR_OTHER;
-      } else {
-        vcuda::StreamSynchronize(ctx.stream);
-      }
-    }
-    return finish_legs(ctx, reqs, rc);
-  }
-  std::vector<MPI_Request> reqs;
-  rc = post_recv_leg(ctx, recvbuf,
-                     static_cast<std::size_t>(recvcounts[me]) *
-                         static_cast<std::size_t>(dt->size),
-                     0, tag2, reqs);
-  return finish_legs(ctx, reqs, rc);
+  fold_to_root(c, root, out, count, fused);
 }
 
-} // namespace
-
-namespace {
-
-// --- derived-datatype cores --------------------------------------------------
-
-/// Derived allreduce: pack, run the netmodel-chosen schedule in the
-/// packed domain, unpack.
-int allreduce_derived(const void *sendbuf, void *recvbuf, int count,
-                      MPI_Datatype dt, const Shape &sh, MPI_Comm comm,
-                      const interpose::MpiTable &next) {
-  const void *contrib = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-  Ctx ctx = make_ctx(sh, comm, next, dt, contrib, recvbuf);
-  const std::size_t bytes = static_cast<std::size_t>(dt->size) *
-                            static_cast<std::size_t>(count);
-  Carrier acc;
-  if (!acc.acquire(ctx.on_device(), bytes)) {
-    return MPI_ERR_OTHER;
+/// Packed binomial broadcast of `data` from rank 0 (the linear
+/// allreduce's distribution phase; the same tree as sysmpi's bcast_impl).
+void bcast_from_zero(Call &c, Ref data, int tag) {
+  int mask = 1;
+  for (; mask < c.P; mask <<= 1) {
+    if ((c.me & mask) != 0) {
+      c.s.round(tag).recv(c.me - mask, data, c.bytes);
+      break;
+    }
   }
-  int rc = pack_contrib(ctx, acc.data(), contrib, count);
-  if (rc != MPI_SUCCESS) {
-    return rc;
+  sched::Round &r = c.s.round(tag);
+  for (mask >>= 1; mask > 0; mask >>= 1) {
+    if (c.me + mask < c.P) {
+      r.send(c.me + mask, data, c.bytes);
+    }
   }
-  // Schedules are priced for the device wire: the choice must be
-  // process-uniform, and per-rank residency is not.
-  switch (choose_allreduce_schedule(bytes, comm, true)) {
-  case Schedule::Ring:
-    rc = ring_allreduce(ctx, acc, bytes);
-    break;
-  case Schedule::Doubling:
-    rc = doubling_allreduce(ctx, acc, bytes);
-    break;
-  case Schedule::Auto:
-  case Schedule::Linear:
-    rc = allreduce_linear(ctx, acc, bytes);
-    break;
-  }
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  return unpack_result(ctx, recvbuf, acc.data(), count);
 }
 
-/// Derived reduce, linear schedule: the root folds incoming packed
-/// contributions in ascending source order. A Fused root combines them
-/// straight into the strided user recvbuf with the span kernel; a Direct
-/// root folds into the contiguous recvbuf; a Host root folds packed and
-/// unpacks at the end.
-int reduce_derived_linear(Ctx &ctx, const void *sendbuf, void *recvbuf,
-                          int count, std::size_t bytes, int root) {
-  MPI_Comm comm = ctx.comm;
-  const int P = comm->size();
-  const int me = comm->my_rank;
-  const int tag = sysmpi::next_collective_tag(comm);
-  std::vector<MPI_Request> reqs;
-  int rc = MPI_SUCCESS;
-  if (me != root) {
-    const void *contrib = sendbuf; // IN_PLACE is root-only
-    Carrier acc;
-    if (!acc.acquire(ctx.on_device(), bytes)) {
-      return MPI_ERR_OTHER;
+/// Rank 0 ships every other rank its segment of `acc` (a fan-out) and
+/// unpacks its own; the others receive theirs — straight into the user
+/// recvbuf for named types, through `acc` and an unpack for derived.
+void scatter_from_zero(Call &c, Ref acc, void *recvbuf, const int *counts,
+                       const std::vector<std::size_t> &off, bool named) {
+  const Ref out = c.user(recvbuf);
+  if (c.me == 0) {
+    sched::Round &r = c.s.round(1, /*fan_out=*/true);
+    for (int dst = 1; dst < c.P; ++dst) {
+      r.send(dst, acc.at(off[dst]), seg(off, dst));
     }
-    rc = pack_contrib(ctx, acc.data(), contrib, count);
-    if (rc == MPI_SUCCESS) {
-      rc = post_send_leg(ctx, acc.data(), bytes, root, tag, reqs);
-    }
-    return finish_legs(ctx, reqs, rc);
+    r.local(Op::Unpack, out, acc, 0, counts[0]);
+    return;
   }
-  const void *contrib = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-  if (ctx.mode == Mode::Fused) {
-    // Seed recvbuf with the root contribution through a packed round
-    // trip (touches only the type's data blocks, never the gaps).
-    if (sendbuf != MPI_IN_PLACE) {
-      Carrier seed;
-      if (!seed.acquire(true, bytes)) {
-        return MPI_ERR_OTHER;
-      }
-      rc = pack_contrib(ctx, seed.data(), sendbuf, count);
-      if (rc == MPI_SUCCESS) {
-        rc = unpack_result(ctx, recvbuf, seed.data(), count);
-      }
-      if (rc != MPI_SUCCESS) {
-        return rc;
-      }
-    }
-    if (P == 1) {
-      return MPI_SUCCESS;
-    }
-    Carrier stage;
-    if (!stage.acquire(true, bytes * static_cast<std::size_t>(P - 1))) {
-      return MPI_ERR_OTHER;
-    }
-    std::vector<int> peers;
-    peers.reserve(static_cast<std::size_t>(P - 1));
-    for (int r = 0; r < P; ++r) {
-      if (r != root) {
-        peers.push_back(r);
-      }
-    }
-    const std::vector<std::size_t> order = topo::schedule(comm, peers);
-    for (std::size_t oi = 0; oi < order.size() && rc == MPI_SUCCESS; ++oi) {
-      const std::size_t i = order[oi];
-      rc = post_recv_leg(ctx, stage.data() + i * bytes, bytes, peers[i], tag,
-                         reqs);
-    }
-    rc = finish_legs(ctx, reqs, rc);
-    for (std::size_t i = 0; i < peers.size() && rc == MPI_SUCCESS; ++i) {
-      rc = combine_into_user(ctx, recvbuf, stage.data() + i * bytes, count);
-    }
-    return rc;
+  c.s.round(1).recv(0, named ? out : acc, seg(off, c.me));
+  if (!named) {
+    c.s.round(1).local(Op::Unpack, out, acc, 0, counts[c.me]);
   }
-  if (ctx.mode == Mode::Direct) {
-    // Contiguous device recvbuf doubles as the accumulator.
-    if (sendbuf != MPI_IN_PLACE) {
-      if (vcuda::MemcpyAsync(recvbuf, sendbuf, bytes,
-                             vcuda::MemcpyKind::Default,
-                             ctx.stream) != vcuda::Error::Success) {
-        return MPI_ERR_OTHER;
-      }
-      vcuda::StreamSynchronize(ctx.stream);
-    }
-    return named_fold(ctx, static_cast<std::byte *>(recvbuf), bytes, root,
-                      tag);
-  }
-  // Host root: packed fold, then a baseline unpack.
-  Carrier acc;
-  if (!acc.acquire(false, bytes)) {
-    return MPI_ERR_OTHER;
-  }
-  rc = pack_contrib(ctx, acc.data(), contrib, count);
-  if (rc == MPI_SUCCESS) {
-    rc = named_fold(ctx, acc.data(), bytes, root, tag);
-  }
-  if (rc == MPI_SUCCESS) {
-    rc = unpack_result(ctx, recvbuf, acc.data(), count);
-  }
-  return rc;
 }
 
-int reduce_derived(const void *sendbuf, void *recvbuf, int count,
-                   MPI_Datatype dt, const Shape &sh, int root, MPI_Comm comm,
-                   const interpose::MpiTable &next) {
-  const int me = comm->my_rank;
-  const void *contrib =
-      (me == root && sendbuf == MPI_IN_PLACE) ? recvbuf : sendbuf;
-  Ctx ctx = make_ctx(sh, comm, next, dt, contrib,
-                     me == root ? recvbuf : nullptr);
-  const std::size_t bytes = static_cast<std::size_t>(dt->size) *
-                            static_cast<std::size_t>(count);
-  if (choose_reduce_schedule(bytes, comm, true) == Schedule::Linear) {
-    return reduce_derived_linear(ctx, sendbuf, recvbuf, count, bytes, root);
+/// P-1 ring steps over the segment table `off` (P+1 byte boundaries):
+/// each sends segment (me + lead - step) right and receives segment
+/// (me + lead - step - 1) from the left — in place, or into `scratch`
+/// and folded onto `acc`. The fold (lead 0) leaves rank r with the
+/// finalized segment (r+1) mod P: each segment is folded as a sequential
+/// accumulator-left chain in ring order, at exactly one rank per step, so
+/// the result is deterministic.
+void ring_pass(Call &c, Ref acc, Ref scratch,
+               const std::vector<std::size_t> &off, int lead, int tag) {
+  for (int step = 0; step < c.P - 1; ++step) {
+    const int ss = modp(c.me + lead - step, c.P);
+    const int rs = modp(c.me + lead - step - 1, c.P);
+    const bool fold = scratch.buf >= 0;
+    sched::Round &r = c.s.round(tag);
+    r.send(modp(c.me + 1, c.P), acc.at(off[ss]), seg(off, ss));
+    r.recv(modp(c.me - 1, c.P), fold ? scratch : acc.at(off[rs]),
+           seg(off, rs));
+    if (fold) {
+      r.local(Op::Combine, acc.at(off[rs]), scratch, seg(off, rs));
+    }
   }
-  Carrier acc;
-  if (!acc.acquire(ctx.on_device(), bytes)) {
-    sysmpi::next_collective_tag(comm);
-    return MPI_ERR_OTHER;
+}
+
+/// Ring allreduce (word-granularity segments): the reduce-scatter fold,
+/// then a P-1 step allgather shifting finalized segments around the ring.
+void ring_allreduce(Call &c, Ref acc) {
+  if (c.P == 1) {
+    return;
   }
-  int rc = pack_contrib(ctx, acc.data(), contrib, count);
-  if (rc != MPI_SUCCESS) {
-    sysmpi::next_collective_tag(comm);
-    return rc;
+  const std::size_t words = c.bytes / c.s.comb.word_bytes;
+  const auto P = static_cast<std::size_t>(c.P);
+  std::vector<std::size_t> off(P + 1, 0);
+  for (std::size_t s = 0; s < P; ++s) {
+    off[s + 1] = off[s] + (words / P + (s < words % P ? 1 : 0)) *
+                              c.s.comb.word_bytes;
   }
-  rc = tree_reduce(ctx, acc, bytes, root);
-  if (rc == MPI_SUCCESS && me == root) {
-    rc = unpack_result(ctx, recvbuf, acc.data(), count);
-  }
-  return rc;
+  ring_pass(c, acc, c.carrier(off[1]), off, 0, 0);
+  ring_pass(c, acc, Ref{}, off, 1, 1);
 }
 
 /// Ring reduce-scatter over the uneven recvcounts segment table: the ring
 /// fold leaves rank r with finalized segment (r+1) mod P, and one shift
 /// step delivers each segment to its owner.
-int ring_reduce_scatter(Ctx &ctx, Carrier &acc, void *recvbuf,
-                        const int *recvcounts,
-                        const std::vector<std::size_t> &off) {
-  MPI_Comm comm = ctx.comm;
-  const int P = comm->size();
-  const int me = comm->my_rank;
-  const int tag1 = sysmpi::next_collective_tag(comm);
-  if (P == 1) {
-    sysmpi::next_collective_tag(comm);
-    return unpack_result(ctx, recvbuf, acc.data(), recvcounts[0]);
+void ring_reduce_scatter(Call &c, Ref acc, void *recvbuf, const int *counts,
+                         const std::vector<std::size_t> &off) {
+  const Ref out = c.user(recvbuf);
+  if (c.P == 1) {
+    c.s.round(1).local(Op::Unpack, out, acc, 0, counts[0]);
+    return;
   }
   std::size_t max_seg = 0;
-  for (int s = 0; s < P; ++s) {
-    max_seg = std::max(max_seg, off[static_cast<std::size_t>(s) + 1] -
-                                    off[static_cast<std::size_t>(s)]);
+  for (int r = 0; r < c.P; ++r) {
+    max_seg = std::max(max_seg, seg(off, r));
   }
-  Carrier scratch;
-  if (!scratch.acquire(ctx.on_device(), max_seg)) {
-    sysmpi::next_collective_tag(comm);
-    return MPI_ERR_OTHER;
-  }
-  int rc = ring_fold(ctx, acc, scratch, off, tag1);
-  const int tag2 = sysmpi::next_collective_tag(comm);
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  const int owner = modp(me + 1, P); // owns the segment I finalized
-  const int left = modp(me - 1, P);
-  const std::size_t send_bytes =
-      off[static_cast<std::size_t>(owner) + 1] -
-      off[static_cast<std::size_t>(owner)];
-  const std::size_t my_bytes = off[static_cast<std::size_t>(me) + 1] -
-                               off[static_cast<std::size_t>(me)];
-  std::vector<MPI_Request> reqs;
-  rc = post_send_leg(ctx, acc.data() + off[static_cast<std::size_t>(owner)],
-                     send_bytes, owner, tag2, reqs);
-  if (rc == MPI_SUCCESS) {
-    rc = post_recv_leg(ctx, scratch.data(), my_bytes, left, tag2, reqs);
-  }
-  rc = finish_legs(ctx, reqs, rc);
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  return unpack_result(ctx, recvbuf, scratch.data(), recvcounts[me]);
+  const Ref scratch = c.carrier(max_seg);
+  ring_pass(c, acc, scratch, off, 0, 0);
+  const int owner = modp(c.me + 1, c.P); // owns the segment I finalized
+  sched::Round &r = c.s.round(1);
+  r.send(owner, acc.at(off[owner]), seg(off, owner));
+  r.recv(modp(c.me - 1, c.P), scratch, seg(off, c.me));
+  c.s.round(1).local(Op::Unpack, out, scratch, 0, counts[c.me]);
 }
 
-int reduce_scatter_derived(const void *in, void *recvbuf,
-                           const int *recvcounts, int total, MPI_Datatype dt,
-                           const Shape &sh, MPI_Comm comm,
-                           const interpose::MpiTable &next) {
-  const int P = comm->size();
-  const int me = comm->my_rank;
-  Ctx ctx = make_ctx(sh, comm, next, dt, in,
-                     recvcounts[me] > 0 ? recvbuf : nullptr);
-  const std::size_t bytes = static_cast<std::size_t>(dt->size) *
-                            static_cast<std::size_t>(total);
-  std::vector<std::size_t> off(static_cast<std::size_t>(P) + 1, 0);
-  for (int r = 0; r < P; ++r) {
-    off[static_cast<std::size_t>(r) + 1] =
-        off[static_cast<std::size_t>(r)] +
-        static_cast<std::size_t>(recvcounts[r]) *
-            static_cast<std::size_t>(dt->size);
+/// Recursive-doubling allreduce. P rounds down to the nearest power of
+/// two p2; extras (rank >= p2) pre-fold into rank-p2 partners and receive
+/// the result afterwards, so they never touch the combine scratch. Every
+/// combine puts the lower rank's accumulator on the left, so all ranks
+/// evaluate the same expression. Returns where the result lands.
+Ref doubling_allreduce(Call &c, Ref acc) {
+  const int p2 = static_cast<int>(std::bit_floor(static_cast<unsigned>(c.P)));
+  Ref scratch = c.carrier(c.bytes);
+  if (c.me >= p2) {
+    c.s.round(0).send(c.me - p2, acc, c.bytes);
+    c.s.round(1).recv(c.me - p2, acc, c.bytes);
+    return acc;
   }
-  Carrier acc;
-  if (!acc.acquire(ctx.on_device(), bytes)) {
-    sysmpi::next_collective_tag(comm);
-    sysmpi::next_collective_tag(comm);
-    return MPI_ERR_OTHER;
+  if (c.me + p2 < c.P) {
+    sched::Round &r = c.s.round(0);
+    r.recv(c.me + p2, scratch, c.bytes);
+    r.local(Op::Combine, acc, scratch, c.bytes);
   }
-  int rc = pack_contrib(ctx, acc.data(), in, total);
-  if (rc != MPI_SUCCESS) {
-    sysmpi::next_collective_tag(comm);
-    sysmpi::next_collective_tag(comm);
-    return rc;
-  }
-  switch (choose_allreduce_schedule(bytes, comm, true)) {
-  case Schedule::Ring:
-    return ring_reduce_scatter(ctx, acc, recvbuf, recvcounts, off);
-  case Schedule::Doubling:
-    rc = doubling_allreduce(ctx, acc, bytes);
-    if (rc != MPI_SUCCESS) {
-      return rc;
+  for (int mask = 1; mask < p2; mask <<= 1) {
+    const int partner = c.me ^ mask;
+    sched::Round &r = c.s.round(0);
+    r.send(partner, acc, c.bytes);
+    r.recv(partner, scratch, c.bytes);
+    if (c.me < partner) {
+      r.local(Op::Combine, acc, scratch, c.bytes);
+    } else {
+      r.local(Op::Combine, scratch, acc, c.bytes);
+      std::swap(acc, scratch);
     }
-    return unpack_result(ctx, recvbuf,
-                         acc.data() + off[static_cast<std::size_t>(me)],
-                         recvcounts[me]);
-  case Schedule::Auto:
-  case Schedule::Linear:
-    break;
   }
-  // Linear: fold to rank 0, then scatter the packed segments.
-  rc = linear_fold_to_zero(ctx, acc, bytes);
-  const int tag2 = sysmpi::next_collective_tag(comm);
-  if (rc != MPI_SUCCESS) {
-    return rc;
+  if (c.me + p2 < c.P) {
+    c.s.round(1).send(c.me + p2, acc, c.bytes);
   }
-  std::vector<MPI_Request> reqs;
-  if (me == 0) {
-    std::vector<int> peers;
-    peers.reserve(static_cast<std::size_t>(P - 1));
-    for (int r = 1; r < P; ++r) {
-      peers.push_back(r);
+  return acc;
+}
+
+/// Binomial-tree reduce to `root`: a balanced tree, the lower relative
+/// rank's accumulator always left.
+void tree_reduce(Call &c, Ref acc, int root) {
+  const int rel = modp(c.me - root, c.P);
+  const Ref scratch = c.carrier(c.bytes);
+  for (int mask = 1; mask < c.P; mask <<= 1) {
+    if ((rel & mask) != 0) {
+      c.s.round(0).send(modp(rel - mask + root, c.P), acc, c.bytes);
+      return;
     }
-    const std::vector<std::size_t> order = topo::schedule(comm, peers);
-    std::size_t queued = 0;
-    for (std::size_t oi = 0; oi < order.size() && rc == MPI_SUCCESS; ++oi) {
-      const int dst = peers[order[oi]];
-      const std::size_t sb = off[static_cast<std::size_t>(dst) + 1] -
-                             off[static_cast<std::size_t>(dst)];
-      rc = post_send_leg(ctx, acc.data() + off[static_cast<std::size_t>(dst)],
-                         sb, dst, tag2, reqs, queued);
-      if (rc == MPI_SUCCESS && !peer_on_my_node(comm, dst)) {
-        queued += sb;
-      }
+    if (rel + mask < c.P) {
+      sched::Round &r = c.s.round(0);
+      r.recv(modp(rel + mask + root, c.P), scratch, c.bytes);
+      r.local(Op::Combine, acc, scratch, c.bytes);
     }
-    rc = finish_legs(ctx, reqs, rc);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
-    return unpack_result(ctx, recvbuf, acc.data(), recvcounts[0]);
   }
-  const std::size_t my_bytes = off[static_cast<std::size_t>(me) + 1] -
-                               off[static_cast<std::size_t>(me)];
-  rc = post_recv_leg(ctx, acc.data(), my_bytes, 0, tag2, reqs);
-  rc = finish_legs(ctx, reqs, rc);
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  return unpack_result(ctx, recvbuf, acc.data(), recvcounts[me]);
 }
 
 } // namespace
 
 // --- public entry points -----------------------------------------------------
+//
+// Named datatypes: the engine admits a rank only when its buffers are
+// device-resident and then runs the named generator (the system wire
+// shape); any other rank forwards to `next` itself. Derived datatypes have
+// no functioning system peers, so every rank runs a netmodel-chosen
+// generator, zero counts included (an empty schedule still reserves the
+// call's tag budget).
 
 int allreduce(const void *sendbuf, void *recvbuf, int count,
               MPI_Datatype datatype, MPI_Op op, MPI_Comm comm,
@@ -1297,34 +532,49 @@ int allreduce(const void *sendbuf, void *recvbuf, int count,
     return MPI_ERR_ARG;
   }
   const std::optional<Shape> sh = resolve_shape(datatype, op);
-  if (!sh) {
+  const void *contrib = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
+  const bool named = sh && datatype->combiner == MPI_COMBINER_NAMED;
+  if (!sh || (named && (count <= 0 || !device_resident(contrib) ||
+                        !device_resident(recvbuf)))) {
     g_counters.fallback.add();
     return next.Allreduce(sendbuf, recvbuf, count, datatype, op, comm);
   }
-  if (datatype->combiner == MPI_COMBINER_NAMED) {
-    // System peers work for named types: admit this rank only when both
-    // buffers are device-resident, and then speak the system wire shape.
-    const void *contrib = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-    if (count <= 0 || !device_resident(contrib) || !device_resident(recvbuf)) {
-      g_counters.fallback.add();
-      return next.Allreduce(sendbuf, recvbuf, count, datatype, op, comm);
-    }
-    g_counters.allreduce.add();
-    return allreduce_named(sendbuf, recvbuf, count, datatype, *sh, comm,
-                           next);
-  }
-  // Derived: no functioning system peers — every rank is in the engine.
   if (count < 0) {
     return MPI_ERR_COUNT;
   }
   g_counters.allreduce.add();
-  if (count == 0) {
-    sysmpi::next_collective_tag(comm);
-    sysmpi::next_collective_tag(comm);
-    return MPI_SUCCESS;
+  // Named engine ranks passed the residency gate: device + contiguous.
+  Call c(*sh, comm, next, datatype, count, named ? 1 : 2,
+         named ? Side::Direct : side_of(datatype, contrib, recvbuf));
+  if (named) {
+    linear_reduce(c, sendbuf, recvbuf, count, 0, true);
+    const int rc = sched::run(c.s);
+    // The system broadcast consumes the second sequence slot identically
+    // on engine and system ranks (bcast_impl reserves its tag before the
+    // size==1 early return).
+    const int brc = next.Bcast(recvbuf, count, datatype, 0, comm);
+    return rc == MPI_SUCCESS ? brc : rc;
   }
-  return allreduce_derived(sendbuf, recvbuf, count, datatype, *sh, comm,
-                           next);
+  if (count > 0) {
+    Ref acc = c.packed(contrib, count);
+    // Schedules are priced for the device wire: the choice must be
+    // process-uniform, and per-rank residency is not.
+    switch (choose_allreduce_schedule(c.bytes, comm, true)) {
+    case Schedule::Ring:
+      ring_allreduce(c, acc);
+      break;
+    case Schedule::Doubling:
+      acc = doubling_allreduce(c, acc);
+      break;
+    case Schedule::Auto:
+    case Schedule::Linear:
+      fold_to_root(c, 0, acc, count);
+      bcast_from_zero(c, acc, 1);
+      break;
+    }
+    c.s.round(1).local(Op::Unpack, c.user(recvbuf), acc, 0, count);
+  }
+  return sched::run(c.s);
 }
 
 int reduce(const void *sendbuf, void *recvbuf, int count,
@@ -1338,37 +588,38 @@ int reduce(const void *sendbuf, void *recvbuf, int count,
     g_counters.fallback.add();
     return next.Reduce(sendbuf, recvbuf, count, datatype, op, root, comm);
   }
-  const int P = comm->size();
   const int me = comm->my_rank;
-  if (root < 0 || root >= P) {
+  if (root < 0 || root >= comm->size() ||
+      (sendbuf == MPI_IN_PLACE && me != root)) {
     return MPI_ERR_ARG;
   }
-  if (sendbuf == MPI_IN_PLACE && me != root) {
-    return MPI_ERR_ARG;
-  }
-  if (datatype->combiner == MPI_COMBINER_NAMED) {
-    const void *contrib =
-        (me == root && sendbuf == MPI_IN_PLACE) ? recvbuf : sendbuf;
-    const bool eligible = count > 0 && device_resident(contrib) &&
-                          (me != root || device_resident(recvbuf));
-    if (!eligible) {
-      g_counters.fallback.add();
-      return next.Reduce(sendbuf, recvbuf, count, datatype, op, root, comm);
-    }
-    g_counters.reduce.add();
-    return reduce_named(sendbuf, recvbuf, count, datatype, *sh, root, comm,
-                        next);
+  const void *contrib =
+      (me == root && sendbuf == MPI_IN_PLACE) ? recvbuf : sendbuf;
+  const bool named = datatype->combiner == MPI_COMBINER_NAMED;
+  if (named && (count <= 0 || !device_resident(contrib) ||
+                (me == root && !device_resident(recvbuf)))) {
+    g_counters.fallback.add();
+    return next.Reduce(sendbuf, recvbuf, count, datatype, op, root, comm);
   }
   if (count < 0) {
     return MPI_ERR_COUNT;
   }
   g_counters.reduce.add();
-  if (count == 0) {
-    sysmpi::next_collective_tag(comm);
-    return MPI_SUCCESS;
+  Call c(*sh, comm, next, datatype, count, 1,
+         named ? Side::Direct
+               : side_of(datatype, contrib, me == root ? recvbuf : nullptr));
+  if (count > 0 &&
+      (named || choose_reduce_schedule(c.bytes, comm, true) ==
+                    Schedule::Linear)) {
+    linear_reduce(c, sendbuf, recvbuf, count, root, named);
+  } else if (count > 0) {
+    const Ref acc = c.packed(contrib, count);
+    tree_reduce(c, acc, root);
+    if (me == root) {
+      c.s.round(0).local(Op::Unpack, c.user(recvbuf), acc, 0, count);
+    }
   }
-  return reduce_derived(sendbuf, recvbuf, count, datatype, *sh, root, comm,
-                        next);
+  return sched::run(c.s);
 }
 
 int reduce_scatter(const void *sendbuf, void *recvbuf, const int *recvcounts,
@@ -1378,15 +629,12 @@ int reduce_scatter(const void *sendbuf, void *recvbuf, const int *recvcounts,
     return MPI_ERR_ARG;
   }
   const std::optional<Shape> sh = resolve_shape(datatype, op);
-  if (!sh || recvcounts == nullptr) {
-    g_counters.fallback.add();
-    return next.Reduce_scatter(sendbuf, recvbuf, recvcounts, datatype, op,
-                               comm);
-  }
+  const void *in = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
+  const bool named = sh && datatype->combiner == MPI_COMBINER_NAMED;
   const int P = comm->size();
   const int me = comm->my_rank;
   long long total = 0;
-  for (int r = 0; r < P; ++r) {
+  for (int r = 0; sh && recvcounts != nullptr && r < P; ++r) {
     if (recvcounts[r] < 0) {
       return MPI_ERR_COUNT;
     }
@@ -1395,28 +643,46 @@ int reduce_scatter(const void *sendbuf, void *recvbuf, const int *recvcounts,
   if (total > INT_MAX) {
     return MPI_ERR_COUNT;
   }
-  const void *in = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-  if (datatype->combiner == MPI_COMBINER_NAMED) {
-    if (total == 0 || !device_resident(in) || !device_resident(recvbuf)) {
-      g_counters.fallback.add();
-      return next.Reduce_scatter(sendbuf, recvbuf, recvcounts, datatype, op,
-                                 comm);
-    }
-    g_counters.reduce_scatter.add();
-    return reduce_scatter_named(in, recvbuf, recvcounts,
-                                static_cast<int>(total), datatype, *sh, comm,
-                                next);
+  if (!sh || recvcounts == nullptr ||
+      (named && (total == 0 || !device_resident(in) ||
+                 !device_resident(recvbuf)))) {
+    g_counters.fallback.add();
+    return next.Reduce_scatter(sendbuf, recvbuf, recvcounts, datatype, op,
+                               comm);
   }
   g_counters.reduce_scatter.add();
-  if (total == 0) {
-    sysmpi::next_collective_tag(comm);
-    sysmpi::next_collective_tag(comm);
-    return MPI_SUCCESS;
+  const int n = static_cast<int>(total);
+  Call c(*sh, comm, next, datatype, n, 2,
+         named ? Side::Direct
+               : side_of(datatype, in, recvcounts[me] > 0 ? recvbuf : nullptr));
+  if (n > 0) {
+    std::vector<std::size_t> off(static_cast<std::size_t>(P) + 1, 0);
+    for (std::size_t r = 0; r < static_cast<std::size_t>(P); ++r) {
+      off[r + 1] = off[r] + static_cast<std::size_t>(recvcounts[r]) *
+                                static_cast<std::size_t>(datatype->size);
+    }
+    const Schedule kind = named ? Schedule::Linear
+                                : choose_allreduce_schedule(c.bytes, comm,
+                                                            true);
+    Ref acc = named && me != 0 ? c.user(in) : c.packed(in, n);
+    switch (kind) {
+    case Schedule::Ring:
+      ring_reduce_scatter(c, acc, recvbuf, recvcounts, off);
+      break;
+    case Schedule::Doubling:
+      acc = doubling_allreduce(c, acc);
+      c.s.round(1).local(Op::Unpack, c.user(recvbuf),
+                         acc.at(off[static_cast<std::size_t>(me)]), 0,
+                         recvcounts[me]);
+      break;
+    case Schedule::Auto:
+    case Schedule::Linear:
+      fold_to_root(c, 0, acc, n);
+      scatter_from_zero(c, acc, recvbuf, recvcounts, off, named);
+      break;
+    }
   }
-  (void)me;
-  return reduce_scatter_derived(in, recvbuf, recvcounts,
-                                static_cast<int>(total), datatype, *sh, comm,
-                                next);
+  return sched::run(c.s);
 }
 
 int reduce_scatter_block(const void *sendbuf, void *recvbuf, int recvcount,
@@ -1425,40 +691,10 @@ int reduce_scatter_block(const void *sendbuf, void *recvbuf, int recvcount,
   if (comm == nullptr || recvcount < 0) {
     return MPI_ERR_ARG;
   }
-  const std::optional<Shape> sh = resolve_shape(datatype, op);
-  if (!sh) {
-    g_counters.fallback.add();
-    return next.Reduce_scatter_block(sendbuf, recvbuf, recvcount, datatype,
-                                     op, comm);
-  }
-  const int P = comm->size();
-  const long long total = static_cast<long long>(recvcount) * P;
-  if (total > INT_MAX) {
-    return MPI_ERR_COUNT;
-  }
-  const void *in = sendbuf == MPI_IN_PLACE ? recvbuf : sendbuf;
-  if (datatype->combiner == MPI_COMBINER_NAMED) {
-    if (total == 0 || !device_resident(in) || !device_resident(recvbuf)) {
-      g_counters.fallback.add();
-      return next.Reduce_scatter_block(sendbuf, recvbuf, recvcount, datatype,
-                                       op, comm);
-    }
-    g_counters.reduce_scatter.add();
-    const std::vector<int> cnt(static_cast<std::size_t>(P), recvcount);
-    return reduce_scatter_named(in, recvbuf, cnt.data(),
-                                static_cast<int>(total), datatype, *sh, comm,
-                                next);
-  }
-  g_counters.reduce_scatter.add();
-  if (total == 0) {
-    sysmpi::next_collective_tag(comm);
-    sysmpi::next_collective_tag(comm);
-    return MPI_SUCCESS;
-  }
-  const std::vector<int> cnt(static_cast<std::size_t>(P), recvcount);
-  return reduce_scatter_derived(in, recvbuf, cnt.data(),
-                                static_cast<int>(total), datatype, *sh, comm,
-                                next);
+  const std::vector<int> counts(static_cast<std::size_t>(comm->size()),
+                                recvcount);
+  return reduce_scatter(sendbuf, recvbuf, counts.data(), datatype, op, comm,
+                        next);
 }
 
 // --- knobs ---------------------------------------------------------

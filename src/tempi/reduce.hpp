@@ -23,13 +23,23 @@
 //     moves with the netmodel parameters. The choice keys only on
 //     process-uniform facts (payload size, comm size, node layout), so
 //     every rank picks the same schedule.
-//  3. Leg issue: each wire leg is contiguous packed bytes riding
-//     async::start_{isend,irecv}_packed, with the per-leg path (Device /
-//     Staged) chosen by PerfModel::choose_leg — queued-bytes aware on
-//     fan-outs — and fan-out posting ordered by topo::schedule().
-//     Pipelined choices are clamped to Method::Device: a schedule leg's
-//     two endpoints may differ in residency (or be system ranks), and
-//     only the single-leg methods keep the wire a plain byte message.
+//  3. Generation: every schedule — linear fold, ring, recursive
+//     doubling, binomial tree, ring reduce-scatter, linear scatter — is
+//     a generator of rounds of steps (send or receive a packed slice,
+//     combine two slices accumulator-left, combine into the strided user
+//     buffer, pack, unpack) that the collective schedule executor
+//     (tempi/schedule.hpp) runs. The named/derived split below is a
+//     choice of generator: named datatypes run the linear generator on
+//     the user buffers themselves, derived ones a netmodel-chosen
+//     generator in the packed domain.
+//  4. Leg issue (the executor): each wire leg is contiguous packed bytes
+//     riding async::start_{isend,irecv}_packed, with the per-leg path
+//     (Device / Staged) chosen by PerfModel::choose_leg — queued-bytes
+//     aware on fan-outs — and fan-out posting ordered by
+//     topo::schedule(). Pipelined choices are clamped to Method::Device:
+//     a schedule leg's two endpoints may differ in residency (or be
+//     system ranks), and only the single-leg methods keep the wire a
+//     plain byte message.
 //
 // Interoperability contract (the per-rank engine/fallthrough rule):
 //
@@ -43,10 +53,11 @@
 //  * Derived datatypes: the system reductions reject them (combiner !=
 //    NAMED -> MPI_ERR_ARG), so there are no functioning system peers —
 //    every interposed rank enters the engine regardless of residency.
-//    Host-resident ranks ride sysmpi::baseline_pack/baseline_unpack and
-//    combine with sysmpi::apply_reduce; device ranks pack through the
-//    committed Packer (span kernels) and combine with launch_reduce.
-//    The packed wire format is identical either way.
+//    Host-resident ranks (side Other) ride host carriers with
+//    sysmpi::baseline_pack/baseline_unpack and combine with
+//    sysmpi::apply_reduce; device ranks pack through the committed Packer
+//    (span kernels) and combine with launch_reduce. The packed wire
+//    format is identical either way.
 //
 // Floating-point ordering guarantees (deterministic, per schedule):
 //  * Linear: the system MPI's association — root's contribution, then

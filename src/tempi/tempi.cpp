@@ -17,6 +17,7 @@
 #include "tempi/methods.hpp"
 #include "tempi/reduce.hpp"
 #include "tempi/replay.hpp"
+#include "tempi/schedule.hpp"
 #include "tempi/strided_block.hpp"
 #include "tempi/topology.hpp"
 #include "tempi/trace.hpp"
@@ -546,23 +547,20 @@ int tempi_Unpack(const void *inbuf, int insize, int *position, void *outbuf,
 }
 
 /// True when `buf`'s side of a multi-leg call gives TEMPI something to
-/// accelerate. For the collectives engine (`for_collectives`) that means
-/// a device-resident buffer the engine can express as packed wire legs —
-/// a canonical strided packer or a contiguous datatype it slices
-/// directly; blocklist types are deliberately excluded, the engine has no
-/// blocklist leg, so they keep the system MPI's native collectives. For
-/// the Sendrecv decomposition it means whatever Isend/Irecv would
+/// accelerate. For the collectives engine (`for_collectives`) that is the
+/// executor's own side classifier: anything but Side::Other — a
+/// device-resident buffer with a canonical strided packer or a contiguous
+/// datatype; block-list types are deliberately excluded, the engine has
+/// no block-list leg, so they keep the system MPI's native collectives.
+/// For the Sendrecv decomposition it means whatever Isend/Irecv would
 /// accelerate: any committed packer.
 bool side_accelerable(const void *buf, MPI_Datatype dt,
                       bool for_collectives) {
-  if (buf == nullptr || dt == nullptr || !device_resident(buf)) {
-    return false;
+  if (for_collectives) {
+    return sched::classify(buf, dt) != sched::Side::Other;
   }
-  if (for_collectives && dt->is_contiguous()) {
-    return true;
-  }
-  const Packer *packer = lookup_packer_fast(dt);
-  return packer != nullptr && (packer->strided() || !for_collectives);
+  return buf != nullptr && dt != nullptr && device_resident(buf) &&
+         lookup_packer_fast(dt) != nullptr;
 }
 
 /// The one guarded system-path gate shared by every multi-leg entry point

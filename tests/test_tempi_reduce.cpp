@@ -7,6 +7,7 @@
 // fig16-scale 256-rank case.
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
+#include "tempi/buffer_cache.hpp"
 #include "tempi/kernels.hpp"
 #include "tempi/packer.hpp"
 #include "tempi/reduce.hpp"
@@ -951,6 +952,44 @@ TEST(Reduce, EveryEntryConsumesItsTagBudget) {
         }
       }
     }
+  }
+  tempi::red::set_forced_schedule(Schedule::Auto);
+}
+
+TEST(Reduce, DoublingLeasesOnlyTheBuffersEachRankTouches) {
+  // Ranks above the largest power of two only ship their contribution to
+  // a partner and take the result back: they lease the accumulator and
+  // no combine scratch. Every other rank leases both.
+  tempi::ScopedInterposer guard;
+  tempi::red::set_forced_schedule(Schedule::Doubling);
+  for (const int ranks : {3, 6}) {
+    const int p2 = ranks == 3 ? 2 : 4;
+    sysmpi::RunConfig cfg;
+    cfg.ranks = ranks;
+    cfg.ranks_per_node = ranks;
+    sysmpi::run_ranks(cfg, [&](int rank) {
+      MPI_Init(nullptr, nullptr);
+      MPI_Datatype t = nullptr;
+      MPI_Type_vector(4, 2, 5, MPI_INT, &t);
+      MPI_Type_commit(&t);
+      MPI_Aint lb = 0, extent = 0;
+      MPI_Type_get_extent(t, &lb, &extent);
+      constexpr int kCount = 2;
+      SpaceBuffer sbuf(vcuda::MemorySpace::Device,
+                       static_cast<std::size_t>(extent) * kCount + 64);
+      SpaceBuffer rbuf(vcuda::MemorySpace::Device,
+                       static_cast<std::size_t>(extent) * kCount + 64);
+      std::memset(sbuf.get(), 0, sbuf.size());
+      tempi::reset_buffer_cache_stats();
+      ASSERT_EQ(MPI_Allreduce(sbuf.get(), rbuf.get(), kCount, t, MPI_SUM,
+                              MPI_COMM_WORLD),
+                MPI_SUCCESS);
+      const tempi::BufferCacheStats st = tempi::buffer_cache_stats();
+      EXPECT_EQ(st.hits + st.misses, rank < p2 ? 2u : 1u)
+          << ranks << " ranks, rank " << rank;
+      MPI_Type_free(&t);
+      MPI_Finalize();
+    });
   }
   tempi::red::set_forced_schedule(Schedule::Auto);
 }
