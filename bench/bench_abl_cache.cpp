@@ -70,12 +70,12 @@ int main() {
 
   const tempi::PerfModel model;
   const vcuda::VirtualNs t0 = vcuda::virtual_now();
-  (void)model.choose(48, 987654);
+  (void)model.choose_transfer(48, 987654);
   const vcuda::VirtualNs miss = vcuda::virtual_now() - t0;
   support::Sampler hits;
   for (int i = 0; i < 10; ++i) {
     const vcuda::VirtualNs h0 = vcuda::virtual_now();
-    (void)model.choose(48, 987654);
+    (void)model.choose_transfer(48, 987654);
     hits.add(static_cast<double>(vcuda::virtual_now() - h0));
   }
   std::printf("model query: first (interpolating) %llu ns, cached %.0f ns "

@@ -95,12 +95,12 @@ int main() {
   // (1) Method selection, modeled clock.
   const tempi::PerfModel model;
   const vcuda::VirtualNs m0 = vcuda::virtual_now();
-  (void)model.choose(64, 262144);
+  (void)model.choose_transfer(64, 262144);
   const vcuda::VirtualNs uncached = vcuda::virtual_now() - m0;
   support::Sampler cached;
   for (int i = 0; i < 16; ++i) {
     const vcuda::VirtualNs h0 = vcuda::virtual_now();
-    (void)model.choose(64, 262144);
+    (void)model.choose_transfer(64, 262144);
     cached.add(static_cast<double>(vcuda::virtual_now() - h0));
   }
   std::printf("method selection (modeled clock):\n");

@@ -8,7 +8,7 @@
 // datatype loop at send time and unpacks it the same way at receive
 // time; the engine packs ALL peers' blocks with one fused span-kernel
 // pass, fans the per-peer legs through the request engine (method per
-// leg from the netmodel-aware choose_leg), and scatters the received
+// leg from the netmodel-aware Leg decision), and scatters the received
 // staging with one more kernel pass.
 //
 // Pass gate: in the fragmented regime (blocks <= 16 B) at >= 8 ranks the

@@ -138,7 +138,7 @@ void BM_ModelChoose(benchmark::State &state) {
   const tempi::PerfModel model;
   std::size_t block = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.choose(block, 1 << 20));
+    benchmark::DoNotOptimize(model.choose_transfer(block, 1 << 20));
     block = block % 512 + 1; // rotate keys: mix of hits and misses
   }
 }

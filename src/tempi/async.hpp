@@ -159,8 +159,8 @@ int start_irecv_packed(void *bytes, std::size_t nbytes, Method method,
 // A persistent request freezes at init time everything the per-send hot
 // path normally re-derives: the packer (held by shared_ptr, so a
 // MPI_Type_free'd datatype's engine stays alive until the request is
-// freed — the graveyard pin), the PerfModel method choice
-// (choose_persistent's exhaustive search), the staging/wire leases
+// freed — the graveyard pin), the PerfModel method choice (the exact,
+// uncached TransferKind::Persistent decision), the staging/wire leases
 // (pinned for the request's lifetime), and the pack/unpack launch sequence
 // (recorded as vcuda graphs). MPI_Start then replays pre-baked work:
 // sender-side it sends from the recorded program exactly as a repeated
@@ -171,8 +171,8 @@ int start_irecv_packed(void *bytes, std::size_t nbytes, Method method,
 // retiring. Completion calls on an INACTIVE persistent ticket complete
 // immediately with an empty status.
 
-/// Create a frozen persistent send. `choice` comes from
-/// PerfModel::choose_persistent (or the forced mode); Method::Pipelined
+/// Create a frozen persistent send. `choice` is the model's Persistent
+/// decision (or the forced mode); Method::Pipelined
 /// records one pack graph per wire leg (see record_pipelined_send).
 int send_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
               const void *buf, int count, int dest, int tag, MPI_Comm comm,
@@ -198,7 +198,7 @@ int recv_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
 int start(MPI_Request *request, const interpose::MpiTable &next);
 
 /// The re-freeze search: tempi.cpp's install() registers the same gate
-/// Send_init/Recv_init used (mode checks + PerfModel::choose_persistent),
+/// Send_init/Recv_init used (mode checks + the Persistent decision),
 /// so a lazily re-frozen request and a freshly created one always agree.
 /// nullopt means "would forward now": the request keeps its frozen plan —
 /// a live persistent request cannot be demoted to the system path

@@ -19,10 +19,10 @@
 //      non-blocking request engine (async::start_isend_packed /
 //      start_irecv_packed) so every peer's wire time overlaps; the
 //      per-peer path (CUDA-aware device wire vs pinned-staged CPU wire)
-//      comes from PerfModel::choose_leg, which folds the sysmpi
-//      netmodel's intra/inter-node parameters into the existing lock-free
-//      choice cache under a leg-specific salt and prices the bytes this
-//      rank already queued at its injection port; topo::schedule orders
+//      is the model's TransferKind::Leg decision, which prices the sysmpi
+//      netmodel's intra/inter-node parameters and the bytes this rank
+//      already queued at its injection port, cached in the model's
+//      lock-free choice cache; topo::schedule orders
 //      the fan-out node-aware.
 //   3. Oversized legs — a per-peer leg above the wire-chunk limit ships
 //      as ordered sub-slice legs under the PR 3 pipelined framing

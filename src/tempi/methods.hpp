@@ -271,7 +271,7 @@ private:
 // --- persistent-channel replay programs --------------------------------------
 //
 // MPI_Send_init/MPI_Recv_init freeze a channel: the method choice is made
-// once (PerfModel::choose_persistent), the staging/wire leases are
+// once (the model's exact Persistent decision), the staging/wire leases are
 // acquired once and stay pinned for the channel's lifetime, and the
 // pack/unpack launch sequence is recorded once as a vcuda graph — so
 // every MPI_Start replays pre-baked work (one graph launch + a pre-armed

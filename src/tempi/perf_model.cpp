@@ -322,18 +322,20 @@ SystemPerf builtin_perf() {
 
 // --- choice cache ------------------------------------------------------------
 
-/// Fixed-size, direct-mapped, lock-free cache of choose() results. Each
-/// slot is one 64-bit atomic: bits [63:3] hold the top 61 bits of the key
-/// hash, bit 2 marks the slot valid, bits [1:0] hold the Method. A 61-bit
-/// tag collision can only mispick among the three methods — every method
-/// produces correct bytes, so the worst case is a perf decision, never a
-/// correctness hazard. Concurrent writers race benignly (last store wins).
+/// Fixed-size, direct-mapped, lock-free cache of transfer decisions. Each
+/// slot is one 64-bit atomic: bits [63:9] tag | [8:3] log2(chunk) | bit 2
+/// valid | [1:0] Method (the key's low 10 bits pick the slot). A tag
+/// collision can only mispick a method, never corrupt bytes. Concurrent
+/// writers race benignly (last store wins).
 struct PerfModel::ChoiceCache {
   static constexpr std::size_t kSlots = 1024; // power of two
   std::array<std::atomic<std::uint64_t>, kSlots> slots{};
 };
 
 namespace {
+
+constexpr std::uint64_t kTagMask = ~std::uint64_t{0x1FF};
+constexpr std::uint64_t kValidBit = 0x4;
 
 /// splitmix64 finalizer: the key hash for the choice cache.
 std::uint64_t mix64(std::uint64_t x) {
@@ -343,7 +345,36 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Process-wide choose() cache traffic, summed over every PerfModel.
+/// The choice-cache key: three salted families, one per decision shape.
+/// Multi-leg and Leg keys fold in the transfer config generation (a knob
+/// change strands old entries); Leg keys also the peer's placement and
+/// the injection queue's log2 bucket (an empty queue is bucket 0).
+std::uint64_t choice_key(std::size_t block_bytes, std::size_t total_bytes,
+                         const TransferOperands &ops, bool multi_leg) {
+  constexpr std::uint64_t kTotalSalt = 0x9e3779b97f4a7c15ull;
+  constexpr std::uint64_t kGenMul = 0xff51afd7ed558ccdull;
+  const auto total = static_cast<std::uint64_t>(total_bytes) + kTotalSalt;
+  if (ops.kind == TransferKind::Leg) {
+    constexpr std::uint64_t kLegSalt = 0x3CB5ECF3C7A1D52Bull;
+    const std::uint64_t queue_bucket =
+        ops.queued_bytes == 0
+            ? 0
+            : static_cast<std::uint64_t>(std::bit_width(ops.queued_bytes));
+    return mix64(mix64(total_bytes ^ kLegSalt) ^
+                 (ops.same_node ? 0x9E3779B97F4A7C15ull
+                                : 0x85EBCA6B0F1BBCDDull) ^
+                 (queue_bucket * 0xC2B2AE3D27D4EB4Full) ^
+                 (transfer_config_generation() * kGenMul));
+  }
+  if (!multi_leg) {
+    return mix64(mix64(block_bytes) ^ total);
+  }
+  constexpr std::uint64_t kTransferSalt = 0xA5A5A5A55A5A5A5Aull;
+  return mix64(mix64(block_bytes ^ kTransferSalt) ^ total ^
+               (transfer_config_generation() * kGenMul));
+}
+
+/// Process-wide choice-cache traffic, summed over every PerfModel.
 trace::Counter g_model_cache_hits{"tempi.model.cache_hits"};
 trace::Counter g_model_cache_misses{"tempi.model.cache_misses"};
 
@@ -402,11 +433,15 @@ double PerfModel::estimate_pipelined_us(double block_bytes, double total_bytes,
   return p + w + u + (legs - 1.0) * std::max({p, w, u});
 }
 
-PerfModel::PipelinedEstimate
-PerfModel::best_pipelined(double block_bytes, double total_bytes) const {
+PerfModel::PipelinedEstimate PerfModel::best_pipelined(double block_bytes,
+                                                       double total_bytes,
+                                                       bool dense) const {
   const std::size_t limit = wire_chunk_limit();
   PipelinedEstimate best{0, 0.0};
   const auto consider = [&](std::size_t chunk) {
+    if (chunk > limit) {
+      return;
+    }
     const double us =
         estimate_pipelined_us(block_bytes, total_bytes,
                               static_cast<double>(chunk));
@@ -416,16 +451,21 @@ PerfModel::best_pipelined(double block_bytes, double total_bytes) const {
   };
   if (const std::size_t o = chunk_bytes_override(); o != 0) {
     // The override is authoritative: model only the forced chunk size.
-    consider(std::bit_floor(std::min(o, limit)));
+    const std::size_t forced = std::min(o, limit);
+    consider(dense ? forced : std::bit_floor(forced));
     return best;
   }
   // Power-of-two candidates from 64 KiB up to the wire-chunk limit (the
   // chunk may not exceed one leg); ~2x steps keep the miss-path cost at a
-  // few dozen interpolations, amortized by the choice cache.
+  // few dozen interpolations, amortized by the choice cache. The dense
+  // grid adds the 3/2 midpoints the doubling steps skip.
   const std::size_t first =
       std::min<std::size_t>(64 * 1024, std::bit_floor(limit));
   for (std::size_t chunk = first; chunk <= limit; chunk *= 2) {
     consider(chunk);
+    if (dense) {
+      consider(chunk + chunk / 2);
+    }
     if (static_cast<double>(chunk) >= total_bytes) {
       break; // larger chunks degenerate to a single leg
     }
@@ -433,27 +473,85 @@ PerfModel::best_pipelined(double block_bytes, double total_bytes) const {
   return best;
 }
 
-Method PerfModel::choose(std::size_t block_bytes,
-                         std::size_t total_bytes) const {
-  // Pure function of (tables, block, total): consult this instance's
-  // lock-free choice cache (Sec. 6.3: "results are cached so future
-  // invocations ... do not require a redundant expensive interpolation").
+TransferChoice PerfModel::choose_transfer(std::size_t block_bytes,
+                                          std::size_t total_bytes,
+                                          TransferOperands ops) const {
+  const std::size_t limit = wire_chunk_limit();
+  const bool multi_leg = total_bytes > limit;
+  vcuda::Timeline &clock = vcuda::this_thread_timeline();
+  if (ops.kind == TransferKind::Persistent) {
+    // Exact and uncached; the multi-leg chunk sweep is a second query.
+    clock.advance(multi_leg ? 2 * kModelQueryUncachedNs
+                            : kModelQueryUncachedNs);
+    return decide(block_bytes, total_bytes, ops, limit);
+  }
+  // Sec. 6.3: "results are cached so future invocations ... do not
+  // require a redundant expensive interpolation".
   const std::uint64_t h =
-      mix64(mix64(block_bytes) ^ (static_cast<std::uint64_t>(total_bytes) +
-                                  0x9e3779b97f4a7c15ull));
+      choice_key(block_bytes, total_bytes, ops, multi_leg);
   std::atomic<std::uint64_t> &slot =
       cache_->slots[h & (ChoiceCache::kSlots - 1)];
-  const std::uint64_t tag = h & ~std::uint64_t{0x7};
+  const std::uint64_t tag = h & kTagMask;
   const std::uint64_t v = slot.load(std::memory_order_acquire);
-  if ((v & ~std::uint64_t{0x7}) == tag && (v & 0x4u) != 0) {
-    vcuda::this_thread_timeline().advance(kModelQueryCachedNs);
+  if ((v & kTagMask) == tag && (v & kValidBit) != 0) {
+    clock.advance(kModelQueryCachedNs);
     g_model_cache_hits.add();
-    return static_cast<Method>(v & 0x3u);
+    const auto m = static_cast<Method>(v & 0x3u);
+    return TransferChoice{m, m == Method::Pipelined
+                                 ? std::size_t{1} << ((v >> 3) & 0x3Fu)
+                                 : 0};
   }
-  vcuda::this_thread_timeline().advance(kModelQueryUncachedNs);
+  clock.advance(kModelQueryUncachedNs);
   g_model_cache_misses.add();
+  const TransferChoice choice = decide(block_bytes, total_bytes, ops, limit);
+  const std::uint64_t chunk_log2 =
+      choice.method == Method::Pipelined
+          ? static_cast<std::uint64_t>(std::bit_width(choice.chunk_bytes) - 1)
+          : 0;
+  slot.store(tag | (chunk_log2 << 3) | kValidBit |
+                 static_cast<std::uint64_t>(choice.method),
+             std::memory_order_release);
+  return choice;
+}
+
+TransferChoice PerfModel::decide(std::size_t block_bytes,
+                                 std::size_t total_bytes,
+                                 const TransferOperands &ops,
+                                 std::size_t limit) const {
   const auto b = static_cast<double>(block_bytes);
   const auto t = static_cast<double>(total_bytes);
+  if (total_bytes > limit) {
+    // Only multi-leg framing can carry this payload. A packed leg's
+    // sub-slices pay only per-leg floors, so the largest chunk wins.
+    if (ops.kind == TransferKind::Leg) {
+      return TransferChoice{Method::Pipelined, std::bit_floor(limit)};
+    }
+    const PipelinedEstimate pipe =
+        best_pipelined(b, t, ops.kind == TransferKind::Persistent);
+    return TransferChoice{Method::Pipelined,
+                          std::max<std::size_t>(pipe.chunk_bytes, 1)};
+  }
+  if (ops.kind == TransferKind::Leg) {
+    const sysmpi::NetParams &net = sysmpi::net_params();
+    // Injection-queue drain ahead of this leg (inter-node only): the
+    // device wire starts after it, the staged D2H copy overlaps it.
+    const double queue_us =
+        ops.same_node || ops.queued_bytes == 0
+            ? 0.0
+            : static_cast<double>(ops.queued_bytes) /
+                  (net.gpu_gbps_inter * 1e3);
+    const double device_us =
+        queue_us + vcuda::ns_to_us(sysmpi::transfer_duration(
+                       net, total_bytes, true, true, ops.same_node));
+    const double staged_us =
+        std::max(queue_us, perf_.d2h.query(t)) +
+        vcuda::ns_to_us(sysmpi::transfer_duration(net, total_bytes, false,
+                                                  false, ops.same_node)) +
+        perf_.h2d.query(t);
+    return TransferChoice{
+        device_us <= staged_us ? Method::Device : Method::Staged, 0};
+  }
+  // The monolithic argmin (Eqs. 1-3).
   Method best = Method::Device;
   double best_us = estimate_us(Method::Device, b, t);
   for (const Method m : {Method::OneShot, Method::Staged}) {
@@ -463,189 +561,7 @@ Method PerfModel::choose(std::size_t block_bytes,
       best_us = us;
     }
   }
-  slot.store(tag | 0x4u | static_cast<std::uint64_t>(best),
-             std::memory_order_release);
-  return best;
-}
-
-TransferChoice PerfModel::choose_transfer(std::size_t block_bytes,
-                                          std::size_t total_bytes) const {
-  const std::size_t limit = wire_chunk_limit();
-  if (total_bytes <= limit) {
-    // Within the single-leg limit the monolithic wire format is kept:
-    // its one-message framing is what lets sender and receiver choose
-    // methods independently (a peer may fall through to the system path
-    // — host-resident buffer, different block shape — and still
-    // reassemble correctly). Multi-leg framing is only sound when both
-    // endpoints run it, so under the limit it stays an explicit opt-in
-    // (SendMode::ForcePipelined / TEMPI_METHOD=pipelined) for symmetric
-    // SPMD deployments.
-    return TransferChoice{choose(block_bytes, total_bytes), 0};
-  }
-  // Transfer entries share the choice-cache array under a salted key (so
-  // they never collide with choose() tags) that folds in the transfer
-  // config generation: changing the wire-chunk limit or the chunk
-  // override strands old entries rather than serving them. Slot layout:
-  // bits [63:9] tag | [8:3] log2(chunk) | bit 2 valid | [1:0] method.
-  constexpr std::uint64_t kTransferSalt = 0xA5A5A5A55A5A5A5Aull;
-  const std::uint64_t h = mix64(
-      mix64(block_bytes ^ kTransferSalt) ^
-      (static_cast<std::uint64_t>(total_bytes) + 0x9e3779b97f4a7c15ull) ^
-      (transfer_config_generation() * 0xff51afd7ed558ccdull));
-  std::atomic<std::uint64_t> &slot =
-      cache_->slots[h & (ChoiceCache::kSlots - 1)];
-  const std::uint64_t tag = h & ~std::uint64_t{0x1FF};
-  const std::uint64_t v = slot.load(std::memory_order_acquire);
-  if ((v & ~std::uint64_t{0x1FF}) == tag && (v & 0x4u) != 0) {
-    vcuda::this_thread_timeline().advance(kModelQueryCachedNs);
-    g_model_cache_hits.add();
-    const auto m = static_cast<Method>(v & 0x3u);
-    const auto chunk_log2 = static_cast<unsigned>((v >> 3) & 0x3Fu);
-    return TransferChoice{m, m == Method::Pipelined
-                                 ? std::size_t{1} << chunk_log2
-                                 : 0};
-  }
-  vcuda::this_thread_timeline().advance(kModelQueryUncachedNs);
-  g_model_cache_misses.add();
-  // Above the wire-chunk limit no single leg can carry the message:
-  // Pipelined is the only valid method, and the model's job is picking
-  // its chunk size.
-  const PipelinedEstimate pipe = best_pipelined(
-      static_cast<double>(block_bytes), static_cast<double>(total_bytes));
-  const TransferChoice choice{Method::Pipelined,
-                              std::max<std::size_t>(pipe.chunk_bytes, 1)};
-  const auto chunk_log2 =
-      static_cast<std::uint64_t>(std::bit_width(choice.chunk_bytes) - 1);
-  slot.store(tag | (chunk_log2 << 3) | 0x4u |
-                 static_cast<std::uint64_t>(choice.method),
-             std::memory_order_release);
-  return choice;
-}
-
-TransferChoice PerfModel::choose_persistent(std::size_t block_bytes,
-                                            std::size_t total_bytes) const {
-  const std::size_t limit = wire_chunk_limit();
-  const auto b = static_cast<double>(block_bytes);
-  const auto t = static_cast<double>(total_bytes);
-  vcuda::this_thread_timeline().advance(kModelQueryUncachedNs);
-  if (total_bytes <= limit) {
-    // Same framing contract as choose_transfer: under the limit the
-    // monolithic one-message wire format is kept (the peer may be a
-    // system-path rank), so the exhaustive part is evaluating every
-    // method at the exact operand instead of a cache-quantized entry.
-    Method best = Method::Device;
-    double best_us = estimate_us(Method::Device, b, t);
-    for (const Method m : {Method::OneShot, Method::Staged}) {
-      const double us = estimate_us(m, b, t);
-      if (us < best_us) {
-        best = m;
-        best_us = us;
-      }
-    }
-    return TransferChoice{best, 0};
-  }
-  // Above the limit only multi-leg framing can carry the message; sweep a
-  // denser chunk grid than best_pipelined (powers of two plus their 3/2
-  // midpoints) — the cost is paid once per channel, not per send.
-  vcuda::this_thread_timeline().advance(kModelQueryUncachedNs);
-  if (const std::size_t o = chunk_bytes_override(); o != 0) {
-    return TransferChoice{Method::Pipelined,
-                          std::max<std::size_t>(std::min(o, limit), 1)};
-  }
-  PipelinedEstimate best{0, 0.0};
-  const auto consider = [&](std::size_t chunk) {
-    if (chunk == 0 || chunk > limit) {
-      return;
-    }
-    const double us =
-        estimate_pipelined_us(b, t, static_cast<double>(chunk));
-    if (best.chunk_bytes == 0 || us < best.us) {
-      best = {chunk, us};
-    }
-  };
-  const std::size_t first =
-      std::min<std::size_t>(64 * 1024, std::bit_floor(limit));
-  for (std::size_t chunk = first; chunk <= limit; chunk *= 2) {
-    consider(chunk);
-    consider(chunk + chunk / 2); // the 3/2 midpoint pow2 steps skip
-    if (static_cast<double>(chunk) >= t) {
-      break; // larger chunks degenerate to a single leg
-    }
-  }
-  return TransferChoice{Method::Pipelined,
-                        std::max<std::size_t>(best.chunk_bytes, 1)};
-}
-
-TransferChoice PerfModel::choose_leg(std::size_t leg_bytes, bool same_node,
-                                     std::size_t queued_bytes) const {
-  const std::size_t limit = wire_chunk_limit();
-  // Leg entries share the choice-cache array under their own salt (never
-  // colliding with choose()/choose_transfer tags) that folds in the peer's
-  // placement, the injection-queue depth bucket, and the transfer config
-  // generation. Slot layout matches choose_transfer: bits [63:9] tag |
-  // [8:3] log2(chunk) | bit 2 valid | [1:0] method.
-  constexpr std::uint64_t kLegSalt = 0x3CB5ECF3C7A1D52Bull;
-  const std::uint64_t queue_bucket =
-      queued_bytes == 0
-          ? 0
-          : static_cast<std::uint64_t>(std::bit_width(queued_bytes));
-  const std::uint64_t h = mix64(
-      mix64(leg_bytes ^ kLegSalt) ^
-      (same_node ? 0x9E3779B97F4A7C15ull : 0x85EBCA6B0F1BBCDDull) ^
-      (queue_bucket * 0xC2B2AE3D27D4EB4Full) ^
-      (transfer_config_generation() * 0xff51afd7ed558ccdull));
-  std::atomic<std::uint64_t> &slot =
-      cache_->slots[h & (ChoiceCache::kSlots - 1)];
-  const std::uint64_t tag = h & ~std::uint64_t{0x1FF};
-  const std::uint64_t v = slot.load(std::memory_order_acquire);
-  if ((v & ~std::uint64_t{0x1FF}) == tag && (v & 0x4u) != 0) {
-    vcuda::this_thread_timeline().advance(kModelQueryCachedNs);
-    g_model_cache_hits.add();
-    const auto m = static_cast<Method>(v & 0x3u);
-    const auto chunk_log2 = static_cast<unsigned>((v >> 3) & 0x3Fu);
-    return TransferChoice{m, m == Method::Pipelined
-                                 ? std::size_t{1} << chunk_log2
-                                 : 0};
-  }
-  vcuda::this_thread_timeline().advance(kModelQueryUncachedNs);
-  g_model_cache_misses.add();
-  TransferChoice choice;
-  if (leg_bytes > limit) {
-    // Only multi-leg framing can carry this leg; the payload is already
-    // packed, so legs are plain sub-slices and the largest in-limit chunk
-    // minimizes per-leg latency floors.
-    choice = TransferChoice{Method::Pipelined, std::bit_floor(limit)};
-  } else {
-    const sysmpi::NetParams &net = sysmpi::net_params();
-    const auto b = static_cast<double>(leg_bytes);
-    // Injection-queue drain ahead of this leg (inter-node only): the
-    // device wire cannot start before the queue clears, while the staged
-    // path runs its D2H copy concurrently with the drain.
-    const double queue_us =
-        same_node || queued_bytes == 0
-            ? 0.0
-            : static_cast<double>(queued_bytes) / (net.gpu_gbps_inter * 1e3);
-    const double device_us =
-        queue_us +
-        vcuda::ns_to_us(
-            sysmpi::transfer_duration(net, leg_bytes, true, true, same_node));
-    const double staged_us =
-        std::max(queue_us, perf_.d2h.query(b)) +
-        vcuda::ns_to_us(sysmpi::transfer_duration(net, leg_bytes, false,
-                                                  false, same_node)) +
-        perf_.h2d.query(b);
-    choice = TransferChoice{
-        device_us <= staged_us ? Method::Device : Method::Staged, 0};
-  }
-  std::uint64_t chunk_log2 = 0;
-  if (choice.method == Method::Pipelined && choice.chunk_bytes > 0) {
-    chunk_log2 =
-        static_cast<std::uint64_t>(std::bit_width(choice.chunk_bytes) - 1);
-  }
-  slot.store(tag | (chunk_log2 << 3) | 0x4u |
-                 static_cast<std::uint64_t>(choice.method),
-             std::memory_order_release);
-  return choice;
+  return TransferChoice{best, 0};
 }
 
 // --- self-tuning observation sink (Sec. 6.3 feedback) ------------------------
@@ -806,30 +722,32 @@ std::size_t ensure_total_col(Table2D &t, double total) {
   return ti;
 }
 
-bool fold_1d(Cell (&cells)[kSizeCells], Table1D &t, bool mark_applied) {
-  if (t.bytes.empty()) {
-    return false; // nothing to anchor the interpolation; leave it alone
+/// Fold one converged cell's EWMA through `set`; true if it drifted.
+template <typename Set>
+bool fold_cell(Cell &c, bool mark_applied, Set &&set) {
+  const std::uint64_t s = c.state.load(std::memory_order_relaxed);
+  if (count_of(s) < kMinSamples) {
+    return false;
   }
-  bool changed = false;
-  for (int i = 0; i < kSizeCells; ++i) {
-    Cell &c = cells[i];
-    const std::uint64_t s = c.state.load(std::memory_order_relaxed);
-    if (count_of(s) < kMinSamples) {
-      continue;
-    }
-    const float v = ewma_of(s);
-    const bool moved = drifted(v, c.applied.load(std::memory_order_relaxed));
-    set_knot_1d(t, static_cast<double>(std::uint64_t{1} << i),
-                static_cast<double>(v));
+  const float v = ewma_of(s);
+  const bool moved = drifted(v, c.applied.load(std::memory_order_relaxed));
+  set(static_cast<double>(v));
+  if (mark_applied) {
     if (moved) {
-      changed = true;
-      if (mark_applied) {
-        g_counters.updates.add();
-      }
+      g_counters.updates.add();
     }
-    if (mark_applied) {
-      c.applied.store(v, std::memory_order_relaxed);
-    }
+    c.applied.store(v, std::memory_order_relaxed);
+  }
+  return moved;
+}
+
+bool fold_1d(Cell (&cells)[kSizeCells], Table1D &t, bool mark_applied) {
+  bool changed = false;
+  // An empty table has nothing to anchor the interpolation: leave it.
+  for (int i = 0; i < kSizeCells && !t.bytes.empty(); ++i) {
+    changed |= fold_cell(cells[i], mark_applied, [&](double v) {
+      set_knot_1d(t, static_cast<double>(std::uint64_t{1} << i), v);
+    });
   }
   return changed;
 }
@@ -842,27 +760,13 @@ bool fold_2d(Cell (&cells)[kBlockCells][kSizeCells], Table2D &t,
   bool changed = false;
   for (int bi = 0; bi < kBlockCells; ++bi) {
     for (int ti = 0; ti < kSizeCells; ++ti) {
-      Cell &c = cells[bi][ti];
-      const std::uint64_t s = c.state.load(std::memory_order_relaxed);
-      if (count_of(s) < kMinSamples) {
-        continue;
-      }
-      const float v = ewma_of(s);
-      const bool moved = drifted(v, c.applied.load(std::memory_order_relaxed));
-      const std::size_t row =
-          ensure_block_row(t, static_cast<double>(std::uint64_t{1} << bi));
-      const std::size_t col =
-          ensure_total_col(t, static_cast<double>(std::uint64_t{1} << ti));
-      t.at(row, col) = static_cast<double>(v);
-      if (moved) {
-        changed = true;
-        if (mark_applied) {
-          g_counters.updates.add();
-        }
-      }
-      if (mark_applied) {
-        c.applied.store(v, std::memory_order_relaxed);
-      }
+      changed |= fold_cell(cells[bi][ti], mark_applied, [&](double v) {
+        const std::size_t row =
+            ensure_block_row(t, static_cast<double>(std::uint64_t{1} << bi));
+        const std::size_t col =
+            ensure_total_col(t, static_cast<double>(std::uint64_t{1} << ti));
+        t.at(row, col) = v;
+      });
     }
   }
   return changed;
@@ -909,24 +813,19 @@ bool wire_observable(std::size_t bytes) {
 }
 
 bool fold_into(SystemPerf &perf, bool mark_applied) {
+  // In Axis order.
+  Table1D *const tables_1d[kAxes1D] = {&perf.gpu_gpu, &perf.cpu_cpu,
+                                       &perf.d2h, &perf.h2d};
+  Table2D *const tables_2d[kAxes2D] = {&perf.device_pack, &perf.device_unpack,
+                                       &perf.oneshot_pack,
+                                       &perf.oneshot_unpack};
   bool changed = false;
-  changed |= fold_1d(g_cells_1d[static_cast<std::size_t>(Axis::GpuWire)],
-                     perf.gpu_gpu, mark_applied);
-  changed |= fold_1d(g_cells_1d[static_cast<std::size_t>(Axis::CpuWire)],
-                     perf.cpu_cpu, mark_applied);
-  changed |= fold_1d(g_cells_1d[static_cast<std::size_t>(Axis::D2H)], perf.d2h,
-                     mark_applied);
-  changed |= fold_1d(g_cells_1d[static_cast<std::size_t>(Axis::H2D)], perf.h2d,
-                     mark_applied);
-  const auto grid2 = [](Axis a) -> Cell (&)[kBlockCells][kSizeCells] {
-    return g_cells_2d[static_cast<std::size_t>(a) - kAxes1D];
-  };
-  changed |= fold_2d(grid2(Axis::DevicePack), perf.device_pack, mark_applied);
-  changed |=
-      fold_2d(grid2(Axis::DeviceUnpack), perf.device_unpack, mark_applied);
-  changed |= fold_2d(grid2(Axis::OneshotPack), perf.oneshot_pack, mark_applied);
-  changed |=
-      fold_2d(grid2(Axis::OneshotUnpack), perf.oneshot_unpack, mark_applied);
+  for (std::size_t a = 0; a < kAxes1D; ++a) {
+    changed |= fold_1d(g_cells_1d[a], *tables_1d[a], mark_applied);
+  }
+  for (std::size_t a = 0; a < kAxes2D; ++a) {
+    changed |= fold_2d(g_cells_2d[a], *tables_2d[a], mark_applied);
+  }
   return changed;
 }
 
@@ -975,18 +874,16 @@ void note_refresh_applied() {
 void note_refreeze() { g_counters.refreezes.add(); }
 
 void reset() {
+  const auto clear = [](Cell &c) {
+    c.state.store(0, std::memory_order_relaxed);
+    c.applied.store(-1.0f, std::memory_order_relaxed);
+  };
   for (auto &axis : g_cells_1d) {
-    for (Cell &c : axis) {
-      c.state.store(0, std::memory_order_relaxed);
-      c.applied.store(-1.0f, std::memory_order_relaxed);
-    }
+    std::ranges::for_each(axis, clear);
   }
   for (auto &axis : g_cells_2d) {
     for (auto &row : axis) {
-      for (Cell &c : row) {
-        c.state.store(0, std::memory_order_relaxed);
-        c.applied.store(-1.0f, std::memory_order_relaxed);
-      }
+      std::ranges::for_each(row, clear);
     }
   }
   g_drift_pending.store(false, std::memory_order_relaxed);

@@ -7,11 +7,11 @@
 //   T_staged  = T_gpu-pack + T_d2h + T_cpu-cpu + T_h2d + T_gpu-unpack (Eq.3)
 // Transfers are estimated by 1-D interpolation over message size;
 // pack/unpack kernels by 2-D interpolation over {contiguous block length,
-// object size}. Model queries are pure functions of (block, total), so
-// each PerfModel instance carries a fixed-size, lock-free, direct-mapped
-// cache of its choose() results: a hit is a single atomic load (~277 ns
-// per the paper), a miss runs the three-method interpolation (~2 us) and
-// publishes the winner. Process-wide hit/miss counts are the
+// object size}. A transfer decision is a pure function of its operands,
+// so each PerfModel instance carries a fixed-size, lock-free,
+// direct-mapped cache of its choose_transfer() results: a hit is a single
+// atomic load (~277 ns per the paper), a miss runs the interpolation
+// (~2 us) and publishes the winner. Process-wide hit/miss counts are the
 // tempi.model.cache_hits / tempi.model.cache_misses trace counters.
 #pragma once
 
@@ -65,6 +65,20 @@ std::uint64_t transfer_config_generation();
 struct TransferChoice {
   Method method = Method::Device;
   std::size_t chunk_bytes = 0;
+};
+
+/// What a transfer decision is made for (see PerfModel::choose_transfer).
+enum class TransferKind : std::uint8_t {
+  P2P,        ///< one Send/Isend message: cached
+  Persistent, ///< a channel freeze (Send_init/Recv_init): exact, uncached
+  Leg,        ///< one pre-packed collective wire leg: cached, by placement
+};
+
+/// The operands of a transfer decision besides its block and total bytes.
+struct TransferOperands {
+  TransferKind kind = TransferKind::P2P;
+  bool same_node = false;       ///< Leg: the peer shares this rank's node
+  std::size_t queued_bytes = 0; ///< Leg: bytes queued on the injection port
 };
 
 /// Model-free chunk target for forced-Pipelined sends (TEMPI_METHOD=
@@ -138,83 +152,51 @@ public:
                                              double total_bytes,
                                              double chunk_bytes) const;
 
-  /// The monolithic method with the lowest estimate (never Pipelined;
-  /// kept for compatibility — full transfers use choose_transfer).
-  /// Thread-safe: consults this instance's lock-free choice cache first.
-  /// Charges the calling thread's virtual clock for the query (cached:
-  /// ~277 ns; uncached: ~2 us).
-  [[nodiscard]] Method choose(std::size_t block_bytes,
-                              std::size_t total_bytes) const;
-
-  /// Full transfer decision. Within the wire-chunk limit this is the
-  /// monolithic argmin (same cache as choose()): the one-message wire
-  /// format is what lets a peer that independently fell through to the
-  /// system path (host buffer, untranslatable type) still reassemble
-  /// correctly, so Auto never switches framing under the limit —
-  /// under-limit pipelining is an explicit opt-in via
-  /// SendMode::ForcePipelined / TEMPI_METHOD=pipelined for symmetric
-  /// SPMD apps. Above the limit no single leg can carry the message:
-  /// the choice is Pipelined with the model-chosen chunk size, cached in
-  /// the same lock-free choice cache under a salted key whose slots also
-  /// carry the chunk size, so a steady-state hit is still one atomic
-  /// load.
-  [[nodiscard]] TransferChoice choose_transfer(std::size_t block_bytes,
-                                               std::size_t total_bytes) const;
-
-  /// Channel-freeze decision for the persistent-operation fast path
-  /// (MPI_Send_init/MPI_Recv_init). The choice is made once and replayed
-  /// for the channel's whole lifetime, so unlike choose_transfer this can
-  /// afford an exhaustive search instead of the cached heuristic: direct
-  /// interpolation of every monolithic method at the exact (block, total)
-  /// under the wire-chunk limit, and above it a denser pipelined chunk
-  /// sweep (power-of-two candidates plus their 3/2 midpoints, not just
-  /// powers of two). Deliberately bypasses the choice cache both ways —
-  /// nothing is read from it (a quantized hit could shadow the exact
-  /// argmin) and nothing is published to it (channel decisions must not
-  /// evict hot per-send entries). Charges uncached model-query time.
-  [[nodiscard]] TransferChoice
-  choose_persistent(std::size_t block_bytes, std::size_t total_bytes) const;
-
-  /// Per-peer wire-leg decision for the collectives engine
-  /// (tempi/collectives.*): the fused pack/unpack passes are shared
-  /// across peers, so per peer only the wire path of the already-packed
-  /// contiguous bytes differs — ship the device staging slice straight on
-  /// the CUDA-aware wire (Method::Device) or stage it through pinned host
-  /// memory onto the CPU wire (Method::Staged). Wire terms come from the
-  /// sysmpi netmodel's intra/inter-node parameters (the peer's placement
-  /// is known at call time); the D2H/H2D copies from the measured tables.
-  /// A leg above the wire-chunk limit returns Method::Pipelined with the
-  /// largest in-limit power-of-two chunk (pre-packed legs to one peer
-  /// serialize on the pair channel, so the fewest legs win; the
-  /// TEMPI_CHUNK_BYTES override still applies at send time). Results are
-  /// cached in the same lock-free choice cache under a leg-specific salt
-  /// that folds in `same_node` and the transfer config generation.
+  /// The transfer decision: every method choice goes through here.
+  /// Within the wire-chunk limit a message gets the argmin of estimate_us
+  /// over the monolithic methods: their one-message framing is what lets
+  /// a peer that fell through to the system path still reassemble, so
+  /// under-limit pipelining stays an explicit opt-in
+  /// (SendMode::ForcePipelined). Above the limit it is Pipelined with the
+  /// best_pipelined chunk. A Leg is a packed contiguous collective slice
+  /// (block_bytes unused): Device wire vs Staged through pinned host
+  /// memory, priced from the netmodel's intra/inter-node terms and the
+  /// copy tables; the device wire waits behind `queued_bytes` while the
+  /// staged D2H overlaps its drain. Above the limit a Leg is Pipelined at
+  /// the largest in-limit power of two (the fewest legs win).
   ///
-  /// `queued_bytes` is the NIC-occupancy term (tempi/topology.*): packed
-  /// bytes this rank already has queued on its injection port when the
-  /// leg is issued. The device wire waits behind the whole queue; the
-  /// staged path overlaps its D2H copy with the queue drain, so a deep
-  /// queue tilts the decision toward Staged. The queue's log2 bucket is
-  /// folded into the cache salt (0 buckets to 0, keeping the key — and
-  /// the decision — bit-identical to the queue-blind call).
+  /// P2P and Leg decisions go through this instance's lock-free choice
+  /// cache (a hit is one atomic load, kModelQueryCachedNs; a miss costs
+  /// kModelQueryUncachedNs). A Persistent decision is made once per
+  /// channel: exact, bypassing the cache both ways (a quantized hit could
+  /// shadow the exact argmin; a freeze must not evict hot entries), with
+  /// the dense chunk grid and a second uncached charge above the limit.
   [[nodiscard]] TransferChoice
-  choose_leg(std::size_t leg_bytes, bool same_node,
-             std::size_t queued_bytes = 0) const;
+  choose_transfer(std::size_t block_bytes, std::size_t total_bytes,
+                  TransferOperands ops = {}) const;
 
-  /// The best pipelined chunk size and its estimate for this message
-  /// (what choose_transfer uses above the limit; benches sweep it to
-  /// compare against the monolithic estimates at any size).
+  /// The best pipelined chunk size and its estimate for this message:
+  /// power-of-two chunks from 64 KiB up to the wire-chunk limit, plus
+  /// their 3/2 midpoints when `dense`. A TEMPI_CHUNK_BYTES override is
+  /// the only candidate (rounded down to a power of two unless dense).
+  /// Benches sweep it to compare against the monolithic estimates.
   struct PipelinedEstimate {
     std::size_t chunk_bytes = 0;
     double us = 0.0;
   };
   [[nodiscard]] PipelinedEstimate best_pipelined(double block_bytes,
-                                                 double total_bytes) const;
+                                                 double total_bytes,
+                                                 bool dense = false) const;
 
   [[nodiscard]] const SystemPerf &perf() const { return perf_; }
 
 private:
   struct ChoiceCache; // fixed-size lock-free cache, defined in the .cpp
+  /// The uncached decision behind choose_transfer.
+  [[nodiscard]] TransferChoice decide(std::size_t block_bytes,
+                                      std::size_t total_bytes,
+                                      const TransferOperands &ops,
+                                      std::size_t limit) const;
   SystemPerf perf_;
   std::unique_ptr<ChoiceCache> cache_;
 };

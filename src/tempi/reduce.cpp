@@ -270,7 +270,7 @@ struct Call {
     s.pk = side == Side::Fused ? find_packer_fast(dt) : nullptr;
     s.comb = sh;
     s.clamp_pipelined = true;
-    s.skip_empty_legs = true;
+    s.skip_empty_legs = dt->combiner != MPI_COMBINER_NAMED;
     s.legs = &g_counters.peer_legs;
     s.kernels = &g_counters.kernel_launches;
     if (bytes > 0) {

@@ -34,7 +34,7 @@
 //     generator in the packed domain.
 //  4. Leg issue (the executor): each wire leg is contiguous packed bytes
 //     riding async::start_{isend,irecv}_packed, with the per-leg path
-//     (Device / Staged) chosen by PerfModel::choose_leg — queued-bytes
+//     (Device / Staged) chosen by the model's Leg decision — queued-bytes
 //     aware on fan-outs — and fan-out posting ordered by
 //     topo::schedule(). Pipelined choices are clamped to Method::Device:
 //     a schedule leg's two endpoints may differ in residency (or be

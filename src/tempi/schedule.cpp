@@ -124,7 +124,9 @@ int post(Schedule &s, const Round &r, Op op, bool self_copy,
         // Queue-depth pricing is part of the topology feature: with
         // TEMPI_TOPO=0 legs are chosen queue-blind, as in rank order.
         const bool priced = send && r.fan_out && !same_node && topo::enabled();
-        c = perf_model().choose_leg(st.bytes, same_node, priced ? queued : 0);
+        c = perf_model().choose_transfer(
+            st.bytes, st.bytes,
+            {TransferKind::Leg, same_node, priced ? queued : 0});
         if (s.clamp_pipelined && c.method == Method::Pipelined) {
           c = TransferChoice{Method::Device, 0};
         }

@@ -6,7 +6,7 @@
 // leases. run() executes the rounds in order. Within a round it
 //   1. posts every Send, then every Recv (a fan-out round orders each set
 //      with topo::schedule and prices the bytes already queued at this
-//      rank's injection port into each send's choose_leg call);
+//      rank's injection port into each send's Leg decision);
 //   2. short-circuits self legs as device copies on the schedule stream
 //      (not synced; the caller's next pass on that stream observes them)
 //      when both sides address packed bytes and the k-th self Send pairs
@@ -153,8 +153,9 @@ public:
   /// system ranks), and only single-leg methods keep the wire a plain
   /// byte message, so a Pipelined choice ships as Device.
   bool clamp_pipelined = false;
-  /// Reductions: segment sizes are globally known, so zero-byte legs are
-  /// skipped on both ends. (An exchange posts them: its peer may be a
+  /// Derived-type reductions: segment sizes are globally known and no
+  /// system-path rank can join, so zero-byte legs are skipped on both
+  /// ends. (Exchanges and named reductions post them: a peer may be a
   /// system-path rank expecting a zero-count message.)
   bool skip_empty_legs = false;
   /// Stream of the local steps; taken from the pool at first use if null.

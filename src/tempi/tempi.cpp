@@ -199,10 +199,10 @@ const Packer *lookup_packer_fast(MPI_Datatype dt) {
     if ((s1 & 1) != 0) {
       continue; // mid-write
     }
-    const MPI_Datatype d = slot.dt.load(std::memory_order_relaxed);
-    const Packer *pk = slot.packer.load(std::memory_order_relaxed);
-    const std::uint64_t g = slot.gen.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // Acquire loads keep the seq re-check below after the field loads.
+    const MPI_Datatype d = slot.dt.load(std::memory_order_acquire);
+    const Packer *pk = slot.packer.load(std::memory_order_acquire);
+    const std::uint64_t g = slot.gen.load(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != s1) {
       continue; // torn by a concurrent writer
     }
@@ -861,9 +861,9 @@ int tempi_Testsome(int incount, MPI_Request *requests, int *outcount,
 // --- persistent operations (the channel fast path, async.hpp) ----------------
 
 /// Shared Send_init/Recv_init gate: the same gate as Send/Isend (see
-/// gated_choice), but the choice is frozen — Auto runs
-/// PerfModel::choose_persistent's exhaustive uncached search instead of
-/// the memoized heuristic. Returns nullopt to fall through.
+/// gated_choice), but the choice is frozen — Auto runs the model's
+/// exact, uncached Persistent decision instead of the memoized cached
+/// one. Returns nullopt to fall through.
 std::optional<TransferChoice> persistent_choice(const Packer *packer,
                                                 const void *buf, int count) {
   State &s = state();
@@ -874,8 +874,9 @@ std::optional<TransferChoice> persistent_choice(const Packer *packer,
     trace::ScopedSpan span(trace::Phase::ModelChoice,
                            trace::OpKind::Persistent, total);
     const std::shared_lock<std::shared_mutex> lock(s.model_mutex);
-    return s.model.choose_persistent(
-        static_cast<std::size_t>(packer->block().block_bytes()), total);
+    return s.model.choose_transfer(
+        static_cast<std::size_t>(packer->block().block_bytes()), total,
+        {TransferKind::Persistent});
   });
 }
 

@@ -634,22 +634,28 @@ TEST(Collectives, EngineConsumesTheSystemTagBudget) {
   }
 }
 
+tempi::TransferChoice leg(const tempi::PerfModel &model, std::size_t bytes,
+                          bool same_node) {
+  return model.choose_transfer(bytes, bytes,
+                               {tempi::TransferKind::Leg, same_node});
+}
+
 TEST(Collectives, ChooseLegIsCachedAndPlacementAware) {
   const tempi::PerfModel model;
   tempi::trace::reset_counters();
-  const tempi::TransferChoice inter = model.choose_leg(1 << 20, false);
-  const tempi::TransferChoice intra = model.choose_leg(1 << 20, true);
+  const tempi::TransferChoice inter = leg(model, 1 << 20, false);
+  const tempi::TransferChoice intra = leg(model, 1 << 20, true);
   EXPECT_NE(inter.method, tempi::Method::Pipelined);
   EXPECT_NE(intra.method, tempi::Method::Pipelined);
   const auto misses = counter("tempi.model.cache_misses");
   EXPECT_GE(misses, 2u); // distinct salted keys per placement
   // Repeat queries hit the lock-free cache.
-  const tempi::TransferChoice again = model.choose_leg(1 << 20, false);
+  const tempi::TransferChoice again = leg(model, 1 << 20, false);
   EXPECT_EQ(again.method, inter.method);
   EXPECT_GT(counter("tempi.model.cache_hits"), 0u);
   // Over-limit legs pipeline with an in-limit chunk.
   const std::size_t old_limit = tempi::set_wire_chunk_limit(4096);
-  const tempi::TransferChoice big = model.choose_leg(64 * 1024, false);
+  const tempi::TransferChoice big = leg(model, 64 * 1024, false);
   tempi::set_wire_chunk_limit(old_limit);
   EXPECT_EQ(big.method, tempi::Method::Pipelined);
   EXPECT_GT(big.chunk_bytes, 0u);

@@ -87,7 +87,8 @@ TEST(Measure, ModelFromMeasurementsSelectsLikeBuiltin) {
   for (std::size_t block : {1u, 8u, 64u, 256u}) {
     for (std::size_t size : {1024u, 65536u, 1u << 20, 4u << 20}) {
       ++total;
-      if (empirical.choose(block, size) == analytic.choose(block, size)) {
+      if (empirical.choose_transfer(block, size).method ==
+          analytic.choose_transfer(block, size).method) {
         ++agree;
       }
     }

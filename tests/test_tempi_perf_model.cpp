@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -95,23 +96,25 @@ TEST(Model, StagedNeverWins) {
 TEST(Model, OneShotWinsSmallObjects) {
   // Sec. 6.3: "the one-shot method is faster when objects are smaller".
   const tempi::PerfModel model;
-  EXPECT_EQ(model.choose(128, 1024), tempi::Method::OneShot);
+  EXPECT_EQ(model.choose_transfer(128, 1024).method, tempi::Method::OneShot);
 }
 
 TEST(Model, DeviceWinsLargeObjectsWithSmallBlocks) {
   // Sec. 6.2/6.3: device is better when contiguous regions are small and
   // the total data is large.
   const tempi::PerfModel model;
-  EXPECT_EQ(model.choose(1, 4 * 1024 * 1024), tempi::Method::Device);
-  EXPECT_EQ(model.choose(8, 4 * 1024 * 1024), tempi::Method::Device);
+  EXPECT_EQ(model.choose_transfer(1, 4 * 1024 * 1024).method,
+            tempi::Method::Device);
+  EXPECT_EQ(model.choose_transfer(8, 4 * 1024 * 1024).method,
+            tempi::Method::Device);
 }
 
 TEST(Model, ChoiceMatchesEstimates) {
-  // Property: choose() returns the argmin of estimate_us over all methods.
+  // Property: choose_transfer() picks the argmin of estimate_us.
   const tempi::PerfModel model;
   for (std::size_t block : {1u, 2u, 16u, 64u, 256u, 1024u}) {
     for (std::size_t total = 256; total <= (4u << 20); total *= 8) {
-      const tempi::Method picked = model.choose(block, total);
+      const tempi::Method picked = model.choose_transfer(block, total).method;
       const double picked_us = model.estimate_us(
           picked, static_cast<double>(block), static_cast<double>(total));
       for (const tempi::Method m :
@@ -129,17 +132,17 @@ TEST(Model, CachedQueriesAreCheaper) {
   const tempi::PerfModel model;
   // First query: uncached (interpolation); repeats: the ~277 ns cache hit.
   const vcuda::VirtualNs t0 = vcuda::virtual_now();
-  (void)model.choose(24, 123456);
+  (void)model.choose_transfer(24, 123456);
   const vcuda::VirtualNs miss = vcuda::virtual_now() - t0;
   const vcuda::VirtualNs t1 = vcuda::virtual_now();
-  (void)model.choose(24, 123456);
+  (void)model.choose_transfer(24, 123456);
   const vcuda::VirtualNs hit = vcuda::virtual_now() - t1;
   EXPECT_EQ(miss, tempi::kModelQueryUncachedNs);
   EXPECT_EQ(hit, tempi::kModelQueryCachedNs);
 }
 
-// The argmin of estimate_us over the three methods: what choose() must
-// return regardless of cache state.
+// The argmin of estimate_us over the three methods: what a message
+// decision must return regardless of cache state.
 tempi::Method argmin_method(const tempi::PerfModel &model, double block,
                             double total) {
   tempi::Method best = tempi::Method::Device;
@@ -156,18 +159,45 @@ tempi::Method argmin_method(const tempi::PerfModel &model, double block,
 }
 
 TEST(ModelCache, CachedChoiceMatchesUncachedAcrossGrid) {
-  // Sweep a grid twice: the second pass is all cache hits and must agree
-  // with both the first (uncached) pass and the direct argmin.
-  const tempi::PerfModel model;
-  for (std::size_t block : {1u, 3u, 8u, 24u, 100u, 512u, 1024u}) {
-    for (std::size_t total = 128; total <= (8u << 20); total *= 4) {
-      const tempi::Method uncached = model.choose(block, total);
-      const tempi::Method cached = model.choose(block, total);
-      EXPECT_EQ(cached, uncached) << "block " << block << " total " << total;
-      EXPECT_EQ(cached, argmin_method(model, static_cast<double>(block),
-                                      static_cast<double>(total)))
-          << "block " << block << " total " << total;
+  // Sweep a grid of operands twice — every decision kind, placement and
+  // queue bucket, at the default and a lowered wire limit: the second
+  // pass (cache hits for the cached kinds) must agree with the first, and
+  // a message under the limit must get the direct argmin.
+  using tempi::TransferKind;
+  for (const std::size_t limit : {tempi::kMaxWireBytes, std::size_t{1} << 20}) {
+    const std::size_t old_limit = tempi::set_wire_chunk_limit(limit);
+    const tempi::PerfModel model;
+    for (const TransferKind kind :
+         {TransferKind::P2P, TransferKind::Persistent, TransferKind::Leg}) {
+      for (const bool same_node : {false, true}) {
+        for (const std::size_t queued : {0u, 4096u, 4u << 20}) {
+          const tempi::TransferOperands ops{kind, same_node, queued};
+          for (std::size_t block : {1u, 3u, 8u, 24u, 100u, 512u, 1024u}) {
+            for (std::size_t total = 128; total <= (8u << 20); total *= 4) {
+              const tempi::TransferChoice first =
+                  model.choose_transfer(block, total, ops);
+              const tempi::TransferChoice second =
+                  model.choose_transfer(block, total, ops);
+              const std::string where =
+                  "kind " + std::to_string(static_cast<int>(kind)) +
+                  " same_node " + std::to_string(same_node) + " queued " +
+                  std::to_string(queued) + " block " +
+                  std::to_string(block) + " total " + std::to_string(total) +
+                  " limit " + std::to_string(limit);
+              EXPECT_EQ(second.method, first.method) << where;
+              EXPECT_EQ(second.chunk_bytes, first.chunk_bytes) << where;
+              if (kind != TransferKind::Leg && total <= limit) {
+                EXPECT_EQ(first.method,
+                          argmin_method(model, static_cast<double>(block),
+                                        static_cast<double>(total)))
+                    << where;
+              }
+            }
+          }
+        }
+      }
     }
+    tempi::set_wire_chunk_limit(old_limit);
   }
 }
 
@@ -176,13 +206,14 @@ TEST(ModelCache, IndependentInstancesAgree) {
   const tempi::PerfModel warm;
   for (std::size_t block : {2u, 16u, 128u}) {
     for (std::size_t total : {1024u, 65536u, 4u << 20}) {
-      (void)warm.choose(block, total); // warm the cache
+      (void)warm.choose_transfer(block, total); // warm the cache
     }
   }
   const tempi::PerfModel cold;
   for (std::size_t block : {2u, 16u, 128u}) {
     for (std::size_t total : {1024u, 65536u, 4u << 20}) {
-      EXPECT_EQ(warm.choose(block, total), cold.choose(block, total));
+      EXPECT_EQ(warm.choose_transfer(block, total).method,
+                cold.choose_transfer(block, total).method);
     }
   }
 }
@@ -206,7 +237,8 @@ TEST(ModelCache, ConcurrentChooseIsConsistent) {
     threads.emplace_back([&] {
       for (int round = 0; round < 200; ++round) {
         for (std::size_t i = 0; i < keys.size(); ++i) {
-          if (model.choose(keys[i].first, keys[i].second) != expected[i]) {
+          if (model.choose_transfer(keys[i].first, keys[i].second).method !=
+              expected[i]) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
           }
         }
@@ -222,10 +254,10 @@ TEST(ModelCache, ConcurrentChooseIsConsistent) {
 TEST(ModelCache, HitMissCountersAdvance) {
   tempi::trace::reset_counters();
   const tempi::PerfModel model;
-  (void)model.choose(7, 777777); // cold: a miss
+  (void)model.choose_transfer(7, 777777); // cold: a miss
   EXPECT_EQ(counter("tempi.model.cache_misses"), 1u);
   EXPECT_EQ(counter("tempi.model.cache_hits"), 0u);
-  (void)model.choose(7, 777777); // warm: a hit
+  (void)model.choose_transfer(7, 777777); // warm: a hit
   EXPECT_EQ(counter("tempi.model.cache_misses"), 1u);
   EXPECT_EQ(counter("tempi.model.cache_hits"), 1u);
 }
@@ -318,7 +350,7 @@ TEST(Tuner, WireObservabilityFollowsEagerThreshold) {
 
 TEST(Tuner, ObservationsRaceChooseWithoutCorruption) {
   // Observations never touch a live PerfModel (they fold on refresh), so
-  // concurrent choose() must keep returning the model's own argmin.
+  // concurrent decisions must keep returning the model's own argmin.
   tempi::tune::reset();
   const tempi::PerfModel model;
   const tempi::Method expected = argmin_method(model, 8.0, 65536.0);
@@ -330,7 +362,7 @@ TEST(Tuner, ObservationsRaceChooseWithoutCorruption) {
         if ((w & 1) == 0) {
           tempi::tune::observe(tempi::tune::Axis::DevicePack, 8, 65536,
                                vcuda::us_to_ns(50.0 + i));
-        } else if (model.choose(8, 65536) != expected) {
+        } else if (model.choose_transfer(8, 65536).method != expected) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -350,7 +382,8 @@ TEST(Tuner, RefreshSwapsLiveModelAndNeverServesStaleChoice) {
   const std::uint64_t gen0 = tempi::tune::refresh_generation();
   const std::uint64_t tgen0 = tempi::transfer_config_generation();
   // Warm the live model's choice cache at the key we are about to poison.
-  const tempi::Method before = tempi::perf_model().choose(8, 1 << 20);
+  const tempi::Method before =
+      tempi::perf_model().choose_transfer(8, 1 << 20).method;
   // Device packing at {8 B, 1 MiB} "measures" catastrophically slow.
   for (int i = 0; i < 2; ++i) {
     tempi::tune::observe(tempi::tune::Axis::DevicePack, 8, 1 << 20,
@@ -364,7 +397,8 @@ TEST(Tuner, RefreshSwapsLiveModelAndNeverServesStaleChoice) {
   EXPECT_GE(counter("tempi.model.generation_bumps"), 1u);
   // The swapped-in model must re-consult the tuned tables, not replay the
   // cached pre-refresh choice: Device can no longer win this key.
-  const tempi::Method after = tempi::perf_model().choose(8, 1 << 20);
+  const tempi::Method after =
+      tempi::perf_model().choose_transfer(8, 1 << 20).method;
   EXPECT_NE(after, tempi::Method::Device);
   EXPECT_GT(tempi::perf_model().estimate_us(tempi::Method::Device, 8.0,
                                             1048576.0),

@@ -434,7 +434,10 @@ TEST_F(TempiPipeline, PipelinedEstimateBeatsMonolithicForHugeMessages) {
   EXPECT_NE(under.method, tempi::Method::Pipelined);
   EXPECT_EQ(under.chunk_bytes, 0u);
   const auto small = model.choose_transfer(128, 1024);
-  EXPECT_EQ(small.method, model.choose(128, 1024));
+  EXPECT_EQ(small.method,
+            model
+                .choose_transfer(128, 1024, {tempi::TransferKind::Persistent})
+                .method);
   EXPECT_EQ(small.chunk_bytes, 0u);
 }
 

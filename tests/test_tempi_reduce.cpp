@@ -635,40 +635,48 @@ TEST(Reduce, DerivedReduceMatchesOracleBothSchedules) {
 
 TEST(Reduce, NamedReduceScatterMatchesSystemBitwise) {
   tempi::ScopedInterposer guard;
-  std::vector<std::vector<std::byte>> results[2];
-  for (const bool engine : {true, false}) {
-    tempi::red::set_enabled(engine);
-    auto &out = results[engine ? 0 : 1];
-    out.assign(4, {});
-    sysmpi::RunConfig cfg;
-    cfg.ranks = 4;
-    cfg.ranks_per_node = 2;
-    sysmpi::run_ranks(cfg, [&](int rank) {
-      MPI_Init(nullptr, nullptr);
-      const int recvcounts[4] = {3, 0, 5, 2}; // a zero-segment rank
-      const int total = 10;
-      const std::size_t bytes = total * sizeof(double);
-      SpaceBuffer sbuf(vcuda::MemorySpace::Device, bytes);
-      SpaceBuffer rbuf(vcuda::MemorySpace::Device, bytes + 8);
-      std::vector<double> vals(total);
-      for (int i = 0; i < total; ++i) {
-        vals[static_cast<std::size_t>(i)] = 1.0 / (rank + 1) + 1e-9 * i;
-      }
-      std::memcpy(sbuf.get(), vals.data(), bytes);
-      std::memset(rbuf.get(), 0, rbuf.size());
-      ASSERT_EQ(MPI_Reduce_scatter(sbuf.get(), rbuf.get(), recvcounts,
-                                   MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD),
-                MPI_SUCCESS);
-      out[static_cast<std::size_t>(rank)].assign(
-          rbuf.bytes(),
-          rbuf.bytes() + static_cast<std::size_t>(recvcounts[rank]) *
-                             sizeof(double));
-      MPI_Finalize();
-    });
-  }
-  tempi::red::set_enabled(true);
-  for (std::size_t r = 0; r < results[0].size(); ++r) {
-    EXPECT_EQ(results[0][r], results[1][r]) << "rank " << r;
+  // With host buffers the zero-segment rank runs the system path, which
+  // still waits for its zero-count segment from the engine root.
+  for (const bool host_zero_rank : {false, true}) {
+    std::vector<std::vector<std::byte>> results[2];
+    for (const bool engine : {true, false}) {
+      tempi::red::set_enabled(engine);
+      auto &out = results[engine ? 0 : 1];
+      out.assign(4, {});
+      sysmpi::RunConfig cfg;
+      cfg.ranks = 4;
+      cfg.ranks_per_node = 2;
+      sysmpi::run_ranks(cfg, [&](int rank) {
+        MPI_Init(nullptr, nullptr);
+        const int recvcounts[4] = {3, 0, 5, 2}; // a zero-segment rank
+        const int total = 10;
+        const std::size_t bytes = total * sizeof(double);
+        const vcuda::MemorySpace space = host_zero_rank && rank == 1
+                                             ? vcuda::MemorySpace::Pageable
+                                             : vcuda::MemorySpace::Device;
+        SpaceBuffer sbuf(space, bytes);
+        SpaceBuffer rbuf(space, bytes + 8);
+        std::vector<double> vals(total);
+        for (int i = 0; i < total; ++i) {
+          vals[static_cast<std::size_t>(i)] = 1.0 / (rank + 1) + 1e-9 * i;
+        }
+        std::memcpy(sbuf.get(), vals.data(), bytes);
+        std::memset(rbuf.get(), 0, rbuf.size());
+        ASSERT_EQ(MPI_Reduce_scatter(sbuf.get(), rbuf.get(), recvcounts,
+                                     MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD),
+                  MPI_SUCCESS);
+        out[static_cast<std::size_t>(rank)].assign(
+            rbuf.bytes(),
+            rbuf.bytes() + static_cast<std::size_t>(recvcounts[rank]) *
+                               sizeof(double));
+        MPI_Finalize();
+      });
+    }
+    tempi::red::set_enabled(true);
+    for (std::size_t r = 0; r < results[0].size(); ++r) {
+      EXPECT_EQ(results[0][r], results[1][r])
+          << "rank " << r << " host_zero_rank " << host_zero_rank;
+    }
   }
 }
 
