@@ -28,9 +28,9 @@ namespace {
 /// system MPI's Waitany poll loop).
 constexpr vcuda::VirtualNs kPollSweepNs = 100;
 
-/// Pinned bytes the repeated-Isend programs of one thread may hold
-/// between them (see send_program).
-constexpr std::size_t kSendReplayBudget = std::size_t{16} << 20;
+/// Pinned bytes the recorded programs of one thread's program table may
+/// hold between them (see claim_program).
+constexpr std::size_t kReplayBudget = std::size_t{16} << 20;
 
 /// Low ticket bits that carry the posting thread's home stripe (see
 /// shard_for). AsyncOp is aligned so its address leaves them zero.
@@ -40,11 +40,12 @@ constexpr std::uintptr_t kTicketTagMask =
 
 } // namespace
 
-/// A recorded program an op runs from: a repeated Isend's pack program
-/// (see send_program), shared with the thread's send table, or a
-/// persistent op's own pack or unpack program. `in_flight` is set while
-/// an Isend sends from the program's wire lease, so an overlapping Isend
-/// of the same key never overwrites it.
+/// A recorded program an op runs from: a pack program (sender) or an
+/// unpack program (receiver) that a thread's program table recorded (see
+/// claim_program), or a persistent op's own frozen program, which the
+/// table serves under the same key. `in_flight` is set while one op runs
+/// from the program's pinned wire lease, so an overlapping call of the
+/// same key never overwrites it: that call runs live instead.
 struct RecordedProgram {
   PersistentProgram prog;
   std::atomic<bool> in_flight{false};
@@ -97,16 +98,20 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   MPI_Request inner = MPI_REQUEST_NULL; ///< send: the system transfer
   MPI_Status wire_status{};             ///< recv: status of the wire leg
 
-  /// The recorded program this op sends from or receives into: a
-  /// replayed Isend pins it (marked in flight) until the op retires; a
-  /// persistent op owns its frozen monolithic program.
+  /// The recorded program this op sends from or receives into. A
+  /// persistent op owns its frozen monolithic program; any other op holds
+  /// one only while it has claimed it.
   std::shared_ptr<RecordedProgram> program;
+  /// This op holds `program`'s in-flight mark (see try_claim): it runs from
+  /// the program until it retires. A persistent op claims its own program
+  /// per arming and runs live when a borrower already holds it.
+  bool claimed = false;
 
   // Persistent only. The packer is co-owned here — the graveyard pin — so
   // MPI_Type_free between init and free never invalidates the recorded
   // programs' engine (`packer` points into it).
   std::shared_ptr<const Packer> packer_pin;
-  const void *send_buf = nullptr; ///< send: the frozen source object
+  const void *send_buf = nullptr; ///< send: the source object
   std::size_t chunk_bytes = 0;    ///< frozen Pipelined leg target (else 0)
   /// tune::refresh_generation() snapshot the plan was frozen against;
   /// Start re-chooses lazily when the live value moves.
@@ -125,9 +130,13 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
         peer(peer), tag(tag), comm(comm) {}
   AsyncOp(const AsyncOp &) = delete;
   AsyncOp &operator=(const AsyncOp &) = delete;
-  ~AsyncOp() {
-    if (program) {
+  ~AsyncOp() { release_claim(); }
+
+  /// Give `program`'s in-flight mark back, if this op holds it.
+  void release_claim() {
+    if (claimed) {
       program->in_flight.store(false, std::memory_order_release);
+      claimed = false;
     }
   }
 };
@@ -144,6 +153,16 @@ namespace {
 struct PoolShard {
   support::ContendedMutex mutex;
   std::unordered_map<MPI_Request, std::unique_ptr<AsyncOp>> ops;
+};
+
+/// What a thread's program table does for calls of one API.
+struct ReplayCounters {
+  trace::Counter replays;  ///< calls that ran from a recorded program
+  trace::Counter captures; ///< programs recorded by the table
+  trace::Counter busy;     ///< calls run live: their program was claimed
+  ReplayCounters(const char *replays_name, const char *captures_name,
+                 const char *busy_name)
+      : replays(replays_name), captures(captures_name), busy(busy_name) {}
 };
 
 constexpr std::size_t kDefaultShards = 16;
@@ -168,10 +187,17 @@ struct Pool {
   trace::Counter fused_unpack_launches{"tempi.engine.fused_unpack_launches"};
   trace::Counter fused_unpacks{"tempi.engine.fused_unpacks"};
 
-  trace::Counter isend_replays{"tempi.isend.replays"};
-  trace::Counter isend_captures{"tempi.isend.captures"};
-  trace::Counter isend_busy{"tempi.isend.busy"};
-  trace::Counter isend_evictions{"tempi.isend.evictions"};
+  /// Recorded-program traffic per API call: MPI_Isend, MPI_Send and
+  /// MPI_Recv. Persistent Starts count under p_replays instead.
+  ReplayCounters isend_programs{"tempi.isend.replays", "tempi.isend.captures",
+                                "tempi.isend.busy"};
+  ReplayCounters send_programs{"tempi.send.replays", "tempi.send.captures",
+                               "tempi.send.busy"};
+  ReplayCounters recv_programs{"tempi.recv.replays", "tempi.recv.captures",
+                               "tempi.recv.busy"};
+  /// Programs evicted from the threads' program tables (send and receive
+  /// programs alike; the name predates receive programs).
+  trace::Counter program_evictions{"tempi.isend.evictions"};
 
   trace::Counter p_inits{"tempi.persistent.inits"};
   trace::Counter p_starts{"tempi.persistent.starts"};
@@ -303,14 +329,21 @@ std::unique_ptr<AsyncOp> extract(MPI_Request ticket) {
 
 int wire_count(const AsyncOp &op) { return op.pipe.wire_count(); }
 
+/// Publish what the wire delivered: a message shorter than the receive
+/// reports its own length, as the system path does.
 void fill_recv_status(const AsyncOp &op, MPI_Status *status) {
-  if (status == MPI_STATUS_IGNORE) {
-    return;
+  if (status != MPI_STATUS_IGNORE) {
+    *status = op.wire_status;
   }
-  *status = op.wire_status;
-  // pipe.bytes, not wire_count(): a pipelined receive's total can exceed
-  // the single-leg int limit.
-  status->count_bytes = static_cast<long long>(op.pipe.bytes);
+}
+
+/// Whole objects a monolithic receive's wire delivered: fewer than posted
+/// when the message was shorter. Only those are unpacked, as the system
+/// path does; the rest of the user buffer stays untouched.
+int arrived_objects(const AsyncOp &op) {
+  return static_cast<int>(
+      static_cast<std::size_t>(op.wire_status.count_bytes) /
+      op.packer->packed_bytes(1));
 }
 
 /// A persistent op between completion and its next Start. Only
@@ -319,22 +352,58 @@ bool inactive(const AsyncOp &op) {
   return op.persistent && op.phase == OpPhase::Complete;
 }
 
-/// Point an op at a recorded program: it runs on the program's stream and
-/// moves the program's bytes.
+/// Mark `program` in flight for one op; false when another op runs from
+/// it.
+bool try_claim(RecordedProgram &program) {
+  return !program.in_flight.exchange(true, std::memory_order_acquire);
+}
+
+/// Run an op from a program claimed for it: it runs on the program's
+/// stream and moves the program's bytes.
 void adopt(AsyncOp &op, std::shared_ptr<RecordedProgram> program) {
   op.stream = program->prog.stream;
   op.pipe.bytes = program->prog.pipe.bytes;
   op.program = std::move(program);
+  op.claimed = true;
+}
+
+/// Return a persistent op to rest after an arming: give its program's
+/// in-flight mark back, or the leases a live arming took.
+void disarm(AsyncOp &op) {
+  op.release_claim();
+  op.pipe.wire = CachedBuffer{};
+  op.pipe.stage = CachedBuffer{};
+}
+
+/// The program-table counters of a Send, Recv or Isend op's API call.
+ReplayCounters &replay_counters(trace::OpKind label) {
+  Pool &p = pool();
+  switch (label) {
+  case trace::OpKind::Send: return p.send_programs;
+  case trace::OpKind::Recv: return p.recv_programs;
+  default: return p.isend_programs;
+  }
+}
+
+/// Count one call that ran from a recorded program.
+void count_replay(const AsyncOp &op) {
+  if (op.persistent) {
+    Pool &p = pool();
+    p.p_replays.add();
+    p.p_graph_launches.add();
+  } else {
+    replay_counters(op.label).replays.add();
+  }
 }
 
 /// Drain whatever stream work an op may still have enqueued (the chunked
 /// machine owns its own streams) before its buffers return to the cache.
-/// A persistent op's program stream needs none: every path that replays
-/// onto it also fences it.
+/// A claimed program's stream needs none: every path that replays onto it
+/// also fences it.
 void drain_op_streams(AsyncOp &op) {
   if (op.chunked) {
     op.chunked->synchronize();
-  } else if (!op.persistent) {
+  } else if (!op.claimed) {
     vcuda::StreamSynchronize(op.stream);
   }
 }
@@ -344,6 +413,7 @@ void drain_op_streams(AsyncOp &op) {
 /// pinned intermediates, and its handle is nulled; `op` dangles after.
 void retire(AsyncOp &op, MPI_Request *request) {
   if (op.persistent) {
+    disarm(op);
     op.phase = OpPhase::Complete;
     return;
   }
@@ -352,11 +422,17 @@ void retire(AsyncOp &op, MPI_Request *request) {
   pool().completions.add();
 }
 
+/// The pipeline a monolithic op's wire bytes move through: its claimed
+/// program's pinned one, else its own leases.
+PackPipeline &wire_pipe(AsyncOp &op) {
+  return op.claimed ? op.program->prog.pipe : op.pipe;
+}
+
 /// The blocking wire leg of a monolithic packer-driven receive: the packed
 /// bytes land in the op's leased wire buffer, or in its recorded
 /// program's pinned one.
 int recv_wire(AsyncOp &op, const interpose::MpiTable &next) {
-  const PackPipeline &pipe = op.program ? op.program->prog.pipe : op.pipe;
+  const PackPipeline &pipe = wire_pipe(op);
   trace::ScopedSpan wire(trace::Phase::Wire, op.label, pipe.bytes,
                          op.peer, op.tag, static_cast<std::int8_t>(op.method));
   return next.Recv(pipe.wire.get(), pipe.wire_count(), MPI_BYTE, op.peer,
@@ -444,21 +520,20 @@ int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
   if (const int rc = recv_wire(op, next); rc != MPI_SUCCESS) {
     return rc;
   }
-  if (op.program) {
-    // A persistent receive: the recorded [H2D +] unpack chain replays
-    // with one graph launch, and a pre-armed fence stands in for the sync.
+  const int objects = arrived_objects(op);
+  if (op.claimed && objects == op.count) {
+    // A recorded receive program: the [H2D +] unpack chain replays with
+    // one graph launch, and a pre-armed fence stands in for the sync. The
+    // graph unpacks every posted object, so only a full message replays.
     const PersistentProgram &prog = op.program->prog;
-    trace::ScopedSpan replay(trace::Phase::GraphReplay,
-                             trace::OpKind::Persistent, prog.pipe.bytes,
-                             op.peer, op.tag,
+    trace::ScopedSpan replay(trace::Phase::GraphReplay, op.label,
+                             prog.pipe.bytes, op.peer, op.tag,
                              static_cast<std::int8_t>(op.method));
     if (vcuda::GraphLaunch(prog.graph, prog.stream) !=
         vcuda::Error::Success) {
       return MPI_ERR_OTHER;
     }
-    Pool &p = pool();
-    p.p_replays.add();
-    p.p_graph_launches.add();
+    count_replay(op);
     op.phase = OpPhase::UnpackPending;
     if (sync) {
       vcuda::StreamFence(prog.stream);
@@ -466,9 +541,13 @@ int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
     }
     return MPI_SUCCESS;
   }
-  trace::ScopedSpan unpack(trace::Phase::Unpack, op.label, op.pipe.bytes,
-                           op.peer, op.tag,
-                           static_cast<std::int8_t>(op.method));
+  if (objects == 0) {
+    op.phase = OpPhase::Complete; // an empty message: nothing to unpack
+    return MPI_SUCCESS;
+  }
+  const std::size_t bytes = op.packer->packed_bytes(objects);
+  trace::ScopedSpan unpack(trace::Phase::Unpack, op.label, bytes, op.peer,
+                           op.tag, static_cast<std::int8_t>(op.method));
   // Tuner harvest: only the synchronous completion path is a clean
   // launch+sync sample (deferred batched syncs measure elsewhere). A
   // block-list packer's zero block size keys no cell, so it observes
@@ -476,12 +555,13 @@ int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
   tune::ScopedObservation obs(
       op.method == Method::OneShot ? tune::Axis::OneshotUnpack
                                    : tune::Axis::DeviceUnpack,
-      static_cast<std::size_t>(op.packer->wire_block_bytes()), op.pipe.bytes,
+      static_cast<std::size_t>(op.packer->wire_block_bytes()), bytes,
       sync && op.method != Method::Staged);
   // Enqueue the unpack legs without synchronizing (WirePending ->
-  // UnpackPending).
-  const int urc = start_unpack(*op.packer, op.method, op.recv_buf, op.count,
-                               op.pipe, op.stream);
+  // UnpackPending). A short message into a claimed program unpacks from
+  // the program's pinned lease.
+  const int urc = start_unpack(*op.packer, op.method, op.recv_buf, objects,
+                               wire_pipe(op), op.stream);
   if (urc != MPI_SUCCESS) {
     obs.disarm();
     return urc;
@@ -511,7 +591,6 @@ int complete_send(AsyncOp &op, const interpose::MpiTable &next) {
 /// persistent Starts both send this way, so the whole per-send setup is
 /// one graph launch.
 int post_program_send(AsyncOp &op, const interpose::MpiTable &next) {
-  Pool &p = pool();
   const PersistentProgram &prog = op.program->prog;
   {
     trace::ScopedSpan replay(trace::Phase::GraphReplay, op.label,
@@ -521,12 +600,7 @@ int post_program_send(AsyncOp &op, const interpose::MpiTable &next) {
         vcuda::Error::Success) {
       return MPI_ERR_OTHER;
     }
-    if (op.persistent) {
-      p.p_replays.add();
-      p.p_graph_launches.add();
-    } else {
-      p.isend_replays.add();
-    }
+    count_replay(op);
     vcuda::StreamFence(prog.stream);
   }
   trace::ScopedSpan wire(trace::Phase::Wire, op.label, prog.pipe.bytes,
@@ -535,78 +609,107 @@ int post_program_send(AsyncOp &op, const interpose::MpiTable &next) {
                     op.peer, op.tag, op.comm, &op.inner);
 }
 
-// --- repeated MPI_Isend replay ----------------------------------------------
+// --- recorded programs for repeated calls -----------------------------------
 //
-// The halo exchange Isends the same faces every iteration. The thread's
-// send table (tempi/replay.hpp) records a repeated monolithic Isend as the
-// program MPI_Send_init freezes, then sends from it the way MPI_Start does
-// (post_program_send): one graph launch and a pre-armed fence instead of a
-// lease, a cold pack launch and a blocking sync per message.
+// The halo exchange Isends the same faces every iteration, and a ping-pong
+// sends and receives the same objects over and over. Each thread keeps one
+// program table (tempi/replay.hpp): its send programs serve MPI_Send and
+// MPI_Isend, its receive programs serve MPI_Recv. A repeated monolithic call
+// runs from the program MPI_Send_init/MPI_Recv_init would freeze: a send
+// posts the way MPI_Start does (post_program_send), one graph launch and a
+// pre-armed fence instead of a lease, a cold pack launch and a blocking
+// sync; a receive lands its wire in the program's pinned lease and replays
+// the unpack graph. A persistent request's own program is pinned under its
+// key, so these calls borrow it while the request rests instead of
+// recording a second one.
 
-/// What makes two Isends the same work. The envelope (peer, tag, comm) is
-/// not part of the program, so it is not part of the key.
-struct SendKey {
+/// What makes two monolithic calls the same work. The envelope (peer, tag,
+/// comm) is not part of the program, so it is not part of the key.
+struct ProgramKey {
   const Packer *packer = nullptr;
   const void *buf = nullptr;
   int count = 0;
   Method method = Method::Device;
-  bool operator==(const SendKey &) const = default;
+  AsyncOp::Kind kind = AsyncOp::Kind::Send; ///< a pack or an unpack program
+  bool operator==(const ProgramKey &) const = default;
   [[nodiscard]] std::uint64_t hash() const {
     return replay::mix(
         {replay::bits(packer), replay::bits(buf),
-         (static_cast<std::uint64_t>(static_cast<unsigned>(count)) << 2) |
-             static_cast<std::uint64_t>(method)});
+         (static_cast<std::uint64_t>(static_cast<unsigned>(count)) << 3) |
+             (static_cast<std::uint64_t>(method) << 1) |
+             static_cast<std::uint64_t>(kind)});
   }
 };
 
-using SendTable = replay::Table<SendKey, std::shared_ptr<RecordedProgram>>;
+using ProgramTable = replay::Table<ProgramKey, std::shared_ptr<RecordedProgram>,
+                                   std::weak_ptr<RecordedProgram>>;
 
-/// Allocated on the thread's first monolithic Isend, freed at thread exit.
-thread_local std::unique_ptr<SendTable> t_send_replay;
+/// Allocated on the thread's first monolithic call, freed at thread exit.
+thread_local std::unique_ptr<ProgramTable> t_programs;
 
-/// The program this Isend sends from, marked in flight; nullptr sends it
-/// live: the first sighting of its key, a program still in flight, a
-/// message larger than the budget, or a failed capture. The second
-/// sighting records the program; it and every later one pay the lookup.
-std::shared_ptr<RecordedProgram> send_program(const Packer &packer,
-                                              Method method, const void *buf,
-                                              int count) {
-  Pool &p = pool();
-  if (!t_send_replay) {
-    t_send_replay =
-        std::make_unique<SendTable>(p.isend_evictions, kSendReplayBudget);
+ProgramTable &programs() {
+  if (!t_programs) {
+    t_programs = std::make_unique<ProgramTable>(pool().program_evictions,
+                                                kReplayBudget);
   }
+  return *t_programs;
+}
+
+ProgramKey key_of(const AsyncOp &op) {
+  return {op.packer,
+          op.kind == AsyncOp::Kind::Send ? op.send_buf : op.recv_buf,
+          op.count, op.method, op.kind};
+}
+
+/// The program a monolithic Send, Isend or Recv `op` runs from, claimed
+/// for it; nullptr runs the call live: the first sighting of its key, a
+/// program another op holds (an active persistent request's, or one a
+/// concurrent call borrowed), a message larger than the budget, or a
+/// failed capture. A resting persistent request's program serves its key
+/// from the first sighting on; any other key records its program on the
+/// second sighting, and it and every later one pay the lookup.
+std::shared_ptr<RecordedProgram> claim_program(const AsyncOp &op) {
+  ProgramTable &table = programs();
+  ReplayCounters &counters = replay_counters(op.label);
   bool seen = false;
-  SendTable::Entry &e =
-      t_send_replay->touch({&packer, buf, count, method}, &seen);
+  ProgramTable::Entry &e = table.touch(key_of(op), &seen);
   if (!seen) {
     return nullptr;
   }
   vcuda::this_thread_timeline().advance(kMethodMemoHitNs); // the lookup
-  if (!e.program) {
-    const std::size_t leases = method == Method::Staged ? 2 : 1;
-    if (std::bit_ceil(packer.packed_bytes(count)) * leases >
-        kSendReplayBudget) {
-      return nullptr; // never promotes
+  std::shared_ptr<RecordedProgram> program = e.pin.lock();
+  if (!program) {
+    if (!e.program) {
+      const std::size_t leases = op.method == Method::Staged ? 2 : 1;
+      if (std::bit_ceil(op.packer->packed_bytes(op.count)) * leases >
+          kReplayBudget) {
+        return nullptr; // never promotes
+      }
+      auto fresh = std::make_shared<RecordedProgram>();
+      const int rc =
+          op.kind == AsyncOp::Kind::Send
+              ? record_persistent_send(*op.packer, op.method, op.send_buf,
+                                       op.count, &fresh->prog, op.label)
+              : record_persistent_recv(*op.packer, op.method, op.recv_buf,
+                                       op.count, &fresh->prog, op.label);
+      if (rc != MPI_SUCCESS) {
+        return nullptr; // unpromoted: the next sighting tries again
+      }
+      counters.captures.add();
+      const std::size_t pinned =
+          fresh->prog.pipe.wire.capacity() + fresh->prog.pipe.stage.capacity();
+      e.program = std::move(fresh);
+      if (!table.charge(e, pinned)) {
+        return nullptr;
+      }
     }
-    auto prog = std::make_shared<RecordedProgram>();
-    if (record_persistent_send(packer, method, buf, count, &prog->prog,
-                               trace::OpKind::Isend) != MPI_SUCCESS) {
-      return nullptr; // unpromoted: the next sighting tries again
-    }
-    p.isend_captures.add();
-    const std::size_t pinned =
-        prog->prog.pipe.wire.capacity() + prog->prog.pipe.stage.capacity();
-    e.program = std::move(prog);
-    if (!t_send_replay->charge(e, pinned)) {
-      return nullptr;
-    }
+    program = e.program;
   }
-  if (e.program->in_flight.exchange(true, std::memory_order_acquire)) {
-    p.isend_busy.add(); // its wire lease is still on the wire
+  if (!try_claim(*program)) {
+    counters.busy.add(); // its wire lease is still in use
     return nullptr;
   }
-  return e.program;
+  return program;
 }
 
 /// Post a monolithic send live: lease and pack into the op's pipeline,
@@ -663,7 +766,7 @@ int post_live_send(AsyncOp &op, const void *buf,
 }
 
 /// Post a packer-driven send (PackIssued -> TransferPosted). A monolithic
-/// send posts from `program` when the caller passes one, else live. A
+/// send posts from `program` when the caller claimed one, else live. A
 /// pipelined send runs every chunk leg now: each leg is a buffered send,
 /// so posting them eagerly preserves the engine's deadlock discipline (a
 /// rank blocking in a receive before Wait cannot stall its peers) while
@@ -733,13 +836,11 @@ int send(const Packer &packer, Method method, const void *buf, int count,
          std::size_t chunk_bytes) {
   AsyncOp op(AsyncOp::Kind::Send, method, &packer, count, dest, tag, comm,
              trace::OpKind::Send);
-  // Blocking sends never use the send-program table. Sharing it with
-  // Isend sped p2p_mix's median op up (38.8 -> 31.0 virt us) but cost 4%
-  // more peak RSS, and Auto stopped tracking the faster forced method
-  // in Fig. 11b's shapes (32.1 -> 122.0 virt us): the second sighting
-  // pays the capture inside the call, and the pinned program leases push
-  // later live sends into cold mallocs.
-  if (const int rc = post_send(op, buf, chunk_bytes, nullptr, next);
+  op.send_buf = buf;
+  std::shared_ptr<RecordedProgram> program =
+      method == Method::Pipelined ? nullptr : claim_program(op);
+  if (const int rc = post_send(op, buf, chunk_bytes, std::move(program),
+                               next);
       rc != MPI_SUCCESS) {
     return rc;
   }
@@ -753,6 +854,11 @@ int recv(const Packer &packer, Method method, void *buf, int count,
              trace::OpKind::Recv);
   op.recv_buf = buf;
   if (method != Method::Pipelined) {
+    // A repeated receive lands in its recorded program's pinned lease.
+    if (std::shared_ptr<RecordedProgram> program = claim_program(op)) {
+      adopt(op, std::move(program));
+      return finish(op, status, next);
+    }
     op.stream = vcuda::next_pool_stream(); // a ChunkedRecv draws its own
   }
   if (const int rc = arm_recv(op); rc != MPI_SUCCESS) {
@@ -768,9 +874,9 @@ int start_isend(const Packer *packer, Method method, const void *buf,
   auto op = std::make_unique<AsyncOp>(AsyncOp::Kind::Send, method, packer,
                                       count, dest, tag, comm,
                                       trace::OpKind::Isend);
+  op->send_buf = buf;
   std::shared_ptr<RecordedProgram> program =
-      method == Method::Pipelined ? nullptr
-                                  : send_program(*packer, method, buf, count);
+      method == Method::Pipelined ? nullptr : claim_program(*op);
   if (const int rc = post_send(*op, buf, chunk_bytes, std::move(program),
                                next);
       rc != MPI_SUCCESS) {
@@ -932,10 +1038,12 @@ int freeze(AsyncOp &op, TransferChoice choice) {
   }
   op.pipeprog = std::move(pipeprog);
   if (program) {
-    adopt(op, std::move(program));
-  } else {
-    op.program.reset();
+    // Calls of the same key borrow the program while the request rests.
+    programs().pin(key_of(op), program);
+    op.stream = program->prog.stream;
+    op.pipe.bytes = program->prog.pipe.bytes;
   }
+  op.program = std::move(program);
   return MPI_SUCCESS;
 }
 
@@ -1027,6 +1135,13 @@ int start(MPI_Request *request, const interpose::MpiTable &next) {
   maybe_refreeze(*op);
   Pool &p = pool();
   p.p_starts.add();
+  // A monolithic arming runs from the request's program unless a call of
+  // the same key borrowed it; then this arming runs live.
+  const bool own =
+      op->method != Method::Pipelined && try_claim(*op->program);
+  if (own) {
+    adopt(*op, op->program);
+  }
   if (op->kind == AsyncOp::Kind::Recv) {
     // The wire is matched lazily at Wait/Test; a pipelined receive gets a
     // fresh ChunkedRecv per arming.
@@ -1035,11 +1150,21 @@ int start(MPI_Request *request, const interpose::MpiTable &next) {
                             *op->packer, op->recv_buf, op->count, op->peer,
                             op->tag, op->comm, op->label)
                       : nullptr;
+    if (!own && op->method != Method::Pipelined) {
+      op->stream = vcuda::next_pool_stream();
+      if (const int rc = arm_recv(*op); rc != MPI_SUCCESS) {
+        disarm(*op);
+        return rc; // the request stays inactive
+      }
+    }
     op->phase = OpPhase::WirePending;
     return MPI_SUCCESS;
   }
   if (op->method != Method::Pipelined) {
-    if (const int rc = post_program_send(*op, next); rc != MPI_SUCCESS) {
+    const int rc = own ? post_program_send(*op, next)
+                       : post_live_send(*op, op->send_buf, next);
+    if (rc != MPI_SUCCESS) {
+      disarm(*op);
       return rc; // the request stays inactive
     }
   } else {
@@ -1322,10 +1447,10 @@ int probe_entry(MPI_Request *request, MPI_Status *status,
 /// strided packer moved by one kernel (Device or OneShot). Pre-packed ops
 /// carry no packer, the fused kernel reads a strided packer's plan() and
 /// block() (a block-list packer has neither), pipelined ops are
-/// Method::Pipelined, and persistent receives replay their recorded
-/// unpack graph instead.
+/// Method::Pipelined, and receives into a claimed program replay its
+/// recorded unpack graph instead.
 bool fusable(const AsyncOp &op) {
-  return op.packer != nullptr && op.packer->strided() && !op.program &&
+  return op.packer != nullptr && op.packer->strided() && !op.claimed &&
          (op.method == Method::Device || op.method == Method::OneShot);
 }
 
@@ -1355,14 +1480,19 @@ struct UnpackBatch {
   std::uint64_t bytes = 0;
   vcuda::StreamHandle stream = nullptr;
 
+  /// Queue the unpack of the objects `op`'s wire delivered.
   void add(const AsyncOp &op) {
+    const int objects = arrived_objects(op);
+    if (objects == 0) {
+      return;
+    }
     if (stream == nullptr) {
       stream = op.stream;
     }
     const Packer &pk = *op.packer;
     items.push_back({&pk.plan(), &pk.block(), pk.type_extent(), op.recv_buf,
-                     op.pipe.wire.get(), op.count});
-    bytes += op.pipe.bytes;
+                     op.pipe.wire.get(), objects});
+    bytes += pk.packed_bytes(objects);
   }
 
   /// Launch every pending unpack as one kernel (no-op when empty) and
@@ -1390,9 +1520,9 @@ struct UnpackBatch {
 /// Waitall's pass-1 step for one receive op: receive the wire, then either
 /// append the unpack to `batch` or enqueue it on the op's own path without
 /// a sync. A rendezvous-sized wire wait first launches the pending batch.
-/// Streams left holding this op's work are added to `streams`, or, for a
-/// persistent op, to `fence_streams`: those take the cheaper pre-armed
-/// fence instead of a host synchronization.
+/// Streams left holding this op's work are added to `streams`, or, for an
+/// op running from a claimed program, to `fence_streams`: those take the
+/// cheaper pre-armed fence instead of a host synchronization.
 int complete_recv_deferred(AsyncOp &op, const interpose::MpiTable &next,
                            UnpackBatch &batch,
                            std::vector<vcuda::StreamHandle> &streams,
@@ -1415,7 +1545,7 @@ int complete_recv_deferred(AsyncOp &op, const interpose::MpiTable &next,
   // no work on its stream: nothing to sync for it.
   if (op.phase == OpPhase::UnpackPending) {
     std::vector<vcuda::StreamHandle> &list =
-        op.persistent ? fence_streams : streams;
+        op.claimed ? fence_streams : streams;
     if (op.chunked) {
       op.chunked->append_streams(list);
     } else {
@@ -1439,7 +1569,7 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
   // wait (so they run under it) and once more at the end of the pass.
   std::vector<AsyncOp *> pending(static_cast<std::size_t>(count), nullptr);
   std::vector<vcuda::StreamHandle> streams;
-  std::vector<vcuda::StreamHandle> fence_streams; ///< persistent programs
+  std::vector<vcuda::StreamHandle> fence_streams; ///< claimed programs
   UnpackBatch batch;
   int unpacks_batched = 0;
   // On any failure, ops already completed in pass 1 must still be retired
@@ -1503,7 +1633,7 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
     return bail(rc);
   }
   // Pass 2: one host synchronization per stream that holds batched unpack
-  // work (the pipelining payoff of the request engine). Persistent program
+  // work (the pipelining payoff of the request engine). Claimed program
   // streams take the cheaper pre-armed fence.
   {
     trace::ScopedSpan sync(trace::Phase::Unpack, trace::OpKind::None,

@@ -32,15 +32,22 @@
 // completion. Each op draws a stream round-robin from the per-rank pool
 // (vcuda::next_pool_stream).
 //
-// Recorded programs: a monolithic Isend whose (packer, buffer, count,
-// method) the thread has sent before replays a recorded send program (the
-// program MPI_Send_init freezes, see tempi/replay.hpp). It and a
-// persistent send's Start post the same way: PackIssued is one graph
-// launch and a pre-armed fence into the program's pinned wire lease. The
-// op pins the program until it retires, and a program still in flight
-// sends an overlapping Isend of the same key live. A persistent receive
-// lands its wire in its program's pinned lease and replays the recorded
-// unpack graph.
+// Recorded programs: a monolithic MPI_Send, MPI_Isend or MPI_Recv whose
+// (packer, buffer, count, method) the thread has seen before runs from a
+// recorded program (the program MPI_Send_init/MPI_Recv_init freeze, see
+// tempi/replay.hpp), kept in one per-thread table. A send from a program
+// and a persistent send's Start post the same way: PackIssued is one
+// graph launch and a pre-armed fence into the program's pinned wire lease.
+// A receive from a program, persistent or blocking, lands its wire in the
+// program's pinned lease and replays the recorded unpack graph, unless the
+// message is shorter than posted: then only the objects that arrived are
+// unpacked, live. A persistent request's frozen program is entered in the
+// table under its key, never evicted and never charged to its budget, so
+// while the request rests a call of the same key borrows it from the
+// first sighting on instead of recording a second one. An op claims
+// (marks in flight) the program it runs from until it retires; a call that
+// finds its program claimed, by an active request or another borrower,
+// runs live, and so does an arming whose program a call borrowed.
 //
 // Waitall batching (the paper's halo exchange completes 26 receives per
 // iteration in one Waitall): receives whose unpack is one canonical-packer
@@ -91,16 +98,17 @@ enum class OpPhase {
 
 struct AsyncOp; // opaque outside async.cpp
 
-/// Blocking accelerated send: post the op as start_isend does, except that
-/// a monolithic send always packs live (never from a recorded send
-/// program), then complete it as wait() does. For Method::Pipelined,
-/// `chunk_bytes` is the chosen wire-leg target.
+/// Blocking accelerated send: post the op as start_isend does, from the
+/// thread's recorded send program of its key when there is one, then
+/// complete it as wait() does. For Method::Pipelined, `chunk_bytes` is the
+/// chosen wire-leg target.
 int send(const Packer &packer, Method method, const void *buf, int count,
          int dest, int tag, MPI_Comm comm, const interpose::MpiTable &next,
          std::size_t chunk_bytes);
 
-/// Blocking accelerated receive: arm the op as start_irecv does, then
-/// receive, unpack and publish `status` as wait() does.
+/// Blocking accelerated receive: arm the op as start_irecv does, or land it
+/// in the thread's recorded receive program of its key when there is one,
+/// then receive, unpack and publish `status` as wait() does.
 int recv(const Packer &packer, Method method, void *buf, int count,
          int source, int tag, MPI_Comm comm, MPI_Status *status,
          const interpose::MpiTable &next);

@@ -95,17 +95,19 @@ int start_recv(const Packer &packer, Method m, int count, PackPipeline *pipe) {
 
 int start_unpack(const Packer &packer, Method m, void *buf, int count,
                  PackPipeline &pipe, vcuda::StreamHandle stream) {
-  const std::size_t bytes = pipe.bytes;
+  const std::size_t bytes = packer.packed_bytes(count);
   const void *unpack_src = pipe.wire.get();
   if (m == Method::Staged) {
     // Staged only: lift the wire bytes back to device memory first.
-    {
-      trace::ScopedSpan lease(trace::Phase::LeaseAcquire, trace::OpKind::None,
-                              bytes);
-      pipe.stage = lease_buffer(vcuda::MemorySpace::Device, bytes);
-    }
-    if (lease_failed(pipe.stage, bytes)) {
-      return MPI_ERR_OTHER;
+    if (pipe.stage.capacity() < bytes) {
+      {
+        trace::ScopedSpan lease(trace::Phase::LeaseAcquire,
+                                trace::OpKind::None, bytes);
+        pipe.stage = lease_buffer(vcuda::MemorySpace::Device, bytes);
+      }
+      if (lease_failed(pipe.stage, bytes)) {
+        return MPI_ERR_OTHER;
+      }
     }
     vcuda::MemcpyAsync(pipe.stage.get(), pipe.wire.get(), bytes,
                        vcuda::MemcpyKind::HostToDevice, stream);
@@ -366,7 +368,8 @@ int record_persistent_send(const Packer &packer, Method m, const void *buf,
 }
 
 int record_persistent_recv(const Packer &packer, Method m, void *buf,
-                           int count, PersistentProgram *prog) {
+                           int count, PersistentProgram *prog,
+                           trace::OpKind kind) {
   if (m == Method::Pipelined) {
     return MPI_ERR_OTHER; // pipelined receives re-arm a ChunkedRecv instead
   }
@@ -377,7 +380,7 @@ int record_persistent_recv(const Packer &packer, Method m, void *buf,
       rc != MPI_SUCCESS) {
     return rc;
   }
-  return capture_on(prog->stream, &prog->graph, trace::OpKind::Persistent, [&] {
+  return capture_on(prog->stream, &prog->graph, kind, [&] {
     return start_unpack(packer, m, buf, count, prog->pipe, prog->stream);
   });
 }

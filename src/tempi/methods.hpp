@@ -72,8 +72,11 @@ int start_pack(const Packer &packer, Method m, const void *buf, int count,
 /// itself fails; callers must not post a transfer into a failed pipeline.
 int start_recv(const Packer &packer, Method m, int count, PackPipeline *pipe);
 
-/// Receiver finish half: enqueue the unpack leg(s) of `m` from the filled
-/// wire buffer into `buf` on `stream`, without synchronizing.
+/// Receiver finish half: enqueue the unpack leg(s) of `m` for the first
+/// `count` objects in the filled wire buffer into `buf` on `stream`,
+/// without synchronizing. A short message passes the objects that
+/// arrived. The staged method leases its device stage unless the pipeline
+/// already holds one that large.
 int start_unpack(const Packer &packer, Method m, void *buf, int count,
                  PackPipeline &pipe, vcuda::StreamHandle stream);
 
@@ -308,17 +311,20 @@ struct PersistentProgram {
 /// objects and capture the pack leg(s) of `m` (not executed until
 /// replay) under a GraphCapture span of `kind`. The user buffer pointer
 /// is frozen into the graph, per MPI persistent semantics. Shared by
-/// persistent send channels and the repeated-Isend replay table.
+/// persistent send channels and the send-program replay table.
 int record_persistent_send(const Packer &packer, Method m, const void *buf,
                            int count, PersistentProgram *prog,
                            trace::OpKind kind = trace::OpKind::Persistent);
 
 /// Record the receiver-side program: lease the wire (and staged-method
-/// staging) intermediates and capture the unpack leg(s) of `m`. Replay
-/// order at completion: wire bytes land in prog->pipe.wire, then the
-/// graph scatters them into the user buffer.
+/// staging) intermediates and capture the unpack leg(s) of `m` under a
+/// GraphCapture span of `kind`. Replay order at completion: wire bytes
+/// land in prog->pipe.wire, then the graph scatters them into the user
+/// buffer. Shared by persistent receive channels and the blocking-receive
+/// replay table.
 int record_persistent_recv(const Packer &packer, Method m, void *buf,
-                           int count, PersistentProgram *prog);
+                           int count, PersistentProgram *prog,
+                           trace::OpKind kind = trace::OpKind::Persistent);
 
 /// Frozen pipelined send program: per-leg pack graphs over two ping-pong
 /// chunk leases on two fixed pool streams — the per-launch-overhead

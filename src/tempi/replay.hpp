@@ -6,14 +6,24 @@
 // sighting of a call runs live, the second records the call's kernel
 // chain as a vcuda graph (its *program*), and every later sighting
 // replays that program instead of paying a cold launch and a blocking
-// sync. MPI_Pack/MPI_Unpack (tempi.cpp) and MPI_Isend (async.cpp) keep
-// one table each per thread, both instances of Table below.
+// sync. MPI_Pack/MPI_Unpack (tempi.cpp) keep one table per thread, and
+// the request engine (async.cpp) keeps another for the send programs of
+// MPI_Send and MPI_Isend and the receive programs of MPI_Recv. Both are
+// instances of Table below.
 //
 // A table is open addressed with linear probing over kSlots slots. Slots
 // empty only all at once (clear()), so a probe may stop at the first empty
 // slot; a full table replaces its least recently used entry in place.
 // Programs that pin memory charge it to the table's byte budget, and the
 // least recently used programs are evicted to stay under it.
+//
+// Pinned entries: a program owned elsewhere (a persistent request's frozen
+// program) can be entered under its key with pin(). The table holds it
+// only weakly, never evicts it and never charges it to the budget; it
+// serves that key from the first sighting on. When its owner releases the
+// program (the request is freed, on any thread), the entry lapses to a
+// fresh slot at its next touch: nothing dangles and nothing is replayed
+// from it.
 //
 // Stale programs: entries name packers by raw pointer, and uninstall()
 // destroys every packer. uninstall() therefore calls release_all(), which
@@ -30,6 +40,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <utility>
 
 namespace tempi::replay {
 
@@ -79,18 +90,30 @@ void withdraw(Clearable *table);
 
 } // namespace detail
 
+/// The pin type of a table that holds only programs of its own.
+struct NoPin {
+  [[nodiscard]] bool expired() const { return true; }
+};
+
 /// One thread's table. `Key` needs operator== and `hash()`; `Program` is
 /// default-constructible, movable, tests true when recorded, and releases
-/// everything it holds when reset to `{}`.
-template <class Key, class Program>
+/// everything it holds when reset to `{}`. `Pin` is the weak reference
+/// pin() enters (e.g. std::weak_ptr); `expired()` tells that its owner
+/// let the program go.
+template <class Key, class Program, class Pin = NoPin>
 class Table final : detail::Clearable {
 public:
   struct Entry {
     Key key{};
     std::uint64_t last_use = 0; ///< LRU stamp; 0 marks an empty slot
     bool sighted = false;       ///< a later sighting may record `program`
+    bool pinned = false;        ///< `pin` was entered by pin()
     Program program{};          ///< recorded on the second sighting
+    Pin pin{};                  ///< a program owned elsewhere
     std::size_t bytes = 0;      ///< pinned bytes charged to the budget
+
+    /// A pin whose owner still holds the program: never evicted.
+    [[nodiscard]] bool live_pin() const { return pinned && !pin.expired(); }
   };
 
   /// `budget` bounds the bytes charged by charge(); every entry dropped
@@ -107,38 +130,32 @@ public:
   }
 
   /// The entry for `key`, inserted when absent. `*seen` is true when this
-  /// is a repeat sighting, i.e. the caller may record or replay.
+  /// is a repeat sighting or the key is pinned, i.e. the caller may record
+  /// or replay.
   Entry &touch(const Key &key, bool *seen) {
-    if (const std::uint64_t now = replay::epoch(); now != epoch_) {
-      clear();
-      epoch_ = now;
+    Entry &e = slot_for(key);
+    *seen = e.sighted;
+    e.sighted = true;
+    return e;
+  }
+
+  /// Enter `pin` under `key`, replacing any program recorded for it. False
+  /// (nothing entered) when half the table already holds live pins, so
+  /// recorded programs always keep room.
+  bool pin(const Key &key, Pin pin) {
+    std::size_t live = 0;
+    for (const Entry &e : slots_) {
+      live += e.live_pin() && !(e.key == key) ? 1 : 0;
     }
-    ++clock_;
-    const auto home = static_cast<std::size_t>(key.hash());
-    for (std::size_t p = 0; p < kSlots; ++p) {
-      Entry &e = slots_[(home + p) & (kSlots - 1)];
-      if (e.last_use == 0 || e.key == key) {
-        if (e.last_use == 0) {
-          e.key = key; // a fresh slot: not sighted yet
-        }
-        *seen = e.sighted;
-        e.sighted = true;
-        e.last_use = clock_;
-        return e;
-      }
+    if (live >= kSlots / 2) {
+      return false;
     }
-    Entry *victim = &slots_[0];
-    for (Entry &e : slots_) {
-      if (e.last_use < victim->last_use) {
-        victim = &e;
-      }
-    }
-    drop(*victim);
-    victim->key = key;
-    victim->last_use = clock_;
-    victim->sighted = true;
-    *seen = false;
-    return *victim;
+    Entry &e = slot_for(key);
+    forget(e);
+    e.pin = std::move(pin);
+    e.pinned = true;
+    e.sighted = true;
+    return true;
   }
 
   /// Charge `bytes` pinned by `e`'s just-recorded program, then evict the
@@ -170,12 +187,56 @@ public:
   }
 
 private:
-  /// Evict `e`'s program and forget its charge (its key stays).
-  void drop(Entry &e) {
-    evictions_.add();
+  /// The slot holding `key`, claimed for it when absent (the least
+  /// recently used entry that is not a live pin goes when the table is
+  /// full), its LRU stamp refreshed. A lapsed pin restarts as a fresh
+  /// slot.
+  Entry &slot_for(const Key &key) {
+    if (const std::uint64_t now = replay::epoch(); now != epoch_) {
+      clear();
+      epoch_ = now;
+    }
+    ++clock_;
+    const auto home = static_cast<std::size_t>(key.hash());
+    for (std::size_t p = 0; p < kSlots; ++p) {
+      Entry &e = slots_[(home + p) & (kSlots - 1)];
+      if (e.last_use == 0 || e.key == key) {
+        if (e.pinned && e.pin.expired()) {
+          forget(e);
+          e = Entry{};
+        }
+        if (e.last_use == 0) {
+          e.key = key; // a fresh slot: not sighted yet
+        }
+        e.last_use = clock_;
+        return e;
+      }
+    }
+    Entry *victim = nullptr;
+    for (Entry &e : slots_) {
+      if (!e.live_pin() &&
+          (victim == nullptr || e.last_use < victim->last_use)) {
+        victim = &e;
+      }
+    }
+    drop(*victim);
+    *victim = Entry{};
+    victim->key = key;
+    victim->last_use = clock_;
+    return *victim;
+  }
+
+  /// Release `e`'s program and forget its charge (its key stays).
+  void forget(Entry &e) {
     e.program = Program{};
     pinned_ -= e.bytes;
     e.bytes = 0;
+  }
+
+  /// Evict `e`'s program.
+  void drop(Entry &e) {
+    evictions_.add();
+    forget(e);
   }
 
   trace::Counter &evictions_;

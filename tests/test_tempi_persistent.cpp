@@ -20,6 +20,7 @@
 #include <cstring>
 #include <functional>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -1117,6 +1118,267 @@ TEST_F(TempiPersistent, ReplaySkipsPerKernelLaunches) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
+}
+
+/// The replay counters of one API call, for the borrow tests below.
+struct ProgramUse {
+  std::uint64_t replays, captures, busy;
+};
+
+ProgramUse program_use(const char *api) {
+  const std::string prefix = std::string("tempi.") + api;
+  return {counter(prefix + ".replays"), counter(prefix + ".captures"),
+          counter(prefix + ".busy")};
+}
+
+/// A device vector type, a buffer for one object of it, and the raw-byte
+/// cross-check: `check(tag)` has rank 0 send the buffer's raw bytes and
+/// rank 1 compare them with what its typed receive delivered.
+struct BorrowFixture {
+  MPI_Datatype t = nullptr;
+  std::optional<SpaceBuffer> buf;
+  BorrowFixture() {
+    MPI_Type_vector(64, 8, 24, MPI_FLOAT, &t);
+    MPI_Type_commit(&t);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    buf.emplace(vcuda::MemorySpace::Device,
+                static_cast<std::size_t>(extent) + 64);
+  }
+  ~BorrowFixture() { MPI_Type_free(&t); }
+  BorrowFixture(const BorrowFixture &) = delete;
+  BorrowFixture &operator=(const BorrowFixture &) = delete;
+
+  void check(int rank, int tag, const std::string &what) const {
+    if (rank == 0) {
+      MPI_Send(buf->get(), static_cast<int>(buf->size()), MPI_BYTE, 1, tag,
+               MPI_COMM_WORLD);
+      return;
+    }
+    std::vector<std::byte> raw(buf->size());
+    MPI_Recv(raw.data(), static_cast<int>(raw.size()), MPI_BYTE, 0, tag,
+             MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+    EXPECT_EQ(reference_pack(buf->get(), 1, *t),
+              reference_pack(raw.data(), 1, *t))
+        << what;
+  }
+};
+
+TEST_F(TempiPersistent, RestingChannelServesSendIsendAndRecvWithoutCapture) {
+  // While a persistent request rests, a blocking Send, an Isend and a
+  // blocking Recv of its key (buffer, count, type, method) borrow its
+  // frozen program from the first call on: no second program is recorded.
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    BorrowFixture f;
+    MPI_Request ch = MPI_REQUEST_NULL;
+    if (rank == 0) {
+      ASSERT_EQ(MPI_Send_init(f.buf->get(), 1, f.t, 1, 7, MPI_COMM_WORLD,
+                              &ch),
+                MPI_SUCCESS);
+    } else {
+      ASSERT_EQ(MPI_Recv_init(f.buf->get(), 1, f.t, 0, 7, MPI_COMM_WORLD,
+                              &ch),
+                MPI_SUCCESS);
+    }
+    for (int it = 0; it < 3; ++it) {
+      if (rank == 0) {
+        fill_pattern(f.buf->get(), f.buf->size(), 10 + it);
+        if (it == 0) {
+          ASSERT_EQ(MPI_Send(f.buf->get(), 1, f.t, 1, 20, MPI_COMM_WORLD),
+                    MPI_SUCCESS);
+        } else if (it == 1) {
+          MPI_Request req = MPI_REQUEST_NULL;
+          ASSERT_EQ(MPI_Isend(f.buf->get(), 1, f.t, 1, 20, MPI_COMM_WORLD,
+                              &req),
+                    MPI_SUCCESS);
+          ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+        } else {
+          ASSERT_EQ(MPI_Start(&ch), MPI_SUCCESS);
+          ASSERT_EQ(MPI_Wait(&ch, MPI_STATUS_IGNORE), MPI_SUCCESS);
+        }
+      } else {
+        std::memset(f.buf->get(), 0, f.buf->size());
+        MPI_Status status{};
+        if (it < 2) {
+          ASSERT_EQ(MPI_Recv(f.buf->get(), 1, f.t, 0, 20, MPI_COMM_WORLD,
+                             &status),
+                    MPI_SUCCESS);
+        } else {
+          ASSERT_EQ(MPI_Start(&ch), MPI_SUCCESS);
+          ASSERT_EQ(MPI_Wait(&ch, &status), MPI_SUCCESS);
+        }
+        int got = 0;
+        MPI_Get_count(&status, f.t, &got);
+        EXPECT_EQ(got, 1);
+      }
+      f.check(rank, 30 + it, "iteration " + std::to_string(it));
+    }
+    ASSERT_EQ(MPI_Request_free(&ch), MPI_SUCCESS);
+    MPI_Finalize();
+  });
+  for (const char *api : {"send", "isend", "recv"}) {
+    const ProgramUse use = program_use(api);
+    EXPECT_EQ(use.captures, 0u) << api;
+    EXPECT_EQ(use.busy, 0u) << api;
+    EXPECT_EQ(use.replays, std::string(api) == "recv" ? 2u : 1u) << api;
+  }
+  // Only the Starts count as persistent replays: the sender's arming and
+  // the receiver's unpack.
+  EXPECT_EQ(counter("tempi.persistent.replays"), 2u);
+  EXPECT_EQ(counter("tempi.persistent.starts"), 2u);
+}
+
+TEST_F(TempiPersistent, ActiveChannelSendsSameKeyCallsLive) {
+  // An armed persistent request holds its program: a Send, an Isend or a
+  // Recv of the same key runs live meanwhile, and every message (theirs
+  // and the channel's) arrives intact.
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    BorrowFixture f;
+    MPI_Request ch = MPI_REQUEST_NULL;
+    if (rank == 0) {
+      fill_pattern(f.buf->get(), f.buf->size(), 40);
+      ASSERT_EQ(MPI_Send_init(f.buf->get(), 1, f.t, 1, 7, MPI_COMM_WORLD,
+                              &ch),
+                MPI_SUCCESS);
+      ASSERT_EQ(MPI_Start(&ch), MPI_SUCCESS);
+      ASSERT_EQ(MPI_Send(f.buf->get(), 1, f.t, 1, 8, MPI_COMM_WORLD),
+                MPI_SUCCESS);
+      MPI_Request req = MPI_REQUEST_NULL;
+      ASSERT_EQ(MPI_Isend(f.buf->get(), 1, f.t, 1, 9, MPI_COMM_WORLD, &req),
+                MPI_SUCCESS);
+      ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+      ASSERT_EQ(MPI_Wait(&ch, MPI_STATUS_IGNORE), MPI_SUCCESS);
+    } else {
+      ASSERT_EQ(MPI_Recv_init(f.buf->get(), 1, f.t, 0, 7, MPI_COMM_WORLD,
+                              &ch),
+                MPI_SUCCESS);
+      ASSERT_EQ(MPI_Start(&ch), MPI_SUCCESS);
+      std::vector<std::vector<std::byte>> got;
+      for (const int tag : {8, 9}) {
+        std::memset(f.buf->get(), 0, f.buf->size());
+        ASSERT_EQ(MPI_Recv(f.buf->get(), 1, f.t, 0, tag, MPI_COMM_WORLD,
+                           MPI_STATUS_IGNORE),
+                  MPI_SUCCESS);
+        got.push_back(reference_pack(f.buf->get(), 1, *f.t));
+      }
+      std::memset(f.buf->get(), 0, f.buf->size());
+      ASSERT_EQ(MPI_Wait(&ch, MPI_STATUS_IGNORE), MPI_SUCCESS);
+      EXPECT_EQ(got[0], reference_pack(f.buf->get(), 1, *f.t));
+      EXPECT_EQ(got[1], reference_pack(f.buf->get(), 1, *f.t));
+    }
+    f.check(rank, 10, "the channel's message");
+    ASSERT_EQ(MPI_Request_free(&ch), MPI_SUCCESS);
+    MPI_Finalize();
+  });
+  const ProgramUse send = program_use("send");
+  const ProgramUse isend = program_use("isend");
+  const ProgramUse recv = program_use("recv");
+  EXPECT_EQ(send.busy, 1u);
+  EXPECT_EQ(isend.busy, 1u);
+  EXPECT_EQ(recv.busy, 2u);
+  EXPECT_EQ(send.replays + isend.replays + recv.replays, 0u);
+  EXPECT_EQ(send.captures + isend.captures + recv.captures, 0u);
+  EXPECT_EQ(counter("tempi.persistent.replays"), 2u);
+}
+
+TEST_F(TempiPersistent, StartWhileAnIsendBorrowsTheProgramArmsLive) {
+  // An Isend borrowed the resting channel's program and is still in
+  // flight when the channel is started: the arming packs live into leases
+  // of its own (returned at Wait), and both messages arrive intact.
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  const std::size_t leased0 = tempi::buffer_cache_stats().leased_now;
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    BorrowFixture f;
+    if (rank == 0) {
+      fill_pattern(f.buf->get(), f.buf->size(), 70);
+      MPI_Request ch = MPI_REQUEST_NULL;
+      ASSERT_EQ(MPI_Send_init(f.buf->get(), 1, f.t, 1, 7, MPI_COMM_WORLD,
+                              &ch),
+                MPI_SUCCESS);
+      MPI_Request req = MPI_REQUEST_NULL;
+      ASSERT_EQ(MPI_Isend(f.buf->get(), 1, f.t, 1, 8, MPI_COMM_WORLD, &req),
+                MPI_SUCCESS);
+      ASSERT_EQ(MPI_Start(&ch), MPI_SUCCESS);
+      ASSERT_EQ(MPI_Wait(&ch, MPI_STATUS_IGNORE), MPI_SUCCESS);
+      ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+      ASSERT_EQ(MPI_Request_free(&ch), MPI_SUCCESS);
+    } else {
+      std::vector<std::byte> got;
+      for (const int tag : {7, 8}) {
+        std::memset(f.buf->get(), 0, f.buf->size());
+        MPI_Request req = MPI_REQUEST_NULL;
+        ASSERT_EQ(MPI_Irecv(f.buf->get(), 1, f.t, 0, tag, MPI_COMM_WORLD,
+                            &req),
+                  MPI_SUCCESS);
+        ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+        const std::vector<std::byte> packed =
+            reference_pack(f.buf->get(), 1, *f.t);
+        if (!got.empty()) {
+          EXPECT_EQ(packed, got);
+        }
+        got = packed;
+      }
+    }
+    f.check(rank, 10, "both messages");
+    MPI_Finalize();
+  });
+  EXPECT_EQ(program_use("isend").replays, 1u);
+  EXPECT_EQ(counter("tempi.persistent.starts"), 1u);
+  EXPECT_EQ(counter("tempi.persistent.replays"), 0u); // the arming ran live
+  EXPECT_EQ(tempi::buffer_cache_stats().leased_now, leased0);
+}
+
+TEST_F(TempiPersistent, ChannelFreedOnAnotherThreadLeavesNoEntry) {
+  // A channel freed on a thread other than the one that created it
+  // releases its program and leases at once; the creating thread's next
+  // call of the same key is a first sighting, never a replay of the freed
+  // program (ASan would flag one).
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  const std::size_t leased0 = tempi::buffer_cache_stats().leased_now;
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    BorrowFixture f;
+    MPI_Request ch = MPI_REQUEST_NULL;
+    ASSERT_EQ(rank == 0 ? MPI_Send_init(f.buf->get(), 1, f.t, 1, 7,
+                                        MPI_COMM_WORLD, &ch)
+                        : MPI_Recv_init(f.buf->get(), 1, f.t, 0, 7,
+                                        MPI_COMM_WORLD, &ch),
+              MPI_SUCCESS);
+    std::thread([&ch] {
+      EXPECT_EQ(MPI_Request_free(&ch), MPI_SUCCESS);
+    }).join();
+    EXPECT_EQ(ch, MPI_REQUEST_NULL);
+    MPI_Barrier(MPI_COMM_WORLD);
+    EXPECT_EQ(tempi::buffer_cache_stats().leased_now, leased0);
+    MPI_Barrier(MPI_COMM_WORLD);
+    for (int it = 0; it < 3; ++it) {
+      if (rank == 0) {
+        fill_pattern(f.buf->get(), f.buf->size(), 60 + it);
+        ASSERT_EQ(MPI_Send(f.buf->get(), 1, f.t, 1, 20, MPI_COMM_WORLD),
+                  MPI_SUCCESS);
+      } else {
+        std::memset(f.buf->get(), 0, f.buf->size());
+        ASSERT_EQ(MPI_Recv(f.buf->get(), 1, f.t, 0, 20, MPI_COMM_WORLD,
+                           MPI_STATUS_IGNORE),
+                  MPI_SUCCESS);
+      }
+      f.check(rank, 30 + it, "iteration " + std::to_string(it));
+    }
+    MPI_Finalize();
+  });
+  // Live, recorded, replayed: as if the channel had never existed.
+  for (const char *api : {"send", "recv"}) {
+    const ProgramUse use = program_use(api);
+    EXPECT_EQ(use.captures, 1u) << api;
+    EXPECT_EQ(use.replays, 2u) << api;
+    EXPECT_EQ(use.busy, 0u) << api;
+  }
+  EXPECT_EQ(tempi::async::persistent_open(), 0u);
 }
 
 TEST_F(TempiPersistent, WaitsomeAndTestallHandlePersistentTickets) {

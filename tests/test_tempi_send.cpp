@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -295,6 +296,124 @@ TEST_F(TempiSend, MultiCountObjectsArriveIntact) {
   });
 }
 
+/// The receive calls a short message can land through.
+enum class RecvPath { Recv, IrecvWait, IrecvWaitall, Persistent };
+
+/// Rank 0 sends messages of 4, 2, 0, 4, 2 and 1.5 vector objects (the
+/// last as plain bytes); rank 1 receives each through `path`, posted for
+/// 4 objects into one poisoned device buffer (a persistent path re-arms
+/// one channel). Returns, per message, the whole receive buffer followed
+/// by MPI_SOURCE, MPI_TAG, MPI_Get_count and the byte count, for
+/// comparison against the system path.
+std::vector<std::byte> short_receive_rounds(tempi::SendMode mode,
+                                            RecvPath path) {
+  constexpr int kPosted = 4;
+  constexpr int kTag = 3;
+  constexpr std::array<int, 5> kSent = {4, 2, 0, 4, 2};
+  tempi::set_send_mode(mode);
+  std::vector<std::byte> seen;
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype t = nullptr;
+    MPI_Type_vector(16, 4, 12, MPI_FLOAT, &t);
+    MPI_Type_commit(&t);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    int size = 0;
+    MPI_Type_size(t, &size);
+    SpaceBuffer buf(vcuda::MemorySpace::Device,
+                    static_cast<std::size_t>(extent) * kPosted);
+    const int rounds = static_cast<int>(kSent.size()) + 1;
+    if (rank == 0) {
+      for (int r = 0; r < rounds; ++r) {
+        fill_pattern(buf.get(), buf.size(), 50 + r);
+        if (r < static_cast<int>(kSent.size())) {
+          ASSERT_EQ(MPI_Send(buf.get(), kSent[static_cast<std::size_t>(r)],
+                             t, 1, kTag, MPI_COMM_WORLD),
+                    MPI_SUCCESS);
+        } else {
+          std::vector<std::byte> partial(static_cast<std::size_t>(size) +
+                                         size / 2);
+          fill_pattern(partial.data(), partial.size(), 50 + r);
+          ASSERT_EQ(MPI_Send(partial.data(), static_cast<int>(partial.size()),
+                             MPI_BYTE, 1, kTag, MPI_COMM_WORLD),
+                    MPI_SUCCESS);
+        }
+      }
+    } else {
+      MPI_Request channel = MPI_REQUEST_NULL;
+      if (path == RecvPath::Persistent) {
+        ASSERT_EQ(MPI_Recv_init(buf.get(), kPosted, t, 0, kTag,
+                                MPI_COMM_WORLD, &channel),
+                  MPI_SUCCESS);
+      }
+      for (int r = 0; r < rounds; ++r) {
+        fill_pattern(buf.get(), buf.size(), 90 + r);
+        MPI_Status status{};
+        MPI_Request req = MPI_REQUEST_NULL;
+        switch (path) {
+        case RecvPath::Recv:
+          ASSERT_EQ(MPI_Recv(buf.get(), kPosted, t, 0, kTag, MPI_COMM_WORLD,
+                             &status),
+                    MPI_SUCCESS);
+          break;
+        case RecvPath::IrecvWait:
+        case RecvPath::IrecvWaitall:
+          ASSERT_EQ(MPI_Irecv(buf.get(), kPosted, t, 0, kTag,
+                              MPI_COMM_WORLD, &req),
+                    MPI_SUCCESS);
+          ASSERT_EQ(path == RecvPath::IrecvWait
+                        ? MPI_Wait(&req, &status)
+                        : MPI_Waitall(1, &req, &status),
+                    MPI_SUCCESS);
+          break;
+        case RecvPath::Persistent:
+          ASSERT_EQ(MPI_Start(&channel), MPI_SUCCESS);
+          ASSERT_EQ(MPI_Wait(&channel, &status), MPI_SUCCESS);
+          break;
+        }
+        int got = -1;
+        ASSERT_EQ(MPI_Get_count(&status, t, &got), MPI_SUCCESS);
+        seen.insert(seen.end(), buf.bytes(), buf.bytes() + buf.size());
+        for (const long long v :
+             {static_cast<long long>(status.MPI_SOURCE),
+              static_cast<long long>(status.MPI_TAG),
+              static_cast<long long>(got), status.count_bytes}) {
+          const auto *p = reinterpret_cast<const std::byte *>(&v);
+          seen.insert(seen.end(), p, p + sizeof(v));
+        }
+      }
+      if (channel != MPI_REQUEST_NULL) {
+        ASSERT_EQ(MPI_Request_free(&channel), MPI_SUCCESS);
+      }
+    }
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
+  tempi::set_send_mode(tempi::SendMode::Auto);
+  return seen;
+}
+
+TEST_F(TempiSend, ShortMessagesMatchTheSystemPathOnEveryReceivePath) {
+  // A receive posted for more objects than arrive unpacks only the whole
+  // objects that arrived, leaves the rest of the buffer untouched and
+  // reports the message's own length, on every accelerated receive path,
+  // replayed programs included.
+  for (const RecvPath path : {RecvPath::Recv, RecvPath::IrecvWait,
+                              RecvPath::IrecvWaitall, RecvPath::Persistent}) {
+    const std::vector<std::byte> system =
+        short_receive_rounds(tempi::SendMode::System, path);
+    ASSERT_FALSE(system.empty());
+    for (const tempi::SendMode mode :
+         {tempi::SendMode::ForceOneShot, tempi::SendMode::ForceDevice,
+          tempi::SendMode::ForceStaged, tempi::SendMode::Auto}) {
+      EXPECT_TRUE(short_receive_rounds(mode, path) == system)
+          << "path " << static_cast<int>(path) << " mode "
+          << static_cast<int>(mode);
+    }
+  }
+}
+
 /// `rank`'s spans of one phase carrying one API label.
 std::size_t spans_of(const tempi::trace::Snapshot &snap, int rank,
                      tempi::trace::Phase phase, tempi::trace::OpKind kind) {
@@ -305,10 +424,12 @@ std::size_t spans_of(const tempi::trace::Snapshot &snap, int rank,
   return n;
 }
 
-TEST_F(TempiSend, BlockingCallsStayOutOfThePoolAndReplayTable) {
+TEST_F(TempiSend, BlockingCallsStayOutOfThePoolAndReplayRepeats) {
   // Blocking Send/Recv run the request engine's op on the caller's stack:
-  // no pool ticket, no shard lock, no engine counter, and no recorded
-  // send program, however often the same send repeats.
+  // no pool ticket, no shard lock and no engine counter. A repeated
+  // monolithic key runs live once, records its send and receive programs
+  // on the second sighting and replays them from then on; pipelined
+  // transfers always run live.
   namespace trace = tempi::trace;
   using trace::OpKind;
   using trace::Phase;
@@ -350,12 +471,21 @@ TEST_F(TempiSend, BlockingCallsStayOutOfThePoolAndReplayTable) {
     for (const char *name :
          {"tempi.engine.isends", "tempi.engine.irecvs",
           "tempi.engine.completions", "tempi.isend.captures",
-          "tempi.isend.replays"}) {
+          "tempi.isend.replays", "tempi.persistent.replays"}) {
       EXPECT_EQ(counter(name), 0u) << where << ": " << name;
     }
+    const bool replays = mode != tempi::SendMode::ForcePipelined;
+    const std::size_t live = replays ? 1 : kRounds;
+    const std::size_t replayed = kRounds - live;
+    for (const char *api : {"send", "recv"}) {
+      const std::string prefix = std::string("tempi.") + api;
+      EXPECT_EQ(counter(prefix + ".captures"), replays ? 1u : 0u) << where;
+      EXPECT_EQ(counter(prefix + ".replays"), replayed) << where;
+    }
     const trace::Snapshot snap = tempi::trace_snapshot();
-    EXPECT_GE(spans_of(snap, 0, Phase::PackLaunch, OpKind::Send),
-              std::size_t{kRounds})
+    EXPECT_GE(spans_of(snap, 0, Phase::PackLaunch, OpKind::Send), live)
+        << where;
+    EXPECT_GE(spans_of(snap, 0, Phase::GraphReplay, OpKind::Send), replayed)
         << where;
     EXPECT_GE(spans_of(snap, 0, Phase::Wire, OpKind::Send),
               std::size_t{kRounds})
@@ -363,8 +493,8 @@ TEST_F(TempiSend, BlockingCallsStayOutOfThePoolAndReplayTable) {
     EXPECT_GE(spans_of(snap, 1, Phase::Wire, OpKind::Recv),
               std::size_t{kRounds})
         << where;
-    EXPECT_GE(spans_of(snap, 1, Phase::Unpack, OpKind::Recv),
-              std::size_t{kRounds})
+    EXPECT_GE(spans_of(snap, 1, Phase::Unpack, OpKind::Recv), live) << where;
+    EXPECT_GE(spans_of(snap, 1, Phase::GraphReplay, OpKind::Recv), replayed)
         << where;
     for (const int rank : {0, 1}) {
       for (const OpKind kind : {OpKind::Isend, OpKind::Irecv}) {
