@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -45,10 +46,14 @@ constexpr std::uintptr_t kTicketTagMask =
 /// claim_program), or a persistent op's own frozen program, which the
 /// table serves under the same key. `in_flight` is set while one op runs
 /// from the program's pinned wire lease, so an overlapping call of the
-/// same key never overwrites it: that call runs live instead.
+/// same key never overwrites it: that call runs live instead. `released`
+/// is set when the persistent request that owns the program lets it go
+/// (it is freed or re-frozen): the program's table pins lapse then, even
+/// while a recorded fused batch still holds it.
 struct RecordedProgram {
   PersistentProgram prog;
   std::atomic<bool> in_flight{false};
+  std::atomic<bool> released{false};
 };
 
 /// One TEMPI-owned request. Created and driven by the owning rank thread;
@@ -130,7 +135,12 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
         peer(peer), tag(tag), comm(comm) {}
   AsyncOp(const AsyncOp &) = delete;
   AsyncOp &operator=(const AsyncOp &) = delete;
-  ~AsyncOp() { release_claim(); }
+  ~AsyncOp() {
+    release_claim();
+    if (persistent && program) {
+      program->released.store(true, std::memory_order_release);
+    }
+  }
 
   /// Give `program`'s in-flight mark back, if this op holds it.
   void release_claim() {
@@ -186,11 +196,19 @@ struct Pool {
   trace::Counter batched_syncs{"tempi.engine.batched_syncs"};
   trace::Counter fused_unpack_launches{"tempi.engine.fused_unpack_launches"};
   trace::Counter fused_unpacks{"tempi.engine.fused_unpacks"};
+  /// Waitall flushes replayed from a recorded fused batch, batches
+  /// recorded, and recorded batches evicted from the threads' batch tables.
+  trace::Counter fused_unpack_replays{"tempi.engine.fused_unpack_replays"};
+  trace::Counter fused_unpack_captures{"tempi.engine.fused_unpack_captures"};
+  trace::Counter fused_unpack_evictions{
+      "tempi.engine.fused_unpack_evictions"};
 
-  /// Recorded-program traffic per API call: MPI_Isend, MPI_Send and
-  /// MPI_Recv. Persistent Starts count under p_replays instead.
+  /// Recorded-program traffic per API call: MPI_Isend, MPI_Irecv, MPI_Send
+  /// and MPI_Recv. Persistent Starts count under p_replays instead.
   ReplayCounters isend_programs{"tempi.isend.replays", "tempi.isend.captures",
                                 "tempi.isend.busy"};
+  ReplayCounters irecv_programs{"tempi.irecv.replays", "tempi.irecv.captures",
+                                "tempi.irecv.busy"};
   ReplayCounters send_programs{"tempi.send.replays", "tempi.send.captures",
                                "tempi.send.busy"};
   ReplayCounters recv_programs{"tempi.recv.replays", "tempi.recv.captures",
@@ -375,22 +393,25 @@ void disarm(AsyncOp &op) {
   op.pipe.stage = CachedBuffer{};
 }
 
-/// The program-table counters of a Send, Recv or Isend op's API call.
+/// The program-table counters of a Send, Recv, Isend or Irecv op's API
+/// call.
 ReplayCounters &replay_counters(trace::OpKind label) {
   Pool &p = pool();
   switch (label) {
   case trace::OpKind::Send: return p.send_programs;
   case trace::OpKind::Recv: return p.recv_programs;
+  case trace::OpKind::Irecv: return p.irecv_programs;
   default: return p.isend_programs;
   }
 }
 
-/// Count one call that ran from a recorded program.
-void count_replay(const AsyncOp &op) {
+/// Count one call that ran from a recorded program, with `graphs` graph
+/// launches of its own (none when a recorded fused batch unpacked it).
+void count_replay(const AsyncOp &op, std::uint64_t graphs = 1) {
   if (op.persistent) {
     Pool &p = pool();
     p.p_replays.add();
-    p.p_graph_launches.add();
+    p.p_graph_launches.add(graphs);
   } else {
     replay_counters(op.label).replays.add();
   }
@@ -437,6 +458,22 @@ int recv_wire(AsyncOp &op, const interpose::MpiTable &next) {
                          op.peer, op.tag, static_cast<std::int8_t>(op.method));
   return next.Recv(pipe.wire.get(), pipe.wire_count(), MPI_BYTE, op.peer,
                    op.tag, op.comm, &op.wire_status);
+}
+
+/// Replay a claimed receive program's recorded [H2D +] unpack chain with
+/// one graph launch on the program's stream (UnpackPending); the caller
+/// fences that stream.
+int replay_unpack(AsyncOp &op) {
+  const PersistentProgram &prog = op.program->prog;
+  trace::ScopedSpan replay(trace::Phase::GraphReplay, op.label,
+                           prog.pipe.bytes, op.peer, op.tag,
+                           static_cast<std::int8_t>(op.method));
+  if (vcuda::GraphLaunch(prog.graph, prog.stream) != vcuda::Error::Success) {
+    return MPI_ERR_OTHER;
+  }
+  count_replay(op);
+  op.phase = OpPhase::UnpackPending;
+  return MPI_SUCCESS;
 }
 
 /// Blocking wire leg + unpack for a receive op; `sync` controls whether
@@ -522,21 +559,14 @@ int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
   }
   const int objects = arrived_objects(op);
   if (op.claimed && objects == op.count) {
-    // A recorded receive program: the [H2D +] unpack chain replays with
-    // one graph launch, and a pre-armed fence stands in for the sync. The
-    // graph unpacks every posted object, so only a full message replays.
-    const PersistentProgram &prog = op.program->prog;
-    trace::ScopedSpan replay(trace::Phase::GraphReplay, op.label,
-                             prog.pipe.bytes, op.peer, op.tag,
-                             static_cast<std::int8_t>(op.method));
-    if (vcuda::GraphLaunch(prog.graph, prog.stream) !=
-        vcuda::Error::Success) {
-      return MPI_ERR_OTHER;
+    // A recorded receive program: a pre-armed fence stands in for the
+    // sync. The graph unpacks every posted object, so only a full message
+    // replays.
+    if (const int rc = replay_unpack(op); rc != MPI_SUCCESS) {
+      return rc;
     }
-    count_replay(op);
-    op.phase = OpPhase::UnpackPending;
     if (sync) {
-      vcuda::StreamFence(prog.stream);
+      vcuda::StreamFence(op.stream);
       op.phase = OpPhase::Complete;
     }
     return MPI_SUCCESS;
@@ -611,17 +641,17 @@ int post_program_send(AsyncOp &op, const interpose::MpiTable &next) {
 
 // --- recorded programs for repeated calls -----------------------------------
 //
-// The halo exchange Isends the same faces every iteration, and a ping-pong
-// sends and receives the same objects over and over. Each thread keeps one
-// program table (tempi/replay.hpp): its send programs serve MPI_Send and
-// MPI_Isend, its receive programs serve MPI_Recv. A repeated monolithic call
-// runs from the program MPI_Send_init/MPI_Recv_init would freeze: a send
-// posts the way MPI_Start does (post_program_send), one graph launch and a
-// pre-armed fence instead of a lease, a cold pack launch and a blocking
-// sync; a receive lands its wire in the program's pinned lease and replays
-// the unpack graph. A persistent request's own program is pinned under its
-// key, so these calls borrow it while the request rests instead of
-// recording a second one.
+// The halo exchange Isends and Irecvs the same faces every iteration, and a
+// ping-pong sends and receives the same objects over and over. Each thread
+// keeps one program table (tempi/replay.hpp): its send programs serve
+// MPI_Send and MPI_Isend, its receive programs serve MPI_Recv and
+// MPI_Irecv. A repeated monolithic call runs from the program
+// MPI_Send_init/MPI_Recv_init would freeze: a send posts the way MPI_Start
+// does (post_program_send), one graph launch and a pre-armed fence instead
+// of a lease, a cold pack launch and a blocking sync; a receive lands its
+// wire in the program's pinned lease and replays the unpack graph. A
+// persistent request's own program is pinned under its key, so these calls
+// borrow it while the request rests instead of recording a second one.
 
 /// What makes two monolithic calls the same work. The envelope (peer, tag,
 /// comm) is not part of the program, so it is not part of the key.
@@ -641,8 +671,20 @@ struct ProgramKey {
   }
 };
 
-using ProgramTable = replay::Table<ProgramKey, std::shared_ptr<RecordedProgram>,
-                                   std::weak_ptr<RecordedProgram>>;
+/// The table's weak reference to a persistent request's frozen program. It
+/// lapses when the request lets the program go, even while a recorded
+/// fused batch still holds the program.
+struct ProgramPin {
+  std::weak_ptr<RecordedProgram> program;
+  [[nodiscard]] std::shared_ptr<RecordedProgram> lock() const {
+    std::shared_ptr<RecordedProgram> p = program.lock();
+    return p && !p->released.load(std::memory_order_acquire) ? p : nullptr;
+  }
+  [[nodiscard]] bool expired() const { return !lock(); }
+};
+
+using ProgramTable =
+    replay::Table<ProgramKey, std::shared_ptr<RecordedProgram>, ProgramPin>;
 
 /// Allocated on the thread's first monolithic call, freed at thread exit.
 thread_local std::unique_ptr<ProgramTable> t_programs;
@@ -661,10 +703,10 @@ ProgramKey key_of(const AsyncOp &op) {
           op.count, op.method, op.kind};
 }
 
-/// The program a monolithic Send, Isend or Recv `op` runs from, claimed
-/// for it; nullptr runs the call live: the first sighting of its key, a
-/// program another op holds (an active persistent request's, or one a
-/// concurrent call borrowed), a message larger than the budget, or a
+/// The program a monolithic Send, Isend, Recv or Irecv `op` runs from,
+/// claimed for it; nullptr runs the call live: the first sighting of its
+/// key, a program another op holds (an active persistent request's, or one
+/// a concurrent call borrowed), a message larger than the budget, or a
 /// failed capture. A resting persistent request's program serves its key
 /// from the first sighting on; any other key records its program on the
 /// second sighting, and it and every later one pay the lookup.
@@ -986,12 +1028,19 @@ int start_irecv(const Packer *packer, Method method, void *buf, int count,
                                       count, source, tag, comm,
                                       trace::OpKind::Irecv);
   op->recv_buf = buf;
-  // Round-robin pool stream for the unpack legs Wait/Test enqueue. In
-  // Waitall, only ops that enqueue work of their own (not fused, not
-  // landing in place) put their stream into the pass-2 sync.
-  op->stream = vcuda::next_pool_stream();
-  if (const int rc = arm_recv(*op); rc != MPI_SUCCESS) {
-    return rc; // a failed lease never enters the pool
+  std::shared_ptr<RecordedProgram> program =
+      method == Method::Pipelined ? nullptr : claim_program(*op);
+  if (program) {
+    // A repeated receive lands in its recorded program's pinned lease.
+    adopt(*op, std::move(program));
+  } else {
+    // Round-robin pool stream for the unpack legs Wait/Test enqueue. In
+    // Waitall, only ops that enqueue work of their own (not fused, not
+    // landing in place) put their stream into the pass-2 sync.
+    op->stream = vcuda::next_pool_stream();
+    if (const int rc = arm_recv(*op); rc != MPI_SUCCESS) {
+      return rc; // a failed lease never enters the pool
+    }
   }
   pool().irecvs.add();
   *request = insert(std::move(op));
@@ -1039,9 +1088,12 @@ int freeze(AsyncOp &op, TransferChoice choice) {
   op.pipeprog = std::move(pipeprog);
   if (program) {
     // Calls of the same key borrow the program while the request rests.
-    programs().pin(key_of(op), program);
+    programs().pin(key_of(op), ProgramPin{program});
     op.stream = program->prog.stream;
     op.pipe.bytes = program->prog.pipe.bytes;
+  }
+  if (op.program) {
+    op.program->released.store(true, std::memory_order_release);
   }
   op.program = std::move(program);
   return MPI_SUCCESS;
@@ -1443,14 +1495,14 @@ int probe_entry(MPI_Request *request, MPI_Status *status,
   return MPI_SUCCESS;
 }
 
-/// A receive whose unpack can join Waitall's fused launch: a canonical
+/// A receive whose unpack can join Waitall's fused batch: a canonical
 /// strided packer moved by one kernel (Device or OneShot). Pre-packed ops
 /// carry no packer, the fused kernel reads a strided packer's plan() and
-/// block() (a block-list packer has neither), pipelined ops are
-/// Method::Pipelined, and receives into a claimed program replay its
-/// recorded unpack graph instead.
+/// block() (a block-list packer has neither), and pipelined ops are
+/// Method::Pipelined. Receives into a claimed program join too: their
+/// unpack is the program's recorded kernel.
 bool fusable(const AsyncOp &op) {
-  return op.packer != nullptr && op.packer->strided() && !op.claimed &&
+  return op.packer != nullptr && op.packer->strided() &&
          (op.method == Method::Device || op.method == Method::OneShot);
 }
 
@@ -1472,54 +1524,194 @@ void note_stream(std::vector<vcuda::StreamHandle> &list,
   }
 }
 
+// --- recorded fused unpacks -------------------------------------------------
+//
+// The halo exchange's Waitall completes the same receives every iteration,
+// each into its recorded receive program. The claimed programs one flush
+// of the fused batch unpacks are the flush's members; a thread's batch
+// table remembers each ordered member list it flushed. A list seen before
+// records the members' fused unpack as one graph, and every later flush of
+// the same list replays it: one graph launch on the first member's stream,
+// which pass 2 fences, instead of one graph launch per receive. A recorded
+// batch owns its members, so no member's address can be reused by a new
+// program while its graph exists; a member evicted from the program table,
+// or released by its persistent request, is never claimed again, so the
+// batch stops matching and is never replayed.
+
+/// A recorded fused unpack and the programs it reads and writes through.
+struct BatchProgram {
+  std::vector<std::shared_ptr<RecordedProgram>> members;
+  replay::GraphPtr graph;
+  vcuda::StreamHandle stream = nullptr;
+};
+
+using BatchTable =
+    replay::Table<replay::SequenceKey, std::unique_ptr<BatchProgram>>;
+
+/// Allocated on the thread's first flush of two or more claimed receives,
+/// freed at thread exit.
+thread_local std::unique_ptr<BatchTable> t_batches;
+
+BatchTable &batches() {
+  if (!t_batches) {
+    t_batches = std::make_unique<BatchTable>(pool().fused_unpack_evictions,
+                                             kReplayBudget);
+  }
+  return *t_batches;
+}
+
+/// The fused unpack item of the objects `op`'s wire delivered into
+/// `op`'s wire lease (or its claimed program's).
+UnpackItem unpack_item(AsyncOp &op, int objects) {
+  const Packer &pk = *op.packer;
+  return {&pk.plan(), &pk.block(), pk.type_extent(), op.recv_buf,
+          wire_pipe(op).wire.get(), objects};
+}
+
+/// Record the fused unpack of `ops` (full messages into claimed programs)
+/// as one graph on the first program's stream; nullptr when recording
+/// fails.
+std::unique_ptr<BatchProgram> record_batch(std::span<AsyncOp *const> ops) {
+  auto batch = std::make_unique<BatchProgram>();
+  std::vector<UnpackItem> items;
+  items.reserve(ops.size());
+  for (AsyncOp *op : ops) {
+    batch->members.push_back(op->program);
+    items.push_back(unpack_item(*op, op->count));
+  }
+  batch->stream = ops.front()->program->prog.stream;
+  vcuda::GraphHandle graph = nullptr;
+  const int rc = capture_on(batch->stream, &graph, trace::OpKind::Irecv, [&] {
+    return launch_unpack_batch(items, batch->stream) == vcuda::Error::Success
+               ? MPI_SUCCESS
+               : MPI_ERR_OTHER;
+  });
+  if (rc != MPI_SUCCESS) {
+    return nullptr;
+  }
+  batch->graph.reset(graph);
+  pool().fused_unpack_captures.add();
+  return batch;
+}
+
+/// Unpack full messages into claimed programs: `ops` replay as one
+/// recorded batch when this thread flushed the same programs before, else
+/// each replays its own program's graph. The streams to fence go to
+/// `fence_streams`.
+int replay_members(std::span<AsyncOp *const> ops,
+                   std::vector<vcuda::StreamHandle> &fence_streams) {
+  const BatchProgram *batch = nullptr;
+  if (ops.size() > 1) {
+    BatchTable &table = batches();
+    replay::SequenceKey key;
+    key.items.reserve(ops.size());
+    for (const AsyncOp *op : ops) {
+      key.items.push_back(replay::bits(op->program.get()));
+    }
+    bool seen = false;
+    BatchTable::Entry &e = table.touch(key, &seen);
+    if (seen) {
+      vcuda::this_thread_timeline().advance(kMethodMemoHitNs); // the lookup
+      if (!e.program) {
+        e.program = record_batch(ops);
+        std::size_t pinned = 0;
+        for (const AsyncOp *op : ops) {
+          const PackPipeline &pipe = op->program->prog.pipe;
+          pinned += pipe.wire.capacity() + pipe.stage.capacity();
+        }
+        if (e.program && !table.charge(e, pinned)) {
+          e.program = nullptr;
+        }
+      }
+      batch = e.program.get();
+    }
+  }
+  if (batch == nullptr) {
+    for (AsyncOp *op : ops) {
+      if (const int rc = replay_unpack(*op); rc != MPI_SUCCESS) {
+        return rc;
+      }
+      note_stream(fence_streams, op->stream);
+    }
+    return MPI_SUCCESS;
+  }
+  std::uint64_t bytes = 0;
+  for (const AsyncOp *op : ops) {
+    bytes += op->pipe.bytes;
+  }
+  trace::ScopedSpan replay(trace::Phase::GraphReplay, trace::OpKind::Irecv,
+                           bytes);
+  if (vcuda::GraphLaunch(batch->graph.get(), batch->stream) !=
+      vcuda::Error::Success) {
+    return MPI_ERR_OTHER;
+  }
+  pool().fused_unpack_replays.add();
+  for (AsyncOp *op : ops) {
+    count_replay(*op, 0);
+  }
+  note_stream(fence_streams, batch->stream);
+  return MPI_SUCCESS;
+}
+
 /// Receives of one Waitall whose wire has landed and whose unpack waits
-/// for the next fused launch. Every launch of one Waitall goes on the same
-/// stream, so pass 2 pays one sync for all of them.
+/// for the next flush. Unpacks that must run live (first sightings of
+/// their key, busy programs, short messages) go out as one fused kernel on
+/// one stream, so pass 2 pays one sync for all of them; full messages into
+/// claimed programs replay (see replay_members).
 struct UnpackBatch {
   std::vector<UnpackItem> items;
   std::uint64_t bytes = 0;
   vcuda::StreamHandle stream = nullptr;
+  std::vector<AsyncOp *> members; ///< full messages into claimed programs
 
   /// Queue the unpack of the objects `op`'s wire delivered.
-  void add(const AsyncOp &op) {
+  void add(AsyncOp &op) {
     const int objects = arrived_objects(op);
     if (objects == 0) {
+      return;
+    }
+    if (op.claimed && objects == op.count) {
+      members.push_back(&op);
       return;
     }
     if (stream == nullptr) {
       stream = op.stream;
     }
-    const Packer &pk = *op.packer;
-    items.push_back({&pk.plan(), &pk.block(), pk.type_extent(), op.recv_buf,
-                     op.pipe.wire.get(), objects});
-    bytes += pk.packed_bytes(objects);
+    items.push_back(unpack_item(op, objects));
+    bytes += op.packer->packed_bytes(objects);
   }
 
-  /// Launch every pending unpack as one kernel (no-op when empty) and
-  /// record the stream for pass 2's sync.
-  int flush(std::vector<vcuda::StreamHandle> &streams) {
-    if (items.empty()) {
-      return MPI_SUCCESS;
+  /// Launch every pending live unpack as one kernel and replay the
+  /// members (no-op when empty); the streams to synchronize go to
+  /// `streams`, those to fence to `fence_streams`.
+  int flush(std::vector<vcuda::StreamHandle> &streams,
+            std::vector<vcuda::StreamHandle> &fence_streams) {
+    int rc = MPI_SUCCESS;
+    if (!items.empty()) {
+      trace::ScopedSpan span(trace::Phase::Unpack, trace::OpKind::Irecv,
+                             bytes);
+      const vcuda::Error e = launch_unpack_batch(items, stream);
+      const std::size_t n = items.size();
+      items.clear();
+      bytes = 0;
+      if (e == vcuda::Error::Success) {
+        Pool &p = pool();
+        p.fused_unpack_launches.add();
+        p.fused_unpacks.add(n);
+        note_stream(streams, stream);
+      } else {
+        rc = MPI_ERR_OTHER;
+      }
     }
-    trace::ScopedSpan span(trace::Phase::Unpack, trace::OpKind::Irecv, bytes);
-    const vcuda::Error e = launch_unpack_batch(items, stream);
-    const std::size_t n = items.size();
-    items.clear();
-    bytes = 0;
-    if (e != vcuda::Error::Success) {
-      return MPI_ERR_OTHER;
-    }
-    Pool &p = pool();
-    p.fused_unpack_launches.add();
-    p.fused_unpacks.add(n);
-    note_stream(streams, stream);
-    return MPI_SUCCESS;
+    const int mrc = replay_members(members, fence_streams);
+    members.clear();
+    return rc != MPI_SUCCESS ? rc : mrc;
   }
 };
 
 /// Waitall's pass-1 step for one receive op: receive the wire, then either
 /// append the unpack to `batch` or enqueue it on the op's own path without
-/// a sync. A rendezvous-sized wire wait first launches the pending batch.
+/// a sync. A rendezvous-sized wire wait first flushes the pending batch.
 /// Streams left holding this op's work are added to `streams`, or, for an
 /// op running from a claimed program, to `fence_streams`: those take the
 /// cheaper pre-armed fence instead of a host synchronization.
@@ -1528,7 +1720,8 @@ int complete_recv_deferred(AsyncOp &op, const interpose::MpiTable &next,
                            std::vector<vcuda::StreamHandle> &streams,
                            std::vector<vcuda::StreamHandle> &fence_streams) {
   if (rendezvous_sized(expected_bytes(op))) {
-    if (const int rc = batch.flush(streams); rc != MPI_SUCCESS) {
+    if (const int rc = batch.flush(streams, fence_streams);
+        rc != MPI_SUCCESS) {
       return rc;
     }
   }
@@ -1565,8 +1758,9 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
   // Pass 1: complete every transfer leg, but only *enqueue* the unpack
   // legs — TEMPI receives pipeline on the stream without a host sync.
   // Fusable receives do not even launch: their unpacks collect in `batch`
-  // and go out as one kernel just before the next rendezvous-sized wire
-  // wait (so they run under it) and once more at the end of the pass.
+  // and go out just before the next rendezvous-sized wire wait (so they
+  // run under it) and once more at the end of the pass, as one kernel or
+  // one recorded batch.
   std::vector<AsyncOp *> pending(static_cast<std::size_t>(count), nullptr);
   std::vector<vcuda::StreamHandle> streams;
   std::vector<vcuda::StreamHandle> fence_streams; ///< claimed programs
@@ -1579,7 +1773,7 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
   // enqueued unpack legs must drain: retiring returns the intermediates to
   // the cache, which is only safe once no stream work references them.
   const auto bail = [&](int rc) {
-    batch.flush(streams);
+    batch.flush(streams, fence_streams);
     for (vcuda::StreamHandle s : streams) {
       vcuda::StreamSynchronize(s);
     }
@@ -1629,7 +1823,8 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
     }
     pending[static_cast<std::size_t>(i)] = op;
   }
-  if (const int rc = batch.flush(streams); rc != MPI_SUCCESS) {
+  if (const int rc = batch.flush(streams, fence_streams);
+      rc != MPI_SUCCESS) {
     return bail(rc);
   }
   // Pass 2: one host synchronization per stream that holds batched unpack

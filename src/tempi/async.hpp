@@ -32,33 +32,40 @@
 // completion. Each op draws a stream round-robin from the per-rank pool
 // (vcuda::next_pool_stream).
 //
-// Recorded programs: a monolithic MPI_Send, MPI_Isend or MPI_Recv whose
-// (packer, buffer, count, method) the thread has seen before runs from a
+// Recorded programs: a monolithic MPI_Send, MPI_Isend, MPI_Recv or MPI_Irecv
+// whose (packer, buffer, count, method) the thread has seen before runs from a
 // recorded program (the program MPI_Send_init/MPI_Recv_init freeze, see
-// tempi/replay.hpp), kept in one per-thread table. A send from a program
-// and a persistent send's Start post the same way: PackIssued is one
-// graph launch and a pre-armed fence into the program's pinned wire lease.
-// A receive from a program, persistent or blocking, lands its wire in the
+// tempi/replay.hpp), kept in one per-thread table. A send from a program and a
+// persistent send's Start post the same way: PackIssued is one graph launch
+// and a pre-armed fence into the program's pinned wire lease. A receive from a
+// program, persistent, blocking or non-blocking, lands its wire in the
 // program's pinned lease and replays the recorded unpack graph, unless the
 // message is shorter than posted: then only the objects that arrived are
 // unpacked, live. A persistent request's frozen program is entered in the
-// table under its key, never evicted and never charged to its budget, so
-// while the request rests a call of the same key borrows it from the
-// first sighting on instead of recording a second one. An op claims
-// (marks in flight) the program it runs from until it retires; a call that
-// finds its program claimed, by an active request or another borrower,
-// runs live, and so does an arming whose program a call borrowed.
+// table under its key, never evicted and never charged to its budget, so while
+// the request rests a call of the same key borrows it from the first sighting
+// on instead of recording a second one. An op claims (marks in flight) the
+// program it runs from until it retires; a call that finds its program
+// claimed, by an active request or another borrower, runs live, and so does an
+// arming whose program a call borrowed.
 //
 // Waitall batching (the paper's halo exchange completes 26 receives per
 // iteration in one Waitall): receives whose unpack is one canonical-packer
 // kernel (Device/OneShot, monolithic, not a pre-packed collective leg)
 // only receive their wire in pass 1. Their unpacks collect in a batch that
-// goes out as ONE fused kernel (launch_unpack_batch) just before the next
-// rendezvous-sized wire wait, so it runs under that wait, and once more at
-// the end of pass 1. Pass 2 then pays one host synchronization per stream
-// that holds work: one for every fused launch, plus one per stream of the
-// receives that keep their own unpack path (Staged, block-list, pipelined).
-// Ops that completed in place leave no stream work and cost no sync.
+// is flushed just before the next rendezvous-sized wire wait, so it runs
+// under that wait, and once more at the end of pass 1. A flush launches
+// the unpacks that must run live as ONE fused kernel (launch_unpack_batch).
+// Full messages into claimed programs are the flush's members: the first
+// time a thread flushes the same ordered members each replays its own
+// graph, the second time their fused unpack is recorded as one graph, and
+// from then on every flush of them is one graph launch (see the batch
+// table in async.cpp). Pass 2 then pays one host synchronization per
+// stream that holds live work: one for every fused launch, plus one per
+// stream of the receives that keep their own unpack path (Staged,
+// block-list, pipelined); streams of replayed graphs take a pre-armed
+// fence instead. Ops that completed in place leave no stream work and
+// cost nothing here.
 //
 // Deadlock discipline: the send-side transfer is posted eagerly at Isend
 // time (the system MPI's sends are buffered), so a rank that blocks in a
@@ -129,6 +136,8 @@ int start_isend(const Packer *packer, Method method, const void *buf,
                 std::size_t chunk_bytes = 0);
 
 /// Start an accelerated non-blocking receive (wire matched at Wait/Test).
+/// A monolithic receive lands in the thread's recorded receive program of
+/// its key when there is one, as recv() does.
 /// For Method::Pipelined the op carries a ChunkedRecv state machine:
 /// Wait drives every remaining wire leg to completion, while Test makes
 /// progress one arrived leg at a time (chunk unpacks overlap later legs'
@@ -246,9 +255,10 @@ int test(MPI_Request *request, int *flag, MPI_Status *status,
          const interpose::MpiTable &next);
 
 /// Batch completion for Waitall over a mixed TEMPI/system request array:
-/// fuses the unpacks of eligible receives into as few kernel launches as
-/// the rendezvous flush rule allows (see the header comment) and
-/// synchronizes each stream holding work once. On an error, every receive
+/// fuses the unpacks of eligible receives into as few kernel launches or
+/// recorded-batch replays as the rendezvous flush rule allows (see the
+/// header comment) and synchronizes or fences each stream holding work
+/// once. On an error, every receive
 /// whose wire already landed still gets its unpack before any op retires.
 int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
             const interpose::MpiTable &next);

@@ -533,10 +533,8 @@ vcuda::Error launch_unpack_batch(std::span<const UnpackItem> items,
                         unpack_cost(*it.sb, it.count, space_of(it.src),
                                     space_of(it.dst))});
   }
-  // The body may reference the caller's items: a fused launch is never
-  // captured, so it runs before LaunchKernel returns.
-  return vcuda::LaunchKernel(segments, stream, [items] {
-    for (const UnpackItem &it : items) {
+  const auto run = [](std::span<const UnpackItem> batch) {
+    for (const UnpackItem &it : batch) {
       auto *out = static_cast<std::byte *>(it.dst);
       const auto *in = static_cast<const std::byte *>(it.src);
       for_each_kernel_block(*it.sb, it.extent, it.count,
@@ -545,7 +543,18 @@ vcuda::Error launch_unpack_batch(std::span<const UnpackItem> items,
                                           static_cast<std::size_t>(n));
                             });
     }
-  });
+  };
+  // A live launch runs its body before LaunchKernel returns, so the body
+  // may reference the caller's items; a captured one runs at every replay
+  // and keeps a copy.
+  if (vcuda::StreamIsCapturing(stream)) {
+    return vcuda::LaunchKernel(
+        segments, stream,
+        [run, owned = std::vector<UnpackItem>(items.begin(), items.end())] {
+          run(owned);
+        });
+  }
+  return vcuda::LaunchKernel(segments, stream, [run, items] { run(items); });
 }
 
 namespace {

@@ -143,7 +143,8 @@ struct UnpackItem {
 /// LaunchKernel). Each item is one segment, with the geometry and cost
 /// launch_unpack would give it alone, so a one-item batch costs exactly
 /// what launch_unpack does. Items must have kernel plans (non-contiguous
-/// types). An empty batch is a no-op.
+/// types). An empty batch is a no-op. On a capturing stream the batch
+/// records as one graph node that keeps its own copy of `items`.
 vcuda::Error launch_unpack_batch(std::span<const UnpackItem> items,
                                  vcuda::StreamHandle stream);
 

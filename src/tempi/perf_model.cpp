@@ -322,11 +322,14 @@ SystemPerf builtin_perf() {
 
 // --- choice cache ------------------------------------------------------------
 
-/// Fixed-size, direct-mapped, lock-free cache of transfer decisions. Each
-/// slot is one 64-bit atomic: bits [63:9] tag | [8:3] log2(chunk) | bit 2
-/// valid | [1:0] Method (the key's low 10 bits pick the slot). A tag
-/// collision can only mispick a method, never corrupt bytes. Concurrent
-/// writers race benignly (last store wins).
+/// Fixed-size, 2-way set-associative, lock-free cache of transfer
+/// decisions. Each slot is one 64-bit atomic: bits [63:9] tag | [8:3]
+/// log2(chunk) | bit 2 valid | [1:0] Method. Key bits [9:1] pick a set of
+/// two adjacent slots, and a key may sit in either, so two hot keys of one
+/// set do not evict each other. A miss fills an invalid way first, else
+/// the way key bit 10 picks. A tag collision can only mispick a method,
+/// never corrupt bytes. Concurrent writers race benignly (last store
+/// wins).
 struct PerfModel::ChoiceCache {
   static constexpr std::size_t kSlots = 1024; // power of two
   std::array<std::atomic<std::uint64_t>, kSlots> slots{};
@@ -373,6 +376,17 @@ std::uint64_t choice_key(std::size_t block_bytes, std::size_t total_bytes,
   return mix64(mix64(block_bytes ^ kTransferSalt) ^ total ^
                (transfer_config_generation() * kGenMul));
 }
+
+} // namespace
+
+std::uint64_t choice_cache_key(std::size_t block_bytes,
+                               std::size_t total_bytes,
+                               const TransferOperands &ops) {
+  return choice_key(block_bytes, total_bytes, ops,
+                    total_bytes > wire_chunk_limit());
+}
+
+namespace {
 
 /// Process-wide choice-cache traffic, summed over every PerfModel.
 trace::Counter g_model_cache_hits{"tempi.model.cache_hits"};
@@ -489,18 +503,26 @@ TransferChoice PerfModel::choose_transfer(std::size_t block_bytes,
   // require a redundant expensive interpolation".
   const std::uint64_t h =
       choice_key(block_bytes, total_bytes, ops, multi_leg);
-  std::atomic<std::uint64_t> &slot =
-      cache_->slots[h & (ChoiceCache::kSlots - 1)];
+  const std::size_t set = h & (ChoiceCache::kSlots - 2);
+  std::atomic<std::uint64_t> *ways = &cache_->slots[set];
   const std::uint64_t tag = h & kTagMask;
-  const std::uint64_t v = slot.load(std::memory_order_acquire);
-  if ((v & kTagMask) == tag && (v & kValidBit) != 0) {
-    clock.advance(kModelQueryCachedNs);
-    g_model_cache_hits.add();
-    const auto m = static_cast<Method>(v & 0x3u);
-    return TransferChoice{m, m == Method::Pipelined
-                                 ? std::size_t{1} << ((v >> 3) & 0x3Fu)
-                                 : 0};
+  std::uint64_t seen[2];
+  for (std::size_t w = 0; w < 2; ++w) {
+    const std::uint64_t v = ways[w].load(std::memory_order_acquire);
+    if ((v & kTagMask) == tag && (v & kValidBit) != 0) {
+      clock.advance(kModelQueryCachedNs);
+      g_model_cache_hits.add();
+      const auto m = static_cast<Method>(v & 0x3u);
+      return TransferChoice{m, m == Method::Pipelined
+                                   ? std::size_t{1} << ((v >> 3) & 0x3Fu)
+                                   : 0};
+    }
+    seen[w] = v;
   }
+  const std::size_t fill = (seen[0] & kValidBit) == 0   ? 0
+                           : (seen[1] & kValidBit) == 0 ? 1
+                                                        : (h >> 10) & 1;
+  std::atomic<std::uint64_t> &slot = ways[fill];
   clock.advance(kModelQueryUncachedNs);
   g_model_cache_misses.add();
   const TransferChoice choice = decide(block_bytes, total_bytes, ops, limit);

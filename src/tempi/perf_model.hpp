@@ -8,11 +8,12 @@
 // Transfers are estimated by 1-D interpolation over message size;
 // pack/unpack kernels by 2-D interpolation over {contiguous block length,
 // object size}. A transfer decision is a pure function of its operands,
-// so each PerfModel instance carries a fixed-size, lock-free,
-// direct-mapped cache of its choose_transfer() results: a hit is a single
-// atomic load (~277 ns per the paper), a miss runs the interpolation
-// (~2 us) and publishes the winner. Process-wide hit/miss counts are the
-// tempi.model.cache_hits / tempi.model.cache_misses trace counters.
+// so each PerfModel instance carries a fixed-size, lock-free, 2-way
+// set-associative cache of its choose_transfer() results: a hit is one
+// probe of a two-slot set (~277 ns per the paper), a miss runs the
+// interpolation (~2 us) and publishes the winner. Process-wide hit/miss
+// counts are the tempi.model.cache_hits / tempi.model.cache_misses trace
+// counters.
 #pragma once
 
 #include "support/contended_mutex.hpp"
@@ -80,6 +81,12 @@ struct TransferOperands {
   bool same_node = false;       ///< Leg: the peer shares this rank's node
   std::size_t queued_bytes = 0; ///< Leg: bytes queued on the injection port
 };
+
+/// The choice-cache key of a decision; bits [9:1] pick its cache set
+/// (tests: finding operands that share a set).
+std::uint64_t choice_cache_key(std::size_t block_bytes,
+                               std::size_t total_bytes,
+                               const TransferOperands &ops);
 
 /// Model-free chunk target for forced-Pipelined sends (TEMPI_METHOD=
 /// pipelined or a forced monolithic method upgraded above the wire-chunk

@@ -8,8 +8,10 @@
 // replays that program instead of paying a cold launch and a blocking
 // sync. MPI_Pack/MPI_Unpack (tempi.cpp) keep one table per thread, and
 // the request engine (async.cpp) keeps another for the send programs of
-// MPI_Send and MPI_Isend and the receive programs of MPI_Recv. Both are
-// instances of Table below.
+// MPI_Send and MPI_Isend and the receive programs of MPI_Recv and
+// MPI_Irecv, plus a batch table for MPI_Waitall's fused unpacks, keyed by
+// the ordered receive programs one fused launch unpacks (SequenceKey). All
+// three are instances of Table below.
 //
 // A table is open addressed with linear probing over kSlots slots. Slots
 // empty only all at once (clear()), so a probe may stop at the first empty
@@ -41,6 +43,7 @@
 #include <initializer_list>
 #include <memory>
 #include <utility>
+#include <vector>
 
 namespace tempi::replay {
 
@@ -56,7 +59,7 @@ std::uint64_t epoch();
 void release_all();
 
 /// Mix a key's fields into a slot hash.
-inline std::uint64_t mix(std::initializer_list<std::uint64_t> fields) {
+template <class Fields> std::uint64_t mix_all(const Fields &fields) {
   std::uint64_t x = 0x9e3779b97f4a7c15ull;
   for (const std::uint64_t v : fields) {
     x = (x ^ v ^ (x >> 29)) * 0xbf58476d1ce4e5b9ull;
@@ -64,9 +67,23 @@ inline std::uint64_t mix(std::initializer_list<std::uint64_t> fields) {
   return x ^ (x >> 32);
 }
 
+inline std::uint64_t mix(std::initializer_list<std::uint64_t> fields) {
+  return mix_all(fields);
+}
+
 inline std::uint64_t bits(const void *p) {
   return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p));
 }
+
+/// A key made of an ordered list of programs, named by address (bits()).
+/// A table whose entries hold programs under such a key must own them (by
+/// shared_ptr) while its recorded program exists, so no address in a
+/// recorded key can be reused by a new program.
+struct SequenceKey {
+  std::vector<std::uint64_t> items;
+  bool operator==(const SequenceKey &) const = default;
+  [[nodiscard]] std::uint64_t hash() const { return mix_all(items); }
+};
 
 /// A recorded graph, destroyed with its owner.
 struct GraphDestroyer {

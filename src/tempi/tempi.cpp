@@ -1318,6 +1318,10 @@ void uninstall() {
   // every thread from matching them, and every thread's tables release
   // their graphs and pinned leases now.
   replay::release_all();
+  // Leases released after the ranks' last MPI_Finalize (by the tables
+  // above, or by program tables at their threads' exit) may have
+  // overflowed a magazine into the shared depot; free them with it.
+  drain_buffer_cache();
   save_tuned_tables(s); // TEMPI_TUNE_SAVE (no-op unless requested)
   trace::flush(); // trace file + stats report (no-op if already flushed)
   s.installed = false;

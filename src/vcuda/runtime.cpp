@@ -91,15 +91,17 @@ void note_device_op(TraceOp op, const Stream *stream, VirtualNs end,
 } // namespace
 
 /// One recorded stream operation. Kernel nodes keep their KernelCost so
-/// replay can price them with the graph dispatch discount; copy nodes keep
-/// the modeled duration computed at capture (the DMA engine's cost does
-/// not change under graphs). Bodies execute only at replay.
+/// replay can price them with the graph dispatch discount; a fused kernel
+/// node keeps the live duration its segments summed to at capture, and
+/// replay discounts it the same way; copy nodes keep the modeled duration
+/// computed at capture (the DMA engine's cost does not change under
+/// graphs). Bodies execute only at replay.
 struct Graph {
   struct Node {
-    enum class Kind { Kernel, Copy };
+    enum class Kind { Kernel, FusedKernel, Copy };
     Kind kind = Kind::Copy;
     KernelCost cost{};        ///< kernel nodes
-    VirtualNs duration = 0;   ///< copy nodes
+    VirtualNs duration = 0;   ///< fused kernel and copy nodes
     KernelBody body;
   };
   std::vector<Node> nodes;
@@ -619,9 +621,6 @@ Error LaunchKernel(std::span<const KernelSegment> segments,
   if (stream == nullptr) {
     stream = default_stream();
   }
-  if (capture_target(stream) != nullptr) {
-    return Error::InvalidValue; // nothing records a fused launch
-  }
   const CostParams &p = cost_params();
   VirtualNs dur = p.kernel_fixed_ns;
   bool reduce = false;
@@ -631,6 +630,11 @@ Error LaunchKernel(std::span<const KernelSegment> segments,
     }
     dur += kernel_duration(p, s.cost) - p.kernel_fixed_ns;
     reduce = reduce || s.cost.reduce_ops > 0;
+  }
+  if (Graph *g = capture_target(stream)) {
+    capture_node(g, Graph::Node{Graph::Node::Kind::FusedKernel, {}, dur,
+                                body});
+    return Error::Success;
   }
   return launch_live(stream, dur, reduce, body);
 }
@@ -697,18 +701,20 @@ Error GraphLaunch(GraphHandle graph, StreamHandle stream) {
   c.graph_launches.add();
   c.graph_nodes_replayed.add(graph->nodes.size());
   for (const Graph::Node &node : graph->nodes) {
+    const bool kernel = node.kind != Graph::Node::Kind::Copy;
     VirtualNs dur = node.duration;
-    if (node.kind == Graph::Node::Kind::Kernel) {
-      const VirtualNs live = kernel_duration(p, node.cost);
+    if (kernel) {
+      const VirtualNs live = node.kind == Graph::Node::Kind::Kernel
+                                 ? kernel_duration(p, node.cost)
+                                 : node.duration;
       // Graph-scheduled kernels swap the cold per-kernel dispatch floor
       // for the (smaller) in-graph scheduling cost.
       dur = live - std::min(live, p.kernel_fixed_ns) + p.graph_node_sched_ns;
     }
     const VirtualNs end = stream->enqueue(virtual_now(), dur);
     node.body();
-    note_device_op(node.kind == Graph::Node::Kind::Kernel ? TraceOp::Kernel
-                                                          : TraceOp::Memcpy,
-                   stream, end, dur, 0);
+    note_device_op(kernel ? TraceOp::Kernel : TraceOp::Memcpy, stream, end,
+                   dur, 0);
   }
   return Error::Success;
 }

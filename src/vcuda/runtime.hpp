@@ -155,8 +155,10 @@ struct KernelSegment {
 /// kernel_duration minus kernel_fixed_ns: fusing earns no bandwidth or
 /// utilization credit, so the only modeled saving is the launches removed.
 /// A one-segment launch costs exactly what the single-cost overload does.
-/// A capturing stream rejects it (InvalidValue), as does an empty segment
-/// list or any segment with invalid geometry.
+/// On a capturing stream it records one kernel node, which replays as its
+/// fused device time minus kernel_fixed_ns plus graph_node_sched_ns, like
+/// any in-graph kernel. An empty segment list or any segment with invalid
+/// geometry is rejected (InvalidValue).
 Error LaunchKernel(std::span<const KernelSegment> segments,
                    StreamHandle stream, const KernelBody &body);
 

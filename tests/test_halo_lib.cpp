@@ -239,4 +239,42 @@ TEST(HaloColdExchange, FirstIsendExchangeCarvesSameSizeLeases) {
   EXPECT_EQ(mallocs, misses[0] + misses[1]);
 }
 
+TEST(HaloColdExchange, UninstallLeavesTheBufferDepotEmpty) {
+  // Repeated exchanges record send and receive programs that pin leases.
+  // A rank whose buffer cache predates its program table (here one lease
+  // before the first exchange, as a collective or a pack would take)
+  // destroys the table first at thread exit, after its last
+  // MPI_Finalize drained the cache: the programs' leases go back to live
+  // magazines, and beyond a magazine's cap into the shared depot.
+  // Uninstall must free those too.
+  halo::Config cfg;
+  cfg.nx = cfg.ny = cfg.nz = 12;
+  cfg.vals = 2;
+  cfg.radius = 2;
+  cfg.px = 2;
+  cfg.py = cfg.pz = 1;
+  tempi::install();
+  sysmpi::RunConfig rc;
+  rc.ranks = cfg.ranks();
+  rc.ranks_per_node = 2;
+  sysmpi::run_ranks(rc, [&](int) {
+    MPI_Init(nullptr, nullptr);
+    (void)tempi::lease_buffer(vcuda::MemorySpace::Device, 64);
+    void *dev = nullptr;
+    vcuda::Malloc(&dev, cfg.grid_bytes());
+    std::memset(dev, 0, cfg.grid_bytes());
+    {
+      halo::Exchanger ex(cfg, MPI_COMM_WORLD);
+      for (int it = 0; it < 4; ++it) {
+        ex.exchange_isend(dev);
+      }
+    }
+    vcuda::Free(dev);
+    MPI_Finalize();
+  });
+  tempi::uninstall();
+  EXPECT_EQ(tempi::buffer_depot_size(), 0u);
+  EXPECT_EQ(tempi::buffer_cache_stats().leased_now, 0u);
+}
+
 } // namespace

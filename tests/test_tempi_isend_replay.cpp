@@ -1,13 +1,16 @@
-// Repeated MPI_Isend replay: the request engine sends the first sighting
-// of a (packer, buffer, count, method) live, records its send program on
-// the second, and replays that program (one graph launch + one fence)
-// from then on. Replays must ship the buffer's current bytes, never
+// Repeated MPI_Isend and MPI_Irecv replay: the request engine runs the
+// first sighting of a (packer, buffer, count, method) live, records its
+// program on the second, and replays that program (one graph launch + one
+// fence) from then on. Replays must ship the buffer's current bytes, never
 // overwrite a wire lease still in flight, and never outlive the packers or
-// the install they were recorded under.
+// the install they were recorded under. A Waitall whose claimed receives
+// repeat replays their fused unpack as one recorded graph, and never after
+// one of its programs was evicted or released.
 #include "interpose/table.hpp"
 #include "random_types.hpp"
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
+#include "tempi/async.hpp"
 #include "tempi/buffer_cache.hpp"
 #include "tempi/perf_model.hpp"
 #include "tempi/tempi.hpp"
@@ -18,8 +21,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <barrier>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -476,6 +482,369 @@ TEST_F(IsendReplay, ThreadExitWithLiveEntriesReleasesEverything) {
   EXPECT_EQ(leased_now(), leased0);
   EXPECT_EQ(after.mallocs - before.mallocs, after.frees - before.frees);
   MPI_Type_free(&t);
+}
+
+// --- MPI_Irecv --------------------------------------------------------------
+
+class IrecvReplay : public IsendReplay {};
+
+/// One object of `t` whose bytes derive from `seed`, packed: the wire of a
+/// message to unpack.
+std::vector<std::byte> packed_object(MPI_Datatype t, unsigned seed) {
+  MPI_Aint lb = 0, extent = 0;
+  MPI_Type_get_extent(t, &lb, &extent);
+  std::vector<std::byte> src(static_cast<std::size_t>(extent));
+  fill_pattern(src.data(), src.size(), seed);
+  return reference_pack(src.data(), 1, *t);
+}
+
+/// Send `packed` to this rank on `tag` through the system MPI.
+void post_wire(const std::vector<std::byte> &packed, int tag) {
+  EXPECT_EQ(interpose::system_table().Send(packed.data(),
+                                           static_cast<int>(packed.size()),
+                                           MPI_BYTE, 0, tag, MPI_COMM_WORLD),
+            MPI_SUCCESS);
+}
+
+/// One MPI_Irecv + MPI_Wait of one object of `t` into `dst`, landing
+/// fresh bytes; returns the device work of the two calls.
+DeviceOps irecv_once(void *dst, MPI_Datatype t, unsigned seed,
+                     int tag = 5) {
+  const std::vector<std::byte> packed = packed_object(t, seed);
+  post_wire(packed, tag);
+  const DeviceOps before = device_ops();
+  MPI_Request req = MPI_REQUEST_NULL;
+  EXPECT_EQ(MPI_Irecv(dst, 1, t, 0, tag, MPI_COMM_WORLD, &req), MPI_SUCCESS);
+  EXPECT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+  const DeviceOps d = device_ops() - before;
+  EXPECT_EQ(reference_pack(dst, 1, *t), packed) << "seed " << seed;
+  return d;
+}
+
+/// One MPI_Waitall over `n` MPI_Irecvs of one object of `t`, the k-th
+/// into `base + k * step` on tag 40 + k, each landing fresh bytes; returns
+/// the device work of the Waitall call alone.
+DeviceOps waitall_round(std::byte *base, std::size_t step, int n,
+                        MPI_Datatype t, unsigned seed) {
+  std::vector<std::vector<std::byte>> sent;
+  std::vector<MPI_Request> reqs(static_cast<std::size_t>(n));
+  for (int k = 0; k < n; ++k) {
+    sent.push_back(packed_object(t, seed * 16 + static_cast<unsigned>(k)));
+    post_wire(sent.back(), 40 + k);
+    EXPECT_EQ(MPI_Irecv(base + static_cast<std::size_t>(k) * step, 1, t, 0,
+                        40 + k, MPI_COMM_WORLD,
+                        &reqs[static_cast<std::size_t>(k)]),
+              MPI_SUCCESS);
+  }
+  const DeviceOps before = device_ops();
+  EXPECT_EQ(MPI_Waitall(n, reqs.data(), MPI_STATUSES_IGNORE), MPI_SUCCESS);
+  const DeviceOps d = device_ops() - before;
+  for (int k = 0; k < n; ++k) {
+    EXPECT_EQ(reference_pack(base + static_cast<std::size_t>(k) * step, 1,
+                             *t),
+              sent[static_cast<std::size_t>(k)])
+        << "seed " << seed << " receive " << k;
+  }
+  return d;
+}
+
+std::uint64_t graph_nodes_captured() {
+  return vcuda::counters().graph_nodes_captured;
+}
+
+std::size_t graph_replay_spans(tempi::trace::OpKind kind) {
+  std::size_t n = 0;
+  for (const tempi::trace::SpanRecord &rec : tempi::trace_snapshot().spans) {
+    n += rec.phase == tempi::trace::Phase::GraphReplay && rec.kind == kind
+             ? 1
+             : 0;
+  }
+  return n;
+}
+
+// The first Irecv of a key unpacks live and synchronizes, the second
+// records the unpack program (and replays it), the third only replays:
+// one graph launch and a fence, no kernel launch and no sync.
+TEST_F(IrecvReplay, FirstCallLiveSecondCapturesThirdReplays) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  tempi::trace::reset_counters();
+  tempi::trace::reset();
+  tempi::trace::set_enabled(true);
+
+  std::uint64_t nodes = graph_nodes_captured();
+  DeviceOps d = irecv_once(dst.get(), t, 1);
+  EXPECT_EQ(d.kernels, 1u);
+  EXPECT_EQ(d.syncs, 1u);
+  EXPECT_EQ(d.graphs, 0u);
+  EXPECT_EQ(graph_nodes_captured(), nodes);
+
+  d = irecv_once(dst.get(), t, 2);
+  EXPECT_GT(graph_nodes_captured(), nodes); // recorded at the Irecv
+  EXPECT_EQ(d.kernels, 0u);
+  EXPECT_EQ(d.syncs, 0u);
+  EXPECT_EQ(d.graphs, 1u);
+  EXPECT_EQ(d.fences, 1u);
+
+  nodes = graph_nodes_captured();
+  d = irecv_once(dst.get(), t, 3);
+  EXPECT_EQ(graph_nodes_captured(), nodes);
+  EXPECT_EQ(d.kernels, 0u);
+  EXPECT_EQ(d.syncs, 0u);
+  EXPECT_EQ(d.graphs, 1u);
+  EXPECT_EQ(d.fences, 1u);
+
+  tempi::trace::set_enabled(false);
+  EXPECT_EQ(counter("tempi.irecv.captures"), 1u);
+  EXPECT_EQ(counter("tempi.irecv.replays"), 2u);
+  EXPECT_EQ(counter("tempi.irecv.busy"), 0u);
+  for (const char *name : {"tempi.isend.replays", "tempi.isend.captures",
+                           "tempi.recv.replays", "tempi.recv.captures"}) {
+    EXPECT_EQ(counter(name), 0u) << name;
+  }
+  EXPECT_EQ(graph_replay_spans(tempi::trace::OpKind::Irecv), 2u);
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
+  tempi::trace::reset();
+  MPI_Type_free(&t);
+}
+
+// While a persistent receive of the same key rests, an Irecv borrows its
+// frozen program from the first call on, and the request still works.
+TEST_F(IrecvReplay, BorrowsARestingRecvInitProgram) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  MPI_Request ch = MPI_REQUEST_NULL;
+  ASSERT_EQ(MPI_Recv_init(dst.get(), 1, t, 0, 7, MPI_COMM_WORLD, &ch),
+            MPI_SUCCESS);
+  tempi::trace::reset_counters();
+  for (unsigned call = 0; call < 2; ++call) {
+    const DeviceOps d = irecv_once(dst.get(), t, 10 + call, 8);
+    EXPECT_EQ(d.kernels, 0u) << "call " << call;
+    EXPECT_EQ(d.graphs, 1u) << "call " << call;
+  }
+  EXPECT_EQ(counter("tempi.irecv.captures"), 0u);
+  EXPECT_EQ(counter("tempi.irecv.replays"), 2u);
+  EXPECT_EQ(counter("tempi.irecv.busy"), 0u);
+
+  const std::vector<std::byte> packed = packed_object(t, 20);
+  post_wire(packed, 7);
+  ASSERT_EQ(MPI_Start(&ch), MPI_SUCCESS);
+  ASSERT_EQ(MPI_Wait(&ch, MPI_STATUS_IGNORE), MPI_SUCCESS);
+  EXPECT_EQ(reference_pack(dst.get(), 1, *t), packed);
+  EXPECT_EQ(counter("tempi.persistent.replays"), 1u);
+  ASSERT_EQ(MPI_Request_free(&ch), MPI_SUCCESS);
+  MPI_Type_free(&t);
+}
+
+// Two Irecvs of one key in one Waitall: the first runs from the program,
+// the second finds it claimed and unpacks live (counted busy).
+TEST_F(IrecvReplay, SameKeyTwiceInOneWaitallRunsTheSecondLive) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  irecv_once(dst.get(), t, 1); // live
+  irecv_once(dst.get(), t, 2); // recorded
+  tempi::trace::reset_counters();
+  // Both messages carry the same bytes: the two receives share a buffer.
+  const std::vector<std::byte> packed = packed_object(t, 3);
+  post_wire(packed, 5);
+  post_wire(packed, 6);
+  MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+  ASSERT_EQ(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]),
+            MPI_SUCCESS);
+  ASSERT_EQ(MPI_Irecv(dst.get(), 1, t, 0, 6, MPI_COMM_WORLD, &reqs[1]),
+            MPI_SUCCESS);
+  const DeviceOps before = device_ops();
+  ASSERT_EQ(MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE), MPI_SUCCESS);
+  const DeviceOps d = device_ops() - before;
+  EXPECT_EQ(d.kernels, 1u); // the busy receive's live unpack
+  EXPECT_EQ(d.graphs, 1u);  // the program's
+  EXPECT_EQ(counter("tempi.irecv.busy"), 1u);
+  EXPECT_EQ(counter("tempi.irecv.replays"), 1u);
+  EXPECT_EQ(reference_pack(dst.get(), 1, *t), packed);
+
+  // Retired: the next call replays again.
+  EXPECT_EQ(irecv_once(dst.get(), t, 4).graphs, 1u);
+  EXPECT_EQ(counter("tempi.irecv.busy"), 1u);
+  MPI_Type_free(&t);
+}
+
+// A Waitall of N claimed receives replays each program's graph the first
+// time it flushes them together, records their fused unpack the second
+// time, and from then on launches one graph per flush and fences it.
+TEST_F(IrecvReplay, RepeatedWaitallLaunchesOneGraphPerFlush) {
+  constexpr int kN = 4;
+  constexpr std::size_t kStep = 128 * 12;
+  for (const tempi::SendMode mode :
+       {tempi::SendMode::ForceDevice, tempi::SendMode::ForceOneShot}) {
+    tempi::set_send_mode(mode);
+    const std::string where =
+        "mode " + std::to_string(static_cast<int>(mode));
+    MPI_Datatype t = committed_vector(128, 4, 12);
+    SpaceBuffer dst(vcuda::MemorySpace::Device, kN * kStep);
+    tempi::trace::reset_counters();
+
+    DeviceOps d = waitall_round(dst.bytes(), kStep, kN, t, 1);
+    EXPECT_EQ(d.kernels, 1u) << where; // first sightings: one fused launch
+    EXPECT_EQ(d.graphs, 0u) << where;
+
+    d = waitall_round(dst.bytes(), kStep, kN, t, 2);
+    EXPECT_EQ(d.kernels, 0u) << where; // new programs: one graph each
+    EXPECT_EQ(d.graphs, static_cast<std::uint64_t>(kN)) << where;
+    EXPECT_EQ(counter("tempi.engine.fused_unpack_captures"), 0u) << where;
+
+    for (unsigned round = 3; round < 6; ++round) {
+      d = waitall_round(dst.bytes(), kStep, kN, t, round);
+      EXPECT_EQ(d.kernels, 0u) << where << " round " << round;
+      EXPECT_EQ(d.syncs, 0u) << where << " round " << round;
+      EXPECT_EQ(d.graphs, 1u) << where << " round " << round;
+      EXPECT_EQ(d.fences, 1u) << where << " round " << round;
+    }
+    EXPECT_EQ(counter("tempi.engine.fused_unpack_captures"), 1u) << where;
+    EXPECT_EQ(counter("tempi.engine.fused_unpack_replays"), 3u) << where;
+    EXPECT_EQ(counter("tempi.engine.fused_unpack_launches"), 1u) << where;
+    EXPECT_EQ(counter("tempi.irecv.replays"), 4u * kN) << where;
+    EXPECT_EQ(tempi::async::in_flight(), 0u) << where;
+    MPI_Type_free(&t);
+  }
+}
+
+// A rendezvous-sized receive flushes the batch before its wire wait, so
+// one Waitall of small, small, large, small receives flushes twice; once
+// repeated, each flush replays its own recorded batch: two graph launches.
+TEST_F(IrecvReplay, RendezvousReceiveSplitsTheRecordedBatches) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  MPI_Datatype small = committed_vector(32, 4, 12);
+  MPI_Datatype large = committed_vector(8192, 16, 24); // 128 KiB packed
+  ASSERT_GT(static_cast<std::size_t>(large->size),
+            sysmpi::net_params().eager_bytes);
+  const std::array<MPI_Datatype, 4> types = {small, small, large, small};
+  std::vector<std::unique_ptr<SpaceBuffer>> dst;
+  for (const MPI_Datatype t : types) {
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    dst.push_back(std::make_unique<SpaceBuffer>(
+        vcuda::MemorySpace::Device, static_cast<std::size_t>(extent)));
+  }
+  tempi::trace::reset_counters();
+  for (unsigned round = 1; round <= 5; ++round) {
+    std::vector<std::vector<std::byte>> sent;
+    std::array<MPI_Request, 4> reqs{};
+    for (std::size_t k = 0; k < types.size(); ++k) {
+      sent.push_back(packed_object(types[k], round * 8 + k));
+      post_wire(sent.back(), 60 + static_cast<int>(k));
+      ASSERT_EQ(MPI_Irecv(dst[k]->get(), 1, types[k], 0,
+                          60 + static_cast<int>(k), MPI_COMM_WORLD,
+                          &reqs[k]),
+                MPI_SUCCESS);
+    }
+    const DeviceOps before = device_ops();
+    ASSERT_EQ(MPI_Waitall(4, reqs.data(), MPI_STATUSES_IGNORE), MPI_SUCCESS);
+    const DeviceOps d = device_ops() - before;
+    for (std::size_t k = 0; k < types.size(); ++k) {
+      EXPECT_EQ(reference_pack(dst[k]->get(), 1, *types[k]), sent[k])
+          << "round " << round << " receive " << k;
+    }
+    if (round >= 4) {
+      EXPECT_EQ(d.kernels, 0u) << "round " << round;
+      EXPECT_EQ(d.syncs, 0u) << "round " << round;
+      EXPECT_EQ(d.graphs, 2u) << "round " << round;
+    }
+  }
+  EXPECT_EQ(counter("tempi.engine.fused_unpack_captures"), 2u);
+  EXPECT_EQ(counter("tempi.engine.fused_unpack_replays"), 2u * 3u);
+  MPI_Type_free(&large);
+  MPI_Type_free(&small);
+}
+
+// A recorded batch holds its member programs. Once one member is evicted
+// from the program table, its key runs live and records a new program, so
+// the old batch never matches again: nothing replays into the evicted
+// program (ASan would flag a freed lease or graph).
+TEST_F(IrecvReplay, EvictedMemberNeverReplaysAStaleBatch) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  constexpr int kN = 2;
+  constexpr std::size_t kStep = 128 * 12;
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, kN * kStep);
+  tempi::trace::reset_counters();
+  for (unsigned round = 1; round <= 3; ++round) {
+    waitall_round(dst.bytes(), kStep, kN, t, round);
+  }
+  ASSERT_EQ(counter("tempi.engine.fused_unpack_replays"), 1u);
+
+  // Fill the table with first sightings (one key per count) until its
+  // least recently used entries, the two members, are replaced.
+  MPI_Datatype tiny = committed_vector(4, 1, 2);
+  constexpr int kKeys = 200;
+  SpaceBuffer flood(vcuda::MemorySpace::Device, kKeys * 8);
+  for (int count = 1; count <= kKeys; ++count) {
+    std::vector<std::byte> packed(static_cast<std::size_t>(count) * 4);
+    fill_pattern(packed.data(), packed.size(), 7);
+    post_wire(packed, 9);
+    MPI_Request req = MPI_REQUEST_NULL;
+    ASSERT_EQ(MPI_Irecv(flood.get(), count, tiny, 0, 9, MPI_COMM_WORLD, &req),
+              MPI_SUCCESS);
+    ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+    EXPECT_EQ(reference_pack(flood.get(), count, *tiny), packed);
+  }
+  EXPECT_GE(counter("tempi.isend.evictions"), 2u);
+
+  const DeviceOps d = waitall_round(dst.bytes(), kStep, kN, t, 4);
+  EXPECT_EQ(d.kernels, 1u); // first sightings again: live
+  EXPECT_EQ(d.graphs, 0u);
+  for (unsigned round = 5; round <= 7; ++round) {
+    waitall_round(dst.bytes(), kStep, kN, t, round);
+  }
+  // New programs, a new batch: recorded in round 6, replayed in 6 and 7.
+  EXPECT_EQ(counter("tempi.engine.fused_unpack_captures"), 2u);
+  EXPECT_EQ(counter("tempi.engine.fused_unpack_replays"), 3u);
+  MPI_Type_free(&tiny);
+  MPI_Type_free(&t);
+}
+
+// A batch of receives borrowing two persistent requests' programs, the
+// requests then freed on another thread: the programs' pins lapse although
+// the recorded batch still holds them, so the next Waitall runs live and
+// never replays the batch. Uninstall releases what the batch held.
+TEST_F(IrecvReplay, ChannelsFreedOnAnotherThreadNeverReplayTheirBatch) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  constexpr int kN = 2;
+  constexpr std::size_t kStep = 128 * 12;
+  const std::size_t leased0 = leased_now();
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, kN * kStep);
+  std::vector<MPI_Request> channels(kN, MPI_REQUEST_NULL);
+  for (int k = 0; k < kN; ++k) {
+    ASSERT_EQ(MPI_Recv_init(dst.bytes() + k * kStep, 1, t, 0, 20 + k,
+                            MPI_COMM_WORLD,
+                            &channels[static_cast<std::size_t>(k)]),
+              MPI_SUCCESS);
+  }
+  tempi::trace::reset_counters();
+  for (unsigned round = 1; round <= 3; ++round) {
+    waitall_round(dst.bytes(), kStep, kN, t, round); // borrowed
+  }
+  EXPECT_EQ(counter("tempi.irecv.captures"), 0u);
+  ASSERT_EQ(counter("tempi.engine.fused_unpack_replays"), 2u);
+
+  std::thread([&channels] {
+    for (MPI_Request &ch : channels) {
+      EXPECT_EQ(MPI_Request_free(&ch), MPI_SUCCESS);
+    }
+  }).join();
+  EXPECT_EQ(tempi::async::persistent_open(), 0u);
+
+  const DeviceOps d = waitall_round(dst.bytes(), kStep, kN, t, 4);
+  EXPECT_EQ(d.kernels, 1u); // first sightings: live
+  EXPECT_EQ(d.graphs, 0u);
+  EXPECT_EQ(counter("tempi.engine.fused_unpack_replays"), 2u);
+  MPI_Type_free(&t);
+  tempi::uninstall();
+  EXPECT_EQ(leased_now(), leased0);
+  tempi::install();
 }
 
 } // namespace

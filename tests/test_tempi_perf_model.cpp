@@ -262,6 +262,31 @@ TEST(ModelCache, HitMissCountersAdvance) {
   EXPECT_EQ(counter("tempi.model.cache_hits"), 1u);
 }
 
+TEST(ModelCache, TwoLegKeysOfOneSetBothStayCached) {
+  // Two hot Leg decisions whose keys share low bits [9:0] took one slot
+  // of the former direct-mapped cache and evicted each other on every
+  // alternation; the set holds both, so each misses once.
+  const tempi::TransferOperands a{tempi::TransferKind::Leg, false, 17280};
+  const std::uint64_t home = tempi::choice_cache_key(0, 13824, a) & 1023;
+  tempi::TransferOperands b{tempi::TransferKind::Leg, false, 0};
+  std::size_t total = 0;
+  for (std::size_t t = 1; t < (std::size_t{1} << 20); ++t) {
+    if ((tempi::choice_cache_key(0, t, b) & 1023) == home && t != 13824) {
+      total = t;
+      break;
+    }
+  }
+  ASSERT_NE(total, 0u);
+  tempi::trace::reset_counters();
+  const tempi::PerfModel model;
+  for (int round = 0; round < 100; ++round) {
+    (void)model.choose_transfer(0, 13824, a);
+    (void)model.choose_transfer(0, total, b);
+  }
+  EXPECT_EQ(counter("tempi.model.cache_misses"), 2u);
+  EXPECT_EQ(counter("tempi.model.cache_hits"), 198u);
+}
+
 TEST(PerfFile, SaveLoadRoundtrip) {
   const tempi::SystemPerf p = tempi::builtin_perf();
   const std::string path = "test_perf_roundtrip.txt";

@@ -299,17 +299,19 @@ TEST_F(TempiSend, MultiCountObjectsArriveIntact) {
 /// The receive calls a short message can land through.
 enum class RecvPath { Recv, IrecvWait, IrecvWaitall, Persistent };
 
-/// Rank 0 sends messages of 4, 2, 0, 4, 2 and 1.5 vector objects (the
+/// Rank 0 sends messages of 4, 2, 0, 4, 2, 4 and 1.5 vector objects (the
 /// last as plain bytes); rank 1 receives each through `path`, posted for
 /// 4 objects into one poisoned device buffer (a persistent path re-arms
-/// one channel). Returns, per message, the whole receive buffer followed
-/// by MPI_SOURCE, MPI_TAG, MPI_Get_count and the byte count, for
-/// comparison against the system path.
+/// one channel). Every round repeats one receive key, so from the second
+/// round on each path runs from a recorded or frozen program, and full
+/// and short messages alternate on it. Returns, per message, the whole
+/// receive buffer followed by MPI_SOURCE, MPI_TAG, MPI_Get_count and the
+/// byte count, for comparison against the system path.
 std::vector<std::byte> short_receive_rounds(tempi::SendMode mode,
                                             RecvPath path) {
   constexpr int kPosted = 4;
   constexpr int kTag = 3;
-  constexpr std::array<int, 5> kSent = {4, 2, 0, 4, 2};
+  constexpr std::array<int, 6> kSent = {4, 2, 0, 4, 2, 4};
   tempi::set_send_mode(mode);
   std::vector<std::byte> seen;
   run2([&](int rank) {

@@ -197,22 +197,53 @@ TEST(FusedKernel, OneSegmentCostsExactlyASingleLaunch) {
   vcuda::StreamDestroy(fused);
 }
 
-TEST(FusedKernel, CapturingStreamRejectsIt) {
+TEST(FusedKernel, EmptySegmentListIsRejected) {
   vcuda::StreamHandle stream = nullptr;
   ASSERT_EQ(vcuda::StreamCreate(&stream), vcuda::Error::Success);
-  const std::vector<vcuda::KernelSegment> segs = {segment(256, 8)};
   EXPECT_EQ(vcuda::LaunchKernel(std::span<const vcuda::KernelSegment>(),
                                 stream, [] {}),
             vcuda::Error::InvalidValue);
+  vcuda::StreamDestroy(stream);
+}
+
+TEST(FusedKernel, CapturesAsOneGraphNodeReplayedAtTheGraphDiscount) {
+  // A fused launch on a capturing stream records one kernel node; replay
+  // prices it like any in-graph kernel: its fused live duration minus
+  // kernel_fixed_ns plus graph_node_sched_ns.
+  const vcuda::CostParams &p = vcuda::cost_params();
+  vcuda::StreamHandle stream = nullptr;
+  ASSERT_EQ(vcuda::StreamCreate(&stream), vcuda::Error::Success);
+  const std::vector<vcuda::KernelSegment> segs = {
+      segment(512, 16), segment(64 * 1024, 64), segment(3 << 20, 256)};
+  vcuda::VirtualNs live = p.kernel_fixed_ns;
+  for (const vcuda::KernelSegment &s : segs) {
+    live += vcuda::kernel_duration(p, s.cost) - p.kernel_fixed_ns;
+  }
 
   ASSERT_EQ(vcuda::GraphBeginCapture(stream), vcuda::Error::Success);
-  bool ran = false;
-  EXPECT_EQ(vcuda::LaunchKernel(segs, stream, [&ran] { ran = true; }),
-            vcuda::Error::InvalidValue);
+  int runs = 0;
+  const vcuda::VirtualNs c0 = vcuda::virtual_now();
+  ASSERT_EQ(vcuda::LaunchKernel(segs, stream, [&runs] { ++runs; }),
+            vcuda::Error::Success);
+  EXPECT_EQ(vcuda::virtual_now() - c0, p.graph_capture_node_ns);
   vcuda::GraphHandle graph = nullptr;
   ASSERT_EQ(vcuda::GraphEndCapture(stream, &graph), vcuda::Error::Success);
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(vcuda::GraphNodeCount(graph), 0u);
+  EXPECT_EQ(runs, 0); // recorded, not run
+  EXPECT_EQ(vcuda::GraphNodeCount(graph), 1u);
+
+  vcuda::reset_counters();
+  ASSERT_EQ(vcuda::StreamSynchronize(stream), vcuda::Error::Success);
+  const vcuda::VirtualNs t0 = vcuda::virtual_now();
+  ASSERT_EQ(vcuda::GraphLaunch(graph, stream), vcuda::Error::Success);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(vcuda::virtual_now() - t0, p.graph_launch_ns);
+  const vcuda::Counters c = vcuda::counters();
+  EXPECT_EQ(c.kernel_launches, 0u);
+  EXPECT_EQ(c.graph_launches, 1u);
+  EXPECT_EQ(c.graph_nodes_replayed, 1u);
+  EXPECT_EQ(stream->ready_at(), t0 + p.graph_launch_ns + live -
+                                    p.kernel_fixed_ns +
+                                    p.graph_node_sched_ns);
   vcuda::GraphDestroy(graph);
   vcuda::StreamDestroy(stream);
 }
