@@ -197,7 +197,7 @@ struct Pool {
   trace::Counter fused_unpack_launches{"tempi.engine.fused_unpack_launches"};
   trace::Counter fused_unpacks{"tempi.engine.fused_unpacks"};
   /// Waitall flushes replayed from a recorded fused batch, batches
-  /// recorded, and recorded batches evicted from the threads' batch tables.
+  /// recorded, and entries the threads' batch tables replaced or dropped.
   trace::Counter fused_unpack_replays{"tempi.engine.fused_unpack_replays"};
   trace::Counter fused_unpack_captures{"tempi.engine.fused_unpack_captures"};
   trace::Counter fused_unpack_evictions{
@@ -213,8 +213,8 @@ struct Pool {
                                "tempi.send.busy"};
   ReplayCounters recv_programs{"tempi.recv.replays", "tempi.recv.captures",
                                "tempi.recv.busy"};
-  /// Programs evicted from the threads' program tables (send and receive
-  /// programs alike; the name predates receive programs).
+  /// Entries the threads' program tables replaced or dropped (send and
+  /// receive programs alike; the name predates receive programs).
   trace::Counter program_evictions{"tempi.isend.evictions"};
 
   trace::Counter p_inits{"tempi.persistent.inits"};
@@ -1829,8 +1829,9 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
   }
   // Pass 2: one host synchronization per stream that holds batched unpack
   // work (the pipelining payoff of the request engine). Claimed program
-  // streams take the cheaper pre-armed fence.
-  {
+  // streams take the cheaper pre-armed fence. A pass with no stream to
+  // wait on emits no span.
+  if (!streams.empty() || !fence_streams.empty()) {
     trace::ScopedSpan sync(trace::Phase::Unpack, trace::OpKind::None,
                            static_cast<std::uint64_t>(unpacks_batched));
     for (vcuda::StreamHandle s : streams) {

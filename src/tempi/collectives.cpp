@@ -7,7 +7,6 @@
 #include "tempi/schedule.hpp"
 #include "tempi/tempi.hpp"
 #include "tempi/trace.hpp"
-#include "vcuda/runtime.hpp"
 
 #include <atomic>
 #include <cstddef>
@@ -38,14 +37,17 @@ struct Slot {
   long long displ = 0;
 };
 
-/// Add one side's legs to `round` and return its buffer id. A Fused side
-/// ships slices of one device staging lease — each slot at the prefix sum
-/// of the packed bytes before it, self slots included so the single span
-/// pass covers self copies too — and fills that pass's span table and
-/// packed `total`; any other side ships slices of the user buffer.
-int add_legs(sched::Schedule &s, sched::Round &round, sched::Op op,
-             const void *buf, MPI_Datatype dt, const std::vector<Slot> &slots,
-             bool fused, std::vector<PackSpan> &spans, std::size_t &total) {
+/// Add one side's legs to `round`. A Fused side ships slices of one
+/// device staging lease — each slot at the prefix sum of the packed bytes
+/// before it, self slots included so the single span pass covers self
+/// copies too — and adds that pass (PackSpans for the send side,
+/// UnpackSpans for the receive side); any other side ships slices of the
+/// user buffer.
+void add_legs(sched::Schedule &s, sched::Round &round, sched::Op op,
+              const void *buf, MPI_Datatype dt, const std::vector<Slot> &slots,
+              bool fused) {
+  std::vector<PackSpan> spans;
+  std::size_t total = 0;
   for (const Slot &sl : slots) {
     if (fused && sl.count > 0) {
       spans.push_back(PackSpan{sl.displ * dt->extent,
@@ -54,7 +56,8 @@ int add_legs(sched::Schedule &s, sched::Round &round, sched::Op op,
     total += static_cast<std::size_t>(sl.count) *
              static_cast<std::size_t>(dt->size);
   }
-  const int id = fused ? s.lease(total, true) : s.user(buf);
+  const int user = s.user(buf);
+  const int id = fused ? s.lease(total, true) : user;
   long long off = 0;
   for (const Slot &sl : slots) {
     const std::size_t bytes = static_cast<std::size_t>(sl.count) *
@@ -64,92 +67,76 @@ int add_legs(sched::Schedule &s, sched::Round &round, sched::Op op,
               sl.count);
     off += static_cast<long long>(bytes);
   }
-  return id;
-}
-
-/// One fused span-kernel pass between the user objects and a staging
-/// lease, synchronized on `stream`. Tuner harvest: the pass is a clean
-/// launch+sync sample at the collective's {block, total} key.
-int span_pass(bool pack, MPI_Datatype dt, void *dst, const void *src,
-              const std::vector<PackSpan> &spans, std::size_t total, int tag,
-              vcuda::StreamHandle stream) {
-  const Packer *pk = find_packer_fast(dt);
-  trace::ScopedSpan span(pack ? trace::Phase::PackLaunch
-                              : trace::Phase::Unpack,
-                         trace::OpKind::Coll, total, -1, tag);
-  tune::ScopedObservation obs(
-      pack ? tune::Axis::DevicePack : tune::Axis::DeviceUnpack,
-      static_cast<std::size_t>(pk->wire_block_bytes()), total);
-  const vcuda::Error e = pack ? pk->pack_spans_async(dst, src, spans, stream)
-                              : pk->unpack_spans_async(dst, src, spans, stream);
-  vcuda::StreamSynchronize(stream);
-  if (e != vcuda::Error::Success) {
-    obs.disarm();
-    return MPI_ERR_OTHER;
+  if (fused) {
+    const int table = s.spans(find_packer_fast(dt), std::move(spans), total);
+    if (op == sched::Op::Send) {
+      round.spans(sched::Op::PackSpans, sched::Ref{id}, sched::Ref{user},
+                  table);
+    } else {
+      round.spans(sched::Op::UnpackSpans, sched::Ref{user}, sched::Ref{id},
+                  table);
+    }
   }
-  return MPI_SUCCESS;
 }
 
 /// The exchange core every engine collective reduces onto: the executor's
 /// single-round case. Sends are posted eagerly (packed legs through the
 /// request engine, typed legs through the system Isend — all buffered),
 /// receives are matched lazily by the round's one Waitall, which
-/// preserves per-(peer, tag) FIFO pairing for repeated neighbors; then
-/// the fused unpack pass scatters the recv staging into the user buffer.
-int exchange(const void *sendbuf, MPI_Datatype sendtype,
-             const std::vector<Slot> &sends, void *recvbuf,
-             MPI_Datatype recvtype, const std::vector<Slot> &recvs,
-             MPI_Comm comm, const interpose::MpiTable &next) {
+/// preserves per-(peer, tag) FIFO pairing for repeated neighbors. A Fused
+/// send side packs every slot with one span-kernel pass (synced before
+/// any leg posts); a Fused receive side scatters its staging into the
+/// user buffer with one more after the wait. A repeated call replays the
+/// recorded schedule (tempi/schedule.hpp).
+int exchange(sched::Kind kind, int root, const void *sendbuf,
+             MPI_Datatype sendtype, const std::vector<Slot> &sends,
+             void *recvbuf, MPI_Datatype recvtype,
+             const std::vector<Slot> &recvs, MPI_Comm comm,
+             const interpose::MpiTable &next) {
   using sched::Side;
+  sched::Key key;
+  key.kind = kind;
+  key.comm = comm;
+  key.comm_id = comm->id;
+  key.sendbuf = sendbuf;
+  key.recvbuf = recvbuf;
+  key.send = sched::type_key(sendtype);
+  key.recv = sched::type_key(recvtype);
+  key.send_side =
+      sends.empty() ? Side::Other : sched::classify(sendbuf, sendtype);
+  key.recv_side =
+      recvs.empty() ? Side::Other : sched::classify(recvbuf, recvtype);
+  key.root = root;
+  for (const std::vector<Slot> *slots : {&sends, &recvs}) {
+    key.arg(static_cast<long long>(slots->size()));
+    for (const Slot &sl : *slots) {
+      key.arg(sl.peer).arg(sl.count).arg(sl.displ);
+    }
+  }
   // One slot of the system MPI's own tag sequence: the engine uses the
   // exact tag — and consumes the exact slot — a system-path rank does for
   // the same call, so mixed engine/system ranks interoperate within one
   // collective and stay aligned for the next.
-  sched::Schedule s(comm, next, 1);
-  s.send_side =
-      sends.empty() ? Side::Other : sched::classify(sendbuf, sendtype);
-  s.recv_side =
-      recvs.empty() ? Side::Other : sched::classify(recvbuf, recvtype);
-  s.send_type = sendtype;
-  s.recv_type = recvtype;
-  s.legs = &g_counters.peer_legs;
-  const bool sfused = s.send_side == Side::Fused;
-  const bool rfused = s.recv_side == Side::Fused;
-  // One fan-out round: node-aware issue orders keep same-peer slots in
-  // their relative order (the FIFO pairing the wire relies on) and walk
-  // destination nodes round-robin. Self copies ride the schedule stream,
-  // which the fused unpack pass below then uses, so the scatter observes
-  // them in order.
-  sched::Round &round = s.round(0, /*fan_out=*/true);
-  std::vector<PackSpan> sspans, rspans;
-  std::size_t stotal = 0, rtotal = 0;
-  const int sbuf = add_legs(s, round, sched::Op::Send, sendbuf, sendtype,
-                            sends, sfused, sspans, stotal);
-  const int rbuf = add_legs(s, round, sched::Op::Recv, recvbuf, recvtype,
-                            recvs, rfused, rspans, rtotal);
-
-  // Fused send side: one staging lease, one span-kernel pass, one sync
-  // (the wire must not depart before the pack lands).
-  if (sfused && (!s.acquire(sbuf) ||
-                 span_pass(true, sendtype, s.data(sched::Ref{sbuf}), sendbuf,
-                           sspans, stotal, s.tag(0),
-                           vcuda::next_pool_stream()) != MPI_SUCCESS)) {
-    return MPI_ERR_OTHER;
+  sched::Lookup call(key, next, 1);
+  if (!call.hit()) {
+    sched::Schedule &s = call.schedule();
+    s.send_side = key.send_side;
+    s.recv_side = key.recv_side;
+    s.send_type = sendtype;
+    s.recv_type = recvtype;
+    s.legs = &g_counters.peer_legs;
+    // One fan-out round: node-aware issue orders keep same-peer slots in
+    // their relative order (the FIFO pairing the wire relies on) and walk
+    // destination nodes round-robin. Self copies ride the schedule
+    // stream, which the fused unpack pass then uses, so the scatter
+    // observes them in order.
+    sched::Round &round = s.round(0, /*fan_out=*/true);
+    add_legs(s, round, sched::Op::Send, sendbuf, sendtype, sends,
+             s.send_side == Side::Fused);
+    add_legs(s, round, sched::Op::Recv, recvbuf, recvtype, recvs,
+             s.recv_side == Side::Fused);
   }
-  if (rfused && !s.acquire(rbuf)) {
-    return MPI_ERR_OTHER;
-  }
-  int rc = sched::run(s);
-  // Fused receive side: one span-kernel pass scatters the staging lease
-  // into every peer's objects, after the self copies on the same stream.
-  if (rc == MPI_SUCCESS && rfused) {
-    rc = span_pass(false, recvtype, recvbuf, s.data(sched::Ref{rbuf}),
-                   rspans, rtotal, s.tag(0),
-                   s.stream != nullptr ? s.stream : vcuda::next_pool_stream());
-  } else if (s.stream != nullptr) {
-    vcuda::StreamSynchronize(s.stream);
-  }
-  return rc;
+  return call.run();
 }
 
 } // namespace
@@ -183,8 +170,8 @@ int alltoallv(const void *sendbuf, const int *sendcounts, const int *sdispls,
         Slot{src, recvcounts[src], rdispls[src]};
   }
   g_counters.alltoallv.add();
-  return exchange(sendbuf, sendtype, sends, recvbuf, recvtype, recvs, comm,
-                  next);
+  return exchange(sched::Kind::Alltoallv, -1, sendbuf, sendtype, sends,
+                  recvbuf, recvtype, recvs, comm, next);
 }
 
 int neighbor_alltoallv(const void *sendbuf, const int *sendcounts,
@@ -211,8 +198,8 @@ int neighbor_alltoallv(const void *sendbuf, const int *sendcounts,
     recvs.push_back(Slot{srcs[i], recvcounts[i], rdispls[i]});
   }
   g_counters.neighbor.add();
-  return exchange(sendbuf, sendtype, sends, recvbuf, recvtype, recvs, comm,
-                  next);
+  return exchange(sched::Kind::Neighbor, -1, sendbuf, sendtype, sends,
+                  recvbuf, recvtype, recvs, comm, next);
 }
 
 int gatherv(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
@@ -237,7 +224,8 @@ int gatherv(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
     }
   }
   g_counters.alltoallv.add();
-  return exchange(sendbuf, sendtype, sends, rank == root ? recvbuf : nullptr,
+  return exchange(sched::Kind::Gatherv, root, sendbuf, sendtype, sends,
+                  rank == root ? recvbuf : nullptr,
                   rank == root ? recvtype : nullptr, recvs, comm, next);
 }
 

@@ -29,6 +29,10 @@
 //      (send_packed_pipelined / PackedChunkRecv).
 //   4. Fused unpack — received per-peer legs land in one staging lease and
 //      a single span-table kernel pass scatters them into the user buffer.
+//   5. Replay — a repeated call with the same identity (comm, buffers,
+//      types, every count and displacement) replays the executor's
+//      recorded schedule: frozen leg choices, the fused pack and self
+//      copies as one graph, the fused unpack as another.
 //
 // Interoperability contract: the engine decision is PER RANK. The wire
 // always carries each peer message's packed bytes under the exact tag a

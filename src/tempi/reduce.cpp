@@ -233,10 +233,12 @@ Schedule choose_reduce_schedule(std::size_t bytes, MPI_Comm comm, bool gpu) {
 // --- schedule generators (packed byte domain) --------------------------------
 //
 // Each generator appends rounds to one call's Schedule; the executor
-// (tempi/schedule.*) posts, waits and combines. The Call's constructor
-// reserves the whole tag budget (allreduce / reduce_scatter: two slots,
-// reduce: one; the named allreduce's system Bcast tail reserves its own),
-// so engine ranks stay sequence-aligned with the system MPI on every path.
+// (tempi/schedule.*) posts, waits and combines, and a repeated call
+// replays the recorded schedule without running its generator. The
+// sched::Lookup reserves the whole tag budget (allreduce / reduce_scatter:
+// two slots, reduce: one; the named allreduce's system Bcast tail reserves
+// its own), so engine ranks stay sequence-aligned with the system MPI on
+// every path.
 
 using sched::Op;
 using sched::Ref;
@@ -254,15 +256,40 @@ Side side_of(MPI_Datatype dt, const void *contrib, const void *result) {
              : side;
 }
 
-/// One reduction call: its schedule plus the facts every generator reads.
+/// The identity of one reduction call: its datatype, side and resolved
+/// combine, the op and root, its `n` counts, and the forced schedule.
+sched::Key reduction_key(sched::Kind kind, const void *sendbuf,
+                         const void *recvbuf, MPI_Datatype dt, const Shape &sh,
+                         MPI_Op op, int root, MPI_Comm comm, Side side,
+                         const int *counts, int n) {
+  sched::Key key;
+  key.kind = kind;
+  key.comm = comm;
+  key.comm_id = comm->id;
+  key.sendbuf = sendbuf;
+  key.recvbuf = recvbuf;
+  key.send = key.recv = sched::type_key(dt);
+  key.send_side = key.recv_side = side;
+  key.op = op;
+  key.root = root;
+  key.args_of(counts, n)
+      .arg(static_cast<long long>(sh.rop))
+      .arg(static_cast<long long>(sh.word))
+      .arg(static_cast<long long>(sh.base))
+      .arg(static_cast<long long>(g_forced.load(std::memory_order_relaxed)));
+  return key;
+}
+
+/// One reduction call's generator state: the schedule it fills plus the
+/// facts every generator reads.
 struct Call {
-  sched::Schedule s;
+  sched::Schedule &s;
   int me, P;
   std::size_t bytes; ///< packed payload of the full vector
 
-  Call(const Shape &sh, MPI_Comm comm, const interpose::MpiTable &next,
-       MPI_Datatype dt, int count, int tags, Side side)
-      : s(comm, next, tags), me(comm->my_rank), P(comm->size()),
+  Call(sched::Schedule &schedule, const Shape &sh, MPI_Datatype dt,
+       int count, Side side)
+      : s(schedule), me(schedule.comm->my_rank), P(schedule.comm->size()),
         bytes(static_cast<std::size_t>(dt->size) *
               static_cast<std::size_t>(count)) {
     s.send_side = s.recv_side = side;
@@ -544,37 +571,44 @@ int allreduce(const void *sendbuf, void *recvbuf, int count,
   }
   g_counters.allreduce.add();
   // Named engine ranks passed the residency gate: device + contiguous.
-  Call c(*sh, comm, next, datatype, count, named ? 1 : 2,
-         named ? Side::Direct : side_of(datatype, contrib, recvbuf));
-  if (named) {
-    linear_reduce(c, sendbuf, recvbuf, count, 0, true);
-    const int rc = sched::run(c.s);
-    // The system broadcast consumes the second sequence slot identically
-    // on engine and system ranks (bcast_impl reserves its tag before the
-    // size==1 early return).
-    const int brc = next.Bcast(recvbuf, count, datatype, 0, comm);
-    return rc == MPI_SUCCESS ? brc : rc;
-  }
-  if (count > 0) {
-    Ref acc = c.packed(contrib, count);
-    // Schedules are priced for the device wire: the choice must be
-    // process-uniform, and per-rank residency is not.
-    switch (choose_allreduce_schedule(c.bytes, comm, true)) {
-    case Schedule::Ring:
-      ring_allreduce(c, acc);
-      break;
-    case Schedule::Doubling:
-      acc = doubling_allreduce(c, acc);
-      break;
-    case Schedule::Auto:
-    case Schedule::Linear:
-      fold_to_root(c, 0, acc, count);
-      bcast_from_zero(c, acc, 1);
-      break;
+  const Side side = named ? Side::Direct : side_of(datatype, contrib, recvbuf);
+  sched::Lookup call(reduction_key(sched::Kind::Allreduce, sendbuf, recvbuf,
+                                   datatype, *sh, op, -1, comm, side, &count,
+                                   1),
+                     next, named ? 1 : 2);
+  if (!call.hit()) {
+    Call c(call.schedule(), *sh, datatype, count, side);
+    if (named) {
+      linear_reduce(c, sendbuf, recvbuf, count, 0, true);
+    } else if (count > 0) {
+      Ref acc = c.packed(contrib, count);
+      // Schedules are priced for the device wire: the choice must be
+      // process-uniform, and per-rank residency is not.
+      switch (choose_allreduce_schedule(c.bytes, comm, true)) {
+      case Schedule::Ring:
+        ring_allreduce(c, acc);
+        break;
+      case Schedule::Doubling:
+        acc = doubling_allreduce(c, acc);
+        break;
+      case Schedule::Auto:
+      case Schedule::Linear:
+        fold_to_root(c, 0, acc, count);
+        bcast_from_zero(c, acc, 1);
+        break;
+      }
+      c.s.round(1).local(Op::Unpack, c.user(recvbuf), acc, 0, count);
     }
-    c.s.round(1).local(Op::Unpack, c.user(recvbuf), acc, 0, count);
   }
-  return sched::run(c.s);
+  const int rc = call.run();
+  if (!named) {
+    return rc;
+  }
+  // The system broadcast consumes the second sequence slot identically on
+  // engine and system ranks (bcast_impl reserves its tag before the
+  // size==1 early return).
+  const int brc = next.Bcast(recvbuf, count, datatype, 0, comm);
+  return rc == MPI_SUCCESS ? brc : rc;
 }
 
 int reduce(const void *sendbuf, void *recvbuf, int count,
@@ -605,21 +639,28 @@ int reduce(const void *sendbuf, void *recvbuf, int count,
     return MPI_ERR_COUNT;
   }
   g_counters.reduce.add();
-  Call c(*sh, comm, next, datatype, count, 1,
-         named ? Side::Direct
-               : side_of(datatype, contrib, me == root ? recvbuf : nullptr));
-  if (count > 0 &&
-      (named || choose_reduce_schedule(c.bytes, comm, true) ==
-                    Schedule::Linear)) {
-    linear_reduce(c, sendbuf, recvbuf, count, root, named);
-  } else if (count > 0) {
-    const Ref acc = c.packed(contrib, count);
-    tree_reduce(c, acc, root);
-    if (me == root) {
-      c.s.round(0).local(Op::Unpack, c.user(recvbuf), acc, 0, count);
+  const Side side =
+      named ? Side::Direct
+            : side_of(datatype, contrib, me == root ? recvbuf : nullptr);
+  sched::Lookup call(reduction_key(sched::Kind::Reduce, sendbuf, recvbuf,
+                                   datatype, *sh, op, root, comm, side,
+                                   &count, 1),
+                     next, 1);
+  if (!call.hit()) {
+    Call c(call.schedule(), *sh, datatype, count, side);
+    if (count > 0 &&
+        (named || choose_reduce_schedule(c.bytes, comm, true) ==
+                      Schedule::Linear)) {
+      linear_reduce(c, sendbuf, recvbuf, count, root, named);
+    } else if (count > 0) {
+      const Ref acc = c.packed(contrib, count);
+      tree_reduce(c, acc, root);
+      if (me == root) {
+        c.s.round(0).local(Op::Unpack, c.user(recvbuf), acc, 0, count);
+      }
     }
   }
-  return sched::run(c.s);
+  return call.run();
 }
 
 int reduce_scatter(const void *sendbuf, void *recvbuf, const int *recvcounts,
@@ -652,9 +693,17 @@ int reduce_scatter(const void *sendbuf, void *recvbuf, const int *recvcounts,
   }
   g_counters.reduce_scatter.add();
   const int n = static_cast<int>(total);
-  Call c(*sh, comm, next, datatype, n, 2,
-         named ? Side::Direct
-               : side_of(datatype, in, recvcounts[me] > 0 ? recvbuf : nullptr));
+  const Side side =
+      named ? Side::Direct
+            : side_of(datatype, in, recvcounts[me] > 0 ? recvbuf : nullptr);
+  sched::Lookup call(reduction_key(sched::Kind::ReduceScatter, sendbuf,
+                                   recvbuf, datatype, *sh, op, -1, comm, side,
+                                   recvcounts, P),
+                     next, 2);
+  if (call.hit()) {
+    return call.run();
+  }
+  Call c(call.schedule(), *sh, datatype, n, side);
   if (n > 0) {
     std::vector<std::size_t> off(static_cast<std::size_t>(P) + 1, 0);
     for (std::size_t r = 0; r < static_cast<std::size_t>(P); ++r) {
@@ -682,7 +731,7 @@ int reduce_scatter(const void *sendbuf, void *recvbuf, const int *recvcounts,
       break;
     }
   }
-  return sched::run(c.s);
+  return call.run();
 }
 
 int reduce_scatter_block(const void *sendbuf, void *recvbuf, int recvcount,

@@ -40,6 +40,11 @@
 //     a schedule leg's two endpoints may differ in residency (or be
 //     system ranks), and only the single-leg methods keep the wire a
 //     plain byte message.
+//  5. Replay: a repeated call with the same identity (buffers, type,
+//     op, root, counts, resolved combine, forced schedule) skips steps
+//     2-3 and replays the executor's recorded schedule: frozen leg
+//     choices, each round's combines as one recorded graph. The named
+//     Allreduce's trailing system Bcast runs every call either way.
 //
 // Interoperability contract (the per-rank engine/fallthrough rule):
 //

@@ -133,8 +133,10 @@ public:
     [[nodiscard]] bool live_pin() const { return pinned && !pin.expired(); }
   };
 
-  /// `budget` bounds the bytes charged by charge(); every entry dropped
-  /// to make room counts in `evictions`.
+  /// `budget` bounds the bytes charged by charge(). `evictions` counts
+  /// entries replaced or dropped: a full table's least recently used key
+  /// (whether or not it held a program) and a program evicted to stay
+  /// under the budget.
   Table(trace::Counter &evictions, std::size_t budget)
       : evictions_(evictions), budget_(budget) {
     detail::enroll(this);
@@ -194,6 +196,10 @@ public:
     }
     return static_cast<bool>(e.program);
   }
+
+  /// Release `e`'s program (a stale one, say); `e` stays sighted, so the
+  /// caller may record it again. Not an eviction.
+  void discard(Entry &e) { forget(e); }
 
   /// Drop every entry and the programs they hold.
   void clear() override {

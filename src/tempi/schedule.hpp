@@ -3,38 +3,61 @@
 //
 // A collective is a generator of a Schedule: a list of rounds, each a set
 // of steps over slices (Ref) of the schedule's buffers — caller memory or
-// leases. run() executes the rounds in order. Within a round it
-//   1. posts every Send, then every Recv (a fan-out round orders each set
+// leases. Lookup::run() executes the rounds in order. Within a round it
+//   1. runs the span packs (PackSpans), synchronized: the wire must not
+//      depart before the staging it reads has landed;
+//   2. posts every Send, then every Recv (a fan-out round orders each set
 //      with topo::schedule and prices the bytes already queued at this
 //      rank's injection port into each send's Leg decision);
-//   2. short-circuits self legs as device copies on the schedule stream
+//   3. short-circuits self legs as device copies on the schedule stream
 //      (not synced; the caller's next pass on that stream observes them)
 //      when both sides address packed bytes and the k-th self Send pairs
 //      with the k-th self Recv — the per-(peer, tag) FIFO a wire
 //      round-trip would produce; otherwise self rides the local mailbox;
-//   3. runs the local moves (Pack, Unpack) in step order — they read
+//   4. runs the local moves (Pack, Unpack) in step order — they read
 //      local data (send slices included) and write only slices no leg of
 //      the round touches;
-//   4. waits on every posted leg, even after an error (sends are buffered
+//   5. waits on every posted leg, even after an error (sends are buffered
 //      and receives pair with peers' eager sends, so draining cannot hang);
-//   5. runs the combines (Combine, CombineUser) in step order, which is
-//      the association order the generator fixed.
-// The first error stops the schedule after its round has drained. A
+//   6. runs the combines (Combine, CombineUser) and span unpacks
+//      (UnpackSpans) in step order, which is the association order the
+//      generator fixed.
+// The first error stops the schedule after its round has drained; self
+// copies no later pass observed are synchronized before run() returns. A
 // buffer is leased when the first round that references it runs, so a
-// rank leases only what its own steps touch, and lives until the
-// Schedule is destroyed. Constructing the Schedule reserves the call's
-// whole collective-tag budget, so every return path consumes it.
+// rank leases only what its own steps touch, and lives until the Schedule
+// is destroyed. Every call reserves its whole collective-tag budget, so
+// every return path consumes it.
+//
+// Repeated calls replay (LibNBC's schedule cache, Hoefler, Lumsdaine and
+// Rehm, SC'07). A collective names its call with a Key and runs through a
+// Lookup on the calling thread's schedule table (a replay::Table, cleared
+// by replay::release_all). The first sighting of a key builds and runs its
+// schedule live. The second builds it again and records it: each leg's
+// issue order and TransferChoice are frozen under the model's choice
+// generation, the leases stay pinned to the schedule, and each round's two
+// device phases become one graph each — the span packs, self copies and
+// moves before the wait, the combines and span unpacks after it. Every
+// later sighting skips the generator, reserves fresh tag slots, pays one
+// kMethodMemoHitNs lookup instead of a model query per leg, posts the
+// legs with the frozen choices and runs each phase as a GraphLaunch plus
+// a StreamFence where the live path launches and synchronizes. A schedule
+// with a host (Side::Other) leg or step, or pinning more than the table's
+// budget, always runs live; a choice-generation or TEMPI_TOPO change
+// re-records.
 #pragma once
 
 #include "interpose/table.hpp"
 #include "sysmpi/types.hpp"
 #include "tempi/buffer_cache.hpp"
 #include "tempi/kernels.hpp"
+#include "tempi/replay.hpp"
 #include "tempi/trace.hpp"
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 namespace tempi {
@@ -79,6 +102,8 @@ enum class Op : std::uint8_t {
   Unpack,      ///< packed `src` -> `count` user objects at `dst`
   Combine,     ///< dst = dst op src over `bytes` of packed words
   CombineUser, ///< user objects at dst = dst op packed src, `count` objects
+  PackSpans,   ///< span table `table`: user objects at src -> packed dst
+  UnpackSpans, ///< span table `table`: packed src -> user objects at dst
 };
 
 struct Step {
@@ -87,6 +112,7 @@ struct Step {
   Ref dst, src;
   std::size_t bytes = 0;
   int count = 0;
+  int table = -1; ///< PackSpans/UnpackSpans: Schedule::spans() id
 };
 
 struct Round {
@@ -108,6 +134,10 @@ struct Round {
   Round &local(Op op, Ref dst, Ref src, std::size_t bytes, int count = 0) {
     return add(Step{op, -1, dst, src, bytes, count});
   }
+  /// A span pass (PackSpans or UnpackSpans) over span table `table`.
+  Round &spans(Op op, Ref dst, Ref src, int table) {
+    return add(Step{op, -1, dst, src, 0, 0, table});
+  }
   Round &add(const Step &s) {
     steps.push_back(s);
     return *this;
@@ -118,6 +148,7 @@ class Schedule {
 public:
   /// Reserves `tags` consecutive collective-tag slots on `comm`.
   Schedule(MPI_Comm comm, const interpose::MpiTable &next, int tags);
+  ~Schedule(); // out of line: Frozen is complete only in the .cpp
 
   /// Register caller memory / a lease of `bytes` (device or host); returns
   /// the buffer id for Refs.
@@ -125,6 +156,9 @@ public:
   int lease(std::size_t bytes, bool device);
   /// Lease buffer `id` now if it is not yet (false on a failed lease).
   bool acquire(int id);
+  /// Register a span table of packer `pk` covering `total` packed bytes;
+  /// returns its id for Round::spans.
+  int spans(const Packer *pk, std::vector<PackSpan> table, std::size_t total);
   [[nodiscard]] std::byte *data(Ref r) const {
     return bufs_[static_cast<std::size_t>(r.buf)].ptr + r.off;
   }
@@ -161,7 +195,7 @@ public:
   /// Stream of the local steps; taken from the pool at first use if null.
   vcuda::StreamHandle stream = nullptr;
   /// The caller's counters (required): +1 per posted leg or self copy,
-  /// +1 per device combine (reductions only).
+  /// +1 per device combine, live or replayed (reductions only).
   trace::Counter *legs = nullptr;
   trace::Counter *kernels = nullptr;
 
@@ -173,13 +207,100 @@ private:
     CachedBuffer lease;
     std::vector<std::byte> host;
   };
+  struct SpanTable {
+    const Packer *pk = nullptr;
+    std::vector<PackSpan> spans;
+    std::size_t total = 0;
+  };
+  struct Frozen; // one recorded round, defined in the .cpp
+  /// Reserve `tags` fresh collective-tag slots on `comm`.
+  void reserve_tags(int tags);
   std::deque<Buffer> bufs_;
   std::deque<Round> rounds_;
+  std::vector<SpanTable> tables_;
   std::vector<int> tags_;
-  friend int run(Schedule &s);
+  /// Self copies on `stream` that no synchronization has observed yet.
+  bool unsynced_ = false;
+  /// Recorded rounds (empty until recorded) and what they were frozen
+  /// under.
+  std::vector<Frozen> frozen_;
+  std::uint64_t generation_ = 0;
+  bool topo_ = false;
+  friend struct Exec;
+  friend class Lookup;
 };
 
-/// Execute `s` (see the file comment); MPI_SUCCESS or the first error.
-int run(Schedule &s);
+/// One side's datatype as a key sees it. A freed handle reused for a new
+/// type differs in size, extent or packer (packers are retired, never
+/// freed, within an install).
+struct TypeKey {
+  MPI_Datatype dt = nullptr;
+  long long size = 0, extent = 0;
+  const Packer *pk = nullptr;
+  bool operator==(const TypeKey &) const = default;
+};
+TypeKey type_key(MPI_Datatype dt);
+
+/// The collective a Key names.
+enum class Kind : std::uint8_t {
+  Alltoallv,
+  Neighbor,
+  Gatherv,
+  Allreduce,
+  Reduce,
+  ReduceScatter,
+};
+
+/// The full identity of one collective call: two calls with equal keys
+/// build the same schedule.
+struct Key {
+  Kind kind = Kind::Alltoallv;
+  MPI_Comm comm = nullptr;
+  std::uint64_t comm_id = 0;
+  const void *sendbuf = nullptr, *recvbuf = nullptr;
+  TypeKey send, recv;
+  Side send_side = Side::Other, recv_side = Side::Other;
+  MPI_Op op = nullptr;
+  int root = -1;
+  /// Every count and displacement vector (compared by value) and any
+  /// other argument the generator reads, in a fixed order per kind.
+  std::vector<long long> args;
+
+  Key &arg(long long v) {
+    args.push_back(v);
+    return *this;
+  }
+  Key &args_of(const int *v, int n) {
+    args.insert(args.end(), v, v + n);
+    return *this;
+  }
+  bool operator==(const Key &) const = default;
+  [[nodiscard]] std::uint64_t hash() const;
+};
+
+/// A thread's recorded schedules.
+using Table = replay::Table<Key, std::unique_ptr<Schedule>>;
+
+/// One collective call through the calling thread's schedule table (see
+/// the file comment). When hit() the recorded schedule serves the call and
+/// the generator is skipped; otherwise the generator fills schedule(),
+/// which run() runs live (first sighting) or records (second).
+class Lookup {
+public:
+  /// `tags` is the call's collective-tag budget, reserved here on
+  /// `key.comm`.
+  Lookup(const Key &key, const interpose::MpiTable &next, int tags);
+
+  [[nodiscard]] bool hit() const { return hit_; }
+  [[nodiscard]] Schedule &schedule() { return *s_; }
+  /// Execute the call; MPI_SUCCESS or the first error.
+  int run();
+
+private:
+  Table::Entry *entry_ = nullptr; ///< set when the call records
+  std::unique_ptr<Schedule> fresh_;
+  Schedule *s_ = nullptr;
+  bool hit_ = false;
+};
 
 } // namespace tempi::sched

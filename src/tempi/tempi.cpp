@@ -655,9 +655,7 @@ std::optional<TransferChoice> acceleration_method(const Packer *packer,
     // chunk — per (count, generation): one atomic load, no model lock, no
     // interpolation. The generation folds in the transfer config (wire
     // limit, chunk override) so tuning knobs invalidate stale choices.
-    const std::uint64_t gen =
-        (s.model_gen.load(std::memory_order_acquire) << 16) ^
-        transfer_config_generation();
+    const std::uint64_t gen = choice_generation();
     if (const auto memo = packer->cached_transfer(count, gen)) {
       vcuda::this_thread_timeline().advance(kMethodMemoHitNs);
       s.method_memo_hits.add();
@@ -1366,6 +1364,11 @@ void set_perf_model(PerfModel model) {
 const PerfModel &perf_model() {
   // Callers must not hold the reference across set_perf_model.
   return state().model;
+}
+
+std::uint64_t choice_generation() {
+  return (state().model_gen.load(std::memory_order_acquire) << 16) ^
+         transfer_config_generation();
 }
 
 std::shared_ptr<const Packer> find_packer(MPI_Datatype datatype) {

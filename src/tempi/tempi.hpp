@@ -95,6 +95,10 @@ SendMode send_mode();
 /// Replace the performance model (e.g. after measure_system()).
 void set_perf_model(PerfModel model);
 const PerfModel &perf_model();
+/// The generation a remembered transfer choice is valid under: it moves
+/// when the model is replaced (set_perf_model, a tuner refresh) or a
+/// transfer knob changes (wire limit, chunk override).
+std::uint64_t choice_generation();
 
 /// True when `p` is device-resident per the virtual CUDA registry — the
 /// residency test every interposer gate uses. Exposed so the collectives

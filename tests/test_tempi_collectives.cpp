@@ -3,9 +3,11 @@
 // zero-count peers, dist-graph neighbor topologies (including aliased and
 // self edges), per-rank interoperability with system-path peers,
 // oversized-peer pipelined legs under an injected wire limit, the
-// TEMPI_COLL kill-switch, and the engine counters.
+// TEMPI_COLL kill-switch, the engine counters, and repeated calls that
+// replay a recorded schedule (never a stale one).
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
+#include "tempi/buffer_cache.hpp"
 #include "tempi/collectives.hpp"
 #include "tempi/methods.hpp"
 #include "tempi/packer.hpp"
@@ -15,10 +17,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <random>
+#include <set>
+#include <tuple>
 #include <vector>
 
 namespace {
@@ -660,6 +665,462 @@ TEST(Collectives, ChooseLegIsCachedAndPlacementAware) {
   EXPECT_EQ(big.method, tempi::Method::Pipelined);
   EXPECT_GT(big.chunk_bytes, 0u);
   EXPECT_LE(big.chunk_bytes, 4096u);
+}
+
+// --- repeated calls replay their recorded schedule ---------------------------
+
+/// Every rank's receive buffer after each call of a repeated sequence.
+using Repeats = std::vector<std::vector<std::vector<std::byte>>>;
+
+/// `iters` MPI_Neighbor_alltoallv calls on a 4-rank dist graph with a self
+/// edge and a doubled ring successor: the same buffers and argument arrays
+/// every call, a fresh payload before each. `direct` ships MPI_DOUBLE
+/// (device contiguous: Direct sides), else a strided vector (Fused sides).
+/// The calls listed in `variant` rewrite the counts arrays in place (same
+/// pointers) to another valid shape.
+Repeats repeated_neighbor(bool engine, bool direct, int iters,
+                          const std::set<int> &variant = {}) {
+  tempi::coll::set_enabled(engine);
+  Repeats out(4);
+  sysmpi::RunConfig cfg;
+  cfg.ranks = 4;
+  cfg.ranks_per_node = 2;
+  sysmpi::run_ranks(cfg, [&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype t = MPI_DOUBLE;
+    if (!direct) {
+      MPI_Type_vector(3, 2, 5, MPI_FLOAT, &t);
+      MPI_Type_commit(&t);
+    }
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    const int P = 4;
+    const std::vector<int> dsts{rank, (rank + 1) % P, (rank + 1) % P};
+    const std::vector<int> srcs{rank, (rank - 1 + P) % P, (rank - 1 + P) % P};
+    MPI_Comm graph = MPI_COMM_NULL;
+    MPI_Dist_graph_create_adjacent(MPI_COMM_WORLD, 3, srcs.data(), nullptr, 3,
+                                   dsts.data(), nullptr, MPI_INFO_NULL, 0,
+                                   &graph);
+    std::vector<int> counts(3), rcounts(3), displs(3);
+    const auto shape = [&](int flip) {
+      // Slot i pairs with the matching slot of the peer: its count is a
+      // function of the sending rank, so receivers recompute it.
+      for (int i = 0; i < 3; ++i) {
+        counts[static_cast<std::size_t>(i)] = 1 + (rank + i + flip) % 3;
+        rcounts[static_cast<std::size_t>(i)] =
+            1 + (srcs[static_cast<std::size_t>(i)] + i + flip) % 3;
+        displs[static_cast<std::size_t>(i)] = 4 * i;
+      }
+    };
+    SpaceBuffer sbuf(vcuda::MemorySpace::Device,
+                     12 * static_cast<std::size_t>(extent) + 64);
+    SpaceBuffer rbuf(vcuda::MemorySpace::Device,
+                     12 * static_cast<std::size_t>(extent) + 64);
+    auto &mine = out[static_cast<std::size_t>(rank)];
+    for (int it = 0; it < iters; ++it) {
+      shape(variant.contains(it) ? 1 : 0);
+      fill_pattern(sbuf.get(), sbuf.size(),
+                   static_cast<unsigned>(rank * 100 + it + 1));
+      std::memset(rbuf.get(), 0, rbuf.size());
+      ASSERT_EQ(MPI_Neighbor_alltoallv(sbuf.get(), counts.data(),
+                                       displs.data(), t, rbuf.get(),
+                                       rcounts.data(), displs.data(), t,
+                                       graph),
+                MPI_SUCCESS);
+      mine.emplace_back(rbuf.bytes(), rbuf.bytes() + rbuf.size());
+    }
+    MPI_Comm_free(&graph);
+    if (!direct) {
+      MPI_Type_free(&t);
+    }
+    MPI_Finalize();
+  });
+  tempi::coll::set_enabled(true);
+  return out;
+}
+
+void expect_same(const Repeats &engine, const Repeats &system) {
+  ASSERT_EQ(engine.size(), system.size());
+  for (std::size_t r = 0; r < engine.size(); ++r) {
+    ASSERT_EQ(engine[r].size(), system[r].size());
+    for (std::size_t it = 0; it < engine[r].size(); ++it) {
+      EXPECT_EQ(engine[r][it], system[r][it]) << "rank " << r << " call "
+                                              << it;
+    }
+  }
+}
+
+TEST(ScheduleReplay, RepeatedNeighborMatchesSystemPathOnEverySide) {
+  // The first call runs live, the second records, the rest replay — and
+  // every one of them is bitwise the system path's, self and aliased
+  // edges included.
+  tempi::ScopedInterposer guard;
+  for (const bool direct : {true, false}) {
+    tempi::trace::reset_counters();
+    const Repeats engine = repeated_neighbor(true, direct, 5);
+    EXPECT_EQ(counter("tempi.sched.captures"), 4u) << "direct " << direct;
+    EXPECT_EQ(counter("tempi.sched.replays"), 4u * 3u) << "direct " << direct;
+    expect_same(engine, repeated_neighbor(false, direct, 5));
+  }
+}
+
+TEST(ScheduleReplay, RepeatedAlltoallvMatchesSystemPath) {
+  tempi::ScopedInterposer guard;
+  const auto repeated = [](bool engine) {
+    tempi::coll::set_enabled(engine);
+    Repeats out(4);
+    sysmpi::RunConfig cfg;
+    cfg.ranks = 4;
+    cfg.ranks_per_node = 2;
+    sysmpi::run_ranks(cfg, [&](int rank) {
+      MPI_Init(nullptr, nullptr);
+      Rng rng(21u);
+      MPI_Datatype t = random_strided_type(rng, 2);
+      MPI_Aint lb = 0, extent = 0;
+      MPI_Type_get_extent(t, &lb, &extent);
+      const int P = 4;
+      std::vector<int> scounts(P), sdispls(P), rcounts(P), rdispls(P);
+      for (int p = 0; p < P; ++p) {
+        scounts[p] = (rank + p) % 3;
+        rcounts[p] = (p + rank) % 3;
+        sdispls[p] = rdispls[p] = 3 * p;
+      }
+      SpaceBuffer sbuf(vcuda::MemorySpace::Device,
+                       12 * static_cast<std::size_t>(extent) + 64);
+      SpaceBuffer rbuf(vcuda::MemorySpace::Device,
+                       12 * static_cast<std::size_t>(extent) + 64);
+      for (int it = 0; it < 5; ++it) {
+        fill_pattern(sbuf.get(), sbuf.size(),
+                     static_cast<unsigned>(rank * 10 + it + 1));
+        std::memset(rbuf.get(), 0, rbuf.size());
+        ASSERT_EQ(MPI_Alltoallv(sbuf.get(), scounts.data(), sdispls.data(),
+                                t, rbuf.get(), rcounts.data(),
+                                rdispls.data(), t, MPI_COMM_WORLD),
+                  MPI_SUCCESS);
+        out[static_cast<std::size_t>(rank)].emplace_back(
+            rbuf.bytes(), rbuf.bytes() + rbuf.size());
+      }
+      MPI_Type_free(&t);
+      MPI_Finalize();
+    });
+    tempi::coll::set_enabled(true);
+    return out;
+  };
+  tempi::trace::reset_counters();
+  const Repeats engine = repeated(true);
+  EXPECT_EQ(counter("tempi.sched.captures"), 4u);
+  EXPECT_EQ(counter("tempi.sched.replays"), 4u * 3u);
+  expect_same(engine, repeated(false));
+}
+
+TEST(ScheduleReplay, ChangedCountsOnTheSamePointersNeverReplayTheOldSchedule) {
+  // Call 3 rewrites the counts arrays in place: its key differs only in
+  // the vectors' values, so it must run (live) its own schedule; calls 4
+  // and 5 replay the first shape's again.
+  tempi::ScopedInterposer guard;
+  for (const bool direct : {true, false}) {
+    tempi::trace::reset_counters();
+    const Repeats engine = repeated_neighbor(true, direct, 6, {3});
+    EXPECT_EQ(counter("tempi.sched.captures"), 4u);
+    EXPECT_EQ(counter("tempi.sched.replays"), 4u * 3u);
+    expect_same(engine, repeated_neighbor(false, direct, 6, {3}));
+  }
+}
+
+/// Self-exchange Alltoallv calls on the calling thread's 1-rank world
+/// with one committed strided type and fixed buffers (Fused sides: two
+/// staging leases per recorded schedule).
+struct SelfExchange {
+  static constexpr int kMaxCount = 200;
+  MPI_Datatype t = nullptr;
+  MPI_Aint extent = 0;
+  SpaceBuffer sbuf, rbuf;
+
+  explicit SelfExchange(int blocks)
+      : t(committed(blocks)), extent(extent_of(t)),
+        sbuf(vcuda::MemorySpace::Device,
+             static_cast<std::size_t>(extent) * kMaxCount),
+        rbuf(vcuda::MemorySpace::Device,
+             static_cast<std::size_t>(extent) * kMaxCount) {}
+  ~SelfExchange() { MPI_Type_free(&t); }
+  SelfExchange(const SelfExchange &) = delete;
+  SelfExchange &operator=(const SelfExchange &) = delete;
+
+  /// Free the type and commit a new one in its place; the buffers stay.
+  void retype(int blocks) {
+    MPI_Type_free(&t);
+    t = committed(blocks);
+  }
+
+  static MPI_Datatype committed(int blocks) {
+    MPI_Datatype t = nullptr;
+    MPI_Type_vector(blocks, 4, 12, MPI_BYTE, &t);
+    MPI_Type_commit(&t);
+    return t;
+  }
+  static MPI_Aint extent_of(MPI_Datatype t) {
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    return extent;
+  }
+
+  /// One call of `count` objects from a `seed` payload; true when the
+  /// receive buffer holds exactly each object's data blocks.
+  bool run(int count, unsigned seed) {
+    fill_pattern(sbuf.get(), sbuf.size(), seed);
+    std::memset(rbuf.get(), 0, rbuf.size());
+    const int displ = 0;
+    EXPECT_EQ(MPI_Alltoallv(sbuf.get(), &count, &displ, t, rbuf.get(),
+                            &count, &displ, t, MPI_COMM_WORLD),
+              MPI_SUCCESS);
+    std::vector<std::byte> want(rbuf.size(), std::byte{0});
+    testing_helpers::reference_unpack(
+        want.data(), count, *t,
+        testing_helpers::reference_pack(sbuf.get(), count, *t));
+    return std::memcmp(want.data(), rbuf.get(), want.size()) == 0;
+  }
+};
+
+TEST(ScheduleReplay, FreedAndRecommittedTypeNeverReplaysTheOldSchedule) {
+  // The same buffers and counts with a freed type's successor (often the
+  // same handle): the packer — part of the key — differs, so the new type
+  // records and replays a schedule of its own.
+  tempi::ScopedInterposer guard;
+  sysmpi::ensure_self_context();
+  tempi::trace::reset_counters();
+  SelfExchange x(8);
+  for (int call = 0; call < 3; ++call) {
+    EXPECT_TRUE(x.run(2, 1u + call)) << "call " << call;
+  }
+  EXPECT_EQ(counter("tempi.sched.replays"), 1u);
+  x.retype(5);
+  for (int call = 0; call < 3; ++call) {
+    EXPECT_TRUE(x.run(2, 11u + call)) << "call " << call;
+  }
+  EXPECT_EQ(counter("tempi.sched.captures"), 2u);
+  EXPECT_EQ(counter("tempi.sched.replays"), 2u);
+}
+
+TEST(ScheduleReplay, UninstallReleasesRecordedSchedules) {
+  // A recorded Fused schedule pins its staging leases; uninstall releases
+  // them at once, and a reinstall replays nothing it recorded before.
+  tempi::ScopedInterposer guard;
+  sysmpi::ensure_self_context();
+  const auto leased = [] { return tempi::buffer_cache_stats().leased_now; };
+  tempi::trace::reset_counters();
+  {
+    SelfExchange x(8);
+    for (int call = 0; call < 3; ++call) {
+      EXPECT_TRUE(x.run(3, 4u + call)) << "call " << call;
+    }
+  }
+  EXPECT_EQ(counter("tempi.sched.replays"), 1u);
+  EXPECT_GE(leased(), 2u); // the recorded schedule's staging
+  tempi::uninstall();
+  EXPECT_EQ(leased(), 0u);
+  tempi::install();
+  tempi::trace::reset_counters();
+  SelfExchange x(8); // recommitted after the reinstall
+  for (int call = 0; call < 3; ++call) {
+    EXPECT_TRUE(x.run(3, 7u + call)) << "call " << call;
+  }
+  EXPECT_EQ(counter("tempi.sched.captures"), 1u);
+  EXPECT_EQ(counter("tempi.sched.replays"), 1u);
+}
+
+TEST(ScheduleReplay, MoreKeysThanTheTableHoldsEvictAndStayCorrect) {
+  // 200 distinct counts cycled through a 128-entry table: every key is
+  // replaced before its second sighting, so nothing records, each
+  // replacement counts as an eviction, and every call is still correct.
+  tempi::ScopedInterposer guard;
+  sysmpi::ensure_self_context();
+  tempi::trace::reset_counters();
+  SelfExchange x(2);
+  for (int round = 0; round < 2; ++round) {
+    for (int count = 1; count <= SelfExchange::kMaxCount; ++count) {
+      EXPECT_TRUE(x.run(count, static_cast<unsigned>(count)))
+          << "count " << count;
+    }
+  }
+  EXPECT_EQ(counter("tempi.sched.captures"), 0u);
+  EXPECT_GE(counter("tempi.sched.evictions"),
+            2u * SelfExchange::kMaxCount - 128u);
+}
+
+TEST(ScheduleReplay, FailedGraphLaunchReturnsAnErrorAndTheNextCallRecovers) {
+  // A 1-rank MPI_BYTE Alltoallv is one self pair (Direct sides), replayed
+  // as one copy graph. While every pool stream of the thread is capturing
+  // that graph cannot launch: the replay drains its round and returns
+  // MPI_ERR_OTHER, as a failed live launch does, and the next call
+  // replays normally.
+  tempi::ScopedInterposer guard;
+  sysmpi::ensure_self_context();
+  constexpr int kBytes = 200;
+  SpaceBuffer sbuf(vcuda::MemorySpace::Device, kBytes);
+  SpaceBuffer rbuf(vcuda::MemorySpace::Device, kBytes);
+  const int count = kBytes, displ = 0;
+  const auto call = [&](unsigned seed) {
+    fill_pattern(sbuf.get(), sbuf.size(), seed);
+    std::memset(rbuf.get(), 0, rbuf.size());
+    return MPI_Alltoallv(sbuf.get(), &count, &displ, MPI_BYTE, rbuf.get(),
+                         &count, &displ, MPI_BYTE, MPI_COMM_WORLD);
+  };
+  tempi::trace::reset_counters();
+  ASSERT_EQ(call(1u), MPI_SUCCESS);
+  ASSERT_EQ(call(2u), MPI_SUCCESS);
+  EXPECT_EQ(counter("tempi.sched.captures"), 1u);
+  const int streams = vcuda::stream_pool_size();
+  for (int i = 0; i < streams; ++i) {
+    ASSERT_EQ(vcuda::GraphBeginCapture(vcuda::pool_stream(i)),
+              vcuda::Error::Success);
+  }
+  EXPECT_EQ(call(3u), MPI_ERR_OTHER);
+  for (int i = 0; i < streams; ++i) {
+    vcuda::GraphHandle g = nullptr;
+    ASSERT_EQ(vcuda::GraphEndCapture(vcuda::pool_stream(i), &g),
+              vcuda::Error::Success);
+    vcuda::GraphDestroy(g);
+  }
+  ASSERT_EQ(call(4u), MPI_SUCCESS);
+  EXPECT_EQ(std::memcmp(rbuf.get(), sbuf.get(), kBytes), 0);
+  EXPECT_EQ(counter("tempi.sched.captures"), 1u);
+  EXPECT_EQ(counter("tempi.sched.replays"), 2u);
+}
+
+/// Sorted (peer, bytes, method) of rank `rank`'s spans of `phase` in the
+/// virtual-time window [t0, t1).
+std::vector<std::tuple<int, std::uint64_t, int>>
+legs_in(const tempi::trace::Snapshot &snap, tempi::trace::Phase phase,
+        int rank, vcuda::VirtualNs t0, vcuda::VirtualNs t1) {
+  std::vector<std::tuple<int, std::uint64_t, int>> out;
+  for (const tempi::trace::SpanRecord &rec : snap.spans) {
+    if (rec.rank == rank && rec.lane == 0 && rec.phase == phase &&
+        rec.kind == tempi::trace::OpKind::Coll && rec.t0 >= t0 &&
+        rec.t0 < t1) {
+      out.emplace_back(rec.peer, rec.bytes, rec.method);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// `calls` repeated 8-rank, 4-node MPI_BYTE Alltoallv calls of 1 KiB to
+/// 1 MiB legs under tracing; rank 0 bumps the tuner generation (and every
+/// rank waits on a barrier) before call `bump`. Returns the trace and
+/// each rank's virtual time at the start of every call (plus the end).
+std::pair<tempi::trace::Snapshot, std::vector<std::vector<vcuda::VirtualNs>>>
+traced_alltoallv(int calls, int bump) {
+  std::vector<std::vector<vcuda::VirtualNs>> marks(8);
+  tempi::trace::reset();
+  tempi::trace::set_enabled(true);
+  sysmpi::RunConfig cfg;
+  cfg.ranks = 8;
+  cfg.ranks_per_node = 2;
+  sysmpi::run_ranks(cfg, [&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    const int P = 8;
+    std::vector<int> scounts(P), rcounts(P), sdispls(P), rdispls(P);
+    int soff = 0, roff = 0;
+    for (int p = 0; p < P; ++p) {
+      scounts[p] = 1024 << ((rank + 2 * p) % 11);
+      rcounts[p] = 1024 << ((p + 2 * rank) % 11);
+      sdispls[p] = soff;
+      rdispls[p] = roff;
+      soff += scounts[p];
+      roff += rcounts[p];
+    }
+    SpaceBuffer sbuf(vcuda::MemorySpace::Device,
+                     static_cast<std::size_t>(soff));
+    SpaceBuffer rbuf(vcuda::MemorySpace::Device,
+                     static_cast<std::size_t>(roff));
+    fill_pattern(sbuf.get(), sbuf.size(), static_cast<unsigned>(rank) + 1);
+    auto &mine = marks[static_cast<std::size_t>(rank)];
+    for (int call = 0; call < calls; ++call) {
+      if (call == bump) {
+        if (rank == 0) {
+          tempi::tune::note_refresh_applied();
+        }
+        MPI_Barrier(MPI_COMM_WORLD);
+      }
+      mine.push_back(vcuda::virtual_now());
+      ASSERT_EQ(MPI_Alltoallv(sbuf.get(), scounts.data(), sdispls.data(),
+                              MPI_BYTE, rbuf.get(), rcounts.data(),
+                              rdispls.data(), MPI_BYTE, MPI_COMM_WORLD),
+                MPI_SUCCESS);
+    }
+    mine.push_back(vcuda::virtual_now());
+    MPI_Finalize();
+  });
+  tempi::trace::set_enabled(false);
+  return {tempi::trace_snapshot(), marks};
+}
+
+TEST(ScheduleReplay, FrozenLegChoicesEqualTheModelsAnswers) {
+  // Call 0 chooses live, call 1 records, calls 2-3 replay. Each leg of a
+  // replay ships (Wire span) with exactly the method call 0 and call 1
+  // chose for it (ModelChoice spans: choose_transfer's answers at this
+  // generation), and a replay queries the model not once. Flat 3 us
+  // staging copies put the Device/Staged crossover inside the sweep:
+  // small inter-node legs ship Device, large ones and sends behind a
+  // queue Staged, intra-node legs Device.
+  tempi::ScopedInterposer guard;
+  tempi::SystemPerf perf = tempi::builtin_perf();
+  perf.d2h = perf.h2d = tempi::Table1D{{1.0, 1e9}, {3.0, 3.0}};
+  tempi::set_perf_model(tempi::PerfModel(perf));
+  tempi::trace::reset_counters();
+  const auto [snap, marks] = traced_alltoallv(4, -1);
+  ASSERT_EQ(snap.dropped, 0u);
+  EXPECT_EQ(counter("tempi.sched.replays"), 8u * 2u);
+  std::set<int> methods;
+  for (int rank = 0; rank < 8; ++rank) {
+    const auto &m = marks[static_cast<std::size_t>(rank)];
+    const auto live =
+        legs_in(snap, tempi::trace::Phase::ModelChoice, rank, m[0], m[1]);
+    ASSERT_EQ(live.size(), 2u * 7u) << "rank " << rank; // 7 peers each way
+    EXPECT_EQ(legs_in(snap, tempi::trace::Phase::ModelChoice, rank, m[1],
+                      m[2]),
+              live)
+        << "rank " << rank;
+    for (int call = 2; call < 4; ++call) {
+      const vcuda::VirtualNs t0 = m[static_cast<std::size_t>(call)];
+      const vcuda::VirtualNs t1 = m[static_cast<std::size_t>(call) + 1];
+      EXPECT_TRUE(
+          legs_in(snap, tempi::trace::Phase::ModelChoice, rank, t0, t1)
+              .empty())
+          << "rank " << rank << " call " << call;
+      EXPECT_EQ(legs_in(snap, tempi::trace::Phase::Wire, rank, t0, t1), live)
+          << "rank " << rank << " call " << call;
+    }
+    for (const auto &leg : live) {
+      methods.insert(std::get<2>(leg));
+    }
+  }
+  EXPECT_EQ(methods, (std::set<int>{static_cast<int>(tempi::Method::Device),
+                                     static_cast<int>(tempi::Method::Staged)}));
+}
+
+TEST(ScheduleReplay, TunerGenerationBumpReRecords) {
+  // Calls 0-2 run live, record and replay; a tuner refresh then moves the
+  // choice generation, so call 3 re-records (its legs show ModelChoice
+  // spans again) and call 4 replays the new recording.
+  tempi::ScopedInterposer guard;
+  tempi::trace::reset_counters();
+  const auto [snap, marks] = traced_alltoallv(5, 3);
+  ASSERT_EQ(snap.dropped, 0u);
+  for (int rank = 0; rank < 8; ++rank) {
+    const auto &m = marks[static_cast<std::size_t>(rank)];
+    const auto choices = [&](int call) {
+      return legs_in(snap, tempi::trace::Phase::ModelChoice, rank,
+                     m[static_cast<std::size_t>(call)],
+                     m[static_cast<std::size_t>(call) + 1])
+          .size();
+    };
+    EXPECT_EQ(choices(2), 0u) << "rank " << rank;
+    EXPECT_EQ(choices(3), 2u * 7u) << "rank " << rank;
+    EXPECT_EQ(choices(4), 0u) << "rank " << rank;
+  }
+  EXPECT_EQ(counter("tempi.sched.captures"), 8u * 2u);
+  EXPECT_EQ(counter("tempi.sched.replays"), 8u * 2u);
 }
 
 } // namespace

@@ -3,8 +3,9 @@
 // equivalence for named datatypes (including mixed engine/system ranks in
 // one call), derived-datatype correctness against an elementwise oracle
 // under every schedule, floating-point schedule determinism, MPI_IN_PLACE,
-// zero counts, self-only comms, the TEMPI_RED kill-switch, and the
-// fig16-scale 256-rank case.
+// zero counts, self-only comms, the TEMPI_RED kill-switch, the
+// fig16-scale 256-rank case, and repeated calls that replay a recorded
+// schedule.
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
 #include "tempi/buffer_cache.hpp"
@@ -1000,6 +1001,205 @@ TEST(Reduce, DoublingLeasesOnlyTheBuffersEachRankTouches) {
     });
   }
   tempi::red::set_forced_schedule(Schedule::Auto);
+}
+
+// --- repeated calls replay their recorded schedule --------------------------
+
+/// Every rank's result bytes after each of `iters` repeated calls.
+using Repeats = std::vector<std::vector<std::vector<std::byte>>>;
+
+/// `iters` in-place MPI_Allreduce calls of `count` device doubles on the
+/// same buffer (the halo app's residual shape), a fresh payload each.
+Repeats repeated_allreduce_named(bool engine, int ranks, int count,
+                                 int iters) {
+  tempi::red::set_enabled(engine);
+  Repeats out(static_cast<std::size_t>(ranks));
+  sysmpi::RunConfig cfg;
+  cfg.ranks = ranks;
+  cfg.ranks_per_node = 1;
+  sysmpi::run_ranks(cfg, [&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    const std::size_t bytes = static_cast<std::size_t>(count) * sizeof(double);
+    SpaceBuffer buf(vcuda::MemorySpace::Device, bytes);
+    for (int it = 0; it < iters; ++it) {
+      std::vector<double> vals(static_cast<std::size_t>(count));
+      for (int i = 0; i < count; ++i) {
+        vals[static_cast<std::size_t>(i)] =
+            1.0 / (rank + 1 + it) + 1e-7 * i;
+      }
+      std::memcpy(buf.get(), vals.data(), bytes);
+      ASSERT_EQ(MPI_Allreduce(MPI_IN_PLACE, buf.get(), count, MPI_DOUBLE,
+                              MPI_SUM, MPI_COMM_WORLD),
+                MPI_SUCCESS);
+      out[static_cast<std::size_t>(rank)].emplace_back(
+          buf.bytes(), buf.bytes() + bytes);
+    }
+    MPI_Finalize();
+  });
+  tempi::red::set_enabled(true);
+  return out;
+}
+
+void expect_same(const Repeats &engine, const Repeats &system) {
+  ASSERT_EQ(engine.size(), system.size());
+  for (std::size_t r = 0; r < engine.size(); ++r) {
+    ASSERT_EQ(engine[r].size(), system[r].size());
+    for (std::size_t it = 0; it < engine[r].size(); ++it) {
+      EXPECT_EQ(engine[r][it], system[r][it]) << "rank " << r << " call "
+                                              << it;
+    }
+  }
+}
+
+TEST(ReduceReplay, RepeatedNamedAllreduceInPlaceMatchesSystemBitwise) {
+  // Every rank records its linear-fold schedule on the second call and
+  // replays it after; the root's combine runs as a recorded graph. The
+  // results stay bitwise the system path's, and the trailing system Bcast
+  // still runs every call.
+  tempi::ScopedInterposer guard;
+  for (const int ranks : {2, 3}) {
+    tempi::trace::reset_counters();
+    const Repeats engine = repeated_allreduce_named(true, ranks, 1, 5);
+    const auto n = static_cast<std::uint64_t>(ranks);
+    EXPECT_EQ(counter("tempi.sched.captures"), n);
+    EXPECT_EQ(counter("tempi.sched.replays"), 3u * n);
+    // One device combine per non-root contribution per call, live or
+    // replayed.
+    EXPECT_EQ(counter("tempi.red.kernel_launches"), 5u * (n - 1));
+    expect_same(engine, repeated_allreduce_named(false, ranks, 1, 5));
+  }
+}
+
+/// Repeated derived-datatype MPI_Allreduce calls on 4 ranks (2 per node)
+/// with the same buffers: call k runs under `schedules[k]` (rank 0 forces
+/// it, a barrier publishes it) with a fresh payload, validated against the
+/// elementwise oracle.
+void repeated_allreduce_derived(const std::vector<Schedule> &schedules,
+                                bool in_place) {
+  sysmpi::RunConfig cfg;
+  cfg.ranks = 4;
+  cfg.ranks_per_node = 2;
+  sysmpi::run_ranks(cfg, [&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    std::mt19937 gen(91u);
+    MPI_Datatype t = uniform_strided_type(gen, MPI_INT);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    const int count = 3;
+    const std::size_t packed = static_cast<std::size_t>(t->size) * count;
+    const std::size_t words = packed / sizeof(std::int32_t);
+    SpaceBuffer sbuf(vcuda::MemorySpace::Device,
+                     static_cast<std::size_t>(extent) * count + 64);
+    SpaceBuffer rbuf(vcuda::MemorySpace::Device,
+                     static_cast<std::size_t>(extent) * count + 64);
+    for (std::size_t call = 0; call < schedules.size(); ++call) {
+      if (rank == 0) {
+        tempi::red::set_forced_schedule(schedules[call]);
+      }
+      MPI_Barrier(MPI_COMM_WORLD);
+      const auto value = [&](int r, std::size_t i) {
+        return r * 1000 + static_cast<std::int32_t>(i + 7 * call);
+      };
+      std::vector<std::int32_t> mine(words);
+      for (std::size_t i = 0; i < words; ++i) {
+        mine[i] = value(rank, i);
+      }
+      std::vector<std::byte> stream(packed);
+      std::memcpy(stream.data(), mine.data(), packed);
+      std::memset(rbuf.get(), 0xAA, rbuf.size());
+      reference_unpack(in_place ? rbuf.get() : sbuf.get(), count, *t, stream);
+      ASSERT_EQ(MPI_Allreduce(in_place ? MPI_IN_PLACE : sbuf.get(),
+                              rbuf.get(), count, t, MPI_SUM, MPI_COMM_WORLD),
+                MPI_SUCCESS);
+      const std::vector<std::byte> out = reference_pack(rbuf.get(), count, *t);
+      std::vector<std::int32_t> got(words);
+      std::memcpy(got.data(), out.data(), packed);
+      for (std::size_t i = 0; i < words; ++i) {
+        std::int32_t want = 0;
+        for (int r = 0; r < 4; ++r) {
+          want += value(r, i);
+        }
+        ASSERT_EQ(got[i], want)
+            << "rank " << rank << " call " << call << " word " << i
+            << " schedule " << tempi::red::schedule_name(schedules[call]);
+      }
+      MPI_Barrier(MPI_COMM_WORLD); // the next call's forcing waits for all
+    }
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
+  tempi::red::set_forced_schedule(Schedule::Auto);
+}
+
+TEST(ReduceReplay, RepeatedDerivedAllreduceMatchesOracleUnderEverySchedule) {
+  tempi::ScopedInterposer guard;
+  for (const Schedule s :
+       {Schedule::Linear, Schedule::Ring, Schedule::Doubling}) {
+    for (const bool in_place : {false, true}) {
+      tempi::trace::reset_counters();
+      repeated_allreduce_derived({s, s, s, s, s}, in_place);
+      EXPECT_EQ(counter("tempi.sched.captures"), 4u)
+          << tempi::red::schedule_name(s);
+      EXPECT_EQ(counter("tempi.sched.replays"), 4u * 3u)
+          << tempi::red::schedule_name(s);
+    }
+  }
+}
+
+TEST(ReduceReplay, ForcedScheduleChangeNeverReplaysTheOldSchedule) {
+  // The forced schedule is part of the key: switching it between calls
+  // on the same buffers and counts runs (and records) the new schedule.
+  tempi::ScopedInterposer guard;
+  tempi::trace::reset_counters();
+  repeated_allreduce_derived({Schedule::Ring, Schedule::Ring, Schedule::Ring,
+                              Schedule::Doubling, Schedule::Doubling,
+                              Schedule::Doubling, Schedule::Ring},
+                             false);
+  EXPECT_EQ(counter("tempi.sched.captures"), 4u * 2u);
+  EXPECT_EQ(counter("tempi.sched.replays"), 4u * 3u);
+}
+
+TEST(ReduceReplay, RepeatedReduceScatterMatchesSystemBitwise) {
+  tempi::ScopedInterposer guard;
+  const auto repeated = [](bool engine) {
+    tempi::red::set_enabled(engine);
+    Repeats out(4);
+    sysmpi::RunConfig cfg;
+    cfg.ranks = 4;
+    cfg.ranks_per_node = 2;
+    sysmpi::run_ranks(cfg, [&](int rank) {
+      MPI_Init(nullptr, nullptr);
+      const int recvcounts[4] = {3, 0, 5, 2};
+      const int total = 10;
+      const std::size_t bytes = total * sizeof(double);
+      SpaceBuffer sbuf(vcuda::MemorySpace::Device, bytes);
+      SpaceBuffer rbuf(vcuda::MemorySpace::Device, bytes + 8);
+      for (int it = 0; it < 5; ++it) {
+        std::vector<double> vals(total);
+        for (int i = 0; i < total; ++i) {
+          vals[static_cast<std::size_t>(i)] =
+              1.0 / (rank + 1 + it) + 1e-9 * i;
+        }
+        std::memcpy(sbuf.get(), vals.data(), bytes);
+        std::memset(rbuf.get(), 0, rbuf.size());
+        ASSERT_EQ(MPI_Reduce_scatter(sbuf.get(), rbuf.get(), recvcounts,
+                                     MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD),
+                  MPI_SUCCESS);
+        out[static_cast<std::size_t>(rank)].emplace_back(
+            rbuf.bytes(),
+            rbuf.bytes() + static_cast<std::size_t>(recvcounts[rank]) *
+                               sizeof(double));
+      }
+      MPI_Finalize();
+    });
+    tempi::red::set_enabled(true);
+    return out;
+  };
+  tempi::trace::reset_counters();
+  const Repeats engine = repeated(true);
+  EXPECT_EQ(counter("tempi.sched.captures"), 4u);
+  EXPECT_EQ(counter("tempi.sched.replays"), 4u * 3u);
+  expect_same(engine, repeated(false));
 }
 
 TEST(Reduce, EnvKillSwitchReadAtInstall) {
