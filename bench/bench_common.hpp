@@ -14,12 +14,14 @@
 #include "tempi/trace.hpp"
 #include "vcuda/runtime.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace bench {
 
@@ -82,6 +84,42 @@ inline double pack_latency_us(MPI_Datatype t, int count, int iters = 5) {
   vcuda::Free(src);
   vcuda::Free(dst);
   return sampler.trimean();
+}
+
+/// Virtual time of a repeated call as the replay tables see it: the first
+/// call runs cold and is not kept, the second records the call's graphs
+/// (`record_us`), and later calls replay them (`steady_us`, their
+/// trimean).
+struct ReplayTiming {
+  double record_us = 0.0;
+  double steady_us = 0.0;
+};
+
+/// Run `call` (returning the virtual us it took) cold, recording, then
+/// `steady` >= 1 more times, and split the timings as ReplayTiming does.
+template <class Call> ReplayTiming time_replayed(int steady, Call &&call) {
+  ReplayTiming t;
+  support::Sampler sampler;
+  for (int i = 0; i < steady + 2; ++i) {
+    const double us = call();
+    if (i == 1) {
+      t.record_us = us;
+    } else if (i > 1) {
+      sampler.add(us);
+    }
+  }
+  t.steady_us = sampler.trimean();
+  return t;
+}
+
+/// The slowest rank's recording call and steady state.
+inline ReplayTiming slowest(const std::vector<ReplayTiming> &per_rank) {
+  ReplayTiming worst;
+  for (const ReplayTiming &t : per_rank) {
+    worst.record_us = std::max(worst.record_us, t.record_us);
+    worst.steady_us = std::max(worst.steady_us, t.steady_us);
+  }
+  return worst;
 }
 
 /// Receiver-side Send/Recv latency (virtual us) for a 2-D device object,

@@ -26,11 +26,13 @@ namespace {
 
 /// Max-across-ranks virtual latency (us) of one MPI_Alltoallv with
 /// `objs` objects of a (blocks x block_bytes, pitch) vector type per
-/// peer, device buffers, two ranks per virtual node.
-double alltoallv_us(bool engine, int ranks, long long blocks,
-                    long long block_bytes, int objs, int rounds) {
+/// peer, device buffers, two ranks per virtual node: the recording call and
+/// the trimean of `rounds` steady calls after it.
+bench::ReplayTiming alltoallv_us(bool engine, int ranks, long long blocks,
+                                 long long block_bytes, int objs,
+                                 int rounds) {
   tempi::coll::set_enabled(engine);
-  std::vector<double> per_rank(static_cast<std::size_t>(ranks), 0.0);
+  std::vector<bench::ReplayTiming> per_rank(static_cast<std::size_t>(ranks));
   sysmpi::RunConfig cfg;
   cfg.ranks = ranks;
   cfg.ranks_per_node = 2;
@@ -52,23 +54,20 @@ double alltoallv_us(bool engine, int ranks, long long blocks,
     void *sbuf = nullptr, *rbuf = nullptr;
     vcuda::Malloc(&sbuf, bytes);
     vcuda::Malloc(&rbuf, bytes);
-    support::Sampler sampler;
-    for (int round = 0; round <= rounds; ++round) {
-      const vcuda::VirtualNs t0 = vcuda::virtual_now();
-      MPI_Alltoallv(sbuf, counts.data(), displs.data(), t, rbuf,
-                    counts.data(), displs.data(), t, MPI_COMM_WORLD);
-      if (round > 0) { // discard the cache-cold warm-up round
-        sampler.add(vcuda::ns_to_us(vcuda::virtual_now() - t0));
-      }
-    }
-    per_rank[static_cast<std::size_t>(rank)] = sampler.trimean();
+    per_rank[static_cast<std::size_t>(rank)] =
+        bench::time_replayed(rounds, [&] {
+          const vcuda::VirtualNs t0 = vcuda::virtual_now();
+          MPI_Alltoallv(sbuf, counts.data(), displs.data(), t, rbuf,
+                        counts.data(), displs.data(), t, MPI_COMM_WORLD);
+          return vcuda::ns_to_us(vcuda::virtual_now() - t0);
+        });
     vcuda::Free(sbuf);
     vcuda::Free(rbuf);
     MPI_Type_free(&t);
     MPI_Finalize();
   });
   tempi::coll::set_enabled(true);
-  return *std::max_element(per_rank.begin(), per_rank.end());
+  return bench::slowest(per_rank);
 }
 
 } // namespace
@@ -81,25 +80,26 @@ int main() {
   const std::vector<long long> block_sizes = {8, 64, 512};
   const long long blocks = smoke ? 64 : 2048; // rows per object
   const int objs = smoke ? 1 : 2;             // objects per peer
-  const int rounds = smoke ? 1 : 3;
+  const int rounds = smoke ? 1 : 3; // steady calls timed per point
 
   std::printf("Fig. 14 — MPI_Alltoallv of strided tiles (virtual us, max "
               "across ranks): system baseline vs collectives engine\n");
   std::printf("%d rows x block per object, %d object(s) per peer, 2 ranks "
-              "per node\n\n",
+              "per node; baseline and engine time the steady state, engine "
+              "rec the call that records the replayed schedule\n\n",
               static_cast<int>(blocks), objs);
-  std::printf("%6s %7s %10s | %12s %12s | %8s\n", "ranks", "block",
-              "per-peer", "baseline", "engine", "speedup");
+  std::printf("%6s %7s %10s | %12s %12s | %8s | %12s\n", "ranks", "block",
+              "per-peer", "baseline", "engine", "speedup", "engine rec");
 
   int gated = 0, gated_ok = 0;
   std::vector<double> gated_speedups;
   for (const int ranks : rank_counts) {
     for (const long long block : block_sizes) {
       const double base =
-          alltoallv_us(false, ranks, blocks, block, objs, rounds);
-      const double eng =
+          alltoallv_us(false, ranks, blocks, block, objs, rounds).steady_us;
+      const bench::ReplayTiming eng =
           alltoallv_us(true, ranks, blocks, block, objs, rounds);
-      const double speedup = base / eng;
+      const double speedup = base / eng.steady_us;
       // Gate: fragmented per-peer blocks at >= 8 ranks must clear 2x.
       const bool in_gate = ranks >= 8 && block <= 16;
       if (in_gate) {
@@ -107,12 +107,13 @@ int main() {
         gated_ok += speedup >= 2.0 ? 1 : 0;
         gated_speedups.push_back(speedup);
       }
-      std::printf("%6d %6lldB %10s | %12.1f %12.1f | %7.2fx%s\n", ranks,
-                  block,
+      std::printf("%6d %6lldB %10s | %12.1f %12.1f | %7.2fx | %12.1f%s\n",
+                  ranks, block,
                   bench::human_bytes(static_cast<double>(blocks) * block *
                                      objs)
                       .c_str(),
-                  base, eng, speedup, in_gate ? "  <- gate" : "");
+                  base, eng.steady_us, speedup, eng.record_us,
+                  in_gate ? "  <- gate" : "");
     }
   }
   if (!gated_speedups.empty()) {
@@ -128,7 +129,8 @@ int main() {
   const std::size_t inject = smoke ? 16 * 1024 : 256 * 1024;
   const std::size_t old_limit = tempi::set_wire_chunk_limit(inject);
   tempi::trace::reset_counters();
-  const double over_us = alltoallv_us(true, 4, blocks, 512, objs, rounds);
+  const double over_us =
+      alltoallv_us(true, 4, blocks, 512, objs, rounds).steady_us;
   const std::uint64_t chunks =
       tempi::trace::counter_value("tempi.pipeline.chunks");
   const std::uint64_t over_ceiling_bytes =

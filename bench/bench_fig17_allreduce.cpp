@@ -53,13 +53,14 @@ MPI_Datatype make_type(long long target_bytes, int *objects) {
 }
 
 /// Max-across-ranks virtual latency (us) of one allreduce of
-/// `target_bytes` packed payload under `mode`.
-double allreduce_us(Mode mode, int ranks, int rpn, long long target_bytes,
-                    int rounds) {
+/// `target_bytes` packed payload under `mode`: the recording call and the
+/// trimean of `rounds` steady calls after it.
+bench::ReplayTiming allreduce_us(Mode mode, int ranks, int rpn,
+                                 long long target_bytes, int rounds) {
   tempi::red::set_forced_schedule(mode == Mode::Ring       ? Schedule::Ring
                                   : mode == Mode::Doubling ? Schedule::Doubling
                                                            : Schedule::Auto);
-  std::vector<double> per_rank(static_cast<std::size_t>(ranks), 0.0);
+  std::vector<bench::ReplayTiming> per_rank(static_cast<std::size_t>(ranks));
   sysmpi::RunConfig cfg;
   cfg.ranks = ranks;
   cfg.ranks_per_node = rpn;
@@ -79,8 +80,7 @@ double allreduce_us(Mode mode, int ranks, int rpn, long long target_bytes,
     std::memset(sbuf, 0, static_cast<std::size_t>(extent) * objects);
     std::vector<float> host_in(packed / sizeof(float));
     std::vector<float> host_out(packed / sizeof(float));
-    support::Sampler sampler;
-    for (int round = 0; round <= rounds; ++round) {
+    const auto call = [&] {
       MPI_Barrier(MPI_COMM_WORLD); // aligned rounds
       const vcuda::VirtualNs t0 = vcuda::virtual_now();
       if (mode == Mode::Baseline) {
@@ -95,18 +95,17 @@ double allreduce_us(Mode mode, int ranks, int rpn, long long target_bytes,
       } else {
         MPI_Allreduce(sbuf, rbuf, objects, t, MPI_SUM, MPI_COMM_WORLD);
       }
-      if (round > 0) { // discard the cache-cold warm-up round
-        sampler.add(vcuda::ns_to_us(vcuda::virtual_now() - t0));
-      }
-    }
-    per_rank[static_cast<std::size_t>(rank)] = sampler.trimean();
+      return vcuda::ns_to_us(vcuda::virtual_now() - t0);
+    };
+    per_rank[static_cast<std::size_t>(rank)] =
+        bench::time_replayed(rounds, call);
     vcuda::Free(sbuf);
     vcuda::Free(rbuf);
     MPI_Type_free(&t);
     MPI_Finalize();
   });
   tempi::red::set_forced_schedule(Schedule::Auto);
-  return *std::max_element(per_rank.begin(), per_rank.end());
+  return bench::slowest(per_rank);
 }
 
 /// The netmodel's schedule choice for this sweep point (queried on a
@@ -139,7 +138,7 @@ int main() {
 
   const int ranks = smoke ? 8 : 16;
   const int rpn = 4; // 2 nodes smoke, 4 nodes full: inter-node hops count
-  const int rounds = smoke ? 1 : 3;
+  const int rounds = smoke ? 1 : 3; // steady calls timed per point
   const std::vector<long long> sweep =
       smoke ? std::vector<long long>{64 * 1024, 1 << 20}
             : std::vector<long long>{16 * 1024, 256 * 1024, 4 << 20,
@@ -148,22 +147,27 @@ int main() {
   std::printf("Fig. 17 — GPU allreduce with netmodel-chosen schedules "
               "(virtual us, max across ranks)\n");
   std::printf("fragmented device payload, %d ranks, %d per node "
-              "(%d nodes)\n\n",
+              "(%d nodes); columns time the steady state, auto rec the "
+              "call that records the replayed schedule\n\n",
               ranks, rpn, ranks / rpn);
-  std::printf("%8s | %10s %10s %10s %10s | %8s %s\n", "payload", "baseline",
-              "ring", "doubling", "auto", "speedup", "chosen");
+  std::printf("%8s | %10s %10s %10s %10s | %8s %-8s | %10s\n", "payload",
+              "baseline", "ring", "doubling", "auto", "speedup", "chosen",
+              "auto rec");
 
   std::vector<double> speedups;
   Schedule first = Schedule::Auto, last = Schedule::Auto;
   std::string points;
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const long long bytes = sweep[i];
-    const double base = allreduce_us(Mode::Baseline, ranks, rpn, bytes,
-                                     rounds);
-    const double ring = allreduce_us(Mode::Ring, ranks, rpn, bytes, rounds);
+    const double base =
+        allreduce_us(Mode::Baseline, ranks, rpn, bytes, rounds).steady_us;
+    const double ring =
+        allreduce_us(Mode::Ring, ranks, rpn, bytes, rounds).steady_us;
     const double dbl =
-        allreduce_us(Mode::Doubling, ranks, rpn, bytes, rounds);
-    const double autod = allreduce_us(Mode::Auto, ranks, rpn, bytes, rounds);
+        allreduce_us(Mode::Doubling, ranks, rpn, bytes, rounds).steady_us;
+    const bench::ReplayTiming auto_timing =
+        allreduce_us(Mode::Auto, ranks, rpn, bytes, rounds);
+    const double autod = auto_timing.steady_us;
     const Schedule chosen = chosen_schedule(ranks, rpn, bytes);
     if (i == 0) {
       first = chosen;
@@ -171,17 +175,18 @@ int main() {
     last = chosen;
     const double speedup = base / autod;
     speedups.push_back(speedup);
-    std::printf("%8s | %10.1f %10.1f %10.1f %10.1f | %7.2fx %s\n",
+    std::printf("%8s | %10.1f %10.1f %10.1f %10.1f | %7.2fx %-8s | %10.1f\n",
                 bench::human_bytes(static_cast<double>(bytes)).c_str(), base,
-                ring, dbl, autod, speedup,
-                tempi::red::schedule_name(chosen));
-    char pt[192];
+                ring, dbl, autod, speedup, tempi::red::schedule_name(chosen),
+                auto_timing.record_us);
+    char pt[224];
     std::snprintf(pt, sizeof pt,
                   "%s{\"bytes\": %lld, \"baseline_us\": %.3f, "
                   "\"ring_us\": %.3f, \"doubling_us\": %.3f, "
-                  "\"auto_us\": %.3f, \"chosen\": \"%s\"}",
+                  "\"auto_us\": %.3f, \"auto_record_us\": %.3f, "
+                  "\"chosen\": \"%s\"}",
                   points.empty() ? "" : ", ", bytes, base, ring, dbl, autod,
-                  tempi::red::schedule_name(chosen));
+                  auto_timing.record_us, tempi::red::schedule_name(chosen));
     points += pt;
   }
   const double geomean = support::geomean(speedups);

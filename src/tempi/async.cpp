@@ -41,6 +41,17 @@ constexpr std::uintptr_t kTicketTagMask =
 
 } // namespace
 
+struct AsyncOp;
+
+/// The receives one thread posted that a self-addressed send of the same
+/// thread could match, in posting order (see deliver_self). Shared: a
+/// receive posted on one thread may complete, or be freed, on another,
+/// which takes it out under the lock.
+struct Inbox {
+  std::mutex mutex;
+  std::vector<AsyncOp *> ops;
+};
+
 /// A recorded program an op runs from: a pack program (sender) or an
 /// unpack program (receiver) that a thread's program table recorded (see
 /// claim_program), or a persistent op's own frozen program, which the
@@ -103,6 +114,16 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   MPI_Request inner = MPI_REQUEST_NULL; ///< send: the system transfer
   MPI_Status wire_status{};             ///< recv: status of the wire leg
 
+  /// Receive only: the inbox of the posting thread while the op is listed
+  /// there, so a self-addressed send of that thread may deliver into it.
+  std::shared_ptr<Inbox> inbox;
+  /// Receive only: a self-addressed send packed its message into the op's
+  /// landing buffer and set `wire_status`, finishing at virtual time
+  /// `delivered_at`; the wire leg needs no system receive. Set under the
+  /// inbox lock, so it is final once the op has left its inbox.
+  std::atomic<bool> delivered{false};
+  vcuda::VirtualNs delivered_at = 0;
+
   /// The recorded program this op sends from or receives into. A
   /// persistent op owns its frozen monolithic program; any other op holds
   /// one only while it has claimed it.
@@ -136,10 +157,20 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   AsyncOp(const AsyncOp &) = delete;
   AsyncOp &operator=(const AsyncOp &) = delete;
   ~AsyncOp() {
+    leave_inbox();
     release_claim();
     if (persistent && program) {
       program->released.store(true, std::memory_order_release);
     }
+  }
+
+  /// Take the op out of its inbox: from now on no send delivers into it.
+  void leave_inbox() {
+    if (inbox) {
+      const std::lock_guard<std::mutex> lock(inbox->mutex);
+      std::erase(inbox->ops, this);
+    }
+    inbox.reset();
   }
 
   /// Give `program`'s in-flight mark back, if this op holds it.
@@ -216,6 +247,11 @@ struct Pool {
   /// Entries the threads' program tables replaced or dropped (send and
   /// receive programs alike; the name predates receive programs).
   trace::Counter program_evictions{"tempi.isend.evictions"};
+
+  /// Self-addressed monolithic sends delivered straight into a receive
+  /// their thread posted, and those that took the system route instead.
+  trace::Counter self_deliveries{"tempi.p2p.self_deliveries"};
+  trace::Counter self_declines{"tempi.p2p.self_declines"};
 
   trace::Counter p_inits{"tempi.persistent.inits"};
   trace::Counter p_starts{"tempi.persistent.starts"};
@@ -388,6 +424,8 @@ void adopt(AsyncOp &op, std::shared_ptr<RecordedProgram> program) {
 /// Return a persistent op to rest after an arming: give its program's
 /// in-flight mark back, or the leases a live arming took.
 void disarm(AsyncOp &op) {
+  op.leave_inbox();
+  op.delivered.store(false, std::memory_order_relaxed);
   op.release_claim();
   op.pipe.wire = CachedBuffer{};
   op.pipe.stage = CachedBuffer{};
@@ -451,8 +489,14 @@ PackPipeline &wire_pipe(AsyncOp &op) {
 
 /// The blocking wire leg of a monolithic packer-driven receive: the packed
 /// bytes land in the op's leased wire buffer, or in its recorded
-/// program's pinned one.
+/// program's pinned one. A receive a self-addressed send delivered into
+/// already holds them: it only waits for the delivery's virtual time.
 int recv_wire(AsyncOp &op, const interpose::MpiTable &next) {
+  op.leave_inbox();
+  if (op.delivered.load(std::memory_order_acquire)) {
+    vcuda::this_thread_timeline().wait_until(op.delivered_at);
+    return MPI_SUCCESS;
+  }
   const PackPipeline &pipe = wire_pipe(op);
   trace::ScopedSpan wire(trace::Phase::Wire, op.label, pipe.bytes,
                          op.peer, op.tag, static_cast<std::int8_t>(op.method));
@@ -654,20 +698,24 @@ int post_program_send(AsyncOp &op, const interpose::MpiTable &next) {
 // borrow it while the request rests instead of recording a second one.
 
 /// What makes two monolithic calls the same work. The envelope (peer, tag,
-/// comm) is not part of the program, so it is not part of the key.
+/// comm) is not part of the program, so it is not part of the key. A send
+/// key with a `landing` buffer names the graph that packs the send
+/// straight into a receive's landing buffer (see deliver_self).
 struct ProgramKey {
   const Packer *packer = nullptr;
   const void *buf = nullptr;
   int count = 0;
   Method method = Method::Device;
   AsyncOp::Kind kind = AsyncOp::Kind::Send; ///< a pack or an unpack program
+  const void *landing = nullptr;
   bool operator==(const ProgramKey &) const = default;
   [[nodiscard]] std::uint64_t hash() const {
     return replay::mix(
         {replay::bits(packer), replay::bits(buf),
          (static_cast<std::uint64_t>(static_cast<unsigned>(count)) << 3) |
              (static_cast<std::uint64_t>(method) << 1) |
-             static_cast<std::uint64_t>(kind)});
+             static_cast<std::uint64_t>(kind),
+         replay::bits(landing)});
   }
 };
 
@@ -754,6 +802,208 @@ std::shared_ptr<RecordedProgram> claim_program(const AsyncOp &op) {
   return program;
 }
 
+// --- self delivery ----------------------------------------------------------
+//
+// A rank that sends to itself (the halo exchange's periodic faces on a grid
+// one rank wide in some dimension) would push each such message through the
+// system MPI: a buffered send and a receive, both blocking for the wire when
+// the message is above the eager limit. When the calling thread already
+// posted the accelerated receive the message matches, a monolithic send
+// packs straight into that receive's landing buffer instead, sets its wire
+// status and completes with no system request; the receive then finishes on
+// its usual path minus the system receive. Whatever could make the message
+// match another receive, or land differently, declines: the send then takes
+// the system route, exactly as before.
+
+/// Allocated on the thread's first receive a send of its own could match;
+/// a receive listed in it keeps it alive past the thread's exit.
+thread_local std::shared_ptr<Inbox> t_inbox;
+
+/// True when `peer` is the caller's own rank in `comm`.
+bool is_self(int peer, MPI_Comm comm, const interpose::MpiTable &next) {
+  int rank = MPI_PROC_NULL;
+  return next.Comm_rank(comm, &rank) == MPI_SUCCESS && rank == peer;
+}
+
+/// List a just-armed receive in its thread's inbox when a send of the same
+/// thread could match it: its source is the caller's rank or
+/// MPI_ANY_SOURCE.
+void enroll(AsyncOp &op, const interpose::MpiTable &next) {
+  if (op.peer != MPI_ANY_SOURCE && !is_self(op.peer, op.comm, next)) {
+    return;
+  }
+  if (!t_inbox) {
+    t_inbox = std::make_shared<Inbox>();
+  }
+  op.inbox = t_inbox;
+  const std::lock_guard<std::mutex> lock(op.inbox->mutex);
+  op.inbox->ops.push_back(&op);
+}
+
+/// A receive TEMPI forwarded to the system MPI whose source may be the
+/// caller's own rank. While one that could match a self-addressed message
+/// exists (a persistent one: until it is freed, started or not), self
+/// delivery declines, so the message stays queued for it. Kept
+/// process-wide: the request may complete on any thread.
+struct ForwardedRecv {
+  MPI_Request request = MPI_REQUEST_NULL;
+  int source = MPI_ANY_SOURCE;
+  int tag = MPI_ANY_TAG;
+  MPI_Comm comm = nullptr;
+  bool persistent = false;
+};
+
+struct ForwardedRecvs {
+  std::mutex mutex;
+  std::vector<ForwardedRecv> recvs;
+  std::atomic<std::size_t> size{0}; ///< recvs.size(), read without the lock
+};
+
+ForwardedRecvs &forwarded() {
+  static ForwardedRecvs f;
+  return f;
+}
+
+bool forwarded_could_match(const AsyncOp &send) {
+  ForwardedRecvs &f = forwarded();
+  if (f.size.load(std::memory_order_acquire) == 0) {
+    return false;
+  }
+  const std::lock_guard<std::mutex> lock(f.mutex);
+  return std::any_of(f.recvs.begin(), f.recvs.end(),
+                     [&](const ForwardedRecv &r) {
+                       return r.comm == send.comm &&
+                              (r.source == send.peer ||
+                               r.source == MPI_ANY_SOURCE) &&
+                              (r.tag == send.tag || r.tag == MPI_ANY_TAG);
+                     });
+}
+
+/// The first receive in `inbox` that `send` could match, in posting order.
+AsyncOp *first_candidate(const Inbox &inbox, const AsyncOp &send) {
+  for (AsyncOp *r : inbox.ops) {
+    if (r->comm == send.comm &&
+        (r->peer == send.peer || r->peer == MPI_ANY_SOURCE) &&
+        (r->tag == send.tag || r->tag == MPI_ANY_TAG)) {
+      return r;
+    }
+  }
+  return nullptr;
+}
+
+/// Whether `recv`, the first receive `send` could match, takes its `bytes`
+/// straight: it names exactly this source and tag (a wildcard declines),
+/// lands one monolithic wire leg with room for the bytes (a larger message
+/// truncates on the system path), and no earlier message or forwarded
+/// receive could pair differently: a message already queued from this rank
+/// on the tag must reach the receive first.
+bool deliverable(AsyncOp &recv, const AsyncOp &send, std::size_t bytes,
+                 const interpose::MpiTable &next) {
+  if (recv.peer != send.peer || recv.tag != send.tag ||
+      recv.method == Method::Pipelined || bytes > wire_pipe(recv).bytes) {
+    return false;
+  }
+  int queued = 0;
+  if (next.Iprobe(send.peer, send.tag, send.comm, &queued,
+                  MPI_STATUS_IGNORE) != MPI_SUCCESS ||
+      queued != 0) {
+    return false;
+  }
+  return !forwarded_could_match(send);
+}
+
+/// The recorded pack of send `op`'s objects into `landing`, from the
+/// thread's program table: nullptr on the first sighting of the pair
+/// (which takes the system route and is charged nothing) and when
+/// recording fails. The second sighting records it, later ones only pay
+/// the lookup. A graph-only entry pins no memory, so it charges nothing to
+/// the table's budget.
+std::shared_ptr<RecordedProgram> delivery_program(const AsyncOp &op,
+                                                  void *landing) {
+  ProgramTable &table = programs();
+  bool seen = false;
+  ProgramTable::Entry &e =
+      table.touch({op.packer, op.send_buf, op.count, op.method,
+                   AsyncOp::Kind::Send, landing},
+                  &seen);
+  if (!seen) {
+    return nullptr;
+  }
+  vcuda::this_thread_timeline().advance(kMethodMemoHitNs); // the lookup
+  if (!e.program) {
+    auto fresh = std::make_shared<RecordedProgram>();
+    PersistentProgram &prog = fresh->prog;
+    prog.stream = vcuda::next_pool_stream();
+    const int rc = capture_on(prog.stream, &prog.graph, op.label, [&] {
+      return op.packer->pack_async(landing, op.send_buf, op.count,
+                                   prog.stream) == vcuda::Error::Success
+                 ? MPI_SUCCESS
+                 : MPI_ERR_OTHER;
+    });
+    if (rc != MPI_SUCCESS) {
+      return nullptr;
+    }
+    e.program = std::move(fresh);
+  }
+  return e.program;
+}
+
+/// Pack send `op` into `recv`'s landing buffer with one graph launch and
+/// a pre-armed fence, then hand `recv` the wire status a system receive
+/// would report. False (nothing delivered) on a first sighting or a
+/// failed launch.
+bool deliver_into(AsyncOp &op, AsyncOp &recv, std::size_t bytes) {
+  const std::shared_ptr<RecordedProgram> program =
+      delivery_program(op, wire_pipe(recv).wire.get());
+  if (!program) {
+    return false;
+  }
+  const PersistentProgram &prog = program->prog;
+  {
+    trace::ScopedSpan replay(trace::Phase::GraphReplay, op.label, bytes,
+                             op.peer, op.tag,
+                             static_cast<std::int8_t>(op.method));
+    if (vcuda::GraphLaunch(prog.graph, prog.stream) !=
+        vcuda::Error::Success) {
+      return false;
+    }
+    count_replay(op);
+    vcuda::StreamFence(prog.stream);
+  }
+  op.stream = prog.stream;
+  recv.wire_status.MPI_SOURCE = op.peer;
+  recv.wire_status.MPI_TAG = op.tag;
+  recv.wire_status.MPI_ERROR = MPI_SUCCESS;
+  recv.wire_status.count_bytes = static_cast<long long>(bytes);
+  recv.delivered_at = vcuda::this_thread_timeline().now();
+  recv.delivered.store(true, std::memory_order_release);
+  return true;
+}
+
+/// Deliver a monolithic send addressed to the caller's own rank into the
+/// first receive of its thread's inbox it could match, when that receive
+/// takes it (see deliverable). True when delivered: the send needs no
+/// system request. False sends the message through the system MPI.
+bool deliver_self(AsyncOp &op, const interpose::MpiTable &next) {
+  if (!is_self(op.peer, op.comm, next)) {
+    return false;
+  }
+  bool done = false;
+  if (Inbox *inbox = t_inbox.get()) {
+    const std::lock_guard<std::mutex> lock(inbox->mutex);
+    const std::size_t bytes = op.packer->packed_bytes(op.count);
+    AsyncOp *recv = first_candidate(*inbox, op);
+    done = recv != nullptr && deliverable(*recv, op, bytes, next) &&
+           deliver_into(op, *recv, bytes);
+    if (done) {
+      std::erase(inbox->ops, recv);
+    }
+  }
+  Pool &p = pool();
+  (done ? p.self_deliveries : p.self_declines).add();
+  return done;
+}
+
 /// Post a monolithic send live: lease and pack into the op's pipeline,
 /// sync, and hand the wire bytes to the system MPI_Isend.
 int post_live_send(AsyncOp &op, const void *buf,
@@ -808,26 +1058,29 @@ int post_live_send(AsyncOp &op, const void *buf,
 }
 
 /// Post a packer-driven send (PackIssued -> TransferPosted). A monolithic
-/// send posts from `program` when the caller claimed one, else live. A
+/// send addressed to the caller itself lands in the thread's posted
+/// receive when that receive takes it (deliver_self); any other posts from
+/// its recorded program when the thread's table has one, else live. A
 /// pipelined send runs every chunk leg now: each leg is a buffered send,
 /// so posting them eagerly preserves the engine's deadlock discipline (a
 /// rank blocking in a receive before Wait cannot stall its peers) while
 /// the pack/wire overlap still happens inside the call. Its op is then
 /// already transferred, and completion just reclaims it.
-int post_send(AsyncOp &op, const void *buf, std::size_t chunk_bytes,
-              std::shared_ptr<RecordedProgram> program,
+int post_send(AsyncOp &op, std::size_t chunk_bytes,
               const interpose::MpiTable &next) {
-  int rc;
+  int rc = MPI_SUCCESS;
   if (op.method == Method::Pipelined) {
-    rc = send_pipelined(*op.packer, buf, op.count, op.peer, op.tag, op.comm,
-                        chunk_bytes, next, op.label);
-  } else if (program) {
+    rc = send_pipelined(*op.packer, op.send_buf, op.count, op.peer, op.tag,
+                        op.comm, chunk_bytes, next, op.label);
+  } else if (deliver_self(op, next)) {
+    // Delivered: no system request to reclaim.
+  } else if (std::shared_ptr<RecordedProgram> program = claim_program(op)) {
     // A repeated send: the recorded pack chain refills the program's
     // pinned wire lease.
     adopt(op, std::move(program));
     rc = post_program_send(op, next);
   } else {
-    rc = post_live_send(op, buf, next);
+    rc = post_live_send(op, op.send_buf, next);
   }
   if (rc == MPI_SUCCESS) {
     op.phase = OpPhase::TransferPosted;
@@ -873,17 +1126,40 @@ int finish(AsyncOp &op, MPI_Status *status, const interpose::MpiTable &next) {
 
 } // namespace
 
+void note_forwarded_recv(MPI_Request request, int source, int tag,
+                         MPI_Comm comm, bool persistent,
+                         const interpose::MpiTable &next) {
+  if (source != MPI_ANY_SOURCE && !is_self(source, comm, next)) {
+    return;
+  }
+  ForwardedRecvs &f = forwarded();
+  const std::lock_guard<std::mutex> lock(f.mutex);
+  // A handle the system MPI reused replaces the entry it left behind.
+  std::erase_if(f.recvs,
+                [&](const ForwardedRecv &r) { return r.request == request; });
+  f.recvs.push_back({request, source, tag, comm, persistent});
+  f.size.store(f.recvs.size(), std::memory_order_release);
+}
+
+void note_forwarded_done(MPI_Request request, bool freed) {
+  ForwardedRecvs &f = forwarded();
+  if (f.size.load(std::memory_order_acquire) == 0) {
+    return;
+  }
+  const std::lock_guard<std::mutex> lock(f.mutex);
+  std::erase_if(f.recvs, [&](const ForwardedRecv &r) {
+    return r.request == request && (freed || !r.persistent);
+  });
+  f.size.store(f.recvs.size(), std::memory_order_release);
+}
+
 int send(const Packer &packer, Method method, const void *buf, int count,
          int dest, int tag, MPI_Comm comm, const interpose::MpiTable &next,
          std::size_t chunk_bytes) {
   AsyncOp op(AsyncOp::Kind::Send, method, &packer, count, dest, tag, comm,
              trace::OpKind::Send);
   op.send_buf = buf;
-  std::shared_ptr<RecordedProgram> program =
-      method == Method::Pipelined ? nullptr : claim_program(op);
-  if (const int rc = post_send(op, buf, chunk_bytes, std::move(program),
-                               next);
-      rc != MPI_SUCCESS) {
+  if (const int rc = post_send(op, chunk_bytes, next); rc != MPI_SUCCESS) {
     return rc;
   }
   return finish(op, MPI_STATUS_IGNORE, next);
@@ -917,11 +1193,7 @@ int start_isend(const Packer *packer, Method method, const void *buf,
                                       count, dest, tag, comm,
                                       trace::OpKind::Isend);
   op->send_buf = buf;
-  std::shared_ptr<RecordedProgram> program =
-      method == Method::Pipelined ? nullptr : claim_program(*op);
-  if (const int rc = post_send(*op, buf, chunk_bytes, std::move(program),
-                               next);
-      rc != MPI_SUCCESS) {
+  if (const int rc = post_send(*op, chunk_bytes, next); rc != MPI_SUCCESS) {
     return rc;
   }
   pool().isends.add();
@@ -1023,7 +1295,7 @@ int start_irecv_packed(void *bytes, std::size_t nbytes, Method method,
 
 int start_irecv(const Packer *packer, Method method, void *buf, int count,
                 int source, int tag, MPI_Comm comm,
-                const interpose::MpiTable & /*next*/, MPI_Request *request) {
+                const interpose::MpiTable &next, MPI_Request *request) {
   auto op = std::make_unique<AsyncOp>(AsyncOp::Kind::Recv, method, packer,
                                       count, source, tag, comm,
                                       trace::OpKind::Irecv);
@@ -1042,6 +1314,7 @@ int start_irecv(const Packer *packer, Method method, void *buf, int count,
       return rc; // a failed lease never enters the pool
     }
   }
+  enroll(*op, next);
   pool().irecvs.add();
   *request = insert(std::move(op));
   return MPI_SUCCESS;
@@ -1187,6 +1460,11 @@ int start(MPI_Request *request, const interpose::MpiTable &next) {
   maybe_refreeze(*op);
   Pool &p = pool();
   p.p_starts.add();
+  if (op->kind == AsyncOp::Kind::Send && op->method != Method::Pipelined &&
+      deliver_self(*op, next)) {
+    op->phase = OpPhase::TransferPosted; // delivered: nothing to reclaim
+    return MPI_SUCCESS;
+  }
   // A monolithic arming runs from the request's program unless a call of
   // the same key borrowed it; then this arming runs live.
   const bool own =
@@ -1209,6 +1487,7 @@ int start(MPI_Request *request, const interpose::MpiTable &next) {
         return rc; // the request stays inactive
       }
     }
+    enroll(*op, next);
     op->phase = OpPhase::WirePending;
     return MPI_SUCCESS;
   }
@@ -1436,8 +1715,11 @@ int test(MPI_Request *request, int *flag, MPI_Status *status,
     return wait(request, status, next); // complete_recv finishes instantly
   }
   int matched = 0;
-  const int prc = next.Iprobe(op->peer, op->tag, op->comm, &matched, nullptr);
-  if (prc != MPI_SUCCESS) {
+  if (op->delivered.load(std::memory_order_acquire)) {
+    matched = 1; // a self-addressed send delivered into it: no wire to wait
+  } else if (const int prc = next.Iprobe(op->peer, op->tag, op->comm,
+                                         &matched, nullptr);
+             prc != MPI_SUCCESS) {
     return prc;
   }
   if (matched == 0) {
@@ -1477,6 +1759,7 @@ int probe_entry(MPI_Request *request, MPI_Status *status,
     // completion, which plain Test cannot.
     int flag = 0;
     int idx = MPI_UNDEFINED;
+    const MPI_Request forwarded_request = *request;
     const int rc = next.Testany(1, request, &idx, &flag, status);
     if (rc != MPI_SUCCESS) {
       return rc;
@@ -1484,6 +1767,9 @@ int probe_entry(MPI_Request *request, MPI_Status *status,
     *probe = flag == 0              ? EntryProbe::Pending
              : idx == MPI_UNDEFINED ? EntryProbe::Inactive
                                     : EntryProbe::Completed;
+    if (*probe == EntryProbe::Completed) {
+      note_forwarded_done(forwarded_request, /*freed=*/false);
+    }
     return MPI_SUCCESS;
   }
   int flag = 0;
@@ -1795,10 +2081,12 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
     }
     AsyncOp *op = find(requests[i]);
     if (op == nullptr) {
+      const MPI_Request forwarded_request = requests[i];
       const int rc = next.Wait(&requests[i], status);
       if (rc != MPI_SUCCESS) {
         return bail(rc);
       }
+      note_forwarded_done(forwarded_request, /*freed=*/false);
       continue;
     }
     if (inactive(*op)) {
@@ -2017,6 +2305,14 @@ std::size_t drain(const interpose::MpiTable &next) {
       s->ops.clear();
     }
     p.persistent_gen.fetch_add(1, std::memory_order_release);
+  }
+  {
+    // Forwarded receives outlive the interposer; their completion is no
+    // longer seen.
+    ForwardedRecvs &f = forwarded();
+    const std::lock_guard<std::mutex> lock(f.mutex);
+    f.recvs.clear();
+    f.size.store(0, std::memory_order_release);
   }
   std::size_t dropped = 0;
   for (auto &[ticket, op] : orphans) {

@@ -73,13 +73,37 @@
 // transfer is matched lazily, which keeps the engine free of system-MPI
 // request state to reclaim if the interposer is uninstalled mid-flight.
 //
+// Self delivery: a monolithic MPI_Send, MPI_Isend or persistent-send
+// MPI_Start addressed to the caller's own rank first looks at the
+// accelerated receives its thread posted (MPI_Irecv, started
+// MPI_Recv_init) whose source is that rank or MPI_ANY_SOURCE, in posting
+// order. When the first one that could match names exactly this source and
+// tag, the send packs straight into that receive's landing buffer (its
+// claimed program's pinned lease or its own), hands it the status a system
+// receive would report and completes with no system request, so neither
+// side waits on the wire; the receive then finishes on its usual path
+// without a system receive. The first sighting of a (send, landing buffer)
+// pair takes the system route, the second records the pack as a graph in
+// the thread's program table, and later ones replay it: one graph launch
+// and a pre-armed fence. A delivered send is already complete, so the
+// eager-post discipline above holds for it too.
+//
 // Matching order caveat: lazy receive matching means two receives that
 // share (source, tag, comm) pair with incoming messages in *completion*
 // order, not posted order. This mirrors the system MPI underneath (its
 // Irecv also matches at Wait/Test, see sysmpi/api.cpp), so interposing
 // does not change observable behavior; applications that need strict
 // posted-order matching on a shared (source, tag) should use distinct
-// tags, as the halo exchanger does.
+// tags, as the halo exchanger does. Self delivery never changes which
+// message a receive gets: it declines, and the message takes the system
+// route, when the first receive that could match is a wildcard
+// (MPI_ANY_SOURCE or MPI_ANY_TAG) or a pipelined one, when the message is
+// larger than that receive (the system path reports MPI_ERR_TRUNCATE),
+// when the system MPI already holds a message from this rank on the tag
+// (system Iprobe), which the receive must get first, and while a receive
+// forwarded to the system MPI could match it. A receive posted on one
+// thread may complete, or be freed, on another, and uninstall() may drop
+// it: each leaves its thread's list of receives under that list's lock.
 #pragma once
 
 #include "interpose/table.hpp"
@@ -236,6 +260,24 @@ int startall(int count, MPI_Request *requests,
 /// and reclaimed instantly, and an active receive is discarded unless it
 /// already consumed pipelined legs, which it finishes without blocking.
 int request_free(MPI_Request *request, const interpose::MpiTable &next);
+
+// --- receives forwarded to the system MPI -----------------------------------
+//
+// Self delivery must not take a message that a posted system-path receive
+// could match first. tempi.cpp reports every receive it forwards, and every
+// forwarded request it completes or frees; only receives whose source may
+// be the caller's own rank are kept. Completions through the mixed-array
+// calls are noted here.
+
+/// A receive forwarded to next.Irecv (`persistent` false) or to
+/// next.Recv_init (true: kept, started or not, until it is freed).
+void note_forwarded_recv(MPI_Request request, int source, int tag,
+                         MPI_Comm comm, bool persistent,
+                         const interpose::MpiTable &next);
+
+/// A forwarded request completed (`freed` false) or was freed: a one-shot
+/// receive is forgotten, a persistent one only when freed.
+void note_forwarded_done(MPI_Request request, bool freed);
 
 /// Number of live persistent requests (tests, the uninstall leak check).
 std::size_t persistent_open();

@@ -796,7 +796,13 @@ int tempi_Irecv(void *buf, int count, MPI_Datatype datatype, int source,
   const auto method = acceleration_method(packer, buf, count);
   if (!method) {
     s.irecvs_forwarded.add();
-    return s.next.Irecv(buf, count, datatype, source, tag, comm, request);
+    const int rc =
+        s.next.Irecv(buf, count, datatype, source, tag, comm, request);
+    if (rc == MPI_SUCCESS) {
+      async::note_forwarded_recv(*request, source, tag, comm,
+                                 /*persistent=*/false, s.next);
+    }
+    return rc;
   }
   s.irecvs_accelerated.add();
   return async::start_irecv(packer, method->method, buf, count, source, tag,
@@ -811,7 +817,12 @@ int tempi_Wait(MPI_Request *request, MPI_Status *status) {
   if (async::owns(*request)) {
     return async::wait(request, status, s.next);
   }
-  return s.next.Wait(request, status);
+  const MPI_Request forwarded = *request;
+  const int rc = s.next.Wait(request, status);
+  if (rc == MPI_SUCCESS) {
+    async::note_forwarded_done(forwarded, /*freed=*/false);
+  }
+  return rc;
 }
 
 int tempi_Waitall(int count, MPI_Request *requests, MPI_Status *statuses) {
@@ -831,7 +842,12 @@ int tempi_Test(MPI_Request *request, int *flag, MPI_Status *status) {
   if (async::owns(*request)) {
     return async::test(request, flag, status, s.next);
   }
-  return s.next.Test(request, flag, status);
+  const MPI_Request forwarded = *request;
+  const int rc = s.next.Test(request, flag, status);
+  if (rc == MPI_SUCCESS && *flag != 0) {
+    async::note_forwarded_done(forwarded, /*freed=*/false);
+  }
+  return rc;
 }
 
 int tempi_Waitsome(int incount, MPI_Request *requests, int *outcount,
@@ -915,7 +931,13 @@ int tempi_Recv_init(void *buf, int count, MPI_Datatype datatype, int source,
     }
   }
   s.persistent_forwarded.add();
-  return s.next.Recv_init(buf, count, datatype, source, tag, comm, request);
+  const int rc =
+      s.next.Recv_init(buf, count, datatype, source, tag, comm, request);
+  if (rc == MPI_SUCCESS && source != MPI_PROC_NULL) {
+    async::note_forwarded_recv(*request, source, tag, comm,
+                               /*persistent=*/true, s.next);
+  }
+  return rc;
 }
 
 int tempi_Start(MPI_Request *request) {
@@ -941,7 +963,12 @@ int tempi_Request_free(MPI_Request *request) {
   if (async::owns(*request)) {
     return async::request_free(request, s.next);
   }
-  return s.next.Request_free(request);
+  const MPI_Request forwarded = *request;
+  const int rc = s.next.Request_free(request);
+  if (rc == MPI_SUCCESS) {
+    async::note_forwarded_done(forwarded, /*freed=*/true);
+  }
+  return rc;
 }
 
 // --- interposed collectives (the collectives engine, collectives.hpp) --------

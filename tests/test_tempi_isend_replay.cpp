@@ -5,7 +5,9 @@
 // overwrite a wire lease still in flight, and never outlive the packers or
 // the install they were recorded under. A Waitall whose claimed receives
 // repeat replays their fused unpack as one recorded graph, and never after
-// one of its programs was evicted or released.
+// one of its programs was evicted or released. A send a rank addresses to
+// itself lands straight in the receive its thread posted, and every such
+// exchange ends exactly as it does on the system path.
 #include "interpose/table.hpp"
 #include "random_types.hpp"
 #include "sysmpi/mpi.hpp"
@@ -24,6 +26,7 @@
 #include <array>
 #include <barrier>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -845,6 +848,515 @@ TEST_F(IrecvReplay, ChannelsFreedOnAnotherThreadNeverReplayTheirBatch) {
   tempi::uninstall();
   EXPECT_EQ(leased_now(), leased0);
   tempi::install();
+}
+
+// --- self delivery ----------------------------------------------------------
+
+class SelfDelivery : public IsendReplay {};
+
+/// Rounds per scenario: the first sighting of a (send, landing buffer) pair
+/// takes the system route and the second records, so later rounds deliver.
+constexpr unsigned kRounds = 5;
+
+/// What one scenario observed: the destination buffers after each round,
+/// every receive status kept, and every return code.
+struct Seen {
+  std::vector<std::vector<std::byte>> buffers;
+  std::vector<std::array<long long, 4>> statuses;
+  std::vector<int> codes;
+
+  void buffer(const SpaceBuffer &b) {
+    buffers.emplace_back(b.bytes(), b.bytes() + b.size());
+  }
+  void status(const MPI_Status &st) {
+    statuses.push_back({st.MPI_SOURCE, st.MPI_TAG, st.MPI_ERROR,
+                        st.count_bytes});
+  }
+  void code(int rc) { codes.push_back(rc); }
+};
+
+using Round = std::function<void(unsigned, Seen &)>;
+
+Seen observe(tempi::SendMode mode, const Round &round) {
+  tempi::set_send_mode(mode);
+  Seen seen;
+  for (unsigned r = 0; r < kRounds; ++r) {
+    round(r, seen);
+  }
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  return seen;
+}
+
+/// Run `round` kRounds times on the system path, then through TEMPI with
+/// `mode`, and require the same bytes, statuses and return codes; returns
+/// how many sends the TEMPI run delivered straight.
+std::uint64_t expect_system_behavior(
+    const Round &round,
+    tempi::SendMode mode = tempi::SendMode::ForceDevice) {
+  const Seen reference = observe(tempi::SendMode::System, round);
+  const std::uint64_t delivered0 = counter("tempi.p2p.self_deliveries");
+  const Seen seen = observe(mode, round);
+  EXPECT_EQ(seen.codes, reference.codes);
+  EXPECT_EQ(seen.statuses, reference.statuses);
+  EXPECT_EQ(seen.buffers, reference.buffers);
+  return counter("tempi.p2p.self_deliveries") - delivered0;
+}
+
+/// Fill a send source and poison a destination for round `r`.
+void prepare(const SpaceBuffer &src, const SpaceBuffer &dst, unsigned r) {
+  fill_pattern(src.get(), src.size(), 100 + r);
+  fill_pattern(dst.get(), dst.size(), 200 + r);
+}
+
+TEST_F(SelfDelivery, IrecvIsendWaitMatchesTheSystemPath) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  for (const tempi::SendMode mode :
+       {tempi::SendMode::ForceDevice, tempi::SendMode::ForceOneShot,
+        tempi::SendMode::ForceStaged}) {
+    const std::uint64_t delivered = expect_system_behavior(
+        [&](unsigned r, Seen &seen) {
+          prepare(src, dst, r);
+          MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+          MPI_Status st;
+          seen.code(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD,
+                              &reqs[0]));
+          seen.code(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD,
+                              &reqs[1]));
+          seen.code(MPI_Wait(&reqs[0], &st));
+          seen.code(MPI_Wait(&reqs[1], MPI_STATUS_IGNORE));
+          seen.status(st);
+          seen.buffer(dst);
+        },
+        mode);
+    EXPECT_GE(delivered, 2u) << "mode " << static_cast<int>(mode);
+  }
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
+  MPI_Type_free(&t);
+}
+
+TEST_F(SelfDelivery, IrecvThenBlockingSendMatchesTheSystemPath) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  const std::uint64_t replays0 = counter("tempi.send.replays");
+  const std::uint64_t delivered =
+      expect_system_behavior([&](unsigned r, Seen &seen) {
+        prepare(src, dst, r);
+        MPI_Request req = MPI_REQUEST_NULL;
+        MPI_Status st;
+        seen.code(MPI_Irecv(dst.get(), 1, t, 0, 9, MPI_COMM_WORLD, &req));
+        seen.code(MPI_Send(src.get(), 1, t, 0, 9, MPI_COMM_WORLD));
+        seen.code(MPI_Wait(&req, &st));
+        seen.status(st);
+        seen.buffer(dst);
+      });
+  EXPECT_GE(delivered, 2u);
+  // A delivered send ran from a recorded graph: counted as a replay.
+  EXPECT_GE(counter("tempi.send.replays") - replays0, delivered);
+  MPI_Type_free(&t);
+}
+
+// A persistent Start/Start pair: the send's Start delivers into the started
+// receive, and still counts as a persistent replay.
+TEST_F(SelfDelivery, PersistentStartPairMatchesTheSystemPath) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  std::array<MPI_Request, 2> ch{MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+  const Round round = [&](unsigned r, Seen &seen) {
+    if (r == 0) {
+      seen.code(MPI_Recv_init(dst.get(), 1, t, 0, 11, MPI_COMM_WORLD,
+                              &ch[0]));
+      seen.code(MPI_Send_init(src.get(), 1, t, 0, 11, MPI_COMM_WORLD,
+                              &ch[1]));
+    }
+    prepare(src, dst, r);
+    std::array<MPI_Status, 2> st{};
+    seen.code(MPI_Start(&ch[0]));
+    seen.code(MPI_Start(&ch[1]));
+    seen.code(MPI_Waitall(2, ch.data(), st.data()));
+    seen.status(st[0]);
+    seen.buffer(dst);
+    if (r + 1 == kRounds) {
+      seen.code(MPI_Request_free(&ch[0]));
+      seen.code(MPI_Request_free(&ch[1]));
+    }
+  };
+  const Seen reference = observe(tempi::SendMode::System, round);
+  tempi::trace::reset_counters();
+  const Seen seen = observe(tempi::SendMode::ForceDevice, round);
+  EXPECT_EQ(seen.codes, reference.codes);
+  EXPECT_EQ(seen.statuses, reference.statuses);
+  EXPECT_EQ(seen.buffers, reference.buffers);
+  EXPECT_GE(counter("tempi.p2p.self_deliveries"), 2u);
+  EXPECT_EQ(counter("tempi.persistent.starts"), 2u * kRounds);
+  EXPECT_EQ(counter("tempi.persistent.replays"), 2u * kRounds);
+  EXPECT_EQ(tempi::async::persistent_open(), 0u);
+  MPI_Type_free(&t);
+}
+
+// The halo exchange's shape: 26 receives of small and rendezvous-sized
+// faces, 26 sends, one Waitall whose fused batch unpacks the deliveries.
+TEST_F(SelfDelivery, TwentySixFaceWaitallMatchesTheSystemPath) {
+  constexpr int kFaces = 26;
+  MPI_Datatype small = committed_vector(128, 4, 12);
+  MPI_Datatype large = committed_vector(8192, 16, 24); // 128 KiB packed
+  ASSERT_GT(static_cast<std::size_t>(large->size),
+            sysmpi::net_params().eager_bytes);
+  std::vector<MPI_Datatype> types;
+  std::vector<std::unique_ptr<SpaceBuffer>> srcs, dsts;
+  for (int f = 0; f < kFaces; ++f) {
+    types.push_back(f % 7 == 3 ? large : small);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(types.back(), &lb, &extent);
+    const auto bytes = static_cast<std::size_t>(extent);
+    srcs.push_back(
+        std::make_unique<SpaceBuffer>(vcuda::MemorySpace::Device, bytes));
+    dsts.push_back(
+        std::make_unique<SpaceBuffer>(vcuda::MemorySpace::Device, bytes));
+  }
+  const std::uint64_t batch_replays0 =
+      counter("tempi.engine.fused_unpack_replays");
+  const std::uint64_t delivered =
+      expect_system_behavior([&](unsigned r, Seen &seen) {
+        std::vector<MPI_Request> reqs(2 * kFaces, MPI_REQUEST_NULL);
+        for (int f = 0; f < kFaces; ++f) {
+          prepare(*srcs[f], *dsts[f], r * kFaces + f);
+          seen.code(MPI_Irecv(dsts[f]->get(), 1, types[f], 0, f,
+                              MPI_COMM_WORLD, &reqs[f]));
+        }
+        for (int f = kFaces - 1; f >= 0; --f) {
+          seen.code(MPI_Isend(srcs[f]->get(), 1, types[f], 0, f,
+                              MPI_COMM_WORLD, &reqs[kFaces + f]));
+        }
+        std::vector<MPI_Status> st(reqs.size());
+        seen.code(MPI_Waitall(2 * kFaces, reqs.data(), st.data()));
+        for (int f = 0; f < kFaces; ++f) {
+          seen.status(st[f]);
+          seen.buffer(*dsts[f]);
+        }
+      });
+  EXPECT_GE(delivered, 2u * kFaces);
+  EXPECT_GT(counter("tempi.engine.fused_unpack_replays"), batch_replays0);
+  MPI_Type_free(&large);
+  MPI_Type_free(&small);
+}
+
+/// Send `bytes` of pattern `seed` to this rank on `tag` through the system
+/// MPI, ahead of any TEMPI traffic.
+void queue_raw(std::size_t bytes, unsigned seed, int tag) {
+  std::vector<std::byte> raw(bytes);
+  fill_pattern(raw.data(), raw.size(), seed);
+  post_wire(raw, tag);
+}
+
+// A self message already queued in the system on the tag must reach the
+// posted receive first: the new send must not overtake it.
+TEST_F(SelfDelivery, QueuedSelfMessageIsReceivedFirst) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer later(vcuda::MemorySpace::Device, 128 * 12);
+  const std::uint64_t delivered =
+      expect_system_behavior([&](unsigned r, Seen &seen) {
+        prepare(src, dst, r);
+        fill_pattern(later.get(), later.size(), 300 + r);
+        MPI_Request reqs[3] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL,
+                               MPI_REQUEST_NULL};
+        MPI_Status st;
+        seen.code(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]));
+        queue_raw(128 * 4, 400 + r, 5);
+        seen.code(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[1]));
+        seen.code(MPI_Wait(&reqs[0], &st));
+        seen.status(st);
+        seen.buffer(dst); // the queued message
+        seen.code(MPI_Irecv(later.get(), 1, t, 0, 5, MPI_COMM_WORLD,
+                            &reqs[2]));
+        seen.code(MPI_Wait(&reqs[2], &st));
+        seen.status(st);
+        seen.buffer(later); // the send
+        seen.code(MPI_Wait(&reqs[1], MPI_STATUS_IGNORE));
+      });
+  EXPECT_EQ(delivered, 0u);
+  MPI_Type_free(&t);
+}
+
+// An earlier wildcard receive could match the message: the send declines,
+// and each receive gets what the system path gives it.
+TEST_F(SelfDelivery, EarlierWildcardReceiveDeclines) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer src2(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst2(vcuda::MemorySpace::Device, 128 * 12);
+  const std::uint64_t declines0 = counter("tempi.p2p.self_declines");
+  // MPI_ANY_TAG: a message queued on another tag reaches the wildcard
+  // receive first, and the send goes to the receive posted after it.
+  std::uint64_t delivered = expect_system_behavior([&](unsigned r,
+                                                       Seen &seen) {
+    prepare(src, dst, r);
+    fill_pattern(dst2.get(), dst2.size(), 500 + r);
+    MPI_Request reqs[3] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL,
+                           MPI_REQUEST_NULL};
+    MPI_Status st;
+    seen.code(MPI_Irecv(dst.get(), 1, t, 0, MPI_ANY_TAG, MPI_COMM_WORLD,
+                        &reqs[0]));
+    queue_raw(128 * 4, 600 + r, 6);
+    seen.code(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[1]));
+    seen.code(MPI_Wait(&reqs[0], &st));
+    seen.status(st);
+    seen.code(MPI_Irecv(dst2.get(), 1, t, 0, MPI_ANY_TAG, MPI_COMM_WORLD,
+                        &reqs[2]));
+    seen.code(MPI_Wait(&reqs[2], &st));
+    seen.status(st);
+    seen.code(MPI_Wait(&reqs[1], MPI_STATUS_IGNORE));
+    seen.buffer(dst);
+    seen.buffer(dst2);
+  });
+  EXPECT_EQ(delivered, 0u);
+  // MPI_ANY_SOURCE posted before an exact receive: both sends decline.
+  delivered = expect_system_behavior([&](unsigned r, Seen &seen) {
+    prepare(src, dst, r);
+    prepare(src2, dst2, 700 + r);
+    MPI_Request reqs[4] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL,
+                           MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+    std::array<MPI_Status, 4> st{};
+    seen.code(MPI_Irecv(dst.get(), 1, t, MPI_ANY_SOURCE, 5, MPI_COMM_WORLD,
+                        &reqs[0]));
+    seen.code(MPI_Irecv(dst2.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[1]));
+    seen.code(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[2]));
+    seen.code(MPI_Isend(src2.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[3]));
+    seen.code(MPI_Waitall(4, reqs, st.data()));
+    seen.status(st[0]);
+    seen.status(st[1]);
+    seen.buffer(dst);
+    seen.buffer(dst2);
+  });
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_GE(counter("tempi.p2p.self_declines") - declines0, 3u * kRounds);
+  MPI_Type_free(&t);
+}
+
+// A receive forwarded to the system MPI (a host buffer) posted before an
+// accelerated one could match the message first: the sends decline, and
+// each receive gets the message the system path gives it.
+TEST_F(SelfDelivery, EarlierForwardedReceiveDeclines) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer src2(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer host(vcuda::MemorySpace::Pageable, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  const std::uint64_t delivered =
+      expect_system_behavior([&](unsigned r, Seen &seen) {
+        prepare(src, dst, r);
+        prepare(src2, host, 900 + r);
+        MPI_Request reqs[4] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL,
+                               MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+        std::array<MPI_Status, 4> st{};
+        seen.code(MPI_Irecv(host.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]));
+        seen.code(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[1]));
+        seen.code(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[2]));
+        seen.code(MPI_Isend(src2.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[3]));
+        seen.code(MPI_Waitall(4, reqs, st.data()));
+        seen.status(st[0]);
+        seen.status(st[1]);
+        seen.buffer(host);
+        seen.buffer(dst);
+      });
+  EXPECT_EQ(delivered, 0u);
+  // Once the forwarded receive completed, the thread's sends deliver again.
+  const std::uint64_t again =
+      expect_system_behavior([&](unsigned r, Seen &seen) {
+        prepare(src, dst, r);
+        MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+        seen.code(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]));
+        seen.code(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[1]));
+        seen.code(MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE));
+        seen.buffer(dst);
+      });
+  EXPECT_GE(again, 2u);
+  MPI_Type_free(&t);
+}
+
+// A send larger than the posted receive fails the receive with
+// MPI_ERR_TRUNCATE, as the system path does.
+TEST_F(SelfDelivery, OversizeSendTruncatesLikeTheSystemPath) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 2 * 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  const std::uint64_t delivered =
+      expect_system_behavior([&](unsigned r, Seen &seen) {
+        prepare(src, dst, r);
+        MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+        seen.code(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]));
+        seen.code(MPI_Isend(src.get(), 2, t, 0, 5, MPI_COMM_WORLD, &reqs[1]));
+        seen.code(MPI_Wait(&reqs[0], MPI_STATUS_IGNORE));
+        if (reqs[0] != MPI_REQUEST_NULL) {
+          // The system MPI keeps a failed receive's request.
+          EXPECT_EQ(MPI_Request_free(&reqs[0]), MPI_SUCCESS);
+        }
+        seen.code(MPI_Wait(&reqs[1], MPI_STATUS_IGNORE));
+        seen.buffer(dst);
+      });
+  EXPECT_EQ(delivered, 0u);
+  MPI_Type_free(&t);
+}
+
+// A message shorter than the receive reports its own length, and only the
+// objects that arrived are unpacked.
+TEST_F(SelfDelivery, ShortMessageReportsItsCount) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 3 * 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 3 * 128 * 12);
+  const std::uint64_t delivered =
+      expect_system_behavior([&](unsigned r, Seen &seen) {
+        prepare(src, dst, r);
+        MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+        std::array<MPI_Status, 2> st{};
+        seen.code(MPI_Irecv(dst.get(), 3, t, 0, 5, MPI_COMM_WORLD, &reqs[0]));
+        seen.code(MPI_Isend(src.get(), 2, t, 0, 5, MPI_COMM_WORLD, &reqs[1]));
+        seen.code(MPI_Waitall(2, reqs, st.data()));
+        int n = -1;
+        seen.code(MPI_Get_count(&st[0], t, &n));
+        seen.code(n);
+        seen.status(st[0]);
+        seen.buffer(dst);
+      });
+  EXPECT_GE(delivered, 2u);
+  MPI_Type_free(&t);
+}
+
+// Receives posted on this thread and completed or freed on another leave
+// no entry behind: later sends of this thread never see them.
+TEST_F(SelfDelivery, ReceivePostedOnOneThreadCompletesOnAnother) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  const auto on_other_thread = [](const std::function<void()> &f) {
+    std::thread(f).join();
+  };
+  const std::uint64_t delivered =
+      expect_system_behavior([&](unsigned r, Seen &seen) {
+        MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+        MPI_Status st;
+        // Delivered (once repeated) here, waited on there.
+        prepare(src, dst, r);
+        seen.code(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]));
+        seen.code(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[1]));
+        on_other_thread([&] { seen.code(MPI_Wait(&reqs[0], &st)); });
+        seen.code(MPI_Wait(&reqs[1], MPI_STATUS_IGNORE));
+        seen.status(st);
+        seen.buffer(dst);
+        // Received through the system there.
+        prepare(src, dst, 20 + r);
+        seen.code(MPI_Irecv(dst.get(), 1, t, 0, 6, MPI_COMM_WORLD, &reqs[0]));
+        queue_raw(128 * 4, 800 + r, 6);
+        on_other_thread([&] { seen.code(MPI_Wait(&reqs[0], &st)); });
+        seen.status(st);
+        seen.buffer(dst);
+        // Freed there.
+        seen.code(MPI_Irecv(dst.get(), 1, t, 0, 7, MPI_COMM_WORLD, &reqs[0]));
+        on_other_thread([&] { seen.code(MPI_Request_free(&reqs[0])); });
+        // This thread's next receives and sends pair as on the system path.
+        for (const int tag : {6, 7}) {
+          prepare(src, dst, 40 + r + static_cast<unsigned>(tag));
+          seen.code(MPI_Irecv(dst.get(), 1, t, 0, tag, MPI_COMM_WORLD,
+                              &reqs[0]));
+          seen.code(MPI_Isend(src.get(), 1, t, 0, tag, MPI_COMM_WORLD,
+                              &reqs[1]));
+          seen.code(MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE));
+          seen.buffer(dst);
+        }
+      });
+  EXPECT_GE(delivered, 2u);
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
+  MPI_Type_free(&t);
+}
+
+// A steady-state delivery is one graph launch and a pre-armed fence under a
+// GraphReplay span of the send's call, with no Wire span and no system
+// message; the receive replays its program with no wire wait.
+TEST_F(SelfDelivery, SteadyStateDeliveryIsOneGraphAndNoWire) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  const auto round = [&](unsigned r) {
+    prepare(src, dst, r);
+    MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+    ASSERT_EQ(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]),
+              MPI_SUCCESS);
+    DeviceOps d{};
+    const std::uint64_t graph_nodes = graph_nodes_captured();
+    reqs[1] = isend_self(src.get(), 1, t, 5, &d);
+    ASSERT_EQ(MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE), MPI_SUCCESS);
+    EXPECT_EQ(reference_pack(dst.get(), 1, *t),
+              reference_pack(src.get(), 1, *t));
+    if (r >= 3) {
+      EXPECT_EQ(graph_nodes_captured(), graph_nodes) << "round " << r;
+      EXPECT_EQ(d.kernels, 0u) << "round " << r;
+      EXPECT_EQ(d.syncs, 0u) << "round " << r;
+      EXPECT_EQ(d.graphs, 1u) << "round " << r;
+      EXPECT_EQ(d.fences, 1u) << "round " << r;
+    }
+  };
+  for (unsigned r = 0; r < 3; ++r) {
+    round(r);
+  }
+  tempi::trace::reset_counters();
+  tempi::trace::reset();
+  tempi::trace::set_enabled(true);
+  round(3);
+  tempi::trace::set_enabled(false);
+  std::size_t wire = 0;
+  for (const tempi::trace::SpanRecord &rec : tempi::trace_snapshot().spans) {
+    wire += rec.phase == tempi::trace::Phase::Wire ? 1 : 0;
+  }
+  EXPECT_EQ(wire, 0u);
+  EXPECT_EQ(graph_replay_spans(tempi::trace::OpKind::Isend), 1u);
+  EXPECT_EQ(graph_replay_spans(tempi::trace::OpKind::Irecv), 1u);
+  EXPECT_EQ(counter("tempi.p2p.self_deliveries"), 1u);
+  EXPECT_EQ(counter("tempi.p2p.self_declines"), 0u);
+  EXPECT_EQ(counter("tempi.isend.replays"), 1u);
+  tempi::trace::reset();
+  MPI_Type_free(&t);
+}
+
+// uninstall() drops a posted receive: no entry of it survives, and the
+// thread's receives after reinstalling take its sends again.
+TEST_F(SelfDelivery, UninstallDrainLeavesNoEntryBehind) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  const auto rounds = [&] {
+    for (unsigned r = 0; r < kRounds; ++r) {
+      prepare(src, dst, r);
+      MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+      ASSERT_EQ(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]),
+                MPI_SUCCESS);
+      ASSERT_EQ(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[1]),
+                MPI_SUCCESS);
+      ASSERT_EQ(MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE), MPI_SUCCESS);
+      EXPECT_EQ(reference_pack(dst.get(), 1, *t),
+                reference_pack(src.get(), 1, *t))
+          << "round " << r;
+    }
+  };
+  rounds();
+  MPI_Request dropped = MPI_REQUEST_NULL;
+  ASSERT_EQ(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &dropped),
+            MPI_SUCCESS);
+  MPI_Type_free(&t);
+  tempi::uninstall(); // drops the receive, loudly
+  tempi::install();
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  t = committed_vector(128, 4, 12);
+  const std::uint64_t delivered0 = counter("tempi.p2p.self_deliveries");
+  rounds();
+  EXPECT_GE(counter("tempi.p2p.self_deliveries") - delivered0, 2u);
+  MPI_Type_free(&t);
 }
 
 } // namespace
