@@ -360,16 +360,17 @@ void return_to_cache(void *ptr, std::size_t capacity,
   }
 }
 
-/// Full-magazine miss: batch-refill this thread's magazine from the first
-/// depot shelf at or above the requested bucket. Returns one buffer (and
-/// shelves up to half a magazine more locally) or nullptr when the depot
-/// has nothing suitable either.
+/// Magazine miss: batch-refill this thread's magazine from the first depot
+/// shelf in buckets [first, last). Returns one buffer (and shelves up to
+/// half a magazine more locally) or nullptr when the depot has nothing
+/// suitable either.
 void *refill_from_depot(ThreadCache &c, vcuda::MemorySpace space,
-                        std::size_t first, std::size_t *got_bucket) {
+                        std::size_t first, std::size_t last,
+                        std::size_t *got_bucket) {
   Depot &d = depot();
   FreeList &shelves = d.list_for(space);
   const std::lock_guard<support::ContendedMutex> lock(d.mutex);
-  for (std::size_t b = first; b < kBuckets; ++b) {
+  for (std::size_t b = first; b < last; ++b) {
     std::vector<void *> &shelf = shelves.by_log2[b];
     if (shelf.empty()) {
       continue;
@@ -424,40 +425,52 @@ CachedBuffer lease_buffer(vcuda::MemorySpace space, std::size_t bytes) {
   const std::size_t capacity = std::bit_ceil(bytes == 0 ? 1 : bytes);
   FreeList &list = c.list_for(space);
   const auto first = static_cast<std::size_t>(std::countr_zero(capacity));
-  // First fit at or above the requested capacity; steady state hits the
-  // exact magazine bucket on the first probe, no lock anywhere.
-  if (t_cache_enabled) {
-    for (std::size_t b = first; b < kBuckets; ++b) {
-      std::vector<void *> &bucket = list.by_log2[b];
-      if (!bucket.empty()) {
-        void *p = bucket.back();
-        bucket.pop_back();
-        ++c.stats.hits;
-        count_lease_start(c);
-        vcuda::this_thread_timeline().advance(kCacheHitNs);
-        return CachedBuffer(p, std::size_t{1} << b, space);
+  if (t_cache_enabled && first < kBuckets) {
+    const auto hit = [&](void *p, std::size_t bucket) {
+      ++c.stats.hits;
+      count_lease_start(c);
+      vcuda::this_thread_timeline().advance(kCacheHitNs);
+      return CachedBuffer(p, std::size_t{1} << bucket, space);
+    };
+    const auto pop_magazine = [&](std::size_t b) -> void * {
+      std::vector<void *> &mag = list.by_log2[b];
+      if (mag.empty()) {
+        return nullptr;
       }
+      void *p = mag.back();
+      mag.pop_back();
+      return p;
+    };
+    // The exact bucket first, through every source that serves it: the
+    // magazine (steady state hits here on the first probe, no lock), ...
+    if (void *p = pop_magazine(first)) {
+      return hit(p, first);
     }
-    // Magazine dry: the next uncarved piece of this thread's segment, if
-    // the bucket has one, costs a bump and no lock.
+    // ... the next uncarved piece of this thread's segment, if the bucket
+    // has one, a bump and no lock, ...
     Carver &carver = c.carver_for(space);
     if (first < kSegmentLog2 && carver.uncarved[first] != 0) {
       void *p = carver.next[first];
       carver.next[first] += capacity;
       --carver.uncarved[first];
-      ++c.stats.hits;
-      count_lease_start(c);
-      vcuda::this_thread_timeline().advance(kCacheHitNs);
-      return CachedBuffer(p, capacity, space);
+      return hit(p, first);
     }
-    // Then one depot acquire refills a batch, so a consumer-only thread
-    // (leased here, released elsewhere) amortizes the lock too.
+    // ... and the depot's shelf, whose one acquire refills a batch, so a
+    // consumer-only thread (leased here, released elsewhere) amortizes
+    // the lock too.
     std::size_t got = 0;
-    if (void *p = refill_from_depot(c, space, first, &got)) {
-      ++c.stats.hits;
-      count_lease_start(c);
-      vcuda::this_thread_timeline().advance(kCacheHitNs);
-      return CachedBuffer(p, std::size_t{1} << got, space);
+    if (void *p = refill_from_depot(c, space, first, first + 1, &got)) {
+      return hit(p, got);
+    }
+    // Only then a larger cached buffer, magazine before depot (see the
+    // header: a small lease must not strand a large bucket's buffer).
+    for (std::size_t b = first + 1; b < kBuckets; ++b) {
+      if (void *p = pop_magazine(b)) {
+        return hit(p, b);
+      }
+    }
+    if (void *p = refill_from_depot(c, space, first + 1, kBuckets, &got)) {
+      return hit(p, got);
     }
   }
   ++c.stats.misses;

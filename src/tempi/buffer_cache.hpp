@@ -11,6 +11,15 @@
 // producer/consumer pattern and releases on the other amortizes the depot
 // lock over batched refills/flushes.
 //
+// A lease looks for a buffer in its exact power-of-two bucket first, through
+// every source that serves it: the thread's magazine, then the thread's
+// carving cursor (below), then the depot's shelf. Only when all three are
+// dry does it take a larger cached buffer, magazine before depot. Taking
+// the first fit above ahead of the exact bucket let small leases hold
+// large buffers while the large leases carved fresh memory: once burst
+// pricing put halo_p2p's edges and corners in device space next to its
+// faces, that order read 14.2 MiB peak RSS where this one reads 12.9.
+//
 // Misses below 1 MiB are carved from segments, so a burst of same-size
 // leases (the first halo exchange) does not pay one cudaMalloc per lease.
 // Per (thread, space, bucket), the first miss allocates just the buffer,
@@ -66,7 +75,8 @@ private:
 };
 
 /// Lease a buffer of at least `bytes` in `space` (Device or Pinned) from
-/// the calling thread's cache, allocating through vcuda on a miss.
+/// the calling thread's cache (exact bucket first, then a larger cached
+/// buffer; see above), allocating through vcuda on a miss.
 CachedBuffer lease_buffer(vcuda::MemorySpace space, std::size_t bytes);
 
 /// Free everything in the calling thread's magazines and cursors AND the

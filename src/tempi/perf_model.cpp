@@ -323,8 +323,12 @@ SystemPerf builtin_perf() {
 // --- choice cache ------------------------------------------------------------
 
 /// Fixed-size, 2-way set-associative, lock-free cache of transfer
-/// decisions. Each slot is one 64-bit atomic: bits [63:9] tag | [8:3]
-/// log2(chunk) | bit 2 valid | [1:0] Method. Key bits [9:1] pick a set of
+/// decisions. Each slot is one 64-bit atomic: bits [63:11] tag | [10:9]
+/// the burst answer's Method | [8:3] log2(chunk) | bit 2 valid | [1:0] the
+/// isolated answer's Method (TransferChoices: the two differ only in a
+/// monolithic method, so they share the chunk field; bit 9 of the key is
+/// already fixed by the set and bit 10 only picks the way to fill, so the
+/// tag loses two bits of 55). Key bits [9:1] pick a set of
 /// two adjacent slots, and a key may sit in either, so two hot keys of one
 /// set do not evict each other. A miss fills an invalid way first, else
 /// the way key bit 10 picks. A tag collision can only mispick a method,
@@ -337,8 +341,9 @@ struct PerfModel::ChoiceCache {
 
 namespace {
 
-constexpr std::uint64_t kTagMask = ~std::uint64_t{0x1FF};
+constexpr std::uint64_t kTagMask = ~std::uint64_t{0x7FF};
 constexpr std::uint64_t kValidBit = 0x4;
+constexpr int kBurstMethodShift = 9;
 
 /// splitmix64 finalizer: the key hash for the choice cache.
 std::uint64_t mix64(std::uint64_t x) {
@@ -487,9 +492,9 @@ PerfModel::PipelinedEstimate PerfModel::best_pipelined(double block_bytes,
   return best;
 }
 
-TransferChoice PerfModel::choose_transfer(std::size_t block_bytes,
-                                          std::size_t total_bytes,
-                                          TransferOperands ops) const {
+TransferChoices PerfModel::choose_transfers(std::size_t block_bytes,
+                                            std::size_t total_bytes,
+                                            TransferOperands ops) const {
   const std::size_t limit = wire_chunk_limit();
   const bool multi_leg = total_bytes > limit;
   vcuda::Timeline &clock = vcuda::this_thread_timeline();
@@ -513,9 +518,11 @@ TransferChoice PerfModel::choose_transfer(std::size_t block_bytes,
       clock.advance(kModelQueryCachedNs);
       g_model_cache_hits.add();
       const auto m = static_cast<Method>(v & 0x3u);
-      return TransferChoice{m, m == Method::Pipelined
-                                   ? std::size_t{1} << ((v >> 3) & 0x3Fu)
-                                   : 0};
+      const std::size_t chunk =
+          m == Method::Pipelined ? std::size_t{1} << ((v >> 3) & 0x3Fu) : 0;
+      return TransferChoices{
+          {m, chunk},
+          {static_cast<Method>((v >> kBurstMethodShift) & 0x3u), chunk}};
     }
     seen[w] = v;
   }
@@ -525,33 +532,55 @@ TransferChoice PerfModel::choose_transfer(std::size_t block_bytes,
   std::atomic<std::uint64_t> &slot = ways[fill];
   clock.advance(kModelQueryUncachedNs);
   g_model_cache_misses.add();
-  const TransferChoice choice = decide(block_bytes, total_bytes, ops, limit);
+  const TransferChoices choices = decide(block_bytes, total_bytes, ops, limit);
+  const TransferChoice &choice = choices.isolated;
   const std::uint64_t chunk_log2 =
       choice.method == Method::Pipelined
           ? static_cast<std::uint64_t>(std::bit_width(choice.chunk_bytes) - 1)
           : 0;
-  slot.store(tag | (chunk_log2 << 3) | kValidBit |
+  slot.store(tag |
+                 (static_cast<std::uint64_t>(choices.overlapped.method)
+                  << kBurstMethodShift) |
+                 (chunk_log2 << 3) | kValidBit |
                  static_cast<std::uint64_t>(choice.method),
              std::memory_order_release);
-  return choice;
+  return choices;
 }
 
-TransferChoice PerfModel::decide(std::size_t block_bytes,
-                                 std::size_t total_bytes,
-                                 const TransferOperands &ops,
-                                 std::size_t limit) const {
+namespace {
+
+/// The monolithic argmin (Eqs. 1-3) over the three estimates; ties go to
+/// device, then one-shot.
+Method monolithic_argmin(double device_us, double oneshot_us,
+                         double staged_us) {
+  Method best = Method::Device;
+  double best_us = device_us;
+  if (oneshot_us < best_us) {
+    best = Method::OneShot;
+    best_us = oneshot_us;
+  }
+  return staged_us < best_us ? Method::Staged : best;
+}
+
+} // namespace
+
+TransferChoices PerfModel::decide(std::size_t block_bytes,
+                                  std::size_t total_bytes,
+                                  const TransferOperands &ops,
+                                  std::size_t limit) const {
   const auto b = static_cast<double>(block_bytes);
   const auto t = static_cast<double>(total_bytes);
+  const auto both = [](TransferChoice c) { return TransferChoices{c, c}; };
   if (total_bytes > limit) {
     // Only multi-leg framing can carry this payload. A packed leg's
     // sub-slices pay only per-leg floors, so the largest chunk wins.
     if (ops.kind == TransferKind::Leg) {
-      return TransferChoice{Method::Pipelined, std::bit_floor(limit)};
+      return both({Method::Pipelined, std::bit_floor(limit)});
     }
     const PipelinedEstimate pipe =
         best_pipelined(b, t, ops.kind == TransferKind::Persistent);
-    return TransferChoice{Method::Pipelined,
-                          std::max<std::size_t>(pipe.chunk_bytes, 1)};
+    return both(
+        {Method::Pipelined, std::max<std::size_t>(pipe.chunk_bytes, 1)});
   }
   if (ops.kind == TransferKind::Leg) {
     const sysmpi::NetParams &net = sysmpi::net_params();
@@ -570,20 +599,25 @@ TransferChoice PerfModel::decide(std::size_t block_bytes,
         vcuda::ns_to_us(sysmpi::transfer_duration(net, total_bytes, false,
                                                   false, ops.same_node)) +
         perf_.h2d.query(t);
-    return TransferChoice{
-        device_us <= staged_us ? Method::Device : Method::Staged, 0};
+    return both({device_us <= staged_us ? Method::Device : Method::Staged, 0});
   }
-  // The monolithic argmin (Eqs. 1-3).
-  Method best = Method::Device;
-  double best_us = estimate_us(Method::Device, b, t);
-  for (const Method m : {Method::OneShot, Method::Staged}) {
-    const double us = estimate_us(m, b, t);
-    if (us < best_us) {
-      best = m;
-      best_us = us;
-    }
+  const double device_us = estimate_us(Method::Device, b, t);
+  const double oneshot_us = estimate_us(Method::OneShot, b, t);
+  const double staged_us = estimate_us(Method::Staged, b, t);
+  const TransferChoice isolated{
+      monolithic_argmin(device_us, oneshot_us, staged_us), 0};
+  if (ops.kind == TransferKind::Persistent) {
+    return both(isolated); // a frozen channel runs alone or in Startall
   }
-  return TransferChoice{best, 0};
+  // Burst pricing: each wire term drops its table's 1-byte query, the
+  // latency floor a burst's overlapping wires hide (see choose_transfer).
+  const double gpu_floor = perf_.gpu_gpu.query(1.0);
+  const double cpu_floor = perf_.cpu_cpu.query(1.0);
+  return TransferChoices{
+      isolated,
+      {monolithic_argmin(device_us - gpu_floor, oneshot_us - cpu_floor,
+                         staged_us - cpu_floor),
+       0}};
 }
 
 // --- self-tuning observation sink (Sec. 6.3 feedback) ------------------------

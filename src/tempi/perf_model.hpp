@@ -80,6 +80,22 @@ struct TransferOperands {
   TransferKind kind = TransferKind::P2P;
   bool same_node = false;       ///< Leg: the peer shares this rank's node
   std::size_t queued_bytes = 0; ///< Leg: bytes queued on the injection port
+  /// P2P: one of a burst of non-blocking calls that complete together, so
+  /// its wire overlaps the others' (burst pricing, see choose_transfer).
+  bool overlapped = false;
+};
+
+/// Both answers of one P2P decision: the message alone and the message
+/// inside a burst. One model query fills both, so the choice cache and
+/// the packer memo serve either context without a second query. They
+/// differ only in a monolithic method; Persistent and Leg decisions, and
+/// anything above the wire-chunk limit, carry the same answer twice.
+struct TransferChoices {
+  TransferChoice isolated;
+  TransferChoice overlapped;
+  [[nodiscard]] TransferChoice pick(bool in_burst) const {
+    return in_burst ? overlapped : isolated;
+  }
 };
 
 /// The choice-cache key of a decision; bits [9:1] pick its cache set
@@ -172,15 +188,46 @@ public:
   /// staged D2H overlaps its drain. Above the limit a Leg is Pipelined at
   /// the largest in-limit power of two (the fewest legs win).
   ///
+  /// Isolated vs burst pricing (P2P only). Eqs. 1-3 price a message as if
+  /// it ran alone: pack + wire + unpack, the wire paying its table's
+  /// latency floor (the 1-byte query: 6.8 us GPU, 2.1 us host in the
+  /// built-in tables). That is right for one ping-pong. In a burst
+  /// (`ops.overlapped`: an Isend/Irecv posted after another non-blocking
+  /// call, before the completion call) the eager wires overlap and hide
+  /// each other's floors, while each post still pays its own pack; in
+  /// LogGP terms a burst pays the per-message overhead and gap, not the
+  /// latency L (Alexandrov et al., SPAA 1995). So a burst prices the
+  /// monolithic candidates as pack + (wire - the wire table's 1-byte
+  /// query) + unpack. Isolated pricing picked one-shot for halo_p2p's
+  /// 13824 B edges and 1728 B corners (modeled 1.5 and 2.0 us faster
+  /// alone), yet in its 26-Isend exchange each one-shot post waits on its
+  /// own pack fence, so the burst pays its packs one after another:
+  /// traced, Auto spent 157.6 us/op in KernelExec and 195.8 posting where
+  /// forced device spent 32.5 and 127.0, and lost 193.3 to 156.7 virt us
+  /// per exchange.
+  ///
   /// P2P and Leg decisions go through this instance's lock-free choice
   /// cache (a hit is one atomic load, kModelQueryCachedNs; a miss costs
-  /// kModelQueryUncachedNs). A Persistent decision is made once per
-  /// channel: exact, bypassing the cache both ways (a quantized hit could
-  /// shadow the exact argmin; a freeze must not evict hot entries), with
-  /// the dense chunk grid and a second uncached charge above the limit.
+  /// kModelQueryUncachedNs). A slot holds a P2P query's isolated and burst
+  /// answers together (choose_transfers) and the key leaves `overlapped`
+  /// out, so either context hits what the other filled, and isolated
+  /// decisions and their charges are those of isolated pricing alone. A
+  /// Persistent decision is made once per channel: exact, bypassing the
+  /// cache both ways (a quantized hit could shadow the exact argmin; a
+  /// freeze must not evict hot entries), with the dense chunk grid and a
+  /// second uncached charge above the limit; like a Leg it is never
+  /// burst-priced.
   [[nodiscard]] TransferChoice
   choose_transfer(std::size_t block_bytes, std::size_t total_bytes,
-                  TransferOperands ops = {}) const;
+                  TransferOperands ops = {}) const {
+    return choose_transfers(block_bytes, total_bytes, ops)
+        .pick(ops.overlapped);
+  }
+  /// Both answers of one decision, for the context-free caller (the
+  /// packer memo); charged and counted like one choose_transfer.
+  [[nodiscard]] TransferChoices
+  choose_transfers(std::size_t block_bytes, std::size_t total_bytes,
+                   TransferOperands ops = {}) const;
 
   /// The best pipelined chunk size and its estimate for this message:
   /// power-of-two chunks from 64 KiB up to the wire-chunk limit, plus
@@ -199,11 +246,11 @@ public:
 
 private:
   struct ChoiceCache; // fixed-size lock-free cache, defined in the .cpp
-  /// The uncached decision behind choose_transfer.
-  [[nodiscard]] TransferChoice decide(std::size_t block_bytes,
-                                      std::size_t total_bytes,
-                                      const TransferOperands &ops,
-                                      std::size_t limit) const;
+  /// The uncached decision behind choose_transfer, in both contexts.
+  [[nodiscard]] TransferChoices decide(std::size_t block_bytes,
+                                       std::size_t total_bytes,
+                                       const TransferOperands &ops,
+                                       std::size_t limit) const;
   SystemPerf perf_;
   std::unique_ptr<ChoiceCache> cache_;
 };

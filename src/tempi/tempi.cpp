@@ -33,6 +33,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace tempi {
@@ -95,6 +96,8 @@ struct State {
   // a named self-registering atomic, read by name through
   // trace::counter_value().
   trace::Counter method_memo_hits{"tempi.model.memo_hits"};
+  /// Auto P2P decisions served with burst pricing (memo or model).
+  trace::Counter overlapped_choices{"tempi.model.overlapped_choices"};
   trace::Counter persistent_forwarded{"tempi.persistent.forwarded"};
 
   /// Accelerated sends, indexed by Method.
@@ -644,34 +647,50 @@ std::optional<TransferChoice> gated_choice(const Packer *packer,
   return choose_auto(total);
 }
 
+/// The calling thread's burst context: set by each non-blocking post
+/// (Isend, Irecv, Start, Startall), cleared by every completion call
+/// (Wait*, Test*). An Isend/Irecv posted while it is set will complete
+/// together with an earlier post, so its wire overlaps that post's and
+/// the model prices it floor-free (TransferOperands::overlapped).
+thread_local bool t_in_burst = false;
+
+/// Marks a non-blocking post; true when it joins a burst.
+bool note_post() { return std::exchange(t_in_burst, true); }
+void note_completion() { t_in_burst = false; }
+
 /// Shared Send/Recv/Isend/Irecv gate (see gated_choice); Auto uses the
-/// memoized model heuristic.
+/// memoized model heuristic, in the burst context when `overlapped`.
 std::optional<TransferChoice> acceleration_method(const Packer *packer,
-                                                  const void *buf,
-                                                  int count) {
+                                                  const void *buf, int count,
+                                                  bool overlapped = false) {
   return gated_choice(packer, buf, count, [&](std::size_t total) {
     State &s = state();
+    if (overlapped) {
+      s.overlapped_choices.add();
+    }
     // Steady state: the packer remembers the model's choice — method and
-    // chunk — per (count, generation): one atomic load, no model lock, no
-    // interpolation. The generation folds in the transfer config (wire
-    // limit, chunk override) so tuning knobs invalidate stale choices.
+    // chunk, isolated and in a burst — per (count, generation): one
+    // atomic load, no model lock, no interpolation. The generation folds
+    // in the transfer config (wire limit, chunk override) so tuning knobs
+    // invalidate stale choices.
     const std::uint64_t gen = choice_generation();
-    if (const auto memo = packer->cached_transfer(count, gen)) {
+    if (const auto memo = packer->cached_transfer(count, gen, overlapped)) {
       vcuda::this_thread_timeline().advance(kMethodMemoHitNs);
       s.method_memo_hits.add();
       return *memo;
     }
-    TransferChoice choice;
+    TransferChoices choices;
     {
       trace::ScopedSpan span(trace::Phase::ModelChoice, trace::OpKind::None,
                              total);
       const std::shared_lock<std::shared_mutex> lock(s.model_mutex);
-      choice = s.model.choose_transfer(
+      choices = s.model.choose_transfers(
           static_cast<std::size_t>(packer->block().block_bytes()), total);
-      span.set_method(static_cast<std::int8_t>(choice.method));
+      span.set_method(
+          static_cast<std::int8_t>(choices.pick(overlapped).method));
     }
-    packer->remember_transfer(count, gen, choice);
-    return choice;
+    packer->remember_transfers(count, gen, choices);
+    return choices.pick(overlapped);
   });
 }
 
@@ -768,11 +787,12 @@ int tempi_Isend(const void *buf, int count, MPI_Datatype datatype, int dest,
   if (request == nullptr) {
     return MPI_ERR_ARG;
   }
+  const bool overlapped = note_post();
   if (dest == MPI_PROC_NULL) {
     return s.next.Isend(buf, count, datatype, dest, tag, comm, request);
   }
   const Packer *packer = lookup_packer_fast(datatype);
-  const auto method = acceleration_method(packer, buf, count);
+  const auto method = acceleration_method(packer, buf, count, overlapped);
   if (!method) {
     s.isends_forwarded.add();
     return s.next.Isend(buf, count, datatype, dest, tag, comm, request);
@@ -789,11 +809,12 @@ int tempi_Irecv(void *buf, int count, MPI_Datatype datatype, int source,
   if (request == nullptr) {
     return MPI_ERR_ARG;
   }
+  const bool overlapped = note_post();
   if (source == MPI_PROC_NULL) {
     return s.next.Irecv(buf, count, datatype, source, tag, comm, request);
   }
   const Packer *packer = lookup_packer_fast(datatype);
-  const auto method = acceleration_method(packer, buf, count);
+  const auto method = acceleration_method(packer, buf, count, overlapped);
   if (!method) {
     s.irecvs_forwarded.add();
     const int rc =
@@ -811,6 +832,7 @@ int tempi_Irecv(void *buf, int count, MPI_Datatype datatype, int source,
 
 int tempi_Wait(MPI_Request *request, MPI_Status *status) {
   State &s = state();
+  note_completion();
   if (request == nullptr) {
     return MPI_ERR_ARG;
   }
@@ -826,16 +848,19 @@ int tempi_Wait(MPI_Request *request, MPI_Status *status) {
 }
 
 int tempi_Waitall(int count, MPI_Request *requests, MPI_Status *statuses) {
+  note_completion();
   return async::waitall(count, requests, statuses, state().next);
 }
 
 int tempi_Waitany(int count, MPI_Request *requests, int *index,
                   MPI_Status *status) {
+  note_completion();
   return async::waitany(count, requests, index, status, state().next);
 }
 
 int tempi_Test(MPI_Request *request, int *flag, MPI_Status *status) {
   State &s = state();
+  note_completion();
   if (request == nullptr || flag == nullptr) {
     return MPI_ERR_ARG;
   }
@@ -852,22 +877,26 @@ int tempi_Test(MPI_Request *request, int *flag, MPI_Status *status) {
 
 int tempi_Waitsome(int incount, MPI_Request *requests, int *outcount,
                    int *indices, MPI_Status *statuses) {
+  note_completion();
   return async::waitsome(incount, requests, outcount, indices, statuses,
                          state().next);
 }
 
 int tempi_Testall(int count, MPI_Request *requests, int *flag,
                   MPI_Status *statuses) {
+  note_completion();
   return async::testall(count, requests, flag, statuses, state().next);
 }
 
 int tempi_Testany(int count, MPI_Request *requests, int *index, int *flag,
                   MPI_Status *status) {
+  note_completion();
   return async::testany(count, requests, index, flag, status, state().next);
 }
 
 int tempi_Testsome(int incount, MPI_Request *requests, int *outcount,
                    int *indices, MPI_Status *statuses) {
+  note_completion();
   return async::testsome(incount, requests, outcount, indices, statuses,
                          state().next);
 }
@@ -942,6 +971,7 @@ int tempi_Recv_init(void *buf, int count, MPI_Datatype datatype, int source,
 
 int tempi_Start(MPI_Request *request) {
   State &s = state();
+  note_post();
   if (request == nullptr) {
     return MPI_ERR_ARG;
   }
@@ -952,6 +982,7 @@ int tempi_Start(MPI_Request *request) {
 }
 
 int tempi_Startall(int count, MPI_Request *requests) {
+  note_post();
   return async::startall(count, requests, state().next);
 }
 

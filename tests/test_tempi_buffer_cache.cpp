@@ -76,6 +76,57 @@ TEST(BufferCache, SmallerRequestReusesBiggerBuffer) {
   EXPECT_EQ(small.get(), big_ptr); // first-fit at or above request
 }
 
+TEST(BufferCache, SmallLeaseTakesItsOwnBucketBeforeALargerBuffer) {
+  // A lease looks through its exact bucket first (the magazine, then the
+  // thread's carving cursor, then the depot's shelf) and takes a larger
+  // cached buffer only when none of them has one. A small lease that took
+  // a face-sized buffer ahead of its own bucket made the next face-sized
+  // lease carve fresh memory.
+  constexpr std::size_t kSmall = 2048;
+  constexpr std::size_t kBig = 128 * 1024;
+  for (const vcuda::MemorySpace space :
+       {vcuda::MemorySpace::Device, vcuda::MemorySpace::Pinned}) {
+    tempi::drain_buffer_cache();
+    std::vector<tempi::CachedBuffer> small;
+    // The bucket's second miss carves a segment and keeps its rest on the
+    // thread's cursor.
+    small.push_back(tempi::lease_buffer(space, kSmall));
+    small.push_back(tempi::lease_buffer(space, kSmall));
+    void *big_ptr = nullptr;
+    {
+      const auto big = tempi::lease_buffer(space, kBig);
+      big_ptr = big.get();
+    } // now in the magazine, one bucket up
+    vcuda::Counters before = vcuda::counters();
+    small.push_back(tempi::lease_buffer(space, kSmall));
+    EXPECT_NE(small.back().get(), big_ptr) << "cursor";
+    EXPECT_EQ(small.back().capacity(), kSmall);
+    EXPECT_EQ(vcuda::counters().mallocs, before.mallocs);
+    // Twelve releases overflow the magazine once: five go to the depot
+    // and the cursor retires, seven stay. Take those seven back, and the
+    // next lease's bucket has only the depot's shelf.
+    for (int i = 0; i < 9; ++i) {
+      small.push_back(tempi::lease_buffer(space, kSmall));
+    }
+    small.clear();
+    ASSERT_EQ(tempi::buffer_depot_size(), 5u);
+    for (int i = 0; i < 7; ++i) {
+      small.push_back(tempi::lease_buffer(space, kSmall));
+      EXPECT_NE(small.back().get(), big_ptr);
+    }
+    before = vcuda::counters();
+    small.push_back(tempi::lease_buffer(space, kSmall));
+    EXPECT_NE(small.back().get(), big_ptr) << "depot";
+    EXPECT_EQ(small.back().capacity(), kSmall);
+    EXPECT_EQ(vcuda::counters().mallocs, before.mallocs);
+    EXPECT_LT(tempi::buffer_depot_size(), 5u);
+    // The larger buffer is still cached for its own size.
+    const auto big = tempi::lease_buffer(space, kBig);
+    EXPECT_EQ(big.get(), big_ptr);
+  }
+  tempi::drain_buffer_cache();
+}
+
 TEST(BufferCache, SpacesAreSeparate) {
   tempi::drain_buffer_cache();
   void *dev_ptr = nullptr;

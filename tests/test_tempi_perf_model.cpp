@@ -1,17 +1,22 @@
 // The empirical performance model: interpolation behaviour, Eq. 1-3
 // composition, method selection properties (Fig. 9b/10/11), query caching,
 // and measurement-file round trips.
+#include "sysmpi/mpi.hpp"
+#include "sysmpi/world.hpp"
 #include "tempi/perf_model.hpp"
 #include "tempi/tempi.hpp"
 #include "tempi/trace.hpp"
 #include "test_helpers.hpp"
 #include "vcuda/clock.hpp"
+#include "vcuda/runtime.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -434,6 +439,238 @@ TEST(Tuner, RefreshSwapsLiveModelAndNeverServesStaleChoice) {
   EXPECT_TRUE(tempi::tune::refresh_now());
   EXPECT_EQ(tempi::tune::refresh_generation(), gen1);
   tempi::tune::reset();
+}
+
+// --- burst pricing (TransferOperands::overlapped) ----------------------------
+
+constexpr tempi::TransferOperands kBurst{.overlapped = true};
+
+TEST(BurstPricing, HaloShapesPickOneShotAloneAndDeviceInABurst) {
+  // halo_p2p's grid (8 doubles per point, radius 3) sends rows of 192 B:
+  // 1728 B corners and 13824 B edges. Alone, one-shot's 2.1 us host wire
+  // floor beats the 6.8 us GPU floor; in a burst the floors overlap and
+  // the device pack's lower cost wins. Faces (110592 B) are device either way.
+  const tempi::PerfModel model;
+  for (const std::size_t total : {std::size_t{1728}, std::size_t{13824}}) {
+    EXPECT_EQ(model.choose_transfer(192, total).method, tempi::Method::OneShot)
+        << total;
+    EXPECT_EQ(model.choose_transfer(192, total, kBurst).method,
+              tempi::Method::Device)
+        << total;
+  }
+  EXPECT_EQ(model.choose_transfer(192, 110592).method, tempi::Method::Device);
+  EXPECT_EQ(model.choose_transfer(192, 110592, kBurst).method,
+            tempi::Method::Device);
+}
+
+TEST(BurstPricing, BurstChoiceIsTheFloorFreeArgmin) {
+  // A burst decision is the argmin of pack + (wire - 1-byte wire) +
+  // unpack; Persistent and Leg decisions ignore the burst flag, and above
+  // the wire limit both contexts get the same Pipelined choice.
+  using tempi::Method;
+  using tempi::TransferKind;
+  const tempi::PerfModel model;
+  const tempi::SystemPerf &p = model.perf();
+  for (std::size_t block : {1u, 8u, 64u, 192u, 1024u}) {
+    for (std::size_t total = 256; total <= (8u << 20); total *= 4) {
+      const auto b = static_cast<double>(block);
+      const auto t = static_cast<double>(total);
+      const double device = model.estimate_us(Method::Device, b, t) -
+                            p.gpu_gpu.query(1.0);
+      const double oneshot = model.estimate_us(Method::OneShot, b, t) -
+                             p.cpu_cpu.query(1.0);
+      const double staged = model.estimate_us(Method::Staged, b, t) -
+                            p.cpu_cpu.query(1.0);
+      Method want = Method::Device;
+      if (oneshot < device && oneshot <= staged) {
+        want = Method::OneShot;
+      } else if (staged < device && staged < oneshot) {
+        want = Method::Staged;
+      }
+      EXPECT_EQ(model.choose_transfer(block, total, kBurst).method, want)
+          << "block " << block << " total " << total;
+      for (const TransferKind kind :
+           {TransferKind::Persistent, TransferKind::Leg}) {
+        const tempi::TransferChoice a =
+            model.choose_transfer(block, total, {.kind = kind});
+        const tempi::TransferChoice o = model.choose_transfer(
+            block, total, {.kind = kind, .overlapped = true});
+        EXPECT_EQ(o.method, a.method)
+            << "block " << block << " total " << total;
+        EXPECT_EQ(o.chunk_bytes, a.chunk_bytes);
+      }
+    }
+  }
+  const std::size_t old_limit = tempi::set_wire_chunk_limit(1 << 20);
+  const tempi::TransferChoice alone = model.choose_transfer(8, 4 << 20);
+  const tempi::TransferChoice burst = model.choose_transfer(8, 4 << 20, kBurst);
+  EXPECT_EQ(alone.method, Method::Pipelined);
+  EXPECT_EQ(burst.method, Method::Pipelined);
+  EXPECT_EQ(burst.chunk_bytes, alone.chunk_bytes);
+  tempi::set_wire_chunk_limit(old_limit);
+}
+
+TEST(BurstPricing, OneQueryFillsBothContexts) {
+  // The cache key leaves the burst flag out and a slot holds both
+  // answers: whichever context asks first pays the one miss, the other
+  // hits.
+  tempi::trace::reset_counters();
+  const tempi::PerfModel model;
+  vcuda::VirtualNs t0 = vcuda::virtual_now();
+  const tempi::TransferChoices both = model.choose_transfers(192, 13824);
+  EXPECT_EQ(vcuda::virtual_now() - t0, tempi::kModelQueryUncachedNs);
+  EXPECT_EQ(both.isolated.method, tempi::Method::OneShot);
+  EXPECT_EQ(both.overlapped.method, tempi::Method::Device);
+  t0 = vcuda::virtual_now();
+  EXPECT_EQ(model.choose_transfer(192, 13824, kBurst).method,
+            tempi::Method::Device);
+  EXPECT_EQ(model.choose_transfer(192, 13824).method, tempi::Method::OneShot);
+  EXPECT_EQ(vcuda::virtual_now() - t0, 2 * tempi::kModelQueryCachedNs);
+  EXPECT_EQ(counter("tempi.model.cache_misses"), 1u);
+  EXPECT_EQ(counter("tempi.model.cache_hits"), 2u);
+}
+
+/// FNV-1a over one 64-bit value.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Tables folded from 400 seeded tuner observations over every axis.
+tempi::SystemPerf seeded_tuned_perf() {
+  tempi::tune::reset();
+  std::mt19937_64 rng(22);
+  for (int i = 0; i < 400; ++i) {
+    const auto axis = static_cast<tempi::tune::Axis>(rng() % 8);
+    const std::size_t block = std::size_t{1} << (rng() % 11);
+    const std::size_t total = std::size_t{64} << (rng() % 18);
+    const auto dur = static_cast<vcuda::VirtualNs>(1000 + rng() % 400000);
+    tempi::tune::observe(axis, block, total, dur);
+  }
+  tempi::SystemPerf perf = tempi::builtin_perf();
+  tempi::tune::fold_into(perf, /*mark_applied=*/false);
+  tempi::tune::reset();
+  return perf;
+}
+
+/// Digest of every isolated decision (method, chunk, virtual ns charged)
+/// over a grid of 7 blocks x 12 totals x 3 kinds x same_node x 4 queue
+/// depths x {INT_MAX, 1 MiB} wire limit x {none, 300000 B} chunk override
+/// x 2 queries (cold, then cached). Each operand gets a fresh model, so
+/// the charges do not depend on which keys share a cache set (the keys
+/// of multi-leg and Leg decisions fold in the process-wide transfer
+/// config generation).
+std::uint64_t isolated_decision_digest(const tempi::SystemPerf &perf,
+                                       std::size_t *decisions) {
+  using tempi::TransferKind;
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::size_t limit :
+       {tempi::kMaxWireBytes, std::size_t{1} << 20}) {
+    const std::size_t old_limit = tempi::set_wire_chunk_limit(limit);
+    for (const std::size_t chunk : {std::size_t{0}, std::size_t{300000}}) {
+      tempi::set_chunk_bytes_override(chunk);
+        for (const TransferKind kind : {TransferKind::P2P,
+                                        TransferKind::Persistent,
+                                        TransferKind::Leg}) {
+          for (const bool same_node : {false, true}) {
+            for (const std::size_t queued :
+                 {std::size_t{0}, std::size_t{4096}, std::size_t{1} << 20,
+                  std::size_t{4} << 20}) {
+              for (const std::size_t block :
+                   {1u, 3u, 8u, 24u, 100u, 512u, 1024u}) {
+                for (const std::size_t total :
+                     {64u, 192u, 1000u, 1728u, 4096u, 13824u, 65536u,
+                      110592u, 262144u, 1u << 20, 3u << 20, 12u << 20}) {
+                  const tempi::TransferOperands ops{kind, same_node, queued};
+                  const tempi::PerfModel model(perf);
+                  for (int pass = 0; pass < 2; ++pass) {
+                    const vcuda::VirtualNs t0 = vcuda::virtual_now();
+                    const tempi::TransferChoice c =
+                        model.choose_transfer(block, total, ops);
+                    h = fnv1a(h, static_cast<std::uint64_t>(c.method));
+                    h = fnv1a(h, c.chunk_bytes);
+                    h = fnv1a(h, static_cast<std::uint64_t>(
+                                     vcuda::virtual_now() - t0));
+                    ++*decisions;
+                  }
+                }
+              }
+            }
+          }
+        }
+    }
+    tempi::set_chunk_bytes_override(0);
+    tempi::set_wire_chunk_limit(old_limit);
+  }
+  return h;
+}
+
+TEST(BurstPricing, IsolatedDecisionsAreUnchanged) {
+  // The digests were recorded from the decision function as it was
+  // before burst pricing existed (same grid, same seeded tuner fold):
+  // every isolated P2P, Persistent and Leg decision, with its chunk and
+  // its virtual charge, must stay bit-identical. A digest change is a
+  // change to isolated decisions and needs its own justification.
+  std::size_t n = 0;
+  EXPECT_EQ(isolated_decision_digest(tempi::builtin_perf(), &n),
+            0xa3af87f44da573a5ull);
+  EXPECT_EQ(n, 16128u);
+  n = 0;
+  EXPECT_EQ(isolated_decision_digest(seeded_tuned_perf(), &n),
+            0x1afff88204ed32e5ull);
+  EXPECT_EQ(n, 16128u);
+}
+
+TEST(BurstPricing, PackerAlternatingContextsHitsTheMemo) {
+  // hotpath_mt's shape: each round posts an Irecv (alone: the first post
+  // since the last completion) and then an Isend of the same packer and
+  // count (in a burst). The first Irecv's model query fills both answers
+  // of the packer memo, so every later call of either context is a memo
+  // hit, never a model query.
+  tempi::ScopedInterposer guard;
+  sysmpi::ensure_self_context();
+  tempi::tune::set_enabled(false); // no refresh may move the generation
+  MPI_Datatype t = nullptr;
+  MPI_Type_vector(9, 192, 384, MPI_BYTE, &t); // a 1728 B halo corner
+  MPI_Type_commit(&t);
+  testing_helpers::SpaceBuffer src(vcuda::MemorySpace::Device, 9 * 384);
+  testing_helpers::SpaceBuffer dst(vcuda::MemorySpace::Device, 9 * 384);
+  testing_helpers::fill_pattern(src.get(), src.size());
+  tempi::trace::reset_counters();
+  constexpr int kRounds = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+    ASSERT_EQ(MPI_Irecv(dst.get(), 1, t, 0, 7, MPI_COMM_WORLD, &reqs[0]),
+              MPI_SUCCESS);
+    ASSERT_EQ(MPI_Isend(src.get(), 1, t, 0, 7, MPI_COMM_WORLD, &reqs[1]),
+              MPI_SUCCESS);
+    ASSERT_EQ(MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE), MPI_SUCCESS);
+  }
+  EXPECT_EQ(counter("tempi.model.cache_misses"), 1u);
+  EXPECT_EQ(counter("tempi.model.cache_hits"), 0u);
+  EXPECT_EQ(counter("tempi.model.memo_hits"), 2u * kRounds - 1);
+  EXPECT_EQ(counter("tempi.model.overlapped_choices"),
+            static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(counter("tempi.isend.device"), static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(counter("tempi.isend.oneshot"), 0u);
+  // An Isend posted first after a completion is alone: the memo's
+  // isolated answer, still no model query.
+  MPI_Request req = MPI_REQUEST_NULL;
+  ASSERT_EQ(MPI_Isend(src.get(), 1, t, 0, 8, MPI_COMM_WORLD, &req),
+            MPI_SUCCESS);
+  ASSERT_EQ(MPI_Recv(dst.get(), 1, t, 0, 8, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+            MPI_SUCCESS);
+  ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+  EXPECT_EQ(counter("tempi.isend.oneshot"), 1u);
+  EXPECT_EQ(counter("tempi.model.cache_misses"), 1u);
+  EXPECT_EQ(counter("tempi.model.memo_hits"), 2u * kRounds + 1);
+  EXPECT_EQ(counter("tempi.model.overlapped_choices"),
+            static_cast<std::uint64_t>(kRounds));
+  MPI_Type_free(&t);
+  tempi::tune::set_enabled(true);
 }
 
 TEST(PerfFile, CorruptFileYieldsNullopt) {
