@@ -272,7 +272,8 @@ int main() {
   // pre-PR map/shared_mutex/tree-walk path vs the table-driven one.
   MPI_Datatype t = bench::make_vector_2d(1024, 16, 32);
   const tempi::Packer *raw = tempi::find_packer_fast(t);
-  raw->remember_transfer(1, 1, {tempi::Method::Device, 0});
+  raw->remember_transfers(
+      1, 1, {{tempi::Method::Device, 0}, {tempi::Method::Device, 0}});
   const int kSetupIters = bench::smoke_mode() ? 1 << 14 : 1 << 18;
 
   std::shared_mutex legacy_model_mutex;
@@ -302,13 +303,13 @@ int main() {
   const auto table_setup = [&, t] {
     const tempi::Packer *packer = tempi::find_packer_fast(t);
     const std::uint64_t gen = model_generation.load(std::memory_order_acquire);
-    const auto choice = packer->cached_transfer(1, gen);
+    const auto choice = packer->cached_transfers(1, gen);
     vcuda::this_thread_timeline().advance(tempi::kMethodMemoHitNs);
     const vcuda::LaunchConfig cfg = tempi::launch_config_for(packer->plan(), 1);
     tempi::CachedBuffer wire =
         tempi::lease_buffer(vcuda::MemorySpace::Device, packer->packed_bytes(1));
     return static_cast<std::uint64_t>(cfg.block.x) +
-           static_cast<std::uint64_t>(choice ? choice->method
+           static_cast<std::uint64_t>(choice ? choice->isolated.method
                                              : tempi::Method::Device) +
            reinterpret_cast<std::uintptr_t>(wire.get());
   };

@@ -117,7 +117,8 @@ int main() {
   const tempi::Packer *raw = tempi::find_packer_fast(t);
   const tempi::StridedBlock sb = raw->block();
   const long long extent = raw->type_extent();
-  raw->remember_transfer(1, 1, {tempi::Method::Device, 0});
+  raw->remember_transfers(
+      1, 1, {{tempi::Method::Device, 0}, {tempi::Method::Device, 0}});
 
   const int kIters = bench::smoke_mode() ? 1 << 14 : 1 << 20;
 
@@ -227,7 +228,7 @@ int main() {
       const tempi::Packer *packer = tempi::find_packer_fast(t);
       const std::uint64_t gen =
           model_generation.load(std::memory_order_acquire);
-      const auto choice = packer->cached_transfer(1, gen);
+      const auto choice = packer->cached_transfers(1, gen);
       vcuda::this_thread_timeline().advance(tempi::kMethodMemoHitNs);
       const vcuda::LaunchConfig cfg =
           tempi::launch_config_for(packer->plan(), 1);
@@ -235,7 +236,7 @@ int main() {
           vcuda::MemorySpace::Device, packer->packed_bytes(1));
       return static_cast<std::uint64_t>(cfg.block.x) +
              static_cast<std::uint64_t>(
-                 choice ? choice->method : tempi::Method::Device) +
+                 choice ? choice->isolated.method : tempi::Method::Device) +
              reinterpret_cast<std::uintptr_t>(wire.get());
     };
   };

@@ -14,11 +14,9 @@
 // A lease looks for a buffer in its exact power-of-two bucket first, through
 // every source that serves it: the thread's magazine, then the thread's
 // carving cursor (below), then the depot's shelf. Only when all three are
-// dry does it take a larger cached buffer, magazine before depot. Taking
-// the first fit above ahead of the exact bucket let small leases hold
-// large buffers while the large leases carved fresh memory: once burst
-// pricing put halo_p2p's edges and corners in device space next to its
-// faces, that order read 14.2 MiB peak RSS where this one reads 12.9.
+// dry does it take a larger cached buffer, magazine before depot, so a
+// small lease never strands a large bucket's buffer while the next large
+// lease carves fresh memory.
 //
 // Misses below 1 MiB are carved from segments, so a burst of same-size
 // leases (the first halo exchange) does not pay one cudaMalloc per lease.

@@ -25,7 +25,6 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -127,83 +126,54 @@ public:
                           vcuda::StreamHandle stream) const;
 
   /// Steady-state transfer memo: Auto-mode sends remember the perf
-  /// model's choice per (count, model generation) — including the
-  /// Pipelined chunk size, and both the isolated and the burst answer of
-  /// the query (TransferChoices) — so a repeat send skips the model
-  /// entirely in either context: the hot path is one atomic load. A slot
-  /// packs (generation, burst method, chunk, count, method) into a single
-  /// 64-bit word so a reader can never observe a torn pairing; a stale
-  /// generation simply misses. Defined inline: this sits on the
-  /// per-message critical path.
-  [[nodiscard]] std::optional<TransferChoice>
-  cached_transfer(int count, std::uint64_t model_generation,
-                  bool overlapped = false) const {
+  /// model's answers per (count, model generation) — both the isolated
+  /// and the burst answer of one query, with the Pipelined chunk size
+  /// (TransferChoices) — so a repeat send skips the model entirely in
+  /// either context: the hot path is one atomic load. A slot packs
+  /// (generation, count, answers) into a single 64-bit word so a reader
+  /// can never observe a torn pairing; a stale generation simply misses.
+  /// Defined inline: this sits on the per-message critical path.
+  [[nodiscard]] std::optional<TransferChoices>
+  cached_transfers(int count, std::uint64_t model_generation) const {
     if (count <= 0 || count >= (1 << kMemoCountBits)) {
       return std::nullopt;
     }
     const std::uint64_t v =
         memo_[static_cast<std::size_t>(count) & (kMemoSlots - 1)].load(
             std::memory_order_acquire);
-    const std::uint64_t want =
-        ((model_generation & kMemoGenMask) << kMemoGenShift) |
-        (static_cast<std::uint64_t>(count) << 3) | 0x4u;
-    constexpr std::uint64_t kAnswerBits =
-        kMemoChunkMask << kMemoChunkShift |
-        std::uint64_t{0x3} << kMemoBurstShift | std::uint64_t{0x3};
-    if ((v & ~kAnswerBits) != want) {
+    if ((v & ~kMemoAnswerMask) != memo_key(count, model_generation)) {
       return std::nullopt;
     }
-    const auto m = static_cast<Method>(
-        (overlapped ? v >> kMemoBurstShift : v) & 0x3u);
-    const auto chunk_log2 =
-        static_cast<unsigned>((v >> kMemoChunkShift) & kMemoChunkMask);
-    return TransferChoice{m, m == Method::Pipelined
-                                 ? std::size_t{1} << chunk_log2
-                                 : 0};
-  }
-  /// Remembers one answer for both contexts.
-  void remember_transfer(int count, std::uint64_t model_generation,
-                         TransferChoice choice) const {
-    remember_transfers(count, model_generation, {choice, choice});
+    return TransferChoices::unpack(v);
   }
   void remember_transfers(int count, std::uint64_t model_generation,
                           TransferChoices choices) const {
     if (count <= 0 || count >= (1 << kMemoCountBits)) {
       return;
     }
-    // The chunk is memoized as its floor log2 (the model emits powers of
-    // two); monolithic methods carry 0. Both answers share it: they only
-    // differ below the wire-chunk limit, where neither is Pipelined.
-    const TransferChoice &choice = choices.isolated;
-    std::uint64_t chunk_log2 = 0;
-    if (choice.method == Method::Pipelined && choice.chunk_bytes > 0) {
-      chunk_log2 = static_cast<std::uint64_t>(
-          std::bit_width(choice.chunk_bytes) - 1);
-    }
-    const std::uint64_t v =
-        ((model_generation & kMemoGenMask) << kMemoGenShift) |
-        (static_cast<std::uint64_t>(choices.overlapped.method)
-         << kMemoBurstShift) |
-        ((chunk_log2 & kMemoChunkMask) << kMemoChunkShift) |
-        (static_cast<std::uint64_t>(count) << 3) | 0x4u |
-        static_cast<std::uint64_t>(choice.method);
     memo_[static_cast<std::size_t>(count) & (kMemoSlots - 1)].store(
-        v, std::memory_order_release);
+        memo_key(count, model_generation) | choices.pack(),
+        std::memory_order_release);
   }
 
 private:
   static constexpr int kMemoSlots = 8; // power of two, direct-mapped
-  // Slot layout: [63:38] generation (26 bits) | [37:36] burst method |
-  // [35:31] chunk log2 (5 bits: a chunk is at most the INT_MAX wire limit)
-  // | [30:3] count (28 bits) | bit 2 valid | [1:0] isolated method. Counts
-  // >= 2^28 bypass the memo.
-  static constexpr int kMemoCountBits = 28;
-  static constexpr int kMemoChunkShift = 3 + kMemoCountBits;
-  static constexpr std::uint64_t kMemoChunkMask = 0x1F;
-  static constexpr int kMemoBurstShift = kMemoChunkShift + 5;
-  static constexpr int kMemoGenShift = kMemoBurstShift + 2;
+  // Slot layout: [63:37] generation (27 bits) | [36:11] count (26 bits) |
+  // bit 10 valid | [9:0] the packed TransferChoices. Counts >= 2^26
+  // bypass the memo.
+  static constexpr int kMemoAnswerBits = TransferChoices::kPackedBits;
+  static constexpr std::uint64_t kMemoAnswerMask =
+      (std::uint64_t{1} << kMemoAnswerBits) - 1;
+  static constexpr int kMemoCountShift = kMemoAnswerBits + 1;
+  static constexpr int kMemoCountBits = 26;
+  static constexpr int kMemoGenShift = kMemoCountShift + kMemoCountBits;
   static constexpr std::uint64_t kMemoGenMask =
       (std::uint64_t{1} << (64 - kMemoGenShift)) - 1;
+  static std::uint64_t memo_key(int count, std::uint64_t model_generation) {
+    return ((model_generation & kMemoGenMask) << kMemoGenShift) |
+           (static_cast<std::uint64_t>(count) << kMemoCountShift) |
+           (std::uint64_t{1} << kMemoAnswerBits);
+  }
 
   StridedBlock sb_;
   long long extent_ = 0;

@@ -323,12 +323,8 @@ SystemPerf builtin_perf() {
 // --- choice cache ------------------------------------------------------------
 
 /// Fixed-size, 2-way set-associative, lock-free cache of transfer
-/// decisions. Each slot is one 64-bit atomic: bits [63:11] tag | [10:9]
-/// the burst answer's Method | [8:3] log2(chunk) | bit 2 valid | [1:0] the
-/// isolated answer's Method (TransferChoices: the two differ only in a
-/// monolithic method, so they share the chunk field; bit 9 of the key is
-/// already fixed by the set and bit 10 only picks the way to fill, so the
-/// tag loses two bits of 55). Key bits [9:1] pick a set of
+/// decisions. Each slot is one 64-bit atomic: bits [63:11] tag | bit 10
+/// valid | [9:0] the packed TransferChoices. Key bits [9:1] pick a set of
 /// two adjacent slots, and a key may sit in either, so two hot keys of one
 /// set do not evict each other. A miss fills an invalid way first, else
 /// the way key bit 10 picks. A tag collision can only mispick a method,
@@ -341,9 +337,9 @@ struct PerfModel::ChoiceCache {
 
 namespace {
 
-constexpr std::uint64_t kTagMask = ~std::uint64_t{0x7FF};
-constexpr std::uint64_t kValidBit = 0x4;
-constexpr int kBurstMethodShift = 9;
+constexpr std::uint64_t kValidBit = std::uint64_t{1}
+                                    << TransferChoices::kPackedBits;
+constexpr std::uint64_t kTagMask = ~(kValidBit | (kValidBit - 1));
 
 /// splitmix64 finalizer: the key hash for the choice cache.
 std::uint64_t mix64(std::uint64_t x) {
@@ -517,12 +513,7 @@ TransferChoices PerfModel::choose_transfers(std::size_t block_bytes,
     if ((v & kTagMask) == tag && (v & kValidBit) != 0) {
       clock.advance(kModelQueryCachedNs);
       g_model_cache_hits.add();
-      const auto m = static_cast<Method>(v & 0x3u);
-      const std::size_t chunk =
-          m == Method::Pipelined ? std::size_t{1} << ((v >> 3) & 0x3Fu) : 0;
-      return TransferChoices{
-          {m, chunk},
-          {static_cast<Method>((v >> kBurstMethodShift) & 0x3u), chunk}};
+      return TransferChoices::unpack(v);
     }
     seen[w] = v;
   }
@@ -533,17 +524,7 @@ TransferChoices PerfModel::choose_transfers(std::size_t block_bytes,
   clock.advance(kModelQueryUncachedNs);
   g_model_cache_misses.add();
   const TransferChoices choices = decide(block_bytes, total_bytes, ops, limit);
-  const TransferChoice &choice = choices.isolated;
-  const std::uint64_t chunk_log2 =
-      choice.method == Method::Pipelined
-          ? static_cast<std::uint64_t>(std::bit_width(choice.chunk_bytes) - 1)
-          : 0;
-  slot.store(tag |
-                 (static_cast<std::uint64_t>(choices.overlapped.method)
-                  << kBurstMethodShift) |
-                 (chunk_log2 << 3) | kValidBit |
-                 static_cast<std::uint64_t>(choice.method),
-             std::memory_order_release);
+  slot.store(tag | kValidBit | choices.pack(), std::memory_order_release);
   return choices;
 }
 
@@ -610,7 +591,7 @@ TransferChoices PerfModel::decide(std::size_t block_bytes,
     return both(isolated); // a frozen channel runs alone or in Startall
   }
   // Burst pricing: each wire term drops its table's 1-byte query, the
-  // latency floor a burst's overlapping wires hide (see choose_transfer).
+  // latency floor a burst's overlapping wires hide (see choose_transfers).
   const double gpu_floor = perf_.gpu_gpu.query(1.0);
   const double cpu_floor = perf_.cpu_cpu.query(1.0);
   return TransferChoices{

@@ -19,6 +19,7 @@
 #include "support/contended_mutex.hpp"
 #include "vcuda/clock.hpp"
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -30,7 +31,8 @@ namespace tempi {
 /// The paper's three monolithic methods plus the chunked Pipelined path
 /// (device-space chunk buffers, one wire leg per chunk, pack/wire/unpack
 /// overlapped). Values fit in 2 bits: the choice cache and the packer
-/// method memo store a Method in the low bits of one atomic word.
+/// method memo store Methods in the packed answer word of
+/// TransferChoices::pack.
 enum class Method { OneShot, Device, Staged, Pipelined };
 const char *method_name(Method m);
 
@@ -80,21 +82,39 @@ struct TransferOperands {
   TransferKind kind = TransferKind::P2P;
   bool same_node = false;       ///< Leg: the peer shares this rank's node
   std::size_t queued_bytes = 0; ///< Leg: bytes queued on the injection port
-  /// P2P: one of a burst of non-blocking calls that complete together, so
-  /// its wire overlaps the others' (burst pricing, see choose_transfer).
-  bool overlapped = false;
 };
 
-/// Both answers of one P2P decision: the message alone and the message
-/// inside a burst. One model query fills both, so the choice cache and
-/// the packer memo serve either context without a second query. They
-/// differ only in a monolithic method; Persistent and Leg decisions, and
-/// anything above the wire-chunk limit, carry the same answer twice.
+/// Both answers of one decision: the message alone and the message inside
+/// a burst of non-blocking calls (burst pricing, see choose_transfers).
+/// One model query fills both, so the choice cache and the packer memo
+/// serve either context without a second query.
 struct TransferChoices {
   TransferChoice isolated;
   TransferChoice overlapped;
-  [[nodiscard]] TransferChoice pick(bool in_burst) const {
-    return in_burst ? overlapped : isolated;
+
+  /// The answer word the choice cache and the packer memo both store in
+  /// their low kPackedBits: [9:4] log2(chunk) | [3:2] the burst Method |
+  /// [1:0] the isolated Method. One chunk field serves both answers: they
+  /// can differ only below the wire-chunk limit, where neither is
+  /// Pipelined, and above it both are the same Pipelined choice.
+  static constexpr int kPackedBits = 10;
+  [[nodiscard]] std::uint64_t pack() const {
+    std::uint64_t chunk_log2 = 0;
+    if (isolated.method == Method::Pipelined && isolated.chunk_bytes > 0) {
+      chunk_log2 =
+          static_cast<std::uint64_t>(std::bit_width(isolated.chunk_bytes) - 1);
+    }
+    return (chunk_log2 & 0x3F) << 4 |
+           static_cast<std::uint64_t>(overlapped.method) << 2 |
+           static_cast<std::uint64_t>(isolated.method);
+  }
+  [[nodiscard]] static TransferChoices unpack(std::uint64_t word) {
+    const std::size_t chunk = std::size_t{1} << ((word >> 4) & 0x3F);
+    const auto answer = [chunk](std::uint64_t bits) {
+      const auto m = static_cast<Method>(bits & 0x3);
+      return TransferChoice{m, m == Method::Pipelined ? chunk : 0};
+    };
+    return TransferChoices{answer(word), answer(word >> 2)};
   }
 };
 
@@ -188,43 +208,36 @@ public:
   /// staged D2H overlaps its drain. Above the limit a Leg is Pipelined at
   /// the largest in-limit power of two (the fewest legs win).
   ///
-  /// Isolated vs burst pricing (P2P only). Eqs. 1-3 price a message as if
-  /// it ran alone: pack + wire + unpack, the wire paying its table's
-  /// latency floor (the 1-byte query: 6.8 us GPU, 2.1 us host in the
-  /// built-in tables). That is right for one ping-pong. In a burst
-  /// (`ops.overlapped`: an Isend/Irecv posted after another non-blocking
-  /// call, before the completion call) the eager wires overlap and hide
-  /// each other's floors, while each post still pays its own pack; in
-  /// LogGP terms a burst pays the per-message overhead and gap, not the
-  /// latency L (Alexandrov et al., SPAA 1995). So a burst prices the
-  /// monolithic candidates as pack + (wire - the wire table's 1-byte
-  /// query) + unpack. Isolated pricing picked one-shot for halo_p2p's
-  /// 13824 B edges and 1728 B corners (modeled 1.5 and 2.0 us faster
-  /// alone), yet in its 26-Isend exchange each one-shot post waits on its
-  /// own pack fence, so the burst pays its packs one after another:
-  /// traced, Auto spent 157.6 us/op in KernelExec and 195.8 posting where
-  /// forced device spent 32.5 and 127.0, and lost 193.3 to 156.7 virt us
-  /// per exchange.
-  ///
   /// P2P and Leg decisions go through this instance's lock-free choice
   /// cache (a hit is one atomic load, kModelQueryCachedNs; a miss costs
-  /// kModelQueryUncachedNs). A slot holds a P2P query's isolated and burst
-  /// answers together (choose_transfers) and the key leaves `overlapped`
-  /// out, so either context hits what the other filled, and isolated
-  /// decisions and their charges are those of isolated pricing alone. A
-  /// Persistent decision is made once per channel: exact, bypassing the
-  /// cache both ways (a quantized hit could shadow the exact argmin; a
-  /// freeze must not evict hot entries), with the dense chunk grid and a
-  /// second uncached charge above the limit; like a Leg it is never
-  /// burst-priced.
+  /// kModelQueryUncachedNs). A Persistent decision is made once per
+  /// channel: exact, bypassing the cache both ways (a quantized hit could
+  /// shadow the exact argmin; a freeze must not evict hot entries), with
+  /// the dense chunk grid and a second uncached charge above the limit.
+  /// This is the isolated answer of choose_transfers.
   [[nodiscard]] TransferChoice
   choose_transfer(std::size_t block_bytes, std::size_t total_bytes,
                   TransferOperands ops = {}) const {
-    return choose_transfers(block_bytes, total_bytes, ops)
-        .pick(ops.overlapped);
+    return choose_transfers(block_bytes, total_bytes, ops).isolated;
   }
-  /// Both answers of one decision, for the context-free caller (the
-  /// packer memo); charged and counted like one choose_transfer.
+
+  /// Both answers of one decision, charged and cached like one
+  /// choose_transfer: a cache slot holds the pair, so one miss serves
+  /// both answers.
+  ///
+  /// Isolated vs burst pricing (P2P only). Eqs. 1-3 price a message as if
+  /// it ran alone: pack + wire + unpack, the wire paying its table's
+  /// latency floor (the 1-byte query). That is right for one ping-pong. In
+  /// a burst (an Isend/Irecv posted after another non-blocking call,
+  /// before the completion call) the eager wires overlap and hide each
+  /// other's floors, while each post still pays its own pack fence; in
+  /// LogGP terms a burst pays the per-message overhead and gap, not the
+  /// latency L (Alexandrov et al., SPAA 1995). So the burst answer prices
+  /// the monolithic candidates as pack + (wire - the wire table's 1-byte
+  /// query) + unpack, which moves halo-sized messages from one-shot's
+  /// serialized host packs to device packs (README's method-selection
+  /// section has the traced evidence). Persistent and Leg decisions, and anything
+  /// above the wire-chunk limit, carry the isolated answer twice.
   [[nodiscard]] TransferChoices
   choose_transfers(std::size_t block_bytes, std::size_t total_bytes,
                    TransferOperands ops = {}) const;
@@ -246,7 +259,7 @@ public:
 
 private:
   struct ChoiceCache; // fixed-size lock-free cache, defined in the .cpp
-  /// The uncached decision behind choose_transfer, in both contexts.
+  /// The uncached decision behind choose_transfers.
   [[nodiscard]] TransferChoices decide(std::size_t block_bytes,
                                        std::size_t total_bytes,
                                        const TransferOperands &ops,

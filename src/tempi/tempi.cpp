@@ -649,9 +649,11 @@ std::optional<TransferChoice> gated_choice(const Packer *packer,
 
 /// The calling thread's burst context: set by each non-blocking post
 /// (Isend, Irecv, Start, Startall), cleared by every completion call
-/// (Wait*, Test*). An Isend/Irecv posted while it is set will complete
-/// together with an earlier post, so its wire overlaps that post's and
-/// the model prices it floor-free (TransferOperands::overlapped).
+/// (Wait*, Test*) and by Request_free. An Isend/Irecv posted while it is
+/// set will complete together with an earlier post, so its wire overlaps
+/// that post's and it takes the model's burst answer (see
+/// PerfModel::choose_transfers). A request completed on another thread
+/// leaves the flag set until this thread's next completion call.
 thread_local bool t_in_burst = false;
 
 /// Marks a non-blocking post; true when it joins a burst.
@@ -659,7 +661,7 @@ bool note_post() { return std::exchange(t_in_burst, true); }
 void note_completion() { t_in_burst = false; }
 
 /// Shared Send/Recv/Isend/Irecv gate (see gated_choice); Auto uses the
-/// memoized model heuristic, in the burst context when `overlapped`.
+/// memoized model heuristic, its burst answer when `overlapped`.
 std::optional<TransferChoice> acceleration_method(const Packer *packer,
                                                   const void *buf, int count,
                                                   bool overlapped = false) {
@@ -668,16 +670,16 @@ std::optional<TransferChoice> acceleration_method(const Packer *packer,
     if (overlapped) {
       s.overlapped_choices.add();
     }
-    // Steady state: the packer remembers the model's choice — method and
+    // Steady state: the packer remembers the model's answers — method and
     // chunk, isolated and in a burst — per (count, generation): one
     // atomic load, no model lock, no interpolation. The generation folds
     // in the transfer config (wire limit, chunk override) so tuning knobs
     // invalidate stale choices.
     const std::uint64_t gen = choice_generation();
-    if (const auto memo = packer->cached_transfer(count, gen, overlapped)) {
+    if (const auto memo = packer->cached_transfers(count, gen)) {
       vcuda::this_thread_timeline().advance(kMethodMemoHitNs);
       s.method_memo_hits.add();
-      return *memo;
+      return overlapped ? memo->overlapped : memo->isolated;
     }
     TransferChoices choices;
     {
@@ -686,11 +688,11 @@ std::optional<TransferChoice> acceleration_method(const Packer *packer,
       const std::shared_lock<std::shared_mutex> lock(s.model_mutex);
       choices = s.model.choose_transfers(
           static_cast<std::size_t>(packer->block().block_bytes()), total);
-      span.set_method(
-          static_cast<std::int8_t>(choices.pick(overlapped).method));
+      span.set_method(static_cast<std::int8_t>(
+          (overlapped ? choices.overlapped : choices.isolated).method));
     }
     packer->remember_transfers(count, gen, choices);
-    return choices.pick(overlapped);
+    return overlapped ? choices.overlapped : choices.isolated;
   });
 }
 
@@ -988,6 +990,7 @@ int tempi_Startall(int count, MPI_Request *requests) {
 
 int tempi_Request_free(MPI_Request *request) {
   State &s = state();
+  note_completion();
   if (request == nullptr) {
     return MPI_ERR_ARG;
   }

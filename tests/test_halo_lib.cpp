@@ -292,11 +292,10 @@ TEST(HaloIsendGuideline, AutoIsNoSlowerThanTheBestForcedMethod) {
   // Guideline G1 (Gropp, Hoefler, Thakur and Traeff, EuroMPI 2011): the
   // model's choice may not lose to a method it could have forced. An
   // exchange ends when its slower rank's does, so each mode is priced as
-  // the max over ranks. Auto picked one-shot for the 13824 B edges and
-  // 1728 B corners when each message was priced alone, and lost to
-  // forced device by 23% here (192.244 against 156.734 virt us). Burst
-  // pricing sends them device: 160.854, the rest being Auto's 60 ns memo
-  // lookup per message.
+  // the max over ranks. Priced alone, the 13824 B edges and 1728 B
+  // corners go one-shot and Auto loses to forced device; burst pricing
+  // sends them device, leaving Auto only its memo lookup per message
+  // behind.
   const auto slowest = [](const std::array<vcuda::VirtualNs, 2> &t) {
     return *std::max_element(t.begin(), t.end());
   };

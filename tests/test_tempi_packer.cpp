@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <random>
 #include <tuple>
@@ -330,22 +331,54 @@ TEST(PackerDma, NonUniformStrideStillCopiesPerObject) {
 }
 
 TEST(PackerMemo, RemembersMethodPerCountAndGeneration) {
+  using tempi::Method;
   MPI_Datatype t = nullptr;
   MPI_Type_vector(64, 8, 16, MPI_BYTE, &t);
   MPI_Type_commit(&t);
   const tempi::Packer packer = make_packer(t);
 
-  EXPECT_FALSE(packer.cached_transfer(1, 1).has_value()); // cold
-  packer.remember_transfer(1, 1, {tempi::Method::OneShot, 0});
-  ASSERT_TRUE(packer.cached_transfer(1, 1).has_value());
-  EXPECT_EQ(packer.cached_transfer(1, 1)->method, tempi::Method::OneShot);
+  EXPECT_FALSE(packer.cached_transfers(1, 1).has_value()); // cold
+  packer.remember_transfers(1, 1, {{Method::OneShot, 0}, {Method::Device, 0}});
+  ASSERT_TRUE(packer.cached_transfers(1, 1).has_value());
+  EXPECT_EQ(packer.cached_transfers(1, 1)->isolated.method, Method::OneShot);
+  EXPECT_EQ(packer.cached_transfers(1, 1)->overlapped.method, Method::Device);
   // A different count or a newer model generation must miss.
-  EXPECT_FALSE(packer.cached_transfer(2, 1).has_value());
-  EXPECT_FALSE(packer.cached_transfer(1, 2).has_value());
+  EXPECT_FALSE(packer.cached_transfers(2, 1).has_value());
+  EXPECT_FALSE(packer.cached_transfers(1, 2).has_value());
   // Re-remembering under the new generation replaces the slot.
-  packer.remember_transfer(1, 2, {tempi::Method::Staged, 0});
-  EXPECT_EQ(packer.cached_transfer(1, 2)->method, tempi::Method::Staged);
-  EXPECT_FALSE(packer.cached_transfer(1, 1).has_value());
+  packer.remember_transfers(1, 2, {{Method::Staged, 0}, {Method::Staged, 0}});
+  EXPECT_EQ(packer.cached_transfers(1, 2)->isolated.method, Method::Staged);
+  EXPECT_FALSE(packer.cached_transfers(1, 1).has_value());
+  MPI_Type_free(&t);
+}
+
+TEST(PackerMemo, KeepsTheChunkAndEveryGenerationBit) {
+  // The memo word holds the packed TransferChoices next to 27 generation
+  // bits and a 26-bit count: a Pipelined pair keeps its chunk, a
+  // generation 2^26 apart still misses, and counts of 2^26 or more
+  // bypass the memo.
+  using tempi::Method;
+  MPI_Datatype t = nullptr;
+  MPI_Type_vector(64, 8, 16, MPI_BYTE, &t);
+  MPI_Type_commit(&t);
+  const tempi::Packer packer = make_packer(t);
+
+  const tempi::TransferChoice pipe{Method::Pipelined, std::size_t{1} << 30};
+  packer.remember_transfers(3, 5, {pipe, pipe});
+  const auto got = packer.cached_transfers(3, 5);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->isolated.method, Method::Pipelined);
+  EXPECT_EQ(got->isolated.chunk_bytes, pipe.chunk_bytes);
+  EXPECT_EQ(got->overlapped.method, Method::Pipelined);
+  EXPECT_EQ(got->overlapped.chunk_bytes, pipe.chunk_bytes);
+  EXPECT_FALSE(packer.cached_transfers(3, 5 + (std::uint64_t{1} << 26)));
+
+  constexpr int kTooMany = (1 << 26) + 3; // count 3's slot
+  const tempi::TransferChoice dev{Method::Device, 0};
+  packer.remember_transfers(kTooMany, 5, {dev, dev});
+  EXPECT_FALSE(packer.cached_transfers(kTooMany, 5).has_value());
+  ASSERT_TRUE(packer.cached_transfers(3, 5).has_value()); // not overwritten
+  EXPECT_EQ(packer.cached_transfers(3, 5)->isolated.method, Method::Pipelined);
   MPI_Type_free(&t);
 }
 

@@ -441,32 +441,28 @@ TEST(Tuner, RefreshSwapsLiveModelAndNeverServesStaleChoice) {
   tempi::tune::reset();
 }
 
-// --- burst pricing (TransferOperands::overlapped) ----------------------------
-
-constexpr tempi::TransferOperands kBurst{.overlapped = true};
+// --- burst pricing (TransferChoices::overlapped) -----------------------------
 
 TEST(BurstPricing, HaloShapesPickOneShotAloneAndDeviceInABurst) {
   // halo_p2p's grid (8 doubles per point, radius 3) sends rows of 192 B:
-  // 1728 B corners and 13824 B edges. Alone, one-shot's 2.1 us host wire
-  // floor beats the 6.8 us GPU floor; in a burst the floors overlap and
-  // the device pack's lower cost wins. Faces (110592 B) are device either way.
+  // 1728 B corners and 13824 B edges. Alone, one-shot's lower host wire
+  // floor beats the GPU floor; in a burst the floors overlap and the
+  // device pack's lower cost wins. Faces (110592 B) are device either way.
   const tempi::PerfModel model;
   for (const std::size_t total : {std::size_t{1728}, std::size_t{13824}}) {
-    EXPECT_EQ(model.choose_transfer(192, total).method, tempi::Method::OneShot)
-        << total;
-    EXPECT_EQ(model.choose_transfer(192, total, kBurst).method,
-              tempi::Method::Device)
-        << total;
+    const tempi::TransferChoices c = model.choose_transfers(192, total);
+    EXPECT_EQ(c.isolated.method, tempi::Method::OneShot) << total;
+    EXPECT_EQ(c.overlapped.method, tempi::Method::Device) << total;
   }
-  EXPECT_EQ(model.choose_transfer(192, 110592).method, tempi::Method::Device);
-  EXPECT_EQ(model.choose_transfer(192, 110592, kBurst).method,
-            tempi::Method::Device);
+  const tempi::TransferChoices face = model.choose_transfers(192, 110592);
+  EXPECT_EQ(face.isolated.method, tempi::Method::Device);
+  EXPECT_EQ(face.overlapped.method, tempi::Method::Device);
 }
 
 TEST(BurstPricing, BurstChoiceIsTheFloorFreeArgmin) {
   // A burst decision is the argmin of pack + (wire - 1-byte wire) +
-  // unpack; Persistent and Leg decisions ignore the burst flag, and above
-  // the wire limit both contexts get the same Pipelined choice.
+  // unpack; Persistent and Leg decisions carry the isolated answer twice,
+  // and above the wire limit both contexts get the same Pipelined choice.
   using tempi::Method;
   using tempi::TransferKind;
   const tempi::PerfModel model;
@@ -487,33 +483,29 @@ TEST(BurstPricing, BurstChoiceIsTheFloorFreeArgmin) {
       } else if (staged < device && staged < oneshot) {
         want = Method::Staged;
       }
-      EXPECT_EQ(model.choose_transfer(block, total, kBurst).method, want)
+      EXPECT_EQ(model.choose_transfers(block, total).overlapped.method, want)
           << "block " << block << " total " << total;
       for (const TransferKind kind :
            {TransferKind::Persistent, TransferKind::Leg}) {
-        const tempi::TransferChoice a =
-            model.choose_transfer(block, total, {.kind = kind});
-        const tempi::TransferChoice o = model.choose_transfer(
-            block, total, {.kind = kind, .overlapped = true});
-        EXPECT_EQ(o.method, a.method)
+        const tempi::TransferChoices c =
+            model.choose_transfers(block, total, {.kind = kind});
+        EXPECT_EQ(c.overlapped.method, c.isolated.method)
             << "block " << block << " total " << total;
-        EXPECT_EQ(o.chunk_bytes, a.chunk_bytes);
+        EXPECT_EQ(c.overlapped.chunk_bytes, c.isolated.chunk_bytes);
       }
     }
   }
   const std::size_t old_limit = tempi::set_wire_chunk_limit(1 << 20);
-  const tempi::TransferChoice alone = model.choose_transfer(8, 4 << 20);
-  const tempi::TransferChoice burst = model.choose_transfer(8, 4 << 20, kBurst);
-  EXPECT_EQ(alone.method, Method::Pipelined);
-  EXPECT_EQ(burst.method, Method::Pipelined);
-  EXPECT_EQ(burst.chunk_bytes, alone.chunk_bytes);
+  const tempi::TransferChoices big = model.choose_transfers(8, 4 << 20);
+  EXPECT_EQ(big.isolated.method, Method::Pipelined);
+  EXPECT_EQ(big.overlapped.method, Method::Pipelined);
+  EXPECT_EQ(big.overlapped.chunk_bytes, big.isolated.chunk_bytes);
   tempi::set_wire_chunk_limit(old_limit);
 }
 
 TEST(BurstPricing, OneQueryFillsBothContexts) {
-  // The cache key leaves the burst flag out and a slot holds both
-  // answers: whichever context asks first pays the one miss, the other
-  // hits.
+  // A cache slot holds both answers: the first query pays the one miss,
+  // and every later one hits, whichever answer its caller reads.
   tempi::trace::reset_counters();
   const tempi::PerfModel model;
   vcuda::VirtualNs t0 = vcuda::virtual_now();
@@ -522,7 +514,7 @@ TEST(BurstPricing, OneQueryFillsBothContexts) {
   EXPECT_EQ(both.isolated.method, tempi::Method::OneShot);
   EXPECT_EQ(both.overlapped.method, tempi::Method::Device);
   t0 = vcuda::virtual_now();
-  EXPECT_EQ(model.choose_transfer(192, 13824, kBurst).method,
+  EXPECT_EQ(model.choose_transfers(192, 13824).overlapped.method,
             tempi::Method::Device);
   EXPECT_EQ(model.choose_transfer(192, 13824).method, tempi::Method::OneShot);
   EXPECT_EQ(vcuda::virtual_now() - t0, 2 * tempi::kModelQueryCachedNs);
@@ -667,6 +659,24 @@ TEST(BurstPricing, PackerAlternatingContextsHitsTheMemo) {
   EXPECT_EQ(counter("tempi.isend.oneshot"), 1u);
   EXPECT_EQ(counter("tempi.model.cache_misses"), 1u);
   EXPECT_EQ(counter("tempi.model.memo_hits"), 2u * kRounds + 1);
+  EXPECT_EQ(counter("tempi.model.overlapped_choices"),
+            static_cast<std::uint64_t>(kRounds));
+  // Request_free ends a burst too: an Isend posted after its post was
+  // freed is alone again.
+  MPI_Request freed = MPI_REQUEST_NULL;
+  ASSERT_EQ(MPI_Isend(src.get(), 1, t, 0, 9, MPI_COMM_WORLD, &freed),
+            MPI_SUCCESS);
+  ASSERT_EQ(MPI_Request_free(&freed), MPI_SUCCESS);
+  ASSERT_EQ(MPI_Isend(src.get(), 1, t, 0, 10, MPI_COMM_WORLD, &req),
+            MPI_SUCCESS);
+  ASSERT_EQ(MPI_Recv(dst.get(), 1, t, 0, 9, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+            MPI_SUCCESS);
+  ASSERT_EQ(
+      MPI_Recv(dst.get(), 1, t, 0, 10, MPI_COMM_WORLD, MPI_STATUS_IGNORE),
+      MPI_SUCCESS);
+  ASSERT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+  EXPECT_EQ(counter("tempi.isend.oneshot"), 3u);
+  EXPECT_EQ(counter("tempi.model.memo_hits"), 2u * kRounds + 5);
   EXPECT_EQ(counter("tempi.model.overlapped_choices"),
             static_cast<std::uint64_t>(kRounds));
   MPI_Type_free(&t);
