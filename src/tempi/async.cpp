@@ -5,6 +5,7 @@
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/netmodel.hpp"
 #include "tempi/replay.hpp"
+#include "tempi/tempi.hpp"
 #include "tempi/topology.hpp"
 #include "tempi/trace.hpp"
 #include "vcuda/runtime.hpp"
@@ -28,10 +29,6 @@ namespace {
 /// Virtual cost of one progress-engine sweep while polling (mirrors the
 /// system MPI's Waitany poll loop).
 constexpr vcuda::VirtualNs kPollSweepNs = 100;
-
-/// Pinned bytes the recorded programs of one thread's program table may
-/// hold between them (see claim_program).
-constexpr std::size_t kReplayBudget = std::size_t{16} << 20;
 
 /// Low ticket bits that carry the posting thread's home stripe (see
 /// shard_for). AsyncOp is aligned so its address leaves them zero.
@@ -685,17 +682,11 @@ int post_program_send(AsyncOp &op, const interpose::MpiTable &next) {
 
 // --- recorded programs for repeated calls -----------------------------------
 //
-// The halo exchange Isends and Irecvs the same faces every iteration, and a
-// ping-pong sends and receives the same objects over and over. Each thread
-// keeps one program table (tempi/replay.hpp): its send programs serve
-// MPI_Send and MPI_Isend, its receive programs serve MPI_Recv and
-// MPI_Irecv. A repeated monolithic call runs from the program
-// MPI_Send_init/MPI_Recv_init would freeze: a send posts the way MPI_Start
-// does (post_program_send), one graph launch and a pre-armed fence instead
-// of a lease, a cold pack launch and a blocking sync; a receive lands its
-// wire in the program's pinned lease and replays the unpack graph. A
-// persistent request's own program is pinned under its key, so these calls
-// borrow it while the request rests instead of recording a second one.
+// The thread's program table (see "Recorded programs" in async.hpp): its
+// send programs serve MPI_Send and MPI_Isend, which post them the way
+// MPI_Start does (post_program_send); its receive programs serve MPI_Recv
+// and MPI_Irecv; a persistent request's own program is pinned under its
+// key, so these calls borrow it while the request rests.
 
 /// What makes two monolithic calls the same work. The envelope (peer, tag,
 /// comm) is not part of the program, so it is not part of the key. A send
@@ -734,15 +725,8 @@ struct ProgramPin {
 using ProgramTable =
     replay::Table<ProgramKey, std::shared_ptr<RecordedProgram>, ProgramPin>;
 
-/// Allocated on the thread's first monolithic call, freed at thread exit.
-thread_local std::unique_ptr<ProgramTable> t_programs;
-
 ProgramTable &programs() {
-  if (!t_programs) {
-    t_programs = std::make_unique<ProgramTable>(pool().program_evictions,
-                                                kReplayBudget);
-  }
-  return *t_programs;
+  return replay::thread_table<ProgramTable>(pool().program_evictions);
 }
 
 ProgramKey key_of(const AsyncOp &op) {
@@ -752,48 +736,40 @@ ProgramKey key_of(const AsyncOp &op) {
 }
 
 /// The program a monolithic Send, Isend, Recv or Irecv `op` runs from,
-/// claimed for it; nullptr runs the call live: the first sighting of its
-/// key, a program another op holds (an active persistent request's, or one
-/// a concurrent call borrowed), a message larger than the budget, or a
-/// failed capture. A resting persistent request's program serves its key
-/// from the first sighting on; any other key records its program on the
-/// second sighting, and it and every later one pay the lookup.
+/// claimed for it (a resting persistent request's pin, or one the table
+/// recorded); nullptr runs the call live: a sighting that serves no
+/// program (see replay::Table::sight), a message larger than the budget,
+/// or a program another op holds.
 std::shared_ptr<RecordedProgram> claim_program(const AsyncOp &op) {
-  ProgramTable &table = programs();
   ReplayCounters &counters = replay_counters(op.label);
-  bool seen = false;
-  ProgramTable::Entry &e = table.touch(key_of(op), &seen);
-  if (!seen) {
+  const ProgramTable::Entry *e = programs().sight(
+      key_of(op), 0, &counters.captures, [&]() -> ProgramTable::Recorded {
+        const std::size_t leases = op.method == Method::Staged ? 2 : 1;
+        if (std::bit_ceil(op.packer->packed_bytes(op.count)) * leases >
+            replay::kBudget) {
+          return {}; // never promotes
+        }
+        auto fresh = std::make_shared<RecordedProgram>();
+        const int rc =
+            op.kind == AsyncOp::Kind::Send
+                ? record_persistent_send(*op.packer, op.method, op.send_buf,
+                                         op.count, &fresh->prog, op.label)
+                : record_persistent_recv(*op.packer, op.method, op.recv_buf,
+                                         op.count, &fresh->prog, op.label);
+        if (rc != MPI_SUCCESS) {
+          return {};
+        }
+        const std::size_t pinned = fresh->prog.pipe.wire.capacity() +
+                                   fresh->prog.pipe.stage.capacity();
+        return {std::move(fresh), pinned};
+      });
+  if (e == nullptr) {
     return nullptr;
   }
-  vcuda::this_thread_timeline().advance(kMethodMemoHitNs); // the lookup
-  std::shared_ptr<RecordedProgram> program = e.pin.lock();
+  std::shared_ptr<RecordedProgram> program =
+      e->program ? e->program : e->pin.lock();
   if (!program) {
-    if (!e.program) {
-      const std::size_t leases = op.method == Method::Staged ? 2 : 1;
-      if (std::bit_ceil(op.packer->packed_bytes(op.count)) * leases >
-          kReplayBudget) {
-        return nullptr; // never promotes
-      }
-      auto fresh = std::make_shared<RecordedProgram>();
-      const int rc =
-          op.kind == AsyncOp::Kind::Send
-              ? record_persistent_send(*op.packer, op.method, op.send_buf,
-                                       op.count, &fresh->prog, op.label)
-              : record_persistent_recv(*op.packer, op.method, op.recv_buf,
-                                       op.count, &fresh->prog, op.label);
-      if (rc != MPI_SUCCESS) {
-        return nullptr; // unpromoted: the next sighting tries again
-      }
-      counters.captures.add();
-      const std::size_t pinned =
-          fresh->prog.pipe.wire.capacity() + fresh->prog.pipe.stage.capacity();
-      e.program = std::move(fresh);
-      if (!table.charge(e, pinned)) {
-        return nullptr;
-      }
-    }
-    program = e.program;
+    return nullptr; // a pin its request let go since the lookup
   }
   if (!try_claim(*program)) {
     counters.busy.add(); // its wire lease is still in use
@@ -912,53 +888,36 @@ bool deliverable(AsyncOp &recv, const AsyncOp &send, std::size_t bytes,
   return !forwarded_could_match(send);
 }
 
-/// The recorded pack of send `op`'s objects into `landing`, from the
-/// thread's program table: nullptr on the first sighting of the pair
-/// (which takes the system route and is charged nothing) and when
-/// recording fails. The second sighting records it, later ones only pay
-/// the lookup. A graph-only entry pins no memory, so it charges nothing to
-/// the table's budget.
-std::shared_ptr<RecordedProgram> delivery_program(const AsyncOp &op,
-                                                  void *landing) {
-  ProgramTable &table = programs();
-  bool seen = false;
-  ProgramTable::Entry &e =
-      table.touch({op.packer, op.send_buf, op.count, op.method,
-                   AsyncOp::Kind::Send, landing},
-                  &seen);
-  if (!seen) {
-    return nullptr;
-  }
-  vcuda::this_thread_timeline().advance(kMethodMemoHitNs); // the lookup
-  if (!e.program) {
-    auto fresh = std::make_shared<RecordedProgram>();
-    PersistentProgram &prog = fresh->prog;
-    prog.stream = vcuda::next_pool_stream();
-    const int rc = capture_on(prog.stream, &prog.graph, op.label, [&] {
-      return op.packer->pack_async(landing, op.send_buf, op.count,
-                                   prog.stream) == vcuda::Error::Success
-                 ? MPI_SUCCESS
-                 : MPI_ERR_OTHER;
-    });
-    if (rc != MPI_SUCCESS) {
-      return nullptr;
-    }
-    e.program = std::move(fresh);
-  }
-  return e.program;
-}
-
 /// Pack send `op` into `recv`'s landing buffer with one graph launch and
 /// a pre-armed fence, then hand `recv` the wire status a system receive
-/// would report. False (nothing delivered) on a first sighting or a
-/// failed launch.
+/// would report. The graph is the pair's entry in the thread's program
+/// table; it pins no memory, so it charges nothing to the budget. False
+/// (nothing delivered: the system route) when the sighting serves no graph
+/// or the launch fails.
 bool deliver_into(AsyncOp &op, AsyncOp &recv, std::size_t bytes) {
-  const std::shared_ptr<RecordedProgram> program =
-      delivery_program(op, wire_pipe(recv).wire.get());
-  if (!program) {
+  void *landing = wire_pipe(recv).wire.get();
+  const ProgramTable::Entry *e = programs().sight(
+      {op.packer, op.send_buf, op.count, op.method, AsyncOp::Kind::Send,
+       landing},
+      0, nullptr, [&]() -> ProgramTable::Recorded {
+        auto fresh = std::make_shared<RecordedProgram>();
+        PersistentProgram &prog = fresh->prog;
+        prog.stream = vcuda::next_pool_stream();
+        const int rc = capture_on(prog.stream, &prog.graph, op.label, [&] {
+          return op.packer->pack_async(landing, op.send_buf, op.count,
+                                       prog.stream) == vcuda::Error::Success
+                     ? MPI_SUCCESS
+                     : MPI_ERR_OTHER;
+        });
+        if (rc != MPI_SUCCESS) {
+          return {};
+        }
+        return {std::move(fresh), 0};
+      });
+  if (e == nullptr) {
     return false;
   }
-  const PersistentProgram &prog = program->prog;
+  const PersistentProgram &prog = e->program->prog;
   {
     trace::ScopedSpan replay(trace::Phase::GraphReplay, op.label, bytes,
                              op.peer, op.tag,
@@ -1322,8 +1281,6 @@ int start_irecv(const Packer *packer, Method method, void *buf, int count,
 
 namespace {
 
-std::atomic<RechooseFn> g_rechoose{nullptr};
-
 /// Record `choice` into fresh programs for a persistent op and swap them
 /// in only once recording succeeded, so a failed record leaves the op on
 /// its current plan. Send_init/Recv_init freeze the first plan this way,
@@ -1340,12 +1297,18 @@ int freeze(AsyncOp &op, TransferChoice choice) {
              : record_persistent_recv(*op.packer, choice.method, op.recv_buf,
                                       op.count, &program->prog);
   } else if (op.kind == AsyncOp::Kind::Send) {
-    // One pack graph per wire leg (see record_pipelined_send). A pipelined
-    // receive records nothing: Start re-arms a ChunkedRecv, whose leg
-    // sizes follow the sender's first leg and cannot be frozen.
+    // One pack graph per wire leg (see record_pipelined_send).
     pipeprog = std::make_unique<PipelinedSendProgram>();
     rc = record_pipelined_send(*op.packer, op.send_buf, op.count,
                                choice.chunk_bytes, pipeprog.get());
+  } else {
+    // A pipelined receive records nothing: Start re-arms a ChunkedRecv,
+    // whose leg sizes follow the sender's first leg and cannot be frozen.
+    // It fails where its sender's recording does (a row beyond the wire
+    // limit), so the two ends keep or change their plans together.
+    PipelineFrame frame;
+    rc = plan_pipeline_frame(*op.packer, op.count, choice.chunk_bytes,
+                             &frame);
   }
   if (rc != MPI_SUCCESS) {
     return rc; // the fresh programs release their leases and graphs here
@@ -1384,14 +1347,10 @@ void maybe_refreeze(AsyncOp &op) {
     return;
   }
   op.frozen_gen = gen;
-  const RechooseFn rechoose = g_rechoose.load(std::memory_order_acquire);
-  if (rechoose == nullptr) {
-    return;
-  }
   const void *buf =
       op.kind == AsyncOp::Kind::Send ? op.send_buf : op.recv_buf;
   const std::optional<TransferChoice> choice =
-      rechoose(*op.packer, buf, op.count);
+      persistent_choice(op.packer, buf, op.count);
   if (!choice ||
       (choice->method == op.method &&
        (choice->method != Method::Pipelined ||
@@ -1430,10 +1389,6 @@ int open_persistent(AsyncOp::Kind kind, std::shared_ptr<const Packer> packer,
 }
 
 } // namespace
-
-RechooseFn set_persistent_rechoose(RechooseFn fn) {
-  return g_rechoose.exchange(fn, std::memory_order_acq_rel);
-}
 
 int send_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
               const void *buf, int count, int dest, int tag, MPI_Comm comm,
@@ -1814,10 +1769,9 @@ void note_stream(std::vector<vcuda::StreamHandle> &list,
 //
 // The halo exchange's Waitall completes the same receives every iteration,
 // each into its recorded receive program. The claimed programs one flush
-// of the fused batch unpacks are the flush's members; a thread's batch
-// table remembers each ordered member list it flushed. A list seen before
-// records the members' fused unpack as one graph, and every later flush of
-// the same list replays it: one graph launch on the first member's stream,
+// of the fused batch unpacks are the flush's members, and a thread's batch
+// table keys each ordered member list: a repeated list replays the
+// members' fused unpack as one graph launch on the first member's stream,
 // which pass 2 fences, instead of one graph launch per receive. A recorded
 // batch owns its members, so no member's address can be reused by a new
 // program while its graph exists; a member evicted from the program table,
@@ -1834,18 +1788,6 @@ struct BatchProgram {
 using BatchTable =
     replay::Table<replay::SequenceKey, std::unique_ptr<BatchProgram>>;
 
-/// Allocated on the thread's first flush of two or more claimed receives,
-/// freed at thread exit.
-thread_local std::unique_ptr<BatchTable> t_batches;
-
-BatchTable &batches() {
-  if (!t_batches) {
-    t_batches = std::make_unique<BatchTable>(pool().fused_unpack_evictions,
-                                             kReplayBudget);
-  }
-  return *t_batches;
-}
-
 /// The fused unpack item of the objects `op`'s wire delivered into
 /// `op`'s wire lease (or its claimed program's).
 UnpackItem unpack_item(AsyncOp &op, int objects) {
@@ -1855,15 +1797,18 @@ UnpackItem unpack_item(AsyncOp &op, int objects) {
 }
 
 /// Record the fused unpack of `ops` (full messages into claimed programs)
-/// as one graph on the first program's stream; nullptr when recording
-/// fails.
-std::unique_ptr<BatchProgram> record_batch(std::span<AsyncOp *const> ops) {
+/// as one graph on the first program's stream, pinning its members'
+/// bytes; empty when recording fails.
+BatchTable::Recorded record_batch(std::span<AsyncOp *const> ops) {
   auto batch = std::make_unique<BatchProgram>();
   std::vector<UnpackItem> items;
   items.reserve(ops.size());
+  std::size_t pinned = 0;
   for (AsyncOp *op : ops) {
     batch->members.push_back(op->program);
     items.push_back(unpack_item(*op, op->count));
+    const PackPipeline &pipe = op->program->prog.pipe;
+    pinned += pipe.wire.capacity() + pipe.stage.capacity();
   }
   batch->stream = ops.front()->program->prog.stream;
   vcuda::GraphHandle graph = nullptr;
@@ -1873,11 +1818,10 @@ std::unique_ptr<BatchProgram> record_batch(std::span<AsyncOp *const> ops) {
                : MPI_ERR_OTHER;
   });
   if (rc != MPI_SUCCESS) {
-    return nullptr;
+    return {};
   }
   batch->graph.reset(graph);
-  pool().fused_unpack_captures.add();
-  return batch;
+  return {std::move(batch), pinned};
 }
 
 /// Unpack full messages into claimed programs: `ops` replay as one
@@ -1888,29 +1832,17 @@ int replay_members(std::span<AsyncOp *const> ops,
                    std::vector<vcuda::StreamHandle> &fence_streams) {
   const BatchProgram *batch = nullptr;
   if (ops.size() > 1) {
-    BatchTable &table = batches();
     replay::SequenceKey key;
     key.items.reserve(ops.size());
     for (const AsyncOp *op : ops) {
       key.items.push_back(replay::bits(op->program.get()));
     }
-    bool seen = false;
-    BatchTable::Entry &e = table.touch(key, &seen);
-    if (seen) {
-      vcuda::this_thread_timeline().advance(kMethodMemoHitNs); // the lookup
-      if (!e.program) {
-        e.program = record_batch(ops);
-        std::size_t pinned = 0;
-        for (const AsyncOp *op : ops) {
-          const PackPipeline &pipe = op->program->prog.pipe;
-          pinned += pipe.wire.capacity() + pipe.stage.capacity();
-        }
-        if (e.program && !table.charge(e, pinned)) {
-          e.program = nullptr;
-        }
-      }
-      batch = e.program.get();
-    }
+    auto &table =
+        replay::thread_table<BatchTable>(pool().fused_unpack_evictions);
+    const BatchTable::Entry *e =
+        table.sight(key, 0, &pool().fused_unpack_captures,
+                    [&] { return record_batch(ops); });
+    batch = e != nullptr ? e->program.get() : nullptr;
   }
   if (batch == nullptr) {
     for (AsyncOp *op : ops) {

@@ -32,40 +32,36 @@
 // completion. Each op draws a stream round-robin from the per-rank pool
 // (vcuda::next_pool_stream).
 //
-// Recorded programs: a monolithic MPI_Send, MPI_Isend, MPI_Recv or MPI_Irecv
-// whose (packer, buffer, count, method) the thread has seen before runs from a
-// recorded program (the program MPI_Send_init/MPI_Recv_init freeze, see
-// tempi/replay.hpp), kept in one per-thread table. A send from a program and a
-// persistent send's Start post the same way: PackIssued is one graph launch
-// and a pre-armed fence into the program's pinned wire lease. A receive from a
-// program, persistent, blocking or non-blocking, lands its wire in the
-// program's pinned lease and replays the recorded unpack graph, unless the
-// message is shorter than posted: then only the objects that arrived are
-// unpacked, live. A persistent request's frozen program is entered in the
-// table under its key, never evicted and never charged to its budget, so while
-// the request rests a call of the same key borrows it from the first sighting
-// on instead of recording a second one. An op claims (marks in flight) the
-// program it runs from until it retires; a call that finds its program
-// claimed, by an active request or another borrower, runs live, and so does an
-// arming whose program a call borrowed.
+// Recorded programs: a repeated monolithic MPI_Send, MPI_Isend, MPI_Recv or
+// MPI_Irecv runs from a recorded program (the program MPI_Send_init/
+// MPI_Recv_init freeze) in its thread's program table, by the sighting rule of
+// tempi/replay.hpp. A send from a program and a persistent send's Start post
+// the same way: PackIssued is one graph launch and a pre-armed fence into the
+// program's pinned wire lease. A receive from a program, persistent, blocking
+// or non-blocking, lands its wire in the program's pinned lease and replays the
+// recorded unpack graph, unless the message is shorter than posted: then only
+// the objects that arrived are unpacked, live. A persistent request's frozen
+// program is entered in the table under its key, never evicted and never
+// charged to its budget, so while the request rests a call of the same key
+// borrows it from the first sighting on instead of recording a second one. An
+// op claims (marks in flight) the program it runs from until it retires; a call
+// that finds its program claimed, by an active request or another borrower,
+// runs live, and so does an arming whose program a call borrowed.
 //
 // Waitall batching (the paper's halo exchange completes 26 receives per
 // iteration in one Waitall): receives whose unpack is one canonical-packer
-// kernel (Device/OneShot, monolithic, not a pre-packed collective leg)
-// only receive their wire in pass 1. Their unpacks collect in a batch that
-// is flushed just before the next rendezvous-sized wire wait, so it runs
-// under that wait, and once more at the end of pass 1. A flush launches
-// the unpacks that must run live as ONE fused kernel (launch_unpack_batch).
-// Full messages into claimed programs are the flush's members: the first
-// time a thread flushes the same ordered members each replays its own
-// graph, the second time their fused unpack is recorded as one graph, and
-// from then on every flush of them is one graph launch (see the batch
-// table in async.cpp). Pass 2 then pays one host synchronization per
-// stream that holds live work: one for every fused launch, plus one per
-// stream of the receives that keep their own unpack path (Staged,
-// block-list, pipelined); streams of replayed graphs take a pre-armed
-// fence instead. Ops that completed in place leave no stream work and
-// cost nothing here.
+// kernel (Device/OneShot, monolithic, not a pre-packed collective leg) only
+// receive their wire in pass 1. Their unpacks collect in a batch that is
+// flushed just before the next rendezvous-sized wire wait, so it runs under
+// that wait, and once more at the end of pass 1. A flush launches the unpacks
+// that must run live as ONE fused kernel (launch_unpack_batch). Full messages
+// into claimed programs are the flush's members; a repeated flush of the same
+// ordered members replays their fused unpack as one recorded graph (see the
+// batch table in async.cpp). Pass 2 then pays one host synchronization per
+// stream that holds live work: one for every fused launch, plus one per stream
+// of the receives that keep their own unpack path (Staged, block-list,
+// pipelined); streams of replayed graphs take a pre-armed fence instead. Ops
+// that completed in place leave no stream work and cost nothing here.
 //
 // Deadlock discipline: the send-side transfer is posted eagerly at Isend
 // time (the system MPI's sends are buffered), so a rank that blocks in a
@@ -82,11 +78,10 @@
 // claimed program's pinned lease or its own), hands it the status a system
 // receive would report and completes with no system request, so neither
 // side waits on the wire; the receive then finishes on its usual path
-// without a system receive. The first sighting of a (send, landing buffer)
-// pair takes the system route, the second records the pack as a graph in
-// the thread's program table, and later ones replay it: one graph launch
-// and a pre-armed fence. A delivered send is already complete, so the
-// eager-post discipline above holds for it too.
+// without a system receive. A repeated (send, landing buffer) pair replays
+// the pack as one recorded graph from the thread's program table; a first
+// sighting takes the system route. A delivered send is already complete,
+// so the eager-post discipline above holds for it too.
 //
 // Matching order caveat: lazy receive matching means two receives that
 // share (source, tag, comm) pair with incoming messages in *completion*
@@ -230,24 +225,16 @@ int recv_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
 /// Arm a persistent request (near-O(1) replay). Precondition:
 /// owns(*request) and the request is inactive (double-Start is
 /// MPI_ERR_ARG). When a tuned model landed since the request froze
-/// (tune::refresh_generation() moved), the arm first re-runs the
-/// exhaustive search through the rechoose callback below and re-records
-/// the program if the plan changed — at most one re-search per generation
-/// bump, and a single relaxed generation load on the unchanged hot path,
-/// so Start never blocks on model queries in steady state. A re-record
-/// that fails keeps the frozen plan, and the Start proceeds on it.
+/// (tune::refresh_generation() moved past the generation the request
+/// froze under), the arm first re-runs persistent_choice (tempi.hpp), the
+/// gate Send_init/Recv_init used, and re-records the program if the plan
+/// changed: at most one re-search per generation bump, and a single
+/// relaxed generation load on the unchanged hot path, so Start never
+/// blocks on model queries in steady state. A re-search that would
+/// forward keeps the frozen plan (a live persistent request is never
+/// demoted to the system path mid-lifetime), and so does a re-record that
+/// fails; the Start proceeds on it.
 int start(MPI_Request *request, const interpose::MpiTable &next);
-
-/// The re-freeze search: tempi.cpp's install() registers the same gate
-/// Send_init/Recv_init used (mode checks + the Persistent decision),
-/// so a lazily re-frozen request and a freshly created one always agree.
-/// nullopt means "would forward now": the request keeps its frozen plan —
-/// a live persistent request cannot be demoted to the system path
-/// mid-lifetime. Returns the previously registered search.
-using RechooseFn = std::optional<TransferChoice> (*)(const Packer &packer,
-                                                     const void *buf,
-                                                     int count);
-RechooseFn set_persistent_rechoose(RechooseFn fn);
 
 /// Arm a mixed array: TEMPI persistent requests replay, system persistent
 /// requests forward to next.Start.

@@ -117,9 +117,7 @@ int exchange(sched::Kind kind, int root, const void *sendbuf,
   // exact tag — and consumes the exact slot — a system-path rank does for
   // the same call, so mixed engine/system ranks interoperate within one
   // collective and stay aligned for the next.
-  sched::Lookup call(key, next, 1);
-  if (!call.hit()) {
-    sched::Schedule &s = call.schedule();
+  return sched::run(key, next, 1, [&](sched::Schedule &s) {
     s.send_side = key.send_side;
     s.recv_side = key.recv_side;
     s.send_type = sendtype;
@@ -135,8 +133,7 @@ int exchange(sched::Kind kind, int root, const void *sendbuf,
              s.send_side == Side::Fused);
     add_legs(s, round, sched::Op::Recv, recvbuf, recvtype, recvs,
              s.recv_side == Side::Fused);
-  }
-  return call.run();
+  });
 }
 
 } // namespace

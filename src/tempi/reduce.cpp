@@ -234,8 +234,8 @@ Schedule choose_reduce_schedule(std::size_t bytes, MPI_Comm comm, bool gpu) {
 //
 // Each generator appends rounds to one call's Schedule; the executor
 // (tempi/schedule.*) posts, waits and combines, and a repeated call
-// replays the recorded schedule without running its generator. The
-// sched::Lookup reserves the whole tag budget (allreduce / reduce_scatter:
+// replays the recorded schedule without running its generator.
+// sched::run reserves the whole tag budget (allreduce / reduce_scatter:
 // two slots, reduce: one; the named allreduce's system Bcast tail reserves
 // its own), so engine ranks stay sequence-aligned with the system MPI on
 // every path.
@@ -572,35 +572,33 @@ int allreduce(const void *sendbuf, void *recvbuf, int count,
   g_counters.allreduce.add();
   // Named engine ranks passed the residency gate: device + contiguous.
   const Side side = named ? Side::Direct : side_of(datatype, contrib, recvbuf);
-  sched::Lookup call(reduction_key(sched::Kind::Allreduce, sendbuf, recvbuf,
-                                   datatype, *sh, op, -1, comm, side, &count,
-                                   1),
-                     next, named ? 1 : 2);
-  if (!call.hit()) {
-    Call c(call.schedule(), *sh, datatype, count, side);
-    if (named) {
-      linear_reduce(c, sendbuf, recvbuf, count, 0, true);
-    } else if (count > 0) {
-      Ref acc = c.packed(contrib, count);
-      // Schedules are priced for the device wire: the choice must be
-      // process-uniform, and per-rank residency is not.
-      switch (choose_allreduce_schedule(c.bytes, comm, true)) {
-      case Schedule::Ring:
-        ring_allreduce(c, acc);
-        break;
-      case Schedule::Doubling:
-        acc = doubling_allreduce(c, acc);
-        break;
-      case Schedule::Auto:
-      case Schedule::Linear:
-        fold_to_root(c, 0, acc, count);
-        bcast_from_zero(c, acc, 1);
-        break;
-      }
-      c.s.round(1).local(Op::Unpack, c.user(recvbuf), acc, 0, count);
-    }
-  }
-  const int rc = call.run();
+  const int rc = sched::run(
+      reduction_key(sched::Kind::Allreduce, sendbuf, recvbuf, datatype, *sh,
+                    op, -1, comm, side, &count, 1),
+      next, named ? 1 : 2, [&](sched::Schedule &s) {
+        Call c(s, *sh, datatype, count, side);
+        if (named) {
+          linear_reduce(c, sendbuf, recvbuf, count, 0, true);
+        } else if (count > 0) {
+          Ref acc = c.packed(contrib, count);
+          // Schedules are priced for the device wire: the choice must be
+          // process-uniform, and per-rank residency is not.
+          switch (choose_allreduce_schedule(c.bytes, comm, true)) {
+          case Schedule::Ring:
+            ring_allreduce(c, acc);
+            break;
+          case Schedule::Doubling:
+            acc = doubling_allreduce(c, acc);
+            break;
+          case Schedule::Auto:
+          case Schedule::Linear:
+            fold_to_root(c, 0, acc, count);
+            bcast_from_zero(c, acc, 1);
+            break;
+          }
+          c.s.round(1).local(Op::Unpack, c.user(recvbuf), acc, 0, count);
+        }
+      });
   if (!named) {
     return rc;
   }
@@ -642,25 +640,23 @@ int reduce(const void *sendbuf, void *recvbuf, int count,
   const Side side =
       named ? Side::Direct
             : side_of(datatype, contrib, me == root ? recvbuf : nullptr);
-  sched::Lookup call(reduction_key(sched::Kind::Reduce, sendbuf, recvbuf,
-                                   datatype, *sh, op, root, comm, side,
-                                   &count, 1),
-                     next, 1);
-  if (!call.hit()) {
-    Call c(call.schedule(), *sh, datatype, count, side);
-    if (count > 0 &&
-        (named || choose_reduce_schedule(c.bytes, comm, true) ==
-                      Schedule::Linear)) {
-      linear_reduce(c, sendbuf, recvbuf, count, root, named);
-    } else if (count > 0) {
-      const Ref acc = c.packed(contrib, count);
-      tree_reduce(c, acc, root);
-      if (me == root) {
-        c.s.round(0).local(Op::Unpack, c.user(recvbuf), acc, 0, count);
-      }
-    }
-  }
-  return call.run();
+  return sched::run(
+      reduction_key(sched::Kind::Reduce, sendbuf, recvbuf, datatype, *sh, op,
+                    root, comm, side, &count, 1),
+      next, 1, [&](sched::Schedule &s) {
+        Call c(s, *sh, datatype, count, side);
+        if (count > 0 &&
+            (named || choose_reduce_schedule(c.bytes, comm, true) ==
+                          Schedule::Linear)) {
+          linear_reduce(c, sendbuf, recvbuf, count, root, named);
+        } else if (count > 0) {
+          const Ref acc = c.packed(contrib, count);
+          tree_reduce(c, acc, root);
+          if (me == root) {
+            c.s.round(0).local(Op::Unpack, c.user(recvbuf), acc, 0, count);
+          }
+        }
+      });
 }
 
 int reduce_scatter(const void *sendbuf, void *recvbuf, const int *recvcounts,
@@ -696,42 +692,40 @@ int reduce_scatter(const void *sendbuf, void *recvbuf, const int *recvcounts,
   const Side side =
       named ? Side::Direct
             : side_of(datatype, in, recvcounts[me] > 0 ? recvbuf : nullptr);
-  sched::Lookup call(reduction_key(sched::Kind::ReduceScatter, sendbuf,
-                                   recvbuf, datatype, *sh, op, -1, comm, side,
-                                   recvcounts, P),
-                     next, 2);
-  if (call.hit()) {
-    return call.run();
-  }
-  Call c(call.schedule(), *sh, datatype, n, side);
-  if (n > 0) {
-    std::vector<std::size_t> off(static_cast<std::size_t>(P) + 1, 0);
-    for (std::size_t r = 0; r < static_cast<std::size_t>(P); ++r) {
-      off[r + 1] = off[r] + static_cast<std::size_t>(recvcounts[r]) *
-                                static_cast<std::size_t>(datatype->size);
-    }
-    const Schedule kind = named ? Schedule::Linear
-                                : choose_allreduce_schedule(c.bytes, comm,
-                                                            true);
-    Ref acc = named && me != 0 ? c.user(in) : c.packed(in, n);
-    switch (kind) {
-    case Schedule::Ring:
-      ring_reduce_scatter(c, acc, recvbuf, recvcounts, off);
-      break;
-    case Schedule::Doubling:
-      acc = doubling_allreduce(c, acc);
-      c.s.round(1).local(Op::Unpack, c.user(recvbuf),
-                         acc.at(off[static_cast<std::size_t>(me)]), 0,
-                         recvcounts[me]);
-      break;
-    case Schedule::Auto:
-    case Schedule::Linear:
-      fold_to_root(c, 0, acc, n);
-      scatter_from_zero(c, acc, recvbuf, recvcounts, off, named);
-      break;
-    }
-  }
-  return call.run();
+  return sched::run(
+      reduction_key(sched::Kind::ReduceScatter, sendbuf, recvbuf, datatype,
+                    *sh, op, -1, comm, side, recvcounts, P),
+      next, 2, [&](sched::Schedule &s) {
+        Call c(s, *sh, datatype, n, side);
+        if (n == 0) {
+          return;
+        }
+        std::vector<std::size_t> off(static_cast<std::size_t>(P) + 1, 0);
+        for (std::size_t r = 0; r < static_cast<std::size_t>(P); ++r) {
+          off[r + 1] = off[r] + static_cast<std::size_t>(recvcounts[r]) *
+                                    static_cast<std::size_t>(datatype->size);
+        }
+        const Schedule kind =
+            named ? Schedule::Linear
+                  : choose_allreduce_schedule(c.bytes, comm, true);
+        Ref acc = named && me != 0 ? c.user(in) : c.packed(in, n);
+        switch (kind) {
+        case Schedule::Ring:
+          ring_reduce_scatter(c, acc, recvbuf, recvcounts, off);
+          break;
+        case Schedule::Doubling:
+          acc = doubling_allreduce(c, acc);
+          c.s.round(1).local(Op::Unpack, c.user(recvbuf),
+                             acc.at(off[static_cast<std::size_t>(me)]), 0,
+                             recvcounts[me]);
+          break;
+        case Schedule::Auto:
+        case Schedule::Linear:
+          fold_to_root(c, 0, acc, n);
+          scatter_from_zero(c, acc, recvbuf, recvcounts, off, named);
+          break;
+        }
+      });
 }
 
 int reduce_scatter_block(const void *sendbuf, void *recvbuf, int recvcount,

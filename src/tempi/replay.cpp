@@ -1,7 +1,6 @@
 #include "tempi/replay.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 #include <vector>
 
@@ -15,7 +14,6 @@ namespace {
 struct Registry {
   std::mutex mutex;
   std::vector<detail::Clearable *> tables;
-  std::atomic<std::uint64_t> epoch{1};
 };
 
 Registry &registry() {
@@ -27,13 +25,8 @@ Registry &registry() {
 
 } // namespace
 
-std::uint64_t epoch() {
-  return registry().epoch.load(std::memory_order_acquire);
-}
-
 void release_all() {
   Registry &r = registry();
-  r.epoch.fetch_add(1, std::memory_order_release);
   const std::lock_guard<std::mutex> lock(r.mutex);
   for (detail::Clearable *t : r.tables) {
     t->clear();

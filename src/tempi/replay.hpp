@@ -6,12 +6,11 @@
 // sighting of a call runs live, the second records the call's kernel
 // chain as a vcuda graph (its *program*), and every later sighting
 // replays that program instead of paying a cold launch and a blocking
-// sync. MPI_Pack/MPI_Unpack (tempi.cpp) keep one table per thread, and
-// the request engine (async.cpp) keeps another for the send programs of
-// MPI_Send and MPI_Isend and the receive programs of MPI_Recv and
-// MPI_Irecv, plus a batch table for MPI_Waitall's fused unpacks, keyed by
-// the ordered receive programs one fused launch unpacks (SequenceKey). All
-// three are instances of Table below.
+// sync. Four stores, each a Table below, follow this rule through
+// Table::sight: MPI_Pack/MPI_Unpack's table (tempi.cpp), the request
+// engine's program table for Send/Isend/Recv/Irecv and its batch table for
+// MPI_Waitall's fused unpacks (async.cpp), and the collective engine's
+// schedule table (schedule.cpp).
 //
 // A table is open addressed with linear probing over kSlots slots. Slots
 // empty only all at once (clear()), so a probe may stop at the first empty
@@ -24,16 +23,16 @@
 // only weakly, never evicts it and never charges it to the budget; it
 // serves that key from the first sighting on. When its owner releases the
 // program (the request is freed, on any thread), the entry lapses to a
-// fresh slot at its next touch: nothing dangles and nothing is replayed
+// fresh slot at its next sighting: nothing dangles and nothing is replayed
 // from it.
 //
 // Stale programs: entries name packers by raw pointer, and uninstall()
 // destroys every packer. uninstall() therefore calls release_all(), which
-// bumps the process-wide epoch (a table touched under a newer epoch drops
-// its entries first) and clears every thread's table through the registry
-// below, so the programs' graphs and pinned leases are released at once.
+// clears every thread's table through the registry below, so the programs'
+// graphs and pinned leases are released at once.
 #pragma once
 
+#include "tempi/perf_model.hpp"
 #include "tempi/trace.hpp"
 #include "vcuda/runtime.hpp"
 
@@ -50,12 +49,15 @@ namespace tempi::replay {
 /// Entries per table (a power of two).
 inline constexpr std::size_t kSlots = 128;
 
-/// Current install epoch; programs recorded under an older one are never
-/// matched.
-std::uint64_t epoch();
+/// Pinned bytes the recorded programs of one thread's table may hold
+/// between them. Each store keeps its own account of this one budget: a
+/// shared account would need an LRU across stores, and no workload comes
+/// near a budget (every store's eviction counter reads 0 on all four
+/// end-to-end workloads).
+inline constexpr std::size_t kBudget = std::size_t{16} << 20;
 
-/// uninstall() (quiescent by contract): bump the epoch and clear every
-/// live table of every thread, releasing each program it holds.
+/// uninstall() (quiescent by contract): clear every live table of every
+/// thread, releasing each program it holds.
 void release_all();
 
 /// Mix a key's fields into a slot hash.
@@ -123,6 +125,7 @@ public:
   struct Entry {
     Key key{};
     std::uint64_t last_use = 0; ///< LRU stamp; 0 marks an empty slot
+    std::uint64_t stamp = 0;    ///< the caller's stamp `program` serves
     bool sighted = false;       ///< a later sighting may record `program`
     bool pinned = false;        ///< `pin` was entered by pin()
     Program program{};          ///< recorded on the second sighting
@@ -133,12 +136,17 @@ public:
     [[nodiscard]] bool live_pin() const { return pinned && !pin.expired(); }
   };
 
-  /// `budget` bounds the bytes charged by charge(). `evictions` counts
-  /// entries replaced or dropped: a full table's least recently used key
-  /// (whether or not it held a program) and a program evicted to stay
-  /// under the budget.
-  Table(trace::Counter &evictions, std::size_t budget)
-      : evictions_(evictions), budget_(budget) {
+  /// What a record callback hands sight(): the program (empty when
+  /// recording failed) and the bytes it pins.
+  struct Recorded {
+    Program program{};
+    std::size_t bytes = 0;
+  };
+
+  /// `evictions` counts entries replaced or dropped: a full table's least
+  /// recently used key (whether or not it held a program) and a program
+  /// evicted to stay under kBudget.
+  explicit Table(trace::Counter &evictions) : evictions_(evictions) {
     detail::enroll(this);
   }
   Table(const Table &) = delete;
@@ -148,14 +156,38 @@ public:
     clear();
   }
 
-  /// The entry for `key`, inserted when absent. `*seen` is true when this
-  /// is a repeat sighting or the key is pinned, i.e. the caller may record
-  /// or replay.
-  Entry &touch(const Key &key, bool *seen) {
+  /// One sighting of `key`: the rule every store follows. nullptr on the
+  /// first sighting, which the caller runs live. Every later sighting pays
+  /// the kMethodMemoHitNs lookup and gets the entry that serves it: a live
+  /// pin, or a program recorded under `stamp`. An entry without one (or
+  /// whose program another stamp recorded) records now through `record()`,
+  /// which returns a Recorded. An empty program comes back as nullptr and
+  /// stays unpromoted, so the next sighting tries again; a recorded one
+  /// counts a capture on `captures` (when given) and is charged its bytes,
+  /// and comes back as nullptr when it alone exceeds the budget.
+  template <class Record>
+  Entry *sight(const Key &key, std::uint64_t stamp,
+               trace::Counter *captures, Record &&record) {
     Entry &e = slot_for(key);
-    *seen = e.sighted;
-    e.sighted = true;
-    return e;
+    if (!e.sighted) {
+      e.sighted = true;
+      return nullptr;
+    }
+    vcuda::this_thread_timeline().advance(kMethodMemoHitNs); // the lookup
+    if (e.pinned || (e.program && e.stamp == stamp)) {
+      return &e;
+    }
+    forget(e); // a program of another stamp: not an eviction
+    Recorded r = record();
+    if (!r.program) {
+      return nullptr;
+    }
+    if (captures != nullptr) {
+      captures->add();
+    }
+    e.program = std::move(r.program);
+    e.stamp = stamp;
+    return charge(e, r.bytes) ? &e : nullptr;
   }
 
   /// Enter `pin` under `key`, replacing any program recorded for it. False
@@ -177,30 +209,6 @@ public:
     return true;
   }
 
-  /// Charge `bytes` pinned by `e`'s just-recorded program, then evict the
-  /// least recently used programs until the table is within its budget.
-  /// False when `e` itself had to go (it alone exceeds the budget).
-  bool charge(Entry &e, std::size_t bytes) {
-    e.bytes = bytes;
-    pinned_ += bytes;
-    while (pinned_ > budget_) {
-      Entry *victim = nullptr;
-      for (Entry &v : slots_) {
-        if (v.bytes > 0 &&
-            (victim == nullptr || v.last_use < victim->last_use)) {
-          victim = &v;
-        }
-      }
-      drop(*victim);
-      victim->sighted = false; // evicted: the next sighting runs live
-    }
-    return static_cast<bool>(e.program);
-  }
-
-  /// Release `e`'s program (a stale one, say); `e` stays sighted, so the
-  /// caller may record it again. Not an eviction.
-  void discard(Entry &e) { forget(e); }
-
   /// Drop every entry and the programs they hold.
   void clear() override {
     for (Entry &e : slots_) {
@@ -215,10 +223,6 @@ private:
   /// full), its LRU stamp refreshed. A lapsed pin restarts as a fresh
   /// slot.
   Entry &slot_for(const Key &key) {
-    if (const std::uint64_t now = replay::epoch(); now != epoch_) {
-      clear();
-      epoch_ = now;
-    }
     ++clock_;
     const auto home = static_cast<std::size_t>(key.hash());
     for (std::size_t p = 0; p < kSlots; ++p) {
@@ -249,6 +253,26 @@ private:
     return *victim;
   }
 
+  /// Charge `bytes` pinned by `e`'s just-recorded program, then evict the
+  /// least recently used programs until the table is within kBudget.
+  /// False when `e` itself had to go (it alone exceeds the budget).
+  bool charge(Entry &e, std::size_t bytes) {
+    e.bytes = bytes;
+    pinned_ += bytes;
+    while (pinned_ > kBudget) {
+      Entry *victim = nullptr;
+      for (Entry &v : slots_) {
+        if (v.bytes > 0 &&
+            (victim == nullptr || v.last_use < victim->last_use)) {
+          victim = &v;
+        }
+      }
+      drop(*victim);
+      victim->sighted = false; // evicted: the next sighting runs live
+    }
+    return static_cast<bool>(e.program);
+  }
+
   /// Release `e`'s program and forget its charge (its key stays).
   void forget(Entry &e) {
     e.program = Program{};
@@ -263,11 +287,21 @@ private:
   }
 
   trace::Counter &evictions_;
-  std::size_t budget_;
   std::size_t pinned_ = 0;
   std::array<Entry, kSlots> slots_{};
-  std::uint64_t epoch_ = 0;
   std::uint64_t clock_ = 0;
 };
+
+/// The calling thread's table of type `T` (one per store: every store's
+/// table type differs), allocated at its first use and freed at thread
+/// exit. Not a thread_local Table: every thread would then pay for it,
+/// since glibc clears each new thread's static TLS block.
+template <class T> T &thread_table(trace::Counter &evictions) {
+  thread_local std::unique_ptr<T> table;
+  if (!table) {
+    table = std::make_unique<T>(evictions);
+  }
+  return *table;
+}
 
 } // namespace tempi::replay

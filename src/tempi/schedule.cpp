@@ -7,6 +7,7 @@
 #include "tempi/async.hpp"
 #include "tempi/methods.hpp"
 #include "tempi/packer.hpp"
+#include "tempi/replay.hpp"
 #include "tempi/tempi.hpp"
 #include "tempi/topology.hpp"
 #include "vcuda/runtime.hpp"
@@ -31,18 +32,8 @@ struct ScheduleCounters {
 /// Namespace scope, so the counters register at static initialisation.
 ScheduleCounters g_counters;
 
-/// Lease bytes one thread's recorded schedules may pin.
-constexpr std::size_t kBudget = std::size_t{16} << 20;
-
-/// Allocated on the thread's first engine collective, freed at thread exit.
-thread_local std::unique_ptr<Table> t_schedules;
-
-Table &schedules() {
-  if (!t_schedules) {
-    t_schedules = std::make_unique<Table>(g_counters.evictions, kBudget);
-  }
-  return *t_schedules;
-}
+/// A thread's recorded schedules.
+using Table = replay::Table<Key, std::unique_ptr<Schedule>>;
 
 } // namespace
 
@@ -727,7 +718,14 @@ struct Exec {
     for (const Schedule::Buffer &b : s.bufs_) {
       bytes += b.device ? std::bit_ceil(b.bytes) : 0;
     }
-    return bytes <= kBudget;
+    return bytes <= replay::kBudget;
+  }
+
+  /// Serve a call from recorded schedule `s` on fresh tag slots.
+  static int replay(Schedule &s, int tags) {
+    s.reserve_tags(tags);
+    g_counters.replays.add();
+    return run(s, Mode::Replay);
   }
 
   /// Device lease bytes a recorded schedule pins.
@@ -740,48 +738,35 @@ struct Exec {
   }
 };
 
-Lookup::Lookup(const Key &key, const interpose::MpiTable &next, int tags) {
-  Table &table = schedules();
-  bool seen = false;
-  Table::Entry &e = table.touch(key, &seen);
-  if (e.program) {
-    Schedule &rec = *e.program;
-    if (rec.generation_ == choice_generation() &&
-        rec.topo_ == topo::enabled()) {
-      rec.reserve_tags(tags);
-      s_ = &rec;
-      hit_ = true;
-      return;
+int run(const Key &key, const interpose::MpiTable &next, int tags,
+        Build build) {
+  // What a recording is valid under: the legs' frozen choices and issue
+  // orders follow the model and the topology switch.
+  const std::uint64_t stamp =
+      (choice_generation() << 1) | static_cast<std::uint64_t>(topo::enabled());
+  int rc = MPI_SUCCESS;
+  bool ran = false;
+  // Build the call's schedule and run it: recorded when `record` and the
+  // schedule is recordable, else live.
+  const auto build_and_run = [&](bool record) -> Table::Recorded {
+    auto fresh = std::make_unique<Schedule>(key.comm, next, tags);
+    build(*fresh);
+    ran = true;
+    record = record && Exec::recordable(*fresh);
+    rc = Exec::run(*fresh, record ? Exec::Mode::Record : Exec::Mode::Live);
+    if (!record || rc != MPI_SUCCESS) {
+      return {};
     }
-    table.discard(e); // frozen under another model or topology: re-record
+    const std::size_t bytes = Exec::pinned(*fresh);
+    return {std::move(fresh), bytes};
+  };
+  Table &table = replay::thread_table<Table>(g_counters.evictions);
+  const Table::Entry *e = table.sight(key, stamp, &g_counters.captures,
+                                      [&] { return build_and_run(true); });
+  if (e == nullptr && !ran) {
+    build_and_run(false); // a first sighting
   }
-  fresh_ = std::make_unique<Schedule>(key.comm, next, tags);
-  s_ = fresh_.get();
-  if (seen) {
-    entry_ = &e;
-  }
-}
-
-int Lookup::run() {
-  if (hit_) {
-    vcuda::this_thread_timeline().advance(kMethodMemoHitNs); // the lookup
-    g_counters.replays.add();
-    return Exec::run(*s_, Exec::Mode::Replay);
-  }
-  if (entry_ == nullptr || !Exec::recordable(*s_)) {
-    return Exec::run(*s_, Exec::Mode::Live);
-  }
-  s_->generation_ = choice_generation();
-  s_->topo_ = topo::enabled();
-  const int rc = Exec::run(*s_, Exec::Mode::Record);
-  if (rc != MPI_SUCCESS) {
-    return rc; // unrecorded: the next sighting tries again
-  }
-  g_counters.captures.add();
-  const std::size_t bytes = Exec::pinned(*s_);
-  entry_->program = std::move(fresh_);
-  schedules().charge(*entry_, bytes);
-  return rc;
+  return ran ? rc : Exec::replay(*e->program, tags);
 }
 
 } // namespace tempi::sched

@@ -3,7 +3,7 @@
 //
 // A collective is a generator of a Schedule: a list of rounds, each a set
 // of steps over slices (Ref) of the schedule's buffers — caller memory or
-// leases. Lookup::run() executes the rounds in order. Within a round it
+// leases. run() executes the rounds in order. Within a round it
 //   1. runs the span packs (PackSpans), synchronized: the wire must not
 //      depart before the staging it reads has landed;
 //   2. posts every Send, then every Recv (a fan-out round orders each set
@@ -30,34 +30,30 @@
 // every return path consumes it.
 //
 // Repeated calls replay (LibNBC's schedule cache, Hoefler, Lumsdaine and
-// Rehm, SC'07). A collective names its call with a Key and runs through a
-// Lookup on the calling thread's schedule table (a replay::Table, cleared
-// by replay::release_all). The first sighting of a key builds and runs its
-// schedule live. The second builds it again and records it: each leg's
-// issue order and TransferChoice are frozen under the model's choice
-// generation, the leases stay pinned to the schedule, and each round's two
-// device phases become one graph each — the span packs, self copies and
-// moves before the wait, the combines and span unpacks after it. Every
-// later sighting skips the generator, reserves fresh tag slots, pays one
-// kMethodMemoHitNs lookup instead of a model query per leg, posts the
-// legs with the frozen choices and runs each phase as a GraphLaunch plus
-// a StreamFence where the live path launches and synchronizes. A schedule
-// with a host (Side::Other) leg or step, or pinning more than the table's
-// budget, always runs live; a choice-generation or TEMPI_TOPO change
-// re-records.
+// Rehm, SC'07): a collective names its call with a Key, and run() applies
+// the sighting rule of tempi/replay.hpp on the calling thread's schedule
+// table. A recording freezes each leg's issue order and TransferChoice,
+// keeps the leases pinned, and makes each round's two device phases one
+// graph each: the span packs, self copies and moves before the wait, the
+// combines and span unpacks after it. A replay skips the generator,
+// reserves fresh tag slots, posts the legs with the frozen choices and
+// runs each phase as a GraphLaunch plus a StreamFence where the live path
+// launches and synchronizes. A schedule with a host (Side::Other) leg or
+// step, or pinning more than replay::kBudget, always runs live; a change
+// of the model's choice generation or of TEMPI_TOPO re-records.
 #pragma once
 
 #include "interpose/table.hpp"
 #include "sysmpi/types.hpp"
 #include "tempi/buffer_cache.hpp"
 #include "tempi/kernels.hpp"
-#include "tempi/replay.hpp"
 #include "tempi/trace.hpp"
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 namespace tempi {
@@ -221,13 +217,9 @@ private:
   std::vector<int> tags_;
   /// Self copies on `stream` that no synchronization has observed yet.
   bool unsynced_ = false;
-  /// Recorded rounds (empty until recorded) and what they were frozen
-  /// under.
+  /// Recorded rounds (empty until recorded).
   std::vector<Frozen> frozen_;
-  std::uint64_t generation_ = 0;
-  bool topo_ = false;
   friend struct Exec;
-  friend class Lookup;
 };
 
 /// One side's datatype as a key sees it. A freed handle reused for a new
@@ -278,29 +270,29 @@ struct Key {
   [[nodiscard]] std::uint64_t hash() const;
 };
 
-/// A thread's recorded schedules.
-using Table = replay::Table<Key, std::unique_ptr<Schedule>>;
-
-/// One collective call through the calling thread's schedule table (see
-/// the file comment). When hit() the recorded schedule serves the call and
-/// the generator is skipped; otherwise the generator fills schedule(),
-/// which run() runs live (first sighting) or records (second).
-class Lookup {
+/// A collective's generator: fills a fresh schedule for the call. A
+/// non-owning reference, valid for the run() call it is passed to.
+class Build {
 public:
-  /// `tags` is the call's collective-tag budget, reserved here on
-  /// `key.comm`.
-  Lookup(const Key &key, const interpose::MpiTable &next, int tags);
-
-  [[nodiscard]] bool hit() const { return hit_; }
-  [[nodiscard]] Schedule &schedule() { return *s_; }
-  /// Execute the call; MPI_SUCCESS or the first error.
-  int run();
+  template <class F>
+  Build(F &&f) // implicit: call sites pass lambdas
+      : f_(&f), call_([](void *f, Schedule &s) {
+          (*static_cast<std::remove_reference_t<F> *>(f))(s);
+        }) {}
+  void operator()(Schedule &s) const { call_(f_, s); }
 
 private:
-  Table::Entry *entry_ = nullptr; ///< set when the call records
-  std::unique_ptr<Schedule> fresh_;
-  Schedule *s_ = nullptr;
-  bool hit_ = false;
+  void *f_;
+  void (*call_)(void *, Schedule &);
 };
+
+/// One collective call through the calling thread's schedule table (see
+/// the file comment): a recorded schedule serves the call and `build` is
+/// skipped; otherwise `build` fills a fresh schedule, which runs live
+/// (first sighting) or records (second). `tags` is the call's
+/// collective-tag budget, reserved on `key.comm` by every call. Returns
+/// MPI_SUCCESS or the first error.
+int run(const Key &key, const interpose::MpiTable &next, int tags,
+        Build build);
 
 } // namespace tempi::sched

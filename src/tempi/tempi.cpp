@@ -437,17 +437,12 @@ struct PackReplayKey {
   }
 };
 
-/// Pack programs are bare graphs: they pin no memory, so no byte budget.
 using PackReplayTable = replay::Table<PackReplayKey, replay::GraphPtr>;
-
-/// Allocated on the thread's first device pack or unpack, freed at thread
-/// exit. Not a thread_local table: every thread would then pay for it,
-/// since glibc clears each new thread's static TLS block.
-thread_local std::unique_ptr<PackReplayTable> t_pack_replay;
 
 /// One device MPI_Pack (`unpack` false) or MPI_Unpack body on the thread's
 /// default stream: live on the first sighting of its key, captured on the
-/// second, replayed from then on.
+/// second, replayed from then on. Pack programs are bare graphs: they pin
+/// no memory, so they charge nothing to the table's budget.
 vcuda::Error pack_call(const Packer &packer, void *dst, const void *src,
                        int count, bool unpack) {
   State &s = state();
@@ -464,34 +459,25 @@ vcuda::Error pack_call(const Packer &packer, void *dst, const void *src,
   if (vcuda::StreamIsCapturing(stream)) {
     return live();
   }
-  if (!t_pack_replay) {
-    t_pack_replay = std::make_unique<PackReplayTable>(
-        s.pack_evictions, std::numeric_limits<std::size_t>::max());
-  }
-  bool seen = false;
-  PackReplayTable::Entry &e =
-      t_pack_replay->touch({&packer, src, dst, count, unpack}, &seen);
-  if (!seen) {
-    return live();
-  }
-  vcuda::this_thread_timeline().advance(kMethodMemoHitNs); // the lookup
-  if (!e.program) {
-    vcuda::GraphHandle graph = nullptr;
-    const int rc = capture_on(stream, &graph, trace::OpKind::Pack, [&] {
-      const vcuda::Error err =
-          unpack ? packer.unpack_async(dst, src, count, stream)
-                 : packer.pack_async(dst, src, count, stream);
-      return err == vcuda::Error::Success ? MPI_SUCCESS : MPI_ERR_OTHER;
-    });
-    if (rc != MPI_SUCCESS) {
-      return live(); // unpromoted: the next sighting tries again
-    }
-    e.program.reset(graph);
-    s.pack_captures.add();
+  auto &table = replay::thread_table<PackReplayTable>(s.pack_evictions);
+  const PackReplayTable::Entry *e = table.sight(
+      {&packer, src, dst, count, unpack}, 0, &s.pack_captures,
+      [&]() -> PackReplayTable::Recorded {
+        vcuda::GraphHandle graph = nullptr; // stays null on a failed capture
+        capture_on(stream, &graph, trace::OpKind::Pack, [&] {
+          const vcuda::Error err =
+              unpack ? packer.unpack_async(dst, src, count, stream)
+                     : packer.pack_async(dst, src, count, stream);
+          return err == vcuda::Error::Success ? MPI_SUCCESS : MPI_ERR_OTHER;
+        });
+        return {replay::GraphPtr(graph), 0};
+      });
+  if (e == nullptr) {
+    return live(); // first sighting, or a failed capture
   }
   trace::ScopedSpan span(trace::Phase::GraphReplay, trace::OpKind::Pack,
                          bytes);
-  if (const vcuda::Error err = vcuda::GraphLaunch(e.program.get(), stream);
+  if (const vcuda::Error err = vcuda::GraphLaunch(e->program.get(), stream);
       err != vcuda::Error::Success) {
     return err;
   }
@@ -905,26 +891,6 @@ int tempi_Testsome(int incount, MPI_Request *requests, int *outcount,
 
 // --- persistent operations (the channel fast path, async.hpp) ----------------
 
-/// Shared Send_init/Recv_init gate: the same gate as Send/Isend (see
-/// gated_choice), but the choice is frozen — Auto runs the model's
-/// exact, uncached Persistent decision instead of the memoized cached
-/// one. Returns nullopt to fall through.
-std::optional<TransferChoice> persistent_choice(const Packer *packer,
-                                                const void *buf, int count) {
-  State &s = state();
-  if (!s.persistent_enabled.load(std::memory_order_relaxed)) {
-    return std::nullopt;
-  }
-  return gated_choice(packer, buf, count, [&](std::size_t total) {
-    trace::ScopedSpan span(trace::Phase::ModelChoice,
-                           trace::OpKind::Persistent, total);
-    const std::shared_lock<std::shared_mutex> lock(s.model_mutex);
-    return s.model.choose_transfer(
-        static_cast<std::size_t>(packer->block().block_bytes()), total,
-        {TransferKind::Persistent});
-  });
-}
-
 int tempi_Send_init(const void *buf, int count, MPI_Datatype datatype,
                     int dest, int tag, MPI_Comm comm, MPI_Request *request) {
   State &s = state();
@@ -1294,14 +1260,9 @@ void install() {
     }
   });
   // Close the self-tuning loop: drifted observations fold into the live
-  // model (apply_tuned_model), and persistent channels re-run their
-  // exhaustive search through the same gate Send_init/Recv_init used.
+  // model (apply_tuned_model), and persistent channels re-run
+  // persistent_choice at their next Start.
   tune::set_apply_hook(&apply_tuned_model);
-  async::set_persistent_rechoose(
-      [](const Packer &packer, const void *buf,
-         int count) -> std::optional<TransferChoice> {
-        return persistent_choice(&packer, buf, count);
-      });
   // Observability: TEMPI_TRACE=<path> / TEMPI_STATS=1 arm the tracer and
   // hook vcuda's device-op intervals.
   trace::configure_from_env();
@@ -1373,9 +1334,8 @@ void uninstall() {
     s.retired_packers.clear(); // quiescent: the request pool was drained
     bump_handle_generation(s);
   }
-  // Replay entries name the packers just destroyed: a new epoch keeps
-  // every thread from matching them, and every thread's tables release
-  // their graphs and pinned leases now.
+  // Replay entries name the packers just destroyed: every thread's tables
+  // drop them, releasing their graphs and pinned leases now.
   replay::release_all();
   // Leases released after the ranks' last MPI_Finalize (by the tables
   // above, or by program tables at their threads' exit) may have
@@ -1430,6 +1390,25 @@ const PerfModel &perf_model() {
 std::uint64_t choice_generation() {
   return (state().model_gen.load(std::memory_order_acquire) << 16) ^
          transfer_config_generation();
+}
+
+/// The same gate as Send/Isend (see gated_choice), but the choice is
+/// frozen: Auto runs the model's exact, uncached Persistent decision
+/// instead of the memoized cached one.
+std::optional<TransferChoice> persistent_choice(const Packer *packer,
+                                                const void *buf, int count) {
+  State &s = state();
+  if (!s.persistent_enabled.load(std::memory_order_relaxed)) {
+    return std::nullopt;
+  }
+  return gated_choice(packer, buf, count, [&](std::size_t total) {
+    trace::ScopedSpan span(trace::Phase::ModelChoice,
+                           trace::OpKind::Persistent, total);
+    const std::shared_lock<std::shared_mutex> lock(s.model_mutex);
+    return s.model.choose_transfer(
+        static_cast<std::size_t>(packer->block().block_bytes()), total,
+        {TransferKind::Persistent});
+  });
 }
 
 std::shared_ptr<const Packer> find_packer(MPI_Datatype datatype) {

@@ -100,6 +100,12 @@ const PerfModel &perf_model();
 /// transfer knob changes (wire limit, chunk override).
 std::uint64_t choice_generation();
 
+/// The Send_init/Recv_init choice for `count` objects of `packer` at
+/// `buf`; nullopt forwards the call to the system MPI. A persistent
+/// request re-runs it at its first Start after a tuned model landed.
+std::optional<TransferChoice> persistent_choice(const Packer *packer,
+                                                const void *buf, int count);
+
 /// True when `p` is device-resident per the virtual CUDA registry — the
 /// residency test every interposer gate uses. Exposed so the collectives
 /// engine (collectives.cpp) and tests share one definition with the

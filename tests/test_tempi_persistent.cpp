@@ -498,11 +498,11 @@ TEST_F(TempiPersistent, RefreezeFollowsModelGenerationExactlyOnce) {
 TEST_F(TempiPersistent, FailedRefreezeKeepsTheFrozenPlan) {
   // A re-freeze whose recording fails must leave the request on the plan
   // it froze: the Start that hit the failure and every later one succeed
-  // and deliver fresh payloads. The re-search picks Staged, whose single
-  // wire leg the lowered limit rejects (MPI_ERR_COUNT while recording).
+  // and deliver fresh payloads. The lowered limit is below one 16-byte
+  // row, so the re-search picks Pipelined, whose legs the limit rejects on
+  // both ends (MPI_ERR_COUNT while recording).
   tempi::set_send_mode(tempi::SendMode::ForceDevice);
   std::atomic<int> failed_starts{0};
-  tempi::async::RechooseFn previous = nullptr;
   run2([&](int rank) {
     MPI_Init(nullptr, nullptr);
     MPI_Datatype t = nullptr;
@@ -554,12 +554,7 @@ TEST_F(TempiPersistent, FailedRefreezeKeepsTheFrozenPlan) {
     exchange(0); // the frozen Device plan
     MPI_Barrier(MPI_COMM_WORLD);
     if (rank == 0) {
-      tempi::set_wire_chunk_limit(16 * 1024);
-      previous = tempi::async::set_persistent_rechoose(
-          [](const tempi::Packer &, const void *,
-             int) -> std::optional<tempi::TransferChoice> {
-            return tempi::TransferChoice{tempi::Method::Staged, 0};
-          });
+      tempi::set_wire_chunk_limit(8);
       tempi::tune::set_enabled(true);
       tempi::tune::observe(tempi::tune::Axis::D2H, 0, 1,
                            vcuda::us_to_ns(50.0));
@@ -574,7 +569,6 @@ TEST_F(TempiPersistent, FailedRefreezeKeepsTheFrozenPlan) {
     }
     MPI_Barrier(MPI_COMM_WORLD);
     if (rank == 0) {
-      tempi::async::set_persistent_rechoose(previous);
       tempi::set_wire_chunk_limit(tempi::kMaxWireBytes);
     }
     ASSERT_EQ(MPI_Request_free(&req), MPI_SUCCESS);
