@@ -122,13 +122,14 @@ inline ReplayTiming slowest(const std::vector<ReplayTiming> &per_rank) {
   return worst;
 }
 
-/// Receiver-side Send/Recv latency (virtual us) for a 2-D device object,
-/// with one warm-up round, two ranks on distinct virtual nodes.
-inline double send_latency_us(tempi::SendMode mode, long long blocks,
-                              long long block_bytes, long long pitch_bytes,
-                              int rounds = 3) {
+/// Receiver-side virtual us of each of `rounds` Send/Recv rounds of a 2-D
+/// device object, two ranks on distinct virtual nodes.
+inline std::vector<double> send_rounds_us(tempi::SendMode mode,
+                                          long long blocks,
+                                          long long block_bytes,
+                                          long long pitch_bytes, int rounds) {
   tempi::set_send_mode(mode);
-  double result = 0.0;
+  std::vector<double> result;
   sysmpi::RunConfig cfg;
   cfg.ranks = 2;
   cfg.ranks_per_node = 1;
@@ -139,8 +140,7 @@ inline double send_latency_us(tempi::SendMode mode, long long blocks,
     MPI_Type_get_extent(t, &lb, &extent);
     void *buf = nullptr;
     vcuda::Malloc(&buf, static_cast<std::size_t>(extent) + 64);
-    support::Sampler sampler;
-    for (int round = 0; round <= rounds; ++round) {
+    for (int round = 0; round < rounds; ++round) {
       if (rank == 0) {
         MPI_Send(buf, 1, t, 1, round, MPI_COMM_WORLD);
         int ack = 0;
@@ -149,15 +149,10 @@ inline double send_latency_us(tempi::SendMode mode, long long blocks,
       } else {
         const vcuda::VirtualNs t0 = vcuda::virtual_now();
         MPI_Recv(buf, 1, t, 0, round, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
-        if (round > 0) { // discard the cache-cold warm-up round
-          sampler.add(vcuda::ns_to_us(vcuda::virtual_now() - t0));
-        }
+        result.push_back(vcuda::ns_to_us(vcuda::virtual_now() - t0));
         const int ack = 1;
         MPI_Send(&ack, 1, MPI_INT, 0, 999, MPI_COMM_WORLD);
       }
-    }
-    if (rank == 1) {
-      result = sampler.trimean();
     }
     vcuda::Free(buf);
     MPI_Type_free(&t);
@@ -165,6 +160,32 @@ inline double send_latency_us(tempi::SendMode mode, long long blocks,
   });
   tempi::set_send_mode(tempi::SendMode::Auto);
   return result;
+}
+
+/// Receiver-side Send/Recv latency (virtual us) for a 2-D device object:
+/// the trimean of `rounds` rounds after one cache-cold warm-up round.
+inline double send_latency_us(tempi::SendMode mode, long long blocks,
+                              long long block_bytes, long long pitch_bytes,
+                              int rounds = 3) {
+  const std::vector<double> us =
+      send_rounds_us(mode, blocks, block_bytes, pitch_bytes, rounds + 1);
+  support::Sampler sampler;
+  for (std::size_t i = 1; i < us.size(); ++i) {
+    sampler.add(us[i]);
+  }
+  return sampler.trimean();
+}
+
+/// The same latency as the replay tables see it (see time_replayed): the
+/// cold round, the round that records the receive's program, and the
+/// trimean of `steady` >= 1 rounds that replay it.
+inline ReplayTiming send_replayed_us(tempi::SendMode mode, long long blocks,
+                                     long long block_bytes,
+                                     long long pitch_bytes, int steady) {
+  const std::vector<double> us =
+      send_rounds_us(mode, blocks, block_bytes, pitch_bytes, steady + 2);
+  std::size_t next = 0;
+  return time_replayed(steady, [&] { return us[next++]; });
 }
 
 /// Where the BENCH_*.json sidecars land: TEMPI_BENCH_OUT overrides, else

@@ -5,6 +5,9 @@
 //   (b) latency of the three TEMPI modes normalized to the slower of
 //       one-shot/device, showing that auto reliably picks the faster
 //       method with only the model-query overhead (~277 ns cached).
+// The TEMPI columns time the steady state, from the third round of a shape
+// on, when the receive replays its recorded program; `auto rec` is auto's
+// second round, which records it.
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -24,36 +27,41 @@ int main() {
 
   std::printf("Fig. 11a — Send/Recv latency (virtual us), device-resident "
               "2-D objects, pitch = 2x block\n\n");
-  std::printf("%8s %7s | %12s %12s %12s %14s %9s\n", "object", "block",
-              "one-shot", "device", "auto", "baseline", "speedup");
+  std::printf("%8s %7s | %12s %12s %12s %12s %14s %9s\n", "object",
+              "block", "one-shot", "device", "auto", "auto rec", "baseline",
+              "speedup");
 
   struct Row {
     long long object, block;
-    double oneshot, device, autosel, baseline;
+    double oneshot, device, autosel, auto_rec, baseline;
   };
   std::vector<Row> rows;
 
   for (const long long object : objects) {
     for (const long long block : blocks) {
       const long long nblocks = object / block;
-      Row r{object, block, 0, 0, 0, 0};
-      const int rounds = smoke ? 1 : 3;
-      r.oneshot = bench::send_latency_us(tempi::SendMode::ForceOneShot,
-                                         nblocks, block, 2 * block, rounds);
-      r.device = bench::send_latency_us(tempi::SendMode::ForceDevice,
-                                        nblocks, block, 2 * block, rounds);
-      r.autosel = bench::send_latency_us(tempi::SendMode::Auto, nblocks,
-                                         block, 2 * block, rounds);
+      Row r{object, block, 0, 0, 0, 0, 0};
+      const int steady = smoke ? 1 : 3;
+      r.oneshot = bench::send_replayed_us(tempi::SendMode::ForceOneShot,
+                                          nblocks, block, 2 * block, steady)
+                      .steady_us;
+      r.device = bench::send_replayed_us(tempi::SendMode::ForceDevice,
+                                         nblocks, block, 2 * block, steady)
+                     .steady_us;
+      const bench::ReplayTiming autosel = bench::send_replayed_us(
+          tempi::SendMode::Auto, nblocks, block, 2 * block, steady);
+      r.autosel = autosel.steady_us;
+      r.auto_rec = autosel.record_us;
       // The baseline walks every contiguous block through the driver; one
       // round is plenty (deterministic virtual time, and 4M-block objects
       // are seconds of virtual latency per round).
       r.baseline = bench::send_latency_us(tempi::SendMode::System, nblocks,
                                           block, 2 * block, /*rounds=*/1);
       rows.push_back(r);
-      std::printf("%8s %6lldB | %12.1f %12.1f %12.1f %14.1f %8.0fx\n",
+      std::printf("%8s %6lldB | %12.1f %12.1f %12.1f %12.1f %14.1f %8.0fx\n",
                   bench::human_bytes(static_cast<double>(object)).c_str(),
-                  block, r.oneshot, r.device, r.autosel, r.baseline,
-                  r.baseline / r.autosel);
+                  block, r.oneshot, r.device, r.autosel, r.auto_rec,
+                  r.baseline, r.baseline / r.autosel);
     }
   }
 

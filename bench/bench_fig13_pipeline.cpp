@@ -134,7 +134,11 @@ int main() {
   // --- (c) measured virtual time: monolithic vs pipelined ping-pong ----------
   // A fragmented 2-D object (8 B blocks): pack/unpack are wire-comparable,
   // so the pipeline's overlap shows up in end-to-end virtual latency.
-  // These runs double as the first tuning observations.
+  // These runs double as the first tuning observations. The device and
+  // auto columns time a third round, once the receive replays its program
+  // (`device rec` is the round that records it; above the replay budget,
+  // full mode's every round runs live, as before); a pipelined receive
+  // records nothing, so its column keeps the rounds after the first.
   const long long meas_block = 8;
   const long long meas_blocks =
       (smoke ? (1LL << 20) : (64LL << 20)) / meas_block;
@@ -144,19 +148,20 @@ int main() {
               bench::human_bytes(static_cast<double>(meas_block) *
                                  static_cast<double>(meas_blocks))
                   .c_str());
-  const double dev_us =
-      bench::send_latency_us(tempi::SendMode::ForceDevice, meas_blocks,
-                             meas_block, 2 * meas_block, rounds);
+  const bench::ReplayTiming dev =
+      bench::send_replayed_us(tempi::SendMode::ForceDevice, meas_blocks,
+                              meas_block, 2 * meas_block, 1);
   const double pipe_us =
       bench::send_latency_us(tempi::SendMode::ForcePipelined, meas_blocks,
                              meas_block, 2 * meas_block, rounds);
-  const double auto_us =
-      bench::send_latency_us(tempi::SendMode::Auto, meas_blocks, meas_block,
-                             2 * meas_block, rounds);
-  std::printf("%12s %12s %12s | %s\n", "device", "pipelined", "auto",
-              "device/pipelined");
-  std::printf("%12.1f %12.1f %12.1f | %15.2fx\n", dev_us, pipe_us, auto_us,
-              dev_us / pipe_us);
+  const bench::ReplayTiming autosel =
+      bench::send_replayed_us(tempi::SendMode::Auto, meas_blocks, meas_block,
+                              2 * meas_block, 1);
+  std::printf("%12s %12s %12s %12s | %s\n", "device", "pipelined", "auto",
+              "device rec", "device/pipelined");
+  std::printf("%12.1f %12.1f %12.1f %12.1f | %15.2fx\n", dev.steady_us,
+              pipe_us, autosel.steady_us, dev.record_us,
+              dev.steady_us / pipe_us);
 
   // The multi-leg >limit path, scaled down via the injectable wire-chunk
   // limit so CI exercises the 2 GiB-ceiling machinery without gigabytes.

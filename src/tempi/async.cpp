@@ -64,6 +64,19 @@ struct RecordedProgram {
   std::atomic<bool> released{false};
 };
 
+/// A self delivery decided when its send was posted (see deliver_self),
+/// shared by the send and the receive it lands in. The recorded pack runs
+/// once, in the first completion call that reaches either request, or as
+/// nodes of the Waitall flush that unpacks the receive. `pack` is null once
+/// it ran, or once the receive was dropped; `send` is valid while `pack` is
+/// set, because a send runs or drops its delivery before it is destroyed.
+struct Delivery {
+  std::mutex mutex;
+  std::shared_ptr<RecordedProgram> pack;
+  const AsyncOp *send = nullptr;
+  vcuda::VirtualNs done_at = 0; ///< when the pack completed
+};
+
 /// One TEMPI-owned request. Created and driven by the owning rank thread;
 /// only the pool map itself is shared. A one-shot op (Isend, Irecv and
 /// their pre-packed collective variants) leaves the pool when it completes.
@@ -114,12 +127,14 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   /// Receive only: the inbox of the posting thread while the op is listed
   /// there, so a self-addressed send of that thread may deliver into it.
   std::shared_ptr<Inbox> inbox;
-  /// Receive only: a self-addressed send packed its message into the op's
-  /// landing buffer and set `wire_status`, finishing at virtual time
-  /// `delivered_at`; the wire leg needs no system receive. Set under the
-  /// inbox lock, so it is final once the op has left its inbox.
+  /// Receive only: a self-addressed send delivers its message into the
+  /// op's landing buffer and sets `wire_status`; the wire leg needs no
+  /// system receive. Set under the inbox lock, so it is final once the op
+  /// has left its inbox.
   std::atomic<bool> delivered{false};
-  vcuda::VirtualNs delivered_at = 0;
+  /// The self delivery this send made, or the one made into this
+  /// receive, until the op has run or dropped its pack.
+  std::shared_ptr<Delivery> delivery;
 
   /// The recorded program this op sends from or receives into. A
   /// persistent op owns its frozen monolithic program; any other op holds
@@ -155,6 +170,7 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   AsyncOp &operator=(const AsyncOp &) = delete;
   ~AsyncOp() {
     leave_inbox();
+    drop_delivery();
     release_claim();
     if (persistent && program) {
       program->released.store(true, std::memory_order_release);
@@ -168,6 +184,17 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
       std::erase(inbox->ops, this);
     }
     inbox.reset();
+  }
+
+  /// Forget `delivery`; a pack that never ran never will. A receive drops
+  /// it when it is discarded, since its landing buffer goes back to the
+  /// cache; uninstall drops a send's, since its stream may be gone.
+  void drop_delivery() {
+    if (delivery) {
+      const std::lock_guard<std::mutex> lock(delivery->mutex);
+      delivery->pack.reset();
+    }
+    delivery.reset();
   }
 
   /// Give `program`'s in-flight mark back, if this op holds it.
@@ -423,6 +450,7 @@ void adopt(AsyncOp &op, std::shared_ptr<RecordedProgram> program) {
 void disarm(AsyncOp &op) {
   op.leave_inbox();
   op.delivered.store(false, std::memory_order_relaxed);
+  op.drop_delivery();
   op.release_claim();
   op.pipe.wire = CachedBuffer{};
   op.pipe.stage = CachedBuffer{};
@@ -441,7 +469,8 @@ ReplayCounters &replay_counters(trace::OpKind label) {
 }
 
 /// Count one call that ran from a recorded program, with `graphs` graph
-/// launches of its own (none when a recorded fused batch unpacked it).
+/// launches of its own (none when a recorded fused batch unpacked it, or
+/// for a self delivery, whose pack runs at completion).
 void count_replay(const AsyncOp &op, std::uint64_t graphs = 1) {
   if (op.persistent) {
     Pool &p = pool();
@@ -484,15 +513,55 @@ PackPipeline &wire_pipe(AsyncOp &op) {
   return op.claimed ? op.program->prog.pipe : op.pipe;
 }
 
+/// Launch `d`'s pending pack as one graph on its recorded stream, fence
+/// it, and mark the delivery done. The caller holds `d.mutex`.
+int launch_pack(Delivery &d) {
+  const AsyncOp &send = *d.send;
+  const PersistentProgram &prog = d.pack->prog;
+  trace::ScopedSpan replay(trace::Phase::GraphReplay, send.label,
+                           prog.pipe.bytes, send.peer, send.tag,
+                           static_cast<std::int8_t>(send.method));
+  const vcuda::Error e = vcuda::GraphLaunch(prog.graph, prog.stream);
+  if (e == vcuda::Error::Success) {
+    vcuda::StreamFence(prog.stream);
+  }
+  d.pack.reset();
+  d.done_at = vcuda::this_thread_timeline().now();
+  return e == vcuda::Error::Success ? MPI_SUCCESS : MPI_ERR_OTHER;
+}
+
+/// Run the pack of `op`'s self delivery unless the other request already
+/// did, and wait until it completed: the first completion call that
+/// reaches either request packs the message.
+int run_delivery(AsyncOp &op) {
+  if (!op.delivery) {
+    return MPI_SUCCESS;
+  }
+  Delivery &d = *op.delivery;
+  int rc = MPI_SUCCESS;
+  vcuda::VirtualNs done = 0;
+  {
+    const std::lock_guard<std::mutex> lock(d.mutex);
+    if (d.pack) {
+      rc = launch_pack(d);
+    }
+    done = d.done_at;
+  }
+  vcuda::this_thread_timeline().wait_until(done);
+  op.delivery.reset();
+  return rc;
+}
+
 /// The blocking wire leg of a monolithic packer-driven receive: the packed
 /// bytes land in the op's leased wire buffer, or in its recorded
-/// program's pinned one. A receive a self-addressed send delivered into
-/// already holds them: it only waits for the delivery's virtual time.
-int recv_wire(AsyncOp &op, const interpose::MpiTable &next) {
+/// program's pinned one. A receive a self-addressed send delivers into
+/// needs no wire: its pack runs here unless `pack_delivery` is false
+/// (Waitall packs it inside its flush) or the send already ran it.
+int recv_wire(AsyncOp &op, const interpose::MpiTable &next,
+              bool pack_delivery = true) {
   op.leave_inbox();
   if (op.delivered.load(std::memory_order_acquire)) {
-    vcuda::this_thread_timeline().wait_until(op.delivered_at);
-    return MPI_SUCCESS;
+    return pack_delivery ? run_delivery(op) : MPI_SUCCESS;
   }
   const PackPipeline &pipe = wire_pipe(op);
   trace::ScopedSpan wire(trace::Phase::Wire, op.label, pipe.bytes,
@@ -645,11 +714,13 @@ int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
   return MPI_SUCCESS;
 }
 
-/// Reclaim the system request backing a completed send transfer.
+/// Complete a send: run its self delivery's pack if no completion call
+/// ran it yet, or reclaim the system request backing its transfer.
 int complete_send(AsyncOp &op, const interpose::MpiTable &next) {
-  const int rc = op.inner == MPI_REQUEST_NULL
-                     ? MPI_SUCCESS
-                     : next.Wait(&op.inner, MPI_STATUS_IGNORE);
+  int rc = run_delivery(op);
+  if (rc == MPI_SUCCESS && op.inner != MPI_REQUEST_NULL) {
+    rc = next.Wait(&op.inner, MPI_STATUS_IGNORE);
+  }
   if (rc == MPI_SUCCESS) {
     op.phase = OpPhase::Complete;
   }
@@ -840,6 +911,14 @@ ForwardedRecvs &forwarded() {
   return f;
 }
 
+/// Whether a receive posted for (`source`, `tag`) on `comm` could take a
+/// message with `msg`'s envelope (its peer, tag and comm).
+bool could_take(int source, int tag, MPI_Comm comm, const AsyncOp &msg) {
+  return comm == msg.comm &&
+         (source == msg.peer || source == MPI_ANY_SOURCE) &&
+         (tag == msg.tag || tag == MPI_ANY_TAG);
+}
+
 bool forwarded_could_match(const AsyncOp &send) {
   ForwardedRecvs &f = forwarded();
   if (f.size.load(std::memory_order_acquire) == 0) {
@@ -848,19 +927,14 @@ bool forwarded_could_match(const AsyncOp &send) {
   const std::lock_guard<std::mutex> lock(f.mutex);
   return std::any_of(f.recvs.begin(), f.recvs.end(),
                      [&](const ForwardedRecv &r) {
-                       return r.comm == send.comm &&
-                              (r.source == send.peer ||
-                               r.source == MPI_ANY_SOURCE) &&
-                              (r.tag == send.tag || r.tag == MPI_ANY_TAG);
+                       return could_take(r.source, r.tag, r.comm, send);
                      });
 }
 
 /// The first receive in `inbox` that `send` could match, in posting order.
 AsyncOp *first_candidate(const Inbox &inbox, const AsyncOp &send) {
   for (AsyncOp *r : inbox.ops) {
-    if (r->comm == send.comm &&
-        (r->peer == send.peer || r->peer == MPI_ANY_SOURCE) &&
-        (r->tag == send.tag || r->tag == MPI_ANY_TAG)) {
+    if (could_take(r->peer, r->tag, r->comm, send)) {
       return r;
     }
   }
@@ -888,12 +962,13 @@ bool deliverable(AsyncOp &recv, const AsyncOp &send, std::size_t bytes,
   return !forwarded_could_match(send);
 }
 
-/// Pack send `op` into `recv`'s landing buffer with one graph launch and
-/// a pre-armed fence, then hand `recv` the wire status a system receive
-/// would report. The graph is the pair's entry in the thread's program
+/// Deliver send `op` into `recv`'s landing buffer: hand `recv` the wire
+/// status a system receive would report, and leave the graph that packs
+/// the message there pending in a Delivery both ops share (see
+/// run_delivery). The graph is the pair's entry in the thread's program
 /// table; it pins no memory, so it charges nothing to the budget. False
-/// (nothing delivered: the system route) when the sighting serves no graph
-/// or the launch fails.
+/// (nothing delivered: the system route) when the sighting serves no
+/// graph.
 bool deliver_into(AsyncOp &op, AsyncOp &recv, std::size_t bytes) {
   void *landing = wire_pipe(recv).wire.get();
   const ProgramTable::Entry *e = programs().sight(
@@ -917,24 +992,16 @@ bool deliver_into(AsyncOp &op, AsyncOp &recv, std::size_t bytes) {
   if (e == nullptr) {
     return false;
   }
-  const PersistentProgram &prog = e->program->prog;
-  {
-    trace::ScopedSpan replay(trace::Phase::GraphReplay, op.label, bytes,
-                             op.peer, op.tag,
-                             static_cast<std::int8_t>(op.method));
-    if (vcuda::GraphLaunch(prog.graph, prog.stream) !=
-        vcuda::Error::Success) {
-      return false;
-    }
-    count_replay(op);
-    vcuda::StreamFence(prog.stream);
-  }
-  op.stream = prog.stream;
+  count_replay(op, 0); // its pack runs later, at completion
+  op.stream = e->program->prog.stream;
+  op.delivery = std::make_shared<Delivery>();
+  op.delivery->pack = e->program;
+  op.delivery->send = &op;
+  recv.delivery = op.delivery;
   recv.wire_status.MPI_SOURCE = op.peer;
   recv.wire_status.MPI_TAG = op.tag;
   recv.wire_status.MPI_ERROR = MPI_SUCCESS;
   recv.wire_status.count_bytes = static_cast<long long>(bytes);
-  recv.delivered_at = vcuda::this_thread_timeline().now();
   recv.delivered.store(true, std::memory_order_release);
   return true;
 }
@@ -1769,24 +1836,35 @@ void note_stream(std::vector<vcuda::StreamHandle> &list,
 //
 // The halo exchange's Waitall completes the same receives every iteration,
 // each into its recorded receive program. The claimed programs one flush
-// of the fused batch unpacks are the flush's members, and a thread's batch
-// table keys each ordered member list: a repeated list replays the
-// members' fused unpack as one graph launch on the first member's stream,
-// which pass 2 fences, instead of one graph launch per receive. A recorded
-// batch owns its members, so no member's address can be reused by a new
-// program while its graph exists; a member evicted from the program table,
-// or released by its persistent request, is never claimed again, so the
-// batch stops matching and is never replayed.
+// of the fused batch unpacks are the flush's members; a self delivery into
+// a member whose pack is still pending packs in the same flush. A thread's
+// batch table keys each ordered list of pending packs and members: a
+// repeated list replays the packs and then the members' fused unpack as
+// one graph launch on the first member's stream, which pass 2 fences,
+// instead of one graph launch per pack and per receive. A recorded batch
+// owns its members and packs, so no address can be reused by a new
+// program while its graph exists; a member or pack evicted from the
+// program table, or a member released by its persistent request, is never
+// served again, so the batch stops matching and is never replayed.
 
 /// A recorded fused unpack and the programs it reads and writes through.
 struct BatchProgram {
-  std::vector<std::shared_ptr<RecordedProgram>> members;
+  std::vector<std::shared_ptr<RecordedProgram>> programs;
   replay::GraphPtr graph;
   vcuda::StreamHandle stream = nullptr;
 };
 
 using BatchTable =
     replay::Table<replay::SequenceKey, std::unique_ptr<BatchProgram>>;
+
+/// One member of a flush: a full message into a claimed program, and the
+/// self delivery into it whose pack the flush runs (null when none is
+/// pending), locked until the flush is done with it.
+struct Member {
+  AsyncOp *op = nullptr;
+  Delivery *pack = nullptr;
+  std::unique_lock<std::mutex> lock;
+};
 
 /// The fused unpack item of the objects `op`'s wire delivered into
 /// `op`'s wire lease (or its claimed program's).
@@ -1796,23 +1874,37 @@ UnpackItem unpack_item(AsyncOp &op, int objects) {
           wire_pipe(op).wire.get(), objects};
 }
 
-/// Record the fused unpack of `ops` (full messages into claimed programs)
-/// as one graph on the first program's stream, pinning its members'
-/// bytes; empty when recording fails.
-BatchTable::Recorded record_batch(std::span<AsyncOp *const> ops) {
+/// Record the members' pending packs, then their fused unpack, as one
+/// graph on the first program's stream, pinning the members' bytes; empty
+/// when recording fails.
+BatchTable::Recorded record_batch(std::span<const Member> members) {
   auto batch = std::make_unique<BatchProgram>();
   std::vector<UnpackItem> items;
-  items.reserve(ops.size());
+  items.reserve(members.size());
   std::size_t pinned = 0;
-  for (AsyncOp *op : ops) {
-    batch->members.push_back(op->program);
-    items.push_back(unpack_item(*op, op->count));
-    const PackPipeline &pipe = op->program->prog.pipe;
+  for (const Member &m : members) {
+    if (m.pack != nullptr) {
+      batch->programs.push_back(m.pack->pack);
+    }
+    batch->programs.push_back(m.op->program);
+    items.push_back(unpack_item(*m.op, m.op->count));
+    const PackPipeline &pipe = m.op->program->prog.pipe;
     pinned += pipe.wire.capacity() + pipe.stage.capacity();
   }
-  batch->stream = ops.front()->program->prog.stream;
+  batch->stream = members.front().op->program->prog.stream;
   vcuda::GraphHandle graph = nullptr;
   const int rc = capture_on(batch->stream, &graph, trace::OpKind::Irecv, [&] {
+    for (const Member &m : members) {
+      if (m.pack == nullptr) {
+        continue;
+      }
+      const AsyncOp &send = *m.pack->send;
+      if (send.packer->pack_async(wire_pipe(*m.op).wire.get(), send.send_buf,
+                                  send.count, batch->stream) !=
+          vcuda::Error::Success) {
+        return MPI_ERR_OTHER;
+      }
+    }
     return launch_unpack_batch(items, batch->stream) == vcuda::Error::Success
                ? MPI_SUCCESS
                : MPI_ERR_OTHER;
@@ -1824,50 +1916,83 @@ BatchTable::Recorded record_batch(std::span<AsyncOp *const> ops) {
   return {std::move(batch), pinned};
 }
 
-/// Unpack full messages into claimed programs: `ops` replay as one
-/// recorded batch when this thread flushed the same programs before, else
-/// each replays its own program's graph. The streams to fence go to
+/// Unpack full messages into claimed programs, after the pending packs of
+/// self deliveries into them: all of it replays as one recorded batch when
+/// this thread flushed the same packs and programs before, else each pack
+/// and each program's graph launches on its own. Each pending delivery's
+/// lock is held until its pack ran, so a completion of its send on another
+/// thread waits for this flush. Holding several cannot deadlock: a
+/// delivery's receive is in one flush at most, and a send's completion
+/// holds no lock but its own delivery's. The streams to fence go to
 /// `fence_streams`.
 int replay_members(std::span<AsyncOp *const> ops,
                    std::vector<vcuda::StreamHandle> &fence_streams) {
-  const BatchProgram *batch = nullptr;
-  if (ops.size() > 1) {
-    replay::SequenceKey key;
-    key.items.reserve(ops.size());
-    for (const AsyncOp *op : ops) {
-      key.items.push_back(replay::bits(op->program.get()));
+  std::vector<Member> members;
+  vcuda::VirtualNs packed_at = 0; ///< packs the sends already ran
+  replay::SequenceKey key;
+  members.reserve(ops.size());
+  key.items.reserve(2 * ops.size());
+  for (AsyncOp *op : ops) {
+    Member &m = members.emplace_back();
+    m.op = op;
+    if (Delivery *d = op->delivery.get()) {
+      m.lock = std::unique_lock<std::mutex>(d->mutex);
+      if (d->pack) {
+        m.pack = d;
+        key.items.push_back(replay::bits(d->pack.get()));
+      } else {
+        packed_at = std::max(packed_at, d->done_at);
+        m.lock.unlock();
+      }
     }
+    key.items.push_back(replay::bits(op->program.get()));
+  }
+  vcuda::this_thread_timeline().wait_until(packed_at);
+  const BatchProgram *batch = nullptr;
+  if (key.items.size() > 1) {
     auto &table =
         replay::thread_table<BatchTable>(pool().fused_unpack_evictions);
     const BatchTable::Entry *e =
         table.sight(key, 0, &pool().fused_unpack_captures,
-                    [&] { return record_batch(ops); });
+                    [&] { return record_batch(members); });
     batch = e != nullptr ? e->program.get() : nullptr;
   }
   if (batch == nullptr) {
-    for (AsyncOp *op : ops) {
-      if (const int rc = replay_unpack(*op); rc != MPI_SUCCESS) {
+    for (const Member &m : members) {
+      int rc = m.pack != nullptr ? launch_pack(*m.pack) : MPI_SUCCESS;
+      if (rc == MPI_SUCCESS) {
+        rc = replay_unpack(*m.op);
+      }
+      if (rc != MPI_SUCCESS) {
         return rc;
       }
-      note_stream(fence_streams, op->stream);
+      note_stream(fence_streams, m.op->stream);
     }
-    return MPI_SUCCESS;
+  } else {
+    std::uint64_t bytes = 0;
+    for (const AsyncOp *op : ops) {
+      bytes += op->pipe.bytes;
+    }
+    trace::ScopedSpan replay(trace::Phase::GraphReplay, trace::OpKind::Irecv,
+                             bytes);
+    if (vcuda::GraphLaunch(batch->graph.get(), batch->stream) !=
+        vcuda::Error::Success) {
+      return MPI_ERR_OTHER;
+    }
+    pool().fused_unpack_replays.add();
+    for (const Member &m : members) {
+      if (m.pack != nullptr) {
+        m.pack->pack.reset();
+        m.pack->done_at = vcuda::this_thread_timeline().now();
+      }
+      count_replay(*m.op, 0);
+    }
+    note_stream(fence_streams, batch->stream);
   }
-  std::uint64_t bytes = 0;
-  for (const AsyncOp *op : ops) {
-    bytes += op->pipe.bytes;
-  }
-  trace::ScopedSpan replay(trace::Phase::GraphReplay, trace::OpKind::Irecv,
-                           bytes);
-  if (vcuda::GraphLaunch(batch->graph.get(), batch->stream) !=
-      vcuda::Error::Success) {
-    return MPI_ERR_OTHER;
-  }
-  pool().fused_unpack_replays.add();
+  members.clear(); // unlocks the deliveries before the receives let go
   for (AsyncOp *op : ops) {
-    count_replay(*op, 0);
+    op->delivery.reset();
   }
-  note_stream(fence_streams, batch->stream);
   return MPI_SUCCESS;
 }
 
@@ -1882,21 +2007,24 @@ struct UnpackBatch {
   vcuda::StreamHandle stream = nullptr;
   std::vector<AsyncOp *> members; ///< full messages into claimed programs
 
-  /// Queue the unpack of the objects `op`'s wire delivered.
-  void add(AsyncOp &op) {
+  /// Queue the unpack of the objects `op`'s wire delivered. A self
+  /// delivery into a member packs in the member's flush; one into any
+  /// other receive packs now.
+  int add(AsyncOp &op) {
     const int objects = arrived_objects(op);
-    if (objects == 0) {
-      return;
-    }
-    if (op.claimed && objects == op.count) {
+    if (objects > 0 && op.claimed && objects == op.count) {
       members.push_back(&op);
-      return;
+      return MPI_SUCCESS;
+    }
+    if (const int rc = run_delivery(op); rc != MPI_SUCCESS || objects == 0) {
+      return rc;
     }
     if (stream == nullptr) {
       stream = op.stream;
     }
     items.push_back(unpack_item(op, objects));
     bytes += op.packer->packed_bytes(objects);
+    return MPI_SUCCESS;
   }
 
   /// Launch every pending live unpack as one kernel and replay the
@@ -1929,24 +2057,28 @@ struct UnpackBatch {
 
 /// Waitall's pass-1 step for one receive op: receive the wire, then either
 /// append the unpack to `batch` or enqueue it on the op's own path without
-/// a sync. A rendezvous-sized wire wait first flushes the pending batch.
-/// Streams left holding this op's work are added to `streams`, or, for an
-/// op running from a claimed program, to `fence_streams`: those take the
-/// cheaper pre-armed fence instead of a host synchronization.
+/// a sync. A rendezvous-sized wire wait first flushes the pending batch; a
+/// delivered receive waits for no wire. Streams left holding this op's
+/// work are added to `streams`, or, for an op running from a claimed
+/// program, to `fence_streams`: those take the cheaper pre-armed fence
+/// instead of a host synchronization.
 int complete_recv_deferred(AsyncOp &op, const interpose::MpiTable &next,
                            UnpackBatch &batch,
                            std::vector<vcuda::StreamHandle> &streams,
                            std::vector<vcuda::StreamHandle> &fence_streams) {
-  if (rendezvous_sized(expected_bytes(op))) {
+  if (!op.delivered.load(std::memory_order_acquire) &&
+      rendezvous_sized(expected_bytes(op))) {
     if (const int rc = batch.flush(streams, fence_streams);
         rc != MPI_SUCCESS) {
       return rc;
     }
   }
   if (fusable(op)) {
-    const int rc = recv_wire(op, next);
+    int rc = recv_wire(op, next, /*pack_delivery=*/false);
     if (rc == MPI_SUCCESS) {
-      batch.add(op);
+      rc = batch.add(op);
+    }
+    if (rc == MPI_SUCCESS) {
       op.phase = OpPhase::UnpackPending;
     }
     return rc;
@@ -1966,6 +2098,62 @@ int complete_recv_deferred(AsyncOp &op, const interpose::MpiTable &next,
   return rc;
 }
 
+/// Whether an earlier Waitall entry `earlier` could take the message that
+/// receive `recv` waits for: a receive of the same (source, tag, comm) or
+/// a wildcard one that covers it, or any request forwarded to the system
+/// MPI, whose envelope TEMPI does not see.
+bool could_match_first(const AsyncOp *earlier, MPI_Request request,
+                       const AsyncOp &recv) {
+  if (request == MPI_REQUEST_NULL) {
+    return false;
+  }
+  if (earlier == nullptr) {
+    return true;
+  }
+  return earlier->kind == AsyncOp::Kind::Recv && !inactive(*earlier) &&
+         could_take(earlier->peer, earlier->tag, earlier->comm, recv);
+}
+
+/// Pass 1's order over a Waitall array (see "Waitall batching" in
+/// async.hpp): first the rendezvous-sized receives that wait for a wire,
+/// name their source and tag, and follow no entry that could take their
+/// message first; then every other entry, in array order. sysmpi starts a
+/// rendezvous transfer only once its receive is matched, so matching those
+/// first keeps eager messages that already arrived from delaying them.
+/// Empty when that is the array order.
+std::vector<int> pass1_order(int count, const MPI_Request *requests,
+                             const std::vector<AsyncOp *> &ops) {
+  std::vector<int> order;
+  for (int i = 0; i < count; ++i) {
+    const AsyncOp *op = ops[static_cast<std::size_t>(i)];
+    bool first = op != nullptr && op->kind == AsyncOp::Kind::Recv &&
+                 !inactive(*op) &&
+                 !op->delivered.load(std::memory_order_acquire) &&
+                 op->peer != MPI_ANY_SOURCE && op->tag != MPI_ANY_TAG &&
+                 rendezvous_sized(expected_bytes(*op));
+    for (int j = 0; first && j < i; ++j) {
+      first = !could_match_first(ops[static_cast<std::size_t>(j)],
+                                 requests[j], *op);
+    }
+    if (first) {
+      order.push_back(i);
+    }
+  }
+  if (order.empty() ||
+      order.back() == static_cast<int>(order.size()) - 1) {
+    return {}; // only a prefix goes first: the array order
+  }
+  const std::size_t hoisted = order.size();
+  for (int i = 0; i < count; ++i) {
+    if (!std::binary_search(order.begin(),
+                            order.begin() + static_cast<std::ptrdiff_t>(hoisted),
+                            i)) {
+      order.push_back(i);
+    }
+  }
+  return order;
+}
+
 } // namespace
 
 int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
@@ -1973,13 +2161,22 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
   if (count < 0 || (count > 0 && requests == nullptr)) {
     return MPI_ERR_ARG;
   }
+  std::vector<AsyncOp *> ops(static_cast<std::size_t>(count), nullptr);
+  for (int i = 0; i < count; ++i) {
+    if (requests[i] != MPI_REQUEST_NULL) {
+      ops[static_cast<std::size_t>(i)] = find(requests[i]);
+    }
+  }
   // Pass 1: complete every transfer leg, but only *enqueue* the unpack
   // legs — TEMPI receives pipeline on the stream without a host sync.
-  // Fusable receives do not even launch: their unpacks collect in `batch`
-  // and go out just before the next rendezvous-sized wire wait (so they
-  // run under it) and once more at the end of the pass, as one kernel or
-  // one recorded batch.
+  // Rendezvous receives go first (pass1_order). Fusable receives do not
+  // even launch: their unpacks collect in `batch` and go out just before
+  // the next rendezvous-sized wire wait (so they run under it) and once
+  // more at the end of the pass, as one kernel or one recorded batch.
+  // Sends with a pending self delivery complete after that last flush, so
+  // a delivery into a receive of this Waitall packs inside its flush.
   std::vector<AsyncOp *> pending(static_cast<std::size_t>(count), nullptr);
+  std::vector<int> deferred_sends;
   std::vector<vcuda::StreamHandle> streams;
   std::vector<vcuda::StreamHandle> fence_streams; ///< claimed programs
   UnpackBatch batch;
@@ -1992,6 +2189,11 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
   // the cache, which is only safe once no stream work references them.
   const auto bail = [&](int rc) {
     batch.flush(streams, fence_streams);
+    for (const int i : deferred_sends) {
+      AsyncOp *op = ops[static_cast<std::size_t>(i)];
+      complete_send(*op, next);
+      pending[static_cast<std::size_t>(i)] = op;
+    }
     for (vcuda::StreamHandle s : streams) {
       vcuda::StreamSynchronize(s);
     }
@@ -2005,13 +2207,15 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
     }
     return rc;
   };
-  for (int i = 0; i < count; ++i) {
+  const std::vector<int> order = pass1_order(count, requests, ops);
+  for (int n = 0; n < count; ++n) {
+    const int i = order.empty() ? n : order[static_cast<std::size_t>(n)];
     MPI_Status *status =
         statuses == MPI_STATUSES_IGNORE ? MPI_STATUS_IGNORE : &statuses[i];
     if (requests[i] == MPI_REQUEST_NULL) {
       continue;
     }
-    AsyncOp *op = find(requests[i]);
+    AsyncOp *op = ops[static_cast<std::size_t>(i)];
     if (op == nullptr) {
       const MPI_Request forwarded_request = requests[i];
       const int rc = next.Wait(&requests[i], status);
@@ -2029,6 +2233,10 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
     }
     int rc = MPI_SUCCESS;
     if (op->kind == AsyncOp::Kind::Send) {
+      if (op->delivery) {
+        deferred_sends.push_back(i);
+        continue;
+      }
       rc = complete_send(*op, next);
     } else {
       rc = complete_recv_deferred(*op, next, batch, streams, fence_streams);
@@ -2046,6 +2254,13 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
   if (const int rc = batch.flush(streams, fence_streams);
       rc != MPI_SUCCESS) {
     return bail(rc);
+  }
+  for (const int i : deferred_sends) {
+    AsyncOp *op = ops[static_cast<std::size_t>(i)];
+    if (const int rc = complete_send(*op, next); rc != MPI_SUCCESS) {
+      return bail(rc);
+    }
+    pending[static_cast<std::size_t>(i)] = op;
   }
   // Pass 2: one host synchronization per stream that holds batched unpack
   // work (the pipelining payoff of the request engine). Claimed program
@@ -2252,7 +2467,9 @@ std::size_t drain(const interpose::MpiTable &next) {
     const bool send = op->kind == AsyncOp::Kind::Send;
     if (send && op->phase == OpPhase::TransferPosted) {
       // The wire already departed; reclaiming the system request is safe
-      // and silent (buffered sends are born complete).
+      // and silent (buffered sends are born complete). A self delivery's
+      // pending pack is dropped with its receive, never launched.
+      op->drop_delivery();
       complete_send(*op, next);
       if (!op->persistent) {
         continue;

@@ -56,12 +56,26 @@
 // that wait, and once more at the end of pass 1. A flush launches the unpacks
 // that must run live as ONE fused kernel (launch_unpack_batch). Full messages
 // into claimed programs are the flush's members; a repeated flush of the same
-// ordered members replays their fused unpack as one recorded graph (see the
-// batch table in async.cpp). Pass 2 then pays one host synchronization per
-// stream that holds live work: one for every fused launch, plus one per stream
-// of the receives that keep their own unpack path (Staged, block-list,
-// pipelined); streams of replayed graphs take a pre-armed fence instead. Ops
-// that completed in place leave no stream work and cost nothing here.
+// ordered members (and of the same pending self-delivery packs, see below)
+// replays as one recorded graph (see the batch table in async.cpp). Pass 2
+// then pays one host synchronization per stream that holds live work: one for
+// every fused launch, plus one per stream of the receives that keep their own
+// unpack path (Staged, block-list, pipelined); streams of replayed graphs take
+// a pre-armed fence instead. Ops that completed in place leave no stream work
+// and cost nothing here.
+//
+// Pass 1 handles the rendezvous-sized receives first (above the system MPI's
+// eager limit, not yet delivered, naming their source and tag): the system
+// MPI starts a rendezvous transfer only once its receive is matched, so in
+// array order each one would wait behind eager receives whose messages have
+// already arrived. A receive is never moved ahead of an earlier entry that
+// could take the same message: an earlier receive of the same (source, tag,
+// comm), a wildcard receive that covers it, or any request forwarded to the
+// system MPI (whose envelope TEMPI does not see). Such a receive keeps its
+// place, and its wire wait splits the batch as before. Hoisting therefore
+// never changes which message a receive gets: the non-overtaking order, and
+// the matching-order caveat below, hold as they did. A collective's legs
+// share one tag per peer, so their order does not change.
 //
 // Deadlock discipline: the send-side transfer is posted eagerly at Isend
 // time (the system MPI's sends are buffered), so a rank that blocks in a
@@ -78,10 +92,19 @@
 // claimed program's pinned lease or its own), hands it the status a system
 // receive would report and completes with no system request, so neither
 // side waits on the wire; the receive then finishes on its usual path
-// without a system receive. A repeated (send, landing buffer) pair replays
-// the pack as one recorded graph from the thread's program table; a first
-// sighting takes the system route. A delivered send is already complete,
-// so the eager-post discipline above holds for it too.
+// without a system receive. The pack is the pair's recorded graph from the
+// thread's program table (a first sighting of a (send, landing buffer) pair
+// takes the system route). The send decides at post time which receive it
+// lands in and with what status, but the pack runs later: in the first
+// completion call that reaches either request (Wait, Test, Request_free of
+// the send, or the receive's completion, on any thread), or, when the
+// receive completes in a Waitall flush, as nodes of that flush's recorded
+// graph, ahead of the fused unpack. A Waitall holding both completes the
+// send after its last flush. The send's completion call never returns
+// before the pack ran, so its buffer may be reused as on the system path,
+// and the only waits on a pending pack are the rank's own completion
+// calls: the eager-post discipline above holds. A receive dropped (freed,
+// or at uninstall) drops its pending pack, whose landing buffer it owns.
 //
 // Matching order caveat: lazy receive matching means two receives that
 // share (source, tag, comm) pair with incoming messages in *completion*
@@ -284,11 +307,13 @@ int test(MPI_Request *request, int *flag, MPI_Status *status,
          const interpose::MpiTable &next);
 
 /// Batch completion for Waitall over a mixed TEMPI/system request array:
-/// fuses the unpacks of eligible receives into as few kernel launches or
-/// recorded-batch replays as the rendezvous flush rule allows (see the
-/// header comment) and synchronizes or fences each stream holding work
-/// once. On an error, every receive
-/// whose wire already landed still gets its unpack before any op retires.
+/// matches rendezvous receives first where no earlier entry could take
+/// their message, fuses the unpacks of eligible receives (and the packs of
+/// self deliveries into them) into as few kernel launches or recorded-batch
+/// replays as the rendezvous flush rule allows (see the header comment)
+/// and synchronizes or fences each stream holding work once. On an error,
+/// every receive whose wire already landed still gets its unpack before any
+/// op retires.
 int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
             const interpose::MpiTable &next);
 

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -771,13 +772,22 @@ TEST_F(TempiAsync, MixedWaitallMatchesSystemPath) {
   EXPECT_EQ(tempi::async::in_flight(), 0u);
 }
 
-TEST_F(TempiAsync, RendezvousReceiveSplitsTheFusedBatch) {
-  // Eager, rendezvous, eager: the pending eager unpack launches before the
-  // rendezvous wire wait (so it runs under it), and the rest at the end.
-  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+/// What rank 1 of rendezvous_waitall saw: its Waitall's Irecv spans, the
+/// packed size of the rendezvous message, and whether each buffer holds
+/// the bytes its sender filled it with.
+struct RendezvousRun {
+  std::vector<tempi::trace::SpanRecord> spans;
   std::size_t huge_bytes = 0;
-  const std::uint64_t launches = fused_launches();
-  const std::uint64_t fused = fused_unpacks();
+  std::array<bool, 3> intact{};
+};
+
+/// Rank 0 sends an eager message on tag 1, a rendezvous one on tag
+/// `huge_tag` and an eager one on tag 3; rank 1 posts their three
+/// receives in that order and completes them in one traced Waitall. With
+/// `huge_tag` 1 the rendezvous message follows the first one on its tag.
+RendezvousRun rendezvous_waitall(int huge_tag) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  RendezvousRun out;
   tempi::trace::reset();
   tempi::trace::set_enabled(true);
   run2([&](int rank) {
@@ -787,9 +797,6 @@ TEST_F(TempiAsync, RendezvousReceiveSplitsTheFusedBatch) {
     MPI_Type_vector(8192, 4, 6, MPI_FLOAT, &huge); // 128 KiB packed
     MPI_Type_commit(&small);
     MPI_Type_commit(&huge);
-    if (rank == 1) {
-      huge_bytes = static_cast<std::size_t>(huge->size);
-    }
     MPI_Aint lb = 0, small_ext = 0, huge_ext = 0;
     MPI_Type_get_extent(small, &lb, &small_ext);
     MPI_Type_get_extent(huge, &lb, &huge_ext);
@@ -799,55 +806,223 @@ TEST_F(TempiAsync, RendezvousReceiveSplitsTheFusedBatch) {
                   static_cast<std::size_t>(huge_ext));
     SpaceBuffer b(vcuda::MemorySpace::Device,
                   static_cast<std::size_t>(small_ext));
+    const std::array<std::pair<SpaceBuffer *, MPI_Datatype>, 3> slots = {
+        {{&a, small}, {&r, huge}, {&b, small}}};
+    const std::array<int, 3> tags = {1, huge_tag, 3};
     if (rank == 0) {
-      fill_pattern(a.get(), a.size(), 1);
-      fill_pattern(r.get(), r.size(), 2);
-      fill_pattern(b.get(), b.size(), 3);
-      MPI_Send(a.get(), 1, small, 1, 1, MPI_COMM_WORLD);
-      MPI_Send(r.get(), 1, huge, 1, 2, MPI_COMM_WORLD);
-      MPI_Send(b.get(), 1, small, 1, 3, MPI_COMM_WORLD);
+      for (std::size_t k = 0; k < slots.size(); ++k) {
+        fill_pattern(slots[k].first->get(), slots[k].first->size(),
+                     static_cast<unsigned>(k + 1));
+        MPI_Send(slots[k].first->get(), 1, slots[k].second, 1, tags[k],
+                 MPI_COMM_WORLD);
+      }
     } else {
+      out.huge_bytes = static_cast<std::size_t>(huge->size);
       MPI_Request reqs[3];
-      MPI_Irecv(a.get(), 1, small, 0, 1, MPI_COMM_WORLD, &reqs[0]);
-      MPI_Irecv(r.get(), 1, huge, 0, 2, MPI_COMM_WORLD, &reqs[1]);
-      MPI_Irecv(b.get(), 1, small, 0, 3, MPI_COMM_WORLD, &reqs[2]);
+      for (std::size_t k = 0; k < slots.size(); ++k) {
+        MPI_Irecv(slots[k].first->get(), 1, slots[k].second, 0, tags[k],
+                  MPI_COMM_WORLD, &reqs[k]);
+      }
       ASSERT_EQ(MPI_Waitall(3, reqs, MPI_STATUSES_IGNORE), MPI_SUCCESS);
-      std::vector<std::byte> expect(r.size());
-      fill_pattern(expect.data(), expect.size(), 2);
-      EXPECT_EQ(reference_pack(r.get(), 1, *huge),
-                reference_pack(expect.data(), 1, *huge));
+      for (std::size_t k = 0; k < slots.size(); ++k) {
+        std::vector<std::byte> expect(slots[k].first->size());
+        fill_pattern(expect.data(), expect.size(),
+                     static_cast<unsigned>(k + 1));
+        out.intact[k] = reference_pack(slots[k].first->get(), 1,
+                                       *slots[k].second) ==
+                        reference_pack(expect.data(), 1, *slots[k].second);
+      }
     }
     MPI_Type_free(&small);
     MPI_Type_free(&huge);
     MPI_Finalize();
   });
-  const tempi::trace::Snapshot snap = tempi::trace_snapshot();
+  for (const tempi::trace::SpanRecord &s : tempi::trace_snapshot().spans) {
+    if (s.kind == tempi::trace::OpKind::Irecv) {
+      out.spans.push_back(s);
+    }
+  }
   tempi::trace::set_enabled(false);
   tempi::trace::reset();
-  ASSERT_GT(huge_bytes, sysmpi::net_params().eager_bytes);
+  return out;
+}
+
+TEST_F(TempiAsync, RendezvousReceiveSplitsTheFusedBatch) {
+  // Eager, rendezvous, eager on three tags: the rendezvous receive is
+  // matched first, so its wire is not kept waiting behind eager messages
+  // that already arrived, and with nothing pending before it the batch
+  // is not split: all three unpacks go out in one flush, after its wire.
+  std::uint64_t launches = fused_launches();
+  std::uint64_t fused = fused_unpacks();
+  RendezvousRun run = rendezvous_waitall(2);
+  ASSERT_GT(run.huge_bytes, sysmpi::net_params().eager_bytes);
+  EXPECT_EQ(run.intact, (std::array<bool, 3>{true, true, true}));
+  EXPECT_EQ(fused_unpacks() - fused, 3u);
+  EXPECT_EQ(fused_launches() - launches, 1u);
+  std::vector<tempi::trace::SpanRecord> wires, unpacks;
+  for (const tempi::trace::SpanRecord &s : run.spans) {
+    if (s.phase == tempi::trace::Phase::Wire) {
+      wires.push_back(s);
+    } else if (s.phase == tempi::trace::Phase::Unpack) {
+      unpacks.push_back(s);
+    }
+  }
+  ASSERT_EQ(wires.size(), 3u);
+  const auto first_wire = std::min_element(
+      wires.begin(), wires.end(),
+      [](const auto &x, const auto &y) { return x.t0 < y.t0; });
+  EXPECT_EQ(first_wire->bytes, run.huge_bytes);
+  for (auto w = wires.begin(); w != wires.end(); ++w) {
+    if (w != first_wire) {
+      EXPECT_LE(first_wire->t1, w->t0); // the eager wires wait behind it
+    }
+  }
+  ASSERT_EQ(unpacks.size(), 1u);
+  EXPECT_GE(unpacks.front().t0, first_wire->t1);
+  EXPECT_EQ(unpacks.front().bytes, 2 * 512u + run.huge_bytes);
+
+  // The rendezvous message on the first receive's tag: that receive may
+  // take it, so the rendezvous receive keeps its place and splits the
+  // batch as before. The first eager unpack launches before its wire
+  // wait (so it runs under it), the rest at the end.
+  launches = fused_launches();
+  fused = fused_unpacks();
+  run = rendezvous_waitall(1);
+  EXPECT_EQ(run.intact, (std::array<bool, 3>{true, true, true}));
   EXPECT_EQ(fused_unpacks() - fused, 3u);
   EXPECT_EQ(fused_launches() - launches, 2u);
-
-  std::vector<tempi::trace::SpanRecord> fused_spans;
+  unpacks.clear();
   const tempi::trace::SpanRecord *huge_wire = nullptr;
-  for (const tempi::trace::SpanRecord &s : snap.spans) {
-    if (s.kind != tempi::trace::OpKind::Irecv) {
-      continue;
-    }
+  for (const tempi::trace::SpanRecord &s : run.spans) {
     if (s.phase == tempi::trace::Phase::Unpack) {
-      fused_spans.push_back(s);
+      unpacks.push_back(s);
     } else if (s.phase == tempi::trace::Phase::Wire &&
-               s.bytes == huge_bytes) {
+               s.bytes == run.huge_bytes) {
       huge_wire = &s;
     }
   }
-  ASSERT_EQ(fused_spans.size(), 2u);
+  ASSERT_EQ(unpacks.size(), 2u);
   ASSERT_NE(huge_wire, nullptr);
   const auto first = std::min_element(
-      fused_spans.begin(), fused_spans.end(),
+      unpacks.begin(), unpacks.end(),
       [](const auto &x, const auto &y) { return x.t0 < y.t0; });
   EXPECT_LE(first->t1, huge_wire->t0);
   EXPECT_EQ(first->bytes, 512u); // only the first eager receive
+}
+
+/// The entry posted ahead of the rendezvous receive in
+/// blocked_rendezvous_waitall, one that could take its message first.
+enum class Earlier { SameTag, AnySource, AnyTag, Forwarded };
+
+struct BlockedRun {
+  std::vector<std::vector<std::byte>> buffers;
+  std::vector<std::array<long long, 4>> statuses;
+  int code = MPI_SUCCESS;
+  std::uint64_t launches = 0;
+};
+
+/// Rank 0 sends an eager message on tag 1, two messages on tag 2 (the
+/// first eager for SameTag, else rendezvous-sized, the second rendezvous-
+/// sized) and an eager one on tag 3. Rank 1 posts, in order, an eager
+/// receive on tag 1, the `earlier` receive that could match the first tag-2
+/// message, a rendezvous receive on tag 2 and an eager one on tag 3, and
+/// completes them in one Waitall. If the rendezvous receive went first it
+/// would take the first tag-2 message.
+BlockedRun blocked_rendezvous_waitall(tempi::SendMode mode, Earlier earlier) {
+  tempi::set_send_mode(mode);
+  BlockedRun out;
+  const std::uint64_t launches = fused_launches();
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype small = nullptr, huge = nullptr;
+    MPI_Type_vector(32, 4, 12, MPI_FLOAT, &small);
+    MPI_Type_vector(8192, 4, 6, MPI_FLOAT, &huge); // 128 KiB packed
+    MPI_Type_commit(&small);
+    MPI_Type_commit(&huge);
+    MPI_Aint lb = 0, small_ext = 0, huge_ext = 0;
+    MPI_Type_get_extent(small, &lb, &small_ext);
+    MPI_Type_get_extent(huge, &lb, &huge_ext);
+    const MPI_Datatype first = earlier == Earlier::SameTag ? small : huge;
+    const std::array<MPI_Datatype, 4> types = {small, first, huge, small};
+    const std::array<int, 4> tags = {1, 2, 2, 3};
+    std::vector<std::unique_ptr<SpaceBuffer>> bufs;
+    for (std::size_t k = 0; k < types.size(); ++k) {
+      const vcuda::MemorySpace space =
+          k == 1 && earlier == Earlier::Forwarded
+              ? vcuda::MemorySpace::Pageable
+              : vcuda::MemorySpace::Device;
+      bufs.push_back(std::make_unique<SpaceBuffer>(
+          space,
+          static_cast<std::size_t>(types[k] == small ? small_ext : huge_ext)));
+      fill_pattern(bufs[k]->get(), bufs[k]->size(),
+                   static_cast<unsigned>(10 * rank + k + 1));
+    }
+    if (rank == 0) {
+      for (std::size_t k = 0; k < types.size(); ++k) {
+        MPI_Send(bufs[k]->get(), 1, types[k], 1, tags[k], MPI_COMM_WORLD);
+      }
+    } else {
+      std::array<int, 4> sources = {0, 0, 0, 0};
+      std::array<int, 4> recv_tags = tags;
+      if (earlier == Earlier::AnySource) {
+        sources[1] = MPI_ANY_SOURCE;
+      } else if (earlier == Earlier::AnyTag) {
+        recv_tags[1] = MPI_ANY_TAG;
+      }
+      std::array<MPI_Request, 4> reqs{};
+      for (std::size_t k = 0; k < types.size(); ++k) {
+        EXPECT_EQ(MPI_Irecv(bufs[k]->get(), 1, types[k], sources[k],
+                            recv_tags[k], MPI_COMM_WORLD, &reqs[k]),
+                  MPI_SUCCESS);
+      }
+      std::array<MPI_Status, 4> st{};
+      out.code = MPI_Waitall(4, reqs.data(), st.data());
+      for (std::size_t k = 0; k < types.size(); ++k) {
+        out.buffers.emplace_back(bufs[k]->bytes(),
+                                 bufs[k]->bytes() + bufs[k]->size());
+        out.statuses.push_back({st[k].MPI_SOURCE, st[k].MPI_TAG,
+                                st[k].MPI_ERROR, st[k].count_bytes});
+      }
+    }
+    MPI_Type_free(&small);
+    MPI_Type_free(&huge);
+    MPI_Finalize();
+  });
+  out.launches = fused_launches() - launches;
+  tempi::set_send_mode(tempi::SendMode::Auto);
+  return out;
+}
+
+// A rendezvous receive is never handled ahead of an earlier entry that
+// could take its message: a receive of the same (source, tag), a wildcard
+// receive, or a receive forwarded to the system MPI. Each ends exactly as
+// on the system path, and the batch splits where it did before hoisting.
+TEST_F(TempiAsync, RendezvousReceiveNeverPassesAnEarlierMatch) {
+  const struct {
+    Earlier earlier;
+    const char *name;
+    std::uint64_t launches;
+  } cases[] = {
+      // A flush before the rendezvous wire wait, one at the end.
+      {Earlier::SameTag, "same tag", 2},
+      // The wildcard receive's own rendezvous wait flushes first.
+      {Earlier::AnySource, "MPI_ANY_SOURCE", 3},
+      {Earlier::AnyTag, "MPI_ANY_TAG", 3},
+      // The forwarded receive unpacks nothing of the batch's.
+      {Earlier::Forwarded, "forwarded host receive", 2},
+  };
+  for (const auto &c : cases) {
+    const BlockedRun reference =
+        blocked_rendezvous_waitall(tempi::SendMode::System, c.earlier);
+    const BlockedRun seen =
+        blocked_rendezvous_waitall(tempi::SendMode::ForceDevice, c.earlier);
+    EXPECT_EQ(seen.code, reference.code) << c.name;
+    EXPECT_EQ(seen.code, MPI_SUCCESS) << c.name;
+    EXPECT_EQ(seen.statuses, reference.statuses) << c.name;
+    EXPECT_EQ(seen.buffers, reference.buffers) << c.name;
+    EXPECT_EQ(seen.launches, c.launches) << c.name;
+  }
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
 }
 
 TEST_F(TempiAsync, FailedReceiveMidBatchStillUnpacksLandedWires) {

@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <barrier>
 #include <cstring>
@@ -714,16 +715,9 @@ TEST_F(IrecvReplay, RepeatedWaitallLaunchesOneGraphPerFlush) {
   }
 }
 
-// A rendezvous-sized receive flushes the batch before its wire wait, so
-// one Waitall of small, small, large, small receives flushes twice; once
-// repeated, each flush replays its own recorded batch: two graph launches.
-TEST_F(IrecvReplay, RendezvousReceiveSplitsTheRecordedBatches) {
-  tempi::set_send_mode(tempi::SendMode::ForceDevice);
-  MPI_Datatype small = committed_vector(32, 4, 12);
-  MPI_Datatype large = committed_vector(8192, 16, 24); // 128 KiB packed
-  ASSERT_GT(static_cast<std::size_t>(large->size),
-            sysmpi::net_params().eager_bytes);
-  const std::array<MPI_Datatype, 4> types = {small, small, large, small};
+/// One device buffer of one object per type.
+std::vector<std::unique_ptr<SpaceBuffer>>
+object_buffers(const std::vector<MPI_Datatype> &types) {
   std::vector<std::unique_ptr<SpaceBuffer>> dst;
   for (const MPI_Datatype t : types) {
     MPI_Aint lb = 0, extent = 0;
@@ -731,33 +725,107 @@ TEST_F(IrecvReplay, RendezvousReceiveSplitsTheRecordedBatches) {
     dst.push_back(std::make_unique<SpaceBuffer>(
         vcuda::MemorySpace::Device, static_cast<std::size_t>(extent)));
   }
-  tempi::trace::reset_counters();
+  return dst;
+}
+
+/// Five Waitall rounds over Irecvs of `types` into `dst` on `tags` (each
+/// landing fresh bytes, checked), the last one traced; returns the device
+/// work of each round's Waitall call and leaves the last round's spans in
+/// the tracer.
+std::vector<DeviceOps>
+recorded_rounds(const std::vector<MPI_Datatype> &types,
+                const std::vector<std::unique_ptr<SpaceBuffer>> &dst,
+                const std::vector<int> &tags) {
+  std::vector<DeviceOps> ops;
   for (unsigned round = 1; round <= 5; ++round) {
     std::vector<std::vector<std::byte>> sent;
-    std::array<MPI_Request, 4> reqs{};
+    std::vector<MPI_Request> reqs(types.size(), MPI_REQUEST_NULL);
     for (std::size_t k = 0; k < types.size(); ++k) {
       sent.push_back(packed_object(types[k], round * 8 + k));
-      post_wire(sent.back(), 60 + static_cast<int>(k));
-      ASSERT_EQ(MPI_Irecv(dst[k]->get(), 1, types[k], 0,
-                          60 + static_cast<int>(k), MPI_COMM_WORLD,
-                          &reqs[k]),
+      post_wire(sent.back(), tags[k]);
+      EXPECT_EQ(MPI_Irecv(dst[k]->get(), 1, types[k], 0, tags[k],
+                          MPI_COMM_WORLD, &reqs[k]),
                 MPI_SUCCESS);
     }
+    if (round == 5) {
+      tempi::trace::reset();
+      tempi::trace::set_enabled(true);
+    }
     const DeviceOps before = device_ops();
-    ASSERT_EQ(MPI_Waitall(4, reqs.data(), MPI_STATUSES_IGNORE), MPI_SUCCESS);
-    const DeviceOps d = device_ops() - before;
+    EXPECT_EQ(MPI_Waitall(static_cast<int>(reqs.size()), reqs.data(),
+                          MPI_STATUSES_IGNORE),
+              MPI_SUCCESS);
+    ops.push_back(device_ops() - before);
+    tempi::trace::set_enabled(false);
     for (std::size_t k = 0; k < types.size(); ++k) {
       EXPECT_EQ(reference_pack(dst[k]->get(), 1, *types[k]), sent[k])
           << "round " << round << " receive " << k;
     }
-    if (round >= 4) {
-      EXPECT_EQ(d.kernels, 0u) << "round " << round;
-      EXPECT_EQ(d.syncs, 0u) << "round " << round;
-      EXPECT_EQ(d.graphs, 2u) << "round " << round;
+  }
+  return ops;
+}
+
+// Small, small, large, small receives on four tags: the rendezvous-sized
+// one is matched first, so nothing is pending before its wire wait and
+// the batch is not split. Once repeated, its unpack and the small ones
+// replay as one recorded batch: one graph launch and one fence. With the
+// large message on the tag of the small receive before it, that receive
+// could take it: the large receive keeps its place, flushes the batch
+// before its wire wait, and each of the two flushes replays its own
+// recorded batch.
+TEST_F(IrecvReplay, RendezvousReceiveSplitsTheRecordedBatches) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  MPI_Datatype small = committed_vector(32, 4, 12);
+  MPI_Datatype large = committed_vector(8192, 16, 24); // 128 KiB packed
+  const auto large_bytes = static_cast<std::size_t>(large->size);
+  ASSERT_GT(large_bytes, sysmpi::net_params().eager_bytes);
+  const std::vector<MPI_Datatype> types = {small, small, large, small};
+
+  // Two sets of destinations, alive together, so the second part's
+  // receive keys never meet the first part's programs.
+  const auto dst = object_buffers(types);
+  const auto blocked_dst = object_buffers(types);
+
+  tempi::trace::reset_counters();
+  std::vector<DeviceOps> ops = recorded_rounds(types, dst, {60, 61, 62, 63});
+  for (std::size_t round = 3; round < ops.size(); ++round) {
+    EXPECT_EQ(ops[round].kernels, 0u) << "round " << round + 1;
+    EXPECT_EQ(ops[round].syncs, 0u) << "round " << round + 1;
+    EXPECT_EQ(ops[round].graphs, 1u) << "round " << round + 1;
+    EXPECT_EQ(ops[round].fences, 1u) << "round " << round + 1;
+  }
+  EXPECT_EQ(counter("tempi.engine.fused_unpack_captures"), 1u);
+  EXPECT_EQ(counter("tempi.engine.fused_unpack_replays"), 3u);
+  std::vector<tempi::trace::SpanRecord> wires;
+  std::vector<tempi::trace::SpanRecord> replays;
+  for (const tempi::trace::SpanRecord &s : tempi::trace_snapshot().spans) {
+    if (s.kind != tempi::trace::OpKind::Irecv) {
+      continue;
     }
+    if (s.phase == tempi::trace::Phase::Wire) {
+      wires.push_back(s);
+    } else if (s.phase == tempi::trace::Phase::GraphReplay) {
+      replays.push_back(s);
+    }
+  }
+  ASSERT_EQ(wires.size(), types.size());
+  const auto by_start = [](const auto &x, const auto &y) { return x.t0 < y.t0; };
+  const auto first_wire = std::min_element(wires.begin(), wires.end(), by_start);
+  const auto last_wire = std::max_element(wires.begin(), wires.end(), by_start);
+  EXPECT_EQ(first_wire->bytes, large_bytes); // the rendezvous wire first
+  ASSERT_EQ(replays.size(), 1u); // the unpacks go out as one flush
+  EXPECT_GE(replays.front().t0, last_wire->t1);
+
+  tempi::trace::reset_counters();
+  ops = recorded_rounds(types, blocked_dst, {70, 71, 71, 73});
+  for (std::size_t round = 3; round < ops.size(); ++round) {
+    EXPECT_EQ(ops[round].kernels, 0u) << "round " << round + 1;
+    EXPECT_EQ(ops[round].syncs, 0u) << "round " << round + 1;
+    EXPECT_EQ(ops[round].graphs, 2u) << "round " << round + 1;
   }
   EXPECT_EQ(counter("tempi.engine.fused_unpack_captures"), 2u);
   EXPECT_EQ(counter("tempi.engine.fused_unpack_replays"), 2u * 3u);
+  tempi::trace::reset();
   MPI_Type_free(&large);
   MPI_Type_free(&small);
 }
@@ -1275,51 +1343,320 @@ TEST_F(SelfDelivery, ReceivePostedOnOneThreadCompletesOnAnother) {
   MPI_Type_free(&t);
 }
 
-// A steady-state delivery is one graph launch and a pre-armed fence under a
-// GraphReplay span of the send's call, with no Wire span and no system
-// message; the receive replays its program with no wire wait.
+// A steady-state delivery decides at the Isend and packs in the Waitall:
+// the Isend does no device work, and the Waitall replays the pack and the
+// receive's unpack as one recorded graph with one pre-armed fence, with
+// no Wire span and no system message.
 TEST_F(SelfDelivery, SteadyStateDeliveryIsOneGraphAndNoWire) {
   MPI_Datatype t = committed_vector(128, 4, 12);
   SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
   SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  // Round 0 runs the receive live, round 1 records its program, round 2
+  // records the delivery's pack, round 3 the flush's batch.
+  constexpr unsigned kSteady = 4;
   const auto round = [&](unsigned r) {
     prepare(src, dst, r);
     MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
     ASSERT_EQ(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]),
               MPI_SUCCESS);
-    DeviceOps d{};
+    DeviceOps post{};
     const std::uint64_t graph_nodes = graph_nodes_captured();
-    reqs[1] = isend_self(src.get(), 1, t, 5, &d);
+    reqs[1] = isend_self(src.get(), 1, t, 5, &post);
+    const DeviceOps before = device_ops();
     ASSERT_EQ(MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE), MPI_SUCCESS);
+    const DeviceOps wait = device_ops() - before;
     EXPECT_EQ(reference_pack(dst.get(), 1, *t),
               reference_pack(src.get(), 1, *t));
-    if (r >= 3) {
+    if (r >= kSteady) {
       EXPECT_EQ(graph_nodes_captured(), graph_nodes) << "round " << r;
-      EXPECT_EQ(d.kernels, 0u) << "round " << r;
-      EXPECT_EQ(d.syncs, 0u) << "round " << r;
-      EXPECT_EQ(d.graphs, 1u) << "round " << r;
-      EXPECT_EQ(d.fences, 1u) << "round " << r;
+      EXPECT_EQ(post.kernels, 0u) << "round " << r;
+      EXPECT_EQ(post.syncs, 0u) << "round " << r;
+      EXPECT_EQ(post.graphs, 0u) << "round " << r;
+      EXPECT_EQ(post.fences, 0u) << "round " << r;
+      EXPECT_EQ(wait.kernels, 0u) << "round " << r;
+      EXPECT_EQ(wait.syncs, 0u) << "round " << r;
+      EXPECT_EQ(wait.graphs, 1u) << "round " << r;
+      EXPECT_EQ(wait.fences, 1u) << "round " << r;
     }
   };
-  for (unsigned r = 0; r < 3; ++r) {
+  for (unsigned r = 0; r < kSteady; ++r) {
     round(r);
   }
   tempi::trace::reset_counters();
   tempi::trace::reset();
   tempi::trace::set_enabled(true);
-  round(3);
+  round(kSteady);
   tempi::trace::set_enabled(false);
   std::size_t wire = 0;
   for (const tempi::trace::SpanRecord &rec : tempi::trace_snapshot().spans) {
     wire += rec.phase == tempi::trace::Phase::Wire ? 1 : 0;
   }
   EXPECT_EQ(wire, 0u);
-  EXPECT_EQ(graph_replay_spans(tempi::trace::OpKind::Isend), 1u);
+  EXPECT_EQ(graph_replay_spans(tempi::trace::OpKind::Isend), 0u);
   EXPECT_EQ(graph_replay_spans(tempi::trace::OpKind::Irecv), 1u);
   EXPECT_EQ(counter("tempi.p2p.self_deliveries"), 1u);
   EXPECT_EQ(counter("tempi.p2p.self_declines"), 0u);
   EXPECT_EQ(counter("tempi.isend.replays"), 1u);
+  EXPECT_EQ(counter("tempi.engine.fused_unpack_replays"), 1u);
   tempi::trace::reset();
+  MPI_Type_free(&t);
+}
+
+// Sends before or after their receives in the Waitall array: the delivery
+// packs inside the flush either way.
+TEST_F(SelfDelivery, WaitallInEitherOrderMatchesTheSystemPath) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  for (const bool send_first : {true, false}) {
+    const std::uint64_t batches0 =
+        counter("tempi.engine.fused_unpack_replays");
+    const std::uint64_t delivered =
+        expect_system_behavior([&](unsigned r, Seen &seen) {
+          prepare(src, dst, r);
+          MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+          std::array<MPI_Status, 2> st{};
+          const int recv = send_first ? 1 : 0;
+          seen.code(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD,
+                              &reqs[recv]));
+          seen.code(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD,
+                              &reqs[1 - recv]));
+          seen.code(MPI_Waitall(2, reqs, st.data()));
+          seen.status(st[static_cast<std::size_t>(recv)]);
+          seen.buffer(dst);
+        });
+    EXPECT_GE(delivered, 3u) << "send first " << send_first;
+    EXPECT_GE(counter("tempi.engine.fused_unpack_replays") - batches0, 2u)
+        << "send first " << send_first;
+  }
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
+  MPI_Type_free(&t);
+}
+
+// The send's Wait packs the message: the application may overwrite the
+// send buffer as soon as it returns, and the receive still gets the bytes
+// the buffer held at the Isend.
+TEST_F(SelfDelivery, WaitOnTheSendPacksBeforeItReturns) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  const std::uint64_t delivered =
+      expect_system_behavior([&](unsigned r, Seen &seen) {
+        prepare(src, dst, r);
+        MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+        MPI_Status st;
+        seen.code(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]));
+        seen.code(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[1]));
+        seen.code(MPI_Wait(&reqs[1], MPI_STATUS_IGNORE));
+        fill_pattern(src.get(), src.size(), 1000 + r);
+        seen.code(MPI_Wait(&reqs[0], &st));
+        seen.status(st);
+        seen.buffer(dst);
+      });
+  EXPECT_GE(delivered, 3u);
+  MPI_Type_free(&t);
+}
+
+// MPI_Test polled on the send or on the receive first: the first poll
+// that reaches either request packs the message.
+TEST_F(SelfDelivery, TestLoopOnEitherSideMatchesTheSystemPath) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  for (const bool send_first : {true, false}) {
+    const std::uint64_t delivered =
+        expect_system_behavior([&](unsigned r, Seen &seen) {
+          prepare(src, dst, r);
+          MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+          std::array<MPI_Status, 2> st{};
+          seen.code(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD,
+                              &reqs[0]));
+          seen.code(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD,
+                              &reqs[1]));
+          for (const int k : send_first ? std::array<int, 2>{1, 0}
+                                        : std::array<int, 2>{0, 1}) {
+            int flag = 0;
+            for (int poll = 0; poll < 1000 && flag == 0; ++poll) {
+              seen.code(MPI_Test(&reqs[k], &flag,
+                                 &st[static_cast<std::size_t>(k)]));
+            }
+            seen.code(flag);
+            if (k == 1) {
+              fill_pattern(src.get(), src.size(), 1000 + r);
+            }
+          }
+          seen.status(st[0]);
+          seen.buffer(dst);
+        });
+    EXPECT_GE(delivered, 3u) << "send first " << send_first;
+  }
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
+  MPI_Type_free(&t);
+}
+
+// MPI_Request_free of a send whose delivery is pending packs it: the
+// buffer may be overwritten afterwards, as on the system path, whose
+// Isend copies the message.
+TEST_F(SelfDelivery, FreeingThePendingSendPacksIt) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  const std::uint64_t delivered =
+      expect_system_behavior([&](unsigned r, Seen &seen) {
+        prepare(src, dst, r);
+        MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+        MPI_Status st;
+        seen.code(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]));
+        seen.code(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[1]));
+        seen.code(MPI_Request_free(&reqs[1]));
+        seen.code(reqs[1] == MPI_REQUEST_NULL ? 1 : 0);
+        fill_pattern(src.get(), src.size(), 1000 + r);
+        seen.code(MPI_Wait(&reqs[0], &st));
+        seen.status(st);
+        seen.buffer(dst);
+      });
+  EXPECT_GE(delivered, 3u);
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
+  MPI_Type_free(&t);
+}
+
+// The receive waited on by another thread while this thread waits on the
+// send: exactly one of them packs, and neither returns before the pack
+// ran.
+TEST_F(SelfDelivery, ReceiveAndSendCompletedOnTwoThreadsAtOnce) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  const std::uint64_t delivered =
+      expect_system_behavior([&](unsigned r, Seen &seen) {
+        prepare(src, dst, r);
+        MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+        MPI_Status st;
+        seen.code(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]));
+        seen.code(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[1]));
+        std::barrier start(2);
+        int recv_rc = MPI_ERR_OTHER;
+        std::thread other([&] {
+          start.arrive_and_wait();
+          recv_rc = MPI_Wait(&reqs[0], &st);
+        });
+        start.arrive_and_wait();
+        const int send_rc = MPI_Wait(&reqs[1], MPI_STATUS_IGNORE);
+        fill_pattern(src.get(), src.size(), 1000 + r);
+        other.join();
+        seen.code(send_rc);
+        seen.code(recv_rc);
+        seen.status(st);
+        seen.buffer(dst);
+      });
+  EXPECT_GE(delivered, 3u);
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
+  MPI_Type_free(&t);
+}
+
+// A persistent Start pair in steady state: the send's Start does no device
+// work, and the Waitall packs and unpacks in one recorded graph.
+TEST_F(SelfDelivery, PersistentStartDeliveryPacksInTheWaitall) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  constexpr unsigned kSteady = 3;
+  std::vector<DeviceOps> starts, waits;
+  std::array<MPI_Request, 2> ch{MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+  const Round round = [&](unsigned r, Seen &seen) {
+    if (r == 0) {
+      seen.code(MPI_Recv_init(dst.get(), 1, t, 0, 11, MPI_COMM_WORLD,
+                              &ch[0]));
+      seen.code(MPI_Send_init(src.get(), 1, t, 0, 11, MPI_COMM_WORLD,
+                              &ch[1]));
+    }
+    prepare(src, dst, r);
+    std::array<MPI_Status, 2> st{};
+    seen.code(MPI_Start(&ch[0]));
+    DeviceOps before = device_ops();
+    seen.code(MPI_Start(&ch[1]));
+    starts.push_back(device_ops() - before);
+    before = device_ops();
+    seen.code(MPI_Waitall(2, ch.data(), st.data()));
+    waits.push_back(device_ops() - before);
+    seen.status(st[0]);
+    seen.buffer(dst);
+    if (r + 1 == kRounds) {
+      seen.code(MPI_Request_free(&ch[0]));
+      seen.code(MPI_Request_free(&ch[1]));
+    }
+  };
+  const Seen reference = observe(tempi::SendMode::System, round);
+  starts.clear();
+  waits.clear();
+  tempi::trace::reset_counters();
+  const Seen seen = observe(tempi::SendMode::ForceDevice, round);
+  EXPECT_EQ(seen.codes, reference.codes);
+  EXPECT_EQ(seen.statuses, reference.statuses);
+  EXPECT_EQ(seen.buffers, reference.buffers);
+  for (unsigned r = kSteady; r < kRounds; ++r) {
+    EXPECT_EQ(starts[r].graphs, 0u) << "round " << r;
+    EXPECT_EQ(starts[r].fences, 0u) << "round " << r;
+    EXPECT_EQ(waits[r].kernels, 0u) << "round " << r;
+    EXPECT_EQ(waits[r].syncs, 0u) << "round " << r;
+    EXPECT_EQ(waits[r].graphs, 1u) << "round " << r;
+    EXPECT_EQ(waits[r].fences, 1u) << "round " << r;
+  }
+  EXPECT_GE(counter("tempi.p2p.self_deliveries"), kRounds - 1u);
+  EXPECT_EQ(counter("tempi.persistent.replays"), 2u * kRounds);
+  EXPECT_EQ(tempi::async::persistent_open(), 0u);
+  MPI_Type_free(&t);
+}
+
+// uninstall() with a delivery decided but not packed: the send and the
+// receive are dropped, every lease goes back to the cache, and nothing
+// is launched onto the posting thread's streams.
+TEST_F(SelfDelivery, UninstallDropsAPendingDelivery) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  const std::size_t leased0 = leased_now();
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  for (unsigned r = 0; r < kRounds; ++r) {
+    prepare(src, dst, r);
+    MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+    ASSERT_EQ(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]),
+              MPI_SUCCESS);
+    ASSERT_EQ(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[1]),
+              MPI_SUCCESS);
+    ASSERT_EQ(MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE), MPI_SUCCESS);
+  }
+  const std::uint64_t delivered0 = counter("tempi.p2p.self_deliveries");
+  MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+  ASSERT_EQ(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]),
+            MPI_SUCCESS);
+  DeviceOps post{};
+  reqs[1] = isend_self(src.get(), 1, t, 5, &post);
+  ASSERT_EQ(counter("tempi.p2p.self_deliveries") - delivered0, 1u);
+  EXPECT_EQ(post.graphs, 0u); // decided, not packed
+  EXPECT_EQ(tempi::async::in_flight(), 2u);
+  const std::uint64_t graphs = device_ops().graphs;
+  MPI_Type_free(&t);
+  tempi::uninstall(); // drops the receive, loudly, and the send
+  EXPECT_EQ(device_ops().graphs, graphs);
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
+  EXPECT_EQ(leased_now(), leased0);
+  tempi::install();
+  // Nothing of the dropped pair survives: the thread's next exchanges end
+  // as on the system path, and deliver again.
+  t = committed_vector(128, 4, 12);
+  const std::uint64_t again =
+      expect_system_behavior([&](unsigned r, Seen &seen) {
+        prepare(src, dst, r);
+        MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+        std::array<MPI_Status, 2> st{};
+        seen.code(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]));
+        seen.code(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[1]));
+        seen.code(MPI_Waitall(2, reqs, st.data()));
+        seen.status(st[0]);
+        seen.buffer(dst);
+      });
+  EXPECT_GE(again, 3u);
   MPI_Type_free(&t);
 }
 
