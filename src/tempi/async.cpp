@@ -111,15 +111,14 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   vcuda::StreamHandle stream = nullptr;
 
   /// Pipelined receive only: the per-chunk state machine (Wait/Test drive
-  /// its legs; its chunk leases live inside it until the op retires).
+  /// its legs; its chunk leases live inside it until the op retires). A
+  /// pre-packed one lands its legs in `recv_buf`.
   std::unique_ptr<ChunkedRecv> chunked;
 
   /// Collectives-engine legs: the payload is pre-packed contiguous bytes,
   /// so completion moves wire bytes without pack/unpack kernels (see
-  /// start_isend_packed/start_irecv_packed). Pipelined packed receives
-  /// carry the contiguous mirror of ChunkedRecv.
+  /// start_isend_packed/start_irecv_packed).
   bool packed = false;
-  std::unique_ptr<PackedChunkRecv> packed_chunked;
 
   MPI_Request inner = MPI_REQUEST_NULL; ///< send: the system transfer
   MPI_Status wire_status{};             ///< recv: status of the wire leg
@@ -589,22 +588,29 @@ int replay_unpack(AsyncOp &op) {
 /// Blocking wire leg + unpack for a receive op; `sync` controls whether
 /// the stream is synchronized here (Waitall defers it to batch).
 int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
+  if (op.chunked) {
+    // Pipelined: drive every remaining wire leg; each leg's unpack is
+    // enqueued without a sync, overlapping the next leg's wire wait. Legs
+    // landing in pre-packed bytes leave no stream work to drain.
+    int rc = MPI_SUCCESS;
+    while (!op.chunked->done() &&
+           (rc = op.chunked->step(next)) == MPI_SUCCESS) {
+    }
+    if (rc != MPI_SUCCESS) {
+      return rc;
+    }
+    op.chunked->fill_status(&op.wire_status);
+    op.pipe.bytes = op.chunked->bytes_received();
+    op.phase = OpPhase::UnpackPending;
+    if (sync || !op.chunked->unpacks()) {
+      op.chunked->synchronize();
+      op.phase = OpPhase::Complete;
+    }
+    return MPI_SUCCESS;
+  }
   if (op.packed) {
     // Pre-packed destination (collectives-engine leg): the wire bytes land
     // in place, no unpack kernels.
-    if (op.packed_chunked) {
-      int rc = MPI_SUCCESS;
-      while (!op.packed_chunked->done() &&
-             (rc = op.packed_chunked->step(next)) == MPI_SUCCESS) {
-      }
-      if (rc != MPI_SUCCESS) {
-        return rc;
-      }
-      op.packed_chunked->fill_status(&op.wire_status);
-      op.pipe.bytes = op.packed_chunked->bytes_received();
-      op.phase = OpPhase::Complete; // no stream work to drain
-      return MPI_SUCCESS;
-    }
     if (op.method == Method::Staged) {
       int rc;
       {
@@ -643,25 +649,6 @@ int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
     }
     op.pipe.bytes = static_cast<std::size_t>(op.wire_status.count_bytes);
     op.phase = OpPhase::Complete; // direct landing: nothing left to drain
-    return MPI_SUCCESS;
-  }
-  if (op.chunked) {
-    // Pipelined: drive every remaining wire leg; each leg's unpack is
-    // enqueued without a sync, overlapping the next leg's wire wait.
-    int rc = MPI_SUCCESS;
-    while (!op.chunked->done() &&
-           (rc = op.chunked->step(next)) == MPI_SUCCESS) {
-    }
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
-    op.chunked->fill_status(&op.wire_status);
-    op.pipe.bytes = op.chunked->bytes_received();
-    op.phase = OpPhase::UnpackPending;
-    if (sync) {
-      op.chunked->synchronize();
-      op.phase = OpPhase::Complete;
-    }
     return MPI_SUCCESS;
   }
   if (const int rc = recv_wire(op, next); rc != MPI_SUCCESS) {
@@ -1304,8 +1291,8 @@ int start_irecv_packed(void *bytes, std::size_t nbytes, Method method,
   op->pipe.bytes = nbytes;
   op->stream = vcuda::next_pool_stream();
   if (method == Method::Pipelined) {
-    op->packed_chunked =
-        std::make_unique<PackedChunkRecv>(bytes, nbytes, source, tag, comm);
+    op->chunked =
+        std::make_unique<ChunkedRecv>(bytes, nbytes, source, tag, comm);
   } else if (method == Method::Staged) {
     // A failed lease must not enter the pool (Wait would receive into a
     // null buffer).
@@ -1374,8 +1361,9 @@ int freeze(AsyncOp &op, TransferChoice choice) {
     // It fails where its sender's recording does (a row beyond the wire
     // limit), so the two ends keep or change their plans together.
     PipelineFrame frame;
-    rc = plan_pipeline_frame(*op.packer, op.count, choice.chunk_bytes,
-                             &frame);
+    rc = plan_pipeline_frame(
+        static_cast<std::size_t>(op.packer->wire_block_bytes()),
+        op.packer->total_blocks(op.count), choice.chunk_bytes, &frame);
   }
   if (rc != MPI_SUCCESS) {
     return rc; // the fresh programs release their leases and graphs here
@@ -1621,9 +1609,7 @@ int request_free(MPI_Request *request, const interpose::MpiTable &next) {
     }
     if (op->kind == AsyncOp::Kind::Send) {
       rc = complete_send(*op, next);
-    } else if ((op->chunked && op->chunked->bytes_received() > 0) ||
-               (op->packed_chunked &&
-                op->packed_chunked->bytes_received() > 0)) {
+    } else if (op->chunked && op->chunked->bytes_received() > 0) {
       rc = complete_recv(*op, next, /*sync=*/true);
     }
     drain_op_streams(*op);
@@ -1717,25 +1703,6 @@ int test(MPI_Request *request, int *flag, MPI_Status *status,
     *flag = 1;
     return wait(request, status, next); // complete_recv finishes instantly
   }
-  if (op->packed_chunked) {
-    // Pre-packed pipelined receive: same incremental progress, with legs
-    // landing straight in the destination slice (no stream work to drain).
-    while (!op->packed_chunked->done() && op->packed_chunked->ready(next)) {
-      const int rc = op->packed_chunked->step(next);
-      if (rc != MPI_SUCCESS) {
-        retire(*op, request);
-        *flag = 1; // completed, though with an error
-        return rc;
-      }
-    }
-    if (!op->packed_chunked->done()) {
-      vcuda::this_thread_timeline().advance(kPollSweepNs);
-      *flag = 0;
-      return MPI_SUCCESS;
-    }
-    *flag = 1;
-    return wait(request, status, next); // complete_recv finishes instantly
-  }
   int matched = 0;
   if (op->delivered.load(std::memory_order_acquire)) {
     matched = 1; // a self-addressed send delivered into it: no wire to wait
@@ -1822,7 +1789,7 @@ bool rendezvous_sized(std::size_t bytes) {
 
 /// Payload bytes a receive op's wire wait expects.
 std::size_t expected_bytes(const AsyncOp &op) {
-  return op.chunked ? op.packer->packed_bytes(op.count) : op.pipe.bytes;
+  return op.chunked ? op.chunked->expected_bytes() : op.pipe.bytes;
 }
 
 void note_stream(std::vector<vcuda::StreamHandle> &list,

@@ -194,11 +194,11 @@ int start_irecv(const Packer *packer, Method method, void *buf, int count,
 /// slice — so the op owns only the wire leg. Method::Device ships the
 /// slice straight on the CUDA-aware wire, Method::Staged stages it
 /// through a pinned lease on the op's pool stream, and Method::Pipelined
-/// (legs above the wire-chunk limit) splits the slice into ordered
-/// sub-slice legs under the PR 3 framing (posted eagerly at start time,
-/// like pipelined Isends). The send-side slice must stay valid until the
-/// call returns (the system MPI buffers it); the receive-side slice must
-/// stay valid until the op completes.
+/// (legs above the wire-chunk limit) sends the slice as ordered sub-slice
+/// legs of the one pipelined framing (send_packed_pipelined, posted
+/// eagerly at start time like pipelined Isends). The send-side slice must
+/// stay valid until the call returns (the system MPI buffers it); the
+/// receive-side slice must stay valid until the op completes.
 int start_isend_packed(const void *bytes, std::size_t nbytes, Method method,
                        std::size_t chunk_bytes, int dest, int tag,
                        MPI_Comm comm, const interpose::MpiTable &next,
@@ -207,8 +207,9 @@ int start_isend_packed(const void *bytes, std::size_t nbytes, Method method,
 /// Receive-side mirror: the wire is matched lazily at Wait/Test.
 /// Method::Device lands the leg directly in the slice; Method::Staged
 /// rides a pinned lease plus an H2D copy batched by Waitall's pass-2
-/// sync; Method::Pipelined carries a PackedChunkRecv state machine whose
-/// legs Wait drives to completion and Test consumes as they arrive.
+/// sync; Method::Pipelined carries a ChunkedRecv landing its legs in the
+/// slice (no stream, lease or sync), driven to completion by Wait and
+/// consumed leg by leg by Test like any pipelined receive.
 int start_irecv_packed(void *bytes, std::size_t nbytes, Method method,
                        int source, int tag, MPI_Comm comm,
                        const interpose::MpiTable &next, MPI_Request *request);

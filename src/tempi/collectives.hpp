@@ -25,8 +25,9 @@
 //      lock-free choice cache; topo::schedule orders
 //      the fan-out node-aware.
 //   3. Oversized legs — a per-peer leg above the wire-chunk limit ships
-//      as ordered sub-slice legs under the PR 3 pipelined framing
-//      (send_packed_pipelined / PackedChunkRecv).
+//      as ordered sub-slice legs of the one pipelined framing
+//      (send_packed_pipelined, landed by a ChunkedRecv straight into the
+//      receive slice).
 //   4. Fused unpack — received per-peer legs land in one staging lease and
 //      a single span-table kernel pass scatters them into the user buffer.
 //   5. Replay — a repeated call with the same identity (comm, buffers,

@@ -121,6 +121,42 @@ int start_unpack(const Packer &packer, Method m, void *buf, int count,
 
 // --- the Pipelined (chunked) method ------------------------------------------
 
+int plan_pipeline_frame(std::size_t block_bytes, long long total_blocks,
+                        std::size_t chunk_target, PipelineFrame *frame) {
+  const std::size_t limit = wire_chunk_limit();
+  if (block_bytes == 0 || total_blocks <= 0) {
+    return MPI_ERR_ARG; // the acceleration gate filters empty payloads
+  }
+  if (block_bytes > limit) {
+    // Chunks split at block (dimension-0 row) boundaries; one contiguous
+    // block beyond the wire limit keeps the historical rejection.
+    return MPI_ERR_COUNT;
+  }
+  if (const std::size_t o = chunk_bytes_override(); o != 0) {
+    chunk_target = o; // TEMPI_CHUNK_BYTES is authoritative
+  } else if (chunk_target == 0) {
+    chunk_target = fallback_chunk_bytes(
+        static_cast<std::size_t>(total_blocks) * block_bytes);
+  }
+  // Whole blocks per leg, at least one, never exceeding the wire limit or
+  // the payload: a lone data leg the receiver took for a full one would
+  // leave it waiting for a terminator forever.
+  frame->block = block_bytes;
+  frame->blocks_per_leg = std::min<long long>(
+      std::max<long long>(
+          static_cast<long long>(std::min(chunk_target, limit) / block_bytes),
+          1),
+      total_blocks);
+  frame->chunk = static_cast<std::size_t>(frame->blocks_per_leg) * block_bytes;
+  frame->full_legs = total_blocks / frame->blocks_per_leg;
+  frame->rem_blocks = total_blocks % frame->blocks_per_leg;
+  // Wire protocol: full legs carry exactly `chunk` bytes; the final leg is
+  // strictly smaller, so an evenly divided message appends an empty
+  // terminator leg. The receiver keys termination off "leg < first leg".
+  frame->legs = frame->full_legs + 1; // remainder leg or empty terminator
+  return MPI_SUCCESS;
+}
+
 namespace {
 
 struct PipelineCounters {
@@ -133,58 +169,55 @@ struct PipelineCounters {
 /// Namespace scope, so the counters register at static initialisation.
 PipelineCounters g_pipeline_counters;
 
-} // namespace
-
-int plan_pipeline_frame(const Packer &packer, int count,
-                        std::size_t chunk_target, PipelineFrame *frame) {
-  const std::size_t limit = wire_chunk_limit();
-  const auto blk = static_cast<std::size_t>(packer.wire_block_bytes());
-  const std::size_t total = packer.packed_bytes(count);
-  const long long total_blocks = packer.total_blocks(count);
-  if (blk == 0 || count <= 0 || total_blocks <= 0) {
-    return MPI_ERR_ARG; // the acceleration gate filters empty payloads
+/// The one leg loop every pipelined sender runs. Per leg, `step(leg,
+/// &wire)` readies the leg's bytes at `wire` (a live sender also enqueues
+/// the next leg's pack, a replayed one launches its graph); the leg then
+/// leaves as one buffered system Send under a Wire span of `kind`.
+/// `observe_wire` feeds those sends to the tuner's GPU wire axis.
+template <class Step>
+int send_legs(const PipelineFrame &f, int dest, int tag, MPI_Comm comm,
+              const interpose::MpiTable &next, trace::OpKind kind,
+              bool observe_wire, Step &&step) {
+  g_pipeline_counters.sends.add();
+  if (const std::size_t total = f.total_bytes(); total > wire_chunk_limit()) {
+    g_pipeline_counters.over_ceiling_bytes.add(total);
   }
-  if (blk > limit) {
-    // Chunks split at block (dimension-0 row) boundaries; one contiguous
-    // block beyond the wire limit keeps the historical rejection.
-    return MPI_ERR_COUNT;
+  for (long long leg = 0; leg < f.legs; ++leg) {
+    const void *wire = nullptr;
+    int rc = step(leg, &wire);
+    if (rc != MPI_SUCCESS) {
+      return rc;
+    }
+    const std::size_t leg_bytes = f.leg_bytes(leg);
+    {
+      trace::ScopedSpan span(trace::Phase::Wire, kind, leg_bytes, dest, tag,
+                             static_cast<std::int8_t>(Method::Pipelined));
+      tune::ScopedObservation obs(
+          tune::Axis::GpuWire, 0, leg_bytes,
+          observe_wire && tune::wire_observable(leg_bytes));
+      rc = next.Send(wire, static_cast<int>(leg_bytes), MPI_BYTE, dest, tag,
+                     comm);
+    }
+    if (rc != MPI_SUCCESS) {
+      return rc;
+    }
+    g_pipeline_counters.chunks.add();
   }
-  if (const std::size_t o = chunk_bytes_override(); o != 0) {
-    chunk_target = o; // TEMPI_CHUNK_BYTES is authoritative
-  } else if (chunk_target == 0) {
-    chunk_target = fallback_chunk_bytes(total);
-  }
-  // Whole blocks per leg, at least one, never exceeding the wire limit.
-  frame->blocks_per_leg = std::min<long long>(
-      std::max<long long>(
-          static_cast<long long>(std::min(chunk_target, limit) / blk), 1),
-      total_blocks);
-  frame->chunk = static_cast<std::size_t>(frame->blocks_per_leg) * blk;
-  frame->full_legs = total_blocks / frame->blocks_per_leg;
-  frame->rem_blocks = total_blocks % frame->blocks_per_leg;
-  // Wire protocol: full legs carry exactly `chunk` bytes; the final leg is
-  // strictly smaller, so an evenly divided message appends an empty
-  // terminator leg. The receiver keys termination off "leg < first leg".
-  frame->legs = frame->full_legs + 1; // remainder leg or empty terminator
   return MPI_SUCCESS;
 }
+
+} // namespace
 
 int send_pipelined(const Packer &packer, const void *buf, int count,
                    int dest, int tag, MPI_Comm comm, std::size_t chunk_target,
                    const interpose::MpiTable &next, trace::OpKind kind) {
-  const auto blk = static_cast<std::size_t>(packer.wire_block_bytes());
-  const std::size_t total = packer.packed_bytes(count);
   PipelineFrame f;
-  if (const int rc = plan_pipeline_frame(packer, count, chunk_target, &f);
+  if (const int rc = plan_pipeline_frame(
+          static_cast<std::size_t>(packer.wire_block_bytes()),
+          packer.total_blocks(count), chunk_target, &f);
       rc != MPI_SUCCESS) {
     return rc;
   }
-
-  g_pipeline_counters.sends.add();
-  if (total > wire_chunk_limit()) {
-    g_pipeline_counters.over_ceiling_bytes.add(total);
-  }
-
   // Two chunk-sized wire leases ping-pong: while leg i rides the wire,
   // leg i+1 packs into the other buffer on the other stream. The system
   // MPI copies the payload out before Send returns, so a slot is reusable
@@ -204,53 +237,41 @@ int send_pipelined(const Packer &packer, const void *buf, int count,
       return MPI_ERR_OTHER;
     }
   }
-  // Prologue: pack leg 0 before entering the steady-state loop.
-  int rc = packer.pack_range_async(slot[0].get(), buf, 0, f.leg_blocks(0),
-                                   stream[0]) == vcuda::Error::Success
-               ? MPI_SUCCESS
-               : MPI_ERR_OTHER;
-  for (long long leg = 0; rc == MPI_SUCCESS && leg < f.legs; ++leg) {
-    const int s = static_cast<int>(leg & 1);
-    {
-      // The wire must not depart before this leg's pack completes. The
-      // measured duration is the *residual* pack time after overlap with
-      // the previous leg's wire — exactly the effective per-chunk pack
-      // cost estimate_pipelined_us should use, so full (chunk-sized) legs
-      // feed the tuner at the chunk's {block, leg bytes} knot.
-      trace::ScopedSpan pack(trace::Phase::PackLaunch, kind, 0, dest, tag,
-                             static_cast<std::int8_t>(Method::Pipelined));
-      tune::ScopedObservation obs(
-          tune::Axis::DevicePack, blk,
-          static_cast<std::size_t>(f.leg_blocks(leg)) * blk,
-          leg < f.full_legs); // stay on-knot: full legs only
-      vcuda::StreamSynchronize(stream[s]);
-    }
-    // Enqueue the next leg's pack *before* the blocking send: the stream
-    // runs ahead of the host, so the pack overlaps this leg's wire time.
-    if (leg + 1 < f.legs && f.leg_blocks(leg + 1) > 0) {
-      if (packer.pack_range_async(slot[1 - s].get(), buf,
-                                  (leg + 1) * f.blocks_per_leg,
-                                  f.leg_blocks(leg + 1),
-                                  stream[1 - s]) != vcuda::Error::Success) {
-        rc = MPI_ERR_OTHER;
-        break;
-      }
-    }
-    const std::size_t leg_bytes =
-        static_cast<std::size_t>(f.leg_blocks(leg)) * blk;
-    {
-      trace::ScopedSpan wire(trace::Phase::Wire, kind, leg_bytes, dest, tag,
-                             static_cast<std::int8_t>(Method::Pipelined));
-      tune::ScopedObservation obs(tune::Axis::GpuWire, 0, leg_bytes,
-                                  tune::wire_observable(leg_bytes));
-      rc = next.Send(slot[s].get(), static_cast<int>(leg_bytes), MPI_BYTE,
-                     dest, tag, comm);
-    }
-    if (rc != MPI_SUCCESS) {
-      break;
-    }
-    g_pipeline_counters.chunks.add();
-  }
+  const auto pack = [&](long long leg) {
+    return packer.pack_range_async(slot[leg & 1].get(), buf,
+                                   leg * f.blocks_per_leg, f.leg_blocks(leg),
+                                   stream[leg & 1]) == vcuda::Error::Success;
+  };
+  const int rc = send_legs(
+      f, dest, tag, comm, next, kind, /*observe_wire=*/true,
+      [&](long long leg, const void **wire) {
+        const int s = static_cast<int>(leg & 1);
+        if (leg == 0 && !pack(0)) {
+          return MPI_ERR_OTHER;
+        }
+        {
+          // The wire must not depart before this leg's pack completes. The
+          // measured duration is the *residual* pack time after overlap
+          // with the previous leg's wire — exactly the effective per-chunk
+          // pack cost estimate_pipelined_us should use, so full
+          // (chunk-sized) legs feed the tuner at the chunk's {block, leg
+          // bytes} knot.
+          trace::ScopedSpan span(trace::Phase::PackLaunch, kind, 0, dest, tag,
+                                 static_cast<std::int8_t>(Method::Pipelined));
+          tune::ScopedObservation obs(
+              tune::Axis::DevicePack, f.block, f.leg_bytes(leg),
+              leg < f.full_legs); // stay on-knot: full legs only
+          vcuda::StreamSynchronize(stream[s]);
+        }
+        // Enqueue the next leg's pack *before* this leg's blocking send:
+        // the stream runs ahead of the host, so the pack overlaps the
+        // wire time.
+        if (leg + 1 < f.legs && f.leg_blocks(leg + 1) > 0 && !pack(leg + 1)) {
+          return MPI_ERR_OTHER;
+        }
+        *wire = slot[s].get();
+        return MPI_SUCCESS;
+      });
   // Drain both streams before the leases return to the cache (also covers
   // the error path, where a pack for the next leg may still be enqueued).
   vcuda::StreamSynchronize(stream[0]);
@@ -261,49 +282,19 @@ int send_pipelined(const Packer &packer, const void *buf, int count,
 int send_packed_pipelined(const void *bytes, std::size_t total, int dest,
                           int tag, MPI_Comm comm, std::size_t chunk_target,
                           const interpose::MpiTable &next) {
-  const std::size_t limit = wire_chunk_limit();
-  if (const std::size_t o = chunk_bytes_override(); o != 0) {
-    chunk_target = o; // TEMPI_CHUNK_BYTES is authoritative
-  } else if (chunk_target == 0) {
-    chunk_target = fallback_chunk_bytes(total);
-  }
-  // Clamp to the wire limit and the payload: at least one *full* leg must
-  // precede the strictly-shorter final leg, or the receiver would treat
-  // the lone data leg as full and wait for a terminator forever.
-  const std::size_t chunk = std::min(
-      {std::max<std::size_t>(chunk_target, 1), limit,
-       std::max<std::size_t>(total, 1)});
-
-  g_pipeline_counters.sends.add();
-  if (total > limit) {
-    g_pipeline_counters.over_ceiling_bytes.add(total);
+  PipelineFrame f;
+  if (const int rc = plan_pipeline_frame(1, static_cast<long long>(total),
+                                         chunk_target, &f);
+      rc != MPI_SUCCESS) {
+    return rc;
   }
   const auto *p = static_cast<const std::byte *>(bytes);
-  const std::size_t full_legs = total / chunk;
-  for (std::size_t leg = 0; leg < full_legs; ++leg) {
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Coll, chunk,
-                           dest, tag);
-    const int rc = next.Send(p + leg * chunk, static_cast<int>(chunk),
-                             MPI_BYTE, dest, tag, comm);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
-    g_pipeline_counters.chunks.add();
-  }
-  // Final leg: the remainder (strictly smaller than `chunk`), or an empty
-  // terminator on even division — also the whole message when total == 0.
-  const std::size_t rem = total - full_legs * chunk;
-  int rc;
-  {
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Coll, rem, dest,
-                           tag);
-    rc = next.Send(p + full_legs * chunk, static_cast<int>(rem), MPI_BYTE,
-                   dest, tag, comm);
-  }
-  if (rc == MPI_SUCCESS) {
-    g_pipeline_counters.chunks.add();
-  }
-  return rc;
+  return send_legs(f, dest, tag, comm, next, trace::OpKind::Coll,
+                   /*observe_wire=*/false,
+                   [&](long long leg, const void **wire) {
+                     *wire = p + static_cast<std::size_t>(leg) * f.chunk;
+                     return MPI_SUCCESS;
+                   });
 }
 
 // --- persistent-channel replay programs --------------------------------------
@@ -388,8 +379,9 @@ int record_persistent_recv(const Packer &packer, Method m, void *buf,
 int record_pipelined_send(const Packer &packer, const void *buf, int count,
                           std::size_t chunk_target,
                           PipelinedSendProgram *prog) {
-  if (const int rc =
-          plan_pipeline_frame(packer, count, chunk_target, &prog->frame);
+  if (const int rc = plan_pipeline_frame(
+          static_cast<std::size_t>(packer.wire_block_bytes()),
+          packer.total_blocks(count), chunk_target, &prog->frame);
       rc != MPI_SUCCESS) {
     return rc;
   }
@@ -429,17 +421,6 @@ int record_pipelined_send(const Packer &packer, const void *buf, int count,
 int replay_pipelined_send(const PipelinedSendProgram &prog, int dest, int tag,
                           MPI_Comm comm, const interpose::MpiTable &next) {
   const PipelineFrame &f = prog.frame;
-  const std::size_t blk = f.blocks_per_leg > 0
-                              ? f.chunk / static_cast<std::size_t>(
-                                              f.blocks_per_leg)
-                              : 0;
-  g_pipeline_counters.sends.add();
-  const std::size_t total =
-      static_cast<std::size_t>(f.full_legs) * f.chunk +
-      static_cast<std::size_t>(f.rem_blocks) * blk;
-  if (total > wire_chunk_limit()) {
-    g_pipeline_counters.over_ceiling_bytes.add(total);
-  }
   const auto launch_leg = [&](long long leg) {
     vcuda::GraphHandle g = prog.leg_graphs[static_cast<std::size_t>(leg)];
     return g == nullptr ||
@@ -449,33 +430,24 @@ int replay_pipelined_send(const PipelinedSendProgram &prog, int dest, int tag,
   // Same overlap discipline as send_pipelined — replay leg i+1's pack
   // graph before leg i's blocking send — with the per-leg launch + cold
   // sync replaced by a graph launch + pre-armed fence.
-  int rc = launch_leg(0) ? MPI_SUCCESS : MPI_ERR_OTHER;
-  for (long long leg = 0; rc == MPI_SUCCESS && leg < f.legs; ++leg) {
-    const int s = static_cast<int>(leg & 1);
-    {
-      trace::ScopedSpan replay(trace::Phase::GraphReplay,
-                               trace::OpKind::Persistent, 0, dest, tag);
-      vcuda::StreamFence(prog.stream[s]);
-      if (leg + 1 < f.legs && !launch_leg(leg + 1)) {
-        rc = MPI_ERR_OTHER;
-      }
-    }
-    if (rc != MPI_SUCCESS) {
-      break;
-    }
-    const std::size_t leg_bytes =
-        static_cast<std::size_t>(f.leg_blocks(leg)) * blk;
-    {
-      trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Persistent,
-                             leg_bytes, dest, tag);
-      rc = next.Send(prog.slot[s].get(), static_cast<int>(leg_bytes),
-                     MPI_BYTE, dest, tag, comm);
-    }
-    if (rc != MPI_SUCCESS) {
-      break;
-    }
-    g_pipeline_counters.chunks.add();
-  }
+  const int rc = send_legs(
+      f, dest, tag, comm, next, trace::OpKind::Persistent,
+      /*observe_wire=*/false, [&](long long leg, const void **wire) {
+        const int s = static_cast<int>(leg & 1);
+        if (leg == 0 && !launch_leg(0)) {
+          return MPI_ERR_OTHER;
+        }
+        {
+          trace::ScopedSpan replay(trace::Phase::GraphReplay,
+                                   trace::OpKind::Persistent, 0, dest, tag);
+          vcuda::StreamFence(prog.stream[s]);
+          if (leg + 1 < f.legs && !launch_leg(leg + 1)) {
+            return MPI_ERR_OTHER;
+          }
+        }
+        *wire = prog.slot[s].get();
+        return MPI_SUCCESS;
+      });
   // The slots are channel-pinned (not returning to the cache), but the
   // error path must still drain any replayed-but-unsent pack work.
   vcuda::StreamFence(prog.stream[0]);
@@ -483,104 +455,48 @@ int replay_pipelined_send(const PipelinedSendProgram &prog, int dest, int tag,
   return rc;
 }
 
-PackedChunkRecv::PackedChunkRecv(void *dst, std::size_t expected, int source,
-                                 int tag, MPI_Comm comm)
-    : dst_(dst), expected_(expected), peer_(source), tag_(tag), comm_(comm) {
-  g_pipeline_counters.recvs.add();
-}
-
-int PackedChunkRecv::step(const interpose::MpiTable &next) {
-  if (done_) {
-    return MPI_SUCCESS;
-  }
-  // First leg: any legal chunk fits under min(expected, limit). Later
-  // legs: full legs carry exactly chunk_; near the end the cap shrinks to
-  // the remaining budget so an overrunning sender gets the system MPI's
-  // precise truncation error.
-  const std::size_t cap =
-      started_ ? std::min(chunk_, expected_ - received_)
-               : std::min(std::max<std::size_t>(expected_, 1),
-                          wire_chunk_limit());
-  MPI_Status st;
-  int rc;
-  {
-    trace::ScopedSpan wire(trace::Phase::Wire, trace::OpKind::Coll, cap,
-                           peer_, tag_);
-    rc = next.Recv(static_cast<std::byte *>(dst_) + received_,
-                   static_cast<int>(cap), MPI_BYTE, peer_, tag_, comm_, &st);
-  }
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  const auto leg = static_cast<std::size_t>(st.count_bytes);
-  g_pipeline_counters.chunks.add();
-  if (!started_) {
-    started_ = true;
-    // Later legs belong to the same message: lock the match to the first
-    // leg's source/tag (MPI_ANY_SOURCE / MPI_ANY_TAG must not re-wildcard).
-    peer_ = st.MPI_SOURCE;
-    tag_ = st.MPI_TAG;
-    first_status_ = st;
-    chunk_ = leg;
-    received_ = leg;
-    done_ = leg == 0; // degenerate: an empty message
-    return MPI_SUCCESS;
-  }
-  received_ += leg;
-  done_ = leg < chunk_;
-  return MPI_SUCCESS;
-}
-
-bool PackedChunkRecv::ready(const interpose::MpiTable &next) const {
-  if (done_) {
-    return false;
-  }
-  int flag = 0;
-  if (next.Iprobe(peer_, tag_, comm_, &flag, nullptr) != MPI_SUCCESS) {
-    return false;
-  }
-  return flag != 0;
-}
-
-void PackedChunkRecv::fill_status(MPI_Status *status) const {
-  if (status == MPI_STATUS_IGNORE) {
-    return;
-  }
-  *status = first_status_;
-  status->count_bytes = static_cast<long long>(received_);
-}
-
 ChunkedRecv::ChunkedRecv(const Packer &packer, void *buf, int count,
                          int source, int tag, MPI_Comm comm,
                          trace::OpKind kind)
-    : packer_(packer), buf_(buf), count_(count), peer_(source), tag_(tag),
+    : packer_(&packer), buf_(buf), count_(count), peer_(source), tag_(tag),
       comm_(comm), kind_(kind), expected_(packer.packed_bytes(count)) {
   stream_[0] = vcuda::next_pool_stream();
   stream_[1] = vcuda::next_pool_stream();
   g_pipeline_counters.recvs.add();
 }
 
+ChunkedRecv::ChunkedRecv(void *dst, std::size_t expected, int source,
+                         int tag, MPI_Comm comm)
+    : buf_(dst), peer_(source), tag_(tag), comm_(comm),
+      kind_(trace::OpKind::Coll), expected_(expected),
+      land_(static_cast<std::byte *>(dst)) {
+  g_pipeline_counters.recvs.add();
+}
+
 int ChunkedRecv::first_step(const interpose::MpiTable &next) {
-  // The first leg defines the chunk size. Its lease must hold any legal
+  // The first leg defines the chunk size. Its buffer must hold any legal
   // first leg: the sender's chunk is bounded by the wire limit and by the
   // message itself (a larger first leg means the sender is shipping more
-  // than we can unpack — the system MPI's truncation error reports it).
+  // than we can take — the system MPI's truncation error reports it).
   const std::size_t cap =
       std::min(std::max<std::size_t>(expected_, 1), wire_chunk_limit());
-  {
-    trace::ScopedSpan lease(trace::Phase::LeaseAcquire, trace::OpKind::None,
-                            cap);
-    slot_[0] = lease_buffer(vcuda::MemorySpace::Device, cap);
+  if (land_ == nullptr) {
+    {
+      trace::ScopedSpan lease(trace::Phase::LeaseAcquire, trace::OpKind::None,
+                              cap);
+      slot_[0] = lease_buffer(vcuda::MemorySpace::Device, cap);
+    }
+    if (lease_failed(slot_[0], cap)) {
+      return MPI_ERR_OTHER;
+    }
   }
-  if (lease_failed(slot_[0], cap)) {
-    return MPI_ERR_OTHER;
-  }
+  void *first = land_ != nullptr ? land_ : slot_[0].get();
   int rc;
   {
     trace::ScopedSpan wire(trace::Phase::Wire, kind_, cap, peer_, tag_,
                            static_cast<std::int8_t>(Method::Pipelined));
-    rc = next.Recv(slot_[0].get(), static_cast<int>(cap), MPI_BYTE, peer_,
-                   tag_, comm_, &first_status_);
+    rc = next.Recv(first, static_cast<int>(cap), MPI_BYTE, peer_, tag_,
+                   comm_, &first_status_);
   }
   if (rc != MPI_SUCCESS) {
     return rc;
@@ -600,12 +516,15 @@ int ChunkedRecv::first_step(const interpose::MpiTable &next) {
   if (chunk_ > expected_) {
     return MPI_ERR_TRUNCATE;
   }
-  const auto blk = static_cast<std::size_t>(packer_.wire_block_bytes());
+  received_ = chunk_;
+  if (land_ != nullptr) {
+    return MPI_SUCCESS;
+  }
+  const auto blk = static_cast<std::size_t>(packer_->wire_block_bytes());
   if (blk == 0 || chunk_ % blk != 0) {
     // Legs are whole *sender* blocks; if they are not whole receiver
-    // blocks, fall back to accumulating the packed stream and unpacking
-    // once — correct, though no longer pipelined.
-    accumulate_ = true;
+    // blocks, land the packed stream in one full-size lease and unpack
+    // it once at the end.
     CachedBuffer all =
         lease_buffer(vcuda::MemorySpace::Device,
                      std::max<std::size_t>(expected_, 1));
@@ -618,27 +537,23 @@ int ChunkedRecv::first_step(const interpose::MpiTable &next) {
     // from it first.
     vcuda::StreamSynchronize(stream_[0]);
     slot_[0] = std::move(all);
+    land_ = static_cast<std::byte *>(slot_[0].get());
+    return MPI_SUCCESS;
   }
-  received_ = chunk_;
-  if (!accumulate_) {
-    slot_[1] = lease_buffer(vcuda::MemorySpace::Device, chunk_);
-    if (lease_failed(slot_[1], chunk_)) {
-      return MPI_ERR_OTHER;
-    }
-    if (const int urc = unpack_leg(chunk_, 0); urc != MPI_SUCCESS) {
-      return urc;
-    }
+  slot_[1] = lease_buffer(vcuda::MemorySpace::Device, chunk_);
+  if (lease_failed(slot_[1], chunk_)) {
+    return MPI_ERR_OTHER;
   }
-  return MPI_SUCCESS;
+  return unpack_leg(chunk_, 0);
 }
 
 int ChunkedRecv::unpack_leg(std::size_t leg_bytes, int slot) {
-  const auto blk = static_cast<std::size_t>(packer_.wire_block_bytes());
+  const auto blk = static_cast<std::size_t>(packer_->wire_block_bytes());
   const auto n = static_cast<long long>(leg_bytes / blk);
   if (static_cast<std::size_t>(n) * blk != leg_bytes) {
     return MPI_ERR_OTHER; // partial receiver block; cannot scatter it
   }
-  if (blocks_done_ + n > packer_.total_blocks(count_)) {
+  if (blocks_done_ + n > packer_->total_blocks(count_)) {
     return MPI_ERR_TRUNCATE;
   }
   trace::ScopedSpan span(trace::Phase::Unpack, kind_, leg_bytes, peer_, tag_,
@@ -648,7 +563,7 @@ int ChunkedRecv::unpack_leg(std::size_t leg_bytes, int slot) {
   // at the chunk knot so tuned pipelined estimates use overlapped costs.
   tune::ScopedObservation obs(tune::Axis::DeviceUnpack, blk, leg_bytes,
                               leg_bytes == chunk_);
-  const vcuda::Error e = packer_.unpack_range_async(
+  const vcuda::Error e = packer_->unpack_range_async(
       buf_, slot_[slot].get(), blocks_done_, n, stream_[slot]);
   if (e != vcuda::Error::Success) {
     obs.disarm();
@@ -667,44 +582,16 @@ int ChunkedRecv::step(const interpose::MpiTable &next) {
   }
   const int s = legs_ & 1;
   MPI_Status leg_status;
-  int rc = MPI_SUCCESS;
-  if (accumulate_) {
-    // Fallback: receive straight into the full-size buffer at the running
-    // offset; a single unpack happens when the terminator arrives.
-    if (received_ + chunk_ > std::max<std::size_t>(expected_, 1)) {
-      // The next leg could overrun the accumulation buffer; receive into
-      // a scratch lease sized to the remaining budget to let the system
-      // MPI report the truncation precisely.
-      const std::size_t room = expected_ - received_;
-      CachedBuffer scratch = lease_buffer(vcuda::MemorySpace::Device,
-                                          std::max<std::size_t>(room, 1));
-      if (lease_failed(scratch, room)) {
-        return MPI_ERR_OTHER;
-      }
-      {
-        trace::ScopedSpan wire(trace::Phase::Wire, kind_, room, peer_, tag_,
-                               static_cast<std::int8_t>(Method::Pipelined));
-        rc = next.Recv(scratch.get(), static_cast<int>(room), MPI_BYTE, peer_,
-                       tag_, comm_, &leg_status);
-      }
-      if (rc != MPI_SUCCESS) {
-        return rc;
-      }
-      vcuda::MemcpyAsync(static_cast<std::byte *>(slot_[0].get()) + received_,
-                         scratch.get(),
-                         static_cast<std::size_t>(leg_status.count_bytes),
-                         vcuda::MemcpyKind::DeviceToDevice, stream_[0]);
-      vcuda::StreamSynchronize(stream_[0]); // scratch returns to the cache
-    } else {
-      trace::ScopedSpan wire(trace::Phase::Wire, kind_, chunk_, peer_, tag_,
-                             static_cast<std::int8_t>(Method::Pipelined));
-      rc = next.Recv(static_cast<std::byte *>(slot_[0].get()) + received_,
-                     static_cast<int>(chunk_), MPI_BYTE, peer_, tag_, comm_,
-                     &leg_status);
-      if (rc != MPI_SUCCESS) {
-        return rc;
-      }
-    }
+  int rc;
+  if (land_ != nullptr) {
+    // Full legs carry exactly chunk_; near the end the cap shrinks to the
+    // remaining budget, so an overrunning sender gets the system MPI's
+    // precise truncation error.
+    const std::size_t cap = std::min(chunk_, expected_ - received_);
+    trace::ScopedSpan wire(trace::Phase::Wire, kind_, cap, peer_, tag_,
+                           static_cast<std::int8_t>(Method::Pipelined));
+    rc = next.Recv(land_ + received_, static_cast<int>(cap), MPI_BYTE, peer_,
+                   tag_, comm_, &leg_status);
   } else {
     {
       // Before reusing this slot, its unpack from two legs ago must have
@@ -717,9 +604,9 @@ int ChunkedRecv::step(const interpose::MpiTable &next) {
                            static_cast<std::int8_t>(Method::Pipelined));
     rc = next.Recv(slot_[s].get(), static_cast<int>(chunk_), MPI_BYTE, peer_,
                    tag_, comm_, &leg_status);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
+  }
+  if (rc != MPI_SUCCESS) {
+    return rc;
   }
   const auto leg_bytes = static_cast<std::size_t>(leg_status.count_bytes);
   g_pipeline_counters.chunks.add();
@@ -727,7 +614,7 @@ int ChunkedRecv::step(const interpose::MpiTable &next) {
   if (received_ + leg_bytes > expected_) {
     return MPI_ERR_TRUNCATE;
   }
-  if (leg_bytes > 0 && !accumulate_) {
+  if (leg_bytes > 0 && land_ == nullptr) {
     if (const int urc = unpack_leg(leg_bytes, s); urc != MPI_SUCCESS) {
       return urc;
     }
@@ -735,13 +622,14 @@ int ChunkedRecv::step(const interpose::MpiTable &next) {
   received_ += leg_bytes;
   if (leg_bytes < chunk_) {
     done_ = true;
-    if (accumulate_) {
-      const auto blk = static_cast<std::size_t>(packer_.wire_block_bytes());
+    if (land_ != nullptr && packer_ != nullptr) {
+      // The accumulated stream: one unpack of every block that arrived.
+      const auto blk = static_cast<std::size_t>(packer_->wire_block_bytes());
       if (blk == 0 || received_ % blk != 0) {
         return MPI_ERR_OTHER; // stream ends mid-block
       }
-      const vcuda::Error e = packer_.unpack_range_async(
-          buf_, slot_[0].get(), 0, static_cast<long long>(received_ / blk),
+      const vcuda::Error e = packer_->unpack_range_async(
+          buf_, land_, 0, static_cast<long long>(received_ / blk),
           stream_[0]);
       if (e != vcuda::Error::Success) {
         return MPI_ERR_OTHER;
@@ -776,6 +664,9 @@ void ChunkedRecv::append_streams(
 }
 
 void ChunkedRecv::synchronize() {
+  if (!unpacks()) {
+    return; // the legs landed in the caller's bytes: no stream work
+  }
   trace::ScopedSpan drain(trace::Phase::Unpack, kind_, received_, peer_,
                           tag_, static_cast<std::int8_t>(Method::Pipelined));
   vcuda::StreamSynchronize(stream_[0]);

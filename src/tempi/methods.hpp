@@ -117,10 +117,12 @@ int start_unpack(const Packer &packer, Method m, void *buf, int count,
 
 /// The frozen leg layout of one pipelined message: every full leg carries
 /// exactly `chunk` bytes (a whole number of blocks), the final leg is
-/// strictly smaller (an empty terminator on even division). Shared by
-/// send_pipelined and the persistent-channel recorder so the wire framing
-/// cannot drift between the live and replayed paths.
+/// strictly smaller (an empty terminator on even division). Every sender
+/// walks one frame — the live and replayed packer-driven ones and the
+/// collectives engine's pre-packed one — so the wire framing cannot drift
+/// between them.
 struct PipelineFrame {
+  std::size_t block = 0;        ///< bytes per block (1 for pre-packed bytes)
   std::size_t chunk = 0;        ///< bytes per full leg
   long long blocks_per_leg = 0;
   long long full_legs = 0;      ///< legs carrying exactly `chunk`
@@ -129,20 +131,28 @@ struct PipelineFrame {
   [[nodiscard]] long long leg_blocks(long long leg) const {
     return leg < full_legs ? blocks_per_leg : rem_blocks;
   }
+  [[nodiscard]] std::size_t leg_bytes(long long leg) const {
+    return static_cast<std::size_t>(leg_blocks(leg)) * block;
+  }
+  [[nodiscard]] std::size_t total_bytes() const {
+    return static_cast<std::size_t>(full_legs) * chunk + leg_bytes(full_legs);
+  }
 };
 
-/// Compute the frame for `count` objects with target leg size
-/// `chunk_target` (0 = fallback_chunk_bytes; the TEMPI_CHUNK_BYTES
-/// override is authoritative; legs are whole blocks clamped to the
-/// wire-chunk limit). Fails with MPI_ERR_ARG on empty payloads and
-/// MPI_ERR_COUNT when a single contiguous block exceeds the wire limit.
-int plan_pipeline_frame(const Packer &packer, int count,
+/// Frame `total_blocks` blocks of `block_bytes` each — a packer passes
+/// (wire_block_bytes(), total_blocks(count)), a pre-packed payload
+/// (1, bytes) — with target leg size `chunk_target` (0 =
+/// fallback_chunk_bytes; the TEMPI_CHUNK_BYTES override is authoritative;
+/// legs are whole blocks clamped to the wire-chunk limit and to the
+/// payload, so at least one full leg precedes the final one). Fails with
+/// MPI_ERR_ARG on empty payloads and MPI_ERR_COUNT when a single block
+/// exceeds the wire limit.
+int plan_pipeline_frame(std::size_t block_bytes, long long total_blocks,
                         std::size_t chunk_target, PipelineFrame *frame);
 
 /// Send `count` objects chunked over the wire, overlapping each leg's
 /// pack with the previous leg's transfer. `chunk_target` is the model- or
-/// override-chosen leg size in bytes (rounded down to whole blocks and
-/// clamped to the wire-chunk limit; 0 = fallback_chunk_bytes). Runs every
+/// override-chosen leg size in bytes (see plan_pipeline_frame). Runs every
 /// leg to completion: the system MPI's sends are buffered, so this never
 /// blocks on the receiver, which is what lets the request engine post
 /// pipelined sends eagerly at Isend time. Every leg's spans carry `kind`,
@@ -151,20 +161,44 @@ int send_pipelined(const Packer &packer, const void *buf, int count,
                    int dest, int tag, MPI_Comm comm, std::size_t chunk_target,
                    const interpose::MpiTable &next, trace::OpKind kind);
 
+/// Send `total` pre-packed contiguous bytes (a collectives-engine leg) as
+/// plain sub-slice legs of the same framing: no pack kernels, no chunk
+/// leases. Every leg is a buffered send, preserving the request engine's
+/// eager deadlock discipline.
+int send_packed_pipelined(const void *bytes, std::size_t total, int dest,
+                          int tag, MPI_Comm comm, std::size_t chunk_target,
+                          const interpose::MpiTable &next);
+
 /// Receiver-side per-chunk state machine, driven leg by leg by the request
 /// engine: Wait (and a blocking MPI_Recv) run it to completion, Test
 /// consumes the legs that have arrived. Each step() blocks for one wire
-/// leg and enqueues its unpack without synchronizing; the unpack of leg
-/// i-1 thus overlaps the wire wait of leg i. Call synchronize() before
-/// releasing the machine (even on error) so no stream work references the
-/// leased chunk buffers when they return to the cache. Its wire and unpack
-/// spans carry `kind`, the API call the receive belongs to.
+/// leg.
+///
+/// A leg goes one of two ways. Unpacking: when legs are whole receiver
+/// blocks, each lands in one of two ping-pong chunk leases and its unpack
+/// is enqueued without synchronizing, so the unpack of leg i-1 overlaps
+/// the wire wait of leg i. Landing: legs land at a running offset of one
+/// contiguous buffer, each capped at min(chunk, bytes still expected), so
+/// an overrunning sender gets the system MPI's MPI_ERR_TRUNCATE. That
+/// buffer is the caller's pre-packed bytes (a collectives-engine leg: no
+/// streams, leases or syncs at all), or, when the sender's blocks are not
+/// whole receiver blocks, one full-size lease unpacked once after the
+/// final leg — correct, though no longer pipelined.
+///
+/// Call synchronize() before releasing the machine (even on error) so no
+/// stream work references the leased buffers when they return to the
+/// cache. Its wire and unpack spans carry `kind`, the API call the
+/// receive belongs to.
 class ChunkedRecv {
 public:
+  /// Unpack the legs into `count` objects at `buf` through `packer`.
   ChunkedRecv(const Packer &packer, void *buf, int count, int source,
               int tag, MPI_Comm comm, trace::OpKind kind);
+  /// Land the legs in `expected` pre-packed bytes at `dst`.
+  ChunkedRecv(void *dst, std::size_t expected, int source, int tag,
+              MPI_Comm comm);
 
-  /// Receive the next wire leg (blocking) and enqueue its unpack.
+  /// Receive the next wire leg (blocking) and land or unpack it.
   /// Returns MPI_SUCCESS and flips done() after the final (short) leg.
   int step(const interpose::MpiTable &next);
 
@@ -174,12 +208,17 @@ public:
 
   [[nodiscard]] bool done() const { return done_; }
   [[nodiscard]] std::size_t bytes_received() const { return received_; }
+  [[nodiscard]] std::size_t expected_bytes() const { return expected_; }
+  /// False for a machine landing in the caller's bytes: it leaves no
+  /// stream work behind.
+  [[nodiscard]] bool unpacks() const { return packer_ != nullptr; }
 
   /// Streams carrying still-unsynchronized unpack legs (Waitall batches
   /// the final sync across requests).
   void append_streams(std::vector<vcuda::StreamHandle> &streams) const;
 
-  /// Synchronize the unpack streams (idempotent).
+  /// Synchronize the unpack streams (idempotent; nothing to do when the
+  /// legs land in the caller's bytes).
   void synchronize();
 
   /// Publish MPI_SOURCE/MPI_TAG of the message (from the first leg) and
@@ -190,84 +229,27 @@ private:
   int first_step(const interpose::MpiTable &next);
   int unpack_leg(std::size_t leg_bytes, int slot);
 
-  const Packer &packer_;
+  const Packer *packer_ = nullptr; ///< null: landing in the caller's bytes
   void *buf_;
-  int count_;
+  int count_ = 0;
   int peer_;       ///< locked to the first leg's source (MPI_ANY_SOURCE)
   int tag_;        ///< locked to the first leg's tag (MPI_ANY_TAG)
   MPI_Comm comm_;
   trace::OpKind kind_;
 
-  std::size_t expected_ = 0; ///< packed_bytes(count_): the unpack budget
+  std::size_t expected_ = 0; ///< the packed bytes the receive can take
   std::size_t chunk_ = 0;    ///< first leg's size; legs < chunk_ terminate
   std::size_t received_ = 0;
   long long blocks_done_ = 0;
   long long legs_ = 0;
   bool started_ = false;
   bool done_ = false;
-  /// Sender/receiver block sizes disagree (legs are not whole receiver
-  /// blocks): legs accumulate into one full-size buffer, unpacked once
-  /// at the end — correct, though no longer pipelined.
-  bool accumulate_ = false;
+  /// Landing mode: legs land at offset received_ of this buffer (the
+  /// caller's bytes, or slot_[0] when accumulating for one final unpack).
+  std::byte *land_ = nullptr;
 
   CachedBuffer slot_[2]; ///< ping-pong chunk leases (or [0] = full buffer)
   vcuda::StreamHandle stream_[2] = {nullptr, nullptr};
-  MPI_Status first_status_{};
-};
-
-// --- pre-packed (collectives-engine) legs ------------------------------------
-//
-// The collectives engine (tempi/collectives.*) packs every peer's blocks
-// with one fused kernel pass, so its per-peer wire legs carry bytes that
-// are already contiguous. These helpers mirror send_pipelined/ChunkedRecv
-// for that case: legs are plain sub-slices (no pack/unpack kernels, no
-// chunk leases) under the same PR 3 framing — full legs of exactly the
-// first leg's size, a strictly-shorter final leg, an empty terminator on
-// even division — so a pre-packed sender and a packer-driven receiver (or
-// vice versa) still interoperate leg for leg.
-
-/// Send `total` pre-packed bytes as ordered wire legs of up to
-/// `chunk_target` bytes (0 = fallback_chunk_bytes; the TEMPI_CHUNK_BYTES
-/// override is authoritative; the chunk is clamped to the wire limit and
-/// to the payload so at least one full leg precedes the terminator).
-/// Every leg is a buffered send, preserving the request engine's eager
-/// deadlock discipline.
-int send_packed_pipelined(const void *bytes, std::size_t total, int dest,
-                          int tag, MPI_Comm comm, std::size_t chunk_target,
-                          const interpose::MpiTable &next);
-
-/// Receiver-side state machine for a pre-packed destination: wire legs
-/// land directly at a running offset of `dst` (no unpack kernels), driven
-/// leg by leg like ChunkedRecv so Wait can run it to completion and Test
-/// can consume arrived legs incrementally.
-class PackedChunkRecv {
-public:
-  PackedChunkRecv(void *dst, std::size_t expected, int source, int tag,
-                  MPI_Comm comm);
-
-  /// Receive the next wire leg (blocking) into the running offset.
-  int step(const interpose::MpiTable &next);
-
-  /// True if the next leg has already arrived (Test-driven progress).
-  [[nodiscard]] bool ready(const interpose::MpiTable &next) const;
-
-  [[nodiscard]] bool done() const { return done_; }
-  [[nodiscard]] std::size_t bytes_received() const { return received_; }
-
-  /// Publish MPI_SOURCE/MPI_TAG (from the first leg) and the received
-  /// byte count. Call only after done().
-  void fill_status(MPI_Status *status) const;
-
-private:
-  void *dst_;
-  std::size_t expected_;
-  std::size_t chunk_ = 0; ///< first leg's size; legs < chunk_ terminate
-  std::size_t received_ = 0;
-  int peer_; ///< locked to the first leg's source (MPI_ANY_SOURCE)
-  int tag_;  ///< locked to the first leg's tag (MPI_ANY_TAG)
-  MPI_Comm comm_;
-  bool started_ = false;
-  bool done_ = false;
   MPI_Status first_status_{};
 };
 

@@ -313,22 +313,18 @@ TEST(Collectives, NeighborSelfAndAliasedEdgesMatchSystemPath) {
   check_neighbor(/*aliased=*/true, 12u);
 }
 
-TEST(Collectives, OversizedPeerLegsPipelineUnderInjectedLimit) {
-  // Per-peer legs above the wire-chunk limit must ship as ordered PR 3
-  // legs (send_packed_pipelined / PackedChunkRecv) — scaled down via the
-  // injectable limit so kilobytes exercise the >2 GiB machinery.
-  tempi::ScopedInterposer guard;
-  const std::size_t old_limit = tempi::set_wire_chunk_limit(4096);
-  tempi::trace::reset_counters();
+/// One 2-rank MPI_Alltoallv of one vector(rows, 16, 48, MPI_BYTE) object
+/// per peer (rows x 16 B packed per leg) from device buffers; returns each
+/// rank's receive buffer.
+std::vector<std::vector<std::byte>> alltoallv_rows(int rows) {
   std::vector<std::vector<std::byte>> out(2);
   sysmpi::RunConfig cfg;
   cfg.ranks = 2;
   cfg.ranks_per_node = 1;
   sysmpi::run_ranks(cfg, [&](int rank) {
     MPI_Init(nullptr, nullptr);
-    // 1024 blocks x 16 B = 16 KiB packed per peer: 4x the injected limit.
     MPI_Datatype t = nullptr;
-    MPI_Type_vector(1024, 16, 48, MPI_BYTE, &t);
+    MPI_Type_vector(rows, 16, 48, MPI_BYTE, &t);
     MPI_Type_commit(&t);
     MPI_Aint lb = 0, extent = 0;
     MPI_Type_get_extent(t, &lb, &extent);
@@ -348,6 +344,18 @@ TEST(Collectives, OversizedPeerLegsPipelineUnderInjectedLimit) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
+  return out;
+}
+
+TEST(Collectives, OversizedPeerLegsPipelineUnderInjectedLimit) {
+  // Per-peer legs above the wire-chunk limit must ship as ordered PR 3
+  // legs (send_packed_pipelined, landed by a ChunkedRecv) — scaled down
+  // via the injectable limit so kilobytes exercise the >2 GiB machinery.
+  tempi::ScopedInterposer guard;
+  const std::size_t old_limit = tempi::set_wire_chunk_limit(4096);
+  tempi::trace::reset_counters();
+  // 1024 blocks x 16 B = 16 KiB packed per peer: 4x the injected limit.
+  const std::vector<std::vector<std::byte>> out = alltoallv_rows(1024);
   tempi::set_wire_chunk_limit(old_limit);
   EXPECT_EQ(counter("tempi.coll.alltoallv"), 2u);
   // Each rank's non-self leg (16 KiB over a 4 KiB limit) pipelines on
@@ -358,33 +366,39 @@ TEST(Collectives, OversizedPeerLegsPipelineUnderInjectedLimit) {
 
   // Byte-exactness vs the system path (run with the default limit).
   tempi::coll::set_enabled(false);
-  std::vector<std::vector<std::byte>> sys(2);
-  sysmpi::run_ranks(cfg, [&](int rank) {
-    MPI_Init(nullptr, nullptr);
-    MPI_Datatype t = nullptr;
-    MPI_Type_vector(1024, 16, 48, MPI_BYTE, &t);
-    MPI_Type_commit(&t);
-    MPI_Aint lb = 0, extent = 0;
-    MPI_Type_get_extent(t, &lb, &extent);
-    const int counts[2] = {1, 1};
-    const int displs[2] = {0, 1};
-    SpaceBuffer sbuf(vcuda::MemorySpace::Device,
-                     2 * static_cast<std::size_t>(extent) + 64);
-    SpaceBuffer rbuf(vcuda::MemorySpace::Device,
-                     2 * static_cast<std::size_t>(extent) + 64);
-    fill_pattern(sbuf.get(), sbuf.size(), static_cast<unsigned>(rank) + 1);
-    std::memset(rbuf.get(), 0, rbuf.size());
-    ASSERT_EQ(MPI_Alltoallv(sbuf.get(), counts, displs, t, rbuf.get(),
-                            counts, displs, t, MPI_COMM_WORLD),
-              MPI_SUCCESS);
-    sys[static_cast<std::size_t>(rank)].assign(rbuf.bytes(),
-                                               rbuf.bytes() + rbuf.size());
-    MPI_Type_free(&t);
-    MPI_Finalize();
-  });
+  const std::vector<std::vector<std::byte>> sys = alltoallv_rows(1024);
   tempi::coll::set_enabled(true);
   EXPECT_EQ(out[0], sys[0]);
   EXPECT_EQ(out[1], sys[1]);
+}
+
+TEST(Collectives, PrePackedLegFramingIsExact) {
+  // Under a 4 KiB injected limit a leg's chunk is the limit itself, so the
+  // leg count of each non-self peer leg is fixed by its size, and the
+  // receiving side lands exactly as many legs as the sender sent.
+  tempi::ScopedInterposer guard;
+  for (const auto &[rows, legs] : {
+           // 16384 B: 4 full legs + the empty terminator.
+           std::pair<int, std::uint64_t>{1024, 5},
+           // 16000 B: 3 full legs + a 3712 B remainder leg.
+           {1000, 4},
+       }) {
+    const std::size_t old_limit = tempi::set_wire_chunk_limit(4096);
+    tempi::trace::reset_counters();
+    const std::vector<std::vector<std::byte>> out = alltoallv_rows(rows);
+    tempi::set_wire_chunk_limit(old_limit);
+    EXPECT_EQ(counter("tempi.pipeline.sends"), 2u) << rows << " rows";
+    EXPECT_EQ(counter("tempi.pipeline.recvs"), 2u) << rows << " rows";
+    // Two directions, each `legs` wire legs on both the sending and the
+    // receiving side.
+    EXPECT_EQ(counter("tempi.pipeline.chunks"), 2u * 2u * legs)
+        << rows << " rows";
+    tempi::coll::set_enabled(false);
+    const std::vector<std::vector<std::byte>> sys = alltoallv_rows(rows);
+    tempi::coll::set_enabled(true);
+    EXPECT_EQ(out[0], sys[0]) << rows << " rows";
+    EXPECT_EQ(out[1], sys[1]) << rows << " rows";
+  }
 }
 
 /// Gatherv / Allgather (thin reductions onto the exchange core) vs the

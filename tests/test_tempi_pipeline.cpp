@@ -2,9 +2,9 @@
 // transfers, the injectable wire-chunk limit that lets tiny messages
 // exercise the >limit multi-leg path, the regression that oversized sends
 // now succeed instead of returning MPI_ERR_COUNT, TEMPI_CHUNK_BYTES-style
-// chunk overrides, the tempi.pipeline.* counters, the request-engine
-// integration (Wait- and Test-driven chunk progress), and the Sendrecv
-// decomposition.
+// chunk overrides, the tempi.pipeline.* counters, a receiver whose blocks
+// do not divide the sender's legs, the request-engine integration (Wait-
+// and Test-driven chunk progress), and the Sendrecv decomposition.
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
 #include "tempi/methods.hpp"
@@ -15,6 +15,9 @@
 
 #include <cstring>
 #include <functional>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 namespace {
 
@@ -184,6 +187,68 @@ TEST_F(TempiPipeline, ChunkOverrideControlsLegCount) {
   exchange_and_check(1536, 16, 48); // 96 KiB packed, 64 B objects
   // 96 KiB / 16 KiB = 6 data legs + 1 empty terminator, on each side.
   EXPECT_EQ(counter("tempi.pipeline.chunks"), 14u);
+}
+
+/// Rank 0 sends one vector of `send_rows` 24 B rows, rank 1 receives one
+/// vector of `recv_rows` 16 B rows (legs of whole sender rows are not
+/// whole receiver rows). Returns the receive's return code and the
+/// receiver's packed object.
+std::pair<int, std::vector<std::byte>> mismatched_rows_exchange(
+    int send_rows, int recv_rows) {
+  std::pair<int, std::vector<std::byte>> got{MPI_ERR_OTHER, {}};
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype t = nullptr;
+    if (rank == 0) {
+      MPI_Type_vector(send_rows, 6, 10, MPI_FLOAT, &t);
+    } else {
+      MPI_Type_vector(recv_rows, 4, 7, MPI_FLOAT, &t);
+    }
+    MPI_Type_commit(&t);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    SpaceBuffer buf(vcuda::MemorySpace::Device,
+                    static_cast<std::size_t>(extent) + 64);
+    if (rank == 0) {
+      fill_pattern(buf.get(), buf.size(), 29);
+      EXPECT_EQ(MPI_Send(buf.get(), 1, t, 1, 4, MPI_COMM_WORLD), MPI_SUCCESS);
+    } else {
+      std::memset(buf.get(), 0, buf.size());
+      got.first =
+          MPI_Recv(buf.get(), 1, t, 0, 4, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+      got.second = reference_pack(buf.get(), 1, *t);
+    }
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
+  return got;
+}
+
+TEST_F(TempiPipeline, MismatchedBlockSizesAccumulateAndUnpackOnce) {
+  // 120 B legs (5 sender rows) are not whole 16 B receiver rows, so the
+  // receiver lands the legs in one buffer and unpacks it once at the end.
+  PipelineConfigGuard guard(/*limit=*/1024, /*override=*/120);
+  for (const auto &[send_rows, recv_rows, legs] : {
+           // 1152 B: 9 full legs + a 72 B remainder leg.
+           std::tuple<int, int, std::uint64_t>{48, 72, 10},
+           // 1200 B: 10 full legs + the empty terminator.
+           {50, 75, 11},
+       }) {
+    tempi::set_send_mode(tempi::SendMode::ForcePipelined);
+    tempi::trace::reset_counters();
+    const auto [rc, bytes] = mismatched_rows_exchange(send_rows, recv_rows);
+    EXPECT_EQ(rc, MPI_SUCCESS) << send_rows << " rows";
+    EXPECT_EQ(counter("tempi.pipeline.chunks"), 2 * legs)
+        << send_rows << " rows";
+    tempi::set_send_mode(tempi::SendMode::System);
+    const auto sys = mismatched_rows_exchange(send_rows, recv_rows);
+    ASSERT_EQ(sys.first, MPI_SUCCESS);
+    EXPECT_EQ(bytes, sys.second) << send_rows << " rows";
+  }
+  // A sender shipping 1200 B into a 1152 B receive: the tenth leg
+  // overruns the remaining 72 B, which the system MPI reports.
+  tempi::set_send_mode(tempi::SendMode::ForcePipelined);
+  EXPECT_EQ(mismatched_rows_exchange(50, 72).first, MPI_ERR_TRUNCATE);
 }
 
 TEST_F(TempiPipeline, SteadyStatePipelinedSendsHitTheMethodMemo) {
