@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <thread>
 #include <unordered_map>
@@ -65,16 +66,20 @@ struct RecordedProgram {
 };
 
 /// A self delivery decided when its send was posted (see deliver_self),
-/// shared by the send and the receive it lands in. The recorded pack runs
-/// once, in the first completion call that reaches either request, or as
-/// nodes of the Waitall flush that unpacks the receive. `pack` is null once
-/// it ran, or once the receive was dropped; `send` is valid while `pack` is
-/// set, because a send runs or drops its delivery before it is destroyed.
+/// shared by the send and the receive it lands in: one transcode that
+/// copies the send's objects straight into the receive's user buffer. It
+/// runs once, in the first completion call that reaches either request (as
+/// the pair's recorded one-item batch, `transcode`), or as a segment of the
+/// Waitall flush that completes the receive (`item`). `transcode` is null
+/// once it ran, or once the receive was dropped; `send` is valid while it
+/// is set, because a send runs or drops its delivery before it is
+/// destroyed.
 struct Delivery {
   std::mutex mutex;
-  std::shared_ptr<RecordedProgram> pack;
+  std::shared_ptr<RecordedProgram> transcode;
+  UnpackItem item;
   const AsyncOp *send = nullptr;
-  vcuda::VirtualNs done_at = 0; ///< when the pack completed
+  vcuda::VirtualNs done_at = 0; ///< when the transcode completed
 };
 
 /// One TEMPI-owned request. Created and driven by the owning rank thread;
@@ -127,12 +132,12 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   /// there, so a self-addressed send of that thread may deliver into it.
   std::shared_ptr<Inbox> inbox;
   /// Receive only: a self-addressed send delivers its message into the
-  /// op's landing buffer and sets `wire_status`; the wire leg needs no
-  /// system receive. Set under the inbox lock, so it is final once the op
-  /// has left its inbox.
+  /// op's objects (see Delivery) and sets `wire_status`; the op needs no
+  /// wire and no unpack. Set under the inbox lock, so it is final once the
+  /// op has left its inbox.
   std::atomic<bool> delivered{false};
   /// The self delivery this send made, or the one made into this
-  /// receive, until the op has run or dropped its pack.
+  /// receive, until the op has run or dropped its transcode.
   std::shared_ptr<Delivery> delivery;
 
   /// The recorded program this op sends from or receives into. A
@@ -185,13 +190,13 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
     inbox.reset();
   }
 
-  /// Forget `delivery`; a pack that never ran never will. A receive drops
-  /// it when it is discarded, since its landing buffer goes back to the
-  /// cache; uninstall drops a send's, since its stream may be gone.
+  /// Forget `delivery`; a transcode that never ran never will. A receive
+  /// drops it when it is discarded, as the system MPI discards a pending
+  /// receive; uninstall drops a send's, since its stream may be gone.
   void drop_delivery() {
     if (delivery) {
       const std::lock_guard<std::mutex> lock(delivery->mutex);
-      delivery->pack.reset();
+      delivery->transcode.reset();
     }
     delivery.reset();
   }
@@ -231,6 +236,21 @@ struct ReplayCounters {
 
 constexpr std::size_t kDefaultShards = 16;
 constexpr std::size_t kMaxShards = 256;
+
+/// Why a self-addressed monolithic send took the system route instead of
+/// a self delivery (see deliver_self).
+enum class Decline : std::uint8_t {
+  NoReceive,     ///< no receive of its thread could match the message
+  Wildcard,      ///< the first that could is MPI_ANY_SOURCE or MPI_ANY_TAG
+  Pipelined,     ///< the first that could is pipelined
+  Truncate,      ///< the message is larger than that receive
+  Queued,        ///< the system MPI holds an earlier message on the tag
+  Forwarded,     ///< a receive forwarded to the system MPI could match
+  BlockList,     ///< either side's type has no canonical strided form
+  FirstSighting, ///< the pair's transcode is not recorded (yet)
+};
+constexpr std::size_t kDeclineRules =
+    static_cast<std::size_t>(Decline::FirstSighting) + 1;
 
 struct Pool {
   /// Rebuilt only by configure_shards() on an idle pool (the install-time
@@ -272,9 +292,19 @@ struct Pool {
   trace::Counter program_evictions{"tempi.isend.evictions"};
 
   /// Self-addressed monolithic sends delivered straight into a receive
-  /// their thread posted, and those that took the system route instead.
+  /// their thread posted, and those that took the system route instead,
+  /// in total and by the rule that declined them (indexed by Decline).
   trace::Counter self_deliveries{"tempi.p2p.self_deliveries"};
   trace::Counter self_declines{"tempi.p2p.self_declines"};
+  std::array<trace::Counter, kDeclineRules> self_declines_by_rule{
+      trace::Counter{"tempi.p2p.self_declines.no_receive"},
+      trace::Counter{"tempi.p2p.self_declines.wildcard"},
+      trace::Counter{"tempi.p2p.self_declines.pipelined"},
+      trace::Counter{"tempi.p2p.self_declines.truncate"},
+      trace::Counter{"tempi.p2p.self_declines.queued"},
+      trace::Counter{"tempi.p2p.self_declines.forwarded"},
+      trace::Counter{"tempi.p2p.self_declines.blocklist"},
+      trace::Counter{"tempi.p2p.self_declines.first_sighting"}};
 
   trace::Counter p_inits{"tempi.persistent.inits"};
   trace::Counter p_starts{"tempi.persistent.starts"};
@@ -469,7 +499,8 @@ ReplayCounters &replay_counters(trace::OpKind label) {
 
 /// Count one call that ran from a recorded program, with `graphs` graph
 /// launches of its own (none when a recorded fused batch unpacked it, or
-/// for a self delivery, whose pack runs at completion).
+/// for either side of a self delivery, whose transcode runs at
+/// completion).
 void count_replay(const AsyncOp &op, std::uint64_t graphs = 1) {
   if (op.persistent) {
     Pool &p = pool();
@@ -477,6 +508,15 @@ void count_replay(const AsyncOp &op, std::uint64_t graphs = 1) {
     p.p_graph_launches.add(graphs);
   } else {
     replay_counters(op.label).replays.add();
+  }
+}
+
+/// Count a receive a self delivery completed: one that claimed a program
+/// replays, as when that program unpacked it, but a recorded transcode
+/// wrote its objects, with no graph of its own.
+void count_delivered(const AsyncOp &op) {
+  if (op.claimed) {
+    count_replay(op, 0);
   }
 }
 
@@ -512,26 +552,27 @@ PackPipeline &wire_pipe(AsyncOp &op) {
   return op.claimed ? op.program->prog.pipe : op.pipe;
 }
 
-/// Launch `d`'s pending pack as one graph on its recorded stream, fence
-/// it, and mark the delivery done. The caller holds `d.mutex`.
-int launch_pack(Delivery &d) {
+/// Launch `d`'s pending transcode (its recorded one-item batch) on its
+/// recorded stream, fence it, and mark the delivery done. The caller holds
+/// `d.mutex`.
+int launch_transcode(Delivery &d) {
   const AsyncOp &send = *d.send;
-  const PersistentProgram &prog = d.pack->prog;
+  const PersistentProgram &prog = d.transcode->prog;
   trace::ScopedSpan replay(trace::Phase::GraphReplay, send.label,
-                           prog.pipe.bytes, send.peer, send.tag,
-                           static_cast<std::int8_t>(send.method));
+                           send.packer->packed_bytes(send.count), send.peer,
+                           send.tag, static_cast<std::int8_t>(send.method));
   const vcuda::Error e = vcuda::GraphLaunch(prog.graph, prog.stream);
   if (e == vcuda::Error::Success) {
     vcuda::StreamFence(prog.stream);
   }
-  d.pack.reset();
+  d.transcode.reset();
   d.done_at = vcuda::this_thread_timeline().now();
   return e == vcuda::Error::Success ? MPI_SUCCESS : MPI_ERR_OTHER;
 }
 
-/// Run the pack of `op`'s self delivery unless the other request already
-/// did, and wait until it completed: the first completion call that
-/// reaches either request packs the message.
+/// Run the transcode of `op`'s self delivery unless the other request
+/// already did, and wait until it completed: the first completion call
+/// that reaches either request copies the message.
 int run_delivery(AsyncOp &op) {
   if (!op.delivery) {
     return MPI_SUCCESS;
@@ -541,8 +582,8 @@ int run_delivery(AsyncOp &op) {
   vcuda::VirtualNs done = 0;
   {
     const std::lock_guard<std::mutex> lock(d.mutex);
-    if (d.pack) {
-      rc = launch_pack(d);
+    if (d.transcode) {
+      rc = launch_transcode(d);
     }
     done = d.done_at;
   }
@@ -553,14 +594,13 @@ int run_delivery(AsyncOp &op) {
 
 /// The blocking wire leg of a monolithic packer-driven receive: the packed
 /// bytes land in the op's leased wire buffer, or in its recorded
-/// program's pinned one. A receive a self-addressed send delivers into
-/// needs no wire: its pack runs here unless `pack_delivery` is false
-/// (Waitall packs it inside its flush) or the send already ran it.
-int recv_wire(AsyncOp &op, const interpose::MpiTable &next,
-              bool pack_delivery = true) {
+/// program's pinned one. A receive a self-addressed send delivered into
+/// (final once the op left its inbox) needs no wire: its caller runs the
+/// transcode instead.
+int recv_wire(AsyncOp &op, const interpose::MpiTable &next) {
   op.leave_inbox();
   if (op.delivered.load(std::memory_order_acquire)) {
-    return pack_delivery ? run_delivery(op) : MPI_SUCCESS;
+    return MPI_SUCCESS;
   }
   const PackPipeline &pipe = wire_pipe(op);
   trace::ScopedSpan wire(trace::Phase::Wire, op.label, pipe.bytes,
@@ -654,6 +694,15 @@ int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
   if (const int rc = recv_wire(op, next); rc != MPI_SUCCESS) {
     return rc;
   }
+  if (op.delivered.load(std::memory_order_acquire)) {
+    // The delivery's transcode writes the objects: nothing to unpack.
+    const int rc = run_delivery(op);
+    if (rc == MPI_SUCCESS) {
+      count_delivered(op);
+      op.phase = OpPhase::Complete;
+    }
+    return rc;
+  }
   const int objects = arrived_objects(op);
   if (op.claimed && objects == op.count) {
     // A recorded receive program: a pre-armed fence stands in for the
@@ -701,7 +750,7 @@ int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
   return MPI_SUCCESS;
 }
 
-/// Complete a send: run its self delivery's pack if no completion call
+/// Complete a send: run its self delivery's transcode if no completion call
 /// ran it yet, or reclaim the system request backing its transfer.
 int complete_send(AsyncOp &op, const interpose::MpiTable &next) {
   int rc = run_delivery(op);
@@ -748,15 +797,17 @@ int post_program_send(AsyncOp &op, const interpose::MpiTable &next) {
 
 /// What makes two monolithic calls the same work. The envelope (peer, tag,
 /// comm) is not part of the program, so it is not part of the key. A send
-/// key with a `landing` buffer names the graph that packs the send
-/// straight into a receive's landing buffer (see deliver_self).
+/// key that also names a receive's layout (`into_*`) names the transcode
+/// that copies the send straight into that receive's objects (see
+/// deliver_self).
 struct ProgramKey {
   const Packer *packer = nullptr;
   const void *buf = nullptr;
   int count = 0;
   Method method = Method::Device;
   AsyncOp::Kind kind = AsyncOp::Kind::Send; ///< a pack or an unpack program
-  const void *landing = nullptr;
+  const Packer *into_packer = nullptr;
+  const void *into_buf = nullptr;
   bool operator==(const ProgramKey &) const = default;
   [[nodiscard]] std::uint64_t hash() const {
     return replay::mix(
@@ -764,7 +815,7 @@ struct ProgramKey {
          (static_cast<std::uint64_t>(static_cast<unsigned>(count)) << 3) |
              (static_cast<std::uint64_t>(method) << 1) |
              static_cast<std::uint64_t>(kind),
-         replay::bits(landing)});
+         replay::bits(into_packer), replay::bits(into_buf)});
   }
 };
 
@@ -843,11 +894,13 @@ std::shared_ptr<RecordedProgram> claim_program(const AsyncOp &op) {
 // system MPI: a buffered send and a receive, both blocking for the wire when
 // the message is above the eager limit. When the calling thread already
 // posted the accelerated receive the message matches, a monolithic send
-// packs straight into that receive's landing buffer instead, sets its wire
-// status and completes with no system request; the receive then finishes on
-// its usual path minus the system receive. Whatever could make the message
-// match another receive, or land differently, declines: the send then takes
-// the system route, exactly as before.
+// instead hands that receive its wire status and one transcode, which
+// copies the send's objects straight into the receive's (both layouts are
+// canonical strided blocks over the same packed stream), and completes with
+// no system request; the receive then completes with no wire and no unpack.
+// Whatever could make the message match another receive, or land
+// differently, declines: the send then takes the system route, exactly as
+// before.
 
 /// Allocated on the thread's first receive a send of its own could match;
 /// a receive listed in it keeps it alive past the thread's exit.
@@ -928,46 +981,71 @@ AsyncOp *first_candidate(const Inbox &inbox, const AsyncOp &send) {
   return nullptr;
 }
 
-/// Whether `recv`, the first receive `send` could match, takes its `bytes`
-/// straight: it names exactly this source and tag (a wildcard declines),
-/// lands one monolithic wire leg with room for the bytes (a larger message
-/// truncates on the system path), and no earlier message or forwarded
-/// receive could pair differently: a message already queued from this rank
-/// on the tag must reach the receive first.
-bool deliverable(AsyncOp &recv, const AsyncOp &send, std::size_t bytes,
-                 const interpose::MpiTable &next) {
-  if (recv.peer != send.peer || recv.tag != send.tag ||
-      recv.method == Method::Pipelined || bytes > wire_pipe(recv).bytes) {
-    return false;
+/// Why `recv`, the first receive `send` could match, cannot take its
+/// `bytes` straight, or nullopt when it can. It must name exactly this
+/// source and tag (a wildcard declines) and land one monolithic message
+/// with room for the bytes (a larger message truncates on the system
+/// path); both types need a canonical strided form for the transcode; and
+/// no earlier message or forwarded receive may pair differently: a message
+/// already queued from this rank on the tag must reach the receive first.
+std::optional<Decline> decline_rule(AsyncOp &recv, const AsyncOp &send,
+                                    std::size_t bytes,
+                                    const interpose::MpiTable &next) {
+  if (recv.peer != send.peer || recv.tag != send.tag) {
+    return Decline::Wildcard;
+  }
+  if (recv.method == Method::Pipelined) {
+    return Decline::Pipelined;
+  }
+  if (bytes > wire_pipe(recv).bytes) {
+    return Decline::Truncate;
+  }
+  if (!recv.packer->strided() || !send.packer->strided()) {
+    return Decline::BlockList;
   }
   int queued = 0;
   if (next.Iprobe(send.peer, send.tag, send.comm, &queued,
                   MPI_STATUS_IGNORE) != MPI_SUCCESS ||
       queued != 0) {
-    return false;
+    return Decline::Queued;
   }
-  return !forwarded_could_match(send);
+  if (forwarded_could_match(send)) {
+    return Decline::Forwarded;
+  }
+  return std::nullopt;
 }
 
-/// Deliver send `op` into `recv`'s landing buffer: hand `recv` the wire
-/// status a system receive would report, and leave the graph that packs
-/// the message there pending in a Delivery both ops share (see
-/// run_delivery). The graph is the pair's entry in the thread's program
-/// table; it pins no memory, so it charges nothing to the budget. False
-/// (nothing delivered: the system route) when the sighting serves no
-/// graph.
+/// Deliver send `op` into `recv`: hand `recv` the wire status a system
+/// receive would report, and leave the transcode that copies the message's
+/// whole objects (the system path unpacks no partial one) from the send's
+/// buffer into the receive's pending in a Delivery both ops share (see
+/// run_delivery). Its recorded one-item batch is the pair's entry in the
+/// thread's program table, keyed by both layouts; it pins no memory, so it
+/// charges nothing to the budget. False (nothing delivered: the system
+/// route) when the sighting serves no graph.
 bool deliver_into(AsyncOp &op, AsyncOp &recv, std::size_t bytes) {
-  void *landing = wire_pipe(recv).wire.get();
+  const Packer &from = *op.packer;
+  const Packer &into = *recv.packer;
+  const UnpackItem item{&into.plan(),
+                        &into.block(),
+                        into.type_extent(),
+                        recv.recv_buf,
+                        op.send_buf,
+                        static_cast<int>(bytes / into.packed_bytes(1)),
+                        &from.plan(),
+                        &from.block(),
+                        from.type_extent()};
+  ProgramKey key = key_of(op);
+  key.into_packer = recv.packer;
+  key.into_buf = recv.recv_buf;
   const ProgramTable::Entry *e = programs().sight(
-      {op.packer, op.send_buf, op.count, op.method, AsyncOp::Kind::Send,
-       landing},
-      0, nullptr, [&]() -> ProgramTable::Recorded {
+      key, 0, nullptr, [&]() -> ProgramTable::Recorded {
         auto fresh = std::make_shared<RecordedProgram>();
         PersistentProgram &prog = fresh->prog;
         prog.stream = vcuda::next_pool_stream();
         const int rc = capture_on(prog.stream, &prog.graph, op.label, [&] {
-          return op.packer->pack_async(landing, op.send_buf, op.count,
-                                       prog.stream) == vcuda::Error::Success
+          return launch_unpack_batch({&item, 1}, prog.stream) ==
+                         vcuda::Error::Success
                      ? MPI_SUCCESS
                      : MPI_ERR_OTHER;
         });
@@ -979,10 +1057,11 @@ bool deliver_into(AsyncOp &op, AsyncOp &recv, std::size_t bytes) {
   if (e == nullptr) {
     return false;
   }
-  count_replay(op, 0); // its pack runs later, at completion
+  count_replay(op, 0); // its transcode runs later, at completion
   op.stream = e->program->prog.stream;
   op.delivery = std::make_shared<Delivery>();
-  op.delivery->pack = e->program;
+  op.delivery->transcode = e->program;
+  op.delivery->item = item;
   op.delivery->send = &op;
   recv.delivery = op.delivery;
   recv.wire_status.MPI_SOURCE = op.peer;
@@ -995,26 +1074,35 @@ bool deliver_into(AsyncOp &op, AsyncOp &recv, std::size_t bytes) {
 
 /// Deliver a monolithic send addressed to the caller's own rank into the
 /// first receive of its thread's inbox it could match, when that receive
-/// takes it (see deliverable). True when delivered: the send needs no
-/// system request. False sends the message through the system MPI.
+/// takes it (see decline_rule). True when delivered: the send needs no
+/// system request. False sends the message through the system MPI, and
+/// counts the rule that declined it.
 bool deliver_self(AsyncOp &op, const interpose::MpiTable &next) {
   if (!is_self(op.peer, op.comm, next)) {
     return false;
   }
-  bool done = false;
+  std::optional<Decline> decline = Decline::NoReceive;
   if (Inbox *inbox = t_inbox.get()) {
     const std::lock_guard<std::mutex> lock(inbox->mutex);
     const std::size_t bytes = op.packer->packed_bytes(op.count);
-    AsyncOp *recv = first_candidate(*inbox, op);
-    done = recv != nullptr && deliverable(*recv, op, bytes, next) &&
-           deliver_into(op, *recv, bytes);
-    if (done) {
-      std::erase(inbox->ops, recv);
+    if (AsyncOp *recv = first_candidate(*inbox, op)) {
+      decline = decline_rule(*recv, op, bytes, next);
+      if (!decline && !deliver_into(op, *recv, bytes)) {
+        decline = Decline::FirstSighting;
+      }
+      if (!decline) {
+        std::erase(inbox->ops, recv);
+      }
     }
   }
   Pool &p = pool();
-  (done ? p.self_deliveries : p.self_declines).add();
-  return done;
+  if (!decline) {
+    p.self_deliveries.add();
+    return true;
+  }
+  p.self_declines.add();
+  p.self_declines_by_rule[static_cast<std::size_t>(*decline)].add();
+  return false;
 }
 
 /// Post a monolithic send live: lease and pack into the op's pipeline,
@@ -1801,17 +1889,19 @@ void note_stream(std::vector<vcuda::StreamHandle> &list,
 
 // --- recorded fused unpacks -------------------------------------------------
 //
-// The halo exchange's Waitall completes the same receives every iteration,
-// each into its recorded receive program. The claimed programs one flush
-// of the fused batch unpacks are the flush's members; a self delivery into
-// a member whose pack is still pending packs in the same flush. A thread's
-// batch table keys each ordered list of pending packs and members: a
-// repeated list replays the packs and then the members' fused unpack as
-// one graph launch on the first member's stream, which pass 2 fences,
-// instead of one graph launch per pack and per receive. A recorded batch
-// owns its members and packs, so no address can be reused by a new
-// program while its graph exists; a member or pack evicted from the
-// program table, or a member released by its persistent request, is never
+// The halo exchange's Waitall completes the same receives every iteration:
+// each into its recorded receive program, or, for a face the rank sends
+// itself, by its self delivery's transcode. The claimed programs one flush
+// of the fused batch unpacks, and the pending transcodes it runs, are the
+// flush's members. A thread's batch table keys each ordered list of
+// members by their programs (a transcode's is the pair's, keyed by both
+// layouts): a repeated list replays every member's segment as one fused
+// kernel, one graph launch on the first member's stream, which pass 2
+// fences, instead of one graph launch per member. A flush of one claimed
+// program alone replays that program: its recorded unpack already is the
+// flush. A recorded batch owns its members' programs, so no address can be
+// reused by a new program while its graph exists; a member evicted from
+// the program table, or released by its persistent request, is never
 // served again, so the batch stops matching and is never replayed.
 
 /// A recorded fused unpack and the programs it reads and writes through.
@@ -1824,13 +1914,18 @@ struct BatchProgram {
 using BatchTable =
     replay::Table<replay::SequenceKey, std::unique_ptr<BatchProgram>>;
 
-/// One member of a flush: a full message into a claimed program, and the
-/// self delivery into it whose pack the flush runs (null when none is
-/// pending), locked until the flush is done with it.
+/// One member of a flush: a full message into a claimed program, or a
+/// receive whose self delivery's transcode is still pending (`delivery`,
+/// locked until the flush is done with it).
 struct Member {
   AsyncOp *op = nullptr;
-  Delivery *pack = nullptr;
+  Delivery *delivery = nullptr;
   std::unique_lock<std::mutex> lock;
+
+  /// The recorded program that runs this member alone.
+  [[nodiscard]] const std::shared_ptr<RecordedProgram> &program() const {
+    return delivery != nullptr ? delivery->transcode : op->program;
+  }
 };
 
 /// The fused unpack item of the objects `op`'s wire delivered into
@@ -1841,37 +1936,24 @@ UnpackItem unpack_item(AsyncOp &op, int objects) {
           wire_pipe(op).wire.get(), objects};
 }
 
-/// Record the members' pending packs, then their fused unpack, as one
-/// graph on the first program's stream, pinning the members' bytes; empty
-/// when recording fails.
+/// Record the members' segments as one fused kernel, one graph on the
+/// first member's stream, pinning the members' bytes; empty when
+/// recording fails.
 BatchTable::Recorded record_batch(std::span<const Member> members) {
   auto batch = std::make_unique<BatchProgram>();
   std::vector<UnpackItem> items;
   items.reserve(members.size());
   std::size_t pinned = 0;
   for (const Member &m : members) {
-    if (m.pack != nullptr) {
-      batch->programs.push_back(m.pack->pack);
-    }
-    batch->programs.push_back(m.op->program);
-    items.push_back(unpack_item(*m.op, m.op->count));
-    const PackPipeline &pipe = m.op->program->prog.pipe;
+    batch->programs.push_back(m.program());
+    items.push_back(m.delivery != nullptr ? m.delivery->item
+                                          : unpack_item(*m.op, m.op->count));
+    const PackPipeline &pipe = m.program()->prog.pipe;
     pinned += pipe.wire.capacity() + pipe.stage.capacity();
   }
-  batch->stream = members.front().op->program->prog.stream;
+  batch->stream = members.front().program()->prog.stream;
   vcuda::GraphHandle graph = nullptr;
   const int rc = capture_on(batch->stream, &graph, trace::OpKind::Irecv, [&] {
-    for (const Member &m : members) {
-      if (m.pack == nullptr) {
-        continue;
-      }
-      const AsyncOp &send = *m.pack->send;
-      if (send.packer->pack_async(wire_pipe(*m.op).wire.get(), send.send_buf,
-                                  send.count, batch->stream) !=
-          vcuda::Error::Success) {
-        return MPI_ERR_OTHER;
-      }
-    }
     return launch_unpack_batch(items, batch->stream) == vcuda::Error::Success
                ? MPI_SUCCESS
                : MPI_ERR_OTHER;
@@ -1883,11 +1965,11 @@ BatchTable::Recorded record_batch(std::span<const Member> members) {
   return {std::move(batch), pinned};
 }
 
-/// Unpack full messages into claimed programs, after the pending packs of
-/// self deliveries into them: all of it replays as one recorded batch when
-/// this thread flushed the same packs and programs before, else each pack
-/// and each program's graph launches on its own. Each pending delivery's
-/// lock is held until its pack ran, so a completion of its send on another
+/// Unpack full messages into claimed programs and run the pending
+/// transcodes of self deliveries into receives: all of it replays as one
+/// recorded batch when this thread flushed the same members before, else
+/// each member runs from its own program. Each pending delivery's lock is
+/// held until its transcode ran, so a completion of its send on another
 /// thread waits for this flush. Holding several cannot deadlock: a
 /// delivery's receive is in one flush at most, and a send's completion
 /// holds no lock but its own delivery's. The streams to fence go to
@@ -1895,28 +1977,29 @@ BatchTable::Recorded record_batch(std::span<const Member> members) {
 int replay_members(std::span<AsyncOp *const> ops,
                    std::vector<vcuda::StreamHandle> &fence_streams) {
   std::vector<Member> members;
-  vcuda::VirtualNs packed_at = 0; ///< packs the sends already ran
+  vcuda::VirtualNs copied_at = 0; ///< transcodes the sends already ran
+  bool transcodes = false;
   replay::SequenceKey key;
   members.reserve(ops.size());
-  key.items.reserve(2 * ops.size());
+  key.items.reserve(ops.size());
   for (AsyncOp *op : ops) {
-    Member &m = members.emplace_back();
+    Member m;
     m.op = op;
     if (Delivery *d = op->delivery.get()) {
       m.lock = std::unique_lock<std::mutex>(d->mutex);
-      if (d->pack) {
-        m.pack = d;
-        key.items.push_back(replay::bits(d->pack.get()));
-      } else {
-        packed_at = std::max(packed_at, d->done_at);
-        m.lock.unlock();
+      if (!d->transcode) {
+        copied_at = std::max(copied_at, d->done_at);
+        continue;
       }
+      m.delivery = d;
+      transcodes = true;
     }
-    key.items.push_back(replay::bits(op->program.get()));
+    key.items.push_back(replay::bits(m.program().get()));
+    members.push_back(std::move(m));
   }
-  vcuda::this_thread_timeline().wait_until(packed_at);
+  vcuda::this_thread_timeline().wait_until(copied_at);
   const BatchProgram *batch = nullptr;
-  if (key.items.size() > 1) {
+  if (members.size() > 1 || transcodes) {
     auto &table =
         replay::thread_table<BatchTable>(pool().fused_unpack_evictions);
     const BatchTable::Entry *e =
@@ -1926,19 +2009,22 @@ int replay_members(std::span<AsyncOp *const> ops,
   }
   if (batch == nullptr) {
     for (const Member &m : members) {
-      int rc = m.pack != nullptr ? launch_pack(*m.pack) : MPI_SUCCESS;
-      if (rc == MPI_SUCCESS) {
-        rc = replay_unpack(*m.op);
+      if (m.delivery != nullptr) {
+        if (const int rc = launch_transcode(*m.delivery); rc != MPI_SUCCESS) {
+          return rc;
+        }
+        continue;
       }
-      if (rc != MPI_SUCCESS) {
+      if (const int rc = replay_unpack(*m.op); rc != MPI_SUCCESS) {
         return rc;
       }
       note_stream(fence_streams, m.op->stream);
     }
   } else {
     std::uint64_t bytes = 0;
-    for (const AsyncOp *op : ops) {
-      bytes += op->pipe.bytes;
+    for (const Member &m : members) {
+      bytes += m.op->packer->packed_bytes(
+          m.delivery != nullptr ? m.delivery->item.count : m.op->count);
     }
     trace::ScopedSpan replay(trace::Phase::GraphReplay, trace::OpKind::Irecv,
                              bytes);
@@ -1948,11 +2034,12 @@ int replay_members(std::span<AsyncOp *const> ops,
     }
     pool().fused_unpack_replays.add();
     for (const Member &m : members) {
-      if (m.pack != nullptr) {
-        m.pack->pack.reset();
-        m.pack->done_at = vcuda::this_thread_timeline().now();
+      if (m.delivery != nullptr) {
+        m.delivery->transcode.reset();
+        m.delivery->done_at = vcuda::this_thread_timeline().now();
+      } else {
+        count_replay(*m.op, 0);
       }
-      count_replay(*m.op, 0);
     }
     note_stream(fence_streams, batch->stream);
   }
@@ -1963,28 +2050,34 @@ int replay_members(std::span<AsyncOp *const> ops,
   return MPI_SUCCESS;
 }
 
-/// Receives of one Waitall whose wire has landed and whose unpack waits
-/// for the next flush. Unpacks that must run live (first sightings of
-/// their key, busy programs, short messages) go out as one fused kernel on
-/// one stream, so pass 2 pays one sync for all of them; full messages into
-/// claimed programs replay (see replay_members).
+/// Receives of one Waitall whose wire has landed, or whose self delivery
+/// is decided, and whose unpack or transcode waits for the next flush.
+/// Unpacks that must run live (first sightings of their key, busy
+/// programs, short messages) go out as one fused kernel on one stream, so
+/// pass 2 pays one sync for all of them; full messages into claimed
+/// programs and delivered receives are members (see replay_members).
 struct UnpackBatch {
   std::vector<UnpackItem> items;
   std::uint64_t bytes = 0;
   vcuda::StreamHandle stream = nullptr;
-  std::vector<AsyncOp *> members; ///< full messages into claimed programs
+  std::vector<AsyncOp *> members;
 
-  /// Queue the unpack of the objects `op`'s wire delivered. A self
-  /// delivery into a member packs in the member's flush; one into any
-  /// other receive packs now.
+  /// Queue the unpack of the objects `op`'s wire delivered, or the
+  /// transcode of the self delivery into it (a no-op if its send's
+  /// completion already ran it).
   int add(AsyncOp &op) {
+    if (op.delivered.load(std::memory_order_acquire)) {
+      count_delivered(op);
+      members.push_back(&op);
+      return MPI_SUCCESS;
+    }
     const int objects = arrived_objects(op);
     if (objects > 0 && op.claimed && objects == op.count) {
       members.push_back(&op);
       return MPI_SUCCESS;
     }
-    if (const int rc = run_delivery(op); rc != MPI_SUCCESS || objects == 0) {
-      return rc;
+    if (objects == 0) {
+      return MPI_SUCCESS;
     }
     if (stream == nullptr) {
       stream = op.stream;
@@ -2025,23 +2118,23 @@ struct UnpackBatch {
 /// Waitall's pass-1 step for one receive op: receive the wire, then either
 /// append the unpack to `batch` or enqueue it on the op's own path without
 /// a sync. A rendezvous-sized wire wait first flushes the pending batch; a
-/// delivered receive waits for no wire. Streams left holding this op's
-/// work are added to `streams`, or, for an op running from a claimed
-/// program, to `fence_streams`: those take the cheaper pre-armed fence
-/// instead of a host synchronization.
+/// delivered receive waits for no wire, and its transcode joins the batch.
+/// Streams left holding this op's work are added to `streams`, or, for an
+/// op running from a claimed program, to `fence_streams`: those take the
+/// cheaper pre-armed fence instead of a host synchronization.
 int complete_recv_deferred(AsyncOp &op, const interpose::MpiTable &next,
                            UnpackBatch &batch,
                            std::vector<vcuda::StreamHandle> &streams,
                            std::vector<vcuda::StreamHandle> &fence_streams) {
-  if (!op.delivered.load(std::memory_order_acquire) &&
-      rendezvous_sized(expected_bytes(op))) {
+  const bool delivered = op.delivered.load(std::memory_order_acquire);
+  if (!delivered && rendezvous_sized(expected_bytes(op))) {
     if (const int rc = batch.flush(streams, fence_streams);
         rc != MPI_SUCCESS) {
       return rc;
     }
   }
-  if (fusable(op)) {
-    int rc = recv_wire(op, next, /*pack_delivery=*/false);
+  if (delivered || fusable(op)) {
+    int rc = recv_wire(op, next);
     if (rc == MPI_SUCCESS) {
       rc = batch.add(op);
     }
@@ -2051,8 +2144,8 @@ int complete_recv_deferred(AsyncOp &op, const interpose::MpiTable &next,
     return rc;
   }
   const int rc = complete_recv(op, next, /*sync=*/false);
-  // An op that already completed (a pre-packed leg landing in place) left
-  // no work on its stream: nothing to sync for it.
+  // An op that already completed (a pre-packed leg landing in place, or a
+  // self delivery) left no work on its stream: nothing to sync for it.
   if (op.phase == OpPhase::UnpackPending) {
     std::vector<vcuda::StreamHandle> &list =
         op.claimed ? fence_streams : streams;
@@ -2141,7 +2234,7 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
   // the next rendezvous-sized wire wait (so they run under it) and once
   // more at the end of the pass, as one kernel or one recorded batch.
   // Sends with a pending self delivery complete after that last flush, so
-  // a delivery into a receive of this Waitall packs inside its flush.
+  // a delivery into a receive of this Waitall transcodes inside its flush.
   std::vector<AsyncOp *> pending(static_cast<std::size_t>(count), nullptr);
   std::vector<int> deferred_sends;
   std::vector<vcuda::StreamHandle> streams;
@@ -2435,7 +2528,7 @@ std::size_t drain(const interpose::MpiTable &next) {
     if (send && op->phase == OpPhase::TransferPosted) {
       // The wire already departed; reclaiming the system request is safe
       // and silent (buffered sends are born complete). A self delivery's
-      // pending pack is dropped with its receive, never launched.
+      // pending transcode is dropped with its receive, never launched.
       op->drop_delivery();
       complete_send(*op, next);
       if (!op->persistent) {

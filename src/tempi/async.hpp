@@ -55,9 +55,11 @@
 // flushed just before the next rendezvous-sized wire wait, so it runs under
 // that wait, and once more at the end of pass 1. A flush launches the unpacks
 // that must run live as ONE fused kernel (launch_unpack_batch). Full messages
-// into claimed programs are the flush's members; a repeated flush of the same
-// ordered members (and of the same pending self-delivery packs, see below)
-// replays as one recorded graph (see the batch table in async.cpp). Pass 2
+// into claimed programs are the flush's members, and so are receives with a
+// pending self-delivery transcode (see below), which are segments of the same
+// fused kernel with no pack ahead of them; a repeated flush of the same
+// ordered members replays as one recorded graph (see the batch table in
+// async.cpp). Pass 2
 // then pays one host synchronization per stream that holds live work: one for
 // every fused launch, plus one per stream of the receives that keep their own
 // unpack path (Staged, block-list, pipelined); streams of replayed graphs take
@@ -88,23 +90,26 @@
 // accelerated receives its thread posted (MPI_Irecv, started
 // MPI_Recv_init) whose source is that rank or MPI_ANY_SOURCE, in posting
 // order. When the first one that could match names exactly this source and
-// tag, the send packs straight into that receive's landing buffer (its
-// claimed program's pinned lease or its own), hands it the status a system
-// receive would report and completes with no system request, so neither
-// side waits on the wire; the receive then finishes on its usual path
-// without a system receive. The pack is the pair's recorded graph from the
-// thread's program table (a first sighting of a (send, landing buffer) pair
-// takes the system route). The send decides at post time which receive it
-// lands in and with what status, but the pack runs later: in the first
-// completion call that reaches either request (Wait, Test, Request_free of
-// the send, or the receive's completion, on any thread), or, when the
-// receive completes in a Waitall flush, as nodes of that flush's recorded
-// graph, ahead of the fused unpack. A Waitall holding both completes the
-// send after its last flush. The send's completion call never returns
-// before the pack ran, so its buffer may be reused as on the system path,
-// and the only waits on a pending pack are the rank's own completion
-// calls: the eager-post discipline above holds. A receive dropped (freed,
-// or at uninstall) drops its pending pack, whose landing buffer it owns.
+// tag, the send hands that receive the status a system receive would report
+// and one transcode, and completes with no system request, so neither side
+// waits on the wire. The transcode is a kernel segment that reads the
+// send's canonical layout and writes the receive's, the two walks of one
+// packed stream (launch_unpack_batch's transcode item): the message's whole
+// objects go straight from the send buffer into the receive's user buffer,
+// with no landing buffer, no pack and no unpack. It is the pair's recorded
+// one-item batch in the thread's program table, keyed by both layouts (a
+// first sighting of a (send, receive) pair takes the system route). The
+// send decides at post time which receive it lands in and with what status,
+// but the transcode runs later: in the first completion call that reaches
+// either request (Wait, Test, Request_free of the send, or the receive's
+// completion, on any thread), or, when the receive completes in a Waitall
+// flush, as a segment of that flush's fused kernel. A Waitall holding both
+// completes the send after its last flush. The send's completion call never
+// returns before the transcode ran, so its buffer may be reused as on the
+// system path, and the only waits on a pending transcode are the rank's own
+// completion calls: the eager-post discipline above holds. A receive
+// dropped (freed, or at uninstall) drops its pending transcode, as the
+// system MPI discards a pending receive.
 //
 // Matching order caveat: lazy receive matching means two receives that
 // share (source, tag, comm) pair with incoming messages in *completion*
@@ -114,12 +119,15 @@
 // posted-order matching on a shared (source, tag) should use distinct
 // tags, as the halo exchanger does. Self delivery never changes which
 // message a receive gets: it declines, and the message takes the system
-// route, when the first receive that could match is a wildcard
-// (MPI_ANY_SOURCE or MPI_ANY_TAG) or a pipelined one, when the message is
-// larger than that receive (the system path reports MPI_ERR_TRUNCATE),
-// when the system MPI already holds a message from this rank on the tag
-// (system Iprobe), which the receive must get first, and while a receive
-// forwarded to the system MPI could match it. A receive posted on one
+// route, when no receive could match, when the first receive that could is
+// a wildcard (MPI_ANY_SOURCE or MPI_ANY_TAG) or a pipelined one, when the
+// message is larger than that receive (the system path reports
+// MPI_ERR_TRUNCATE), when either type is a block-list one (it has no
+// canonical strided form to transcode), when the system MPI already holds
+// a message from this rank on the tag (system Iprobe), which the receive
+// must get first, while a receive forwarded to the system MPI could match
+// it, and at the pair's first sighting. Each decline counts under its rule
+// (tempi.p2p.self_declines.<rule>) and in the total. A receive posted on one
 // thread may complete, or be freed, on another, and uninstall() may drop
 // it: each leaves its thread's list of receives under that list's lock.
 #pragma once
@@ -309,9 +317,10 @@ int test(MPI_Request *request, int *flag, MPI_Status *status,
 
 /// Batch completion for Waitall over a mixed TEMPI/system request array:
 /// matches rendezvous receives first where no earlier entry could take
-/// their message, fuses the unpacks of eligible receives (and the packs of
-/// self deliveries into them) into as few kernel launches or recorded-batch
-/// replays as the rendezvous flush rule allows (see the header comment)
+/// their message, fuses the unpacks of eligible receives (and the
+/// transcodes of self deliveries into them) into as few kernel launches or
+/// recorded-batch replays as the rendezvous flush rule allows (see the
+/// header comment)
 /// and synchronizes or fences each stream holding work once. On an error,
 /// every receive whose wire already landed still gets its unpack before any
 /// op retires.

@@ -520,6 +520,101 @@ vcuda::Error launch_unpack_spans(const PackPlan &plan, const StridedBlock &sb,
       });
 }
 
+namespace {
+
+/// A position in the packed stream of one layout's objects: the address of
+/// the current block (a dimension-0 run) and how far into it the position
+/// is. Blocks follow for_each_kernel_block's order.
+class RunCursor {
+public:
+  RunCursor(const StridedBlock &sb, long long extent)
+      : sb_(sb), extent_(extent), base_(sb.start),
+        idx_(static_cast<std::size_t>(std::max(sb.ndims() - 1, 0)), 0) {}
+
+  /// Byte offset of the position in the object buffer.
+  [[nodiscard]] long long offset() const { return base_ + pos_; }
+  /// Bytes left in the current block.
+  [[nodiscard]] long long left() const { return sb_.counts[0] - pos_; }
+
+  /// Move `n` <= left() bytes on; past a block's end, step to the next
+  /// block (dimension 1 fastest), and past an object's last block to the
+  /// next object.
+  void advance(long long n) {
+    pos_ += n;
+    if (pos_ < sb_.counts[0]) {
+      return;
+    }
+    pos_ = 0;
+    for (std::size_t d = 1; d < sb_.counts.size(); ++d) {
+      long long &i = idx_[d - 1];
+      base_ += sb_.strides[d];
+      if (++i < sb_.counts[d]) {
+        return;
+      }
+      base_ -= i * sb_.strides[d];
+      i = 0;
+    }
+    base_ = ++obj_ * extent_ + sb_.start;
+  }
+
+private:
+  const StridedBlock &sb_;
+  long long extent_;
+  long long base_;
+  long long pos_ = 0;
+  long long obj_ = 0;
+  std::vector<long long> idx_;
+};
+
+/// Copy a transcode item: walk both layouts over the same packed stream
+/// and copy each piece where neither side's run breaks.
+void run_transcode(const UnpackItem &it) {
+  auto *out = static_cast<std::byte *>(it.dst);
+  const auto *in = static_cast<const std::byte *>(it.src);
+  RunCursor from(*it.src_sb, it.src_extent);
+  RunCursor to(*it.sb, it.extent);
+  for (long long left = it.sb->size() * it.count; left > 0;) {
+    const long long n = std::min({from.left(), to.left(), left});
+    std::memcpy(out + to.offset(), in + from.offset(),
+                static_cast<std::size_t>(n));
+    from.advance(n);
+    to.advance(n);
+    left -= n;
+  }
+}
+
+/// The fused-launch segment of one batch item.
+vcuda::KernelSegment batch_segment(const UnpackItem &it) {
+  if (!it.transcode()) {
+    assert(!it.plan->contiguous);
+    return {launch_config_for(*it.plan, it.count),
+            unpack_cost(*it.sb, it.count, space_of(it.src), space_of(it.dst))};
+  }
+  const int word = std::min(it.plan->word_size, it.src_plan->word_size);
+  return {make_launch_config(*it.sb, word, it.count),
+          transcode_cost(*it.src_sb, *it.sb,
+                         static_cast<std::size_t>(it.sb->size()) *
+                             static_cast<std::size_t>(it.count),
+                         space_of(it.src), space_of(it.dst))};
+}
+
+} // namespace
+
+vcuda::KernelCost transcode_cost(const StridedBlock &src_sb,
+                                 const StridedBlock &dst_sb, std::size_t bytes,
+                                 vcuda::MemorySpace src_space,
+                                 vcuda::MemorySpace dst_space) {
+  vcuda::KernelCost cost;
+  cost.total_bytes = bytes;
+  const vcuda::MemorySpace gov = governing_space(src_space, dst_space);
+  const auto run = [](const StridedBlock &sb) {
+    return sb.ndims() > 1 ? static_cast<std::size_t>(sb.block_bytes()) : 0;
+  };
+  cost.src = {run(src_sb), /*is_write=*/false, gov};
+  cost.dst = {run(dst_sb), /*is_write=*/true, gov};
+  return cost;
+}
+
 vcuda::Error launch_unpack_batch(std::span<const UnpackItem> items,
                                  vcuda::StreamHandle stream) {
   if (items.empty()) {
@@ -528,13 +623,14 @@ vcuda::Error launch_unpack_batch(std::span<const UnpackItem> items,
   std::vector<vcuda::KernelSegment> segments;
   segments.reserve(items.size());
   for (const UnpackItem &it : items) {
-    assert(!it.plan->contiguous);
-    segments.push_back({launch_config_for(*it.plan, it.count),
-                        unpack_cost(*it.sb, it.count, space_of(it.src),
-                                    space_of(it.dst))});
+    segments.push_back(batch_segment(it));
   }
   const auto run = [](std::span<const UnpackItem> batch) {
     for (const UnpackItem &it : batch) {
+      if (it.transcode()) {
+        run_transcode(it);
+        continue;
+      }
       auto *out = static_cast<std::byte *>(it.dst);
       const auto *in = static_cast<const std::byte *>(it.src);
       for_each_kernel_block(*it.sb, it.extent, it.count,

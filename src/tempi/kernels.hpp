@@ -130,6 +130,13 @@ vcuda::Error launch_unpack_spans(const PackPlan &plan, const StridedBlock &sb,
 /// a span table, which shares one datatype and one staging buffer, every
 /// item carries its own plan and datatype and its own source buffer, in
 /// device or mapped host memory.
+///
+/// A *transcode* item also names a source layout (`src_sb`): `src` then
+/// holds objects of that layout instead of packed bytes, and the item
+/// copies the first size() * count bytes of their packed stream straight
+/// into the `count` objects at `dst`, with no packed intermediate. Both
+/// layouts are canonical strided blocks, so one walk maps every packed
+/// byte to its address on either side (see transcode_cost).
 struct UnpackItem {
   const PackPlan *plan = nullptr;
   const StridedBlock *sb = nullptr;
@@ -137,14 +144,31 @@ struct UnpackItem {
   void *dst = nullptr;
   const void *src = nullptr;
   int count = 0;
+  const PackPlan *src_plan = nullptr; ///< transcode only: the source's
+  const StridedBlock *src_sb = nullptr; ///< layout, whose objects `src`
+  long long src_extent = 0;             ///< holds
+
+  [[nodiscard]] bool transcode() const { return src_sb != nullptr; }
 };
+
+/// Modeled cost of a transcode moving `bytes` of packed stream from
+/// objects of `src_sb` to objects of `dst_sb`: the source's run length on
+/// the read side and the destination's on the write side, so
+/// vcuda::kernel_duration prices it at the slower side. It is never more
+/// than the pack plus the unpack it replaces.
+vcuda::KernelCost transcode_cost(const StridedBlock &src_sb,
+                                 const StridedBlock &dst_sb, std::size_t bytes,
+                                 vcuda::MemorySpace src_space,
+                                 vcuda::MemorySpace dst_space);
 
 /// Scatter every item with one kernel launch (vcuda's multi-segment
 /// LaunchKernel). Each item is one segment, with the geometry and cost
 /// launch_unpack would give it alone, so a one-item batch costs exactly
-/// what launch_unpack does. Items must have kernel plans (non-contiguous
-/// types). An empty batch is a no-op. On a capturing stream the batch
-/// records as one graph node that keeps its own copy of `items`.
+/// what launch_unpack does. An unpack item must have a kernel plan (a
+/// non-contiguous type); a transcode item's segment is priced by
+/// transcode_cost, with the destination's geometry at the narrower of the
+/// two plans' word sizes. An empty batch is a no-op. On a capturing stream
+/// the batch records as one graph node that keeps its own copy of `items`.
 vcuda::Error launch_unpack_batch(std::span<const UnpackItem> items,
                                  vcuda::StreamHandle stream);
 

@@ -1039,25 +1039,16 @@ int tempi_Gatherv(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
 
 // --- interposed communicator constructors (the topology layer) ---------------
 //
-// Only the reorder=1 creation paths are interposed: the topology layer
+// Only MPI_Cart_create is interposed: with reorder=1 the topology layer
 // either realizes a strictly-better placement (tempi/topology.*) or falls
 // through to the system identity mapping, which logs the fallback once.
+// MPI_Dist_graph_create_adjacent goes to the system MPI, reorder=1
+// included.
 
 int tempi_Cart_create(MPI_Comm comm_old, int ndims, const int *dims,
                       const int *periods, int reorder, MPI_Comm *comm_cart) {
   return topo::cart_create(comm_old, ndims, dims, periods, reorder, comm_cart,
                            state().next);
-}
-
-int tempi_Dist_graph_create_adjacent(MPI_Comm comm_old, int indegree,
-                                     const int *sources,
-                                     const int *sourceweights, int outdegree,
-                                     const int *destinations,
-                                     const int *destweights, int info,
-                                     int reorder, MPI_Comm *comm_dist_graph) {
-  return topo::dist_graph_create_adjacent(
-      comm_old, indegree, sources, sourceweights, outdegree, destinations,
-      destweights, info, reorder, comm_dist_graph, state().next);
 }
 
 int tempi_Allgather(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
@@ -1179,7 +1170,6 @@ void install() {
   table.Reduce_scatter = tempi_Reduce_scatter;
   table.Reduce_scatter_block = tempi_Reduce_scatter_block;
   table.Cart_create = tempi_Cart_create;
-  table.Dist_graph_create_adjacent = tempi_Dist_graph_create_adjacent;
   // The collectives engine's kill-switch (mirrors TEMPI_METHOD): decided
   // and logged at install time so a deployment can see — without
   // relinking — whether collectives ride the engine or the system path.

@@ -450,126 +450,4 @@ int cart_create(MPI_Comm comm_old, int ndims, const int *dims,
   return MPI_SUCCESS;
 }
 
-int dist_graph_create_adjacent(MPI_Comm comm_old, int indegree,
-                               const int *sources, const int *sourceweights,
-                               int outdegree, const int *destinations,
-                               const int *destweights, int info, int reorder,
-                               MPI_Comm *comm_dist_graph,
-                               const interpose::MpiTable &next) {
-  const auto fall_through = [&] {
-    return next.Dist_graph_create_adjacent(
-        comm_old, indegree, sources, sourceweights, outdegree, destinations,
-        destweights, info, reorder, comm_dist_graph);
-  };
-  if (!enabled() || reorder == 0 || comm_old == nullptr ||
-      comm_dist_graph == nullptr || indegree < 0 || outdegree < 0 ||
-      (indegree > 0 && sources == nullptr) ||
-      (outdegree > 0 && destinations == nullptr)) {
-    return fall_through();
-  }
-  const int size = comm_old->size();
-  const int me = comm_old->my_rank;
-
-  // Gather every rank's declared adjacency so all ranks can (a) run the
-  // partitioner on the full graph and (b) adopt their new rank's lists.
-  // Flat per-rank encoding: sources, source weights, destinations,
-  // destination weights (weight 1 where the caller passed none).
-  const int degs[2] = {indegree, outdegree};
-  std::vector<int> all_degs(static_cast<std::size_t>(size) * 2);
-  int rc = next.Allgather(degs, 2, MPI_INT, all_degs.data(), 2, MPI_INT,
-                          comm_old);
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  std::vector<int> mine;
-  mine.reserve(2 * static_cast<std::size_t>(indegree + outdegree));
-  for (int i = 0; i < indegree; ++i) {
-    mine.push_back(sources[i]);
-  }
-  for (int i = 0; i < indegree; ++i) {
-    mine.push_back(sourceweights != nullptr ? sourceweights[i] : 1);
-  }
-  for (int i = 0; i < outdegree; ++i) {
-    mine.push_back(destinations[i]);
-  }
-  for (int i = 0; i < outdegree; ++i) {
-    mine.push_back(destweights != nullptr ? destweights[i] : 1);
-  }
-  std::vector<int> counts(static_cast<std::size_t>(size));
-  std::vector<int> displs(static_cast<std::size_t>(size));
-  int total = 0;
-  for (int r = 0; r < size; ++r) {
-    counts[static_cast<std::size_t>(r)] =
-        2 * (all_degs[static_cast<std::size_t>(r) * 2] +
-             all_degs[static_cast<std::size_t>(r) * 2 + 1]);
-    displs[static_cast<std::size_t>(r)] = total;
-    total += counts[static_cast<std::size_t>(r)];
-  }
-  std::vector<int> flat(static_cast<std::size_t>(total));
-  rc = next.Gatherv(mine.data(), counts[static_cast<std::size_t>(me)],
-                    MPI_INT, flat.data(), counts.data(), displs.data(),
-                    MPI_INT, 0, comm_old);
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  rc = next.Bcast(flat.data(), total, MPI_INT, 0, comm_old);
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-
-  std::vector<Edge> edges;
-  const auto rank_lists = [&](int r) {
-    const int ind = all_degs[static_cast<std::size_t>(r) * 2];
-    const int outd = all_degs[static_cast<std::size_t>(r) * 2 + 1];
-    const int base = displs[static_cast<std::size_t>(r)];
-    struct Lists {
-      const int *srcs, *srcw, *dsts, *dstw;
-      int ind, outd;
-    };
-    return Lists{flat.data() + base, flat.data() + base + ind,
-                 flat.data() + base + 2 * ind,
-                 flat.data() + base + 2 * ind + outd, ind, outd};
-  };
-  for (int r = 0; r < size; ++r) {
-    const auto l = rank_lists(r);
-    for (int i = 0; i < l.ind; ++i) {
-      if (l.srcs[i] < 0 || l.srcs[i] >= size) {
-        return fall_through(); // malformed adjacency: let the system cope
-      }
-      edges.push_back(Edge{l.srcs[i], r, l.srcw[i]});
-    }
-    for (int i = 0; i < l.outd; ++i) {
-      if (l.dsts[i] < 0 || l.dsts[i] >= size) {
-        return fall_through();
-      }
-      edges.push_back(Edge{r, l.dsts[i], l.dstw[i]});
-    }
-  }
-  sysmpi::World &world = *comm_old->world;
-  std::vector<int> node_of_rank(static_cast<std::size_t>(size));
-  for (int r = 0; r < size; ++r) {
-    node_of_rank[static_cast<std::size_t>(r)] =
-        world.node_of(comm_old->world_rank_of(r));
-  }
-  const std::vector<int> perm = graph_remap(edges, node_of_rank);
-  if (perm.empty()) {
-    return fall_through(); // identity: sysmpi logs the fallback once
-  }
-
-  MPI_Comm c = MPI_COMM_NULL;
-  rc = next.Comm_split(comm_old, 0, perm[static_cast<std::size_t>(me)], &c);
-  if (rc != MPI_SUCCESS) {
-    return rc;
-  }
-  // The graph relation in rank numbers is unchanged: whoever holds new
-  // rank q plays old rank q's part and adopts its declared lists.
-  const auto l = rank_lists(perm[static_cast<std::size_t>(me)]);
-  c->is_graph = true;
-  c->graph_sources.assign(l.srcs, l.srcs + l.ind);
-  c->graph_destinations.assign(l.dsts, l.dsts + l.outd);
-  g_counters.remaps.add();
-  *comm_dist_graph = c;
-  return MPI_SUCCESS;
-}
-
 } // namespace tempi::topo

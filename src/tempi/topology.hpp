@@ -12,13 +12,15 @@
 //    position on its node so co-located senders fan out to different
 //    nodes simultaneously.
 //
-//  * cart_remap()/graph_remap(): real `reorder=1`. Given the declared
-//    communication topology (Cartesian grid or dist-graph adjacency) and
-//    where each rank physically lives, find a rank permutation that puts
-//    neighbors on the same virtual node, so their traffic bypasses the
-//    NIC entirely. A remap is returned only when it strictly reduces the
-//    modeled inter-node bytes; otherwise the caller falls back to the
-//    identity mapping (and sysmpi logs the fallback once).
+//  * cart_remap(): real `reorder=1` for MPI_Cart_create. Given the
+//    Cartesian grid and where each rank physically lives, find a rank
+//    permutation that puts neighbors on the same virtual node, so their
+//    traffic bypasses the NIC entirely (graph_remap(), a greedy
+//    partitioner over the grid's edges, is its fallback). A remap is
+//    returned only when it strictly reduces the modeled inter-node bytes;
+//    otherwise the caller falls back to the identity mapping (and sysmpi
+//    logs the fallback once). MPI_Dist_graph_create_adjacent is not
+//    interposed: reorder=1 there is the system MPI's to handle.
 //
 // `TEMPI_TOPO=0` (read at install, see tempi.cpp) disables both: schedule
 // degenerates to the identity order and reorder=1 falls through to the
@@ -106,20 +108,5 @@ std::vector<int> graph_remap(const std::vector<Edge> &edges,
 int cart_create(MPI_Comm comm_old, int ndims, const int *dims,
                 const int *periods, int reorder, MPI_Comm *comm_cart,
                 const interpose::MpiTable &next);
-
-/// MPI_Dist_graph_create_adjacent with a real reorder=1: gathers every
-/// rank's declared adjacency (weights honored, 1 where absent) through
-/// next-table collectives, partitions with graph_remap(), and realizes a
-/// strictly-better placement through next.Comm_split — the process with
-/// new rank q adopts old rank q's declared lists verbatim, so the graph
-/// relation (in rank numbers) is unchanged and only the physical
-/// placement moves. Falls through to next.Dist_graph_create_adjacent
-/// otherwise.
-int dist_graph_create_adjacent(MPI_Comm comm_old, int indegree,
-                               const int *sources, const int *sourceweights,
-                               int outdegree, const int *destinations,
-                               const int *destweights, int info, int reorder,
-                               MPI_Comm *comm_dist_graph,
-                               const interpose::MpiTable &next);
 
 } // namespace tempi::topo

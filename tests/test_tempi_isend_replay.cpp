@@ -976,6 +976,26 @@ void prepare(const SpaceBuffer &src, const SpaceBuffer &dst, unsigned r) {
   fill_pattern(dst.get(), dst.size(), 200 + r);
 }
 
+/// Self-delivery declines so far: those counted under `rule`, and all.
+struct Declines {
+  std::uint64_t rule = 0;
+  std::uint64_t total = 0;
+};
+
+Declines declines(std::string_view rule) {
+  return {counter("tempi.p2p.self_declines." + std::string(rule)),
+          counter("tempi.p2p.self_declines")};
+}
+
+/// Require that every decline since `before` counted once, under `rule`,
+/// and that there were `n` of them.
+void expect_declines(std::string_view rule, const Declines &before,
+                     std::uint64_t n) {
+  const Declines after = declines(rule);
+  EXPECT_EQ(after.rule - before.rule, n) << rule;
+  EXPECT_EQ(after.total - before.total, n) << rule;
+}
+
 TEST_F(SelfDelivery, IrecvIsendWaitMatchesTheSystemPath) {
   MPI_Datatype t = committed_vector(128, 4, 12);
   SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
@@ -1127,6 +1147,7 @@ TEST_F(SelfDelivery, QueuedSelfMessageIsReceivedFirst) {
   SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
   SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
   SpaceBuffer later(vcuda::MemorySpace::Device, 128 * 12);
+  const Declines before = declines("queued");
   const std::uint64_t delivered =
       expect_system_behavior([&](unsigned r, Seen &seen) {
         prepare(src, dst, r);
@@ -1148,6 +1169,7 @@ TEST_F(SelfDelivery, QueuedSelfMessageIsReceivedFirst) {
         seen.code(MPI_Wait(&reqs[1], MPI_STATUS_IGNORE));
       });
   EXPECT_EQ(delivered, 0u);
+  expect_declines("queued", before, kRounds);
   MPI_Type_free(&t);
 }
 
@@ -1160,6 +1182,7 @@ TEST_F(SelfDelivery, EarlierWildcardReceiveDeclines) {
   SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
   SpaceBuffer dst2(vcuda::MemorySpace::Device, 128 * 12);
   const std::uint64_t declines0 = counter("tempi.p2p.self_declines");
+  const Declines before = declines("wildcard");
   // MPI_ANY_TAG: a message queued on another tag reaches the wildcard
   // receive first, and the send goes to the receive posted after it.
   std::uint64_t delivered = expect_system_behavior([&](unsigned r,
@@ -1204,6 +1227,7 @@ TEST_F(SelfDelivery, EarlierWildcardReceiveDeclines) {
   });
   EXPECT_EQ(delivered, 0u);
   EXPECT_GE(counter("tempi.p2p.self_declines") - declines0, 3u * kRounds);
+  expect_declines("wildcard", before, 3u * kRounds);
   MPI_Type_free(&t);
 }
 
@@ -1216,6 +1240,8 @@ TEST_F(SelfDelivery, EarlierForwardedReceiveDeclines) {
   SpaceBuffer src2(vcuda::MemorySpace::Device, 128 * 12);
   SpaceBuffer host(vcuda::MemorySpace::Pageable, 128 * 12);
   SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  const Declines before = declines("forwarded");
+  const Declines queued = declines("queued");
   const std::uint64_t delivered =
       expect_system_behavior([&](unsigned r, Seen &seen) {
         prepare(src, dst, r);
@@ -1234,6 +1260,12 @@ TEST_F(SelfDelivery, EarlierForwardedReceiveDeclines) {
         seen.buffer(dst);
       });
   EXPECT_EQ(delivered, 0u);
+  // The first send declines for the forwarded receive; the second then
+  // finds the first one's message queued on the tag.
+  const Declines after = declines("forwarded");
+  EXPECT_EQ(after.rule - before.rule, kRounds);
+  EXPECT_EQ(declines("queued").rule - queued.rule, kRounds);
+  EXPECT_EQ(after.total - before.total, 2u * kRounds);
   // Once the forwarded receive completed, the thread's sends deliver again.
   const std::uint64_t again =
       expect_system_behavior([&](unsigned r, Seen &seen) {
@@ -1254,6 +1286,7 @@ TEST_F(SelfDelivery, OversizeSendTruncatesLikeTheSystemPath) {
   MPI_Datatype t = committed_vector(128, 4, 12);
   SpaceBuffer src(vcuda::MemorySpace::Device, 2 * 128 * 12);
   SpaceBuffer dst(vcuda::MemorySpace::Device, 128 * 12);
+  const Declines before = declines("truncate");
   const std::uint64_t delivered =
       expect_system_behavior([&](unsigned r, Seen &seen) {
         prepare(src, dst, r);
@@ -1269,6 +1302,7 @@ TEST_F(SelfDelivery, OversizeSendTruncatesLikeTheSystemPath) {
         seen.buffer(dst);
       });
   EXPECT_EQ(delivered, 0u);
+  expect_declines("truncate", before, kRounds);
   MPI_Type_free(&t);
 }
 
@@ -1606,6 +1640,277 @@ TEST_F(SelfDelivery, PersistentStartDeliveryPacksInTheWaitall) {
   EXPECT_EQ(counter("tempi.persistent.replays"), 2u * kRounds);
   EXPECT_EQ(tempi::async::persistent_open(), 0u);
   MPI_Type_free(&t);
+}
+
+// A self-addressed send whose first matching receive is pipelined (above
+// the wire-chunk limit), or between block-list types, declines under its
+// own rule, and each exchange ends as on the system path. The pipelined
+// receive is freed unmatched, as the system MPI discards it, and a
+// monolithic one takes the message.
+TEST_F(SelfDelivery, PipelinedAndBlockListReceivesDecline) {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  SpaceBuffer src(vcuda::MemorySpace::Device, 128 * 12);
+  SpaceBuffer dst(vcuda::MemorySpace::Device, 4 * 128 * 12);
+  const std::size_t old_limit = tempi::set_wire_chunk_limit(1024);
+  Declines before = declines("pipelined");
+  std::uint64_t delivered = expect_system_behavior([&](unsigned r,
+                                                       Seen &seen) {
+    prepare(src, dst, r);
+    MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+    std::array<MPI_Status, 2> st{};
+    seen.code(MPI_Irecv(dst.get(), 4, t, 0, 5, MPI_COMM_WORLD, &reqs[0]));
+    seen.code(MPI_Isend(src.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[1]));
+    seen.code(MPI_Request_free(&reqs[0]));
+    seen.code(MPI_Irecv(dst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]));
+    seen.code(MPI_Waitall(2, reqs, st.data()));
+    seen.status(st[0]);
+    seen.buffer(dst);
+  });
+  tempi::set_wire_chunk_limit(old_limit);
+  EXPECT_EQ(delivered, 0u);
+  expect_declines("pipelined", before, kRounds);
+  MPI_Type_free(&t);
+
+  const bool old_blocklist = tempi::blocklist_fallback();
+  tempi::set_blocklist_fallback(true);
+  const int blens[4] = {2, 1, 3, 2};
+  const int displs[4] = {0, 5, 9, 20};
+  MPI_Type_indexed(4, blens, displs, MPI_INT, &t);
+  MPI_Type_commit(&t);
+  SpaceBuffer isrc(vcuda::MemorySpace::Device, 22 * sizeof(int));
+  SpaceBuffer idst(vcuda::MemorySpace::Device, 22 * sizeof(int));
+  before = declines("blocklist");
+  delivered = expect_system_behavior([&](unsigned r, Seen &seen) {
+    prepare(isrc, idst, r);
+    MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+    std::array<MPI_Status, 2> st{};
+    seen.code(MPI_Irecv(idst.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[0]));
+    seen.code(MPI_Isend(isrc.get(), 1, t, 0, 5, MPI_COMM_WORLD, &reqs[1]));
+    seen.code(MPI_Waitall(2, reqs, st.data()));
+    seen.status(st[0]);
+    seen.buffer(idst);
+  });
+  EXPECT_EQ(delivered, 0u);
+  expect_declines("blocklist", before, kRounds);
+  MPI_Type_free(&t);
+  tempi::set_blocklist_fallback(old_blocklist);
+}
+
+// --- transcodes between layouts ---------------------------------------------
+
+MPI_Datatype committed_floats(int count, int blocklen, int stride) {
+  MPI_Datatype t = nullptr;
+  MPI_Type_vector(count, blocklen, stride, MPI_FLOAT, &t);
+  MPI_Type_commit(&t);
+  return t;
+}
+
+/// A self-addressed message whose layouts differ but whose type signatures
+/// agree: `send_count` objects of `send` into `recv_count` objects of
+/// `recv`.
+struct Pair {
+  const char *name;
+  MPI_Datatype send;
+  int send_count;
+  MPI_Datatype recv;
+  int recv_count;
+};
+
+std::size_t span_of(MPI_Datatype t, int count) {
+  MPI_Aint lb = 0, extent = 0;
+  MPI_Type_get_extent(t, &lb, &extent);
+  return static_cast<std::size_t>(extent) *
+         static_cast<std::size_t>(std::max(count, 1));
+}
+
+/// How a round completes the pair's receive and send.
+enum class Completion {
+  WaitallRecvFirst,
+  WaitallSendFirst,
+  WaitSendFirst,
+  WaitRecvFirst,
+  TestSendFirst,
+  TestRecvFirst,
+  FreeSend,
+  PersistentStart,
+};
+
+constexpr std::array kCompletions{
+    Completion::WaitallRecvFirst, Completion::WaitallSendFirst,
+    Completion::WaitSendFirst,    Completion::WaitRecvFirst,
+    Completion::TestSendFirst,    Completion::TestRecvFirst,
+    Completion::FreeSend,         Completion::PersistentStart};
+
+/// Complete `req` by polling MPI_Test; records the last return code and
+/// the flag.
+void test_until_done(MPI_Request *req, MPI_Status *st, Seen &seen) {
+  int flag = 0;
+  int rc = MPI_SUCCESS;
+  for (int poll = 0; poll < 1000 && flag == 0 && rc == MPI_SUCCESS; ++poll) {
+    rc = MPI_Test(req, &flag, st);
+  }
+  seen.code(rc);
+  seen.code(flag);
+}
+
+/// Exchange `pair` kRounds times, completed as `how`, on the system path
+/// and through TEMPI, bitwise against each other; returns the deliveries.
+/// Once the send has completed its buffer is overwritten: the receive
+/// must still get what the buffer held at the send. Every round that did
+/// not deliver was a first sighting of the pair.
+std::uint64_t expect_pair_behavior(const Pair &pair, Completion how) {
+  SpaceBuffer src(vcuda::MemorySpace::Device,
+                  span_of(pair.send, pair.send_count));
+  SpaceBuffer dst(vcuda::MemorySpace::Device,
+                  span_of(pair.recv, pair.recv_count));
+  const auto reuse = [&](unsigned r) {
+    fill_pattern(src.get(), src.size(), 1000 + r);
+  };
+  std::array<MPI_Request, 2> ch{MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+  const Declines before = declines("first_sighting");
+  const std::uint64_t delivered = expect_system_behavior([&](unsigned r,
+                                                             Seen &seen) {
+    prepare(src, dst, r);
+    std::array<MPI_Request, 2> reqs{MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+    std::array<MPI_Status, 2> st{};
+    if (how == Completion::PersistentStart) {
+      if (r == 0) {
+        seen.code(MPI_Recv_init(dst.get(), pair.recv_count, pair.recv, 0, 21,
+                                MPI_COMM_WORLD, &ch[0]));
+        seen.code(MPI_Send_init(src.get(), pair.send_count, pair.send, 0, 21,
+                                MPI_COMM_WORLD, &ch[1]));
+      }
+      seen.code(MPI_Start(&ch[0]));
+      seen.code(MPI_Start(&ch[1]));
+      seen.code(MPI_Waitall(2, ch.data(), st.data()));
+      reuse(r);
+      if (r + 1 == kRounds) {
+        seen.code(MPI_Request_free(&ch[0]));
+        seen.code(MPI_Request_free(&ch[1]));
+      }
+    } else {
+      seen.code(MPI_Irecv(dst.get(), pair.recv_count, pair.recv, 0, 21,
+                          MPI_COMM_WORLD, &reqs[0]));
+      seen.code(MPI_Isend(src.get(), pair.send_count, pair.send, 0, 21,
+                          MPI_COMM_WORLD, &reqs[1]));
+      switch (how) {
+      case Completion::WaitallRecvFirst:
+        seen.code(MPI_Waitall(2, reqs.data(), st.data()));
+        break;
+      case Completion::WaitallSendFirst: {
+        std::array<MPI_Request, 2> flipped{reqs[1], reqs[0]};
+        std::array<MPI_Status, 2> fst{};
+        seen.code(MPI_Waitall(2, flipped.data(), fst.data()));
+        st[0] = fst[1];
+        break;
+      }
+      case Completion::WaitSendFirst:
+        seen.code(MPI_Wait(&reqs[1], MPI_STATUS_IGNORE));
+        reuse(r);
+        seen.code(MPI_Wait(&reqs[0], &st[0]));
+        break;
+      case Completion::WaitRecvFirst:
+        seen.code(MPI_Wait(&reqs[0], &st[0]));
+        seen.code(MPI_Wait(&reqs[1], MPI_STATUS_IGNORE));
+        break;
+      case Completion::TestSendFirst:
+        test_until_done(&reqs[1], &st[1], seen);
+        reuse(r);
+        test_until_done(&reqs[0], &st[0], seen);
+        break;
+      case Completion::TestRecvFirst:
+        test_until_done(&reqs[0], &st[0], seen);
+        test_until_done(&reqs[1], &st[1], seen);
+        break;
+      case Completion::FreeSend:
+        seen.code(MPI_Request_free(&reqs[1]));
+        reuse(r);
+        seen.code(MPI_Wait(&reqs[0], &st[0]));
+        break;
+      case Completion::PersistentStart:
+        break;
+      }
+    }
+    int n = -1;
+    seen.code(MPI_Get_count(&st[0], pair.recv, &n));
+    seen.code(n);
+    seen.status(st[0]);
+    seen.buffer(dst);
+  });
+  const Declines after = declines("first_sighting");
+  EXPECT_EQ(after.total - before.total, after.rule - before.rule);
+  EXPECT_EQ(delivered + (after.rule - before.rule),
+            pair.send_count > 0 ? kRounds : 0u);
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
+  EXPECT_EQ(tempi::async::persistent_open(), 0u);
+  return delivered;
+}
+
+// A self delivery between different layouts of equal type signatures is
+// one transcode from the send's objects into the receive's. Whatever
+// order the requests complete in, codes, statuses and bytes are those of
+// the system path.
+TEST_F(SelfDelivery, TranscodesBetweenLayoutsMatchTheSystemPath) {
+  const int sizes[3] = {8, 16, 16};
+  const int subsizes[3] = {8, 16, 2};
+  const int starts[3] = {0, 0, 3};
+  MPI_Datatype face = nullptr;
+  MPI_Type_create_subarray(3, sizes, subsizes, starts, MPI_ORDER_C,
+                           MPI_FLOAT, &face);
+  MPI_Type_commit(&face);
+  std::array<MPI_Datatype, 6> types{
+      committed_floats(128, 4, 12), // 512 floats in 16 B runs
+      committed_floats(64, 8, 20),  // 512 floats in 32 B runs
+      committed_floats(32, 8, 12),  // 256 floats in 32 B runs
+      committed_floats(64, 2, 4),   // 128 floats in 8 B runs, 8 B words
+      committed_floats(128, 1, 3),  // 128 floats in 4 B runs, 4 B words
+      committed_floats(64, 4, 12),  // 256 floats in 16 B runs
+  };
+  const std::array<Pair, 4> pairs{{
+      {"vector(128,4,12) into vector(64,8,20)", types[0], 1, types[1], 1},
+      {"subarray face into a vector", face, 1, types[2], 1},
+      {"8-byte runs into 4-byte runs", types[3], 1, types[4], 1},
+      {"send count 2 into receive count 1", types[5], 2, types[1], 1},
+  }};
+  for (const Pair &pair : pairs) {
+    for (const Completion how : kCompletions) {
+      SCOPED_TRACE(std::string(pair.name) + ", completion " +
+                   std::to_string(static_cast<int>(how)));
+      EXPECT_GE(expect_pair_behavior(pair, how), kRounds - 1);
+    }
+  }
+  for (MPI_Datatype &t : types) {
+    MPI_Type_free(&t);
+  }
+  MPI_Type_free(&face);
+}
+
+// Messages shorter than the receive's 4 objects, in another layout: 0, 1.5
+// and 2 objects. Only whole objects are written, and the status reports
+// the message's own length, as on the system path; an empty send goes to
+// the system MPI.
+TEST_F(SelfDelivery, ShortTranscodesMatchTheSystemPath) {
+  MPI_Datatype recv = committed_floats(64, 8, 20);  // 512 floats
+  MPI_Datatype whole = committed_floats(128, 4, 12); // 512 floats
+  MPI_Datatype half = committed_floats(192, 4, 12);  // 768 floats
+  const std::array<Pair, 3> pairs{{
+      {"0 of 4 objects", whole, 0, recv, 4},
+      {"1.5 of 4 objects", half, 1, recv, 4},
+      {"2 of 4 objects", whole, 2, recv, 4},
+  }};
+  for (const Pair &pair : pairs) {
+    for (const Completion how : kCompletions) {
+      SCOPED_TRACE(std::string(pair.name) + ", completion " +
+                   std::to_string(static_cast<int>(how)));
+      const std::uint64_t delivered = expect_pair_behavior(pair, how);
+      if (pair.send_count > 0) {
+        EXPECT_GE(delivered, kRounds - 1);
+      }
+    }
+  }
+  for (MPI_Datatype *t : {&recv, &whole, &half}) {
+    MPI_Type_free(t);
+  }
 }
 
 // uninstall() with a delivery decided but not packed: the send and the

@@ -1,16 +1,34 @@
 // Kernel geometry properties (Sec. 3.3) over randomized StridedBlocks:
 // the power-of-two fill rule, the 1024-thread block limit, full coverage
-// of the object, and word-size divisibility invariants.
+// of the object, and word-size divisibility invariants. The transcode (a
+// fused-batch segment copying one layout's objects straight into
+// another's) equals an unpack of a pack over random type pairs, touches no
+// gap byte, and is never modeled slower than the pack plus the unpack.
+#include "interpose/table.hpp"
+#include "random_types.hpp"
+#include "sysmpi/mpi.hpp"
+#include "sysmpi/world.hpp"
+#include "tempi/canonicalize.hpp"
 #include "tempi/kernels.hpp"
+#include "tempi/translate.hpp"
+#include "test_helpers.hpp"
+#include "vcuda/costmodel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstring>
+#include <numeric>
 #include <random>
+#include <vector>
 
 namespace {
 
 using tempi::StridedBlock;
+using testing_helpers::fill_pattern;
+using testing_helpers::random_strided_type;
+using testing_helpers::Rng;
+using testing_helpers::SpaceBuffer;
 
 StridedBlock random_block(std::mt19937 &gen) {
   std::uniform_int_distribution<int> dims_dist(1, 3);
@@ -112,5 +130,141 @@ TEST(KernelCostShape, ContiguousObjectHasNoStridedSide) {
   EXPECT_EQ(cost.src.contiguous_bytes, 0u);
   EXPECT_EQ(cost.dst.contiguous_bytes, 0u);
 }
+
+TEST(KernelCostShape, TranscodeReadsTheSourceRunsAndWritesTheDestinations) {
+  StridedBlock from;
+  from.counts = {8, 64};
+  from.strides = {1, 16};
+  StridedBlock to;
+  to.counts = {4, 128};
+  to.strides = {1, 12};
+  const auto cost = tempi::transcode_cost(from, to, 512,
+                                          vcuda::MemorySpace::Device,
+                                          vcuda::MemorySpace::Device);
+  EXPECT_EQ(cost.total_bytes, 512u);
+  EXPECT_EQ(cost.src.contiguous_bytes, 8u);
+  EXPECT_FALSE(cost.src.is_write);
+  EXPECT_EQ(cost.dst.contiguous_bytes, 4u);
+  EXPECT_TRUE(cost.dst.is_write);
+}
+
+/// A committed type's canonical layout, as MPI_Type_commit builds it.
+struct Layout {
+  StridedBlock sb;
+  long long extent = 0;
+  tempi::PackPlan plan;
+};
+
+Layout layout_of(MPI_Datatype t) {
+  auto ir = tempi::translate(t, interpose::system_table());
+  EXPECT_TRUE(ir.has_value());
+  tempi::simplify(*ir);
+  const auto sb = tempi::to_strided_block(*ir);
+  EXPECT_TRUE(sb.has_value());
+  MPI_Aint lb = 0, extent = 0;
+  MPI_Type_get_extent(t, &lb, &extent);
+  Layout l{*sb, extent, {}};
+  l.plan = tempi::make_pack_plan(l.sb, l.extent);
+  return l;
+}
+
+/// Which bytes of `count` objects of `t` hold data.
+std::vector<bool> covered(MPI_Datatype t, int count, std::size_t span) {
+  std::vector<bool> mask(span, false);
+  for (int i = 0; i < count; ++i) {
+    sysmpi::for_each_block(*t, 0, [&](long long off, long long len) {
+      const long long at = static_cast<long long>(i) * t->extent + off;
+      std::fill_n(mask.begin() + at, len, true);
+    });
+  }
+  return mask;
+}
+
+class TranscodeProperty : public ::testing::TestWithParam<unsigned> {
+protected:
+  void SetUp() override { sysmpi::ensure_self_context(); }
+};
+
+// Random pairs of types, each side at the count that makes the packed
+// sizes equal: the transcode writes exactly what unpacking the source's
+// pack writes, leaves every gap byte of the destination as it was, and is
+// modeled no slower than the pack and the unpack it replaces.
+TEST_P(TranscodeProperty, EqualsUnpackOfPackAndNeverCostsMore) {
+  Rng rng(GetParam() * 7349 + 3);
+  int pairs = 0;
+  for (int trial = 0; trial < 40 && pairs < 8; ++trial) {
+    MPI_Datatype a = random_strided_type(rng, rng.uniform(1, 4));
+    MPI_Datatype b = random_strided_type(rng, rng.uniform(1, 4));
+    int size_a = 0, size_b = 0;
+    MPI_Type_size(a, &size_a);
+    MPI_Type_size(b, &size_b);
+    const int packed = size_a > 0 && size_b > 0 ? std::lcm(size_a, size_b) : 0;
+    const int na = packed > 0 ? packed / size_a : 0;
+    const int nb = packed > 0 ? packed / size_b : 0;
+    if (packed == 0 || na > 16 || nb > 16) {
+      MPI_Type_free(&a);
+      MPI_Type_free(&b);
+      continue;
+    }
+    ++pairs;
+    const Layout from = layout_of(a);
+    const Layout to = layout_of(b);
+    const std::size_t span_a = static_cast<std::size_t>(from.extent) * na + 64;
+    const std::size_t span_b = static_cast<std::size_t>(to.extent) * nb + 64;
+    SpaceBuffer src(vcuda::MemorySpace::Device, span_a);
+    SpaceBuffer staged(vcuda::MemorySpace::Device,
+                       static_cast<std::size_t>(packed));
+    SpaceBuffer expect(vcuda::MemorySpace::Device, span_b);
+    SpaceBuffer got(vcuda::MemorySpace::Device, span_b);
+    fill_pattern(src.get(), span_a, GetParam() + 17 * trial);
+    fill_pattern(expect.get(), span_b, 900 + trial);
+    std::memcpy(got.get(), expect.get(), span_b);
+    const std::vector<std::byte> poison(got.bytes(), got.bytes() + span_b);
+
+    vcuda::StreamHandle s = vcuda::default_stream();
+    ASSERT_EQ(tempi::launch_pack(from.plan, from.sb, from.extent,
+                                 staged.get(), src.get(), na, s),
+              vcuda::Error::Success);
+    ASSERT_EQ(tempi::launch_unpack(to.plan, to.sb, to.extent, expect.get(),
+                                   staged.get(), nb, s),
+              vcuda::Error::Success);
+    const tempi::UnpackItem item{&to.plan,   &to.sb,  to.extent,
+                                 got.get(),  src.get(), nb,
+                                 &from.plan, &from.sb, from.extent};
+    ASSERT_EQ(tempi::launch_unpack_batch({&item, 1}, s),
+              vcuda::Error::Success);
+    ASSERT_EQ(vcuda::StreamSynchronize(s), vcuda::Error::Success);
+
+    const std::string what = tempi::to_string(*tempi::translate(
+                                 a, interpose::system_table())) +
+                             " -> " +
+                             tempi::to_string(*tempi::translate(
+                                 b, interpose::system_table()));
+    EXPECT_EQ(std::memcmp(got.get(), expect.get(), span_b), 0) << what;
+    const std::vector<bool> data = covered(b, nb, span_b);
+    for (std::size_t i = 0; i < span_b; ++i) {
+      if (!data[i] && got.bytes()[i] != poison[i]) {
+        ADD_FAILURE() << "gap byte " << i << " written: " << what;
+        break;
+      }
+    }
+
+    const auto d = vcuda::MemorySpace::Device;
+    const vcuda::CostParams &p = vcuda::cost_params();
+    EXPECT_LE(vcuda::kernel_duration(
+                  p, tempi::transcode_cost(from.sb, to.sb,
+                                           static_cast<std::size_t>(packed),
+                                           d, d)),
+              vcuda::kernel_duration(p, tempi::pack_cost(from.sb, na, d, d)) +
+                  vcuda::kernel_duration(p,
+                                         tempi::unpack_cost(to.sb, nb, d, d)))
+        << what;
+    MPI_Type_free(&a);
+    MPI_Type_free(&b);
+  }
+  EXPECT_GT(pairs, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TranscodeProperty, ::testing::Range(1u, 21u));
 
 } // namespace

@@ -1,8 +1,10 @@
 // The topology layer (tempi/topology.*): node-bucketed leg scheduling
 // with rank-salted rotation, the TEMPI_TOPO kill-switch, the brick/greedy
 // reorder=1 remap (pure functions and end-to-end through the interposed
-// MPI_Cart_create), and the identity fallback when no placement strictly
-// reduces the modeled inter-node bytes.
+// MPI_Cart_create), the identity fallback when no placement strictly
+// reduces the modeled inter-node bytes, and MPI_Dist_graph_create_adjacent
+// left to the system MPI.
+#include "interpose/table.hpp"
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
 #include "tempi/tempi.hpp"
@@ -238,6 +240,54 @@ TEST_F(TempiTopology, KillSwitchDisablesCartRemap) {
     MPI_Comm_free(&cart);
     MPI_Finalize();
   });
+  EXPECT_EQ(counter("tempi.topo.remaps"), 0u);
+}
+
+// MPI_Dist_graph_create_adjacent is not interposed: with reorder=1, on a
+// graph whose every edge crosses nodes under the identity placement, each
+// rank keeps its place and its declared neighbor lists, exactly as the
+// system MPI builds them.
+TEST_F(TempiTopology, DistGraphReorder1IsTheSystemPath) {
+  constexpr int kRanks = 16, kRpn = 4;
+  struct Graph {
+    int rank = -1;
+    std::vector<int> sources, destinations;
+    bool operator==(const Graph &) const = default;
+  };
+  const auto build = [&](bool system) {
+    std::vector<Graph> graphs(kRanks);
+    run_n(kRanks, kRpn, [&](int rank) {
+      MPI_Init(nullptr, nullptr);
+      // A ring through one rank of each node, four times over.
+      const int dst = (rank + kRpn) % kRanks;
+      const int src = (rank - kRpn + kRanks) % kRanks;
+      MPI_Comm graph = MPI_COMM_NULL;
+      const int rc =
+          system ? interpose::system_table().Dist_graph_create_adjacent(
+                       MPI_COMM_WORLD, 1, &src, nullptr, 1, &dst, nullptr,
+                       MPI_INFO_NULL, 1, &graph)
+                 : MPI_Dist_graph_create_adjacent(MPI_COMM_WORLD, 1, &src,
+                                                  nullptr, 1, &dst, nullptr,
+                                                  MPI_INFO_NULL, 1, &graph);
+      ASSERT_EQ(rc, MPI_SUCCESS);
+      Graph &g = graphs[static_cast<std::size_t>(rank)];
+      MPI_Comm_rank(graph, &g.rank);
+      g.sources = graph->graph_sources;
+      g.destinations = graph->graph_destinations;
+      MPI_Comm_free(&graph);
+      MPI_Finalize();
+    });
+    return graphs;
+  };
+  const std::vector<Graph> interposed = build(false);
+  const std::vector<Graph> system = build(true);
+  for (int r = 0; r < kRanks; ++r) {
+    const Graph &g = interposed[static_cast<std::size_t>(r)];
+    EXPECT_EQ(g, system[static_cast<std::size_t>(r)]) << "rank " << r;
+    EXPECT_EQ(g.rank, r);
+    EXPECT_EQ(g.sources, std::vector<int>{(r - kRpn + kRanks) % kRanks});
+    EXPECT_EQ(g.destinations, std::vector<int>{(r + kRpn) % kRanks});
+  }
   EXPECT_EQ(counter("tempi.topo.remaps"), 0u);
 }
 
