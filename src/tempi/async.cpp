@@ -50,6 +50,16 @@ struct Inbox {
   std::vector<AsyncOp *> ops;
 };
 
+/// The sends one thread deferred (see "Send batching" in async.hpp), in
+/// post order, waiting for the thread's next MPI call to pack them in one
+/// flush. Shared: a Wait, Test or Request_free of a member on another
+/// thread, and uninstall's drain, flush it under the lock. Its vector keeps
+/// its capacity from one burst to the next.
+struct SendBurst {
+  std::mutex mutex;
+  std::vector<AsyncOp *> ops;
+};
+
 /// A recorded program an op runs from: a pack program (sender) or an
 /// unpack program (receiver) that a thread's program table recorded (see
 /// claim_program), or a persistent op's own frozen program, which the
@@ -140,6 +150,15 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   /// receive, until the op has run or dropped its transcode.
   std::shared_ptr<Delivery> delivery;
 
+  /// Send only: the list of the thread that last deferred this send. While
+  /// `deferred` is set (under the list's lock) the send waits in it, packed
+  /// and on the wire only once the list is flushed.
+  std::shared_ptr<SendBurst> burst;
+  bool deferred = false;
+  /// The error of the flush that failed to pack or post this send; its
+  /// completion reports it.
+  int error = MPI_SUCCESS;
+
   /// The recorded program this op sends from or receives into. A
   /// persistent op owns its frozen monolithic program; any other op holds
   /// one only while it has claimed it.
@@ -173,11 +192,23 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   AsyncOp(const AsyncOp &) = delete;
   AsyncOp &operator=(const AsyncOp &) = delete;
   ~AsyncOp() {
+    leave_burst();
     leave_inbox();
     drop_delivery();
     release_claim();
     if (persistent && program) {
       program->released.store(true, std::memory_order_release);
+    }
+  }
+
+  /// Take a still-deferred send out of its thread's list.
+  void leave_burst() {
+    if (burst) {
+      const std::lock_guard<std::mutex> lock(burst->mutex);
+      if (deferred) {
+        std::erase(burst->ops, this);
+        deferred = false;
+      }
     }
   }
 
@@ -251,6 +282,8 @@ enum class Decline : std::uint8_t {
 };
 constexpr std::size_t kDeclineRules =
     static_cast<std::size_t>(Decline::FirstSighting) + 1;
+constexpr std::size_t kFlushReasons =
+    static_cast<std::size_t>(FlushReason::Drain) + 1;
 
 struct Pool {
   /// Rebuilt only by configure_shards() on an idle pool (the install-time
@@ -305,6 +338,21 @@ struct Pool {
       trace::Counter{"tempi.p2p.self_declines.forwarded"},
       trace::Counter{"tempi.p2p.self_declines.blocklist"},
       trace::Counter{"tempi.p2p.self_declines.first_sighting"}};
+
+  /// Sends deferred to their thread's next MPI call (Isends and persistent
+  /// Starts, see "Send batching" in async.hpp), the flushes that packed and
+  /// posted them, send batches recorded and replayed, and the flushes by
+  /// the kind of call that ran them (indexed by FlushReason).
+  trace::Counter sends_deferred{"tempi.isend.deferred"};
+  trace::Counter send_flushes{"tempi.send_batch.flushes"};
+  trace::Counter send_batch_captures{"tempi.send_batch.captures"};
+  trace::Counter send_batch_replays{"tempi.send_batch.replays"};
+  std::array<trace::Counter, kFlushReasons> send_flushes_by_reason{
+      trace::Counter{"tempi.send_batch.flush.completion"},
+      trace::Counter{"tempi.send_batch.flush.blocking"},
+      trace::Counter{"tempi.send_batch.flush.nondeferrable_send"},
+      trace::Counter{"tempi.send_batch.flush.passthrough"},
+      trace::Counter{"tempi.send_batch.flush.drain"}};
 
   trace::Counter p_inits{"tempi.persistent.inits"};
   trace::Counter p_starts{"tempi.persistent.starts"};
@@ -750,10 +798,55 @@ int complete_recv(AsyncOp &op, const interpose::MpiTable &next, bool sync) {
   return MPI_SUCCESS;
 }
 
-/// Complete a send: run its self delivery's transcode if no completion call
-/// ran it yet, or reclaim the system request backing its transfer.
+// --- deferred sends ---------------------------------------------------------
+//
+// See "Send batching" in async.hpp: a send that joins a burst waits in its
+// thread's list, and the thread's next MPI call packs every waiting send in
+// one fused kernel and posts their wires in post order (flush_list).
+
+/// The calling thread's list of deferred sends, allocated at its first
+/// deferral; a deferred send keeps it alive past the thread's exit.
+thread_local std::shared_ptr<SendBurst> t_burst;
+/// Set when the thread deferred a send since its own last flush: the one
+/// load an MPI call pays when nothing is pending.
+thread_local bool t_sends_pending = false;
+
+/// An op whose pack or unpack can join a fused batch (Waitall's unpacks, a
+/// flush's packs): a canonical strided packer moved by one kernel (Device
+/// or OneShot). Pre-packed ops carry no packer, the fused kernel reads a
+/// strided packer's plan() and block() (a block-list packer has neither),
+/// and pipelined ops are Method::Pipelined. Ops running from a claimed
+/// program join too: their pack or unpack is the program's recorded
+/// kernel.
+bool fusable(const AsyncOp &op) {
+  return op.packer != nullptr && op.packer->strided() &&
+         (op.method == Method::Device || op.method == Method::OneShot);
+}
+
+void flush_list(SendBurst &burst, FlushReason why,
+                const interpose::MpiTable &next);
+
+/// Put a send on the wire before its completion goes on: if it still waits
+/// in its thread's list, flush that list, from any thread.
+void settle(AsyncOp &op, const interpose::MpiTable &next) {
+  if (op.burst) {
+    const std::lock_guard<std::mutex> lock(op.burst->mutex);
+    if (op.deferred) {
+      flush_list(*op.burst, FlushReason::Completion, next);
+    }
+  }
+}
+
+/// Complete a send: post it if it was deferred, report the error of a
+/// flush that failed it, run its self delivery's transcode if no
+/// completion call ran it yet, or reclaim the system request backing its
+/// transfer.
 int complete_send(AsyncOp &op, const interpose::MpiTable &next) {
-  int rc = run_delivery(op);
+  settle(op, next);
+  int rc = std::exchange(op.error, MPI_SUCCESS);
+  if (rc == MPI_SUCCESS) {
+    rc = run_delivery(op);
+  }
   if (rc == MPI_SUCCESS && op.inner != MPI_REQUEST_NULL) {
     rc = next.Wait(&op.inner, MPI_STATUS_IGNORE);
   }
@@ -763,28 +856,41 @@ int complete_send(AsyncOp &op, const interpose::MpiTable &next) {
   return rc;
 }
 
-/// Post a send from its recorded program: replay the pack graph into the
-/// program's pinned wire lease, fence (the wire must not depart before the
-/// pack completes), and post the transfer eagerly. Repeated Isends and
-/// persistent Starts both send this way, so the whole per-send setup is
-/// one graph launch.
-int post_program_send(AsyncOp &op, const interpose::MpiTable &next) {
+/// Replay a claimed send program's pack graph into the program's pinned
+/// wire lease on `stream` and fence it: the wire must not depart before
+/// the pack completes.
+int replay_pack(AsyncOp &op, vcuda::StreamHandle stream) {
   const PersistentProgram &prog = op.program->prog;
-  {
-    trace::ScopedSpan replay(trace::Phase::GraphReplay, op.label,
-                             prog.pipe.bytes, op.peer, op.tag,
-                             static_cast<std::int8_t>(op.method));
-    if (vcuda::GraphLaunch(prog.graph, prog.stream) !=
-        vcuda::Error::Success) {
-      return MPI_ERR_OTHER;
-    }
-    count_replay(op);
-    vcuda::StreamFence(prog.stream);
+  trace::ScopedSpan replay(trace::Phase::GraphReplay, op.label,
+                           prog.pipe.bytes, op.peer, op.tag,
+                           static_cast<std::int8_t>(op.method));
+  if (vcuda::GraphLaunch(prog.graph, stream) != vcuda::Error::Success) {
+    return MPI_ERR_OTHER;
   }
-  trace::ScopedSpan wire(trace::Phase::Wire, op.label, prog.pipe.bytes,
-                         op.peer, op.tag, static_cast<std::int8_t>(op.method));
-  return next.Isend(prog.pipe.wire.get(), prog.pipe.wire_count(), MPI_BYTE,
-                    op.peer, op.tag, op.comm, &op.inner);
+  count_replay(op);
+  vcuda::StreamFence(stream);
+  return MPI_SUCCESS;
+}
+
+/// Hand a send packed into its claimed program's wire lease to the system
+/// MPI_Isend.
+int post_wire(AsyncOp &op, const interpose::MpiTable &next) {
+  const PackPipeline &pipe = op.program->prog.pipe;
+  trace::ScopedSpan wire(trace::Phase::Wire, op.label, pipe.bytes, op.peer,
+                         op.tag, static_cast<std::int8_t>(op.method));
+  return next.Isend(pipe.wire.get(), pipe.wire_count(), MPI_BYTE, op.peer,
+                    op.tag, op.comm, &op.inner);
+}
+
+/// Post a send from its recorded program: replay the pack graph, fence, and
+/// post the transfer eagerly. Repeated Isends and persistent Starts both
+/// send this way, so the whole per-send setup is one graph launch.
+int post_program_send(AsyncOp &op, const interpose::MpiTable &next) {
+  if (const int rc = replay_pack(op, op.program->prog.stream);
+      rc != MPI_SUCCESS) {
+    return rc;
+  }
+  return post_wire(op, next);
 }
 
 // --- recorded programs for repeated calls -----------------------------------
@@ -1072,15 +1178,12 @@ bool deliver_into(AsyncOp &op, AsyncOp &recv, std::size_t bytes) {
   return true;
 }
 
-/// Deliver a monolithic send addressed to the caller's own rank into the
-/// first receive of its thread's inbox it could match, when that receive
-/// takes it (see decline_rule). True when delivered: the send needs no
-/// system request. False sends the message through the system MPI, and
+/// Deliver a monolithic send addressed to the caller's own rank (is_self)
+/// into the first receive of its thread's inbox it could match, when that
+/// receive takes it (see decline_rule). True when delivered: the send needs
+/// no system request. False sends the message through the system MPI, and
 /// counts the rule that declined it.
 bool deliver_self(AsyncOp &op, const interpose::MpiTable &next) {
-  if (!is_self(op.peer, op.comm, next)) {
-    return false;
-  }
   std::optional<Decline> decline = Decline::NoReceive;
   if (Inbox *inbox = t_inbox.get()) {
     const std::lock_guard<std::mutex> lock(inbox->mutex);
@@ -1103,6 +1206,34 @@ bool deliver_self(AsyncOp &op, const interpose::MpiTable &next) {
   p.self_declines.add();
   p.self_declines_by_rule[static_cast<std::size_t>(*decline)].add();
   return false;
+}
+
+/// Whether a send claimed from its recorded program waits in its thread's
+/// list instead of posting now: it joins a burst, one kernel moves it, and
+/// the rank runs below MPI_THREAD_MULTIPLE, where no other thread of the
+/// rank can block in MPI while this thread leaves it pending. The caller
+/// rules out a send to the caller's own rank.
+bool defers(const AsyncOp &op, bool burst, const interpose::MpiTable &next) {
+  int level = MPI_THREAD_SINGLE;
+  return burst && fusable(op) &&
+         next.Query_thread(&level) == MPI_SUCCESS &&
+         level != MPI_THREAD_MULTIPLE;
+}
+
+/// Append a send claimed from its recorded program to the thread's list;
+/// it stays at PackIssued until the list is flushed.
+void defer(AsyncOp &op) {
+  if (!t_burst) {
+    t_burst = std::make_shared<SendBurst>();
+  }
+  op.burst = t_burst;
+  {
+    const std::lock_guard<std::mutex> lock(t_burst->mutex);
+    t_burst->ops.push_back(&op);
+    op.deferred = true;
+  }
+  t_sends_pending = true;
+  pool().sends_deferred.add();
 }
 
 /// Post a monolithic send live: lease and pack into the op's pipeline,
@@ -1161,26 +1292,36 @@ int post_live_send(AsyncOp &op, const void *buf,
 /// Post a packer-driven send (PackIssued -> TransferPosted). A monolithic
 /// send addressed to the caller itself lands in the thread's posted
 /// receive when that receive takes it (deliver_self); any other posts from
-/// its recorded program when the thread's table has one, else live. A
-/// pipelined send runs every chunk leg now: each leg is a buffered send,
-/// so posting them eagerly preserves the engine's deadlock discipline (a
-/// rank blocking in a receive before Wait cannot stall its peers) while
-/// the pack/wire overlap still happens inside the call. Its op is then
-/// already transferred, and completion just reclaims it.
-int post_send(AsyncOp &op, std::size_t chunk_bytes,
+/// its recorded program when the thread's table has one, else live. A send
+/// from a program that joins a `burst` to another rank may instead wait in
+/// its thread's list (defers), staying at PackIssued. Every other send
+/// that reaches the wire flushes that list first, so the thread's messages
+/// keep their order. A pipelined send runs every chunk leg now: each leg is
+/// a buffered send, so posting them eagerly preserves the engine's deadlock
+/// discipline while the pack/wire overlap still happens inside the call.
+/// Its op is then already transferred, and completion just reclaims it.
+int post_send(AsyncOp &op, std::size_t chunk_bytes, bool burst,
               const interpose::MpiTable &next) {
   int rc = MPI_SUCCESS;
   if (op.method == Method::Pipelined) {
+    flush_sends(FlushReason::NondeferrableSend, next);
     rc = send_pipelined(*op.packer, op.send_buf, op.count, op.peer, op.tag,
                         op.comm, chunk_bytes, next, op.label);
-  } else if (deliver_self(op, next)) {
+  } else if (const bool self = is_self(op.peer, op.comm, next);
+             self && deliver_self(op, next)) {
     // Delivered: no system request to reclaim.
   } else if (std::shared_ptr<RecordedProgram> program = claim_program(op)) {
     // A repeated send: the recorded pack chain refills the program's
     // pinned wire lease.
     adopt(op, std::move(program));
+    if (!self && defers(op, burst, next)) {
+      defer(op);
+      return MPI_SUCCESS;
+    }
+    flush_sends(FlushReason::NondeferrableSend, next);
     rc = post_program_send(op, next);
   } else {
+    flush_sends(FlushReason::NondeferrableSend, next);
     rc = post_live_send(op, op.send_buf, next);
   }
   if (rc == MPI_SUCCESS) {
@@ -1254,13 +1395,23 @@ void note_forwarded_done(MPI_Request request, bool freed) {
   f.size.store(f.recvs.size(), std::memory_order_release);
 }
 
+void flush_sends(FlushReason why, const interpose::MpiTable &next) {
+  if (!t_sends_pending) {
+    return;
+  }
+  t_sends_pending = false;
+  const std::lock_guard<std::mutex> lock(t_burst->mutex);
+  flush_list(*t_burst, why, next);
+}
+
 int send(const Packer &packer, Method method, const void *buf, int count,
          int dest, int tag, MPI_Comm comm, const interpose::MpiTable &next,
          std::size_t chunk_bytes) {
   AsyncOp op(AsyncOp::Kind::Send, method, &packer, count, dest, tag, comm,
              trace::OpKind::Send);
   op.send_buf = buf;
-  if (const int rc = post_send(op, chunk_bytes, next); rc != MPI_SUCCESS) {
+  if (const int rc = post_send(op, chunk_bytes, /*burst=*/false, next);
+      rc != MPI_SUCCESS) {
     return rc;
   }
   return finish(op, MPI_STATUS_IGNORE, next);
@@ -1289,12 +1440,13 @@ int recv(const Packer &packer, Method method, void *buf, int count,
 int start_isend(const Packer *packer, Method method, const void *buf,
                 int count, int dest, int tag, MPI_Comm comm,
                 const interpose::MpiTable &next, MPI_Request *request,
-                std::size_t chunk_bytes) {
+                std::size_t chunk_bytes, bool burst) {
   auto op = std::make_unique<AsyncOp>(AsyncOp::Kind::Send, method, packer,
                                       count, dest, tag, comm,
                                       trace::OpKind::Isend);
   op->send_buf = buf;
-  if (const int rc = post_send(*op, chunk_bytes, next); rc != MPI_SUCCESS) {
+  if (const int rc = post_send(*op, chunk_bytes, burst, next);
+      rc != MPI_SUCCESS) {
     return rc;
   }
   pool().isends.add();
@@ -1309,6 +1461,7 @@ int start_isend_packed(const void *bytes, std::size_t nbytes, Method method,
   if (nbytes > kMaxWireBytes && method != Method::Pipelined) {
     return MPI_ERR_COUNT; // one contiguous leg cannot carry it
   }
+  flush_sends(FlushReason::NondeferrableSend, next);
   auto op = std::make_unique<AsyncOp>(AsyncOp::Kind::Send, method, nullptr,
                                       0, dest, tag, comm, trace::OpKind::Coll);
   op->packed = true;
@@ -1547,7 +1700,8 @@ int recv_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
                          nullptr, buf, count, source, tag, comm, request);
 }
 
-int start(MPI_Request *request, const interpose::MpiTable &next) {
+int start(MPI_Request *request, const interpose::MpiTable &next,
+          bool burst) {
   if (request == nullptr) {
     return MPI_ERR_ARG;
   }
@@ -1558,8 +1712,10 @@ int start(MPI_Request *request, const interpose::MpiTable &next) {
   maybe_refreeze(*op);
   Pool &p = pool();
   p.p_starts.add();
-  if (op->kind == AsyncOp::Kind::Send && op->method != Method::Pipelined &&
-      deliver_self(*op, next)) {
+  const bool self = op->kind == AsyncOp::Kind::Send &&
+                    op->method != Method::Pipelined &&
+                    is_self(op->peer, op->comm, next);
+  if (self && deliver_self(*op, next)) {
     op->phase = OpPhase::TransferPosted; // delivered: nothing to reclaim
     return MPI_SUCCESS;
   }
@@ -1590,6 +1746,12 @@ int start(MPI_Request *request, const interpose::MpiTable &next) {
     return MPI_SUCCESS;
   }
   if (op->method != Method::Pipelined) {
+    if (own && !self && defers(*op, burst, next)) {
+      defer(*op);
+      op->phase = OpPhase::PackIssued;
+      return MPI_SUCCESS;
+    }
+    flush_sends(FlushReason::NondeferrableSend, next);
     const int rc = own ? post_program_send(*op, next)
                        : post_live_send(*op, op->send_buf, next);
     if (rc != MPI_SUCCESS) {
@@ -1600,6 +1762,7 @@ int start(MPI_Request *request, const interpose::MpiTable &next) {
     // Per-leg graph replays, same framing and overlap as send_pipelined;
     // every leg is a buffered send, so the eager-post deadlock discipline
     // holds.
+    flush_sends(FlushReason::NondeferrableSend, next);
     const int rc = replay_pipelined_send(*op->pipeprog, op->peer, op->tag,
                                          op->comm, next);
     if (rc != MPI_SUCCESS) {
@@ -1614,7 +1777,7 @@ int start(MPI_Request *request, const interpose::MpiTable &next) {
 }
 
 int startall(int count, MPI_Request *requests,
-             const interpose::MpiTable &next) {
+             const interpose::MpiTable &next, bool burst) {
   if (count < 0 || (count > 0 && requests == nullptr)) {
     return MPI_ERR_ARG;
   }
@@ -1658,12 +1821,18 @@ int startall(int count, MPI_Request *requests,
         is_sched_send ? static_cast<int>(arm[next_send++]) : i;
     // A one-shot pool ticket must fail cleanly in start() (MPI_ERR_ARG),
     // never reach next.Start, which would reinterpret the AsyncOp pointer
-    // as a system request.
-    const int rc = owns(requests[idx]) ? start(&requests[idx], next)
-                                       : next.Start(&requests[idx]);
+    // as a system request. Every arming after the first joins a burst.
+    int rc = MPI_SUCCESS;
+    if (owns(requests[idx])) {
+      rc = start(&requests[idx], next, burst);
+    } else {
+      flush_sends(FlushReason::NondeferrableSend, next);
+      rc = next.Start(&requests[idx]);
+    }
     if (rc != MPI_SUCCESS) {
       return rc;
     }
+    burst = true;
   }
   return MPI_SUCCESS;
 }
@@ -1858,17 +2027,6 @@ int probe_entry(MPI_Request *request, MPI_Status *status,
   return MPI_SUCCESS;
 }
 
-/// A receive whose unpack can join Waitall's fused batch: a canonical
-/// strided packer moved by one kernel (Device or OneShot). Pre-packed ops
-/// carry no packer, the fused kernel reads a strided packer's plan() and
-/// block() (a block-list packer has neither), and pipelined ops are
-/// Method::Pipelined. Receives into a claimed program join too: their
-/// unpack is the program's recorded kernel.
-bool fusable(const AsyncOp &op) {
-  return op.packer != nullptr && op.packer->strided() &&
-         (op.method == Method::Device || op.method == Method::OneShot);
-}
-
 /// A wire wait for more than the eager threshold is a rendezvous: long
 /// enough that pending unpacks should already be running under it.
 bool rendezvous_sized(std::size_t bytes) {
@@ -1887,7 +2045,7 @@ void note_stream(std::vector<vcuda::StreamHandle> &list,
   }
 }
 
-// --- recorded fused unpacks -------------------------------------------------
+// --- recorded fused batches -------------------------------------------------
 //
 // The halo exchange's Waitall completes the same receives every iteration:
 // each into its recorded receive program, or, for a face the rank sends
@@ -1902,9 +2060,11 @@ void note_stream(std::vector<vcuda::StreamHandle> &list,
 // flush. A recorded batch owns its members' programs, so no address can be
 // reused by a new program while its graph exists; a member evicted from
 // the program table, or released by its persistent request, is never
-// served again, so the batch stops matching and is never replayed.
+// served again, so the batch stops matching and is never replayed. A
+// flush of deferred sends (pack_members) records and replays its fused pack
+// in the same table, keyed the same way by its members' send programs.
 
-/// A recorded fused unpack and the programs it reads and writes through.
+/// A recorded fused batch and the programs it reads and writes through.
 struct BatchProgram {
   std::vector<std::shared_ptr<RecordedProgram>> programs;
   replay::GraphPtr graph;
@@ -1936,24 +2096,22 @@ UnpackItem unpack_item(AsyncOp &op, int objects) {
           wire_pipe(op).wire.get(), objects};
 }
 
-/// Record the members' segments as one fused kernel, one graph on the
-/// first member's stream, pinning the members' bytes; empty when
+/// Record `items`, one segment per program of `programs`, as one fused
+/// kernel: one graph, labelled `kind`, on the first program's stream. The
+/// batch owns the programs and charges their pinned bytes; empty when
 /// recording fails.
-BatchTable::Recorded record_batch(std::span<const Member> members) {
+BatchTable::Recorded
+record_batch(std::vector<std::shared_ptr<RecordedProgram>> programs,
+             std::span<const UnpackItem> items, trace::OpKind kind) {
   auto batch = std::make_unique<BatchProgram>();
-  std::vector<UnpackItem> items;
-  items.reserve(members.size());
   std::size_t pinned = 0;
-  for (const Member &m : members) {
-    batch->programs.push_back(m.program());
-    items.push_back(m.delivery != nullptr ? m.delivery->item
-                                          : unpack_item(*m.op, m.op->count));
-    const PackPipeline &pipe = m.program()->prog.pipe;
+  for (const std::shared_ptr<RecordedProgram> &program : programs) {
+    const PackPipeline &pipe = program->prog.pipe;
     pinned += pipe.wire.capacity() + pipe.stage.capacity();
   }
-  batch->stream = members.front().program()->prog.stream;
+  batch->stream = programs.front()->prog.stream;
   vcuda::GraphHandle graph = nullptr;
-  const int rc = capture_on(batch->stream, &graph, trace::OpKind::Irecv, [&] {
+  const int rc = capture_on(batch->stream, &graph, kind, [&] {
     return launch_unpack_batch(items, batch->stream) == vcuda::Error::Success
                ? MPI_SUCCESS
                : MPI_ERR_OTHER;
@@ -1962,8 +2120,17 @@ BatchTable::Recorded record_batch(std::span<const Member> members) {
     return {};
   }
   batch->graph.reset(graph);
+  batch->programs = std::move(programs);
   return {std::move(batch), pinned};
 }
+
+/// Per-thread scratch of replay_members and pack_members, reused from one
+/// flush to the next.
+struct BatchScratch {
+  std::vector<Member> members;
+  replay::SequenceKey key;
+};
+thread_local BatchScratch t_batch_scratch;
 
 /// Unpack full messages into claimed programs and run the pending
 /// transcodes of self deliveries into receives: all of it replays as one
@@ -1976,12 +2143,16 @@ BatchTable::Recorded record_batch(std::span<const Member> members) {
 /// `fence_streams`.
 int replay_members(std::span<AsyncOp *const> ops,
                    std::vector<vcuda::StreamHandle> &fence_streams) {
-  std::vector<Member> members;
+  std::vector<Member> &members = t_batch_scratch.members;
+  replay::SequenceKey &key = t_batch_scratch.key;
+  key.items.clear();
+  // Emptying the scratch unlocks the deliveries, on every return.
+  struct Unlock {
+    std::vector<Member> &members;
+    ~Unlock() { members.clear(); }
+  } unlock{members};
   vcuda::VirtualNs copied_at = 0; ///< transcodes the sends already ran
   bool transcodes = false;
-  replay::SequenceKey key;
-  members.reserve(ops.size());
-  key.items.reserve(ops.size());
   for (AsyncOp *op : ops) {
     Member m;
     m.op = op;
@@ -2003,8 +2174,18 @@ int replay_members(std::span<AsyncOp *const> ops,
     auto &table =
         replay::thread_table<BatchTable>(pool().fused_unpack_evictions);
     const BatchTable::Entry *e =
-        table.sight(key, 0, &pool().fused_unpack_captures,
-                    [&] { return record_batch(members); });
+        table.sight(key, 0, &pool().fused_unpack_captures, [&] {
+          std::vector<std::shared_ptr<RecordedProgram>> programs;
+          std::vector<UnpackItem> items;
+          for (const Member &m : members) {
+            programs.push_back(m.program());
+            items.push_back(m.delivery != nullptr
+                                ? m.delivery->item
+                                : unpack_item(*m.op, m.op->count));
+          }
+          return record_batch(std::move(programs), items,
+                              trace::OpKind::Irecv);
+        });
     batch = e != nullptr ? e->program.get() : nullptr;
   }
   if (batch == nullptr) {
@@ -2048,6 +2229,97 @@ int replay_members(std::span<AsyncOp *const> ops,
     op->delivery.reset();
   }
   return MPI_SUCCESS;
+}
+
+/// The fused pack item of deferred send `op`: its objects into its claimed
+/// program's wire lease, the segment the program's own graph records.
+UnpackItem pack_item(const AsyncOp &op) {
+  const Packer &pk = *op.packer;
+  UnpackItem item{&pk.plan(), &pk.block(), pk.type_extent(),
+                  op.program->prog.pipe.wire.get(), op.send_buf, op.count};
+  item.pack = true;
+  return item;
+}
+
+/// Pack the deferred sends `ops` into their programs' wire leases and
+/// fence. The thread that deferred them replays their recorded fused pack,
+/// one graph, when it flushed the same ordered sends before (the batch
+/// table holds send batches beside Waitall's, keyed the same way); else
+/// each send replays its own program, as a send posted alone does. Another
+/// thread (`owner` false) replays each program on a stream of its own,
+/// since the owner's streams die with it, and records nothing in its
+/// tables.
+int pack_members(std::span<AsyncOp *const> ops, bool owner) {
+  Pool &p = pool();
+  const BatchProgram *batch = nullptr;
+  if (owner && ops.size() > 1) {
+    replay::SequenceKey &key = t_batch_scratch.key;
+    key.items.clear();
+    for (const AsyncOp *op : ops) {
+      key.items.push_back(replay::bits(op->program.get()));
+    }
+    auto &table = replay::thread_table<BatchTable>(p.fused_unpack_evictions);
+    const BatchTable::Entry *e =
+        table.sight(key, 0, &p.send_batch_captures, [&] {
+          std::vector<std::shared_ptr<RecordedProgram>> programs;
+          std::vector<UnpackItem> items;
+          for (const AsyncOp *op : ops) {
+            programs.push_back(op->program);
+            items.push_back(pack_item(*op));
+          }
+          return record_batch(std::move(programs), items,
+                              trace::OpKind::Isend);
+        });
+    batch = e != nullptr ? e->program.get() : nullptr;
+  }
+  if (batch == nullptr) {
+    const vcuda::StreamHandle stream =
+        owner ? nullptr : vcuda::next_pool_stream();
+    for (AsyncOp *op : ops) {
+      if (const int rc = replay_pack(
+              *op, owner ? op->program->prog.stream : stream);
+          rc != MPI_SUCCESS) {
+        return rc;
+      }
+    }
+    return MPI_SUCCESS;
+  }
+  std::uint64_t bytes = 0;
+  for (const AsyncOp *op : ops) {
+    bytes += op->program->prog.pipe.bytes;
+  }
+  trace::ScopedSpan replay(trace::Phase::GraphReplay, trace::OpKind::Isend,
+                           bytes);
+  if (vcuda::GraphLaunch(batch->graph.get(), batch->stream) !=
+      vcuda::Error::Success) {
+    return MPI_ERR_OTHER;
+  }
+  p.send_batch_replays.add();
+  for (const AsyncOp *op : ops) {
+    count_replay(*op, 0);
+  }
+  vcuda::StreamFence(batch->stream);
+  return MPI_SUCCESS;
+}
+
+/// Flush `burst` (its lock held): pack every send waiting in it, then post
+/// their wires in post order. A failed pack leaves its error on every
+/// member; a failed post on its own send.
+void flush_list(SendBurst &burst, FlushReason why,
+                const interpose::MpiTable &next) {
+  if (burst.ops.empty()) {
+    return;
+  }
+  Pool &p = pool();
+  p.send_flushes.add();
+  p.send_flushes_by_reason[static_cast<std::size_t>(why)].add();
+  const int rc = pack_members(burst.ops, &burst == t_burst.get());
+  for (AsyncOp *op : burst.ops) {
+    op->deferred = false;
+    op->phase = OpPhase::TransferPosted;
+    op->error = rc != MPI_SUCCESS ? rc : post_wire(*op, next);
+  }
+  burst.ops.clear();
 }
 
 /// Receives of one Waitall whose wire has landed, or whose self delivery
@@ -2180,10 +2452,10 @@ bool could_match_first(const AsyncOp *earlier, MPI_Request request,
 /// message first; then every other entry, in array order. sysmpi starts a
 /// rendezvous transfer only once its receive is matched, so matching those
 /// first keeps eager messages that already arrived from delaying them.
-/// Empty when that is the array order.
-std::vector<int> pass1_order(int count, const MPI_Request *requests,
-                             const std::vector<AsyncOp *> &ops) {
-  std::vector<int> order;
+/// Left empty when that is the array order.
+void pass1_order(int count, const MPI_Request *requests,
+                 const std::vector<AsyncOp *> &ops, std::vector<int> &order) {
+  order.clear();
   for (int i = 0; i < count; ++i) {
     const AsyncOp *op = ops[static_cast<std::size_t>(i)];
     bool first = op != nullptr && op->kind == AsyncOp::Kind::Recv &&
@@ -2201,7 +2473,8 @@ std::vector<int> pass1_order(int count, const MPI_Request *requests,
   }
   if (order.empty() ||
       order.back() == static_cast<int>(order.size()) - 1) {
-    return {}; // only a prefix goes first: the array order
+    order.clear(); // only a prefix goes first: the array order
+    return;
   }
   const std::size_t hoisted = order.size();
   for (int i = 0; i < count; ++i) {
@@ -2211,8 +2484,18 @@ std::vector<int> pass1_order(int count, const MPI_Request *requests,
       order.push_back(i);
     }
   }
-  return order;
 }
+
+/// Per-thread scratch of waitall, reused from one call to the next: the
+/// ops behind the array's requests, the ops pass 3 retires, pass 1's order
+/// and the sends whose self delivery completes after the last flush.
+struct WaitallScratch {
+  std::vector<AsyncOp *> ops;
+  std::vector<AsyncOp *> pending;
+  std::vector<int> order;
+  std::vector<int> deferred_sends;
+};
+thread_local WaitallScratch t_waitall_scratch;
 
 } // namespace
 
@@ -2221,7 +2504,9 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
   if (count < 0 || (count > 0 && requests == nullptr)) {
     return MPI_ERR_ARG;
   }
-  std::vector<AsyncOp *> ops(static_cast<std::size_t>(count), nullptr);
+  WaitallScratch &scratch = t_waitall_scratch;
+  std::vector<AsyncOp *> &ops = scratch.ops;
+  ops.assign(static_cast<std::size_t>(count), nullptr);
   for (int i = 0; i < count; ++i) {
     if (requests[i] != MPI_REQUEST_NULL) {
       ops[static_cast<std::size_t>(i)] = find(requests[i]);
@@ -2235,8 +2520,10 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
   // more at the end of the pass, as one kernel or one recorded batch.
   // Sends with a pending self delivery complete after that last flush, so
   // a delivery into a receive of this Waitall transcodes inside its flush.
-  std::vector<AsyncOp *> pending(static_cast<std::size_t>(count), nullptr);
-  std::vector<int> deferred_sends;
+  std::vector<AsyncOp *> &pending = scratch.pending;
+  pending.assign(static_cast<std::size_t>(count), nullptr);
+  std::vector<int> &deferred_sends = scratch.deferred_sends;
+  deferred_sends.clear();
   std::vector<vcuda::StreamHandle> streams;
   std::vector<vcuda::StreamHandle> fence_streams; ///< claimed programs
   UnpackBatch batch;
@@ -2267,7 +2554,8 @@ int waitall(int count, MPI_Request *requests, MPI_Status *statuses,
     }
     return rc;
   };
-  const std::vector<int> order = pass1_order(count, requests, ops);
+  std::vector<int> &order = scratch.order;
+  pass1_order(count, requests, ops, order);
   for (int n = 0; n < count; ++n) {
     const int i = order.empty() ? n : order[static_cast<std::size_t>(n)];
     MPI_Status *status =
@@ -2520,6 +2808,16 @@ std::size_t drain(const interpose::MpiTable &next) {
     const std::lock_guard<std::mutex> lock(f.mutex);
     f.recvs.clear();
     f.size.store(0, std::memory_order_release);
+  }
+  // Deferred sends of any thread go on the wire first, in each list's
+  // order.
+  for (auto &[ticket, op] : orphans) {
+    if (op->burst) {
+      const std::lock_guard<std::mutex> lock(op->burst->mutex);
+      if (op->deferred) {
+        flush_list(*op->burst, FlushReason::Drain, next);
+      }
+    }
   }
   std::size_t dropped = 0;
   for (auto &[ticket, op] : orphans) {

@@ -49,21 +49,22 @@
 // runs live, and so does an arming whose program a call borrowed.
 //
 // Waitall batching (the paper's halo exchange completes 26 receives per
-// iteration in one Waitall): receives whose unpack is one canonical-packer
-// kernel (Device/OneShot, monolithic, not a pre-packed collective leg) only
-// receive their wire in pass 1. Their unpacks collect in a batch that is
-// flushed just before the next rendezvous-sized wire wait, so it runs under
-// that wait, and once more at the end of pass 1. A flush launches the unpacks
-// that must run live as ONE fused kernel (launch_unpack_batch). Full messages
-// into claimed programs are the flush's members, and so are receives with a
-// pending self-delivery transcode (see below), which are segments of the same
-// fused kernel with no pack ahead of them; a repeated flush of the same
-// ordered members replays as one recorded graph (see the batch table in
-// async.cpp). Pass 2
-// then pays one host synchronization per stream that holds live work: one for
-// every fused launch, plus one per stream of the receives that keep their own
-// unpack path (Staged, block-list, pipelined); streams of replayed graphs take
-// a pre-armed fence instead. Ops that completed in place leave no stream work
+// iteration in one Waitall, after the sends its Isends deferred went out as
+// one fused pack, see "Send batching"): receives whose unpack is one
+// canonical-packer kernel (Device/OneShot, monolithic, not a pre-packed
+// collective leg) only receive their wire in pass 1. Their unpacks collect
+// in a batch that is flushed just before the next rendezvous-sized wire
+// wait, so it runs under that wait, and once more at the end of pass 1. A
+// flush launches the unpacks that must run live as ONE fused kernel
+// (launch_unpack_batch). Full messages into claimed programs are the flush's
+// members, and so are receives with a pending self-delivery transcode (see
+// below), which are segments of the same fused kernel with no pack ahead of
+// them; a repeated flush of the same ordered members replays as one recorded
+// graph (see the batch table in async.cpp). Pass 2 then pays one host
+// synchronization per stream that holds live work: one for every fused
+// launch, plus one per stream of the receives that keep their own unpack
+// path (Staged, block-list, pipelined); streams of replayed graphs take a
+// pre-armed fence instead. Ops that completed in place leave no stream work
 // and cost nothing here.
 //
 // Pass 1 handles the rendezvous-sized receives first (above the system MPI's
@@ -79,11 +80,37 @@
 // the matching-order caveat below, hold as they did. A collective's legs
 // share one tag per peer, so their order does not change.
 //
-// Deadlock discipline: the send-side transfer is posted eagerly at Isend
-// time (the system MPI's sends are buffered), so a rank that blocks in a
-// receive before calling Wait cannot stall its peers. The receive-side
-// transfer is matched lazily, which keeps the engine free of system-MPI
-// request state to reclaim if the interposer is uninstalled mid-flight.
+// Send batching (the halo exchange's Isends pack in one kernel): an Isend
+// or persistent Start that sends from a claimed recorded program, is moved
+// by one kernel (Device or OneShot, monolithic), is not addressed to the
+// caller's own rank and joins a burst (a post that follows another post
+// with no completion call between them) does not launch its pack. It waits
+// in its thread's list of deferred sends, unless the rank initialized at
+// MPI_THREAD_MULTIPLE. The thread's next MPI call flushes the list first:
+// every waiting send's pack runs as one fused kernel (launch_unpack_batch's
+// pack items) into its program's pinned wire lease, one fence follows, and
+// the wires are posted in post order. A repeated flush of the same ordered
+// sends replays as one recorded graph from the thread's batch table, the
+// one Waitall's fused unpacks use; a flush of one send, or a flush seen
+// for the first time, replays each send's own program as a send posted
+// alone does. A flush that fails leaves its error on every member request.
+//
+// Deadlock discipline: a send's transfer is posted eagerly (the system
+// MPI's sends are buffered), and a deferred send is on the wire before the
+// thread's next MPI call of any kind proceeds: tempi.cpp flushes at the
+// start of every entry but Isend, Start and Startall, including Wait*,
+// Test* and Request_free (reason completion), blocking Send/Recv/Sendrecv,
+// the collectives and Finalize (blocking), and every entry TEMPI does not
+// implement, whose forwarder flushes before it calls the system MPI
+// (passthrough, as do TEMPI's own local calls such as Irecv, Pack and the
+// type calls); uninstall() flushes every list (drain). A send that is not
+// deferred flushes the list before it reaches the wire (nondeferrable_send),
+// so the thread's messages keep the non-overtaking order. A Wait, Test or
+// Request_free of a deferred send on another thread flushes the owning
+// thread's list under that list's lock. So a rank that blocks in a receive
+// before calling Wait cannot stall its peers. The receive-side transfer is
+// matched lazily, which keeps the engine free of system-MPI request state
+// to reclaim if the interposer is uninstalled mid-flight.
 //
 // Self delivery: a monolithic MPI_Send, MPI_Isend or persistent-send
 // MPI_Start addressed to the caller's own rank first looks at the
@@ -138,6 +165,7 @@
 #include "tempi/packer.hpp"
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 
@@ -180,10 +208,11 @@ int recv(const Packer &packer, Method method, void *buf, int count,
 /// stay valid until the op completes — tempi.cpp guarantees this by
 /// retiring freed packers instead of destroying them (see
 /// find_packer_fast).
+/// `burst` says that the Isend joins a burst (see "Send batching").
 int start_isend(const Packer *packer, Method method, const void *buf,
                 int count, int dest, int tag, MPI_Comm comm,
                 const interpose::MpiTable &next, MPI_Request *request,
-                std::size_t chunk_bytes = 0);
+                std::size_t chunk_bytes = 0, bool burst = false);
 
 /// Start an accelerated non-blocking receive (wire matched at Wait/Test).
 /// A monolithic receive lands in the thread's recorded receive program of
@@ -265,13 +294,31 @@ int recv_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
 /// blocks on model queries in steady state. A re-search that would
 /// forward keeps the frozen plan (a live persistent request is never
 /// demoted to the system path mid-lifetime), and so does a re-record that
-/// fails; the Start proceeds on it.
-int start(MPI_Request *request, const interpose::MpiTable &next);
+/// fails; the Start proceeds on it. A send's Start that joins a `burst`
+/// may defer (see "Send batching").
+int start(MPI_Request *request, const interpose::MpiTable &next,
+          bool burst = false);
 
 /// Arm a mixed array: TEMPI persistent requests replay, system persistent
-/// requests forward to next.Start.
+/// requests forward to next.Start. Every arming after the first joins a
+/// burst, and so does the first when `burst` is set.
 int startall(int count, MPI_Request *requests,
-             const interpose::MpiTable &next);
+             const interpose::MpiTable &next, bool burst = false);
+
+/// What kind of MPI call flushed a thread's deferred sends (the
+/// tempi.send_batch.flush.<reason> counters).
+enum class FlushReason : std::uint8_t {
+  Completion,        ///< Wait*, Test*, Request_free
+  Blocking,          ///< blocking point-to-point, collectives, Finalize
+  NondeferrableSend, ///< a send of the thread that reaches the wire now
+  Passthrough,       ///< any other call: a forwarder, Irecv, Pack, ...
+  Drain,             ///< uninstall()
+};
+
+/// Flush the calling thread's deferred sends (see "Send batching"): pack
+/// them in one fused kernel, fence and post their wires in post order. One
+/// thread_local load when nothing is pending.
+void flush_sends(FlushReason why, const interpose::MpiTable &next);
 
 /// Release an owned ticket, persistent or not (freeing an Isend/Irecv
 /// ticket is legal MPI): null the handle, unpin the op's leases and

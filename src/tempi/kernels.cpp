@@ -587,8 +587,9 @@ void run_transcode(const UnpackItem &it) {
 vcuda::KernelSegment batch_segment(const UnpackItem &it) {
   if (!it.transcode()) {
     assert(!it.plan->contiguous);
+    const auto cost = it.pack ? pack_cost : unpack_cost;
     return {launch_config_for(*it.plan, it.count),
-            unpack_cost(*it.sb, it.count, space_of(it.src), space_of(it.dst))};
+            cost(*it.sb, it.count, space_of(it.src), space_of(it.dst))};
   }
   const int word = std::min(it.plan->word_size, it.src_plan->word_size);
   return {make_launch_config(*it.sb, word, it.count),
@@ -633,11 +634,16 @@ vcuda::Error launch_unpack_batch(std::span<const UnpackItem> items,
       }
       auto *out = static_cast<std::byte *>(it.dst);
       const auto *in = static_cast<const std::byte *>(it.src);
-      for_each_kernel_block(*it.sb, it.extent, it.count,
-                            [out, in](long long s, long long d, long long n) {
-                              std::memcpy(out + s, in + d,
-                                          static_cast<std::size_t>(n));
-                            });
+      const bool pack = it.pack;
+      for_each_kernel_block(
+          *it.sb, it.extent, it.count,
+          [out, in, pack](long long s, long long d, long long n) {
+            if (pack) {
+              std::memcpy(out + d, in + s, static_cast<std::size_t>(n));
+            } else {
+              std::memcpy(out + s, in + d, static_cast<std::size_t>(n));
+            }
+          });
     }
   };
   // A live launch runs its body before LaunchKernel returns, so the body

@@ -131,6 +131,9 @@ vcuda::Error launch_unpack_spans(const PackPlan &plan, const StridedBlock &sb,
 /// item carries its own plan and datatype and its own source buffer, in
 /// device or mapped host memory.
 ///
+/// A *pack* item (`pack`) runs the other way: it gathers the `count`
+/// objects at `src` into their packed bytes at `dst`, as launch_pack does.
+///
 /// A *transcode* item also names a source layout (`src_sb`): `src` then
 /// holds objects of that layout instead of packed bytes, and the item
 /// copies the first size() * count bytes of their packed stream straight
@@ -147,6 +150,7 @@ struct UnpackItem {
   const PackPlan *src_plan = nullptr; ///< transcode only: the source's
   const StridedBlock *src_sb = nullptr; ///< layout, whose objects `src`
   long long src_extent = 0;             ///< holds
+  bool pack = false; ///< gather `src`'s objects into packed `dst`
 
   [[nodiscard]] bool transcode() const { return src_sb != nullptr; }
 };
@@ -163,8 +167,9 @@ vcuda::KernelCost transcode_cost(const StridedBlock &src_sb,
 
 /// Scatter every item with one kernel launch (vcuda's multi-segment
 /// LaunchKernel). Each item is one segment, with the geometry and cost
-/// launch_unpack would give it alone, so a one-item batch costs exactly
-/// what launch_unpack does. An unpack item must have a kernel plan (a
+/// launch_unpack (or, for a pack item, launch_pack) would give it alone, so
+/// a one-item batch costs exactly what that launch does. An unpack or pack
+/// item must have a kernel plan (a
 /// non-contiguous type); a transcode item's segment is priced by
 /// transcode_cost, with the destination's geometry at the narrower of the
 /// two plans' word sizes. An empty batch is a no-op. On a capturing stream

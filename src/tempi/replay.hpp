@@ -9,8 +9,8 @@
 // sync. Four stores, each a Table below, follow this rule through
 // Table::sight: MPI_Pack/MPI_Unpack's table (tempi.cpp), the request
 // engine's program table for Send/Isend/Recv/Irecv and its batch table for
-// MPI_Waitall's fused unpacks (async.cpp), and the collective engine's
-// schedule table (schedule.cpp).
+// MPI_Waitall's fused unpacks and deferred sends' fused packs (async.cpp),
+// and the collective engine's schedule table (schedule.cpp).
 //
 // A table is open addressed with linear probing over kSlots slots. Slots
 // empty only all at once (clear()), so a probe may stop at the first empty

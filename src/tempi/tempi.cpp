@@ -254,6 +254,14 @@ void bump_handle_generation(State &s) {
 }
 
 // --- interposed entry points -------------------------------------------------
+//
+// Every entry but Isend, Start and Startall first flushes the calling
+// thread's deferred sends, naming the kind of call (see "Send batching" in
+// async.hpp).
+
+using async::FlushReason;
+
+void flush(FlushReason why) { async::flush_sends(why, state().next); }
 
 // One-time process configuration shared by Init and Init_thread: honor
 // TEMPI_METHOD for no-recompile method forcing. (The TEMPI_PERF_FILE
@@ -302,6 +310,7 @@ void load_env_once(State &s) {
 }
 
 int tempi_Init(int *argc, char ***argv) {
+  flush(FlushReason::Passthrough);
   State &s = state();
   const int rc = s.next.Init(argc, argv);
   if (rc != MPI_SUCCESS) {
@@ -317,6 +326,7 @@ int tempi_Init(int *argc, char ***argv) {
 /// thread-level restriction: every interposed path is lock-striped or
 /// per-thread, so whatever the system grants holds with TEMPI in front.
 int tempi_Init_thread(int *argc, char ***argv, int required, int *provided) {
+  flush(FlushReason::Passthrough);
   State &s = state();
   const int rc = s.next.Init_thread(argc, argv, required, provided);
   if (rc != MPI_SUCCESS) {
@@ -327,14 +337,17 @@ int tempi_Init_thread(int *argc, char ***argv, int required, int *provided) {
 }
 
 int tempi_Query_thread(int *provided) {
+  flush(FlushReason::Passthrough);
   return state().next.Query_thread(provided);
 }
 
 int tempi_Is_thread_main(int *flag) {
+  flush(FlushReason::Passthrough);
   return state().next.Is_thread_main(flag);
 }
 
 int tempi_Finalize() {
+  flush(FlushReason::Blocking);
   State &s = state();
   drain_buffer_cache(); // this rank's cached intermediates
   save_tuned_tables(s); // TEMPI_TUNE_SAVE (no-op unless requested)
@@ -350,6 +363,7 @@ int tempi_Finalize() {
 }
 
 int tempi_Type_commit(MPI_Datatype *datatype) {
+  flush(FlushReason::Passthrough);
   State &s = state();
   const int rc = s.next.Type_commit(datatype);
   if (rc != MPI_SUCCESS) {
@@ -396,6 +410,7 @@ int tempi_Type_commit(MPI_Datatype *datatype) {
 }
 
 int tempi_Type_free(MPI_Datatype *datatype) {
+  flush(FlushReason::Passthrough);
   State &s = state();
   if (datatype != nullptr && *datatype != nullptr) {
     const std::unique_lock<std::shared_mutex> lock(s.packers_mutex);
@@ -487,6 +502,7 @@ vcuda::Error pack_call(const Packer &packer, void *dst, const void *src,
 
 int tempi_Pack(const void *inbuf, int incount, MPI_Datatype datatype,
                void *outbuf, int outsize, int *position, MPI_Comm comm) {
+  flush(FlushReason::Passthrough);
   State &s = state();
   const Packer *packer = lookup_packer_fast(datatype);
   if (!packer || incount == 0 ||
@@ -512,6 +528,7 @@ int tempi_Pack(const void *inbuf, int incount, MPI_Datatype datatype,
 
 int tempi_Unpack(const void *inbuf, int insize, int *position, void *outbuf,
                  int outcount, MPI_Datatype datatype, MPI_Comm comm) {
+  flush(FlushReason::Passthrough);
   State &s = state();
   const Packer *packer = lookup_packer_fast(datatype);
   if (!packer || outcount == 0 ||
@@ -684,6 +701,7 @@ std::optional<TransferChoice> acceleration_method(const Packer *packer,
 
 int tempi_Send(const void *buf, int count, MPI_Datatype datatype, int dest,
                int tag, MPI_Comm comm) {
+  flush(FlushReason::Blocking);
   State &s = state();
   tune::maybe_refresh(); // one relaxed load unless an observation drifted
   if (dest == MPI_PROC_NULL) {
@@ -702,6 +720,7 @@ int tempi_Send(const void *buf, int count, MPI_Datatype datatype, int dest,
 
 int tempi_Recv(void *buf, int count, MPI_Datatype datatype, int source,
                int tag, MPI_Comm comm, MPI_Status *status) {
+  flush(FlushReason::Blocking);
   State &s = state();
   tune::maybe_refresh(); // one relaxed load unless an observation drifted
   if (source == MPI_PROC_NULL) {
@@ -729,11 +748,14 @@ int tempi_Waitall(int count, MPI_Request *requests, MPI_Status *statuses);
 /// then Recv, so both directions' pipelines overlap — the receive's wire
 /// buffer is matched while the send side still has legs in flight, and
 /// Waitall's batched sync covers the unpack legs of both. Deadlock-free
-/// because the send transfer is posted eagerly (buffered sends).
+/// because the send is on the wire before the receive waits: it is posted
+/// eagerly (buffered sends), or, when it joins a burst of earlier posts and
+/// defers, the Irecv entry flushes it (see "Send batching" in async.hpp).
 int tempi_Sendrecv(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
                    int dest, int sendtag, void *recvbuf, int recvcount,
                    MPI_Datatype recvtype, int source, int recvtag,
                    MPI_Comm comm, MPI_Status *status) {
+  flush(FlushReason::Blocking);
   // Host-only / forced-system calls take the system MPI's own Sendrecv
   // through the shared gate instead of riding the decomposition below —
   // whose error paths previously re-entered the request engine even when
@@ -783,15 +805,18 @@ int tempi_Isend(const void *buf, int count, MPI_Datatype datatype, int dest,
   const auto method = acceleration_method(packer, buf, count, overlapped);
   if (!method) {
     s.isends_forwarded.add();
+    flush(FlushReason::NondeferrableSend);
     return s.next.Isend(buf, count, datatype, dest, tag, comm, request);
   }
   s.isends[static_cast<std::size_t>(method->method)].add();
   return async::start_isend(packer, method->method, buf, count, dest, tag,
-                            comm, s.next, request, method->chunk_bytes);
+                            comm, s.next, request, method->chunk_bytes,
+                            overlapped);
 }
 
 int tempi_Irecv(void *buf, int count, MPI_Datatype datatype, int source,
                 int tag, MPI_Comm comm, MPI_Request *request) {
+  flush(FlushReason::Passthrough);
   State &s = state();
   tune::maybe_refresh(); // one relaxed load unless an observation drifted
   if (request == nullptr) {
@@ -819,6 +844,7 @@ int tempi_Irecv(void *buf, int count, MPI_Datatype datatype, int source,
 }
 
 int tempi_Wait(MPI_Request *request, MPI_Status *status) {
+  flush(FlushReason::Completion);
   State &s = state();
   note_completion();
   if (request == nullptr) {
@@ -836,17 +862,20 @@ int tempi_Wait(MPI_Request *request, MPI_Status *status) {
 }
 
 int tempi_Waitall(int count, MPI_Request *requests, MPI_Status *statuses) {
+  flush(FlushReason::Completion);
   note_completion();
   return async::waitall(count, requests, statuses, state().next);
 }
 
 int tempi_Waitany(int count, MPI_Request *requests, int *index,
                   MPI_Status *status) {
+  flush(FlushReason::Completion);
   note_completion();
   return async::waitany(count, requests, index, status, state().next);
 }
 
 int tempi_Test(MPI_Request *request, int *flag, MPI_Status *status) {
+  flush(FlushReason::Completion);
   State &s = state();
   note_completion();
   if (request == nullptr || flag == nullptr) {
@@ -865,6 +894,7 @@ int tempi_Test(MPI_Request *request, int *flag, MPI_Status *status) {
 
 int tempi_Waitsome(int incount, MPI_Request *requests, int *outcount,
                    int *indices, MPI_Status *statuses) {
+  flush(FlushReason::Completion);
   note_completion();
   return async::waitsome(incount, requests, outcount, indices, statuses,
                          state().next);
@@ -872,18 +902,21 @@ int tempi_Waitsome(int incount, MPI_Request *requests, int *outcount,
 
 int tempi_Testall(int count, MPI_Request *requests, int *flag,
                   MPI_Status *statuses) {
+  flush(FlushReason::Completion);
   note_completion();
   return async::testall(count, requests, flag, statuses, state().next);
 }
 
 int tempi_Testany(int count, MPI_Request *requests, int *index, int *flag,
                   MPI_Status *status) {
+  flush(FlushReason::Completion);
   note_completion();
   return async::testany(count, requests, index, flag, status, state().next);
 }
 
 int tempi_Testsome(int incount, MPI_Request *requests, int *outcount,
                    int *indices, MPI_Status *statuses) {
+  flush(FlushReason::Completion);
   note_completion();
   return async::testsome(incount, requests, outcount, indices, statuses,
                          state().next);
@@ -893,6 +926,7 @@ int tempi_Testsome(int incount, MPI_Request *requests, int *outcount,
 
 int tempi_Send_init(const void *buf, int count, MPI_Datatype datatype,
                     int dest, int tag, MPI_Comm comm, MPI_Request *request) {
+  flush(FlushReason::Passthrough);
   State &s = state();
   tune::maybe_refresh(); // freeze against the freshest tables
   if (request == nullptr) {
@@ -914,6 +948,7 @@ int tempi_Send_init(const void *buf, int count, MPI_Datatype datatype,
 
 int tempi_Recv_init(void *buf, int count, MPI_Datatype datatype, int source,
                     int tag, MPI_Comm comm, MPI_Request *request) {
+  flush(FlushReason::Passthrough);
   State &s = state();
   tune::maybe_refresh(); // freeze against the freshest tables
   if (request == nullptr) {
@@ -939,22 +974,24 @@ int tempi_Recv_init(void *buf, int count, MPI_Datatype datatype, int source,
 
 int tempi_Start(MPI_Request *request) {
   State &s = state();
-  note_post();
+  const bool overlapped = note_post();
   if (request == nullptr) {
     return MPI_ERR_ARG;
   }
   if (async::owns(*request)) {
-    return async::start(request, s.next);
+    return async::start(request, s.next, overlapped);
   }
+  flush(FlushReason::NondeferrableSend);
   return s.next.Start(request);
 }
 
 int tempi_Startall(int count, MPI_Request *requests) {
-  note_post();
-  return async::startall(count, requests, state().next);
+  const bool overlapped = note_post();
+  return async::startall(count, requests, state().next, overlapped);
 }
 
 int tempi_Request_free(MPI_Request *request) {
+  flush(FlushReason::Completion);
   State &s = state();
   note_completion();
   if (request == nullptr) {
@@ -982,6 +1019,7 @@ int tempi_Alltoallv(const void *sendbuf, const int *sendcounts,
                     const int *sdispls, MPI_Datatype sendtype, void *recvbuf,
                     const int *recvcounts, const int *rdispls,
                     MPI_Datatype recvtype, MPI_Comm comm) {
+  flush(FlushReason::Blocking);
   State &s = state();
   if (!coll::enabled() ||
       fallthrough_to_sysmpi(sendbuf, sendtype, recvbuf, recvtype,
@@ -999,6 +1037,7 @@ int tempi_Neighbor_alltoallv(const void *sendbuf, const int *sendcounts,
                              void *recvbuf, const int *recvcounts,
                              const int *rdispls, MPI_Datatype recvtype,
                              MPI_Comm comm) {
+  flush(FlushReason::Blocking);
   State &s = state();
   if (comm == nullptr || !comm->is_graph || !coll::enabled() ||
       fallthrough_to_sysmpi(sendbuf, sendtype, recvbuf, recvtype,
@@ -1016,6 +1055,7 @@ int tempi_Neighbor_alltoallv(const void *sendbuf, const int *sendcounts,
 int tempi_Gatherv(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
                   void *recvbuf, const int *recvcounts, const int *displs,
                   MPI_Datatype recvtype, int root, MPI_Comm comm) {
+  flush(FlushReason::Blocking);
   State &s = state();
   // Receive-side arguments are significant only at the root; a non-root
   // rank gates on its send side alone (the engine is per-rank compatible
@@ -1047,6 +1087,7 @@ int tempi_Gatherv(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
 
 int tempi_Cart_create(MPI_Comm comm_old, int ndims, const int *dims,
                       const int *periods, int reorder, MPI_Comm *comm_cart) {
+  flush(FlushReason::Blocking);
   return topo::cart_create(comm_old, ndims, dims, periods, reorder, comm_cart,
                            state().next);
 }
@@ -1054,6 +1095,7 @@ int tempi_Cart_create(MPI_Comm comm_old, int ndims, const int *dims,
 int tempi_Allgather(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
                     void *recvbuf, int recvcount, MPI_Datatype recvtype,
                     MPI_Comm comm) {
+  flush(FlushReason::Blocking);
   State &s = state();
   if (!coll::enabled() ||
       fallthrough_to_sysmpi(sendbuf, sendtype, recvbuf, recvtype,
@@ -1074,6 +1116,7 @@ int tempi_Allgather(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
 
 int tempi_Allreduce(const void *sendbuf, void *recvbuf, int count,
                     MPI_Datatype datatype, MPI_Op op, MPI_Comm comm) {
+  flush(FlushReason::Blocking);
   State &s = state();
   if (reduction_fallthrough(datatype, op)) {
     red::note_fallback();
@@ -1084,6 +1127,7 @@ int tempi_Allreduce(const void *sendbuf, void *recvbuf, int count,
 
 int tempi_Reduce(const void *sendbuf, void *recvbuf, int count,
                  MPI_Datatype datatype, MPI_Op op, int root, MPI_Comm comm) {
+  flush(FlushReason::Blocking);
   State &s = state();
   if (reduction_fallthrough(datatype, op)) {
     red::note_fallback();
@@ -1096,6 +1140,7 @@ int tempi_Reduce(const void *sendbuf, void *recvbuf, int count,
 int tempi_Reduce_scatter(const void *sendbuf, void *recvbuf,
                          const int *recvcounts, MPI_Datatype datatype,
                          MPI_Op op, MPI_Comm comm) {
+  flush(FlushReason::Blocking);
   State &s = state();
   if (reduction_fallthrough(datatype, op)) {
     red::note_fallback();
@@ -1109,6 +1154,7 @@ int tempi_Reduce_scatter(const void *sendbuf, void *recvbuf,
 int tempi_Reduce_scatter_block(const void *sendbuf, void *recvbuf,
                                int recvcount, MPI_Datatype datatype, MPI_Op op,
                                MPI_Comm comm) {
+  flush(FlushReason::Blocking);
   State &s = state();
   if (reduction_fallthrough(datatype, op)) {
     red::note_fallback();
@@ -1118,6 +1164,22 @@ int tempi_Reduce_scatter_block(const void *sendbuf, void *recvbuf,
   return red::reduce_scatter_block(sendbuf, recvbuf, recvcount, datatype, op,
                                    comm, s.next);
 }
+
+} // namespace
+
+namespace {
+
+/// The forwarder install() puts in front of an entry TEMPI does not
+/// implement (MPI_Barrier, MPI_Probe, MPI_Iprobe, MPI_Bcast, ...): flush
+/// the calling thread's deferred sends, then call the system MPI's entry.
+template <auto Entry, class Fn> struct Passthrough;
+template <auto Entry, class R, class... Args>
+struct Passthrough<Entry, R (*)(Args...)> {
+  static R call(Args... args) {
+    flush(FlushReason::Passthrough);
+    return (state().next.*Entry)(args...);
+  }
+};
 
 } // namespace
 
@@ -1170,6 +1232,14 @@ void install() {
   table.Reduce_scatter = tempi_Reduce_scatter;
   table.Reduce_scatter_block = tempi_Reduce_scatter_block;
   table.Cart_create = tempi_Cart_create;
+  // Every other entry gets a forwarder that flushes deferred sends first.
+#define TEMPI_PASSTHROUGH(name, ret, args)                                     \
+  if (table.name != nullptr && table.name == s.next.name) {                    \
+    table.name =                                                               \
+        &Passthrough<&interpose::MpiTable::name, decltype(table.name)>::call; \
+  }
+  SYSMPI_FOR_EACH_FN(TEMPI_PASSTHROUGH)
+#undef TEMPI_PASSTHROUGH
   // The collectives engine's kill-switch (mirrors TEMPI_METHOD): decided
   // and logged at install time so a deployment can see — without
   // relinking — whether collectives ride the engine or the system path.
@@ -1306,6 +1376,9 @@ void uninstall() {
   if (!s.installed) {
     return;
   }
+  // The calling thread's deferred sends go on the wire first; drain()
+  // flushes every other thread's.
+  flush(FlushReason::Drain);
   interpose::uninstall();
   // Drain the request engine rather than leaking in-flight pool state
   // (see the uninstall contract in tempi.hpp). Persistent channels count

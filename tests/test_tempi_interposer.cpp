@@ -45,14 +45,25 @@ TEST(Interposer, InstallAndUninstallSwapTables) {
               interpose::system_table().Allgather);
     EXPECT_NE(interpose::active_table().Gatherv,
               interpose::system_table().Gatherv);
-    // Uncovered symbols fall through: same function pointer as the system.
-    EXPECT_EQ(interpose::active_table().Barrier,
+    // Uncovered symbols get a forwarder that flushes the thread's deferred
+    // sends, then calls the system MPI's entry.
+    EXPECT_NE(interpose::active_table().Barrier,
               interpose::system_table().Barrier);
-    EXPECT_EQ(interpose::active_table().Type_vector,
+    EXPECT_NE(interpose::active_table().Type_vector,
               interpose::system_table().Type_vector);
+    sysmpi::ensure_self_context();
+    EXPECT_EQ(MPI_Barrier(MPI_COMM_WORLD), MPI_SUCCESS);
+    MPI_Datatype t = nullptr;
+    ASSERT_EQ(MPI_Type_vector(4, 2, 8, MPI_BYTE, &t), MPI_SUCCESS);
+    int size = 0;
+    EXPECT_EQ(MPI_Type_size(t, &size), MPI_SUCCESS);
+    EXPECT_EQ(size, 8);
+    EXPECT_EQ(MPI_Type_free(&t), MPI_SUCCESS);
   }
   EXPECT_FALSE(interpose::interposed());
   EXPECT_EQ(interpose::active_table().Send, system_send);
+  EXPECT_EQ(interpose::active_table().Barrier,
+            interpose::system_table().Barrier);
 }
 
 TEST(Interposer, CommitBuildsPackerForStridedTypes) {

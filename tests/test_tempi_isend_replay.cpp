@@ -29,6 +29,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -1999,6 +2000,494 @@ TEST_F(SelfDelivery, UninstallDrainLeavesNoEntryBehind) {
   rounds();
   EXPECT_GE(counter("tempi.p2p.self_deliveries") - delivered0, 2u);
   MPI_Type_free(&t);
+}
+
+
+// --- send batching ------------------------------------------------------------
+//
+// Two ranks: rank 0's Isends to rank 1 that join a burst wait in its
+// thread's list until its next MPI call, which packs them in one fused
+// kernel and posts their wires in post order. Every scenario ends exactly
+// as it does on the system path, and none of them deadlocks.
+
+class SendBatch : public ::testing::Test {
+protected:
+  void SetUp() override {
+    tempi::install();
+    tempi::trace::reset_counters();
+  }
+  void TearDown() override {
+    tempi::set_send_mode(tempi::SendMode::Auto);
+    tempi::uninstall();
+  }
+};
+
+void run2(const std::function<void(int)> &body) {
+  sysmpi::RunConfig cfg;
+  cfg.ranks = 2;
+  cfg.ranks_per_node = 1;
+  sysmpi::run_ranks(cfg, body);
+}
+
+constexpr int kFaceTag = 10;
+constexpr int kReplyTag = 90;
+constexpr std::size_t kFaceSpan = 128 * 12;
+
+/// One rank's faces: device objects of one strided type, each in a buffer
+/// of its own (so each Isend has a program of its own). Rank 0 sends face
+/// k to rank 1 on tag kFaceTag + k; rank 1 lands it in its face k.
+struct Faces {
+  MPI_Datatype t = committed_vector(128, 4, 12);
+  std::vector<std::unique_ptr<SpaceBuffer>> bufs;
+
+  explicit Faces(int n) {
+    for (int k = 0; k < n; ++k) {
+      bufs.push_back(
+          std::make_unique<SpaceBuffer>(vcuda::MemorySpace::Device, kFaceSpan));
+    }
+  }
+  ~Faces() { MPI_Type_free(&t); }
+  Faces(const Faces &) = delete;
+  Faces &operator=(const Faces &) = delete;
+
+  [[nodiscard]] int size() const { return static_cast<int>(bufs.size()); }
+
+  /// The pattern rank 0's face `k` holds in round `r`.
+  static unsigned seed(unsigned r, int k) {
+    return 100 + r * 8 + static_cast<unsigned>(k);
+  }
+
+  /// Fill rank 0's sources, or poison rank 1's landing buffers, for round
+  /// `r`.
+  void prepare(int rank, unsigned r) {
+    for (int k = 0; k < size(); ++k) {
+      fill_pattern(bufs[static_cast<std::size_t>(k)]->get(), kFaceSpan,
+                   rank == 0 ? seed(r, k) : 900 + r * 8 + k);
+    }
+  }
+
+  /// Rank 0: Isend every face to rank 1 into `reqs[0..size)`.
+  void isend(std::vector<MPI_Request> &reqs, Seen &seen) {
+    for (int k = 0; k < size(); ++k) {
+      seen.code(MPI_Isend(bufs[static_cast<std::size_t>(k)]->get(), 1, t, 1,
+                          kFaceTag + k, MPI_COMM_WORLD,
+                          &reqs[static_cast<std::size_t>(k)]));
+    }
+  }
+
+  /// Rank 1: a blocking Recv of every face in order, each checked against
+  /// what rank 0 held in round `r`.
+  void recv(unsigned r, Seen &seen) {
+    for (int k = 0; k < size(); ++k) {
+      const SpaceBuffer &dst = *bufs[static_cast<std::size_t>(k)];
+      MPI_Status st;
+      seen.code(MPI_Recv(dst.get(), 1, t, 0, kFaceTag + k, MPI_COMM_WORLD,
+                         &st));
+      seen.status(st);
+      seen.buffer(dst);
+      std::vector<std::byte> src(kFaceSpan);
+      fill_pattern(src.data(), src.size(), seed(r, k));
+      EXPECT_EQ(reference_pack(dst.get(), 1, *t),
+                reference_pack(src.data(), 1, *t))
+          << "round " << r << " face " << k;
+    }
+  }
+};
+
+/// Rank 1's reply to round `r`.
+int send_reply(unsigned r, int tag = kReplyTag) {
+  const std::array<int, 2> reply{static_cast<int>(r), 7};
+  return MPI_Send(reply.data(), 2, MPI_INT, 0, tag, MPI_COMM_WORLD);
+}
+
+using RankBody = std::function<void(int rank, Seen &seen)>;
+
+/// Run `body` on two ranks initialized at `level` with `mode`; what each
+/// rank observed.
+std::array<Seen, 2> observe2(tempi::SendMode mode, int level,
+                             const RankBody &body) {
+  tempi::set_send_mode(mode);
+  std::array<Seen, 2> seen;
+  run2([&](int rank) {
+    int provided = 0;
+    MPI_Init_thread(nullptr, nullptr, level, &provided);
+    body(rank, seen[static_cast<std::size_t>(rank)]);
+    MPI_Finalize();
+  });
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  return seen;
+}
+
+/// Run `body` on the system path, then through TEMPI with ForceDevice, and
+/// require the same bytes, statuses and return codes on both ranks.
+void expect_system_behavior2(const RankBody &body,
+                             int level = MPI_THREAD_SINGLE) {
+  const std::array<Seen, 2> reference =
+      observe2(tempi::SendMode::System, level, body);
+  const std::array<Seen, 2> seen =
+      observe2(tempi::SendMode::ForceDevice, level, body);
+  for (std::size_t rank = 0; rank < 2; ++rank) {
+    EXPECT_EQ(seen[rank].codes, reference[rank].codes) << "rank " << rank;
+    EXPECT_EQ(seen[rank].statuses, reference[rank].statuses)
+        << "rank " << rank;
+    EXPECT_EQ(seen[rank].buffers, reference[rank].buffers) << "rank " << rank;
+  }
+}
+
+constexpr int kBurst = 3;
+
+/// Require that every round after the first deferred rank 0's faces and
+/// flushed them once, for `reason`.
+void expect_deferred_rounds(std::string_view reason) {
+  constexpr std::uint64_t kDeferredRounds = kRounds - 1;
+  EXPECT_EQ(counter("tempi.isend.deferred"), kDeferredRounds * kBurst);
+  EXPECT_EQ(counter("tempi.send_batch.flushes"), kDeferredRounds);
+  EXPECT_EQ(counter("tempi.send_batch.flush." + std::string(reason)),
+            kDeferredRounds)
+      << reason;
+  // Round 1 sees the batch first, round 2 records it, and it replays from
+  // then on.
+  EXPECT_EQ(counter("tempi.send_batch.captures"), 1u);
+  EXPECT_EQ(counter("tempi.send_batch.replays"), kDeferredRounds - 1);
+}
+
+// MPI_Barrier (a pass-through forwarder) flushes the deferred faces: the
+// peer, blocked in MPI_Recv of them, replies and reaches the barrier.
+TEST_F(SendBatch, BarrierFlushesWhileThePeerBlocksInRecv) {
+  expect_system_behavior2([](int rank, Seen &seen) {
+    Faces faces(kBurst);
+    for (unsigned r = 0; r < kRounds; ++r) {
+      faces.prepare(rank, r);
+      if (rank == 0) {
+        std::vector<MPI_Request> reqs(kBurst + 1, MPI_REQUEST_NULL);
+        std::array<int, 2> reply{-1, -1};
+        seen.code(MPI_Irecv(reply.data(), 2, MPI_INT, 1, kReplyTag,
+                            MPI_COMM_WORLD, &reqs[kBurst]));
+        faces.isend(reqs, seen);
+        seen.code(MPI_Barrier(MPI_COMM_WORLD));
+        seen.code(MPI_Waitall(kBurst + 1, reqs.data(), MPI_STATUSES_IGNORE));
+        seen.code(reply[0]);
+      } else {
+        faces.recv(r, seen);
+        seen.code(send_reply(r));
+        seen.code(MPI_Barrier(MPI_COMM_WORLD));
+      }
+    }
+  });
+  expect_deferred_rounds("passthrough");
+}
+
+/// Rank 0 defers its faces and blocks in MPI_Recv of rank 1's reply, which
+/// rank 1 sends only once it received every face.
+void blocking_reply_exchange(int rank, Seen &seen) {
+  Faces faces(kBurst);
+  for (unsigned r = 0; r < kRounds; ++r) {
+    faces.prepare(rank, r);
+    if (rank == 0) {
+      std::vector<MPI_Request> reqs(kBurst + 1, MPI_REQUEST_NULL);
+      std::array<int, 2> tail{-1, -1};
+      std::array<int, 2> reply{-1, -1};
+      seen.code(MPI_Irecv(tail.data(), 2, MPI_INT, 1, kReplyTag + 1,
+                          MPI_COMM_WORLD, &reqs[kBurst]));
+      faces.isend(reqs, seen);
+      MPI_Status st;
+      seen.code(MPI_Recv(reply.data(), 2, MPI_INT, 1, kReplyTag,
+                         MPI_COMM_WORLD, &st));
+      seen.status(st);
+      seen.code(MPI_Waitall(kBurst + 1, reqs.data(), MPI_STATUSES_IGNORE));
+      seen.code(reply[0]);
+      seen.code(tail[0]);
+    } else {
+      faces.recv(r, seen);
+      seen.code(send_reply(r));
+      seen.code(send_reply(r + 100, kReplyTag + 1));
+    }
+  }
+}
+
+TEST_F(SendBatch, BlockingRecvOfTheReplyFlushes) {
+  expect_system_behavior2(blocking_reply_exchange);
+  expect_deferred_rounds("blocking");
+}
+
+// A host-buffer Isend (forwarded to the system MPI) to the same (dest, tag)
+// as the last deferred face flushes the list first: rank 1's receives on
+// that tag get the face, then the host message.
+TEST_F(SendBatch, ForwardedIsendArrivesAfterTheDeferredOne) {
+  expect_system_behavior2([](int rank, Seen &seen) {
+    Faces faces(kBurst);
+    constexpr int kLastTag = kFaceTag + kBurst - 1;
+    std::vector<int> host(64);
+    for (unsigned r = 0; r < kRounds; ++r) {
+      faces.prepare(rank, r);
+      if (rank == 0) {
+        std::vector<MPI_Request> reqs(kBurst + 2, MPI_REQUEST_NULL);
+        std::array<int, 2> reply{-1, -1};
+        seen.code(MPI_Irecv(reply.data(), 2, MPI_INT, 1, kReplyTag,
+                            MPI_COMM_WORLD, &reqs[kBurst]));
+        faces.isend(reqs, seen);
+        std::iota(host.begin(), host.end(), static_cast<int>(r) * 1000);
+        seen.code(MPI_Isend(host.data(), static_cast<int>(host.size()),
+                            MPI_INT, 1, kLastTag, MPI_COMM_WORLD,
+                            &reqs[kBurst + 1]));
+        seen.code(MPI_Waitall(kBurst + 2, reqs.data(), MPI_STATUSES_IGNORE));
+        seen.code(reply[0]);
+      } else {
+        faces.recv(r, seen);
+        std::fill(host.begin(), host.end(), -1);
+        MPI_Status st;
+        seen.code(MPI_Recv(host.data(), static_cast<int>(host.size()),
+                           MPI_INT, 0, kLastTag, MPI_COMM_WORLD, &st));
+        seen.status(st);
+        seen.code(host.front());
+        seen.code(host.back());
+        seen.code(send_reply(r));
+      }
+    }
+  });
+  expect_deferred_rounds("nondeferrable_send");
+}
+
+// Under MPI_THREAD_SERIALIZED a second thread of rank 0 waits on the
+// deferred faces: its Wait flushes rank 0's list under the list's lock.
+TEST_F(SendBatch, WaitOnASecondThreadFlushesTheOwnersList) {
+  expect_system_behavior2(
+      [](int rank, Seen &seen) {
+        Faces faces(kBurst);
+        for (unsigned r = 0; r < kRounds; ++r) {
+          faces.prepare(rank, r);
+          if (rank == 0) {
+            std::vector<MPI_Request> reqs(kBurst + 1, MPI_REQUEST_NULL);
+            std::array<int, 2> reply{-1, -1};
+            seen.code(MPI_Irecv(reply.data(), 2, MPI_INT, 1, kReplyTag,
+                                MPI_COMM_WORLD, &reqs[kBurst]));
+            faces.isend(reqs, seen);
+            std::thread([&] {
+              for (int k = 0; k < kBurst; ++k) {
+                seen.code(MPI_Wait(&reqs[static_cast<std::size_t>(k)],
+                                   MPI_STATUS_IGNORE));
+              }
+            }).join();
+            MPI_Status st;
+            seen.code(MPI_Wait(&reqs[kBurst], &st));
+            seen.status(st);
+            seen.code(reply[0]);
+          } else {
+            faces.recv(r, seen);
+            seen.code(send_reply(r));
+          }
+        }
+      },
+      MPI_THREAD_SERIALIZED);
+  // The other thread's flush replays each face's own program: no batch.
+  constexpr std::uint64_t kDeferredRounds = kRounds - 1;
+  EXPECT_EQ(counter("tempi.isend.deferred"), kDeferredRounds * kBurst);
+  EXPECT_EQ(counter("tempi.send_batch.flush.completion"), kDeferredRounds);
+  EXPECT_EQ(counter("tempi.send_batch.flushes"), kDeferredRounds);
+  EXPECT_EQ(counter("tempi.send_batch.replays"), 0u);
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
+}
+
+// A rank initialized at MPI_THREAD_MULTIPLE posts every send at its Isend.
+TEST_F(SendBatch, ThreadMultipleRankNeverDefers) {
+  expect_system_behavior2(blocking_reply_exchange, MPI_THREAD_MULTIPLE);
+  EXPECT_EQ(counter("tempi.isend.deferred"), 0u);
+  EXPECT_EQ(counter("tempi.send_batch.flushes"), 0u);
+  EXPECT_EQ(counter("tempi.isend.replays"), (kRounds - 1) * kBurst);
+}
+
+// uninstall() while rank 0's last faces wait in its list (rank 0 parked
+// outside MPI, rank 1 uninstalling): the drain posts them, so they arrive,
+// nothing stays in flight and every lease returns.
+TEST_F(SendBatch, UninstallPostsAPendingList) {
+  const auto body = [](int rank, Seen &seen) {
+    Faces faces(kBurst);
+    static std::barrier parked(2);
+    std::vector<MPI_Request> reqs(kBurst, MPI_REQUEST_NULL);
+    for (unsigned r = 0; r < kRounds; ++r) {
+      faces.prepare(rank, r);
+      if (rank == 0) {
+        // The first Isend opens the burst; the later ones defer.
+        faces.isend(reqs, seen);
+        if (r + 1 < kRounds) {
+          seen.code(MPI_Waitall(kBurst, reqs.data(), MPI_STATUSES_IGNORE));
+        }
+      } else if (r + 1 < kRounds) {
+        faces.recv(r, seen);
+      }
+    }
+    parked.arrive_and_wait(); // rank 0 leaves its last faces pending
+    if (rank == 1) {
+      const bool accelerated =
+          tempi::send_mode() != tempi::SendMode::System;
+      tempi::uninstall();
+      seen.code(static_cast<int>(tempi::async::in_flight()));
+      faces.recv(kRounds - 1, seen);
+      if (accelerated) {
+        EXPECT_EQ(counter("tempi.send_batch.flush.drain"), 1u);
+      }
+    }
+    parked.arrive_and_wait();
+    if (rank == 0 && tempi::send_mode() == tempi::SendMode::System) {
+      // Forwarded requests outlive the interposer; the drain completed
+      // TEMPI's.
+      MPI_Waitall(kBurst, reqs.data(), MPI_STATUSES_IGNORE);
+    }
+  };
+  const std::array<Seen, 2> reference =
+      observe2(tempi::SendMode::System, MPI_THREAD_SINGLE, body);
+  tempi::install();
+  tempi::trace::reset_counters();
+  const std::size_t leased0 = leased_now();
+  const std::array<Seen, 2> seen =
+      observe2(tempi::SendMode::ForceDevice, MPI_THREAD_SINGLE, body);
+  EXPECT_EQ(tempi::async::in_flight(), 0u);
+  EXPECT_EQ(leased_now(), leased0);
+  EXPECT_EQ(counter("tempi.isend.deferred"), (kRounds - 1) * (kBurst - 1));
+  for (std::size_t rank = 0; rank < 2; ++rank) {
+    EXPECT_EQ(seen[rank].codes, reference[rank].codes) << "rank " << rank;
+    EXPECT_EQ(seen[rank].statuses, reference[rank].statuses)
+        << "rank " << rank;
+    EXPECT_EQ(seen[rank].buffers, reference[rank].buffers) << "rank " << rank;
+  }
+  tempi::install(); // TearDown uninstalls
+}
+
+/// One exchange of round `r` on rank `rank`: rank 0 posts a receive of the
+/// reply and Isends its faces, rank 1 receives them and replies.
+void exchange(Faces &faces, int rank, unsigned r) {
+  Seen seen;
+  faces.prepare(rank, r);
+  if (rank == 0) {
+    std::vector<MPI_Request> reqs(faces.bufs.size() + 1, MPI_REQUEST_NULL);
+    std::array<int, 2> reply{-1, -1};
+    EXPECT_EQ(MPI_Irecv(reply.data(), 2, MPI_INT, 1, kReplyTag,
+                        MPI_COMM_WORLD, &reqs.back()),
+              MPI_SUCCESS);
+    faces.isend(reqs, seen);
+    EXPECT_EQ(MPI_Waitall(static_cast<int>(reqs.size()), reqs.data(),
+                          MPI_STATUSES_IGNORE),
+              MPI_SUCCESS);
+    EXPECT_EQ(reply[0], static_cast<int>(r));
+  } else {
+    faces.recv(r, seen);
+    EXPECT_EQ(send_reply(r), MPI_SUCCESS);
+  }
+}
+
+// A recorded send batch holds its member programs. Once they are evicted
+// from rank 0's program table, its sends run live and record new programs,
+// so the old batch never matches again: nothing packs into an evicted
+// program (ASan would flag a freed lease or graph).
+TEST_F(SendBatch, EvictedMemberNeverReplaysAStaleBatch) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  run2([](int rank) {
+    MPI_Init(nullptr, nullptr);
+    Faces faces(2);
+    for (unsigned r = 1; r <= 3; ++r) {
+      exchange(faces, rank, r);
+    }
+    if (rank == 0) {
+      EXPECT_EQ(counter("tempi.send_batch.replays"), 1u);
+      // Fill the table with first sightings (one receive key per count)
+      // until its least recently used entries, the faces, are replaced.
+      MPI_Datatype tiny = committed_vector(4, 1, 2);
+      constexpr int kKeys = 200;
+      SpaceBuffer flood(vcuda::MemorySpace::Device, kKeys * 8);
+      for (int count = 1; count <= kKeys; ++count) {
+        std::vector<std::byte> packed(static_cast<std::size_t>(count) * 4);
+        fill_pattern(packed.data(), packed.size(), 7);
+        post_wire(packed, 9);
+        MPI_Request req = MPI_REQUEST_NULL;
+        EXPECT_EQ(MPI_Irecv(flood.get(), count, tiny, 0, 9, MPI_COMM_WORLD,
+                            &req),
+                  MPI_SUCCESS);
+        EXPECT_EQ(MPI_Wait(&req, MPI_STATUS_IGNORE), MPI_SUCCESS);
+      }
+      EXPECT_GE(counter("tempi.isend.evictions"), 2u);
+      MPI_Type_free(&tiny);
+    }
+    const std::uint64_t deferred = counter("tempi.isend.deferred");
+    exchange(faces, rank, 4); // first sightings again: live
+    if (rank == 0) {
+      EXPECT_EQ(counter("tempi.isend.deferred"), deferred);
+    }
+    for (unsigned r = 5; r <= 7; ++r) {
+      exchange(faces, rank, r);
+    }
+    if (rank == 0) {
+      // New programs, a new batch: recorded in round 6, replayed in 6 and
+      // 7.
+      EXPECT_EQ(counter("tempi.send_batch.captures"), 2u);
+      EXPECT_EQ(counter("tempi.send_batch.replays"), 3u);
+    }
+    MPI_Finalize();
+  });
+}
+
+// Sends borrowing two persistent requests' programs, the requests then
+// freed on another thread: the programs' pins lapse although the recorded
+// send batch still holds them, so the next exchange sends live and never
+// replays the batch. Uninstall releases what the batch held.
+TEST_F(SendBatch, ChannelsFreedOnAnotherThreadNeverReplayTheirBatch) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  const std::size_t leased0 = leased_now();
+  run2([](int rank) {
+    MPI_Init(nullptr, nullptr);
+    Faces faces(2);
+    std::vector<MPI_Request> channels(2, MPI_REQUEST_NULL);
+    if (rank == 0) {
+      for (int k = 0; k < 2; ++k) {
+        EXPECT_EQ(MPI_Send_init(faces.bufs[static_cast<std::size_t>(k)]->get(),
+                                1, faces.t, 1, 20 + k, MPI_COMM_WORLD,
+                                &channels[static_cast<std::size_t>(k)]),
+                  MPI_SUCCESS);
+      }
+    }
+    for (unsigned r = 1; r <= 3; ++r) {
+      exchange(faces, rank, r); // borrowed
+    }
+    if (rank == 0) {
+      EXPECT_EQ(counter("tempi.isend.captures"), 0u);
+      EXPECT_EQ(counter("tempi.send_batch.replays"), 2u);
+      std::thread([&channels] {
+        for (MPI_Request &ch : channels) {
+          EXPECT_EQ(MPI_Request_free(&ch), MPI_SUCCESS);
+        }
+      }).join();
+      EXPECT_EQ(tempi::async::persistent_open(), 0u);
+    }
+    const std::uint64_t deferred = counter("tempi.isend.deferred");
+    exchange(faces, rank, 4); // first sightings: live
+    if (rank == 0) {
+      EXPECT_EQ(counter("tempi.isend.deferred"), deferred);
+      EXPECT_EQ(counter("tempi.send_batch.replays"), 2u);
+    }
+    MPI_Finalize();
+  });
+  tempi::uninstall();
+  EXPECT_EQ(leased_now(), leased0);
+  tempi::install();
+}
+
+// A burst of one deferred send: its flush replays the send's own program,
+// as an Isend posted alone does, and records no batch.
+TEST_F(SendBatch, OneSendFlushReplaysItsOwnProgram) {
+  tempi::set_send_mode(tempi::SendMode::ForceDevice);
+  run2([](int rank) {
+    MPI_Init(nullptr, nullptr);
+    Faces faces(1);
+    for (unsigned r = 0; r < kRounds; ++r) {
+      exchange(faces, rank, r);
+    }
+    MPI_Finalize();
+  });
+  constexpr std::uint64_t kDeferredRounds = kRounds - 1;
+  EXPECT_EQ(counter("tempi.isend.deferred"), kDeferredRounds);
+  EXPECT_EQ(counter("tempi.send_batch.flush.completion"), kDeferredRounds);
+  EXPECT_EQ(counter("tempi.isend.replays"), kDeferredRounds);
+  EXPECT_EQ(counter("tempi.send_batch.captures"), 0u);
+  EXPECT_EQ(counter("tempi.send_batch.replays"), 0u);
 }
 
 } // namespace

@@ -3,7 +3,8 @@
 // of the object, and word-size divisibility invariants. The transcode (a
 // fused-batch segment copying one layout's objects straight into
 // another's) equals an unpack of a pack over random type pairs, touches no
-// gap byte, and is never modeled slower than the pack plus the unpack.
+// gap byte, and is never modeled slower than the pack plus the unpack. A
+// pack segment of a fused batch writes and costs what launch_pack does.
 #include "interpose/table.hpp"
 #include "random_types.hpp"
 #include "sysmpi/mpi.hpp"
@@ -12,10 +13,12 @@
 #include "tempi/kernels.hpp"
 #include "tempi/translate.hpp"
 #include "test_helpers.hpp"
+#include "vcuda/clock.hpp"
 #include "vcuda/costmodel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstring>
 #include <numeric>
@@ -266,5 +269,91 @@ TEST_P(TranscodeProperty, EqualsUnpackOfPackAndNeverCostsMore) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TranscodeProperty, ::testing::Range(1u, 21u));
+
+/// Virtual time from enqueueing `launch` on a fresh stream to the end of
+/// its synchronization: the host launch cost plus the modeled device time.
+template <class Launch> vcuda::VirtualNs timed_on_fresh_stream(Launch launch) {
+  vcuda::StreamHandle s = nullptr;
+  EXPECT_EQ(vcuda::StreamCreate(&s), vcuda::Error::Success);
+  const vcuda::VirtualNs t0 = vcuda::virtual_now();
+  EXPECT_EQ(launch(s), vcuda::Error::Success);
+  EXPECT_EQ(vcuda::StreamSynchronize(s), vcuda::Error::Success);
+  const vcuda::VirtualNs took = vcuda::virtual_now() - t0;
+  vcuda::StreamDestroy(s);
+  return took;
+}
+
+class PackItemProperty : public ::testing::TestWithParam<unsigned> {
+protected:
+  void SetUp() override { sysmpi::ensure_self_context(); }
+};
+
+// A pack segment between an unpack and a transcode of one fused batch
+// writes exactly the bytes launch_pack writes alone, into device or mapped
+// host memory, and a one-item pack batch is modeled exactly as long as
+// launch_pack.
+TEST_P(PackItemProperty, PackSegmentEqualsLaunchPackInAMixedBatch) {
+  Rng rng(GetParam() * 2246822519u + 5);
+  int packs = 0;
+  for (int trial = 0; trial < 40 && packs < 6; ++trial) {
+    MPI_Datatype t = random_strided_type(rng, rng.uniform(1, 4));
+    int size = 0;
+    MPI_Type_size(t, &size);
+    const Layout l = size > 0 ? layout_of(t) : Layout{};
+    if (size == 0 || l.plan.contiguous) {
+      MPI_Type_free(&t);
+      continue;
+    }
+    ++packs;
+    const int count = rng.uniform(1, 3);
+    const std::size_t span = static_cast<std::size_t>(l.extent) * count + 64;
+    const auto packed = static_cast<std::size_t>(size) * count;
+    const vcuda::MemorySpace wire_space = trial % 2 == 0
+                                              ? vcuda::MemorySpace::Device
+                                              : vcuda::MemorySpace::Pinned;
+    SpaceBuffer src(vcuda::MemorySpace::Device, span);
+    SpaceBuffer alone(wire_space, packed);
+    SpaceBuffer fused(wire_space, packed);
+    SpaceBuffer neighbor_wire(vcuda::MemorySpace::Device, packed);
+    SpaceBuffer unpacked(vcuda::MemorySpace::Device, span);
+    SpaceBuffer transcoded(vcuda::MemorySpace::Device, span);
+    fill_pattern(src.get(), span, GetParam() * 64 + trial);
+    fill_pattern(neighbor_wire.get(), packed, 300 + trial);
+    fill_pattern(alone.get(), packed, 500 + trial);
+    fill_pattern(fused.get(), packed, 700 + trial);
+
+    vcuda::StreamHandle s = vcuda::default_stream();
+    ASSERT_EQ(tempi::launch_pack(l.plan, l.sb, l.extent, alone.get(),
+                                 src.get(), count, s),
+              vcuda::Error::Success);
+    tempi::UnpackItem pack{&l.plan, &l.sb, l.extent, fused.get(), src.get(),
+                           count};
+    pack.pack = true;
+    const std::array<tempi::UnpackItem, 3> batch{
+        tempi::UnpackItem{&l.plan, &l.sb, l.extent, unpacked.get(),
+                          neighbor_wire.get(), count},
+        pack,
+        tempi::UnpackItem{&l.plan, &l.sb, l.extent, transcoded.get(),
+                          src.get(), count, &l.plan, &l.sb, l.extent}};
+    ASSERT_EQ(tempi::launch_unpack_batch(batch, s), vcuda::Error::Success);
+    ASSERT_EQ(vcuda::StreamSynchronize(s), vcuda::Error::Success);
+    const std::string what =
+        tempi::to_string(*tempi::translate(t, interpose::system_table()));
+    EXPECT_EQ(std::memcmp(fused.get(), alone.get(), packed), 0) << what;
+
+    EXPECT_EQ(timed_on_fresh_stream([&](vcuda::StreamHandle fresh) {
+                return tempi::launch_unpack_batch({&pack, 1}, fresh);
+              }),
+              timed_on_fresh_stream([&](vcuda::StreamHandle fresh) {
+                return tempi::launch_pack(l.plan, l.sb, l.extent, fused.get(),
+                                          src.get(), count, fresh);
+              }))
+        << what;
+    MPI_Type_free(&t);
+  }
+  EXPECT_GT(packs, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PackItemProperty, ::testing::Range(1u, 21u));
 
 } // namespace
