@@ -52,9 +52,9 @@ struct Inbox {
 
 /// The sends one thread deferred (see "Send batching" in async.hpp), in
 /// post order, waiting for the thread's next MPI call to pack them in one
-/// flush. Shared: a Wait, Test or Request_free of a member on another
-/// thread, and uninstall's drain, flush it under the lock. Its vector keeps
-/// its capacity from one burst to the next.
+/// flush. Shared: uninstall's drain flushes it from another thread, under
+/// the lock (only one thread of a rank that defers enters MPI, see
+/// defers). Its vector keeps its capacity from one burst to the next.
 struct SendBurst {
   std::mutex mutex;
   std::vector<AsyncOp *> ops;
@@ -827,7 +827,7 @@ void flush_list(SendBurst &burst, FlushReason why,
                 const interpose::MpiTable &next);
 
 /// Put a send on the wire before its completion goes on: if it still waits
-/// in its thread's list, flush that list, from any thread.
+/// in its list, flush that list under its lock.
 void settle(AsyncOp &op, const interpose::MpiTable &next) {
   if (op.burst) {
     const std::lock_guard<std::mutex> lock(op.burst->mutex);
@@ -1210,14 +1210,17 @@ bool deliver_self(AsyncOp &op, const interpose::MpiTable &next) {
 
 /// Whether a send claimed from its recorded program waits in its thread's
 /// list instead of posting now: it joins a burst, one kernel moves it, and
-/// the rank runs below MPI_THREAD_MULTIPLE, where no other thread of the
-/// rank can block in MPI while this thread leaves it pending. The caller
-/// rules out a send to the caller's own rank.
+/// the rank runs at MPI_THREAD_SINGLE or MPI_THREAD_FUNNELED, where the
+/// thread that defers it is the only one of the rank that enters MPI, so
+/// no other thread can block in MPI while it is pending. (At
+/// MPI_THREAD_SERIALIZED another thread may block in a Recv or a Barrier
+/// whose peer waits for these very sends.) The caller rules out a send to
+/// the caller's own rank.
 bool defers(const AsyncOp &op, bool burst, const interpose::MpiTable &next) {
-  int level = MPI_THREAD_SINGLE;
+  int level = MPI_THREAD_MULTIPLE;
   return burst && fusable(op) &&
          next.Query_thread(&level) == MPI_SUCCESS &&
-         level != MPI_THREAD_MULTIPLE;
+         level <= MPI_THREAD_FUNNELED;
 }
 
 /// Append a send claimed from its recorded program to the thread's list;
@@ -2246,9 +2249,9 @@ UnpackItem pack_item(const AsyncOp &op) {
 /// one graph, when it flushed the same ordered sends before (the batch
 /// table holds send batches beside Waitall's, keyed the same way); else
 /// each send replays its own program, as a send posted alone does. Another
-/// thread (`owner` false) replays each program on a stream of its own,
-/// since the owner's streams die with it, and records nothing in its
-/// tables.
+/// thread (`owner` false: uninstall's drain) replays each program on a
+/// stream of its own, since the owner's streams die with it, and records
+/// nothing in its tables.
 int pack_members(std::span<AsyncOp *const> ops, bool owner) {
   Pool &p = pool();
   const BatchProgram *batch = nullptr;

@@ -85,8 +85,13 @@
 // by one kernel (Device or OneShot, monolithic), is not addressed to the
 // caller's own rank and joins a burst (a post that follows another post
 // with no completion call between them) does not launch its pack. It waits
-// in its thread's list of deferred sends, unless the rank initialized at
-// MPI_THREAD_MULTIPLE. The thread's next MPI call flushes the list first:
+// in its thread's list of deferred sends when the rank initialized at
+// MPI_THREAD_SINGLE or MPI_THREAD_FUNNELED, where that thread is the only
+// one of the rank that enters MPI. (At MPI_THREAD_SERIALIZED or
+// MPI_THREAD_MULTIPLE another thread may block in a receive or a barrier
+// whose peer waits for the pending sends, so every send posts at once.)
+// The thread's next MPI call that can wait or complete a request flushes
+// the list first:
 // every waiting send's pack runs as one fused kernel (launch_unpack_batch's
 // pack items) into its program's pinned wire lease, one fence follows, and
 // the wires are posted in post order. A repeated flush of the same ordered
@@ -96,18 +101,20 @@
 // alone does. A flush that fails leaves its error on every member request.
 //
 // Deadlock discipline: a send's transfer is posted eagerly (the system
-// MPI's sends are buffered), and a deferred send is on the wire before the
-// thread's next MPI call of any kind proceeds: tempi.cpp flushes at the
-// start of every entry but Isend, Start and Startall, including Wait*,
-// Test* and Request_free (reason completion), blocking Send/Recv/Sendrecv,
-// the collectives and Finalize (blocking), and every entry TEMPI does not
+// MPI's sends are buffered), and a deferred send is on the wire before its
+// thread's next MPI call that can wait on a peer or complete a request
+// proceeds: tempi.cpp flushes at the start of Wait*, Test* and
+// Request_free (reason completion), blocking Send/Recv/Sendrecv, the
+// collectives and Finalize (blocking), and every entry TEMPI does not
 // implement, whose forwarder flushes before it calls the system MPI
-// (passthrough, as do TEMPI's own local calls such as Irecv, Pack and the
-// type calls); uninstall() flushes every list (drain). A send that is not
-// deferred flushes the list before it reaches the wire (nondeferrable_send),
-// so the thread's messages keep the non-overtaking order. A Wait, Test or
-// Request_free of a deferred send on another thread flushes the owning
-// thread's list under that list's lock. So a rank that blocks in a receive
+// (passthrough); uninstall() flushes every list (drain). TEMPI's own local
+// calls (Isend/Irecv, Start/Startall, Send_init/Recv_init, Pack/Unpack,
+// the type calls, Init and the thread queries) return without waiting and
+// leave the list alone. A send that is not deferred flushes the list
+// before it reaches the wire (nondeferrable_send), so the thread's
+// messages keep the non-overtaking order. Only a rank whose MPI calls all
+// come from the deferring thread defers, so no other thread of it can
+// block while a list is pending. So a rank that blocks in a receive
 // before calling Wait cannot stall its peers. The receive-side transfer is
 // matched lazily, which keeps the engine free of system-MPI request state
 // to reclaim if the interposer is uninstalled mid-flight.
@@ -311,7 +318,7 @@ enum class FlushReason : std::uint8_t {
   Completion,        ///< Wait*, Test*, Request_free
   Blocking,          ///< blocking point-to-point, collectives, Finalize
   NondeferrableSend, ///< a send of the thread that reaches the wire now
-  Passthrough,       ///< any other call: a forwarder, Irecv, Pack, ...
+  Passthrough,       ///< an entry TEMPI does not implement (its forwarder)
   Drain,             ///< uninstall()
 };
 

@@ -255,9 +255,12 @@ void bump_handle_generation(State &s) {
 
 // --- interposed entry points -------------------------------------------------
 //
-// Every entry but Isend, Start and Startall first flushes the calling
-// thread's deferred sends, naming the kind of call (see "Send batching" in
-// async.hpp).
+// Every entry that can wait on a peer or complete a request first flushes
+// the calling thread's deferred sends, naming the kind of call (see "Send
+// batching" in async.hpp). TEMPI's local calls that return without waiting
+// (Init, Init_thread, Query_thread, Is_thread_main, the type calls,
+// Pack/Unpack, Isend/Irecv, Send_init/Recv_init, Start/Startall) leave the
+// list alone, so a burst interleaved with them still packs as one.
 
 using async::FlushReason;
 
@@ -310,7 +313,6 @@ void load_env_once(State &s) {
 }
 
 int tempi_Init(int *argc, char ***argv) {
-  flush(FlushReason::Passthrough);
   State &s = state();
   const int rc = s.next.Init(argc, argv);
   if (rc != MPI_SUCCESS) {
@@ -326,7 +328,6 @@ int tempi_Init(int *argc, char ***argv) {
 /// thread-level restriction: every interposed path is lock-striped or
 /// per-thread, so whatever the system grants holds with TEMPI in front.
 int tempi_Init_thread(int *argc, char ***argv, int required, int *provided) {
-  flush(FlushReason::Passthrough);
   State &s = state();
   const int rc = s.next.Init_thread(argc, argv, required, provided);
   if (rc != MPI_SUCCESS) {
@@ -337,12 +338,10 @@ int tempi_Init_thread(int *argc, char ***argv, int required, int *provided) {
 }
 
 int tempi_Query_thread(int *provided) {
-  flush(FlushReason::Passthrough);
   return state().next.Query_thread(provided);
 }
 
 int tempi_Is_thread_main(int *flag) {
-  flush(FlushReason::Passthrough);
   return state().next.Is_thread_main(flag);
 }
 
@@ -363,7 +362,6 @@ int tempi_Finalize() {
 }
 
 int tempi_Type_commit(MPI_Datatype *datatype) {
-  flush(FlushReason::Passthrough);
   State &s = state();
   const int rc = s.next.Type_commit(datatype);
   if (rc != MPI_SUCCESS) {
@@ -410,7 +408,6 @@ int tempi_Type_commit(MPI_Datatype *datatype) {
 }
 
 int tempi_Type_free(MPI_Datatype *datatype) {
-  flush(FlushReason::Passthrough);
   State &s = state();
   if (datatype != nullptr && *datatype != nullptr) {
     const std::unique_lock<std::shared_mutex> lock(s.packers_mutex);
@@ -502,7 +499,6 @@ vcuda::Error pack_call(const Packer &packer, void *dst, const void *src,
 
 int tempi_Pack(const void *inbuf, int incount, MPI_Datatype datatype,
                void *outbuf, int outsize, int *position, MPI_Comm comm) {
-  flush(FlushReason::Passthrough);
   State &s = state();
   const Packer *packer = lookup_packer_fast(datatype);
   if (!packer || incount == 0 ||
@@ -528,7 +524,6 @@ int tempi_Pack(const void *inbuf, int incount, MPI_Datatype datatype,
 
 int tempi_Unpack(const void *inbuf, int insize, int *position, void *outbuf,
                  int outcount, MPI_Datatype datatype, MPI_Comm comm) {
-  flush(FlushReason::Passthrough);
   State &s = state();
   const Packer *packer = lookup_packer_fast(datatype);
   if (!packer || outcount == 0 ||
@@ -750,7 +745,8 @@ int tempi_Waitall(int count, MPI_Request *requests, MPI_Status *statuses);
 /// Waitall's batched sync covers the unpack legs of both. Deadlock-free
 /// because the send is on the wire before the receive waits: it is posted
 /// eagerly (buffered sends), or, when it joins a burst of earlier posts and
-/// defers, the Irecv entry flushes it (see "Send batching" in async.hpp).
+/// defers, the Waitall flushes it before it waits on the receive (see
+/// "Send batching" in async.hpp).
 int tempi_Sendrecv(const void *sendbuf, int sendcount, MPI_Datatype sendtype,
                    int dest, int sendtag, void *recvbuf, int recvcount,
                    MPI_Datatype recvtype, int source, int recvtag,
@@ -816,7 +812,6 @@ int tempi_Isend(const void *buf, int count, MPI_Datatype datatype, int dest,
 
 int tempi_Irecv(void *buf, int count, MPI_Datatype datatype, int source,
                 int tag, MPI_Comm comm, MPI_Request *request) {
-  flush(FlushReason::Passthrough);
   State &s = state();
   tune::maybe_refresh(); // one relaxed load unless an observation drifted
   if (request == nullptr) {
@@ -926,7 +921,6 @@ int tempi_Testsome(int incount, MPI_Request *requests, int *outcount,
 
 int tempi_Send_init(const void *buf, int count, MPI_Datatype datatype,
                     int dest, int tag, MPI_Comm comm, MPI_Request *request) {
-  flush(FlushReason::Passthrough);
   State &s = state();
   tune::maybe_refresh(); // freeze against the freshest tables
   if (request == nullptr) {
@@ -948,7 +942,6 @@ int tempi_Send_init(const void *buf, int count, MPI_Datatype datatype,
 
 int tempi_Recv_init(void *buf, int count, MPI_Datatype datatype, int source,
                     int tag, MPI_Comm comm, MPI_Request *request) {
-  flush(FlushReason::Passthrough);
   State &s = state();
   tune::maybe_refresh(); // freeze against the freshest tables
   if (request == nullptr) {

@@ -16,9 +16,10 @@
 // Isend, Irecv, Wait, Waitall, Waitany, Waitsome, Test, Testall, Testany,
 // Testsome, Send_init, Recv_init, Start, Startall, Request_free,
 // Alltoallv, Neighbor_alltoallv, Allgather, Gatherv, Allreduce, Reduce,
-// Reduce_scatter, Reduce_scatter_block, Cart_create and
-// Dist_graph_create_adjacent. Everything else falls through to the system
-// MPI. Non-blocking operations on accelerated datatypes are owned by the
+// Reduce_scatter, Reduce_scatter_block and Cart_create. Every other entry
+// gets a forwarder that flushes the calling thread's deferred sends (see
+// "Send batching" in async.hpp) and then calls the system MPI.
+// Non-blocking operations on accelerated datatypes are owned by the
 // request engine (async.hpp), persistent operations by its channel fast
 // path, the dense exchange collectives by the collectives engine
 // (collectives.hpp), the reductions by the reduction engine (reduce.hpp),

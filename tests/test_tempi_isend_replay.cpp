@@ -2248,30 +2248,69 @@ TEST_F(SendBatch, ForwardedIsendArrivesAfterTheDeferredOne) {
   expect_deferred_rounds("nondeferrable_send");
 }
 
-// Under MPI_THREAD_SERIALIZED a second thread of rank 0 waits on the
-// deferred faces: its Wait flushes rank 0's list under the list's lock.
-TEST_F(SendBatch, WaitOnASecondThreadFlushesTheOwnersList) {
+// Irecv is local and leaves the list alone: faces whose Isends interleave
+// with Irecvs still pack as one batch at the Waitall.
+TEST_F(SendBatch, InterleavedIrecvsKeepTheBurstWhole) {
+  expect_system_behavior2([](int rank, Seen &seen) {
+    Faces faces(kBurst);
+    for (unsigned r = 0; r < kRounds; ++r) {
+      faces.prepare(rank, r);
+      if (rank == 0) {
+        std::vector<MPI_Request> reqs(2 * kBurst, MPI_REQUEST_NULL);
+        std::vector<std::array<int, 2>> replies(kBurst, {-1, -1});
+        for (int k = 0; k < kBurst; ++k) {
+          const auto i = static_cast<std::size_t>(k);
+          seen.code(MPI_Irecv(replies[i].data(), 2, MPI_INT, 1,
+                              kReplyTag + k, MPI_COMM_WORLD,
+                              &reqs[kBurst + i]));
+          seen.code(MPI_Isend(faces.bufs[i]->get(), 1, faces.t, 1,
+                              kFaceTag + k, MPI_COMM_WORLD, &reqs[i]));
+        }
+        seen.code(MPI_Waitall(2 * kBurst, reqs.data(), MPI_STATUSES_IGNORE));
+        for (const auto &reply : replies) {
+          seen.code(reply[0]);
+        }
+      } else {
+        faces.recv(r, seen);
+        for (int k = 0; k < kBurst; ++k) {
+          seen.code(send_reply(r + static_cast<unsigned>(k), kReplyTag + k));
+        }
+      }
+    }
+  });
+  expect_deferred_rounds("completion");
+}
+
+// Under MPI_THREAD_SERIALIZED rank 0 posts its faces at the Isends: a
+// second thread of rank 0 (sharing the rank's context) then blocks in
+// MPI_Recv of rank 1's reply before any Wait, and rank 1 replies only once
+// it received every face. Had the faces waited in the first thread's list,
+// neither rank could go on.
+TEST_F(SendBatch, SerializedRankPostsAtIsendSoASecondThreadMayBlock) {
   expect_system_behavior2(
       [](int rank, Seen &seen) {
         Faces faces(kBurst);
+        const sysmpi::RankCtx ctx = sysmpi::this_rank();
         for (unsigned r = 0; r < kRounds; ++r) {
           faces.prepare(rank, r);
           if (rank == 0) {
-            std::vector<MPI_Request> reqs(kBurst + 1, MPI_REQUEST_NULL);
-            std::array<int, 2> reply{-1, -1};
-            seen.code(MPI_Irecv(reply.data(), 2, MPI_INT, 1, kReplyTag,
-                                MPI_COMM_WORLD, &reqs[kBurst]));
+            std::vector<MPI_Request> reqs(kBurst, MPI_REQUEST_NULL);
             faces.isend(reqs, seen);
             std::thread([&] {
-              for (int k = 0; k < kBurst; ++k) {
-                seen.code(MPI_Wait(&reqs[static_cast<std::size_t>(k)],
-                                   MPI_STATUS_IGNORE));
+              sysmpi::this_rank() = ctx;
+              sysmpi::this_rank().thread_is_main = false;
+              std::array<int, 2> reply{-1, -1};
+              MPI_Status st;
+              const int rc = MPI_Recv(reply.data(), 2, MPI_INT, 1,
+                                      kReplyTag, MPI_COMM_WORLD, &st);
+              EXPECT_EQ(rc, MPI_SUCCESS);
+              EXPECT_EQ(reply[0], static_cast<int>(r));
+              seen.code(rc);
+              seen.status(st);
+              for (MPI_Request &req : reqs) {
+                seen.code(MPI_Wait(&req, MPI_STATUS_IGNORE));
               }
             }).join();
-            MPI_Status st;
-            seen.code(MPI_Wait(&reqs[kBurst], &st));
-            seen.status(st);
-            seen.code(reply[0]);
           } else {
             faces.recv(r, seen);
             seen.code(send_reply(r));
@@ -2279,13 +2318,17 @@ TEST_F(SendBatch, WaitOnASecondThreadFlushesTheOwnersList) {
         }
       },
       MPI_THREAD_SERIALIZED);
-  // The other thread's flush replays each face's own program: no batch.
-  constexpr std::uint64_t kDeferredRounds = kRounds - 1;
-  EXPECT_EQ(counter("tempi.isend.deferred"), kDeferredRounds * kBurst);
-  EXPECT_EQ(counter("tempi.send_batch.flush.completion"), kDeferredRounds);
-  EXPECT_EQ(counter("tempi.send_batch.flushes"), kDeferredRounds);
-  EXPECT_EQ(counter("tempi.send_batch.replays"), 0u);
+  EXPECT_EQ(counter("tempi.isend.deferred"), 0u);
+  EXPECT_EQ(counter("tempi.send_batch.flushes"), 0u);
+  EXPECT_EQ(counter("tempi.isend.replays"), (kRounds - 1) * kBurst);
   EXPECT_EQ(tempi::async::in_flight(), 0u);
+}
+
+// MPI_THREAD_FUNNELED defers as MPI_THREAD_SINGLE does: only the main
+// thread enters MPI.
+TEST_F(SendBatch, FunneledRankDefers) {
+  expect_system_behavior2(blocking_reply_exchange, MPI_THREAD_FUNNELED);
+  expect_deferred_rounds("blocking");
 }
 
 // A rank initialized at MPI_THREAD_MULTIPLE posts every send at its Isend.
