@@ -12,7 +12,9 @@
 //   (3) launch configuration — per-call recompute (select_word_size +
 //       make_launch_config) vs the commit-time PackPlan;
 //   (4) the composite steady-state send setup (lookup + selection + plan
-//       + intermediate lease), old recompute path vs new table-driven one.
+//       + intermediate lease), old recompute path vs new table-driven one;
+//   (5) the tuner's observation path, armed and disarmed;
+//   (6) the residency check: a pointer query vs a residency memo hit.
 #include "bench_common.hpp"
 #include "tempi/buffer_cache.hpp"
 #include "tempi/kernels.hpp"
@@ -291,6 +293,32 @@ int main() {
   std::printf("  TEMPI_TUNE=0 check: %6.1f ns/call  (one relaxed load)\n\n",
               obs_off);
 
+  // (6) Residency check. Every gate asks whether a buffer is on the device:
+  // a cudaPointerGetAttributes-style query (modeled at pointer_query_ns)
+  // on a miss, a thread-local range compare plus one acquire load of the
+  // allocation stamp on a repeated buffer, charged no virtual time.
+  void *dev = nullptr;
+  vcuda::Malloc(&dev, 4096);
+  const double query_wall = best_wall3([dev] {
+    vcuda::MemorySpace space = vcuda::MemorySpace::Pageable;
+    vcuda::PointerGetAttributes(&space, nullptr, dev);
+    return static_cast<std::uint64_t>(space);
+  });
+  const double memo_wall = best_wall3([dev] {
+    return static_cast<std::uint64_t>(tempi::resident_space(dev));
+  });
+  const vcuda::VirtualNs r0 = vcuda::virtual_now();
+  (void)tempi::resident_space(dev);
+  const vcuda::VirtualNs memo_virt = vcuda::virtual_now() - r0;
+  vcuda::Free(dev);
+  std::printf("residency check (wall clock; modeled charge):\n");
+  std::printf("  pointer query:      %6.1f ns/call  (%llu ns modeled)\n",
+              query_wall,
+              static_cast<unsigned long long>(
+                  vcuda::cost_params().pointer_query_ns));
+  std::printf("  residency memo hit: %6.1f ns/call  (%llu ns modeled)\n\n",
+              memo_wall, static_cast<unsigned long long>(memo_virt));
+
   std::printf("paper headline: cached selection adds ~277 ns; cached "
               "resources amortize to tens or hundreds of ns per message.\n");
 
@@ -307,7 +335,10 @@ int main() {
   gate(obs_on <= 50.0, "armed observation exceeds the 50 ns/op budget");
   gate(obs_off <= 20.0,
        "disarmed observation costs more than a relaxed-load check");
+  gate(memo_wall <= 20.0,
+       "a residency memo hit costs more than a handle-cache-class lookup");
 #endif
+  gate(memo_virt == 0, "a residency memo hit charges virtual time");
 
   bench::emit_json("abl_overhead",
                    "steady-state send setup (lookup+selection+plan+lease), "

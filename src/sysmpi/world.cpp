@@ -1,5 +1,6 @@
 #include "sysmpi/world.hpp"
 
+#include "support/log.hpp"
 #include "sysmpi/types.hpp"
 #include "vcuda/runtime.hpp"
 
@@ -7,6 +8,7 @@
 #include <cassert>
 #include <exception>
 #include <thread>
+#include <utility>
 
 namespace sysmpi {
 
@@ -227,10 +229,28 @@ RankCtx &this_rank() {
   return ctx;
 }
 
+RankAttachment::RankAttachment(const RankCtx &rank) : saved_(this_rank()) {
+  RankCtx &ctx = this_rank();
+  ctx = rank;
+  ctx.thread_is_main = false;
+}
+
+RankAttachment::~RankAttachment() { this_rank() = std::move(saved_); }
+
 MPI_Comm comm_world() {
   RankCtx &ctx = this_rank();
-  assert(ctx.world_comm != nullptr &&
-         "MPI used outside run_ranks() without MPI_Init");
+  if (ctx.world_comm == nullptr) {
+    // Once per thread: a call that then fails on the null communicator
+    // names the cause instead of passing for a rank's result.
+    thread_local bool reported = false;
+    if (!reported) {
+      reported = true;
+      support::log_error("sysmpi: MPI_COMM_WORLD on a thread attached to no "
+                         "rank (run it under run_ranks, call MPI_Init, or "
+                         "hold a sysmpi::RankAttachment)");
+    }
+    assert(false && "MPI used outside run_ranks() without MPI_Init");
+  }
   return ctx.world_comm;
 }
 

@@ -216,12 +216,34 @@ struct RankCtx {
   /// MULTIPLE-safe regardless — the level is reporting, not enforcement.
   int thread_level = MPI_THREAD_SINGLE;
   /// The thread that called Init/Init_thread on this context is "main"
-  /// for MPI_Is_thread_main. Helper threads touching MPI lazily get a
-  /// fresh TLS context that never ran Init, so the flag stays false.
+  /// for MPI_Is_thread_main. A helper thread attached to a rank
+  /// (RankAttachment) reads false.
   bool thread_is_main = false;
 };
 
+/// The calling thread's context. A thread that neither runs a rank
+/// (run_ranks, ensure_self_context) nor holds a RankAttachment has a null
+/// `world_comm`: MPI_COMM_WORLD there asserts in Debug builds and logs an
+/// error in Release builds.
 RankCtx &this_rank();
+
+/// Attaches the calling helper thread to a running rank for the
+/// attachment's lifetime, the way every thread of a real MPI process
+/// shares its rank: MPI_COMM_WORLD, the rank's thread level and its
+/// Init/Finalize state are the rank's, and MPI_Is_thread_main reads false.
+/// Copy `rank` from `this_rank()` on the rank's own thread, and end the
+/// attachment before that rank's body returns (the world communicator is
+/// borrowed, not owned). The thread's previous context returns at the end.
+class RankAttachment {
+public:
+  explicit RankAttachment(const RankCtx &rank);
+  ~RankAttachment();
+  RankAttachment(const RankAttachment &) = delete;
+  RankAttachment &operator=(const RankAttachment &) = delete;
+
+private:
+  RankCtx saved_;
+};
 
 /// Launcher configuration (the jsrun command line).
 struct RunConfig {

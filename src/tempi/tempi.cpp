@@ -26,12 +26,15 @@
 
 #include <array>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string_view>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
+#include <system_error>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -266,6 +269,19 @@ using async::FlushReason;
 
 void flush(FlushReason why) { async::flush_sends(why, state().next); }
 
+/// A positive decimal count, the whole of `text`; nullopt otherwise. Unlike
+/// strtoull it takes no sign, so "-5" is refused rather than read as a
+/// count near 2^64.
+std::optional<std::size_t> parse_positive(std::string_view text) {
+  std::size_t v = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size() || v == 0) {
+    return std::nullopt;
+  }
+  return v;
+}
+
 // One-time process configuration shared by Init and Init_thread: honor
 // TEMPI_METHOD for no-recompile method forcing. (The TEMPI_PERF_FILE
 // measurement bootstrap happens earlier, at install(), so the model is
@@ -296,10 +312,8 @@ void load_env_once(State &s) {
     if (const char *env = std::getenv("TEMPI_CHUNK_BYTES")) {
       // No-recompile chunk tuning for the pipelined path (mirrors
       // TEMPI_METHOD): a positive byte count forces the wire-leg size.
-      char *end = nullptr;
-      const unsigned long long v = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && v > 0) {
-        set_chunk_bytes_override(static_cast<std::size_t>(v));
+      if (const auto v = parse_positive(env)) {
+        set_chunk_bytes_override(*v);
         support::log_info("tempi: TEMPI_CHUNK_BYTES=", env);
       } else {
         support::log_warn("tempi: ignoring TEMPI_CHUNK_BYTES '", env,
@@ -1174,12 +1188,37 @@ struct Passthrough<Entry, R (*)(Args...)> {
   }
 };
 
+/// The registered allocations this thread's residency checks found last,
+/// valid while vcuda's allocation stamp holds.
+thread_local vcuda::AllocationMemo<4> t_residency;
+
 } // namespace
 
+// A memo hit is a thread-local range compare plus one acquire load — the
+// same kind of work as the handle-cache lookup — and charges no virtual
+// time; a miss pays the pointer query. Pageable pointers are never stored:
+// the registry holds no range that bounds host memory, so only the exact
+// address could be remembered, and a host-heavy caller would then evict
+// the device ranges the steady state repeats. The host path therefore
+// queries every time, exactly as it did before the memo.
+vcuda::MemorySpace resident_space(const void *p) {
+  // Loaded before the query: an allocation event racing with it leaves the
+  // memo tagged with a stale stamp, so the next call starts over.
+  const std::uint64_t stamp = vcuda::memory_registry().generation();
+  if (const vcuda::Allocation *hit = t_residency.find(
+          stamp, reinterpret_cast<std::uintptr_t>(p))) {
+    return hit->space;
+  }
+  vcuda::Allocation range;
+  vcuda::PointerGetAttributes(&range, p);
+  if (range.size > 0) {
+    t_residency.remember(range);
+  }
+  return range.space;
+}
+
 bool device_resident(const void *p) {
-  vcuda::MemorySpace space = vcuda::MemorySpace::Pageable;
-  vcuda::PointerGetAttributes(&space, nullptr, p);
-  return space == vcuda::MemorySpace::Device;
+  return resident_space(p) == vcuda::MemorySpace::Device;
 }
 
 void install() {
@@ -1268,10 +1307,8 @@ void install() {
   // layout. Rounded to a power of two by configure_shards; refused (and
   // logged) if requests are somehow still in flight.
   if (const char *env = std::getenv("TEMPI_SHARDS")) {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) {
-      if (async::configure_shards(static_cast<std::size_t>(v))) {
+    if (const auto v = parse_positive(env)) {
+      if (async::configure_shards(*v)) {
         support::log_info("tempi: TEMPI_SHARDS=", env, " (pool shards: ",
                           async::shard_count(), ")");
       } else {

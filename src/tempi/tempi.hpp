@@ -35,6 +35,7 @@
 #include "interpose/table.hpp"
 #include "tempi/packer.hpp"
 #include "tempi/perf_model.hpp"
+#include "vcuda/costmodel.hpp"
 
 #include <memory>
 #include <optional>
@@ -107,10 +108,16 @@ std::uint64_t choice_generation();
 std::optional<TransferChoice> persistent_choice(const Packer *packer,
                                                 const void *buf, int count);
 
-/// True when `p` is device-resident per the virtual CUDA registry — the
-/// residency test every interposer gate uses. Exposed so the collectives
-/// engine (collectives.cpp) and tests share one definition with the
-/// Send/Recv gates instead of drifting copies.
+/// The virtual memory space of `p` (unregistered: Pageable). Each thread
+/// remembers the last few registered allocations it found until the next
+/// allocation event anywhere (vcuda's stamp), so a repeated device or
+/// pinned buffer costs no pointer query; anything else costs one.
+vcuda::MemorySpace resident_space(const void *p);
+
+/// True when `p` is device-resident (resident_space) — the residency test
+/// every interposer gate uses. Exposed so the collectives engine
+/// (collectives.cpp) and tests share one definition with the Send/Recv
+/// gates instead of drifting copies.
 bool device_resident(const void *p);
 
 /// The canonical strided packer TEMPI built for a committed datatype, if

@@ -1,6 +1,5 @@
 #include "vcuda/memory.hpp"
 
-#include <array>
 #include <cassert>
 #include <mutex>
 
@@ -17,12 +16,7 @@ std::uint64_t next_generation() {
 
 /// The last few allocations this thread found, tagged with the generation
 /// of the registry they came from.
-struct LookupMemo {
-  std::uint64_t generation = 0;
-  std::array<Allocation, 8> hits{};
-  std::size_t next = 0;
-};
-thread_local LookupMemo t_memo;
+thread_local AllocationMemo<8> t_memo;
 
 bool contains(const Allocation &a, std::uintptr_t addr) {
   return addr >= a.base && addr < a.base + a.size;
@@ -53,19 +47,11 @@ std::optional<Allocation> MemoryRegistry::erase(std::uintptr_t base) {
 
 std::optional<Allocation> MemoryRegistry::find(const void *p) const {
   const auto addr = reinterpret_cast<std::uintptr_t>(p);
-  LookupMemo &memo = t_memo;
   // Loaded before the locked lookup: a mutation racing with it leaves the
   // memo tagged with a stale generation, so the next call starts over.
   const std::uint64_t generation = generation_.load(std::memory_order_acquire);
-  if (memo.generation == generation) {
-    for (const Allocation &a : memo.hits) {
-      if (contains(a, addr)) {
-        return a;
-      }
-    }
-  } else {
-    memo = LookupMemo{};
-    memo.generation = generation;
+  if (const Allocation *hit = t_memo.find(generation, addr)) {
+    return *hit;
   }
   const std::shared_lock<std::shared_mutex> lock(mutex_);
   auto it = by_base_.upper_bound(addr);
@@ -77,8 +63,7 @@ std::optional<Allocation> MemoryRegistry::find(const void *p) const {
   if (!contains(a, addr)) {
     return std::nullopt;
   }
-  memo.hits[memo.next] = a;
-  memo.next = (memo.next + 1) % memo.hits.size();
+  t_memo.remember(a);
   return a;
 }
 

@@ -21,6 +21,7 @@ struct Counters64 {
   support::StripedCounter kernel_launches;
   support::StripedCounter stream_syncs;
   support::StripedCounter mallocs;
+  support::StripedCounter pointer_queries;
   support::StripedCounter frees;
   support::StripedCounter graph_launches;
   support::StripedCounter graph_nodes_replayed;
@@ -307,12 +308,22 @@ Error PointerGetAttributes(MemorySpace *space, int *device, const void *ptr) {
   if (space == nullptr) {
     return Error::InvalidValue;
   }
-  host_advance(cost_params().pointer_query_ns);
-  const auto a = memory_registry().find(ptr);
-  *space = a ? a->space : MemorySpace::Pageable;
+  Allocation range;
+  const Error e = PointerGetAttributes(&range, ptr);
+  *space = range.space;
   if (device != nullptr) {
-    *device = a ? a->device : -1;
+    *device = range.device;
   }
+  return e;
+}
+
+Error PointerGetAttributes(Allocation *range, const void *ptr) {
+  if (range == nullptr) {
+    return Error::InvalidValue;
+  }
+  host_advance(cost_params().pointer_query_ns);
+  counters64().pointer_queries.add();
+  *range = memory_registry().find(ptr).value_or(Allocation{});
   return Error::Success;
 }
 
@@ -754,6 +765,7 @@ Counters counters() {
       c.kernel_launches.value(),
       c.stream_syncs.value(),
       c.mallocs.value(),
+      c.pointer_queries.value(),
       c.frees.value(),
       c.graph_launches.value(),
       c.graph_nodes_replayed.value(),
@@ -769,6 +781,7 @@ void reset_counters() {
   c.kernel_launches.reset();
   c.stream_syncs.reset();
   c.mallocs.reset();
+  c.pointer_queries.reset();
   c.frees.reset();
   c.graph_launches.reset();
   c.graph_nodes_replayed.reset();

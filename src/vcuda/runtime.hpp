@@ -84,6 +84,12 @@ Error HostUnregister(void *ptr);
 /// cudaPointerGetAttributes: classify `ptr` (unregistered -> Pageable).
 Error PointerGetAttributes(MemorySpace *space, int *device, const void *ptr);
 
+/// The same query, priced the same, with the range included
+/// (cuPointerGetAttributes with CU_POINTER_ATTRIBUTE_RANGE_START_ADDR and
+/// RANGE_SIZE): the registered allocation that contains `ptr`, or a default
+/// Allocation (Pageable, size 0) when none does.
+Error PointerGetAttributes(Allocation *range, const void *ptr);
+
 // --- streams & events --------------------------------------------------------
 
 Error StreamCreate(StreamHandle *stream);
@@ -227,6 +233,7 @@ struct Counters {
   std::uint64_t kernel_launches = 0;
   std::uint64_t stream_syncs = 0;
   std::uint64_t mallocs = 0;
+  std::uint64_t pointer_queries = 0; ///< PointerGetAttributes calls
   std::uint64_t frees = 0;
   std::uint64_t graph_launches = 0;      ///< GraphLaunch calls
   std::uint64_t graph_nodes_replayed = 0; ///< nodes executed by replays

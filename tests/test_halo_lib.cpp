@@ -15,7 +15,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <cstdint>
 #include <cstring>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -351,6 +353,182 @@ TEST(HaloColdExchange, UninstallLeavesTheBufferDepotEmpty) {
   tempi::uninstall();
   EXPECT_EQ(tempi::buffer_depot_size(), 0u);
   EXPECT_EQ(tempi::buffer_cache_stats().leased_now, 0u);
+}
+
+// --- pointer queries per steady-state op --------------------------------------
+
+/// The process-wide pointer-query count read between ops. Every rank calls
+/// mark() before each op and once after the last; the barriers keep every
+/// rank's op out of the reads.
+class QueryLog {
+public:
+  void mark(int rank) {
+    MPI_Barrier(MPI_COMM_WORLD);
+    if (rank == 0) {
+      marks_.push_back(vcuda::counters().pointer_queries);
+    }
+    MPI_Barrier(MPI_COMM_WORLD);
+  }
+  /// Queries made by each op, all ranks together.
+  [[nodiscard]] std::vector<std::uint64_t> per_op() const {
+    std::vector<std::uint64_t> out;
+    for (std::size_t i = 1; i < marks_.size(); ++i) {
+      out.push_back(marks_[i] - marks_[i - 1]);
+    }
+    return out;
+  }
+
+private:
+  std::vector<std::uint64_t> marks_;
+};
+
+constexpr int kOps = 6;
+
+/// Require a first op that queries and none from the third op on: the
+/// first sighting runs live, the second records, later ones replay, and
+/// every buffer's residency comes from the memo.
+void expect_steady_state_queries_nothing(const std::vector<std::uint64_t> &q,
+                                         const char *shape) {
+  ASSERT_EQ(q.size(), static_cast<std::size_t>(kOps)) << shape;
+  EXPECT_GT(q[0], 0u) << shape;
+  for (std::size_t i = 2; i < q.size(); ++i) {
+    EXPECT_EQ(q[i], 0u) << shape << " op " << i;
+  }
+}
+
+/// Pointer queries of each of kOps halo ops on the end-to-end benchmark's
+/// halo grid (24^3 points of 8 doubles, radius 3, periodic 2x1x1 ranks,
+/// one rank per node).
+template <class Op>
+std::vector<std::uint64_t> halo_queries(Op op) {
+  halo::Config cfg;
+  cfg.nx = cfg.ny = cfg.nz = 24;
+  cfg.vals = 8;
+  cfg.radius = 3;
+  cfg.px = 2;
+  cfg.py = cfg.pz = 1;
+  cfg.reorder = 1;
+  tempi::install();
+  QueryLog log;
+  sysmpi::RunConfig rc;
+  rc.ranks = cfg.ranks();
+  rc.ranks_per_node = 1;
+  sysmpi::run_ranks(rc, [&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    void *dev = nullptr;
+    vcuda::Malloc(&dev, cfg.grid_bytes());
+    std::memset(dev, 0, cfg.grid_bytes());
+    {
+      halo::Exchanger ex(cfg, MPI_COMM_WORLD);
+      for (int it = 0; it < kOps; ++it) {
+        log.mark(rank);
+        op(ex, dev);
+      }
+      log.mark(rank);
+    }
+    vcuda::Free(dev);
+    MPI_Finalize();
+  });
+  tempi::uninstall();
+  return log.per_op();
+}
+
+TEST(PointerQueries, SteadyExchangeIsendQueriesNothing) {
+  expect_steady_state_queries_nothing(
+      halo_queries([](halo::Exchanger &ex, void *grid) {
+        ex.exchange_isend(grid);
+      }),
+      "exchange_isend");
+}
+
+TEST(PointerQueries, SteadyExchangeAndResidualNormQueryNothing) {
+  expect_steady_state_queries_nothing(
+      halo_queries([](halo::Exchanger &ex, void *grid) {
+        ex.exchange(grid);
+        (void)ex.residual_norm(grid);
+      }),
+      "exchange + residual_norm");
+}
+
+/// One thread's single-rank world at MPI_THREAD_MULTIPLE, as the
+/// hotpath_mt benchmark runs it: `body(log)` marks its own ops.
+template <class Body> std::vector<std::uint64_t> self_rank_queries(Body body) {
+  tempi::install();
+  QueryLog log;
+  std::thread([&] {
+    int provided = 0;
+    MPI_Init_thread(nullptr, nullptr, MPI_THREAD_MULTIPLE, &provided);
+    body(log);
+    MPI_Finalize();
+  }).join();
+  tempi::uninstall();
+  return log.per_op();
+}
+
+MPI_Datatype committed_hot_vector() {
+  MPI_Datatype t = nullptr;
+  MPI_Type_vector(128, 8, 16, MPI_BYTE, &t); // 1 KiB of 8 B runs
+  MPI_Type_commit(&t);
+  return t;
+}
+
+TEST(PointerQueries, SteadyHotpathPairQueriesNothing) {
+  const std::vector<std::uint64_t> q = self_rank_queries([](QueryLog &log) {
+    MPI_Datatype t = committed_hot_vector();
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    std::array<void *, 3> bufs{}; // send, Irecv target, channel target
+    for (void *&p : bufs) {
+      vcuda::Malloc(&p, static_cast<std::size_t>(extent));
+    }
+    std::array<MPI_Request, 2> channels{};
+    MPI_Recv_init(bufs[2], 1, t, 0, 4096, MPI_COMM_WORLD, &channels[0]);
+    MPI_Send_init(bufs[0], 1, t, 0, 4096, MPI_COMM_WORLD, &channels[1]);
+    for (int it = 0; it < kOps; ++it) {
+      log.mark(0);
+      MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+      MPI_Irecv(bufs[1], 1, t, 0, 0, MPI_COMM_WORLD, &reqs[0]);
+      MPI_Isend(bufs[0], 1, t, 0, 0, MPI_COMM_WORLD, &reqs[1]);
+      MPI_Waitall(2, reqs, MPI_STATUSES_IGNORE);
+      MPI_Start(&channels[0]);
+      MPI_Start(&channels[1]);
+      MPI_Waitall(2, channels.data(), MPI_STATUSES_IGNORE);
+    }
+    log.mark(0);
+    MPI_Request_free(&channels[0]);
+    MPI_Request_free(&channels[1]);
+    MPI_Type_free(&t);
+    for (void *p : bufs) {
+      vcuda::Free(p);
+    }
+  });
+  expect_steady_state_queries_nothing(q, "hotpath Isend/Irecv + Start pair");
+}
+
+// Pageable buffers never enter the memo: each blocking send from one asks
+// exactly once, as it did before the memo.
+TEST(PointerQueries, BlockingSendFromAPageableStridedBufferQueriesOnce) {
+  const std::vector<std::uint64_t> q = self_rank_queries([](QueryLog &log) {
+    MPI_Datatype t = committed_hot_vector();
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    std::vector<std::byte> src(static_cast<std::size_t>(extent));
+    std::vector<std::byte> dst(src.size());
+    for (int it = 0; it < kOps; ++it) {
+      log.mark(0);
+      EXPECT_EQ(MPI_Send(src.data(), 1, t, 0, it, MPI_COMM_WORLD),
+                MPI_SUCCESS);
+      log.mark(0);
+      EXPECT_EQ(MPI_Recv(dst.data(), 1, t, 0, it, MPI_COMM_WORLD,
+                         MPI_STATUS_IGNORE),
+                MPI_SUCCESS);
+    }
+    MPI_Type_free(&t);
+  });
+  ASSERT_EQ(q.size(), static_cast<std::size_t>(2 * kOps - 1));
+  for (std::size_t i = 0; i < q.size(); i += 2) {
+    EXPECT_EQ(q[i], 1u) << "send " << i / 2;
+  }
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -464,6 +466,72 @@ TEST(P2P, TestallTestanyTestsomeProgressMixedArrays) {
     }
     MPI_Finalize();
   });
+}
+
+// A helper thread attached to rank 0 sends as rank 0 and is not the rank's
+// main thread; once the attachment ends the thread is attached to no rank.
+TEST(RankAttachment, HelperThreadActsAsItsRank) {
+  run2([](int rank) {
+    int provided = 0;
+    MPI_Init_thread(nullptr, nullptr, MPI_THREAD_MULTIPLE, &provided);
+    if (rank == 0) {
+      const sysmpi::RankCtx ctx = sysmpi::this_rank();
+      std::thread([&ctx] {
+        {
+          const sysmpi::RankAttachment attach(ctx);
+          int me = -1;
+          int level = -1;
+          int is_main = 1;
+          EXPECT_EQ(MPI_Comm_rank(MPI_COMM_WORLD, &me), MPI_SUCCESS);
+          EXPECT_EQ(me, 0);
+          EXPECT_EQ(MPI_Query_thread(&level), MPI_SUCCESS);
+          EXPECT_EQ(level, MPI_THREAD_MULTIPLE);
+          EXPECT_EQ(MPI_Is_thread_main(&is_main), MPI_SUCCESS);
+          EXPECT_EQ(is_main, 0);
+          const int value = 42;
+          EXPECT_EQ(MPI_Send(&value, 1, MPI_INT, 1, 3, MPI_COMM_WORLD),
+                    MPI_SUCCESS);
+        }
+        EXPECT_EQ(sysmpi::this_rank().world_comm, nullptr);
+      }).join();
+      int is_main = 0;
+      MPI_Is_thread_main(&is_main);
+      EXPECT_EQ(is_main, 1);
+    } else {
+      int value = 0;
+      MPI_Status status;
+      ASSERT_EQ(MPI_Recv(&value, 1, MPI_INT, 0, 3, MPI_COMM_WORLD, &status),
+                MPI_SUCCESS);
+      EXPECT_EQ(status.MPI_SOURCE, 0);
+      EXPECT_EQ(value, 42);
+    }
+    MPI_Finalize();
+  });
+}
+
+// MPI_COMM_WORLD on a thread attached to no rank is an error: Debug builds
+// assert, Release builds name it on stderr (once per thread) instead of
+// letting the call fail silently.
+TEST(RankAttachment, UnattachedThreadReportsWorldUse) {
+#ifdef NDEBUG
+  std::thread([] {
+    ::testing::internal::CaptureStderr();
+    const MPI_Comm first = MPI_COMM_WORLD;
+    const MPI_Comm second = MPI_COMM_WORLD;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(first, nullptr);
+    EXPECT_EQ(second, nullptr);
+    EXPECT_NE(err.find("MPI_COMM_WORLD on a thread attached to no rank"),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("attached to no rank"),
+              err.rfind("attached to no rank")); // reported once
+  }).join();
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(std::thread([] { (void)MPI_COMM_WORLD; }).join(),
+               "outside run_ranks");
+#endif
 }
 
 } // namespace

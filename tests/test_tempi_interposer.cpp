@@ -11,7 +11,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -595,6 +603,319 @@ TEST(Interposer, PersistentCountersTrackChannelsAndReplays) {
   EXPECT_EQ(counter("tempi.persistent.replays"), 0u);
   EXPECT_EQ(counter("tempi.persistent.graph_launches"), 0u);
   EXPECT_EQ(counter("tempi.persistent.forwarded"), 0u);
+}
+
+// --- residency memo ----------------------------------------------------------
+
+/// What one residency check answered and what the answer cost.
+struct Answer {
+  vcuda::MemorySpace space = vcuda::MemorySpace::Pageable;
+  std::uint64_t queries = 0;  ///< pointer queries made
+  vcuda::VirtualNs charge = 0; ///< virtual time charged
+  bool operator==(const Answer &) const = default;
+};
+
+void PrintTo(const Answer &a, std::ostream *os) {
+  *os << "{space " << static_cast<int>(a.space) << ", queries " << a.queries
+      << ", charge " << a.charge << " ns}";
+}
+
+Answer residency(const void *p) {
+  const std::uint64_t q0 = vcuda::counters().pointer_queries;
+  const vcuda::VirtualNs t0 = vcuda::virtual_now();
+  const vcuda::MemorySpace space = tempi::resident_space(p);
+  return {space, vcuda::counters().pointer_queries - q0,
+          vcuda::virtual_now() - t0};
+}
+
+/// A memo hit and a query that found `space`.
+Answer hit(vcuda::MemorySpace space) { return {space, 0, 0}; }
+Answer query(vcuda::MemorySpace space) {
+  return {space, 1, vcuda::cost_params().pointer_query_ns};
+}
+
+constexpr auto kDevice = vcuda::MemorySpace::Device;
+constexpr auto kPinned = vcuda::MemorySpace::Pinned;
+constexpr auto kPageable = vcuda::MemorySpace::Pageable;
+
+TEST(ResidencyMemo, InteriorLastByteAndOnePastTheEnd) {
+  SpaceBuffer dev(kDevice, 1000);
+  const std::byte *p = dev.bytes();
+  EXPECT_EQ(residency(p), query(kDevice));
+  EXPECT_EQ(residency(p), hit(kDevice));
+  EXPECT_EQ(residency(p + 500), hit(kDevice));
+  EXPECT_EQ(residency(p + 999), hit(kDevice));
+  // Outside the allocation: pageable, never stored, so asked every time.
+  EXPECT_EQ(residency(p + 1000), query(kPageable));
+  EXPECT_EQ(residency(p + 1000), query(kPageable));
+  EXPECT_EQ(residency(p - 1), query(kPageable));
+  EXPECT_EQ(residency(p + 999), hit(kDevice));
+}
+
+TEST(ResidencyMemo, FreedDeviceBufferStopsReadingAsDevice) {
+  void *p = nullptr;
+  ASSERT_EQ(vcuda::Malloc(&p, 4096), vcuda::Error::Success);
+  EXPECT_EQ(residency(p), query(kDevice));
+  EXPECT_EQ(residency(p), hit(kDevice));
+  ASSERT_EQ(vcuda::Free(p), vcuda::Error::Success);
+  EXPECT_EQ(residency(p), query(kPageable));
+  EXPECT_FALSE(tempi::device_resident(p));
+}
+
+TEST(ResidencyMemo, HostRegisterFlipsTheAnswerEachTime) {
+  std::vector<std::byte> host(4096);
+  const std::byte *interior = host.data() + 100;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(residency(interior), query(kPageable)) << i;
+    ASSERT_EQ(vcuda::HostRegister(host.data(), host.size()),
+              vcuda::Error::Success);
+    EXPECT_EQ(residency(interior), query(kPinned)) << i;
+    EXPECT_EQ(residency(interior), hit(kPinned)) << i;
+    EXPECT_FALSE(tempi::device_resident(interior));
+    ASSERT_EQ(vcuda::HostUnregister(host.data()), vcuda::Error::Success);
+  }
+  EXPECT_EQ(residency(interior), query(kPageable));
+}
+
+TEST(ResidencyMemo, KeepsTheLastFourAllocations) {
+  std::vector<std::unique_ptr<SpaceBuffer>> bufs;
+  for (int i = 0; i < 5; ++i) {
+    bufs.push_back(std::make_unique<SpaceBuffer>(kDevice, 64));
+  }
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(residency(bufs[i]->get()), query(kDevice)) << i;
+  }
+  // The fifth replaced the first.
+  for (int i = 1; i < 5; ++i) {
+    EXPECT_EQ(residency(bufs[i]->get()), hit(kDevice)) << i;
+  }
+  EXPECT_EQ(residency(bufs[0]->get()), query(kDevice));
+}
+
+/// A pageable arena that reads as device memory while registered, as if a
+/// cudaMalloc had handed out its address. Unregistering it is the matching
+/// cudaFree followed by a host allocation landing at the same address:
+/// address reuse an allocator may or may not produce, made certain.
+class ReusedAddress {
+public:
+  explicit ReusedAddress(std::size_t bytes) : bytes_(bytes) {}
+  ~ReusedAddress() { set_device(false); }
+  ReusedAddress(const ReusedAddress &) = delete;
+  ReusedAddress &operator=(const ReusedAddress &) = delete;
+
+  void set_device(bool device) {
+    if (device == device_) {
+      return;
+    }
+    const auto base = reinterpret_cast<std::uintptr_t>(bytes_.data());
+    if (device) {
+      vcuda::memory_registry().insert(
+          vcuda::Allocation{base, bytes_.size(), kDevice, 0});
+    } else {
+      vcuda::memory_registry().erase(base);
+    }
+    device_ = device;
+  }
+  [[nodiscard]] std::byte *get() { return bytes_.data(); }
+  [[nodiscard]] const std::vector<std::byte> &bytes() const { return bytes_; }
+
+private:
+  std::vector<std::byte> bytes_;
+  bool device_ = false;
+};
+
+std::uint64_t device_work() {
+  const vcuda::Counters c = vcuda::counters();
+  return c.kernel_launches + c.graph_launches + c.memcpy_async_calls;
+}
+
+// A device buffer that is freed and replaced by a host buffer at the same
+// address, then by a device one again: TEMPI's Irecv, Isend, Waitall and
+// Pack on it match the system MPI bitwise in every round, and the host
+// rounds do no device work at all.
+TEST(ResidencyMemo, HostBufferAtAFreedDeviceAddressMatchesTheSystemPath) {
+  tempi::ScopedInterposer guard;
+  sysmpi::ensure_self_context();
+  MPI_Datatype t = committed_vector(64, 8, 24);
+  MPI_Aint lb = 0, extent = 0;
+  MPI_Type_get_extent(t, &lb, &extent);
+  const auto bytes = static_cast<std::size_t>(extent);
+  ReusedAddress src(bytes), dst(bytes);
+  // Device for the live, recording and replaying rounds, host for two,
+  // then device again.
+  constexpr unsigned kRounds = 7;
+  const auto on_device = [](unsigned r) { return r < 3 || r >= 5; };
+
+  struct Seen {
+    std::vector<int> codes;
+    std::vector<std::array<long long, 4>> statuses;
+    std::vector<std::vector<std::byte>> buffers;
+    std::vector<std::uint64_t> host_round_device_work;
+  };
+  const auto observe = [&](tempi::SendMode mode) {
+    tempi::set_send_mode(mode);
+    Seen seen;
+    for (unsigned r = 0; r < kRounds; ++r) {
+      src.set_device(on_device(r));
+      dst.set_device(on_device(r));
+      fill_pattern(src.get(), bytes, 100 + r);
+      fill_pattern(dst.get(), bytes, 200 + r);
+      const std::uint64_t work = device_work();
+      MPI_Request reqs[2] = {MPI_REQUEST_NULL, MPI_REQUEST_NULL};
+      MPI_Status st[2];
+      seen.codes.push_back(
+          MPI_Irecv(dst.get(), 1, t, 0, 7, MPI_COMM_WORLD, &reqs[0]));
+      seen.codes.push_back(
+          MPI_Isend(src.get(), 1, t, 0, 7, MPI_COMM_WORLD, &reqs[1]));
+      seen.codes.push_back(MPI_Waitall(2, reqs, st));
+      seen.statuses.push_back({st[0].MPI_SOURCE, st[0].MPI_TAG,
+                               st[0].MPI_ERROR, st[0].count_bytes});
+      std::vector<std::byte> packed(64 * 8);
+      int position = 0;
+      seen.codes.push_back(MPI_Pack(src.get(), 1, t, packed.data(),
+                                    static_cast<int>(packed.size()),
+                                    &position, MPI_COMM_WORLD));
+      seen.codes.push_back(position);
+      seen.buffers.push_back(dst.bytes());
+      seen.buffers.push_back(packed);
+      if (!on_device(r)) {
+        seen.host_round_device_work.push_back(device_work() - work);
+      }
+    }
+    tempi::set_send_mode(tempi::SendMode::Auto);
+    return seen;
+  };
+  const Seen reference = observe(tempi::SendMode::System);
+  const std::uint64_t self0 = counter("tempi.p2p.self_deliveries");
+  const Seen seen = observe(tempi::SendMode::Auto);
+  EXPECT_EQ(seen.codes, reference.codes);
+  EXPECT_EQ(seen.statuses, reference.statuses);
+  EXPECT_EQ(seen.buffers, reference.buffers);
+  EXPECT_EQ(seen.host_round_device_work,
+            (std::vector<std::uint64_t>{0, 0}));
+  // The device rounds did take TEMPI's path.
+  EXPECT_GT(counter("tempi.p2p.self_deliveries"), self0);
+  MPI_Type_free(&t);
+}
+
+// Another thread of the rank frees a buffer this thread's memo holds: the
+// next check on this thread asks again and reads it as host memory.
+TEST(ResidencyMemo, FreeOnAnotherThreadOfTheRankInvalidatesTheMemo) {
+  tempi::ScopedInterposer guard;
+  sysmpi::RunConfig cfg;
+  cfg.ranks = 1;
+  sysmpi::run_ranks(cfg, [](int) {
+    int provided = 0;
+    MPI_Init_thread(nullptr, nullptr, MPI_THREAD_MULTIPLE, &provided);
+    MPI_Datatype t = committed_vector(64, 8, 24);
+    MPI_Aint lb = 0, extent = 0;
+    MPI_Type_get_extent(t, &lb, &extent);
+    const auto bytes = static_cast<std::size_t>(extent);
+    ReusedAddress arena(bytes);
+    arena.set_device(true);
+    fill_pattern(arena.get(), bytes);
+    std::vector<std::byte> packed(64 * 8);
+    const auto pack = [&] {
+      int position = 0;
+      return MPI_Pack(arena.get(), 1, t, packed.data(),
+                      static_cast<int>(packed.size()), &position,
+                      MPI_COMM_WORLD);
+    };
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_EQ(pack(), MPI_SUCCESS);
+    }
+    EXPECT_EQ(residency(arena.get()), hit(kDevice));
+    const sysmpi::RankCtx rank = sysmpi::this_rank();
+    std::thread([&] {
+      const sysmpi::RankAttachment attach(rank);
+      int me = -1;
+      EXPECT_EQ(MPI_Comm_rank(MPI_COMM_WORLD, &me), MPI_SUCCESS);
+      EXPECT_EQ(me, 0);
+      arena.set_device(false);
+      // The helper's own check sees the host buffer too.
+      EXPECT_FALSE(tempi::device_resident(arena.get()));
+    }).join();
+    EXPECT_EQ(residency(arena.get()), query(kPageable));
+    const std::uint64_t work = device_work();
+    ASSERT_EQ(pack(), MPI_SUCCESS);
+    EXPECT_EQ(device_work(), work);
+    const auto expect = reference_pack(arena.get(), 1, *t);
+    EXPECT_EQ(std::memcmp(packed.data(), expect.data(), expect.size()), 0);
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
+}
+
+// --- environment knobs ----------------------------------------------------------
+
+/// One spelling of a knob and what the process makes of it.
+struct EnvCase {
+  const char *var;
+  const char *value;
+  tempi::SendMode mode;
+  std::size_t chunk_override;
+  bool tune;
+};
+
+/// Set `c.var` alone among the three knobs, install, run a rank's Init,
+/// print what took effect and exit. The knobs are read once per process,
+/// so each case runs in a fresh process.
+[[noreturn]] void report_install_env(const EnvCase &c) {
+  for (const char *var : {"TEMPI_METHOD", "TEMPI_CHUNK_BYTES", "TEMPI_TUNE"}) {
+    ::unsetenv(var);
+  }
+  ::setenv(c.var, c.value, 1);
+  tempi::install();
+  sysmpi::RunConfig cfg;
+  cfg.ranks = 1;
+  sysmpi::run_ranks(cfg, [](int) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Finalize();
+  });
+  std::fprintf(stderr, "[env mode=%d chunk=%zu tune=%d]\n",
+               static_cast<int>(tempi::send_mode()),
+               tempi::chunk_bytes_override(), tempi::tune::enabled() ? 1 : 0);
+  std::fflush(stderr);
+  std::_Exit(0);
+}
+
+TEST(InstallEnv, SpellingsSetModeChunkOverrideAndTuner) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  using M = tempi::SendMode;
+  const EnvCase cases[] = {
+      {"TEMPI_METHOD", "auto", M::Auto, 0, true},
+      {"TEMPI_METHOD", "oneshot", M::ForceOneShot, 0, true},
+      {"TEMPI_METHOD", "device", M::ForceDevice, 0, true},
+      {"TEMPI_METHOD", "staged", M::ForceStaged, 0, true},
+      {"TEMPI_METHOD", "pipelined", M::ForcePipelined, 0, true},
+      {"TEMPI_METHOD", "system", M::System, 0, true},
+      // Unknown spellings warn and leave the default.
+      {"TEMPI_METHOD", "Device", M::Auto, 0, true},
+      {"TEMPI_METHOD", "one-shot", M::Auto, 0, true},
+      {"TEMPI_METHOD", "", M::Auto, 0, true},
+      {"TEMPI_CHUNK_BYTES", "4096", M::Auto, 4096, true},
+      {"TEMPI_CHUNK_BYTES", "1", M::Auto, 1, true},
+      // Anything but a whole positive count warns and sets no override.
+      {"TEMPI_CHUNK_BYTES", "0", M::Auto, 0, true},
+      {"TEMPI_CHUNK_BYTES", "-5", M::Auto, 0, true},
+      {"TEMPI_CHUNK_BYTES", "4096B", M::Auto, 0, true},
+      {"TEMPI_CHUNK_BYTES", " 4096", M::Auto, 0, true},
+      {"TEMPI_CHUNK_BYTES", "", M::Auto, 0, true},
+      {"TEMPI_CHUNK_BYTES", "99999999999999999999999", M::Auto, 0, true},
+      // The tuner is a kill-switch: only "0" turns it off.
+      {"TEMPI_TUNE", "0", M::Auto, 0, false},
+      {"TEMPI_TUNE", "1", M::Auto, 0, true},
+      {"TEMPI_TUNE", "off", M::Auto, 0, true},
+      {"TEMPI_TUNE", "", M::Auto, 0, true},
+  };
+  for (const EnvCase &c : cases) {
+    const std::string expected =
+        "\\[env mode=" + std::to_string(static_cast<int>(c.mode)) +
+        " chunk=" + std::to_string(c.chunk_override) +
+        " tune=" + std::to_string(c.tune ? 1 : 0) + "\\]";
+    EXPECT_EXIT(report_install_env(c), ::testing::ExitedWithCode(0), expected)
+        << c.var << "='" << c.value << "'";
+  }
 }
 
 } // namespace

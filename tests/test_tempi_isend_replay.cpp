@@ -2282,7 +2282,7 @@ TEST_F(SendBatch, InterleavedIrecvsKeepTheBurstWhole) {
 }
 
 // Under MPI_THREAD_SERIALIZED rank 0 posts its faces at the Isends: a
-// second thread of rank 0 (sharing the rank's context) then blocks in
+// second thread of rank 0 (attached to the rank) then blocks in
 // MPI_Recv of rank 1's reply before any Wait, and rank 1 replies only once
 // it received every face. Had the faces waited in the first thread's list,
 // neither rank could go on.
@@ -2297,8 +2297,7 @@ TEST_F(SendBatch, SerializedRankPostsAtIsendSoASecondThreadMayBlock) {
             std::vector<MPI_Request> reqs(kBurst, MPI_REQUEST_NULL);
             faces.isend(reqs, seen);
             std::thread([&] {
-              sysmpi::this_rank() = ctx;
-              sysmpi::this_rank().thread_is_main = false;
+              const sysmpi::RankAttachment attach(ctx);
               std::array<int, 2> reply{-1, -1};
               MPI_Status st;
               const int rc = MPI_Recv(reply.data(), 2, MPI_INT, 1,

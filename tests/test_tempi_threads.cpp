@@ -350,6 +350,19 @@ TEST_F(TempiThreads, ConcurrentThreadsCarveDisjointSegments) {
   EXPECT_EQ(segments[1].count(0), 0u);
 }
 
+// Anything but a whole positive count is refused with a warning and leaves
+// the layout alone; a signed count is not read as one near 2^64.
+TEST_F(TempiThreads, ShardsEnvRefusesAnythingButAPositiveCount) {
+  const std::size_t default_shards = tempi::async::shard_count();
+  for (const char *bad : {"-1", "0", "8x", " 8", ""}) {
+    ::setenv("TEMPI_SHARDS", bad, 1);
+    tempi::uninstall();
+    tempi::install();
+    EXPECT_EQ(tempi::async::shard_count(), default_shards) << bad;
+  }
+  ::unsetenv("TEMPI_SHARDS");
+}
+
 TEST_F(TempiThreads, ShardsEnvKillSwitchRestoresSingleLockLayout) {
   const std::size_t default_shards = tempi::async::shard_count();
   EXPECT_GT(default_shards, 1u);

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <thread>
+#include <vector>
 
 namespace {
 
@@ -106,6 +109,68 @@ TEST(Registry, PointerGetAttributesReportsDevice) {
   EXPECT_EQ(device, 2);
   vcuda::Free(p);
   vcuda::SetDevice(0);
+}
+
+TEST(Registry, PointerQueryReportsTheRangeAndCountsOnce) {
+  void *p = nullptr;
+  ASSERT_EQ(vcuda::Malloc(&p, 1000), vcuda::Error::Success);
+  const auto base = reinterpret_cast<std::uintptr_t>(p);
+  const std::uint64_t queries = vcuda::counters().pointer_queries;
+  const vcuda::VirtualNs t0 = vcuda::virtual_now();
+  vcuda::Allocation range;
+  ASSERT_EQ(vcuda::PointerGetAttributes(&range, static_cast<std::byte *>(p) +
+                                                    999),
+            vcuda::Error::Success);
+  EXPECT_EQ(range.space, vcuda::MemorySpace::Device);
+  EXPECT_EQ(range.base, base);
+  EXPECT_EQ(range.size, 1000u);
+  EXPECT_EQ(vcuda::virtual_now() - t0, vcuda::cost_params().pointer_query_ns);
+  // Unregistered memory reports no range; the three-argument form is the
+  // same query.
+  int local = 0;
+  ASSERT_EQ(vcuda::PointerGetAttributes(&range, &local), vcuda::Error::Success);
+  EXPECT_EQ(range.space, vcuda::MemorySpace::Pageable);
+  EXPECT_EQ(range.size, 0u);
+  vcuda::MemorySpace space{};
+  ASSERT_EQ(vcuda::PointerGetAttributes(&space, nullptr, p),
+            vcuda::Error::Success);
+  EXPECT_EQ(vcuda::counters().pointer_queries - queries, 3u);
+  EXPECT_EQ(vcuda::PointerGetAttributes(nullptr, p),
+            vcuda::Error::InvalidValue);
+  vcuda::Free(p);
+}
+
+TEST(Registry, GenerationChangesOnEveryAllocationEvent) {
+  const vcuda::MemoryRegistry &registry = vcuda::memory_registry();
+  std::uint64_t last = registry.generation();
+  EXPECT_NE(last, 0u);
+  const auto expect_changed = [&](const char *event) {
+    const std::uint64_t now = registry.generation();
+    EXPECT_NE(now, last) << event;
+    last = now;
+  };
+  void *dev = nullptr;
+  void *pinned = nullptr;
+  std::vector<std::byte> host(256);
+  ASSERT_EQ(vcuda::Malloc(&dev, 64), vcuda::Error::Success);
+  expect_changed("Malloc");
+  ASSERT_EQ(vcuda::MallocHost(&pinned, 64), vcuda::Error::Success);
+  expect_changed("MallocHost");
+  ASSERT_EQ(vcuda::HostRegister(host.data(), host.size()),
+            vcuda::Error::Success);
+  expect_changed("HostRegister");
+  // Lookups and failed calls are no allocation events.
+  vcuda::MemorySpace space{};
+  vcuda::PointerGetAttributes(&space, nullptr, dev);
+  EXPECT_EQ(vcuda::HostUnregister(host.data() + 1),
+            vcuda::Error::InvalidValue);
+  EXPECT_EQ(registry.generation(), last);
+  ASSERT_EQ(vcuda::HostUnregister(host.data()), vcuda::Error::Success);
+  expect_changed("HostUnregister");
+  ASSERT_EQ(vcuda::FreeHost(pinned), vcuda::Error::Success);
+  expect_changed("FreeHost");
+  ASSERT_EQ(vcuda::Free(dev), vcuda::Error::Success);
+  expect_changed("Free");
 }
 
 TEST(Registry, FreeWrongSpaceFails) {
