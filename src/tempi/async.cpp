@@ -62,13 +62,13 @@ struct SendBurst {
 
 /// A recorded program an op runs from: a pack program (sender) or an
 /// unpack program (receiver) that a thread's program table recorded (see
-/// claim_program), or a persistent op's own frozen program, which the
+/// table_program), or a persistent op's own frozen program, which the
 /// table serves under the same key. `in_flight` is set while one op runs
-/// from the program's pinned wire lease, so an overlapping call of the
-/// same key never overwrites it: that call runs live instead. `released`
-/// is set when the persistent request that owns the program lets it go
-/// (it is freed or re-frozen): the program's table pins lapse then, even
-/// while a recorded fused batch still holds it.
+/// from the program's pinned wire lease (see claim), so an overlapping
+/// call of the same key never overwrites it: that call runs live instead.
+/// `released` is set when the persistent request that owns the program
+/// lets it go (it is freed or re-frozen): the program's table pins lapse
+/// then, even while a recorded fused batch still holds it.
 struct RecordedProgram {
   PersistentProgram prog;
   std::atomic<bool> in_flight{false};
@@ -115,8 +115,10 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   // first.
   const Packer *packer = nullptr;
 
-  void *recv_buf = nullptr; ///< recv only: the user's destination object
+  void *recv_buf = nullptr;       ///< recv only: the user's destination object
+  const void *send_buf = nullptr; ///< send only: the source object
   int count = 0;
+  std::size_t chunk_bytes = 0; ///< Pipelined send: the wire-leg target
   int peer = MPI_ANY_SOURCE;
   int tag = MPI_ANY_TAG;
   MPI_Comm comm = nullptr;
@@ -126,8 +128,8 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   vcuda::StreamHandle stream = nullptr;
 
   /// Pipelined receive only: the per-chunk state machine (Wait/Test drive
-  /// its legs; its chunk leases live inside it until the op retires). A
-  /// pre-packed one lands its legs in `recv_buf`.
+  /// its legs; its chunk leases live inside it until the op retires or,
+  /// persistent, re-arms). A pre-packed one lands its legs in `recv_buf`.
   std::unique_ptr<ChunkedRecv> chunked;
 
   /// Collectives-engine legs: the payload is pre-packed contiguous bytes,
@@ -163,7 +165,7 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   /// persistent op owns its frozen monolithic program; any other op holds
   /// one only while it has claimed it.
   std::shared_ptr<RecordedProgram> program;
-  /// This op holds `program`'s in-flight mark (see try_claim): it runs from
+  /// This op holds `program`'s in-flight mark (see claim): it runs from
   /// the program until it retires. A persistent op claims its own program
   /// per arming and runs live when a borrower already holds it.
   bool claimed = false;
@@ -172,8 +174,6 @@ struct alignas(kTicketTagMask + 1) AsyncOp {
   // MPI_Type_free between init and free never invalidates the recorded
   // programs' engine (`packer` points into it).
   std::shared_ptr<const Packer> packer_pin;
-  const void *send_buf = nullptr; ///< send: the source object
-  std::size_t chunk_bytes = 0;    ///< frozen Pipelined leg target (else 0)
   /// tune::refresh_generation() snapshot the plan was frozen against;
   /// Start re-chooses lazily when the live value moves.
   std::uint64_t frozen_gen = 0;
@@ -505,21 +505,6 @@ int arrived_objects(const AsyncOp &op) {
 /// persistent ops rest in the pool in the Complete phase.
 bool inactive(const AsyncOp &op) {
   return op.persistent && op.phase == OpPhase::Complete;
-}
-
-/// Mark `program` in flight for one op; false when another op runs from
-/// it.
-bool try_claim(RecordedProgram &program) {
-  return !program.in_flight.exchange(true, std::memory_order_acquire);
-}
-
-/// Run an op from a program claimed for it: it runs on the program's
-/// stream and moves the program's bytes.
-void adopt(AsyncOp &op, std::shared_ptr<RecordedProgram> program) {
-  op.stream = program->prog.stream;
-  op.pipe.bytes = program->prog.pipe.bytes;
-  op.program = std::move(program);
-  op.claimed = true;
 }
 
 /// Return a persistent op to rest after an arming: give its program's
@@ -882,24 +867,13 @@ int post_wire(AsyncOp &op, const interpose::MpiTable &next) {
                     op.tag, op.comm, &op.inner);
 }
 
-/// Post a send from its recorded program: replay the pack graph, fence, and
-/// post the transfer eagerly. Repeated Isends and persistent Starts both
-/// send this way, so the whole per-send setup is one graph launch.
-int post_program_send(AsyncOp &op, const interpose::MpiTable &next) {
-  if (const int rc = replay_pack(op, op.program->prog.stream);
-      rc != MPI_SUCCESS) {
-    return rc;
-  }
-  return post_wire(op, next);
-}
-
 // --- recorded programs for repeated calls -----------------------------------
 //
 // The thread's program table (see "Recorded programs" in async.hpp): its
-// send programs serve MPI_Send and MPI_Isend, which post them the way
-// MPI_Start does (post_program_send); its receive programs serve MPI_Recv
-// and MPI_Irecv; a persistent request's own program is pinned under its
-// key, so these calls borrow it while the request rests.
+// send programs serve MPI_Send and MPI_Isend, which post them as MPI_Start
+// posts its own (post_send); its receive programs serve MPI_Recv and
+// MPI_Irecv; a persistent request's own program is pinned under its key,
+// so these calls borrow it while the request rests.
 
 /// What makes two monolithic calls the same work. The envelope (peer, tag,
 /// comm) is not part of the program, so it is not part of the key. A send
@@ -950,28 +924,33 @@ ProgramKey key_of(const AsyncOp &op) {
           op.count, op.method, op.kind};
 }
 
-/// The program a monolithic Send, Isend, Recv or Irecv `op` runs from,
-/// claimed for it (a resting persistent request's pin, or one the table
+/// Record `op`'s monolithic program for `method` into `prog`: the pack
+/// program of a send, the unpack program of a receive. The program table
+/// and a persistent request's freeze both record through here.
+int record_program(const AsyncOp &op, Method method, PersistentProgram *prog) {
+  return op.kind == AsyncOp::Kind::Send
+             ? record_persistent_send(*op.packer, method, op.send_buf,
+                                      op.count, prog, op.label)
+             : record_persistent_recv(*op.packer, method, op.recv_buf,
+                                      op.count, prog, op.label);
+}
+
+/// The program the thread's table serves a monolithic Send, Isend, Recv or
+/// Irecv `op` from (a resting persistent request's pin, or one the table
 /// recorded); nullptr runs the call live: a sighting that serves no
-/// program (see replay::Table::sight), a message larger than the budget,
-/// or a program another op holds.
-std::shared_ptr<RecordedProgram> claim_program(const AsyncOp &op) {
-  ReplayCounters &counters = replay_counters(op.label);
+/// program (see replay::Table::sight), or a message larger than the
+/// budget.
+std::shared_ptr<RecordedProgram> table_program(const AsyncOp &op) {
   const ProgramTable::Entry *e = programs().sight(
-      key_of(op), 0, &counters.captures, [&]() -> ProgramTable::Recorded {
+      key_of(op), 0, &replay_counters(op.label).captures,
+      [&]() -> ProgramTable::Recorded {
         const std::size_t leases = op.method == Method::Staged ? 2 : 1;
         if (std::bit_ceil(op.packer->packed_bytes(op.count)) * leases >
             replay::kBudget) {
           return {}; // never promotes
         }
         auto fresh = std::make_shared<RecordedProgram>();
-        const int rc =
-            op.kind == AsyncOp::Kind::Send
-                ? record_persistent_send(*op.packer, op.method, op.send_buf,
-                                         op.count, &fresh->prog, op.label)
-                : record_persistent_recv(*op.packer, op.method, op.recv_buf,
-                                         op.count, &fresh->prog, op.label);
-        if (rc != MPI_SUCCESS) {
+        if (record_program(op, op.method, &fresh->prog) != MPI_SUCCESS) {
           return {};
         }
         const std::size_t pinned = fresh->prog.pipe.wire.capacity() +
@@ -981,16 +960,38 @@ std::shared_ptr<RecordedProgram> claim_program(const AsyncOp &op) {
   if (e == nullptr) {
     return nullptr;
   }
+  // A pin its request let go since the lookup reads null.
+  return e->program ? e->program : e->pin.lock();
+}
+
+/// Run `op` from a recorded program when it can claim one (mark it in
+/// flight): then it runs on the program's stream and moves the program's
+/// bytes until it retires. False runs it live. A pipelined op has no
+/// program. A persistent op runs from its own frozen program, any other
+/// monolithic op from its thread's table (table_program). The one busy
+/// rule: a program another op holds serves no second op, which runs live
+/// (an overlapping call of the same key, or an arming whose program a
+/// call borrowed); a call, not an arming, counts as busy.
+bool claim(AsyncOp &op) {
+  if (op.method == Method::Pipelined) {
+    return false;
+  }
   std::shared_ptr<RecordedProgram> program =
-      e->program ? e->program : e->pin.lock();
+      op.persistent ? op.program : table_program(op);
   if (!program) {
-    return nullptr; // a pin its request let go since the lookup
+    return false;
   }
-  if (!try_claim(*program)) {
-    counters.busy.add(); // its wire lease is still in use
-    return nullptr;
+  if (program->in_flight.exchange(true, std::memory_order_acquire)) {
+    if (!op.persistent) {
+      replay_counters(op.label).busy.add(); // its wire lease is in use
+    }
+    return false;
   }
-  return program;
+  op.stream = program->prog.stream;
+  op.pipe.bytes = program->prog.pipe.bytes;
+  op.program = std::move(program);
+  op.claimed = true;
+  return true;
 }
 
 // --- self delivery ----------------------------------------------------------
@@ -1224,8 +1225,10 @@ bool defers(const AsyncOp &op, bool burst, const interpose::MpiTable &next) {
 }
 
 /// Append a send claimed from its recorded program to the thread's list;
-/// it stays at PackIssued until the list is flushed.
+/// it waits at PackIssued (a re-armed persistent send comes from Complete)
+/// until the list is flushed.
 void defer(AsyncOp &op) {
+  op.phase = OpPhase::PackIssued;
   if (!t_burst) {
     t_burst = std::make_shared<SendBurst>();
   }
@@ -1241,8 +1244,7 @@ void defer(AsyncOp &op) {
 
 /// Post a monolithic send live: lease and pack into the op's pipeline,
 /// sync, and hand the wire bytes to the system MPI_Isend.
-int post_live_send(AsyncOp &op, const void *buf,
-                   const interpose::MpiTable &next) {
+int post_live_send(AsyncOp &op, const interpose::MpiTable &next) {
   // The pack and wire durations feed the tuner only for blocking sends,
   // as complete_recv's `sync` gates the unpack observations. Arming them
   // for Isend too grew halo_p2p's peak RSS by 17% (13.0 -> 15.2 MiB).
@@ -1265,7 +1267,8 @@ int post_live_send(AsyncOp &op, const void *buf,
                                      : tune::Axis::DevicePack,
         static_cast<std::size_t>(op.packer->wire_block_bytes()), 0,
         observe && op.method != Method::Staged);
-    rc = start_pack(*op.packer, op.method, buf, op.count, op.stream, &op.pipe);
+    rc = start_pack(*op.packer, op.method, op.send_buf, op.count, op.stream,
+                    &op.pipe);
     if (rc != MPI_SUCCESS) {
       return rc;
     }
@@ -1292,40 +1295,51 @@ int post_live_send(AsyncOp &op, const void *buf,
                     op.tag, op.comm, &op.inner);
 }
 
-/// Post a packer-driven send (PackIssued -> TransferPosted). A monolithic
+/// Post a packer-driven send (PackIssued -> TransferPosted): MPI_Send,
+/// MPI_Isend and a persistent send's MPI_Start all post here. A monolithic
 /// send addressed to the caller itself lands in the thread's posted
 /// receive when that receive takes it (deliver_self); any other posts from
-/// its recorded program when the thread's table has one, else live. A send
-/// from a program that joins a `burst` to another rank may instead wait in
-/// its thread's list (defers), staying at PackIssued. Every other send
-/// that reaches the wire flushes that list first, so the thread's messages
-/// keep their order. A pipelined send runs every chunk leg now: each leg is
-/// a buffered send, so posting them eagerly preserves the engine's deadlock
-/// discipline while the pack/wire overlap still happens inside the call.
-/// Its op is then already transferred, and completion just reclaims it.
-int post_send(AsyncOp &op, std::size_t chunk_bytes, bool burst,
-              const interpose::MpiTable &next) {
+/// the program it claims (see claim), else live. A send from a program
+/// that joins a `burst` to another rank may instead wait in its thread's
+/// list (defers) at PackIssued. Every other send that reaches the wire
+/// flushes that list first, so the thread's messages keep their order. A
+/// pipelined send runs every chunk leg now, replaying a persistent send's
+/// recorded leg graphs: each leg is a buffered send, so posting them
+/// eagerly preserves the engine's deadlock discipline while the pack/wire
+/// overlap still happens inside the call. Its op is then already
+/// transferred, and completion just reclaims it.
+int post_send(AsyncOp &op, bool burst, const interpose::MpiTable &next) {
   int rc = MPI_SUCCESS;
   if (op.method == Method::Pipelined) {
     flush_sends(FlushReason::NondeferrableSend, next);
-    rc = send_pipelined(*op.packer, op.send_buf, op.count, op.peer, op.tag,
-                        op.comm, chunk_bytes, next, op.label);
+    if (op.pipeprog) {
+      rc = replay_pipelined_send(*op.pipeprog, op.peer, op.tag, op.comm,
+                                 next);
+      if (rc == MPI_SUCCESS) {
+        count_replay(op, op.leg_graph_count);
+      }
+    } else {
+      rc = send_pipelined(*op.packer, op.send_buf, op.count, op.peer, op.tag,
+                          op.comm, op.chunk_bytes, next, op.label);
+    }
   } else if (const bool self = is_self(op.peer, op.comm, next);
              self && deliver_self(op, next)) {
     // Delivered: no system request to reclaim.
-  } else if (std::shared_ptr<RecordedProgram> program = claim_program(op)) {
+  } else if (claim(op)) {
     // A repeated send: the recorded pack chain refills the program's
-    // pinned wire lease.
-    adopt(op, std::move(program));
+    // pinned wire lease, one graph launch and a fence.
     if (!self && defers(op, burst, next)) {
       defer(op);
       return MPI_SUCCESS;
     }
     flush_sends(FlushReason::NondeferrableSend, next);
-    rc = post_program_send(op, next);
+    rc = replay_pack(op, op.program->prog.stream);
+    if (rc == MPI_SUCCESS) {
+      rc = post_wire(op, next);
+    }
   } else {
     flush_sends(FlushReason::NondeferrableSend, next);
-    rc = post_live_send(op, op.send_buf, next);
+    rc = post_live_send(op, next);
   }
   if (rc == MPI_SUCCESS) {
     op.phase = OpPhase::TransferPosted;
@@ -1333,19 +1347,31 @@ int post_send(AsyncOp &op, std::size_t chunk_bytes, bool burst,
   return rc;
 }
 
-/// Arm a packer-driven receive (WirePending). A pipelined receive gets its
-/// ChunkedRecv, which leases its chunks lazily (the first leg sizes them)
-/// on streams of its own. A monolithic one leases its wire buffer now: a
-/// failed lease must not reach the wire, which would land the transfer in
-/// a null buffer.
-int arm_recv(AsyncOp &op) {
-  if (op.method == Method::Pipelined) {
+/// Arm a packer-driven receive (WirePending): MPI_Recv, MPI_Irecv and a
+/// persistent receive's MPI_Start all arm here. A monolithic receive lands
+/// in the pinned lease of the program it claims (see claim), else it
+/// leases its wire buffer now, on a round-robin pool stream for the unpack
+/// legs: a failed lease must not reach the wire, which would land the
+/// transfer in a null buffer. A pipelined receive gets a fresh ChunkedRecv,
+/// which leases its chunks lazily (the first leg sizes them) on streams of
+/// its own.
+int post_recv(AsyncOp &op) {
+  op.chunked.reset(); // a re-armed receive never keeps its last legs
+  if (claim(op)) {
+    // The wire lands in the program's pinned lease.
+  } else if (op.method == Method::Pipelined) {
     op.chunked = std::make_unique<ChunkedRecv>(*op.packer, op.recv_buf,
                                                op.count, op.peer, op.tag,
                                                op.comm, op.label);
-    return MPI_SUCCESS;
+  } else {
+    op.stream = vcuda::next_pool_stream();
+    if (const int rc = start_recv(*op.packer, op.method, op.count, &op.pipe);
+        rc != MPI_SUCCESS) {
+      return rc;
+    }
   }
-  return start_recv(*op.packer, op.method, op.count, &op.pipe);
+  op.phase = OpPhase::WirePending;
+  return MPI_SUCCESS;
 }
 
 /// Complete an armed op on the calling thread: reclaim a send's system
@@ -1413,7 +1439,8 @@ int send(const Packer &packer, Method method, const void *buf, int count,
   AsyncOp op(AsyncOp::Kind::Send, method, &packer, count, dest, tag, comm,
              trace::OpKind::Send);
   op.send_buf = buf;
-  if (const int rc = post_send(op, chunk_bytes, /*burst=*/false, next);
+  op.chunk_bytes = chunk_bytes;
+  if (const int rc = post_send(op, /*burst=*/false, next);
       rc != MPI_SUCCESS) {
     return rc;
   }
@@ -1426,15 +1453,7 @@ int recv(const Packer &packer, Method method, void *buf, int count,
   AsyncOp op(AsyncOp::Kind::Recv, method, &packer, count, source, tag, comm,
              trace::OpKind::Recv);
   op.recv_buf = buf;
-  if (method != Method::Pipelined) {
-    // A repeated receive lands in its recorded program's pinned lease.
-    if (std::shared_ptr<RecordedProgram> program = claim_program(op)) {
-      adopt(op, std::move(program));
-      return finish(op, status, next);
-    }
-    op.stream = vcuda::next_pool_stream(); // a ChunkedRecv draws its own
-  }
-  if (const int rc = arm_recv(op); rc != MPI_SUCCESS) {
+  if (const int rc = post_recv(op); rc != MPI_SUCCESS) {
     return rc;
   }
   return finish(op, status, next);
@@ -1448,8 +1467,8 @@ int start_isend(const Packer *packer, Method method, const void *buf,
                                       count, dest, tag, comm,
                                       trace::OpKind::Isend);
   op->send_buf = buf;
-  if (const int rc = post_send(*op, chunk_bytes, burst, next);
-      rc != MPI_SUCCESS) {
+  op->chunk_bytes = chunk_bytes;
+  if (const int rc = post_send(*op, burst, next); rc != MPI_SUCCESS) {
     return rc;
   }
   pool().isends.add();
@@ -1557,19 +1576,8 @@ int start_irecv(const Packer *packer, Method method, void *buf, int count,
                                       count, source, tag, comm,
                                       trace::OpKind::Irecv);
   op->recv_buf = buf;
-  std::shared_ptr<RecordedProgram> program =
-      method == Method::Pipelined ? nullptr : claim_program(*op);
-  if (program) {
-    // A repeated receive lands in its recorded program's pinned lease.
-    adopt(*op, std::move(program));
-  } else {
-    // Round-robin pool stream for the unpack legs Wait/Test enqueue. In
-    // Waitall, only ops that enqueue work of their own (not fused, not
-    // landing in place) put their stream into the pass-2 sync.
-    op->stream = vcuda::next_pool_stream();
-    if (const int rc = arm_recv(*op); rc != MPI_SUCCESS) {
-      return rc; // a failed lease never enters the pool
-    }
+  if (const int rc = post_recv(*op); rc != MPI_SUCCESS) {
+    return rc; // a failed lease never enters the pool
   }
   enroll(*op, next);
   pool().irecvs.add();
@@ -1589,11 +1597,7 @@ int freeze(AsyncOp &op, TransferChoice choice) {
   int rc = MPI_SUCCESS;
   if (choice.method != Method::Pipelined) {
     program = std::make_shared<RecordedProgram>();
-    rc = op.kind == AsyncOp::Kind::Send
-             ? record_persistent_send(*op.packer, choice.method, op.send_buf,
-                                      op.count, &program->prog)
-             : record_persistent_recv(*op.packer, choice.method, op.recv_buf,
-                                      op.count, &program->prog);
+    rc = record_program(op, choice.method, &program->prog);
   } else if (op.kind == AsyncOp::Kind::Send) {
     // One pack graph per wire leg (see record_pipelined_send).
     pipeprog = std::make_unique<PipelinedSendProgram>();
@@ -1624,8 +1628,6 @@ int freeze(AsyncOp &op, TransferChoice choice) {
   if (program) {
     // Calls of the same key borrow the program while the request rests.
     programs().pin(key_of(op), ProgramPin{program});
-    op.stream = program->prog.stream;
-    op.pipe.bytes = program->prog.pipe.bytes;
   }
   if (op.program) {
     op.program->released.store(true, std::memory_order_release);
@@ -1713,70 +1715,18 @@ int start(MPI_Request *request, const interpose::MpiTable &next,
     return MPI_ERR_ARG; // not a persistent request, or already armed
   }
   maybe_refreeze(*op);
-  Pool &p = pool();
-  p.p_starts.add();
-  const bool self = op->kind == AsyncOp::Kind::Send &&
-                    op->method != Method::Pipelined &&
-                    is_self(op->peer, op->comm, next);
-  if (self && deliver_self(*op, next)) {
-    op->phase = OpPhase::TransferPosted; // delivered: nothing to reclaim
-    return MPI_SUCCESS;
-  }
-  // A monolithic arming runs from the request's program unless a call of
-  // the same key borrowed it; then this arming runs live.
-  const bool own =
-      op->method != Method::Pipelined && try_claim(*op->program);
-  if (own) {
-    adopt(*op, op->program);
-  }
-  if (op->kind == AsyncOp::Kind::Recv) {
-    // The wire is matched lazily at Wait/Test; a pipelined receive gets a
-    // fresh ChunkedRecv per arming.
-    op->chunked = op->method == Method::Pipelined
-                      ? std::make_unique<ChunkedRecv>(
-                            *op->packer, op->recv_buf, op->count, op->peer,
-                            op->tag, op->comm, op->label)
-                      : nullptr;
-    if (!own && op->method != Method::Pipelined) {
-      op->stream = vcuda::next_pool_stream();
-      if (const int rc = arm_recv(*op); rc != MPI_SUCCESS) {
-        disarm(*op);
-        return rc; // the request stays inactive
-      }
-    }
+  pool().p_starts.add();
+  // Armed as Send/Isend and Recv/Irecv are: the op brings its own program.
+  int rc = MPI_SUCCESS;
+  if (op->kind == AsyncOp::Kind::Send) {
+    rc = post_send(*op, burst, next);
+  } else if ((rc = post_recv(*op)) == MPI_SUCCESS) {
     enroll(*op, next);
-    op->phase = OpPhase::WirePending;
-    return MPI_SUCCESS;
   }
-  if (op->method != Method::Pipelined) {
-    if (own && !self && defers(*op, burst, next)) {
-      defer(*op);
-      op->phase = OpPhase::PackIssued;
-      return MPI_SUCCESS;
-    }
-    flush_sends(FlushReason::NondeferrableSend, next);
-    const int rc = own ? post_program_send(*op, next)
-                       : post_live_send(*op, op->send_buf, next);
-    if (rc != MPI_SUCCESS) {
-      disarm(*op);
-      return rc; // the request stays inactive
-    }
-  } else {
-    // Per-leg graph replays, same framing and overlap as send_pipelined;
-    // every leg is a buffered send, so the eager-post deadlock discipline
-    // holds.
-    flush_sends(FlushReason::NondeferrableSend, next);
-    const int rc = replay_pipelined_send(*op->pipeprog, op->peer, op->tag,
-                                         op->comm, next);
-    if (rc != MPI_SUCCESS) {
-      return rc;
-    }
-    p.p_replays.add();
-    p.p_graph_launches.add(op->leg_graph_count);
-    op->inner = MPI_REQUEST_NULL; // all legs already on the wire
+  if (rc != MPI_SUCCESS) {
+    disarm(*op); // the request stays inactive
   }
-  op->phase = OpPhase::TransferPosted;
-  return MPI_SUCCESS;
+  return rc;
 }
 
 int startall(int count, MPI_Request *requests,

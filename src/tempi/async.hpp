@@ -12,15 +12,17 @@
 //          (wire buffer leased; the transfer   (unpack legs on
 //           is matched lazily at Wait/Test)     the vcuda stream)
 //
-// There is one request type. A blocking MPI_Send/MPI_Recv builds the op on
-// its caller's stack, posts it as Isend/Irecv do, and completes it through
-// the code Wait uses; it never enters the request pool, takes no shard
-// lock and bumps no tempi.engine.* counter. A one-shot op (Isend, Irecv)
-// lives in the pool and leaves it when it reaches Complete. A persistent
-// op (Send_init, Recv_init) is the same op with a `persistent` flag: it
-// rests in the pool at Complete (inactive), MPI_Start re-arms it at the
-// first phase, and completion re-arms it again instead of retiring it.
-// Only Request_free releases it.
+// There is one request type, with one send path and one receive path: a
+// send is posted by post_send and a receive armed by post_recv, whichever
+// call made it. A blocking MPI_Send/MPI_Recv builds the op on its caller's
+// stack, posts it as Isend/Irecv do, and completes it through the code
+// Wait uses; it never enters the request pool, takes no shard lock and
+// bumps no tempi.engine.* counter. A one-shot op (Isend, Irecv) lives in
+// the pool and leaves it when it reaches Complete. A persistent op
+// (Send_init, Recv_init) is the same op with a `persistent` flag and a
+// program of its own: it rests in the pool at Complete (inactive),
+// MPI_Start posts or arms it through the same two paths, and completion
+// re-arms it again instead of retiring it. Only Request_free releases it.
 //
 // The opaque MPI_Request handles returned to the application are pool
 // tickets, not system requests: Wait/Waitall/Waitany/Test first consult the
@@ -32,21 +34,23 @@
 // completion. Each op draws a stream round-robin from the per-rank pool
 // (vcuda::next_pool_stream).
 //
-// Recorded programs: a repeated monolithic MPI_Send, MPI_Isend, MPI_Recv or
-// MPI_Irecv runs from a recorded program (the program MPI_Send_init/
-// MPI_Recv_init freeze) in its thread's program table, by the sighting rule of
-// tempi/replay.hpp. A send from a program and a persistent send's Start post
-// the same way: PackIssued is one graph launch and a pre-armed fence into the
-// program's pinned wire lease. A receive from a program, persistent, blocking
-// or non-blocking, lands its wire in the program's pinned lease and replays the
-// recorded unpack graph, unless the message is shorter than posted: then only
-// the objects that arrived are unpacked, live. A persistent request's frozen
-// program is entered in the table under its key, never evicted and never
-// charged to its budget, so while the request rests a call of the same key
-// borrows it from the first sighting on instead of recording a second one. An
-// op claims (marks in flight) the program it runs from until it retires; a call
-// that finds its program claimed, by an active request or another borrower,
-// runs live, and so does an arming whose program a call borrowed.
+// Recorded programs: a repeated monolithic MPI_Send, MPI_Isend, MPI_Recv
+// or MPI_Irecv runs from a recorded program (the program MPI_Send_init/
+// MPI_Recv_init freeze) in its thread's program table, by the sighting
+// rule of tempi/replay.hpp. A send from a program and a persistent send's
+// Start post through one path: PackIssued is one graph launch and a
+// pre-armed fence into the program's pinned wire lease. A receive from a
+// program, persistent, blocking or non-blocking, lands its wire in the
+// program's pinned lease and replays the recorded unpack graph, unless the
+// message is shorter than posted: then only the objects that arrived are
+// unpacked, live. A persistent request's frozen program is entered in the
+// table under its key, never evicted and never charged to its budget, so
+// while the request rests a call of the same key borrows it from the
+// first sighting on instead of recording a second one. An op claims (marks
+// in flight) the program it runs from until it retires, by one rule for
+// every call and arming (claim in async.cpp): a call that finds its
+// program claimed, by an active request or another borrower, runs live,
+// and so does an arming whose program a call borrowed.
 //
 // Waitall batching (the paper's halo exchange completes 26 receives per
 // iteration in one Waitall, after the sends its Isends deferred went out as
@@ -81,20 +85,21 @@
 // share one tag per peer, so their order does not change.
 //
 // Send batching (the halo exchange's Isends pack in one kernel): an Isend
-// or persistent Start that sends from a claimed recorded program, is moved
-// by one kernel (Device or OneShot, monolithic), is not addressed to the
-// caller's own rank and joins a burst (a post that follows another post
-// with no completion call between them) does not launch its pack. It waits
-// in its thread's list of deferred sends when the rank initialized at
-// MPI_THREAD_SINGLE or MPI_THREAD_FUNNELED, where that thread is the only
-// one of the rank that enters MPI. (At MPI_THREAD_SERIALIZED or
-// MPI_THREAD_MULTIPLE another thread may block in a receive or a barrier
-// whose peer waits for the pending sends, so every send posts at once.)
-// The thread's next MPI call that can wait or complete a request flushes
-// the list first:
-// every waiting send's pack runs as one fused kernel (launch_unpack_batch's
-// pack items) into its program's pinned wire lease, one fence follows, and
-// the wires are posted in post order. A repeated flush of the same ordered
+// or persistent Start (one send path, one rule) that sends from a claimed
+// recorded program (the table's, or the request's own), is moved by one
+// kernel (Device or OneShot, monolithic), is not addressed to the caller's
+// own rank and joins a burst (a post that follows another post with no
+// completion call between them) does not launch its pack. It waits at
+// PackIssued in its thread's list of deferred sends when the rank
+// initialized at MPI_THREAD_SINGLE or MPI_THREAD_FUNNELED, where that
+// thread is the only one of the rank that enters MPI. (At
+// MPI_THREAD_SERIALIZED or MPI_THREAD_MULTIPLE another thread may block in
+// a receive or a barrier whose peer waits for the pending sends, so every
+// send posts at once.) The thread's next MPI call that can wait or
+// complete a request flushes the list first: every waiting send's pack
+// runs as one fused kernel (launch_unpack_batch's pack items) into its
+// program's pinned wire lease, one fence follows, and the wires are posted
+// in post order. A repeated flush of the same ordered
 // sends replays as one recorded graph from the thread's batch table, the
 // one Waitall's fused unpacks use; a flush of one send, or a flush seen
 // for the first time, replays each send's own program as a send posted
@@ -190,17 +195,19 @@ enum class OpPhase {
 
 struct AsyncOp; // opaque outside async.cpp
 
-/// Blocking accelerated send: post the op as start_isend does, from the
-/// thread's recorded send program of its key when there is one, then
-/// complete it as wait() does. For Method::Pipelined, `chunk_bytes` is the
-/// chosen wire-leg target.
+/// Blocking accelerated send: post the op on the path start_isend and a
+/// persistent send's start() post on, from the thread's recorded send
+/// program of its key when there is one, then complete it as wait() does.
+/// For Method::Pipelined, `chunk_bytes` is the chosen wire-leg target.
 int send(const Packer &packer, Method method, const void *buf, int count,
          int dest, int tag, MPI_Comm comm, const interpose::MpiTable &next,
          std::size_t chunk_bytes);
 
-/// Blocking accelerated receive: arm the op as start_irecv does, or land it
-/// in the thread's recorded receive program of its key when there is one,
-/// then receive, unpack and publish `status` as wait() does.
+/// Blocking accelerated receive: arm the op on the path start_irecv and a
+/// persistent receive's start() arm on, landing it in the thread's
+/// recorded receive program of its key when there is one, then receive,
+/// unpack and publish `status` as wait() does. Unlike theirs, a blocking
+/// receive is never listed for self delivery.
 int recv(const Packer &packer, Method method, void *buf, int count,
          int source, int tag, MPI_Comm comm, MPI_Status *status,
          const interpose::MpiTable &next);
@@ -266,10 +273,13 @@ int start_irecv_packed(void *bytes, std::size_t nbytes, Method method,
 // freed — the graveyard pin), the PerfModel method choice (the exact,
 // uncached TransferKind::Persistent decision), the staging/wire leases
 // (pinned for the request's lifetime), and the pack/unpack launch sequence
-// (recorded as vcuda graphs). MPI_Start then replays pre-baked work:
-// sender-side it sends from the recorded program exactly as a repeated
-// Isend does (the same buffered-send deadlock discipline); receiver-side
-// it arms the op and the wire is matched lazily at Wait/Test, which
+// (recorded as vcuda graphs). MPI_Start then posts the request as
+// MPI_Isend or arms it as MPI_Irecv would, on the same path, with one
+// difference: the program it claims is its own frozen one, not one from
+// the thread's table. Sender-side it sends from that program exactly as a
+// repeated Isend does (a pipelined one replays one graph per leg), with
+// the same buffered-send deadlock discipline, self delivery and send
+// batching; receiver-side the wire is matched lazily at Wait/Test, which
 // replay the unpack graph. Every completion call works unchanged on
 // persistent tickets, which re-arm (active -> inactive) instead of
 // retiring. Completion calls on an INACTIVE persistent ticket complete
@@ -302,7 +312,8 @@ int recv_init(std::shared_ptr<const Packer> packer, TransferChoice choice,
 /// forward keeps the frozen plan (a live persistent request is never
 /// demoted to the system path mid-lifetime), and so does a re-record that
 /// fails; the Start proceeds on it. A send's Start that joins a `burst`
-/// may defer (see "Send batching").
+/// may defer (see "Send batching") as an Isend does. A Start that fails
+/// leaves the request inactive.
 int start(MPI_Request *request, const interpose::MpiTable &next,
           bool burst = false);
 

@@ -93,7 +93,6 @@ struct State {
   std::atomic<std::uint64_t> model_gen{1};
 
   std::atomic<SendMode> mode{SendMode::Auto};
-  std::atomic<bool> persistent_enabled{true};
 
   // Interposer counters live in the metrics registry (trace.hpp): each is
   // a named self-registering atomic, read by name through
@@ -1286,14 +1285,6 @@ void install() {
     red::set_enabled(std::string_view(env) != "0");
     support::log_info("tempi: TEMPI_RED=", env);
   }
-  // The persistent fast path's kill-switch (same pattern as TEMPI_COLL):
-  // decided and logged at install time so a deployment can see — without
-  // relinking — whether Send_init/Recv_init freeze channels or forward.
-  if (const char *env = std::getenv("TEMPI_PERSISTENT")) {
-    s.persistent_enabled.store(std::string_view(env) != "0",
-                               std::memory_order_relaxed);
-    support::log_info("tempi: TEMPI_PERSISTENT=", env);
-  }
   // The topology layer's kill-switch (same pattern): node-aware leg
   // scheduling and reorder=1 rank remapping, or the legacy rank-order /
   // identity behavior.
@@ -1394,11 +1385,8 @@ void install() {
   s.installed = true;
   support::log_info("tempi: interposer installed (collectives engine ",
                     coll::enabled() ? "on" : "off", ", reduction engine ",
-                    red::enabled() ? "on" : "off", ", persistent path ",
-                    s.persistent_enabled.load(std::memory_order_relaxed)
-                        ? "on"
-                        : "off",
-                    ", topology ", topo::enabled() ? "on" : "off", ")");
+                    red::enabled() ? "on" : "off", ", topology ",
+                    topo::enabled() ? "on" : "off", ")");
 }
 
 void uninstall() {
@@ -1453,14 +1441,6 @@ std::shared_ptr<const Packer> find_blocklist_packer(MPI_Datatype datatype) {
   return packer && !packer->strided() ? packer : nullptr;
 }
 
-void set_persistent_enabled(bool enabled) {
-  state().persistent_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool persistent_enabled() {
-  return state().persistent_enabled.load(std::memory_order_relaxed);
-}
-
 void set_send_mode(SendMode mode) {
   state().mode.store(mode, std::memory_order_relaxed);
 }
@@ -1491,9 +1471,6 @@ std::uint64_t choice_generation() {
 std::optional<TransferChoice> persistent_choice(const Packer *packer,
                                                 const void *buf, int count) {
   State &s = state();
-  if (!s.persistent_enabled.load(std::memory_order_relaxed)) {
-    return std::nullopt;
-  }
   return gated_choice(packer, buf, count, [&](std::size_t total) {
     trace::ScopedSpan span(trace::Phase::ModelChoice,
                            trace::OpKind::Persistent, total);

@@ -136,15 +136,6 @@ std::shared_ptr<const Packer> find_packer(MPI_Datatype datatype);
 /// Exposed for tests and the overhead bench.
 const Packer *find_packer_fast(MPI_Datatype datatype);
 
-/// Kill-switch for the persistent-operation fast path (mirrors the
-/// collectives engine's TEMPI_COLL): when disabled, MPI_Send_init /
-/// MPI_Recv_init fall through to the system MPI untouched. Decided from
-/// TEMPI_PERSISTENT=0|1 and logged at install time; default on. Channels
-/// created while enabled keep working after a disable (the switch gates
-/// creation, not completion).
-void set_persistent_enabled(bool enabled);
-bool persistent_enabled();
-
 /// Sec. 8 extension: when a datatype is not expressible as a canonical
 /// strided block (indexed/hindexed/struct), optionally fall back to a
 /// generic GPU blocklist packer (the prior-work representation whose

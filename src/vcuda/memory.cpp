@@ -1,6 +1,7 @@
 #include "vcuda/memory.hpp"
 
 #include <cassert>
+#include <iterator>
 #include <mutex>
 
 namespace vcuda {
@@ -29,8 +30,17 @@ MemoryRegistry::MemoryRegistry() : generation_(next_generation()) {}
 void MemoryRegistry::insert(const Allocation &a) {
   assert(a.size > 0);
   const std::unique_lock<std::shared_mutex> lock(mutex_);
+  // A memo holds only registered ranges, so a range disjoint from every
+  // registered one leaves each memo's answers true; one that replaces or
+  // overlaps a registered range moves the stamp.
+  const auto it = by_base_.lower_bound(a.base);
+  const bool overlaps =
+      (it != by_base_.end() && it->first < a.base + a.size) ||
+      (it != by_base_.begin() && contains(std::prev(it)->second, a.base));
   by_base_[a.base] = a;
-  generation_.store(next_generation(), std::memory_order_release);
+  if (overlaps) {
+    generation_.store(next_generation(), std::memory_order_release);
+  }
 }
 
 std::optional<Allocation> MemoryRegistry::erase(std::uintptr_t base) {

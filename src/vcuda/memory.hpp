@@ -5,8 +5,8 @@
 // (a) cudaPointerGetAttributes-style queries work (TEMPI checks whether user
 // buffers are GPU-resident at every Send/Pack gate), (b) the cost model can
 // price accesses by space, and (c) residency caches above vcuda learn of
-// every allocation event through generation(). Lookups accept interior
-// pointers.
+// every allocation event that could change a cached answer through
+// generation(). Lookups accept interior pointers.
 #pragma once
 
 #include "vcuda/costmodel.hpp"
@@ -67,8 +67,9 @@ private:
 /// Thread-safe interval map from pointer to allocation metadata. Lookups
 /// that hit an allocation this thread found recently are answered from a
 /// per-thread memo without touching the shared lock, so steady-state
-/// queries on concurrent threads do not contend; any insert or erase
-/// invalidates every thread's memo.
+/// queries on concurrent threads do not contend; an erase, or an insert
+/// that replaces or overlaps a registered range, invalidates every
+/// thread's memo.
 class MemoryRegistry {
 public:
   MemoryRegistry();
@@ -87,11 +88,14 @@ public:
   [[nodiscard]] std::size_t count() const;
 
   /// The allocation-event stamp: a process-unique value replaced on every
-  /// insert and erase, so on every Malloc, MallocHost, Free, FreeHost,
-  /// HostRegister and HostUnregister of any thread. A cache of pointer
-  /// residency is valid while the stamp it was filled under still reads
-  /// here (one acquire load) — the role the CUDA allocation hooks of a
-  /// real interposer play. A stamp is never 0.
+  /// erase (Free, FreeHost, HostUnregister of any thread) and on every
+  /// insert whose range replaces or overlaps a registered one. A memo of
+  /// registered ranges goes stale only then: a disjoint Malloc, MallocHost
+  /// or HostRegister changes no answer it holds, so it keeps the stamp. A
+  /// cache of pointer residency that stores registered ranges only is
+  /// valid while the stamp it was filled under still reads here (one
+  /// acquire load) — the role the CUDA allocation hooks of a real
+  /// interposer play. A stamp is never 0.
   [[nodiscard]] std::uint64_t generation() const {
     return generation_.load(std::memory_order_acquire);
   }
@@ -101,8 +105,8 @@ public:
 
 private:
   mutable std::shared_mutex mutex_;
-  /// Process-unique stamp of the current contents, replaced on every
-  /// insert/erase; the per-thread lookup memo is valid only while it holds.
+  /// Process-unique stamp of the registered ranges (see generation()); the
+  /// per-thread lookup memo is valid only while it holds.
   std::atomic<std::uint64_t> generation_;
   std::map<std::uintptr_t, Allocation> by_base_;
 };

@@ -2,8 +2,9 @@
 // Send_init/Recv_init/Start/Startall/Request_free interposition, re-arm
 // semantics across Wait/Waitall/Test, graph-replayed zero-setup sends,
 // pipelined persistent sends under an injected wire limit, the
-// Type_free-while-channel-live graveyard pin, the TEMPI_PERSISTENT kill
-// switch, lease pinning/release, and the uninstall drain contract.
+// Type_free-while-channel-live graveyard pin, forwarding under the
+// system send mode, lease pinning/release, and the uninstall drain
+// contract.
 #include "sysmpi/mpi.hpp"
 #include "sysmpi/world.hpp"
 #include "tempi/async.hpp"
@@ -15,10 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -50,7 +53,6 @@ protected:
   }
   void TearDown() override {
     tempi::set_send_mode(tempi::SendMode::Auto);
-    tempi::set_persistent_enabled(true);
     tempi::set_wire_chunk_limit(tempi::kMaxWireBytes);
     tempi::set_chunk_bytes_override(0);
     tempi::tune::set_enabled(true);
@@ -717,8 +719,10 @@ TEST_F(TempiPersistent, TypeFreeWhileChannelLiveKeepsThePackerAlive) {
   });
 }
 
+// TEMPI_METHOD=system forwards Send_init/Recv_init through the same gate
+// as every other point-to-point call.
 TEST_F(TempiPersistent, KillSwitchForwardsToTheSystemPath) {
-  tempi::set_persistent_enabled(false);
+  tempi::set_send_mode(tempi::SendMode::System);
   run2([&](int rank) {
     MPI_Init(nullptr, nullptr);
     MPI_Datatype t = nullptr;
@@ -757,19 +761,6 @@ TEST_F(TempiPersistent, KillSwitchForwardsToTheSystemPath) {
   });
   EXPECT_EQ(counter("tempi.persistent.inits"), 0u);
   EXPECT_GE(counter("tempi.persistent.forwarded"), 2u);
-  tempi::set_persistent_enabled(true);
-}
-
-TEST_F(TempiPersistent, EnvKillSwitchIsReadAtInstall) {
-  tempi::uninstall();
-  ASSERT_EQ(setenv("TEMPI_PERSISTENT", "0", 1), 0);
-  tempi::install();
-  EXPECT_FALSE(tempi::persistent_enabled());
-  tempi::uninstall();
-  ASSERT_EQ(setenv("TEMPI_PERSISTENT", "1", 1), 0);
-  tempi::install();
-  EXPECT_TRUE(tempi::persistent_enabled());
-  ASSERT_EQ(unsetenv("TEMPI_PERSISTENT"), 0);
 }
 
 TEST_F(TempiPersistent, ChannelLeasesArePinnedUntilRequestFree) {
@@ -1447,6 +1438,222 @@ TEST_F(TempiPersistent, WaitsomeAndTestallHandlePersistentTickets) {
     MPI_Type_free(&t);
     MPI_Finalize();
   });
+}
+
+// --- arming matrix ----------------------------------------------------------
+//
+// MPI_Send/MPI_Recv, MPI_Isend/MPI_Irecv + Waitall and MPI_Send_init/
+// MPI_Recv_init + Startall + Waitall arm alike. For every method (forced
+// Device, OneShot and Staged, and Pipelined under an injected wire limit),
+// to another rank and to the caller's own, over enough rounds to run live,
+// record and replay, every receive ends exactly as on the system path, and
+// the program traffic counts under the API that made it.
+
+enum class Api { Blocking, Nonblocking, Persistent };
+enum class Target { Remote, Self };
+
+constexpr unsigned kArmRounds = 4;
+constexpr int kArmTag = 80;
+
+/// What one rank observed: every return code, and after each round its
+/// receive's status and destination bytes.
+struct Observed {
+  std::vector<int> codes;
+  std::vector<std::array<long long, 4>> statuses;
+  std::vector<std::vector<std::byte>> buffers;
+};
+
+/// Rank 0 sends one 4 KiB-packed device object per round, to rank 1
+/// (Remote) or to itself (Self), through `api`.
+std::array<Observed, 2> arm_rounds(Api api, Target target) {
+  std::array<Observed, 2> seen;
+  run2([&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    MPI_Datatype t = nullptr;
+    MPI_Type_vector(256, 16, 48, MPI_BYTE, &t);
+    MPI_Type_commit(&t);
+    SpaceBuffer src(vcuda::MemorySpace::Device, 256 * 48);
+    SpaceBuffer dst(vcuda::MemorySpace::Device, 256 * 48);
+    const int dest = target == Target::Self ? 0 : 1;
+    const bool sends = rank == 0;
+    const bool receives = rank == dest;
+    Observed &obs = seen[static_cast<std::size_t>(rank)];
+    // Receive first, so a self-addressed send finds it posted.
+    std::vector<MPI_Request> reqs;
+    reqs.reserve(2);
+    const auto post = [&](auto &&call) {
+      reqs.push_back(MPI_REQUEST_NULL);
+      obs.codes.push_back(call(&reqs.back()));
+    };
+    if (api == Api::Persistent) {
+      if (receives) {
+        post([&](MPI_Request *r) {
+          return MPI_Recv_init(dst.get(), 1, t, 0, kArmTag, MPI_COMM_WORLD, r);
+        });
+      }
+      if (sends) {
+        post([&](MPI_Request *r) {
+          return MPI_Send_init(src.get(), 1, t, dest, kArmTag, MPI_COMM_WORLD,
+                               r);
+        });
+      }
+    }
+    for (unsigned round = 0; round < kArmRounds; ++round) {
+      if (sends) {
+        fill_pattern(src.get(), src.size(), 100 + round);
+      }
+      if (receives) {
+        fill_pattern(dst.get(), dst.size(), 200 + round);
+      }
+      std::array<MPI_Status, 2> st{};
+      if (api == Api::Blocking) {
+        if (sends) {
+          obs.codes.push_back(
+              MPI_Send(src.get(), 1, t, dest, kArmTag, MPI_COMM_WORLD));
+        }
+        if (receives) {
+          obs.codes.push_back(MPI_Recv(dst.get(), 1, t, 0, kArmTag,
+                                       MPI_COMM_WORLD, st.data()));
+        }
+      } else {
+        if (api == Api::Nonblocking) {
+          reqs.clear();
+          if (receives) {
+            post([&](MPI_Request *r) {
+              return MPI_Irecv(dst.get(), 1, t, 0, kArmTag, MPI_COMM_WORLD,
+                               r);
+            });
+          }
+          if (sends) {
+            post([&](MPI_Request *r) {
+              return MPI_Isend(src.get(), 1, t, dest, kArmTag,
+                               MPI_COMM_WORLD, r);
+            });
+          }
+        } else {
+          obs.codes.push_back(
+              MPI_Startall(static_cast<int>(reqs.size()), reqs.data()));
+        }
+        obs.codes.push_back(MPI_Waitall(static_cast<int>(reqs.size()),
+                                        reqs.data(), st.data()));
+      }
+      if (receives) {
+        obs.statuses.push_back({st[0].MPI_SOURCE, st[0].MPI_TAG,
+                                st[0].MPI_ERROR, st[0].count_bytes});
+        obs.buffers.emplace_back(dst.bytes(), dst.bytes() + dst.size());
+      }
+    }
+    if (api == Api::Persistent) {
+      for (MPI_Request &r : reqs) {
+        obs.codes.push_back(MPI_Request_free(&r));
+      }
+    }
+    MPI_Type_free(&t);
+    MPI_Finalize();
+  });
+  return seen;
+}
+
+/// The program traffic of a run, by counter (tempi.<name>), zeros left
+/// out: replays, captures and busy calls of each API's program table, the
+/// persistent counters and the self deliveries.
+using Traffic = std::map<std::string, std::uint64_t>;
+
+Traffic program_traffic() {
+  Traffic n;
+  const auto add = [&](const std::string &name) {
+    if (const std::uint64_t v = counter("tempi." + name); v != 0) {
+      n[name] = v;
+    }
+  };
+  for (const char *api : {"send", "recv", "isend", "irecv"}) {
+    for (const char *what : {"replays", "captures", "busy"}) {
+      add(std::string(api) + "." + what);
+    }
+  }
+  for (const char *what : {"inits", "starts", "replays", "graph_launches"}) {
+    add(std::string("persistent.") + what);
+  }
+  add("p2p.self_deliveries");
+  return n;
+}
+
+/// The traffic of kArmRounds (4) rounds. A monolithic call runs live at
+/// its first sighting, records at its second and replays from then on,
+/// counting a replay from the second; a self-addressed Isend lands in the
+/// posted Irecv from the second round (the pair's transcode replays, no
+/// graph of the send's own, no capture). A persistent request replays
+/// every Start (a delivered one launches no graph); a pipelined one
+/// replays its sender's four leg graphs, and nothing else pipelined
+/// records.
+Traffic expected_traffic(bool pipelined, Api api, Target target) {
+  const bool self = target == Target::Self;
+  if (api == Api::Persistent) {
+    if (pipelined) {
+      return {{"persistent.inits", 2}, {"persistent.starts", 8},
+              {"persistent.replays", 4}, {"persistent.graph_launches", 16}};
+    }
+    Traffic n{{"persistent.inits", 2}, {"persistent.starts", 8},
+              {"persistent.replays", 8},
+              {"persistent.graph_launches", self ? 2 : 8}};
+    if (self) {
+      n["p2p.self_deliveries"] = 3;
+    }
+    return n;
+  }
+  if (pipelined) {
+    return {};
+  }
+  if (api == Api::Blocking) {
+    return {{"send.replays", 3}, {"send.captures", 1},
+            {"recv.replays", 3}, {"recv.captures", 1}};
+  }
+  Traffic n{{"isend.replays", 3}, {"irecv.replays", 3},
+            {"irecv.captures", 1}};
+  if (self) {
+    n["p2p.self_deliveries"] = 3;
+  } else {
+    n["isend.captures"] = 1;
+  }
+  return n;
+}
+
+TEST_F(TempiPersistent, EveryApiArmsEveryMethodLikeTheSystemPath) {
+  struct Mode {
+    const char *name;
+    tempi::SendMode mode;
+    std::size_t wire_limit; ///< below the 4 KiB message: Pipelined
+  };
+  const Mode modes[] = {
+      {"device", tempi::SendMode::ForceDevice, tempi::kMaxWireBytes},
+      {"oneshot", tempi::SendMode::ForceOneShot, tempi::kMaxWireBytes},
+      {"staged", tempi::SendMode::ForceStaged, tempi::kMaxWireBytes},
+      {"pipelined", tempi::SendMode::ForceDevice, 1024}};
+  const char *api_names[] = {"Send/Recv", "Isend/Irecv", "Start"};
+  for (const Mode &m : modes) {
+    tempi::set_wire_chunk_limit(m.wire_limit);
+    for (const Api api : {Api::Blocking, Api::Nonblocking, Api::Persistent}) {
+      for (const Target target : {Target::Remote, Target::Self}) {
+        const std::string what =
+            std::string(m.name) + " " + api_names[static_cast<int>(api)] +
+            (target == Target::Self ? " self" : " remote");
+        tempi::set_send_mode(tempi::SendMode::System);
+        const std::array<Observed, 2> reference = arm_rounds(api, target);
+        tempi::set_send_mode(m.mode);
+        tempi::trace::reset_counters();
+        const std::array<Observed, 2> seen = arm_rounds(api, target);
+        for (std::size_t rank = 0; rank < 2; ++rank) {
+          EXPECT_EQ(seen[rank].codes, reference[rank].codes) << what;
+          EXPECT_EQ(seen[rank].statuses, reference[rank].statuses) << what;
+          EXPECT_EQ(seen[rank].buffers, reference[rank].buffers) << what;
+        }
+        EXPECT_EQ(program_traffic(),
+                  expected_traffic(m.wire_limit < 4096, api, target))
+            << what;
+      }
+    }
+  }
+  EXPECT_EQ(tempi::async::persistent_open(), 0u);
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -140,37 +141,91 @@ TEST(Registry, PointerQueryReportsTheRangeAndCountsOnce) {
   vcuda::Free(p);
 }
 
-TEST(Registry, GenerationChangesOnEveryAllocationEvent) {
+// The allocation stamp moves only on events that can change a remembered
+// range. A memo filled on another thread, the way a residency cache above
+// vcuda fills it (stamp, memo lookup, pointer query on a miss), keeps
+// answering with no pointer query across disjoint Malloc, MallocHost and
+// HostRegister calls, and is emptied by Free, FreeHost, HostUnregister and
+// by an insert that replaces or overlaps a registered range.
+TEST(Registry, StampMovesOnlyWhenARegisteredRangeCanChange) {
   const vcuda::MemoryRegistry &registry = vcuda::memory_registry();
-  std::uint64_t last = registry.generation();
-  EXPECT_NE(last, 0u);
-  const auto expect_changed = [&](const char *event) {
-    const std::uint64_t now = registry.generation();
-    EXPECT_NE(now, last) << event;
-    last = now;
+  EXPECT_NE(registry.generation(), 0u);
+  void *watched = nullptr;
+  ASSERT_EQ(vcuda::Malloc(&watched, 64), vcuda::Error::Success);
+  vcuda::AllocationMemo<4> memo;
+  // Look `watched` up on a thread of its own; true when the memo answered.
+  const auto memo_hit = [&] {
+    bool hit = false;
+    std::thread([&] {
+      const std::uint64_t stamp = registry.generation();
+      if (memo.find(stamp, reinterpret_cast<std::uintptr_t>(watched))) {
+        hit = true;
+        return;
+      }
+      vcuda::Allocation range;
+      ASSERT_EQ(vcuda::PointerGetAttributes(&range, watched),
+                vcuda::Error::Success);
+      ASSERT_EQ(range.space, vcuda::MemorySpace::Device);
+      memo.remember(range);
+    }).join();
+    return hit;
   };
+  EXPECT_FALSE(memo_hit()); // the first lookup fills the memo
+  const std::uint64_t queries = vcuda::counters().pointer_queries;
+  EXPECT_TRUE(memo_hit());
+
   void *dev = nullptr;
   void *pinned = nullptr;
   std::vector<std::byte> host(256);
   ASSERT_EQ(vcuda::Malloc(&dev, 64), vcuda::Error::Success);
-  expect_changed("Malloc");
+  EXPECT_TRUE(memo_hit()) << "Malloc";
   ASSERT_EQ(vcuda::MallocHost(&pinned, 64), vcuda::Error::Success);
-  expect_changed("MallocHost");
+  EXPECT_TRUE(memo_hit()) << "MallocHost";
   ASSERT_EQ(vcuda::HostRegister(host.data(), host.size()),
             vcuda::Error::Success);
-  expect_changed("HostRegister");
-  // Lookups and failed calls are no allocation events.
-  vcuda::MemorySpace space{};
-  vcuda::PointerGetAttributes(&space, nullptr, dev);
+  EXPECT_TRUE(memo_hit()) << "HostRegister";
+  // Failed calls are no allocation events either.
   EXPECT_EQ(vcuda::HostUnregister(host.data() + 1),
             vcuda::Error::InvalidValue);
-  EXPECT_EQ(registry.generation(), last);
+  EXPECT_EQ(vcuda::HostRegister(host.data() + 8, 8),
+            vcuda::Error::InvalidValue);
+  EXPECT_TRUE(memo_hit()) << "failed calls";
+  EXPECT_EQ(vcuda::counters().pointer_queries, queries);
+
+  const auto expect_emptied = [&](const char *event) {
+    EXPECT_FALSE(memo_hit()) << event; // refilled by this lookup's query
+    EXPECT_TRUE(memo_hit()) << event;
+  };
   ASSERT_EQ(vcuda::HostUnregister(host.data()), vcuda::Error::Success);
-  expect_changed("HostUnregister");
+  expect_emptied("HostUnregister");
   ASSERT_EQ(vcuda::FreeHost(pinned), vcuda::Error::Success);
-  expect_changed("FreeHost");
+  expect_emptied("FreeHost");
   ASSERT_EQ(vcuda::Free(dev), vcuda::Error::Success);
-  expect_changed("Free");
+  expect_emptied("Free");
+  EXPECT_EQ(vcuda::counters().pointer_queries, queries + 3);
+
+  // Overlapping inserts: on a registry of its own, so no real allocation
+  // is replaced. Each one moves the stamp; a disjoint one does not.
+  vcuda::MemoryRegistry local;
+  local.insert({0x1000, 0x100, vcuda::MemorySpace::Device, 0});
+  std::uint64_t last = local.generation();
+  const auto stamp_moved = [&] {
+    const std::uint64_t before = std::exchange(last, local.generation());
+    return before != last;
+  };
+  local.insert({0x2000, 0x100, vcuda::MemorySpace::Pinned, -1});
+  EXPECT_FALSE(stamp_moved()) << "disjoint";
+  local.insert({0x1100, 0x100, vcuda::MemorySpace::Pinned, -1});
+  EXPECT_FALSE(stamp_moved()) << "adjacent";
+  local.insert({0x1000, 0x80, vcuda::MemorySpace::Pinned, -1});
+  EXPECT_TRUE(stamp_moved()) << "same base";
+  local.insert({0x1040, 0x10, vcuda::MemorySpace::Pinned, -1});
+  EXPECT_TRUE(stamp_moved()) << "inside a range";
+  local.insert({0x1f80, 0x100, vcuda::MemorySpace::Pinned, -1});
+  EXPECT_TRUE(stamp_moved()) << "over the next range's base";
+  ASSERT_TRUE(local.erase(0x1f80));
+  EXPECT_TRUE(stamp_moved()) << "erase";
+  EXPECT_EQ(vcuda::Free(watched), vcuda::Error::Success);
 }
 
 TEST(Registry, FreeWrongSpaceFails) {
